@@ -18,12 +18,14 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "adders/adders.hpp"
 #include "harness/cli.hpp"
 #include "harness/engine.hpp"
 #include "harness/experiments.hpp"
+#include "harness/json.hpp"
 #include "harness/report.hpp"
 #include "harness/synthesis.hpp"
 #include "netlist/verilog.hpp"
@@ -58,11 +60,13 @@ void print_usage() {
                "  --threads     worker threads, 0 = all hardware threads (default 0)\n"
                "  --batch       bit-sliced 64-samples-per-word pipeline (default on;\n"
                "                off = scalar oracle, byte-identical counters)\n"
-               "  --json        also write a machine-readable result record to FILE\n"
+               "  --json        also write the run to FILE as {\"record\", \"threads\",\n"
+               "                \"wall_seconds\", \"samples_per_sec\", \"profile\"?}; the\n"
+               "                record is byte-identical to the service's cached one\n"
                "  --profile     print the engine run profile (shards, RNG words drawn,\n"
                "                fill/eval/merge time split, backend) to stderr as one\n"
                "                JSON line; with --json the profile is also embedded\n"
-               "                in the record as its \"profile\" member\n"
+               "                in the file as its \"profile\" member\n"
                "  --list-experiments  list registry experiment names\n";
 }
 
@@ -98,130 +102,85 @@ void list_experiments() {
   }
 }
 
-void write_json(const std::string& path, const harness::JsonObject& record) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  record.write(out);
-  std::cout << "wrote result record to " << path << "\n";
+/// The explorer's table view of a result record: the record's own fields,
+/// read back, plus the run's wall time (which never enters the record).
+void print_record(const std::string& record, double wall, double rate) {
+  const harness::JsonParse parsed = harness::parse_json(record);
+  if (!parsed.ok()) throw std::runtime_error("unparseable record: " + parsed.error);
+  const auto raw = [&](const char* field) { return parsed.value.find(field)->number_text(); };
+  const auto number = [&](const char* field) { return parsed.value.find(field)->as_double(); };
+
+  harness::Table table({"metric", "value"});
+  if (parsed.value.find("kind")->as_string() == "error-rate") {
+    table.add_row({"samples", raw("samples")});
+    table.add_row({"actual error rate", harness::fmt_pct(number("actual_rate"), 3)});
+    table.add_row({"nominal (stall) rate", harness::fmt_pct(number("nominal_rate"), 3)});
+    table.add_row({"either-wrong rate", harness::fmt_pct(number("either_wrong_rate"), 3)});
+    table.add_row({"false negatives", raw("false_negatives")});
+    table.add_row({"emitted wrong", raw("emitted_wrong")});
+    table.add_row({"avg cycles (eq. 5.2)", harness::fmt_fixed(number("avg_cycles"), 4)});
+    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
+    table.add_row({"samples/sec", harness::fmt_fixed(rate, 0)});
+  } else {
+    table.add_row({"additions", raw("additions")});
+    table.add_row({"chains", raw("chains")});
+    table.add_row({"mean chain length", harness::fmt_fixed(number("mean_chain_length"), 2)});
+    table.add_row(
+        {"chains >= width/2", harness::fmt_pct(number("fraction_at_least_half_width"), 2)});
+    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
+  }
+  table.print(std::cout);
 }
 
 int run_experiment_by_name(const harness::ExplorerOptions& opt) {
-  using Clock = std::chrono::steady_clock;
-  if (const auto* e = harness::find_error_rate_experiment(opt.experiment)) {
-    const std::uint64_t n = opt.samples == 0 ? e->default_samples : opt.samples;
-    std::cout << e->name << ": " << e->description << "\n"
-              << n << " samples, seed " << opt.seed << ", " << to_string(opt.path)
-              << " evaluation\n\n";
-    harness::RunOptions options;
-    options.samples = n;
-    options.seed = opt.seed;
-    options.threads = opt.threads;
-    harness::RunProfileCollector collector;
-    if (opt.profile) options.profile = &collector;
-    const auto start = Clock::now();
-    const auto result = harness::run_experiment(*e, options, opt.path);
-    const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-    const double rate = wall > 0.0 ? static_cast<double>(result.samples) / wall : 0.0;
-    if (opt.profile) {
-      std::cerr << harness::render_run_profile(collector.snapshot()) << "\n";
-    }
-
-    harness::Table table({"metric", "value"});
-    table.add_row({"samples", std::to_string(result.samples)});
-    table.add_row({"actual error rate", harness::fmt_pct(result.actual_rate(), 3)});
-    table.add_row({"nominal (stall) rate", harness::fmt_pct(result.nominal_rate(), 3)});
-    table.add_row({"either-wrong rate", harness::fmt_pct(result.either_wrong_rate(), 3)});
-    table.add_row({"false negatives", std::to_string(result.false_negatives)});
-    table.add_row({"emitted wrong", std::to_string(result.emitted_wrong)});
-    table.add_row({"avg cycles (eq. 5.2)", harness::fmt_fixed(result.average_cycles(), 4)});
-    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
-    table.add_row({"samples/sec", harness::fmt_fixed(rate, 0)});
-    table.print(std::cout);
-
-    if (!opt.json_path.empty()) {
-      harness::JsonObject record;
-      record.add("experiment", e->name);
-      record.add("kind", "error-rate");
-      record.add("model", to_string(e->model));
-      record.add("width", e->width);
-      record.add("window", e->window);
-      record.add("distribution", arith::to_string(e->dist));
-      record.add("samples", result.samples);
-      record.add("seed", opt.seed);
-      record.add("threads", harness::resolve_threads(opt.threads));
-      record.add("eval_path", to_string(opt.path));
-      record.add("actual_errors", result.actual_errors);
-      record.add("nominal_errors", result.nominal_errors);
-      record.add("false_negatives", result.false_negatives);
-      record.add("either_wrong", result.either_wrong);
-      record.add("emitted_wrong", result.emitted_wrong);
-      record.add("actual_rate", result.actual_rate());
-      record.add("nominal_rate", result.nominal_rate());
-      record.add("either_wrong_rate", result.either_wrong_rate());
-      record.add("avg_cycles", result.average_cycles());
-      record.add("wall_seconds", wall);
-      record.add("samples_per_sec", rate);
-      if (opt.profile) {
-        record.add_json("profile", harness::render_run_profile(collector.snapshot()));
-      }
-      write_json(opt.json_path, record);
-    }
-    return 0;
+  const std::optional<harness::RecordKey> key =
+      harness::record_key(opt.experiment, opt.samples, opt.seed, opt.path);
+  if (!key) {
+    std::cerr << "unknown experiment: " << opt.experiment << " (try --list-experiments)\n";
+    return 2;
   }
-  if (const auto* e = harness::find_chain_profile_experiment(opt.experiment)) {
-    if (opt.path_explicit) {
-      std::cerr << "error: --batch only applies to error-rate experiments; "
-                << e->name << " is a chain-profile experiment\n";
-      return 2;
-    }
-    const std::uint64_t n = opt.samples == 0 ? e->default_samples : opt.samples;
-    std::cout << e->name << ": " << e->description << "\n"
-              << n << " samples, seed " << opt.seed << "\n\n";
-    harness::RunOptions options;
-    options.samples = n;
-    options.seed = opt.seed;
-    options.threads = opt.threads;
-    harness::RunProfileCollector collector;
-    if (opt.profile) options.profile = &collector;
-    const auto start = Clock::now();
-    const auto profiler = harness::run_experiment(*e, options);
-    const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-    const double rate = wall > 0.0 ? static_cast<double>(n) / wall : 0.0;
-    if (opt.profile) {
-      std::cerr << harness::render_run_profile(collector.snapshot()) << "\n";
-    }
-
-    harness::Table table({"metric", "value"});
-    table.add_row({"additions", std::to_string(profiler.additions())});
-    table.add_row({"chains", std::to_string(profiler.total())});
-    table.add_row({"mean chain length", harness::fmt_fixed(profiler.mean_length(), 2)});
-    table.add_row({"chains >= width/2",
-                   harness::fmt_pct(profiler.fraction_at_least(profiler.width() / 2), 2)});
-    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
-    table.print(std::cout);
-
-    if (!opt.json_path.empty()) {
-      harness::JsonObject record;
-      record.add("experiment", e->name);
-      record.add("kind", "chain-profile");
-      record.add("width", e->width);
-      record.add("samples", n);
-      record.add("seed", opt.seed);
-      record.add("threads", harness::resolve_threads(opt.threads));
-      record.add("additions", profiler.additions());
-      record.add("chains", profiler.total());
-      record.add("mean_chain_length", profiler.mean_length());
-      record.add("wall_seconds", wall);
-      record.add("samples_per_sec", rate);
-      if (opt.profile) {
-        record.add_json("profile", harness::render_run_profile(collector.snapshot()));
-      }
-      write_json(opt.json_path, record);
-    }
-    return 0;
+  const auto* error_rate = harness::find_error_rate_experiment(key->experiment);
+  const auto* chain_profile = harness::find_chain_profile_experiment(key->experiment);
+  if (chain_profile != nullptr && opt.path_explicit) {
+    std::cerr << "error: --batch only applies to error-rate experiments; "
+              << chain_profile->name << " is a chain-profile experiment\n";
+    return 2;
   }
-  std::cerr << "unknown experiment: " << opt.experiment << " (try --list-experiments)\n";
-  return 2;
+  std::cout << key->experiment << ": "
+            << (error_rate != nullptr ? error_rate->description : chain_profile->description)
+            << "\n"
+            << key->samples << " samples, seed " << key->seed;
+  if (error_rate != nullptr) std::cout << ", " << to_string(key->path) << " evaluation";
+  std::cout << "\n\n";
+
+  harness::RunOptions options;
+  options.threads = opt.threads;
+  harness::RunProfileCollector collector;
+  if (opt.profile) options.profile = &collector;
+  const auto start = std::chrono::steady_clock::now();
+  const harness::RecordRun run = harness::run_record(*key, options);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const double rate = wall > 0.0 ? static_cast<double>(key->samples) / wall : 0.0;
+  const std::string profile = run.profile ? harness::render_run_profile(*run.profile) : "";
+  if (!profile.empty()) std::cerr << profile << "\n";
+  print_record(run.record, wall, rate);
+
+  if (!opt.json_path.empty()) {
+    // The envelope: the record bytes exactly as the service caches them,
+    // then what belongs to this run only (threads, timing, profile).
+    harness::JsonObject envelope;
+    envelope.add_json("record", run.record);
+    envelope.add("threads", harness::resolve_threads(opt.threads));
+    envelope.add("wall_seconds", wall);
+    envelope.add("samples_per_sec", rate);
+    if (!profile.empty()) envelope.add_json("profile", profile);
+    std::ofstream out(opt.json_path);
+    if (!out) throw std::runtime_error("cannot open " + opt.json_path);
+    envelope.write(out);
+    std::cout << "wrote result record to " << opt.json_path << "\n";
+  }
+  return 0;
 }
 
 }  // namespace

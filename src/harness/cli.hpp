@@ -58,7 +58,7 @@ struct ExplorerOptions {
 
   // Experiment mode.
   std::string experiment;  // --experiment=NAME
-  std::string json_path;   // --json=FILE: machine-readable result record
+  std::string json_path;   // --json=FILE: result record + run envelope
   std::uint64_t samples = 0;  // 0 = the experiment's default
   std::uint64_t seed = 1;
   int threads = 0;  // 0 = all hardware threads

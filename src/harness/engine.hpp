@@ -72,8 +72,9 @@ struct RunProfile {
 /// Opt-in profiling sink threaded through RunOptions::profile.  All methods
 /// are thread-safe (relaxed atomics — counters are independent, and every
 /// field is published by the join before snapshot() runs); a null pointer in
-/// RunOptions disables profiling at a single branch per shard/block, so the
-/// default path pays nothing.
+/// RunOptions disables profiling at a single branch per shard (the batched
+/// loop's untimed instantiation has none per block), so the default path
+/// pays nothing.
 class RunProfileCollector {
  public:
   void add_shard(std::uint64_t rng_words, std::uint64_t samples) {
@@ -148,10 +149,10 @@ struct RunOptions {
   /// RunCancelled instead of returning a merged accumulator.  The token is
   /// only read — the setter (e.g. the service's deadline watchdog) owns it.
   const std::atomic<bool>* cancel = nullptr;
-  /// Opt-in execution profiling: when non-null, the engine (and the batch
-  /// kernels in montecarlo.cpp) record shard/block counts, RNG consumption
-  /// and stage timings into it.  Null costs one branch per shard/block and
-  /// nothing else; profiling never changes any counter or the RNG stream.
+  /// Opt-in execution profiling: when non-null, the engine (and the batched
+  /// loop in montecarlo.cpp) record shard/block counts, RNG consumption and
+  /// stage timings into it.  Null costs one branch per shard and nothing
+  /// else; profiling never changes any counter or the RNG stream.
   RunProfileCollector* profile = nullptr;
 };
 

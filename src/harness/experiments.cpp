@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "harness/engine.hpp"
+#include "harness/report.hpp"
 #include "speculative/error_model.hpp"
 
 namespace vlcsa::harness {
@@ -12,6 +13,24 @@ namespace {
 
 const arith::GaussianParams kPaperGaussian{0.0, std::ldexp(1.0, 32)};   // Ch. 7 inputs
 const arith::GaussianParams kFig6Gaussian{0.0, std::ldexp(1.0, 20)};    // 32-bit figures
+
+/// Stream versions (RecordKey::stream_version).  gauss-rng-v2: the Gaussian
+/// sources moved from per-sample std::normal_distribution onto the block
+/// ziggurat (arith::GaussianBlockSampler), redefining every Gaussian-input
+/// counter.  crypto-rng-v2: run_crypto_workload's seeding moved onto the
+/// shared seed_seq discipline (arith::make_stream_rng).  Uniform streams
+/// were untouched by both and stay unversioned, so their keys never moved.
+const char* stream_version(arith::InputDistribution dist) {
+  const bool gaussian = dist == arith::InputDistribution::kGaussianUnsigned ||
+                        dist == arith::InputDistribution::kGaussianTwos;
+  return gaussian ? "gauss-rng-v2" : "";
+}
+
+const char* stream_version(const ChainProfileExperiment& experiment) {
+  return experiment.workload == ChainProfileExperiment::Workload::kCrypto
+             ? "crypto-rng-v2"
+             : stream_version(experiment.dist);
+}
 
 std::string point_name(const std::string& artifact, const std::string& point) {
   return artifact + "/" + point;
@@ -274,6 +293,91 @@ std::vector<const ErrorRateExperiment*> error_rate_experiments_with_prefix(
 std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix(
     std::string_view prefix) {
   return find_by_prefix(chain_profile_experiments(), prefix);
+}
+
+namespace {
+
+// The result records.  Field order and spelling are the cache format: the
+// disk tier re-parses the embedded experiment/samples/seed/eval_path/
+// stream_version fields and validates them against the key (cache.hpp), and
+// registry_pin_test pins every entry's bytes.
+void add_key_fields(JsonObject& record, const RecordKey& key) {
+  record.add("samples", key.samples);
+  record.add("seed", key.seed);
+  record.add("eval_path", to_string(key.path));
+  if (!key.stream_version.empty()) record.add("stream_version", key.stream_version);
+}
+
+std::string error_rate_record(const ErrorRateExperiment& experiment, const RecordKey& key,
+                              const ErrorRateResult& result) {
+  JsonObject record;
+  record.add("experiment", experiment.name);
+  record.add("kind", "error-rate");
+  record.add("model", to_string(experiment.model));
+  record.add("width", experiment.width);
+  record.add("window", experiment.window);
+  record.add("distribution", arith::to_string(experiment.dist));
+  add_key_fields(record, key);
+  record.add("actual_errors", result.actual_errors);
+  record.add("nominal_errors", result.nominal_errors);
+  record.add("false_negatives", result.false_negatives);
+  record.add("either_wrong", result.either_wrong);
+  record.add("emitted_wrong", result.emitted_wrong);
+  record.add("total_cycles", result.total_cycles);
+  record.add("actual_rate", result.actual_rate());
+  record.add("nominal_rate", result.nominal_rate());
+  record.add("either_wrong_rate", result.either_wrong_rate());
+  record.add("avg_cycles", result.average_cycles());
+  return record.render_line();
+}
+
+std::string chain_profile_record(const ChainProfileExperiment& experiment, const RecordKey& key,
+                                 const arith::CarryChainProfiler& profiler) {
+  const bool crypto = experiment.workload == ChainProfileExperiment::Workload::kCrypto;
+  JsonObject record;
+  record.add("experiment", experiment.name);
+  record.add("kind", "chain-profile");
+  record.add("width", experiment.width);
+  record.add("workload", crypto ? "crypto" : "distribution");
+  record.add("source", crypto ? std::string(to_string(experiment.crypto_kind))
+                              : arith::to_string(experiment.dist));
+  add_key_fields(record, key);
+  record.add("additions", profiler.additions());
+  record.add("chains", profiler.total());
+  record.add("mean_chain_length", profiler.mean_length());
+  record.add("fraction_at_least_half_width",
+             profiler.fraction_at_least(experiment.width / 2));
+  return record.render_line();
+}
+
+}  // namespace
+
+std::optional<RecordKey> record_key(std::string_view name, std::uint64_t samples,
+                                    std::uint64_t seed, EvalPath path) {
+  if (const ErrorRateExperiment* experiment = find_error_rate_experiment(name)) {
+    return RecordKey{experiment->name, samples == 0 ? experiment->default_samples : samples,
+                     seed, path, stream_version(experiment->dist)};
+  }
+  if (const ChainProfileExperiment* experiment = find_chain_profile_experiment(name)) {
+    return RecordKey{experiment->name, samples == 0 ? experiment->default_samples : samples,
+                     seed, EvalPath::kScalar, stream_version(*experiment)};
+  }
+  return std::nullopt;
+}
+
+RecordRun run_record(const RecordKey& key, RunOptions options) {
+  options.samples = key.samples;
+  options.seed = key.seed;
+  RecordRun out;
+  if (const ErrorRateExperiment* experiment = find_error_rate_experiment(key.experiment)) {
+    out.record = error_rate_record(*experiment, key, run_experiment(*experiment, options, key.path));
+  } else if (const ChainProfileExperiment* chain = find_chain_profile_experiment(key.experiment)) {
+    out.record = chain_profile_record(*chain, key, run_experiment(*chain, options));
+  } else {
+    throw std::invalid_argument("unknown experiment '" + key.experiment + "'");
+  }
+  if (options.profile != nullptr) out.profile = options.profile->snapshot();
+  return out;
 }
 
 }  // namespace vlcsa::harness

@@ -4,13 +4,16 @@
 // distribution) configurations.  Bench binaries and the adder_explorer
 // example look experiments up here instead of hand-rolling sampling loops;
 // new workloads are added by appending a registration, and immediately
-// become runnable from every front end.
+// become runnable from every front end.  The registry also defines what an
+// experiment's result record is: record_key + run_record below are the one
+// place that names a record's key, stream version and bytes.
 //
 // Naming convention: "<artifact>/<point>", e.g. "table7.1/n64" or
 // "fig6.5/gaussian-twos-complement".  Prefix queries ("table7.1/") return
 // all points of one artifact in registration (= presentation) order.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,5 +111,41 @@ struct ChainProfileExperiment {
     std::string_view prefix);
 [[nodiscard]] std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix(
     std::string_view prefix);
+
+/// What an experiment's result record is a pure function of — the service's
+/// cache key, and the identity fields every record embeds.
+struct RecordKey {
+  std::string experiment;
+  std::uint64_t samples = 0;
+  std::uint64_t seed = 1;
+  EvalPath path = EvalPath::kBatched;  // always kScalar for chain profiles
+  /// The entry's draw-stream version: "gauss-rng-v2" for Gaussian-input
+  /// entries, "crypto-rng-v2" for the fig6.2 crypto workloads, "" for
+  /// streams that never moved.  Bumped whenever an entry's stream changes
+  /// incompatibly, so records from the old stream miss instead of hitting
+  /// stale.
+  std::string stream_version;
+};
+
+/// Resolves a run of registry entry `name` into its record key: `samples`
+/// 0 selects the entry's default, and chain profiles key the scalar path
+/// (they have no batched pipeline).  nullopt when no entry has that name.
+[[nodiscard]] std::optional<RecordKey> record_key(std::string_view name, std::uint64_t samples,
+                                                  std::uint64_t seed, EvalPath path);
+
+/// What run_record produced.
+struct RecordRun {
+  std::string record;                 // single-line JSON object, no newline
+  std::optional<RunProfile> profile;  // set when options.profile was non-null
+};
+
+/// Runs the experiment `key` names and renders its result record — the one
+/// definition of a record's bytes, shared by the service cache and
+/// adder_explorer --json.  The record is a pure function of `key` (no wall
+/// time, no thread count), so any `options` reproduce it byte for byte;
+/// `options` supplies only the engine knobs (threads, lane_words, cancel,
+/// profile), while samples and seed come from `key`.  Throws
+/// std::invalid_argument when no entry has `key.experiment`.
+[[nodiscard]] RecordRun run_record(const RecordKey& key, RunOptions options);
 
 }  // namespace vlcsa::harness

@@ -13,13 +13,6 @@ inline std::uint64_t lanes(std::uint64_t mask) {
   return static_cast<std::uint64_t>(std::popcount(mask));
 }
 
-/// Nanoseconds between two steady_clock points (RunProfile stage timing).
-inline std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
-                                std::chrono::steady_clock::time_point to) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
 }  // namespace
 
 const char* to_string(EvalPath path) {
@@ -103,63 +96,152 @@ void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult&
   out.total_cycles += static_cast<std::uint64_t>(arith::kBatchLanes) * lw + errs;
 }
 
-ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
+namespace {
+
+/// The model families run_model drives.  Each folds either one operand pair
+/// (the scalar oracle) or one bit-sliced batch into ErrorRateResult counters;
+/// `Scratch` is the per-shard batch output buffer.
+class VlcsaFolds {
+ public:
+  using Scratch = spec::VlcsaBatchStep;
+  explicit VlcsaFolds(const spec::VlcsaConfig& config)
+      : model_(config), variant_(config.variant) {}
+
+  void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
+    accumulate_vlcsa(model_.step(a, b), variant_, out);
+  }
+  void batch(const arith::BitSlicedBatch& in, Scratch& step, ErrorRateResult& out) const {
+    model_.step_batch(in, step);
+    accumulate_vlcsa_batch(step, variant_, out);
+  }
+
+ private:
+  spec::VlcsaModel model_;
+  spec::ScsaVariant variant_;
+};
+
+class VlsaFolds {
+ public:
+  using Scratch = spec::VlsaBatchEvaluation;
+  explicit VlsaFolds(const spec::VlsaConfig& config) : model_(config) {}
+
+  void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
+    accumulate_vlsa(model_.evaluate(a, b), out);
+  }
+  void batch(const arith::BitSlicedBatch& in, Scratch& ev, ErrorRateResult& out) const {
+    model_.evaluate_batch(in, ev);
+    accumulate_vlsa_batch(ev, out);
+  }
+
+ private:
+  spec::VlsaModel model_;
+};
+
+/// Draws and folds `count` samples one at a time: the whole shard on the
+/// scalar path, and the tail after the last full batch on the batched path —
+/// same draws in the same order, so both paths consume identical RNG streams
+/// and merge to identical counters.
+template <typename Folds>
+void fold_samples(const Folds& folds, OperandSource& source, arith::BlockRng& rng,
+                  std::uint64_t count, ErrorRateResult& out) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto [a, b] = source.next(rng);
+    folds.sample(a, b, out);
+  }
+}
+
+/// run_batched's compile-time timing policies.  NoTimer's calls compile to
+/// nothing, so the default loop has no clock reads and no per-block branch;
+/// BlockTimer times each block's fill and eval stages into the run's
+/// RunProfileCollector.  One instance per shard.
+struct NoTimer {
+  explicit NoTimer(RunProfileCollector* /*profile*/) {}
+  void start() {}
+  void filled() {}
+  void evaluated() {}
+  void finish(std::uint64_t /*batched*/, std::uint64_t /*count*/) {}
+};
+
+class BlockTimer {
+ public:
+  explicit BlockTimer(RunProfileCollector* profile) : profile_(profile) {}
+  void start() { fill_start_ = Clock::now(); }
+  void filled() { eval_start_ = Clock::now(); }
+  void evaluated() {
+    const auto eval_end = Clock::now();
+    profile_->add_fill_ns(ns(eval_start_ - fill_start_));
+    profile_->add_eval_ns(ns(eval_end - eval_start_));
+    ++blocks_;
+  }
+  /// `batched` of the shard's `count` samples went through the batch loop.
+  void finish(std::uint64_t batched, std::uint64_t count) {
+    profile_->add_batch(blocks_, batched);
+    if (batched < count) profile_->add_scalar_samples(count - batched);
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  static std::uint64_t ns(Clock::duration d) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  }
+
+  RunProfileCollector* profile_;
+  Clock::time_point fill_start_;
+  Clock::time_point eval_start_;
+  std::uint64_t blocks_ = 0;
+};
+
+/// The batched sampling loop, once for every model family: per shard, fill
+/// and fold whole batches of 64 * lane_words samples, then the scalar tail.
+template <typename Timer, typename Folds>
+ErrorRateResult run_batched(const Folds& folds, int width, int lane_words, OperandSource& source,
+                            const RunOptions& options) {
+  return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
+    return [&folds, shard_source = source.clone(), batch = arith::BitSlicedBatch(width, lane_words),
+            scratch = typename Folds::Scratch{}, profile = options.profile](
+               arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count) mutable {
+      Timer timer(profile);
+      const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
+      std::uint64_t done = 0;
+      for (; done + batch_lanes <= count; done += batch_lanes) {
+        timer.start();
+        shard_source->fill_batch(rng, batch);
+        timer.filled();
+        folds.batch(batch, scratch, out);
+        timer.evaluated();
+      }
+      timer.finish(done, count);
+      fold_samples(folds, *shard_source, rng, count - done, out);
+    };
+  });
+}
+
+template <typename Folds>
+ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
-  const spec::VlcsaModel model(config);
-  const auto make_result = [] { return ErrorRateResult{}; };
   if (path == EvalPath::kScalar) {
-    return run_sharded(options, make_result, [&] {
-      return [&model, variant = config.variant,
-              shard_source = source.clone()](arith::BlockRng& rng, ErrorRateResult& out) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlcsa(model.step(a, b), variant, out);
+    return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
+      return [&folds, shard_source = source.clone(), profile = options.profile](
+                 arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count) {
+        fold_samples(folds, *shard_source, rng, count, out);
+        if (profile != nullptr) profile->add_scalar_samples(count);
       };
     });
   }
   const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
-  if (options.profile != nullptr) options.profile->set_lane_words(lane_words);
-  return run_sharded_blocks(options, make_result, [&, lane_words] {
-    return [&model, variant = config.variant, shard_source = source.clone(),
-            batch = arith::BitSlicedBatch(config.width, lane_words),
-            step = spec::VlcsaBatchStep{},
-            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
-                                       std::uint64_t count) mutable {
-      const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
-      std::uint64_t done = 0;
-      if (profile == nullptr) {
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          shard_source->fill_batch(rng, batch);
-          model.step_batch(batch, step);
-          accumulate_vlcsa_batch(step, variant, out);
-        }
-      } else {
-        // Profiled copy of the loop above: identical draws and folds, plus
-        // per-block fill/eval stage timing.  Kept separate so the default
-        // path pays a single branch per shard, not two clock reads per block.
-        std::uint64_t blocks = 0;
-        using ProfClock = std::chrono::steady_clock;
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          const auto fill_start = ProfClock::now();
-          shard_source->fill_batch(rng, batch);
-          const auto eval_start = ProfClock::now();
-          model.step_batch(batch, step);
-          accumulate_vlcsa_batch(step, variant, out);
-          const auto eval_end = ProfClock::now();
-          profile->add_fill_ns(elapsed_ns(fill_start, eval_start));
-          profile->add_eval_ns(elapsed_ns(eval_start, eval_end));
-          ++blocks;
-        }
-        profile->add_batch(blocks, done);
-        if (done < count) profile->add_scalar_samples(count - done);
-      }
-      // Scalar tail: same draws in the same order, so the shard's RNG stream
-      // (and therefore the merged counters) match the scalar path exactly.
-      for (; done < count; ++done) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlcsa(model.step(a, b), variant, out);
-      }
-    };
-  });
+  if (options.profile == nullptr) {
+    return run_batched<NoTimer>(folds, width, lane_words, source, options);
+  }
+  options.profile->set_lane_words(lane_words);
+  return run_batched<BlockTimer>(folds, width, lane_words, source, options);
+}
+
+}  // namespace
+
+ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
+                          const RunOptions& options, EvalPath path) {
+  return run_model(VlcsaFolds(config), config.width, source, options, path);
 }
 
 ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
@@ -171,57 +253,7 @@ ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source
 
 ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
                          const RunOptions& options, EvalPath path) {
-  const spec::VlsaModel model(config);
-  const auto make_result = [] { return ErrorRateResult{}; };
-  if (path == EvalPath::kScalar) {
-    return run_sharded(options, make_result, [&] {
-      return [&model, shard_source = source.clone()](arith::BlockRng& rng,
-                                                     ErrorRateResult& out) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlsa(model.evaluate(a, b), out);
-      };
-    });
-  }
-  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
-  if (options.profile != nullptr) options.profile->set_lane_words(lane_words);
-  return run_sharded_blocks(options, make_result, [&, lane_words] {
-    return [&model, shard_source = source.clone(),
-            batch = arith::BitSlicedBatch(config.width, lane_words),
-            ev = spec::VlsaBatchEvaluation{},
-            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
-                                       std::uint64_t count) mutable {
-      const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
-      std::uint64_t done = 0;
-      if (profile == nullptr) {
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          shard_source->fill_batch(rng, batch);
-          model.evaluate_batch(batch, ev);
-          accumulate_vlsa_batch(ev, out);
-        }
-      } else {
-        // Profiled copy; see run_vlcsa for why the loop is duplicated.
-        std::uint64_t blocks = 0;
-        using ProfClock = std::chrono::steady_clock;
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          const auto fill_start = ProfClock::now();
-          shard_source->fill_batch(rng, batch);
-          const auto eval_start = ProfClock::now();
-          model.evaluate_batch(batch, ev);
-          accumulate_vlsa_batch(ev, out);
-          const auto eval_end = ProfClock::now();
-          profile->add_fill_ns(elapsed_ns(fill_start, eval_start));
-          profile->add_eval_ns(elapsed_ns(eval_start, eval_end));
-          ++blocks;
-        }
-        profile->add_batch(blocks, done);
-        if (done < count) profile->add_scalar_samples(count - done);
-      }
-      for (; done < count; ++done) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlsa(model.evaluate(a, b), out);
-      }
-    };
-  });
+  return run_model(VlsaFolds(config), config.width, source, options, path);
 }
 
 ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,

@@ -45,10 +45,9 @@ struct CacheKey {
   /// Version tag for experiment families whose draw streams have changed
   /// incompatibly (empty for families whose streams never moved — keys,
   /// file names, and record matching are byte-identical to the pre-field
-  /// era then).  Currently only the crypto chain-profile workloads carry
-  /// one: their internal seeding moved onto the shared seed_seq helper
-  /// with the BlockRng subsystem, so records written before that swap
-  /// must miss instead of being served as silently stale hits.
+  /// era then), so records written before a stream change miss instead of
+  /// being served as silently stale hits.  The registry assigns it
+  /// (harness::RecordKey::stream_version).
   std::string stream_version;
 };
 

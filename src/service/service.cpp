@@ -4,6 +4,7 @@
 #include <exception>
 #include <initializer_list>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -28,7 +29,7 @@ struct ExperimentService::RequestContext {
   std::string experiment;      // run requests: the experiment name
   std::string cache;           // run requests: hit-memory/hit-disk/miss/coalesced
   const char* code = nullptr;  // error code when the reply is an error
-  std::string profile_json;    // rendered RunProfile (traced engine runs only)
+  std::string profile_json;    // a traced computed lone run's RunProfile, rendered
 };
 
 namespace {
@@ -163,108 +164,16 @@ const char* tier_name(ResultCache::Tier tier) {
   return "?";
 }
 
-/// Stream version of the Gaussian operand streams.  Bumped whenever the
-/// Gaussian variate stream changes incompatibly — v2 is the move of
-/// GaussianUnsignedSource/GaussianTwosSource from per-sample
-/// std::normal_distribution onto the block ziggurat
-/// (arith::GaussianBlockSampler), which redefines every Gaussian-input
-/// counter.  Applies to error-rate experiments AND distribution chain
-/// profiles with a Gaussian dist; uniform streams were untouched by that
-/// swap and stay unversioned (keys unchanged).
-constexpr const char* kGaussStreamVersion = "gauss-rng-v2";
-
-bool gaussian_dist(arith::InputDistribution dist) {
-  return dist == arith::InputDistribution::kGaussianUnsigned ||
-         dist == arith::InputDistribution::kGaussianTwos;
-}
-
-// The cached result record: a pure function of (experiment, samples, seed,
-// eval path) — no wall time, no thread count — so a fresh recomputation at
-// any --threads setting reproduces it byte-for-byte.  The embedded
-// experiment/samples/seed/eval_path fields are what the disk tier validates
-// against the key (cache.hpp).
-std::string error_rate_record(const harness::ErrorRateExperiment& experiment,
-                              std::uint64_t seed, harness::EvalPath path,
-                              const harness::ErrorRateResult& result) {
-  JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "error-rate");
-  record.add("model", to_string(experiment.model));
-  record.add("width", experiment.width);
-  record.add("window", experiment.window);
-  record.add("distribution", arith::to_string(experiment.dist));
-  record.add("samples", result.samples);
-  record.add("seed", seed);
-  record.add("eval_path", to_string(path));
-  // Gaussian experiments are stream-versioned (see kGaussStreamVersion):
-  // records from an incompatible sampler era must miss, not hit stale.
-  if (gaussian_dist(experiment.dist)) record.add("stream_version", kGaussStreamVersion);
-  record.add("actual_errors", result.actual_errors);
-  record.add("nominal_errors", result.nominal_errors);
-  record.add("false_negatives", result.false_negatives);
-  record.add("either_wrong", result.either_wrong);
-  record.add("emitted_wrong", result.emitted_wrong);
-  record.add("total_cycles", result.total_cycles);
-  record.add("actual_rate", result.actual_rate());
-  record.add("nominal_rate", result.nominal_rate());
-  record.add("either_wrong_rate", result.either_wrong_rate());
-  record.add("avg_cycles", result.average_cycles());
-  return record.render_line();
-}
-
-/// Stream version of the crypto chain-profile workloads.  Bumped whenever
-/// their internal draw streams change incompatibly — v2 is the move of
-/// run_crypto_workload's seeding onto the shared seed_seq discipline
-/// (arith::make_stream_rng) that shipped with the BlockRng subsystem.
-/// Distribution profiles and every error-rate experiment are sequence-
-/// identical across that swap and stay unversioned (keys unchanged).
-constexpr const char* kCryptoStreamVersion = "crypto-rng-v2";
-
-std::string chain_profile_record(const harness::ChainProfileExperiment& experiment,
-                                 std::uint64_t samples, std::uint64_t seed,
-                                 const arith::CarryChainProfiler& profiler) {
-  JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "chain-profile");
-  record.add("width", experiment.width);
-  const bool crypto = experiment.workload == harness::ChainProfileExperiment::Workload::kCrypto;
-  record.add("workload", crypto ? "crypto" : "distribution");
-  record.add("source",
-             crypto ? std::string(to_string(experiment.crypto_kind))
-                    : arith::to_string(experiment.dist));
-  record.add("samples", samples);
-  record.add("seed", seed);
-  // Chain profiling has no batched pipeline; key the scalar path so the
-  // cache key shape is uniform across both families.
-  record.add("eval_path", to_string(harness::EvalPath::kScalar));
-  // Crypto workloads are stream-versioned (see kCryptoStreamVersion), and so
-  // are Gaussian distribution profiles (see kGaussStreamVersion): records
-  // from an incompatible seeding/sampler era must miss, not hit stale.
-  if (crypto) {
-    record.add("stream_version", kCryptoStreamVersion);
-  } else if (gaussian_dist(experiment.dist)) {
-    record.add("stream_version", kGaussStreamVersion);
-  }
-  record.add("additions", profiler.additions());
-  record.add("chains", profiler.total());
-  record.add("mean_chain_length", profiler.mean_length());
-  record.add("fraction_at_least_half_width",
-             profiler.fraction_at_least(experiment.width / 2));
-  return record.render_line();
-}
-
 }  // namespace
 
 /// One validated run request (or run-batch element).
 struct ExperimentService::RunSpec {
   std::string experiment;
-  std::uint64_t samples = 0;
-  bool samples_given = false;
+  std::uint64_t samples = 0;  // 0 = not given (the experiment default)
   std::uint64_t seed = 1;
   harness::EvalPath path = harness::EvalPath::kBatched;
   bool path_given = false;
   std::uint64_t timeout_ms = 0;  // request-level override; 0 = not given
-  bool timeout_given = false;
 };
 
 /// What running one spec produced: either `error` (+ `code`) or a record.
@@ -274,9 +183,26 @@ struct ExperimentService::RunOutcome {
   ResultCache::Tier tier = ResultCache::Tier::kMiss;
   bool coalesced = false;
   std::string record;
+  std::string profile_json;  // rendered RunProfile: traced computed runs only
 };
 
 namespace {
+
+/// Optional "timeout_ms" (run and run-batch requests alike): `out` stays 0
+/// when absent; "" or an error message.
+std::string read_timeout_ms(const JsonValue& request, std::uint64_t& out) {
+  bool given = false;
+  if (std::string error = read_u64_field(request, "timeout_ms", out, given); !error.empty()) {
+    return error;
+  }
+  if (given && out == 0) {
+    return "field 'timeout_ms' must be positive (omit it for the server default)";
+  }
+  if (given && out > kMaxTimeoutMs) {
+    return "field 'timeout_ms' must be at most 86400000 (24 hours)";
+  }
+  return {};
+}
 
 /// Parses/validates one run spec's fields.  `allowed` differs between a
 /// top-level run request ("request"/"timeout_ms" permitted) and a run-batch
@@ -291,11 +217,11 @@ std::string read_run_spec(const JsonValue& request,
     return error;
   }
   if (!given || out.experiment.empty()) return "run requires field 'experiment'";
-  if (std::string error = read_u64_field(request, "samples", out.samples, out.samples_given);
+  if (std::string error = read_u64_field(request, "samples", out.samples, given);
       !error.empty()) {
     return error;
   }
-  if (out.samples_given && out.samples == 0) {
+  if (given && out.samples == 0) {
     return "field 'samples' must be positive (omit it for the experiment default)";
   }
   if (std::string error = read_u64_field(request, "seed", out.seed, given); !error.empty()) {
@@ -309,18 +235,7 @@ std::string read_run_spec(const JsonValue& request,
   if (out.path_given && !harness::parse_eval_path(path_text, out.path)) {
     return "field 'eval_path' must be \"batched\" or \"scalar\"";
   }
-  if (std::string error =
-          read_u64_field(request, "timeout_ms", out.timeout_ms, out.timeout_given);
-      !error.empty()) {
-    return error;
-  }
-  if (out.timeout_given && out.timeout_ms == 0) {
-    return "field 'timeout_ms' must be positive (omit it for the server default)";
-  }
-  if (out.timeout_given && out.timeout_ms > kMaxTimeoutMs) {
-    return "field 'timeout_ms' must be at most 86400000 (24 hours)";
-  }
-  return {};
+  return read_timeout_ms(request, out.timeout_ms);
 }
 
 /// Arms the deadline watchdog for one request and guarantees the disarm:
@@ -524,45 +439,28 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
   }
 }
 
-int ExperimentService::effective_timeout_ms(const RunSpec& spec) const {
-  if (spec.timeout_given) return static_cast<int>(spec.timeout_ms);
-  return config_.timeout_ms;
+int ExperimentService::effective_timeout_ms(std::uint64_t request_ms) const {
+  return request_ms != 0 ? static_cast<int>(request_ms) : config_.timeout_ms;
 }
 
 ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
                                                          const std::atomic<bool>* cancel,
                                                          RequestContext& ctx) {
   RunOutcome out;
-  const auto* error_rate = harness::find_error_rate_experiment(run.experiment);
-  const auto* chain_profile =
-      error_rate == nullptr ? harness::find_chain_profile_experiment(run.experiment) : nullptr;
-  if (error_rate == nullptr && chain_profile == nullptr) {
+  const std::optional<harness::RecordKey> resolved =
+      harness::record_key(run.experiment, run.samples, run.seed, run.path);
+  if (!resolved) {
     out.error = "unknown experiment '" + run.experiment + "' (try \"list\")";
     out.code = kCodeUnknownExperiment;
     return out;
   }
-  if (chain_profile != nullptr && run.path_given) {
+  if (run.path_given && harness::find_chain_profile_experiment(run.experiment) != nullptr) {
     out.error = "field 'eval_path' only applies to error-rate experiments; '" + run.experiment +
                 "' is a chain-profile experiment";
     return out;
   }
-
-  CacheKey key;
-  key.experiment = run.experiment;
-  key.samples = run.samples_given
-                    ? run.samples
-                    : (error_rate != nullptr ? error_rate->default_samples
-                                             : chain_profile->default_samples);
-  key.seed = run.seed;
-  key.eval_path = to_string(error_rate != nullptr ? run.path : harness::EvalPath::kScalar);
-  if (chain_profile != nullptr &&
-      chain_profile->workload == harness::ChainProfileExperiment::Workload::kCrypto) {
-    key.stream_version = kCryptoStreamVersion;
-  } else if (chain_profile != nullptr && gaussian_dist(chain_profile->dist)) {
-    key.stream_version = kGaussStreamVersion;
-  } else if (error_rate != nullptr && gaussian_dist(error_rate->dist)) {
-    key.stream_version = kGaussStreamVersion;
-  }
+  const CacheKey key{resolved->experiment, resolved->samples, resolved->seed,
+                     to_string(resolved->path), resolved->stream_version};
 
   // Cancellation wears two hats: a fired per-request deadline (timeout) or
   // a server drain cancelling in-flight runs at its deadline (draining —
@@ -639,29 +537,20 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
             continue;
           }
           harness::RunOptions options;
-          options.samples = key.samples;
-          options.seed = key.seed;
           options.threads = config_.threads;
           options.cancel = cancel;
           // Profiling rides the tracing switch: collection is on only when a
           // trace wants it, so an untraced run pays one null check per shard
-          // and block — and the profile never touches the record either way.
+          // and the profile never touches the record either way.
           harness::RunProfileCollector collector;
           if (ctx.trace.enabled()) options.profile = &collector;
+          harness::RecordRun computed;
           {
             const RequestTrace::Scope run_scope(ctx.trace, "engine-run");
-            if (error_rate != nullptr) {
-              const auto result = harness::run_experiment(*error_rate, options, run.path);
-              lookup.record = error_rate_record(*error_rate, key.seed, run.path, result);
-            } else {
-              const auto profiler = harness::run_experiment(*chain_profile, options);
-              lookup.record =
-                  chain_profile_record(*chain_profile, key.samples, key.seed, profiler);
-            }
+            computed = harness::run_record(*resolved, options);
           }
-          if (options.profile != nullptr) {
-            ctx.profile_json = harness::render_run_profile(collector.snapshot());
-          }
+          lookup.record = std::move(computed.record);
+          if (computed.profile) out.profile_json = harness::render_run_profile(*computed.profile);
           {
             // Only a completed run reaches put(): RunCancelled throws past
             // it, so a timed-out run never writes a partial cache record.
@@ -741,13 +630,16 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   // Registered for the drain deadline's cancel sweep (declaration order
   // matters: the scope unregisters before the token it points at dies).
   const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(run), &cancel);
+  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(run.timeout_ms), &cancel);
   // The token goes to the engine whether or not a deadline is armed: the
   // drain sweep (cancel_active_runs) flips it too, and an untimed run must
   // still die at the drain deadline.
-  const RunOutcome outcome = run_one(run, &cancel, ctx);
+  RunOutcome outcome = run_one(run, &cancel, ctx);
   if (!outcome.error.empty()) return error_reply(ctx, outcome.error, outcome.code);
   ctx.cache = outcome.coalesced ? "coalesced" : tier_name(outcome.tier);
+  // A lone run's profile belongs to the request: finalize_request echoes it
+  // and writes it to the trace log.
+  ctx.profile_json = std::move(outcome.profile_json);
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   const RequestTrace::Scope render_scope(ctx.trace, "render");
@@ -777,17 +669,8 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     return error_reply(ctx, "run-batch requires array field 'runs'");
   }
   std::uint64_t timeout_ms = 0;
-  bool timeout_given = false;
-  if (std::string error = read_u64_field(request, "timeout_ms", timeout_ms, timeout_given);
-      !error.empty()) {
+  if (std::string error = read_timeout_ms(request, timeout_ms); !error.empty()) {
     return error_reply(ctx, error);
-  }
-  if (timeout_given && timeout_ms == 0) {
-    return error_reply(ctx,
-                       "field 'timeout_ms' must be positive (omit it for the server default)");
-  }
-  if (timeout_given && timeout_ms > kMaxTimeoutMs) {
-    return error_reply(ctx, "field 'timeout_ms' must be at most 86400000 (24 hours)");
   }
   if (ctx.origin == "sweep") {
     metrics_.record_sweep_request(static_cast<std::uint64_t>(runs->items().size()));
@@ -798,11 +681,9 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
 
   // One deadline for the whole batch: the request either finishes inside it
   // or drains its remaining elements as per-element timeout errors.
-  const int effective_ms =
-      timeout_given ? static_cast<int>(timeout_ms) : config_.timeout_ms;
   std::atomic<bool> cancel{false};
   const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_ms, &cancel);
+  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(timeout_ms), &cancel);
 
   std::vector<std::string> results;
   results.reserve(runs->items().size());
@@ -813,10 +694,6 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     // trace shows where a slow batch spent its deadline element by element.
     const RequestTrace::Scope element_scope(ctx.trace, "element");
     metrics_.record_batch_element();
-    // Per-element profile attribution: run_one fills ctx.profile_json for a
-    // traced computed run; clearing it per element keeps each profile with
-    // its own element instead of the last miss shadowing the batch.
-    ctx.profile_json.clear();
     JsonObject rendered;
     RunSpec spec;
     std::string error;
@@ -855,8 +732,9 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
       rendered.add_json("record", outcome.record);
       // A traced computed element carries its own RunProfile (cache hits
       // never ran the engine and have none) — the per-cell attribution
-      // sweeps aggregate into their profile rollups.
-      if (!ctx.profile_json.empty()) rendered.add_json("profile", ctx.profile_json);
+      // sweeps aggregate into their profile rollups.  It stays out of ctx,
+      // so neither the batch envelope nor its trace-log line carries one.
+      if (!outcome.profile_json.empty()) rendered.add_json("profile", outcome.profile_json);
       ++ok_count;
     }
     results.push_back(rendered.render_line());

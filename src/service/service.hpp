@@ -24,7 +24,9 @@
 // Trace data lives only in reply envelopes and log files — never inside a
 // cached result record, whose bytes stay a pure function of the run inputs.
 //
-// over both experiment families (error-rate and chain-profile).  Request
+// Runs cover both experiment families (error-rate and chain-profile); the
+// registry defines each record's key and bytes (harness::record_key and
+// harness::run_record), and this service only caches them.  Request
 // parsing is strict in the cli.hpp tradition: unknown request names, unknown
 // fields, wrong field types and malformed JSON are all errors — a typo'd
 // field must never silently run a different experiment.  Responses are
@@ -148,9 +150,9 @@ class ExperimentService {
   void finalize_request(RequestContext& ctx, const std::string& type, Reply& reply,
                         double wall_seconds);
 
-  /// Resolves the effective deadline for a run/run-batch request:
-  /// request-level "timeout_ms" when given, else the config default.
-  [[nodiscard]] int effective_timeout_ms(const RunSpec& spec) const;
+  /// Resolves the effective deadline for a run/run-batch request: its
+  /// "timeout_ms" when given (non-zero), else the config default.
+  [[nodiscard]] int effective_timeout_ms(std::uint64_t request_ms) const;
 
   ServiceConfig config_;
   ResultCache cache_;
@@ -173,8 +175,9 @@ class ExperimentService {
 /// The --stdio transport: reads request lines from `in` until EOF or a
 /// shutdown/drain request (a one-conversation transport drains by ending the
 /// conversation), writing one response line each to `out` (flushed per line,
-/// so a pipe peer can converse).  Returns the number of requests handled.  This is the mode tests and one-shot pipelines use; the Unix
-/// socket transport lives in server.hpp.
+/// so a pipe peer can converse).  Returns the number of requests handled.
+/// Tests and one-shot pipelines use it; the socket transports live in
+/// server.hpp.
 std::uint64_t serve_stdio(std::istream& in, std::ostream& out, ExperimentService& service);
 
 }  // namespace vlcsa::service

@@ -63,6 +63,23 @@ TEST(MonteCarlo, GaussianVlcsa2StallsRarely) {
   EXPECT_EQ(r.emitted_wrong, 0u);
 }
 
+TEST(MonteCarlo, GaussianVlcsa2TakesFewerCyclesThanVlcsa1) {
+  // Eq. (5.2) on the Ch. 7 inputs: VLCSA 2 stalls only when both of its
+  // speculative sums are flagged, which sign-extended two's-complement
+  // operands rarely trigger (Table 7.2 vs 7.1), so the same stream takes
+  // fewer total cycles (n = 64, k = 14).
+  const auto run = [](spec::ScsaVariant variant) {
+    auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
+                                     arith::GaussianParams{0.0, 4294967296.0});
+    return run_vlcsa({64, 14, variant}, *source, 20000, 11);
+  };
+  const auto r1 = run(spec::ScsaVariant::kScsa1);
+  const auto r2 = run(spec::ScsaVariant::kScsa2);
+  EXPECT_LT(r2.total_cycles, r1.total_cycles);
+  EXPECT_EQ(r1.emitted_wrong, 0u);
+  EXPECT_EQ(r2.emitted_wrong, 0u);
+}
+
 TEST(MonteCarlo, VlsaRunHonorsInvariants) {
   const spec::VlsaConfig config{64, 8};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
@@ -84,6 +101,29 @@ TEST(MonteCarlo, WindowSearchFindsSmallGaussianWindows) {
   EXPECT_GE(found.window, 4);
   EXPECT_LE(found.window, 12);
   EXPECT_LE(found.result.nominal_rate(), 1.25 * 2.5e-3);
+}
+
+TEST(MonteCarlo, ProfiledRunFoldsTheSameCounters) {
+  // The profiled and unprofiled instantiations of the batched loop differ
+  // only in their timing policy: identical counters for both model
+  // families, and a profile whose batched/scalar split accounts for every
+  // sample (tail included).
+  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa2};
+  const spec::VlsaConfig vlsa{64, 8};
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
+  RunOptions options{3000, 5, 1, kDefaultShardSize};
+  options.lane_words = 4;
+  const auto plain = run_vlcsa(config, *source, options);
+  const auto plain_vlsa = run_vlsa(vlsa, *source, options);
+  RunProfileCollector collector;
+  options.profile = &collector;
+  EXPECT_EQ(run_vlcsa(config, *source, options), plain);
+  const RunProfile profile = collector.snapshot();
+  EXPECT_EQ(run_vlsa(vlsa, *source, options), plain_vlsa);
+  EXPECT_EQ(profile.batch_blocks, 3000u / 256);
+  EXPECT_EQ(profile.batched_samples, 3000u / 256 * 256);
+  EXPECT_EQ(profile.scalar_samples, 3000u % 256);
+  EXPECT_EQ(profile.lane_words, 4);
 }
 
 TEST(MonteCarlo, ZeroSamplesIsWellDefined) {

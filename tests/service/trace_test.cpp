@@ -349,6 +349,46 @@ TEST(ExperimentService, TraceLogLinesParseStrictlyWithExpectedSpans) {
   EXPECT_EQ(hit.value.find("profile"), nullptr);  // no engine run on a hit
 }
 
+TEST(ExperimentService, TracedBatchCarriesProfilesOnlyInsideComputedElements) {
+  // Profiles are per computed element: a batch whose last element ran the
+  // engine must not echo that element's profile again at envelope level,
+  // nor write it onto the batch's trace-log line.
+  const std::string trace_path = temp_file("batchprofile.jsonl");
+  ServiceConfig config;
+  config.threads = 1;
+  config.trace_log = trace_path;
+  ExperimentService service(config);
+  ASSERT_EQ(service.log_error(), "");
+
+  const ExperimentService::Reply reply = service.handle_line(
+      R"({"request": "run-batch", "trace": true, "runs": [)"
+      R"({"experiment": "fig7.1/n64-k6", "samples": 300}, )"
+      R"({"experiment": "fig7.1/n64-k8", "samples": 300}]})");
+  ASSERT_TRUE(reply.ok) << reply.line;
+  const JsonParse parsed = parse_json(reply.line);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_NE(parsed.value.find("spans"), nullptr);  // the echo itself is there
+  EXPECT_EQ(parsed.value.find("profile"), nullptr) << reply.line;
+  const JsonValue* results = parsed.value.find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items().size(), 2u);
+  for (const JsonValue& element : results->items()) {
+    EXPECT_EQ(field(element, "cache"), "miss");
+    const JsonValue* profile = element.find("profile");
+    ASSERT_NE(profile, nullptr) << reply.line;
+    std::uint64_t samples = 0;
+    ASSERT_TRUE(profile->find("samples")->to_u64(samples));
+    EXPECT_EQ(samples, 300u);
+  }
+
+  const std::vector<std::string> lines = read_lines(trace_path);
+  ASSERT_EQ(lines.size(), 1u);
+  const JsonParse entry = parse_json(lines[0]);
+  ASSERT_TRUE(entry.ok()) << lines[0] << " -> " << entry.error;
+  EXPECT_EQ(field(entry.value, "type"), "run-batch");
+  EXPECT_EQ(entry.value.find("profile"), nullptr) << lines[0];
+}
+
 TEST(ExperimentService, AccessLogLinesParseStrictlyAndFlagSlowRequests) {
   const std::string access_path = temp_file("accesslog.jsonl");
   ServiceConfig config;
