@@ -39,12 +39,29 @@ namespace vlcsa::harness {
 /// clone, RNG warm-up) stays negligible.
 inline constexpr std::uint64_t kDefaultShardSize = 1 << 14;
 
-/// Thrown by run_sharded_blocks when RunOptions::cancel fired before the run
-/// completed.  No merged accumulator exists at that point — callers (the
+/// Thrown by run_sharded_blocks when RunOptions::stop was reached before the
+/// run completed.  No merged accumulator exists at that point — callers (the
 /// service's per-request timeout path) must treat the run as never having
 /// produced a result, so a cancelled run can never write a partial record.
 struct RunCancelled : std::runtime_error {
   RunCancelled() : std::runtime_error("run cancelled") {}
+};
+
+/// When a run must stop: at `deadline`, or once `*flag` is set — whichever
+/// comes first.  The defaults (no deadline, null flag) never stop, and then
+/// reached() reads neither the clock nor any atomic.  A plain value: the
+/// flag it points at is owned elsewhere (the service's drain flag) and must
+/// outlive every copy, which a long-lived owner makes trivially true.
+struct RunStop {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point deadline = Clock::time_point::max();
+  const std::atomic<bool>* flag = nullptr;
+
+  [[nodiscard]] bool has_deadline() const { return deadline != Clock::time_point::max(); }
+  [[nodiscard]] bool reached() const {
+    if (flag != nullptr && flag->load()) return true;
+    return has_deadline() && Clock::now() >= deadline;
+  }
 };
 
 /// Plain snapshot of one run's execution profile (RunProfileCollector).
@@ -144,11 +161,11 @@ struct RunOptions {
   int threads = 0;
   std::uint64_t shard_size = kDefaultShardSize;
   int lane_words = 0;
-  /// Cooperative cancellation: when non-null, workers re-check the token
-  /// before claiming each shard (block granularity) and the run throws
-  /// RunCancelled instead of returning a merged accumulator.  The token is
-  /// only read — the setter (e.g. the service's deadline watchdog) owns it.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Cooperative cancellation: workers check stop.reached() before claiming
+  /// each shard (block granularity), and once it holds the run throws
+  /// RunCancelled instead of returning a merged accumulator.  A run that
+  /// reaches its stop overshoots by at most one shard per worker.
+  RunStop stop{};
   /// Opt-in execution profiling: when non-null, the engine (and the batched
   /// loop in montecarlo.cpp) record shard/block counts, RNG consumption and
   /// stage timings into it.  Null costs one branch per shard and nothing
@@ -206,7 +223,7 @@ template <typename AccumulatorFactory, typename BlockKernelFactory>
     try {
       for (std::uint64_t shard = next_shard.fetch_add(1); shard < shard_count;
            shard = next_shard.fetch_add(1)) {
-        if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+        if (options.stop.reached()) {
           cancelled.store(true, std::memory_order_relaxed);
           return;
         }

@@ -62,8 +62,8 @@ struct ErrorRateExperiment {
                                              EvalPath path = EvalPath::kBatched);
 
 /// RunOptions variant: same semantics, with the full engine knob set exposed
-/// — in particular RunOptions::cancel, which the service daemon's
-/// per-request timeout uses for cooperative cancellation (engine.hpp throws
+/// — in particular RunOptions::stop, which the service daemon's per-request
+/// deadline and drain use for cooperative cancellation (engine.hpp throws
 /// RunCancelled, so a cancelled run never yields a partial result).
 [[nodiscard]] ErrorRateResult run_experiment(const ErrorRateExperiment& experiment,
                                              const RunOptions& options,
@@ -143,7 +143,7 @@ struct RecordRun {
 /// definition of a record's bytes, shared by the service cache and
 /// adder_explorer --json.  The record is a pure function of `key` (no wall
 /// time, no thread count), so any `options` reproduce it byte for byte;
-/// `options` supplies only the engine knobs (threads, lane_words, cancel,
+/// `options` supplies only the engine knobs (threads, lane_words, stop,
 /// profile), while samples and seed come from `key`.  Throws
 /// std::invalid_argument when no entry has `key.experiment`.
 [[nodiscard]] RecordRun run_record(const RecordKey& key, RunOptions options);

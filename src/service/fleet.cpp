@@ -124,40 +124,15 @@ void ComputeLease::release() {
 }
 
 LeaseWaitResult wait_for_lease_release(const std::string& lease_path, int stale_ms,
-                                       const std::atomic<bool>* cancel, int poll_ms) {
-  if (poll_ms < 1) poll_ms = 1;
+                                       const harness::RunStop& stop) {
+  constexpr auto kPoll = std::chrono::milliseconds(5);
   while (true) {
     const long long age = lease_age_ms(lease_path);
     if (age < 0) return LeaseWaitResult::kReleased;
     if (stale_ms > 0 && age > stale_ms) return LeaseWaitResult::kStale;
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return LeaseWaitResult::kCancelled;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+    if (stop.reached()) return LeaseWaitResult::kCancelled;
+    std::this_thread::sleep_for(kPoll);
   }
-}
-
-void DrainState::begin() { draining_.store(true, std::memory_order_relaxed); }
-
-std::size_t DrainState::active_runs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return active_.size();
-}
-
-void DrainState::cancel_active_runs() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::atomic<bool>* token : active_) token->store(true, std::memory_order_relaxed);
-}
-
-DrainState::RunScope::RunScope(DrainState& drain, std::atomic<bool>* token)
-    : drain_(drain), token_(token) {
-  const std::lock_guard<std::mutex> lock(drain_.mutex_);
-  drain_.active_.push_back(token_);
-}
-
-DrainState::RunScope::~RunScope() {
-  const std::lock_guard<std::mutex> lock(drain_.mutex_);
-  drain_.active_.erase(std::find(drain_.active_.begin(), drain_.active_.end(), token_));
 }
 
 namespace {

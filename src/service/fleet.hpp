@@ -12,8 +12,8 @@
 //   belonged to a crashed holder and is reaped (takeover) — and because
 //   records are pure functions of their key, even a *false* takeover only
 //   ever renames byte-identical content over byte-identical content.
-// - DrainState: the graceful-drain flag plus a registry of in-flight run
-//   cancellation tokens, so a drain deadline can cancel what's still running.
+// - DrainState: the graceful-drain flag, a count of in-flight runs, and the
+//   one sticky flag that stops them all at the drain deadline.
 // - RetryPolicy/BackoffSchedule: bounded exponential backoff with jitter for
 //   the client side (retry on overloaded/draining/connect-refused).
 // - fault::*: the VLCSA_FAULT= test hook — compiled in, default off —
@@ -21,10 +21,11 @@
 //   the fleet tests and CI can rehearse replica failure deterministically.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "harness/engine.hpp"
 
 namespace vlcsa::service::fleet {
 
@@ -92,49 +93,48 @@ class ComputeLease {
 enum class LeaseWaitResult {
   kReleased,   // the lease file disappeared — the holder stored (or failed)
   kStale,      // the lease outlived stale_ms — holder presumed crashed
-  kCancelled,  // our own cancel token flipped while waiting
+  kCancelled,  // the waiter's own stop (deadline or drain flag) was reached
 };
 
 /// Polls `lease_path` every few milliseconds until it is released, stale, or
-/// `cancel` (may be null) flips.
+/// `stop` is reached.
 [[nodiscard]] LeaseWaitResult wait_for_lease_release(const std::string& lease_path,
-                                                     int stale_ms,
-                                                     const std::atomic<bool>* cancel,
-                                                     int poll_ms = 5);
+                                                     int stale_ms, const harness::RunStop& stop);
 
 /// Graceful-drain state shared between the request router and the socket
 /// server: once begun (idempotent), new run/run-batch work answers a
-/// "draining"-coded error while observational requests keep working, and the
-/// registered in-flight run tokens can all be cancelled at the drain
-/// deadline.  Thread-safe.
+/// "draining"-coded error while observational requests keep working, and at
+/// the drain deadline one sticky flag stops every run that points its
+/// RunStop at it — including runs that start after the flag is set.
+/// Thread-safe; every access is seq_cst, so a server that reads
+/// active_runs() == 0 after begin() knows any later handler sees draining().
 class DrainState {
  public:
-  void begin();
-  [[nodiscard]] bool draining() const { return draining_.load(std::memory_order_relaxed); }
+  void begin() { draining_.store(true); }
+  [[nodiscard]] bool draining() const { return draining_.load(); }
 
-  [[nodiscard]] std::size_t active_runs() const;
-  /// Flips every registered cancel token (the drain deadline fired).
-  void cancel_active_runs();
+  [[nodiscard]] std::size_t active_runs() const { return active_runs_.load(); }
+  /// Sets the sticky stop flag (the drain deadline fired).
+  void cancel_active_runs() { cancelled_.store(true); }
+  /// The flag cancel_active_runs() sets, for RunStop::flag.
+  [[nodiscard]] const std::atomic<bool>* stop_flag() const { return &cancelled_; }
 
-  /// Registers one run's cancel token for the lifetime of the scope.  The
-  /// token must outlive the scope (both are stack-locals in the handlers,
-  /// declared token-first).
+  /// Counts one run handler in active_runs() for the lifetime of the scope.
   class RunScope {
    public:
-    RunScope(DrainState& drain, std::atomic<bool>* token);
-    ~RunScope();
+    explicit RunScope(DrainState& drain) : drain_(drain) { ++drain_.active_runs_; }
+    ~RunScope() { --drain_.active_runs_; }
     RunScope(const RunScope&) = delete;
     RunScope& operator=(const RunScope&) = delete;
 
    private:
     DrainState& drain_;
-    std::atomic<bool>* token_;
   };
 
  private:
   std::atomic<bool> draining_{false};
-  mutable std::mutex mutex_;
-  std::vector<std::atomic<bool>*> active_;
+  std::atomic<bool> cancelled_{false};
+  std::atomic<std::size_t> active_runs_{0};
 };
 
 /// Client retry configuration: `attempts` retries *after* the first try

@@ -238,35 +238,6 @@ std::string read_run_spec(const JsonValue& request,
   return read_timeout_ms(request, out.timeout_ms);
 }
 
-/// Arms the deadline watchdog for one request and guarantees the disarm:
-/// run_one rethrows engine/cache failures (and a leader rethrow escapes the
-/// handler), so only a destructor reliably unregisters the watchdog entry
-/// before the stack-local cancel token it points at dies.
-class ArmedDeadline {
- public:
-  ArmedDeadline(DeadlineWatchdog& watchdog, DeadlineWatchdog::Clock::time_point start,
-                int timeout_ms, std::atomic<bool>* token)
-      : watchdog_(watchdog) {
-    if (timeout_ms > 0) {
-      id_ = watchdog_.arm(start + std::chrono::milliseconds(timeout_ms), token);
-      token_ = token;
-    }
-  }
-  ~ArmedDeadline() {
-    if (id_ != 0) watchdog_.disarm(id_);
-  }
-  ArmedDeadline(const ArmedDeadline&) = delete;
-  ArmedDeadline& operator=(const ArmedDeadline&) = delete;
-
-  /// The armed token, or nullptr when no deadline applies.
-  [[nodiscard]] const std::atomic<bool>* token() const { return token_; }
-
- private:
-  DeadlineWatchdog& watchdog_;
-  DeadlineWatchdog::Id id_ = 0;
-  std::atomic<bool>* token_ = nullptr;
-};
-
 }  // namespace
 
 ExperimentService::ExperimentService(ServiceConfig config)
@@ -439,12 +410,17 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
   }
 }
 
-int ExperimentService::effective_timeout_ms(std::uint64_t request_ms) const {
-  return request_ms != 0 ? static_cast<int>(request_ms) : config_.timeout_ms;
+harness::RunStop ExperimentService::run_stop(harness::RunStop::Clock::time_point start,
+                                            std::uint64_t request_ms) const {
+  const int timeout_ms = request_ms != 0 ? static_cast<int>(request_ms) : config_.timeout_ms;
+  harness::RunStop stop;
+  if (timeout_ms > 0) stop.deadline = start + std::chrono::milliseconds(timeout_ms);
+  stop.flag = drain_.stop_flag();
+  return stop;
 }
 
 ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
-                                                         const std::atomic<bool>* cancel,
+                                                         harness::RunStop stop,
                                                          RequestContext& ctx) {
   RunOutcome out;
   const std::optional<harness::RecordKey> resolved =
@@ -476,9 +452,9 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
     }
   };
 
-  // A deadline that already fired answers without touching the cache, so a
+  // A stop already reached answers without touching the cache, so a
   // timed-out batch drains its remaining elements in microseconds.
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  if (stop.reached()) {
     cancelled("deadline expired before the run started");
     return out;
   }
@@ -527,7 +503,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
             }
             const RequestTrace::Scope wait_scope(ctx.trace, "lease-wait");
             const fleet::LeaseWaitResult wait = fleet::wait_for_lease_release(
-                cache_.lease_path(key), cache_.lease_stale_ms(), cancel);
+                cache_.lease_path(key), cache_.lease_stale_ms(), stop);
             if (wait == fleet::LeaseWaitResult::kCancelled) throw harness::RunCancelled{};
             // kReleased: the holder stored (next lookup hits disk) or failed
             // (next round takes the lease).  kStale: the holder crashed; the
@@ -538,7 +514,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           }
           harness::RunOptions options;
           options.threads = config_.threads;
-          options.cancel = cancel;
+          options.stop = stop;
           // Profiling rides the tracing switch: collection is on only when a
           // trace wants it, so an untraced run pays one null check per shard
           // and the profile never touches the record either way.
@@ -578,15 +554,14 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
       out.coalesced = true;
       const RequestTrace::Scope wait_scope(ctx.trace, "coalesced-wait");
       // A follower enforces its *own* deadline: the leader may have a longer
-      // deadline (or none), so the wait is bounded by this request's token.
-      // The leader keeps computing — only this reply times out.
-      if (cancel != nullptr) {
-        while (future.wait_for(std::chrono::milliseconds(5)) != std::future_status::ready) {
-          if (cancel->load(std::memory_order_relaxed)) {
-            cancelled("deadline expired while waiting for a coalesced run");
-            return out;
-          }
-        }
+      // deadline (or none), so the wait is bounded by this request's.  The
+      // leader keeps computing — only this reply times out.  A drain needs
+      // no wake-up here: the flag stops the in-process leader, whose
+      // RunCancelled reaches this follower through the future.
+      if (stop.has_deadline() &&
+          future.wait_until(stop.deadline) != std::future_status::ready) {
+        cancelled("deadline expired while waiting for a coalesced run");
+        return out;
       }
       lookup.record = future.get();  // rethrows if the leader failed
       cache_.record_coalesced_hit();
@@ -605,6 +580,9 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
 
 ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
                                                        RequestContext& ctx) {
+  // Counted before the draining check: a server that reads active_runs() == 0
+  // after begin_drain() then knows every later handler refuses (fleet.hpp).
+  const fleet::DrainState::RunScope drain_scope(drain_);
   // New work is refused during a drain; observational requests keep working
   // (rotation scripts poll metrics/cache-stats while the drain converges).
   if (drain_.draining()) {
@@ -626,15 +604,7 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
-  std::atomic<bool> cancel{false};
-  // Registered for the drain deadline's cancel sweep (declaration order
-  // matters: the scope unregisters before the token it points at dies).
-  const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(run.timeout_ms), &cancel);
-  // The token goes to the engine whether or not a deadline is armed: the
-  // drain sweep (cancel_active_runs) flips it too, and an untimed run must
-  // still die at the drain deadline.
-  RunOutcome outcome = run_one(run, &cancel, ctx);
+  RunOutcome outcome = run_one(run, run_stop(start, run.timeout_ms), ctx);
   if (!outcome.error.empty()) return error_reply(ctx, outcome.error, outcome.code);
   ctx.cache = outcome.coalesced ? "coalesced" : tier_name(outcome.tier);
   // A lone run's profile belongs to the request: finalize_request echoes it
@@ -655,6 +625,7 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
 
 ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& request,
                                                              RequestContext& ctx) {
+  const fleet::DrainState::RunScope drain_scope(drain_);  // see handle_run
   if (drain_.draining()) {
     return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
                        kCodeDraining);
@@ -681,9 +652,7 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
 
   // One deadline for the whole batch: the request either finishes inside it
   // or drains its remaining elements as per-element timeout errors.
-  std::atomic<bool> cancel{false};
-  const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(timeout_ms), &cancel);
+  const harness::RunStop stop = run_stop(start, timeout_ms);
 
   std::vector<std::string> results;
   results.reserve(runs->items().size());
@@ -712,9 +681,7 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     }
     RunOutcome outcome;
     try {
-      // &cancel, not deadline.token(): the drain sweep must reach untimed
-      // batches too (see handle_run).
-      outcome = run_one(spec, &cancel, ctx);
+      outcome = run_one(spec, stop, ctx);
     } catch (const std::exception& failure) {
       outcome.error = std::string("internal error: ") + failure.what();
       outcome.code = kCodeInternal;

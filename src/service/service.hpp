@@ -36,29 +36,31 @@
 // the cache stores (DESIGN.md has the full protocol reference).
 //
 // Timeouts: a run (or run-batch) request may carry "timeout_ms", and the
-// daemon may set a default (ServiceConfig::timeout_ms).  The deadline is
-// enforced cooperatively: a watchdog thread flips the run's cancellation
-// token, the engine's shard loop observes it at block granularity and
-// aborts with RunCancelled, and the request answers a "timeout"-coded error
-// — a cancelled run never writes a (partial) cache record.
+// daemon may set a default (ServiceConfig::timeout_ms).  The request's
+// deadline and the service's one drain flag form a harness::RunStop that
+// every place a run waits checks directly — the engine's shard claim, the
+// compute-lease poll and a coalesced follower's wait.  A run that reaches
+// it aborts with RunCancelled and the request answers a "timeout"- (or,
+// during a drain, "draining"-) coded error; a cancelled run never writes a
+// (partial) cache record.
 //
 // handle_line is thread-safe — the socket server's worker pool calls it
 // concurrently; cache access is internally locked and experiment runs
 // themselves are independent sharded-engine invocations.
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "harness/engine.hpp"
 #include "service/cache.hpp"
 #include "service/fleet.hpp"
 #include "service/metrics.hpp"
 #include "service/trace.hpp"
-#include "service/watchdog.hpp"
 
 namespace vlcsa::harness {
 class JsonValue;
@@ -113,7 +115,7 @@ class ExperimentService {
   [[nodiscard]] bool draining() const { return drain_.draining(); }
   /// Runs currently inside run/run-batch handlers (drain progress).
   [[nodiscard]] std::size_t active_runs() const { return drain_.active_runs(); }
-  /// Flips every in-flight run's cancel token — the drain deadline fired;
+  /// Stops every in-flight (and any later) run — the drain deadline fired;
   /// cancelled runs answer "draining"-coded errors.
   void cancel_active_runs() { drain_.cancel_active_runs(); }
 
@@ -138,9 +140,9 @@ class ExperimentService {
   [[nodiscard]] Reply handle_drain(const harness::JsonValue& request, RequestContext& ctx);
   [[nodiscard]] Reply handle_shutdown(const harness::JsonValue& request, RequestContext& ctx);
 
-  /// Runs one validated spec through cache + single-flight + engine.
-  /// `cancel` (may be null) is the caller-armed deadline token.
-  [[nodiscard]] RunOutcome run_one(const RunSpec& spec, const std::atomic<bool>* cancel,
+  /// Runs one validated spec through cache + single-flight + engine,
+  /// abandoning it once `stop` (request deadline + drain flag) is reached.
+  [[nodiscard]] RunOutcome run_one(const RunSpec& spec, harness::RunStop stop,
                                    RequestContext& ctx);
 
   /// End-of-request observability: feeds span durations into the per-stage
@@ -150,19 +152,20 @@ class ExperimentService {
   void finalize_request(RequestContext& ctx, const std::string& type, Reply& reply,
                         double wall_seconds);
 
-  /// Resolves the effective deadline for a run/run-batch request: its
-  /// "timeout_ms" when given (non-zero), else the config default.
-  [[nodiscard]] int effective_timeout_ms(std::uint64_t request_ms) const;
+  /// The stop for a run/run-batch request that started at `start`: its
+  /// "timeout_ms" when given (non-zero), else the config default, else no
+  /// deadline — plus the drain flag, which every run observes.
+  [[nodiscard]] harness::RunStop run_stop(harness::RunStop::Clock::time_point start,
+                                          std::uint64_t request_ms) const;
 
   ServiceConfig config_;
   ResultCache cache_;
   ServiceMetrics metrics_;
-  DeadlineWatchdog watchdog_;
   JsonlLog trace_log_;       // per-request span trees (+ profile), JSONL
   JsonlLog access_log_;      // one compact line per request, JSONL
   TraceIdGenerator trace_ids_;
   std::string log_error_;    // see log_error()
-  fleet::DrainState drain_;  // graceful-drain flag + in-flight run registry
+  fleet::DrainState drain_;  // graceful-drain flag, run count, stop flag
 
   // Single-flight latch: concurrent run requests for the same cold key
   // compute once — the first request (leader) runs the experiment, the rest

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 
 #include "arith/distributions.hpp"
@@ -94,6 +96,72 @@ TEST(Engine, KernelExceptionsPropagate) {
             return [](vlcsa::arith::BlockRng&, DrawSum&) { throw std::runtime_error("boom"); };
           }),
       std::runtime_error);
+}
+
+/// run_sharded over DrawSum with `stop`, counting the shards that started.
+DrawSum run_draw_sum_with_stop(const RunStop& stop, int threads,
+                               std::atomic<int>& shards_started) {
+  RunOptions options{4 * kDefaultShardSize, 1, threads};
+  options.stop = stop;
+  return run_sharded(options, [] { return DrawSum{}; },
+                     [&shards_started] {
+                       shards_started.fetch_add(1);
+                       return [](vlcsa::arith::BlockRng& rng, DrawSum& acc) {
+                         ++acc.count;
+                         acc.sum += rng();
+                       };
+                     });
+}
+
+TEST(Engine, StopFlagAlreadySetCancelsBeforeAnyShard) {
+  const std::atomic<bool> flag{true};
+  RunStop stop;
+  stop.flag = &flag;
+  for (const int threads : {1, 4}) {
+    std::atomic<int> shards_started{0};
+    EXPECT_THROW((void)run_draw_sum_with_stop(stop, threads, shards_started), RunCancelled)
+        << "threads=" << threads;
+    EXPECT_EQ(shards_started.load(), 0) << "threads=" << threads;
+  }
+}
+
+TEST(Engine, PastDeadlineCancels) {
+  RunStop stop;
+  stop.deadline = RunStop::Clock::now() - std::chrono::milliseconds(1);
+  for (const int threads : {1, 4}) {
+    std::atomic<int> shards_started{0};
+    EXPECT_THROW((void)run_draw_sum_with_stop(stop, threads, shards_started), RunCancelled)
+        << "threads=" << threads;
+    EXPECT_EQ(shards_started.load(), 0) << "threads=" << threads;
+  }
+}
+
+TEST(Engine, UnreachedStopLeavesCountersUnchanged) {
+  // A default stop (no deadline, null flag) and one that is armed but never
+  // reached must both match a run with default RunOptions, counter for
+  // counter.
+  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa1};
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
+  const std::atomic<bool> unset{false};
+  RunStop armed;
+  armed.deadline = RunStop::Clock::now() + std::chrono::hours(1);
+  armed.flag = &unset;
+  for (const int threads : {1, 4}) {
+    RunOptions plain;
+    plain.samples = 3 * kDefaultShardSize + 77;
+    plain.seed = 5;
+    plain.threads = threads;
+    const auto reference = run_vlcsa(config, *source, plain, EvalPath::kBatched);
+    RunOptions defaulted = plain;
+    defaulted.stop = RunStop{};
+    RunOptions with_armed = plain;
+    with_armed.stop = armed;
+    EXPECT_TRUE(identical(reference, run_vlcsa(config, *source, defaulted, EvalPath::kBatched)))
+        << "threads=" << threads;
+    EXPECT_TRUE(identical(reference, run_vlcsa(config, *source, with_armed, EvalPath::kBatched)))
+        << "threads=" << threads;
+    EXPECT_EQ(reference.samples, plain.samples);
+  }
 }
 
 TEST(Engine, ErrorRateResultMergeAddsEveryCounter) {

@@ -1,7 +1,8 @@
 // Tests for the fleet-mode primitives (service/fleet.hpp): the advisory
 // directory lock, the cross-process compute lease with staleness takeover,
-// the graceful-drain registry, the retry backoff schedule, and the
-// VLCSA_FAULT injection hook the fleet scenarios are built on.
+// the graceful-drain run counter and sticky stop flag, the retry backoff
+// schedule, and the VLCSA_FAULT injection hook the fleet scenarios are built
+// on.
 
 #include "service/fleet.hpp"
 
@@ -128,9 +129,10 @@ TEST(ComputeLease, MoveTransfersOwnership) {
 TEST(WaitForLeaseRelease, SeesReleaseStalenessAndCancellation) {
   const std::string dir = temp_dir("wait");
   const std::string lease_path = dir + "/key.json.lease";
+  const harness::RunStop never{};
 
   // Absent lease: released immediately.
-  EXPECT_EQ(wait_for_lease_release(lease_path, 30000, nullptr), LeaseWaitResult::kReleased);
+  EXPECT_EQ(wait_for_lease_release(lease_path, 30000, never), LeaseWaitResult::kReleased);
 
   // A lease older than the bound reports stale.
   {
@@ -138,29 +140,37 @@ TEST(WaitForLeaseRelease, SeesReleaseStalenessAndCancellation) {
     out << "1\n";
   }
   backdate(lease_path, 60);
-  EXPECT_EQ(wait_for_lease_release(lease_path, 1000, nullptr), LeaseWaitResult::kStale);
+  EXPECT_EQ(wait_for_lease_release(lease_path, 1000, never), LeaseWaitResult::kStale);
 
-  // A fresh lease parks the waiter until its own cancel token flips.
+  // A fresh lease parks the waiter until its stop's flag flips.
   std::filesystem::remove(lease_path);
   {
     std::ofstream out(lease_path);
     out << "1\n";
   }
-  std::atomic<bool> cancel{false};
+  std::atomic<bool> flag{false};
+  harness::RunStop stop;
+  stop.flag = &flag;
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    cancel.store(true);
+    flag.store(true);
   });
-  EXPECT_EQ(wait_for_lease_release(lease_path, 0, &cancel), LeaseWaitResult::kCancelled);
+  EXPECT_EQ(wait_for_lease_release(lease_path, 0, stop), LeaseWaitResult::kCancelled);
   canceller.join();
 
+  // ... or until its stop's deadline passes, with no flag at all.
+  harness::RunStop deadline_only;
+  deadline_only.deadline = harness::RunStop::Clock::now() + std::chrono::milliseconds(30);
+  EXPECT_EQ(wait_for_lease_release(lease_path, 0, deadline_only), LeaseWaitResult::kCancelled);
+  EXPECT_GE(harness::RunStop::Clock::now(), deadline_only.deadline);
+
   // ... and until the holder releases.
-  cancel.store(false);
+  flag.store(false);
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     std::filesystem::remove(lease_path);
   });
-  EXPECT_EQ(wait_for_lease_release(lease_path, 0, &cancel), LeaseWaitResult::kReleased);
+  EXPECT_EQ(wait_for_lease_release(lease_path, 0, stop), LeaseWaitResult::kReleased);
   releaser.join();
 }
 
@@ -169,25 +179,32 @@ TEST(DrainState, RegistersAndCancelsActiveRuns) {
   EXPECT_FALSE(drain.draining());
   EXPECT_EQ(drain.active_runs(), 0u);
 
-  std::atomic<bool> a{false};
-  std::atomic<bool> b{false};
+  harness::RunStop before;
+  before.flag = drain.stop_flag();
+  EXPECT_FALSE(before.reached());
   {
-    const DrainState::RunScope scope_a(drain, &a);
+    const DrainState::RunScope scope_a(drain);
     EXPECT_EQ(drain.active_runs(), 1u);
     {
-      const DrainState::RunScope scope_b(drain, &b);
+      const DrainState::RunScope scope_b(drain);
       EXPECT_EQ(drain.active_runs(), 2u);
       drain.begin();
       drain.begin();  // idempotent
       EXPECT_TRUE(drain.draining());
+      EXPECT_FALSE(before.reached());  // draining alone stops nothing
       drain.cancel_active_runs();
-      EXPECT_TRUE(a.load());
-      EXPECT_TRUE(b.load());
+      EXPECT_TRUE(before.reached());
     }
     EXPECT_EQ(drain.active_runs(), 1u);
   }
   EXPECT_EQ(drain.active_runs(), 0u);
-  drain.cancel_active_runs();  // empty registry: no-op, no dangling tokens
+
+  // Sticky: a run whose stop is built after the deadline fired stops too —
+  // a handler that had not yet started its run when the drain deadline
+  // fired cannot outlive it.
+  harness::RunStop after;
+  after.flag = drain.stop_flag();
+  EXPECT_TRUE(after.reached());
 }
 
 TEST(BackoffSchedule, DeterministicSeedGivesBoundedDoublingDelays) {
