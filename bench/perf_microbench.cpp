@@ -1,31 +1,25 @@
 // Google-benchmark microbenches for the library's hot paths: big-integer
 // addition, behavioral SCSA/VLSA evaluation (scalar and bit-sliced at
-// several lane widths), the plane-kernel layer per backend, bit-sliced
-// netlist simulation, the optimizer, and static timing — the costs that
-// bound every Monte Carlo and synthesis experiment above.
+// several lane widths), the plane-kernel layer per backend, the RNG and
+// Gaussian sampling subsystems against the per-call references they
+// replaced, bit-sliced netlist simulation, the optimizer, static timing, the
+// batched error-rate loop end to end and the service's cached-hit request —
+// the costs that bound every Monte Carlo and synthesis experiment above.
 //
-// --json=FILE switches to the machine-readable perf record instead of the
-// google-benchmark run: a curated suite timing each plane kernel (scalar vs
-// the best dispatched backend), the RNG subsystem (std engine vs block
-// generation, operand fill before/after the direct-to-plane path), the
-// Gaussian sampling subsystem (block ziggurat vs the per-call
-// std::normal_distribution it replaced, through to the table7.1-style
-// error-rate loop), the end-to-end batched sampling loop against the
-// PR 2 baseline (single lane word, scalar backend), and the service
-// daemon's cached-hit request path (observability off vs trace log on),
-// written as one JSON object (schema vlcsa-perf-5; every record names the
-// planeops backend it was measured on).  CI uploads this as the
-// BENCH_batch.json artifact so the perf trajectory is tracked across PRs.
+// These are the kernel micro-timings.  The machine-readable record is
+// google-benchmark's own JSON, whose "context" block carries the host (CPUs,
+// MHz, caches, build type):
+//
+//   perf_microbench --benchmark_filter='Plane|Rng|ErrorRateSamples|EvaluateBatch|ServiceCachedHit'
+//                   --benchmark_out=BENCH_batch.json --benchmark_out_format=json
+//
+// End-to-end and per-layer numbers come from perfbench/ (BENCHMARK.json).
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <functional>
-#include <iostream>
 #include <optional>
 #include <random>
 #include <string>
@@ -37,7 +31,6 @@
 #include "arith/distributions.hpp"
 #include "arith/planeops.hpp"
 #include "harness/montecarlo.hpp"
-#include "harness/report.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
 #include "netlist/timing.hpp"
@@ -139,10 +132,9 @@ BENCHMARK(BM_VlsaEvaluateBatch)->Args({64, 1})->Args({64, 4})->Args({512, 1})->A
 
 class BackendScope {
  public:
-  explicit BackendScope(const char* name) : prev_(planeops::active_backend()) {
-    planeops::set_backend(name);
+  explicit BackendScope(bool best) : prev_(planeops::active_backend()) {
+    planeops::set_backend(best ? "auto" : "scalar");
   }
-  explicit BackendScope(bool best) : BackendScope(best ? "auto" : "scalar") {}
   // Restore the pre-bench backend, so a VLCSA_FORCE_BACKEND pin survives.
   ~BackendScope() { planeops::set_backend(prev_); }
 
@@ -220,9 +212,8 @@ BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Arg
 
 /// The pre-BlockRng uniform fill: one std::mt19937_64 draw per limb per
 /// sample into the transpose blocks — exactly what
-/// UniformUnsignedSource::fill_batch did at PR 4.  The baseline both the
-/// BM_RngFillBatchPerCallReference bench and the --json rng section compare
-/// the direct-to-plane path against.
+/// UniformUnsignedSource::fill_batch did before the block RNG.  The baseline
+/// BM_RngFillBatchPerCallReference compares the direct-to-plane path against.
 void fill_batch_percall_reference(std::mt19937_64& rng, arith::BitSlicedBatch& batch,
                                   std::vector<std::uint64_t>& rows) {
   const int width = batch.width();
@@ -312,31 +303,6 @@ void BM_RngFillBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFillBatch)
     ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1});
-
-/// The PR 6 Gaussian operand source, reproduced as the baseline: one
-/// std::normal_distribution draw per operand through the per-sample next()
-/// path, with the base-class fill_batch (per-sample ApInt transposes) —
-/// exactly how GaussianTwosSource generated operands before the block
-/// ziggurat.  The gaussian section's speedup rows compare against this.
-class PerCallNormalTwosSource final : public arith::OperandSource {
- public:
-  explicit PerCallNormalTwosSource(int width) : arith::OperandSource(width) {}
-  [[nodiscard]] std::string name() const override {
-    return "gaussian-twos-percall-reference";
-  }
-  std::pair<ApInt, ApInt> next(arith::BlockRng& rng) override {
-    const double a = dist_(rng);
-    const double b = dist_(rng);
-    return {arith::encode_signed_sample(width(), a),
-            arith::encode_signed_sample(width(), b)};
-  }
-  [[nodiscard]] std::unique_ptr<arith::OperandSource> clone() const override {
-    return std::make_unique<PerCallNormalTwosSource>(width());
-  }
-
- private:
-  std::normal_distribution<double> dist_{0.0, 4294967296.0};  // Ch. 7 params
-};
 
 // Bulk ziggurat variates from the block sampler — the per-variate floor of
 // every Gaussian workload.  Arg: 0 = scalar backend / 1 = auto-dispatched
@@ -528,455 +494,6 @@ void BM_ServiceCachedHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceCachedHit)->Arg(0)->Arg(1);
 
-// ---- --json=FILE: the machine-readable perf record --------------------------
-
-/// Wall-clock of `body` amortized over enough repetitions to cross ~60 ms,
-/// reported as nanoseconds per inner item.
-template <typename Body>
-double time_ns_per_item(std::uint64_t items_per_rep, const Body& body) {
-  using clock = std::chrono::steady_clock;
-  body();  // warm-up (allocations, dispatch resolution, caches)
-  std::uint64_t reps = 1;
-  for (;;) {
-    const auto start = clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) body();
-    const double elapsed =
-        std::chrono::duration<double, std::nano>(clock::now() - start).count();
-    if (elapsed >= 6e7 || reps > (1u << 24)) {
-      return elapsed / (static_cast<double>(reps) * static_cast<double>(items_per_rep));
-    }
-    reps *= 4;
-  }
-}
-
-harness::JsonObject kernel_record(const std::string& name, double scalar_ns,
-                                  double best_ns, const char* best_backend) {
-  harness::JsonObject record;
-  record.add("kernel", name);
-  record.add("scalar_ns_per_sample", scalar_ns);
-  record.add("best_ns_per_sample", best_ns);
-  record.add("backend", best_backend);
-  record.add("speedup_vs_scalar", best_ns > 0 ? scalar_ns / best_ns : 0.0);
-  return record;
-}
-
-/// ns/sample of the full batched error-rate loop over `source` at one
-/// configuration.  `lane_words` 0 = the dispatch-aware default
-/// (arith::default_lane_words() resolved inside the run, under `backend`).
-double end_to_end_source_ns(int width, arith::OperandSource& source, int lane_words,
-                            const char* backend) {
-  const BackendScope scope(backend);
-  const spec::VlcsaConfig config{width, spec::min_window_for_error_rate(width, 1e-4),
-                                 spec::ScsaVariant::kScsa2};
-  constexpr std::uint64_t kSamples = 1 << 13;
-  harness::RunOptions options;
-  options.samples = kSamples;
-  options.threads = 1;
-  options.lane_words = lane_words;
-  std::uint64_t seed = 11;
-  return time_ns_per_item(kSamples, [&] {
-    options.seed = seed++;
-    benchmark::DoNotOptimize(
-        harness::run_vlcsa(config, source, options, harness::EvalPath::kBatched));
-  });
-}
-
-double end_to_end_ns(int width, arith::InputDistribution dist, int lane_words,
-                     const char* backend) {
-  auto source = arith::make_source(dist, width);
-  return end_to_end_source_ns(width, *source, lane_words, backend);
-}
-
-int write_perf_json(const std::string& path) {
-  // The record's "best" rows are always measured under auto dispatch (that
-  // is the comparison the artifact tracks), so label them with what auto
-  // resolves to — not with a VLCSA_FORCE_BACKEND pin, which the scopes
-  // below deliberately step around and then restore.
-  const char* best = nullptr;
-  int now_w = 0;  // dispatch-aware default lane width under auto (8 on avx512)
-  {
-    const BackendScope scope("auto");
-    best = to_string(planeops::active_backend());
-    now_w = arith::default_lane_words();
-  }
-  std::string kernels;
-  {
-    // Per-kernel scalar-vs-best at the hot shape: n=512 planes, 4 lane words.
-    constexpr int kN = 512;
-    constexpr int kW = 4;
-    constexpr std::size_t kM = static_cast<std::size_t>(kN) * kW;
-    constexpr std::uint64_t kSamplesPerPass = 64 * kW;
-    vlcsa::arith::BlockRng rng(13);
-    planeops::PlaneVec a(kM), b(kM), g(kM), p(kM), carry(kM), pp(kM);
-    for (auto& word : a) word = rng();
-    for (auto& word : b) word = rng();
-    struct Kernel {
-      const char* name;
-      std::function<void()> body;
-      std::uint64_t items;
-    };
-    alignas(64) std::uint64_t block[64];
-    for (auto& row : block) row = rng();
-    const std::vector<Kernel> suite = {
-        {"bulk_gp_n512_w4",
-         [&] { planeops::bulk_gp(a.data(), b.data(), g.data(), p.data(), kM); },
-         kSamplesPerPass},
-        {"kogge_stone_n512_w4",
-         [&] { planeops::kogge_stone(g.data(), p.data(), kN, kW, carry.data(), pp.data()); },
-         kSamplesPerPass},
-        {"popcount_sum_2048",
-         [&] { benchmark::DoNotOptimize(planeops::popcount_sum(a.data(), kM)); },
-         kSamplesPerPass},
-        {"transpose_64x64", [&] { planeops::transpose_64x64(block); }, 64},
-    };
-    bool first = true;
-    for (const auto& kernel : suite) {
-      double scalar_ns = 0, best_ns = 0;
-      {
-        const BackendScope scope("scalar");
-        scalar_ns = time_ns_per_item(kernel.items, kernel.body);
-      }
-      {
-        const BackendScope scope("auto");
-        best_ns = time_ns_per_item(kernel.items, kernel.body);
-      }
-      if (!first) kernels += ", ";
-      kernels += kernel_record(kernel.name, scalar_ns, best_ns, best).render_line();
-      first = false;
-    }
-  }
-
-  // The RNG subsystem: per-word generation cost of the std engine, the
-  // block RNG's per-call path, and bulk generate_block, plus the uniform
-  // operand fill before (per-call std draws, the PR 4 path) and after
-  // (generate_block direct-to-plane).  This is the Amdahl term PR 5 lifts.
-  std::string rng_section;
-  {
-    constexpr std::size_t kWords = 1 << 14;
-    std::vector<std::uint64_t> buf(kWords);
-    std::mt19937_64 std_rng(13);
-    arith::BlockRng block_rng(13);
-    const double std_ns = time_ns_per_item(kWords, [&] {
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < kWords; ++i) sum += std_rng();
-      benchmark::DoNotOptimize(sum);
-    });
-    const double percall_ns = time_ns_per_item(kWords, [&] {
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < kWords; ++i) sum += block_rng();
-      benchmark::DoNotOptimize(sum);
-    });
-    const auto block_ns_for = [&](const char* backend) {
-      const BackendScope scope(backend);
-      return time_ns_per_item(kWords, [&] {
-        block_rng.generate_block(buf.data(), kWords);
-        benchmark::DoNotOptimize(buf.data());
-      });
-    };
-    const double block_scalar_ns = block_ns_for("scalar");
-    const double block_best_ns = block_ns_for("auto");
-    harness::JsonObject generation;
-    generation.add("std_mt19937_64_ns_per_word", std_ns);
-    generation.add("blockrng_percall_ns_per_word", percall_ns);
-    generation.add("blockrng_block_scalar_ns_per_word", block_scalar_ns);
-    generation.add("blockrng_block_ns_per_word", block_best_ns);
-    generation.add("backend", best);
-    generation.add("speedup_vs_std", block_best_ns > 0 ? std_ns / block_best_ns : 0.0);
-
-    std::string fills;
-    bool first = true;
-    for (const int width : {64, 512}) {
-      arith::UniformUnsignedSource source(width);
-      arith::BitSlicedBatch batch(width, now_w);
-      arith::BlockRng fill_rng(5);
-      const std::uint64_t lanes = static_cast<std::uint64_t>(batch.lanes());
-      const BackendScope scope("auto");  // record labels the auto-dispatched backend
-      const double fill_ns = time_ns_per_item(lanes, [&] {
-        source.fill_batch(fill_rng, batch);
-        benchmark::DoNotOptimize(batch.a());
-      });
-      std::mt19937_64 old_rng(5);
-      std::vector<std::uint64_t> rows;
-      const double before_ns = time_ns_per_item(lanes, [&] {
-        fill_batch_percall_reference(old_rng, batch, rows);
-        benchmark::DoNotOptimize(batch.a());
-      });
-      harness::JsonObject record;
-      record.add("workload", "uniform-fill-batch-n" + std::to_string(width));
-      record.add("percall_std_ns_per_sample", before_ns);
-      record.add("ns_per_sample", fill_ns);
-      record.add("backend", best);
-      record.add("lane_words", now_w);
-      record.add("speedup", fill_ns > 0 ? before_ns / fill_ns : 0.0);
-      if (!first) fills += ", ";
-      fills += record.render_line();
-      first = false;
-    }
-    harness::JsonObject rng_record;
-    rng_record.add_json("generation", generation.render_line());
-    rng_record.add_json("fill_batch", "[" + fills + "]");
-    rng_section = rng_record.render_line();
-  }
-
-  // The batched model evaluation alone (no operand generation): this is the
-  // layer the SIMD plane kernels accelerate, compared against the single
-  // lane word + scalar backend configuration (how PR 2 evaluated batches).
-  std::string model_eval;
-  double model_speedup_n512 = 0.0;
-  {
-    bool first = true;
-    for (const int width : {64, 512}) {
-      const spec::ScsaModel model(
-          spec::ScsaConfig{width, spec::min_window_for_error_rate(width, 1e-4)});
-      vlcsa::arith::BlockRng rng(17);
-      auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
-      spec::ScsaBatchEvaluation ev;
-      const auto time_model = [&](int lane_words, const char* backend) {
-        const BackendScope scope(backend);
-        arith::BitSlicedBatch batch(width, lane_words);
-        source->fill_batch(rng, batch);
-        return time_ns_per_item(static_cast<std::uint64_t>(batch.lanes()), [&] {
-          model.evaluate_batch(batch, ev);
-          benchmark::DoNotOptimize(ev.err0.data());
-        });
-      };
-      const double base_ns = time_model(1, "scalar");
-      const double now_ns = time_model(now_w, "auto");
-      harness::JsonObject record;
-      record.add("workload", "scsa-evaluate-batch-n" + std::to_string(width));
-      record.add("w1_scalar_backend_ns_per_sample", base_ns);
-      record.add("ns_per_sample", now_ns);
-      record.add("backend", best);
-      record.add("lane_words", now_w);
-      const double speedup = now_ns > 0 ? base_ns / now_ns : 0.0;
-      record.add("speedup", speedup);
-      if (width == 512) model_speedup_n512 = speedup;
-      if (!first) model_eval += ", ";
-      model_eval += record.render_line();
-      first = false;
-    }
-  }
-
-  // The full sampling loop (operand generation + model + counters).  The
-  // baseline configuration (1 lane word, scalar backend) is how PR 2 ran
-  // the batched pipeline.  Through PR 4 this row was Amdahl-bound by
-  // per-call std::mt19937_64 draws; the block RNG's direct-to-plane fill
-  // is what moved it (the acceptance row for PR 5: >= 2x vs the PR 4
-  // record).
-  std::string end_to_end;
-  double end_to_end_speedup_n512 = 0.0;
-  {
-    bool first = true;
-    for (const int width : {64, 512}) {
-      const double base_ns =
-          end_to_end_ns(width, arith::InputDistribution::kUniformUnsigned, 1, "scalar");
-      const double now_ns =
-          end_to_end_ns(width, arith::InputDistribution::kUniformUnsigned, 0, "auto");
-      harness::JsonObject record;
-      record.add("workload", "vlcsa2-uniform-n" + std::to_string(width));
-      record.add("w1_scalar_backend_ns_per_sample", base_ns);
-      record.add("ns_per_sample", now_ns);  // default lane words, dispatched backend
-      record.add("backend", best);
-      record.add("lane_words", now_w);
-      const double speedup = now_ns > 0 ? base_ns / now_ns : 0.0;
-      record.add("speedup", speedup);
-      if (width == 512) end_to_end_speedup_n512 = speedup;
-      if (!first) end_to_end += ", ";
-      end_to_end += record.render_line();
-      first = false;
-    }
-  }
-
-  // The Gaussian sampling subsystem (the Ch. 7 workloads): per-variate cost
-  // of the block ziggurat vs the per-call std::normal_distribution it
-  // replaced, the two's-complement operand fill, and the full table7.1-style
-  // error-rate loop against the PR 6 per-call baseline.  The n=64 end-to-end
-  // speedup row is this PR's acceptance gate (>= 3x).
-  std::string gaussian_section;
-  double gauss_end_to_end_speedup_n64 = 0.0;
-  {
-    constexpr std::size_t kVariates = std::size_t{1} << 14;
-    std::vector<double> variates(kVariates);
-    arith::BlockRng std_rng(19);
-    std::normal_distribution<double> std_dist(0.0, 4294967296.0);
-    const double std_ns = time_ns_per_item(kVariates, [&] {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < kVariates; ++i) sum += std_dist(std_rng);
-      benchmark::DoNotOptimize(sum);
-    });
-    arith::GaussianBlockSampler sampler;
-    arith::BlockRng block_rng(19);
-    const auto sampler_ns_for = [&](const char* backend) {
-      const BackendScope scope(backend);
-      return time_ns_per_item(kVariates, [&] {
-        sampler.fill(block_rng, variates.data(), kVariates);
-        benchmark::DoNotOptimize(variates.data());
-      });
-    };
-    const double zig_scalar_ns = sampler_ns_for("scalar");
-    const double zig_best_ns = sampler_ns_for("auto");
-    harness::JsonObject sampler_record;
-    sampler_record.add("std_normal_percall_ns_per_variate", std_ns);
-    sampler_record.add("ziggurat_block_scalar_ns_per_variate", zig_scalar_ns);
-    sampler_record.add("ziggurat_block_ns_per_variate", zig_best_ns);
-    sampler_record.add("backend", best);
-    sampler_record.add("speedup_vs_std", zig_best_ns > 0 ? std_ns / zig_best_ns : 0.0);
-
-    std::string fills;
-    bool first = true;
-    for (const int width : {64, 512}) {
-      arith::GaussianTwosSource source(width, arith::GaussianParams{});
-      PerCallNormalTwosSource reference(width);
-      arith::BitSlicedBatch batch(width, now_w);
-      const std::uint64_t lanes = static_cast<std::uint64_t>(batch.lanes());
-      const BackendScope scope("auto");
-      arith::BlockRng fill_rng(23);
-      const double fill_ns = time_ns_per_item(lanes, [&] {
-        source.fill_batch(fill_rng, batch);
-        benchmark::DoNotOptimize(batch.a());
-      });
-      arith::BlockRng ref_rng(23);
-      const double before_ns = time_ns_per_item(lanes, [&] {
-        reference.fill_batch(ref_rng, batch);
-        benchmark::DoNotOptimize(batch.a());
-      });
-      harness::JsonObject record;
-      record.add("workload", "gaussian-twos-fill-batch-n" + std::to_string(width));
-      record.add("percall_std_ns_per_sample", before_ns);
-      record.add("ns_per_sample", fill_ns);
-      record.add("backend", best);
-      record.add("lane_words", now_w);
-      record.add("speedup", fill_ns > 0 ? before_ns / fill_ns : 0.0);
-      if (!first) fills += ", ";
-      fills += record.render_line();
-      first = false;
-    }
-
-    // End to end on the table7.1 shape (VLCSA error rates, two's-complement
-    // Gaussian operands): the PR 6 baseline is the per-call source at PR 6's
-    // defaults (kDefaultLaneWords, auto dispatch) — its cost was dominated
-    // by per-sample std::normal draws and ApInt transposes, which is exactly
-    // what the block ziggurat + direct-to-plane fill removes.
-    std::string ends;
-    first = true;
-    for (const int width : {64, 512}) {
-      PerCallNormalTwosSource reference(width);
-      const double base_ns =
-          end_to_end_source_ns(width, reference, arith::kDefaultLaneWords, "auto");
-      auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, width);
-      const double now_ns = end_to_end_source_ns(width, *source, 0, "auto");
-      harness::JsonObject record;
-      record.add("workload", "table7.1-gauss2c-n" + std::to_string(width));
-      record.add("pr6_percall_ns_per_sample", base_ns);
-      record.add("ns_per_sample", now_ns);
-      record.add("backend", best);
-      record.add("lane_words", now_w);
-      const double speedup = now_ns > 0 ? base_ns / now_ns : 0.0;
-      record.add("speedup_vs_pr6", speedup);
-      if (width == 64) gauss_end_to_end_speedup_n64 = speedup;
-      if (!first) ends += ", ";
-      ends += record.render_line();
-      first = false;
-    }
-
-    harness::JsonObject gaussian;
-    gaussian.add_json("sampler", sampler_record.render_line());
-    gaussian.add_json("fill_batch", "[" + fills + "]");
-    gaussian.add_json("end_to_end", "[" + ends + "]");
-    gaussian_section = gaussian.render_line();
-  }
-
-  // The service daemon's cached-hit request path with observability off vs
-  // with the trace log enabled.  The untraced row is the overhead gate for
-  // the tracing subsystem: a request that does not mention "trace" must cost
-  // what it did before trace.cpp existed (one substring scan, disabled-branch
-  // stage guards), so `traced_overhead_ratio` near 1.0 for the *untraced*
-  // row's trajectory across PRs is the regression to watch.
-  std::string service_section;
-  double service_hit_ns = 0.0;
-  {
-    const auto cached_hit_ns = [](bool traced) {
-      service::ServiceConfig config;
-      config.threads = 1;
-      std::filesystem::path trace_path;
-      if (traced) {
-        trace_path = std::filesystem::temp_directory_path() / "vlcsa_perf_trace.jsonl";
-        config.trace_log = trace_path.string();
-      }
-      service::ExperimentService service(config);
-      const std::string line =
-          "{\"request\": \"run\", \"experiment\": \"table7.1/n64\", "
-          "\"samples\": 4096, \"seed\": 3}";
-      if (!service.handle_line(line).ok) return 0.0;  // warm the memory tier
-      const double ns = time_ns_per_item(1, [&] {
-        benchmark::DoNotOptimize(service.handle_line(line));
-      });
-      if (traced) {
-        std::error_code ec;
-        std::filesystem::remove(trace_path, ec);
-        std::filesystem::remove(trace_path.string() + ".1", ec);
-      }
-      return ns;
-    };
-    const double off_ns = cached_hit_ns(false);
-    const double on_ns = cached_hit_ns(true);
-    service_hit_ns = off_ns;
-    harness::JsonObject record;
-    record.add("workload", "service-cached-hit");
-    record.add("ns_per_request", off_ns);
-    record.add("traced_ns_per_request", on_ns);
-    record.add("traced_overhead_ratio", off_ns > 0 ? on_ns / off_ns : 0.0);
-    service_section = record.render_line();
-  }
-
-  harness::JsonObject root;
-  root.add("schema", "vlcsa-perf-5");
-  root.add("backend_best", best);
-  root.add("lane_words_default", now_w);
-  root.add_json("kernels", "[" + kernels + "]");
-  root.add_json("rng", rng_section);
-  root.add_json("gaussian", gaussian_section);
-  root.add_json("model_eval", "[" + model_eval + "]");
-  root.add_json("end_to_end", "[" + end_to_end + "]");
-  root.add_json("service", service_section);
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "error: cannot write " << path << "\n";
-    return 1;
-  }
-  out << root.render_line() << "\n";
-  std::cout << "wrote " << path << " (backend " << best << "; n512 model-eval speedup "
-            << model_speedup_n512 << "x, end-to-end " << end_to_end_speedup_n512
-            << "x; gaussian table7.1 n64 vs PR 6 " << gauss_end_to_end_speedup_n64
-            << "x; service cached hit " << service_hit_ns << " ns)\n";
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strict --json=FILE extraction; everything else goes to google-benchmark.
-  std::string json_path;
-  std::vector<char*> rest;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-      if (json_path.empty()) {
-        std::cerr << "error: --json requires a file path\n";
-        return 2;
-      }
-      continue;
-    }
-    rest.push_back(argv[i]);
-  }
-  if (!json_path.empty()) return write_perf_json(json_path);
-
-  int rest_argc = static_cast<int>(rest.size());
-  benchmark::Initialize(&rest_argc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -62,14 +62,6 @@ void print_usage() {
          "exit status: 0 response ok, 1 response/transport error, 2 usage error\n";
 }
 
-/// Splits "HOST:PORT" on the last ':'.
-bool parse_host_port(const std::string& value, std::string& host, int& port) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) return false;
-  host = value.substr(0, colon);
-  return harness::parse_nonnegative_int(value.substr(colon + 1), port) && port <= 65535;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,7 +96,9 @@ int main(int argc, char** argv) {
   const std::vector<harness::ValueFlag> flags = {
       {"--socket", store_string(socket_path)},
       {"--tcp",
-       [&](const std::string& value) { return parse_host_port(value, tcp_host, tcp_port); }},
+       [&](const std::string& value) {
+         return harness::parse_host_port(value, tcp_host, tcp_port);
+       }},
       {"--request", store_string(request)},
       {"--experiment", store_string(experiment)},
       {"--eval-path",

@@ -72,13 +72,6 @@ void print_usage() {
          "             failure, 2 usage error\n";
 }
 
-bool parse_host_port(const std::string& value, std::string& host, int& port) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) return false;
-  host = value.substr(0, colon);
-  return harness::parse_nonnegative_int(value.substr(colon + 1), port) && port <= 65535;
-}
-
 struct WorkerResult {
   std::vector<double> latencies_seconds;
   std::uint64_t ok = 0;
@@ -206,7 +199,9 @@ int main(int argc, char** argv) {
          return true;
        }},
       {"--tcp",
-       [&](const std::string& value) { return parse_host_port(value, tcp_host, tcp_port); }},
+       [&](const std::string& value) {
+         return harness::parse_host_port(value, tcp_host, tcp_port);
+       }},
       {"--trace",
        [&](const std::string& value) {
          if (value.empty()) return false;

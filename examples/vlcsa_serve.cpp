@@ -96,15 +96,6 @@ void print_usage() {
                "                     never take over)\n";
 }
 
-/// Splits "HOST:PORT" on the last ':' (tolerates IPv6 hosts like ::1:7411
-/// only via the last-colon rule; bracketed forms are not needed here).
-bool parse_host_port(const std::string& value, std::string& host, int& port) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) return false;
-  host = value.substr(0, colon);
-  return harness::parse_nonnegative_int(value.substr(colon + 1), port) && port <= 65535;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,7 +122,9 @@ int main(int argc, char** argv) {
          return true;
        }},
       {"--tcp",
-       [&](const std::string& value) { return parse_host_port(value, tcp_host, tcp_port); }},
+       [&](const std::string& value) {
+         return harness::parse_host_port(value, tcp_host, tcp_port);
+       }},
       {"--cache-dir",
        [&](const std::string& value) {
          if (value.empty()) return false;

@@ -49,7 +49,7 @@ void print_usage() {
          "  --retry-base-ms=T daemon mode: first backoff step (default 100)\n"
          "  --connect-timeout-ms=T  daemon connect retry window (default 2000)\n"
          "sweep shape:\n"
-         "  --chunk=N         cells per run-batch request (default 16)\n"
+         "  --chunk=N         cells per run-batch request (1..4096, default 16)\n"
          "  --timeout-ms=T    per-chunk run deadline (default: server default)\n"
          "observability:\n"
          "  --event-log=FILE  JSONL sweep event log (sweep-start/cell-*/sweep-done)\n"
@@ -66,12 +66,11 @@ void print_usage() {
          "exit status: 0 all cells ok, 1 failed/aborted/invalid, 2 usage error\n";
 }
 
-bool parse_host_port(const std::string& value, std::string& host, int& port) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) return false;
-  host = value.substr(0, colon);
-  return harness::parse_nonnegative_int(value.substr(colon + 1), port) && port <= 65535;
-}
+/// The largest --chunk: a run-batch element is at most ~140 bytes (the
+/// longest registry name, 20-digit samples and seed), so a full chunk stays
+/// well inside the daemon's request-line cap.
+constexpr int kMaxChunk = 4096;
+static_assert(std::size_t{kMaxChunk} * 140 < service::SocketServer::kMaxRequestLineBytes);
 
 }  // namespace
 
@@ -120,12 +119,15 @@ int main(int argc, char** argv) {
          return true;
        }},
       {"--tcp",
-       [&](const std::string& value) { return parse_host_port(value, tcp_host, tcp_port); }},
+       [&](const std::string& value) {
+         return harness::parse_host_port(value, tcp_host, tcp_port);
+       }},
       {"--threads",
        [&](const std::string& value) { return harness::parse_nonnegative_int(value, threads); }},
       {"--chunk",
        [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, chunk) && chunk > 0;
+         return harness::parse_nonnegative_int(value, chunk) && chunk > 0 &&
+                chunk <= kMaxChunk;
        }},
       {"--timeout-ms",
        [&](const std::string& value) {

@@ -26,6 +26,16 @@ bool parse_nonnegative_int(const std::string& text, int& out) {
   return true;
 }
 
+bool parse_host_port(const std::string& text, std::string& host, int& port) {
+  const std::size_t colon = text.rfind(':');
+  if (colon == std::string::npos || colon == 0) return false;
+  int value = 0;
+  if (!parse_nonnegative_int(text.substr(colon + 1), value) || value > 65535) return false;
+  host = text.substr(0, colon);
+  port = value;
+  return true;
+}
+
 bool match_value_flag(const std::string& arg, const std::string& name,
                       const std::function<bool(const std::string&)>& apply,
                       std::string& error) {
@@ -44,12 +54,10 @@ bool match_value_flag(const std::string& arg, const std::string& name,
 }
 
 std::string parse_value_flags(int argc, const char* const* argv,
-                              const std::vector<ValueFlag>& flags,
-                              std::string_view tolerate_prefix) {
+                              const std::vector<ValueFlag>& flags) {
   std::string error;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (!tolerate_prefix.empty() && arg.rfind(tolerate_prefix, 0) == 0) continue;
     bool handled = false;
     for (const ValueFlag& flag : flags) {
       if (match_value_flag(arg, flag.name, flag.apply, error)) {

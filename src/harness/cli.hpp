@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/montecarlo.hpp"
@@ -34,13 +33,10 @@ struct ValueFlag {
                                     std::string& error);
 
 /// Parses argv[1..] strictly against `flags`: every argument must address
-/// exactly one flag (unknown arguments are errors), except arguments
-/// starting with `tolerate_prefix` when non-empty (e.g. "--benchmark" so
-/// google-benchmark flags don't kill table benches).  Returns "" on success,
+/// exactly one flag (unknown arguments are errors).  Returns "" on success,
 /// else the error message naming the offending argument.
 [[nodiscard]] std::string parse_value_flags(int argc, const char* const* argv,
-                                            const std::vector<ValueFlag>& flags,
-                                            std::string_view tolerate_prefix = {});
+                                            const std::vector<ValueFlag>& flags);
 
 /// Everything the adder_explorer front end can be asked to do.
 struct ExplorerOptions {
@@ -84,5 +80,11 @@ struct ExplorerParse {
 /// entire string must be a base-10 number in range, else false.
 [[nodiscard]] bool parse_u64(const std::string& text, std::uint64_t& out);
 [[nodiscard]] bool parse_nonnegative_int(const std::string& text, int& out);
+
+/// Splits "HOST:PORT" on the last ':' (so "::1:7411" is host "::1", port
+/// 7411; bracketed IPv6 forms are not accepted).  The host must be
+/// non-empty and the port a number in [0, 65535]; outputs are only written
+/// on success.
+[[nodiscard]] bool parse_host_port(const std::string& text, std::string& host, int& port);
 
 }  // namespace vlcsa::harness

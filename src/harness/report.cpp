@@ -156,10 +156,7 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::uint64_t default_samples)
       {"--threads",
        [&args](const std::string& v) { return parse_nonnegative_int(v, args.threads); }},
   };
-  // "--benchmark*" is tolerated so google-benchmark style flags don't kill
-  // table benches when the whole bench directory is run with common flags.
-  const std::string error =
-      parse_value_flags(argc, const_cast<const char* const*>(argv), flags, "--benchmark");
+  const std::string error = parse_value_flags(argc, const_cast<const char* const*>(argv), flags);
   if (!error.empty()) {
     throw std::invalid_argument(error + " (expected --samples=N, --seed=S or --threads=T)");
   }

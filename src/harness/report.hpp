@@ -91,8 +91,7 @@ struct BenchArgs {
   int threads = 0;
 
   /// Parses argv; `default_samples` applies when --samples is absent.
-  /// Throws std::invalid_argument on unknown arguments or malformed values
-  /// (google-benchmark's --benchmark* flags are tolerated).
+  /// Throws std::invalid_argument on unknown arguments or malformed values.
   static BenchArgs parse(int argc, char** argv, std::uint64_t default_samples);
 };
 

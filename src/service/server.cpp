@@ -67,20 +67,27 @@ bool recv_line(int fd, std::string& buffer, std::string& line) {
   }
 }
 
-/// recv_line with an optional idle deadline: when no complete line is
-/// buffered and nothing arrives within `idle_timeout_ms`, reports kIdle so
-/// the server can close a conversation that went quiet (keep-alive hygiene).
-enum class RecvStatus { kLine, kIdle, kClosed };
+/// recv_line with an optional idle deadline and the request-line cap: when
+/// no complete line is buffered and nothing arrives within
+/// `idle_timeout_ms`, reports kIdle so the server can close a conversation
+/// that went quiet (keep-alive hygiene); a line longer than
+/// SocketServer::kMaxRequestLineBytes reports kTooLong, so `buffer` never
+/// holds more than the cap plus one chunk.  Each received chunk is scanned
+/// for the newline once.
+enum class RecvStatus { kLine, kIdle, kClosed, kTooLong };
 
 RecvStatus recv_line_idle(int fd, std::string& buffer, std::string& line,
                           int idle_timeout_ms) {
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   while (true) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
+    const std::size_t newline = buffer.find('\n', scanned);
+    if (newline != std::string::npos && newline <= SocketServer::kMaxRequestLineBytes) {
       line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       return RecvStatus::kLine;
     }
+    if (buffer.size() > SocketServer::kMaxRequestLineBytes) return RecvStatus::kTooLong;
+    scanned = buffer.size();
     if (idle_timeout_ms > 0) {
       pollfd pfd{fd, POLLIN, 0};
       int ready;
@@ -140,6 +147,11 @@ addrinfo* resolve_tcp(const std::string& host, int port, bool for_bind, std::str
 constexpr const char* kOverloadedLine =
     "{\"status\": \"error\", \"code\": \"overloaded\", "
     "\"error\": \"server overloaded: connection backlog full, retry later\"}\n";
+
+/// The last line of a conversation whose request line outgrew the cap.
+const std::string kLineTooLongLine =
+    "{\"status\": \"error\", \"code\": \"bad-request\", \"error\": \"request line exceeds " +
+    std::to_string(SocketServer::kMaxRequestLineBytes) + " bytes\"}\n";
 
 }  // namespace
 
@@ -275,6 +287,11 @@ void SocketServer::handle_connection(int fd) {
   int served = 0;
   while (true) {
     const RecvStatus status = recv_line_idle(fd, buffer, line, options_.idle_timeout_ms);
+    if (status == RecvStatus::kTooLong) {
+      // Bytes past the cap stay unread: the conversation ends here.
+      send_all(fd, kLineTooLongLine);
+      break;
+    }
     if (status != RecvStatus::kLine) break;  // peer gone or idle-timed-out
     if (line.empty()) continue;
     const ExperimentService::Reply reply = service_.handle_line(line);

@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -67,6 +68,14 @@ struct ListenerSpec {
 
 class SocketServer {
  public:
+  /// The longest request line a conversation may send, newline excluded.
+  /// A longer line is answered with one "bad-request" error and the
+  /// connection is closed, so one peer cannot grow a worker's buffer
+  /// without bound.  Sized for the largest requests the repo's clients
+  /// send: a vlcsa_sweep run-batch chunk of its maximum 4096 cells is under
+  /// 600 KB.
+  static constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
   struct Options {
     int workers = 2;        // warm connection pool size (clamped to >= 1)
     int max_pending = 128;  // reject when this many fds await a worker; 0 = unbounded

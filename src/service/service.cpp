@@ -275,8 +275,9 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
   // --trace-log, or a request carrying "trace"/"trace_id" (strict JSON
   // quotes keys, so the substring test is a safe pre-parse filter — a false
   // positive merely collects spans nobody renders).  When neither holds,
-  // every span site below costs a single predictable branch; perf_microbench
-  // pins the cached-hit path against that claim.
+  // every span site below costs a single predictable branch; the cached-hit
+  // path is measured against that claim by perf_microbench's
+  // BM_ServiceCachedHit/0 and perfbench's service.handle_line_nolog_us.
   if (trace_log_.enabled() || line.find("\"trace") != std::string::npos) {
     ctx.trace.enable();
   }

@@ -40,8 +40,9 @@ struct TraceSpan {
 /// no-ops costing one branch — and enabled by the service only when a sink
 /// wants the spans (--trace-log configured, or the request asked for an
 /// echo), which is what keeps the cached-hit hot path overhead-free
-/// (perf_microbench pins this).  Not thread-safe: one request is traced by
-/// the one worker thread handling it.
+/// (measured by perf_microbench's BM_ServiceCachedHit/0 and perfbench's
+/// service.handle_line_nolog_us).  Not thread-safe: one request is traced
+/// by the one worker thread handling it.
 class RequestTrace {
  public:
   using Clock = std::chrono::steady_clock;

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -673,6 +676,58 @@ TEST(SocketServer, RejectsConnectionsPastTheBacklogWithOverloadedError) {
   EXPECT_EQ(service.metrics().snapshot().rejected_connections, 1u);
 
   ASSERT_EQ(busy.roundtrip(R"({"request": "shutdown"})", response), "");
+  serving.join();
+}
+
+TEST(SocketServer, OversizedUnterminatedLineGetsOneErrorLineThenEof) {
+  // A peer streaming bytes with no newline must not grow a worker's buffer
+  // without bound: past the cap it gets one bad-request line and EOF, and
+  // the (only) worker moves on to the next connection.
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() / "vlcsa_service_longline_test.sock").string();
+  ExperimentService service({"", 4, 1});
+  SocketServer server(socket_path, service, /*workers=*/1);
+  ASSERT_EQ(server.listen_or_error(), "");
+  std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
+
+  // Raw client: ServiceClient always terminates what it sends.  Failures
+  // below are EXPECTs so the server is still shut down and joined.
+  std::string received;
+  ssize_t last = -1;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket_path.c_str());
+  timeval timeout{5, 0};  // a server that keeps buffering fails the test, not hangs it
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) == 0 &&
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)) == 0) {
+    const std::string payload(SocketServer::kMaxRequestLineBytes + 1, 'x');
+    std::size_t sent = 0;
+    while (sent < payload.size()) {
+      const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(sent, payload.size());
+    char chunk[4096];
+    while ((last = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      received.append(chunk, static_cast<std::size_t>(last));
+    }
+  }
+  EXPECT_EQ(last, 0) << "expected EOF: " << std::strerror(errno);
+  ::close(fd);
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << received;  // exactly one line
+  const JsonParse reply = parse_json(received.substr(0, received.find('\n')));
+  EXPECT_EQ(field(reply.value, "status"), "error") << received;
+  EXPECT_EQ(field(reply.value, "code"), "bad-request") << received;
+
+  ServiceClient next;  // the worker is free again
+  ASSERT_EQ(next.connect_or_error(socket_path, /*timeout_ms=*/2000), "");
+  std::string response;
+  ASSERT_EQ(next.roundtrip(R"({"request": "list"})", response), "");
+  EXPECT_EQ(field(parse_json(response).value, "status"), "ok");
+  ASSERT_EQ(next.roundtrip(R"({"request": "shutdown"})", response), "");
   serving.join();
 }
 
