@@ -34,6 +34,7 @@
 #include "service/fleet.hpp"
 #include "service/metrics.hpp"
 #include "service/server.hpp"
+#include "service/trace.hpp"
 
 using namespace vlcsa;
 
@@ -91,14 +92,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[std::min(index, sorted.size()) - 1];
 }
 
-/// One span as read back from a daemon trace-log line.
-struct LoggedSpan {
-  std::string name;
-  std::uint64_t depth = 0;
-  std::uint64_t start_us = 0;
-  std::uint64_t dur_us = 0;
-};
-
 /// Checks one trace-log line's span array for well-formedness: exactly one
 /// depth-0 root named "request" (first in the array), depths that follow the
 /// open order (a span's depth equals its parents on the stack), every child
@@ -107,21 +100,22 @@ struct LoggedSpan {
 /// per-stage microseconds into `stage_totals_us` (pre-seeded with every
 /// stage_names() entry, so a stage the daemon never hit — e.g. lease-wait on
 /// a single-replica run — still reports as a zero row instead of vanishing).
-std::string check_span_tree(const std::vector<LoggedSpan>& spans,
+std::string check_span_tree(const std::vector<service::TraceSpan>& spans,
                             std::vector<std::pair<std::string, std::uint64_t>>& stage_totals_us) {
   if (spans.empty()) return "no spans";
   if (spans.front().depth != 0 || spans.front().name != "request") {
     return "first span is not a depth-0 'request' root";
   }
-  std::vector<const LoggedSpan*> stack;
-  for (const LoggedSpan& span : spans) {
+  std::vector<const service::TraceSpan*> stack;
+  for (const service::TraceSpan& span : spans) {
     if (&span != &spans.front() && span.depth == 0) return "more than one root span";
-    while (stack.size() > span.depth) stack.pop_back();
-    if (stack.size() != span.depth) {
+    const auto depth = static_cast<std::size_t>(span.depth);
+    while (stack.size() > depth) stack.pop_back();
+    if (stack.size() != depth) {
       return "span '" + span.name + "' skips a nesting level";
     }
     if (!stack.empty()) {
-      const LoggedSpan& parent = *stack.back();
+      const service::TraceSpan& parent = *stack.back();
       if (span.start_us < parent.start_us ||
           span.start_us + span.dur_us > parent.start_us + parent.dur_us) {
         return "span '" + span.name + "' is not contained in its parent '" + parent.name + "'";
@@ -143,33 +137,6 @@ std::string check_span_tree(const std::vector<LoggedSpan>& spans,
       }
     }
     stack.push_back(&span);
-  }
-  return {};
-}
-
-/// Reads the spans array of one parsed trace-log line into LoggedSpan form;
-/// "" or what is wrong with it.
-std::string read_spans(const harness::JsonValue& line, std::vector<LoggedSpan>& out) {
-  const harness::JsonValue* spans = line.find("spans");
-  if (spans == nullptr || spans->kind() != harness::JsonValue::Kind::kArray) {
-    return "missing array field 'spans'";
-  }
-  for (const harness::JsonValue& item : spans->items()) {
-    if (item.kind() != harness::JsonValue::Kind::kObject) return "span is not an object";
-    LoggedSpan span;
-    const harness::JsonValue* name = item.find("name");
-    if (name == nullptr || name->kind() != harness::JsonValue::Kind::kString) {
-      return "span without a string 'name'";
-    }
-    span.name = name->as_string();
-    const harness::JsonValue* depth = item.find("depth");
-    const harness::JsonValue* start = item.find("start_us");
-    const harness::JsonValue* dur = item.find("dur_us");
-    if (depth == nullptr || !depth->to_u64(span.depth) || start == nullptr ||
-        !start->to_u64(span.start_us) || dur == nullptr || !dur->to_u64(span.dur_us)) {
-      return "span '" + span.name + "' without numeric depth/start_us/dur_us";
-    }
-    out.push_back(std::move(span));
   }
   return {};
 }
@@ -476,8 +443,8 @@ int main(int argc, char** argv) {
           break;
         }
         ++traced_requests;
-        std::vector<LoggedSpan> spans;
-        std::string error = read_spans(parsed.value, spans);
+        std::vector<service::TraceSpan> spans;
+        std::string error = service::parse_spans(parsed.value, spans);
         if (error.empty()) error = check_span_tree(spans, stage_totals_us);
         if (!error.empty()) {
           trace_log_error = daemon_trace_log + ":" + std::to_string(line_number) + ": " + error;

@@ -1,7 +1,8 @@
-// vlcsa_sweep — sweep orchestrator for the experiment grid (ROADMAP item 1):
-// expands a JSON sweep spec into a deterministic cell list and runs every
-// cell, either in-process through an owned service instance (and its result
-// cache) or against a running vlcsa_serve daemon over run-batch chunks with
+// vlcsa_sweep — sweep orchestrator for the experiment grid (the paper's
+// Table 7.x / Fig 7.x grids and any registry family's rows): expands a JSON
+// sweep spec into a deterministic cell list and runs every cell, either
+// in-process through an owned service instance (and its result cache) or
+// against a running vlcsa_serve daemon over run-batch chunks with
 // retry/backoff.  Live progress, a JSONL event log, and a vlcsa-sweep-1
 // report make a multi-hour grid watchable, attributable and resumable:
 // re-running the same spec against the same cache dir answers prior work as

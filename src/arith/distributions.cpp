@@ -237,18 +237,6 @@ std::string to_string(InputDistribution dist) {
   throw std::logic_error("unknown InputDistribution");
 }
 
-bool parse_distribution(std::string_view text, InputDistribution& out) {
-  for (const InputDistribution dist :
-       {InputDistribution::kUniformUnsigned, InputDistribution::kUniformTwos,
-        InputDistribution::kGaussianUnsigned, InputDistribution::kGaussianTwos}) {
-    if (text == to_string(dist)) {
-      out = dist;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::unique_ptr<OperandSource> make_source(InputDistribution dist, int width,
                                            GaussianParams params) {
   switch (dist) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -151,11 +150,6 @@ enum class InputDistribution {
 };
 
 [[nodiscard]] std::string to_string(InputDistribution dist);
-
-/// Inverse of to_string(InputDistribution) ("uniform-unsigned", ... — the
-/// names experiment records and the service protocol carry).  Returns false
-/// on unknown text without touching `out`.
-[[nodiscard]] bool parse_distribution(std::string_view text, InputDistribution& out);
 
 /// Factory used by the harness and benches.
 [[nodiscard]] std::unique_ptr<OperandSource> make_source(InputDistribution dist, int width,

@@ -197,16 +197,6 @@ const char* to_string(ModelKind kind) {
   throw std::logic_error("unknown ModelKind");
 }
 
-bool parse_model_kind(std::string_view text, ModelKind& out) {
-  for (const ModelKind kind : {ModelKind::kVlcsa1, ModelKind::kVlcsa2, ModelKind::kVlsa}) {
-    if (text == to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 ErrorRateResult run_experiment(const ErrorRateExperiment& experiment, std::uint64_t samples,
                                std::uint64_t seed, int threads, EvalPath path) {
   return run_experiment(experiment, RunOptions{samples, seed, threads, kDefaultShardSize},

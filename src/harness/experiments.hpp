@@ -34,11 +34,6 @@ enum class ModelKind {
 
 [[nodiscard]] const char* to_string(ModelKind kind);
 
-/// Inverse of to_string(ModelKind) ("VLCSA 1"/"VLCSA 2"/"VLSA" — the names
-/// experiment records and the service protocol carry).  Returns false on
-/// unknown text without touching `out`.
-[[nodiscard]] bool parse_model_kind(std::string_view text, ModelKind& out);
-
 /// One error-rate/latency experiment: a variable-latency adder configuration
 /// pitted against an operand distribution.
 struct ErrorRateExperiment {

@@ -101,11 +101,25 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-namespace {
+std::string check_fields(const JsonValue& object,
+                         std::initializer_list<std::string_view> allowed,
+                         std::string_view where) {
+  for (const auto& [key, value] : object.members()) {
+    bool known = false;
+    for (const std::string_view name : allowed) {
+      if (key == name) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) return "unknown field '" + key + "' " + std::string(where);
+  }
+  return {};
+}
 
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonParse run() {
     JsonParse parse;
@@ -149,7 +163,16 @@ class Parser {
     return true;
   }
 
+  // Parses one value and stamps its source byte range.
   JsonValue parse_value(int depth) {
+    const std::size_t begin = pos_;
+    JsonValue value = parse_bare_value(depth);
+    value.begin_ = begin;
+    value.end_ = pos_;
+    return value;
+  }
+
+  JsonValue parse_bare_value(int depth) {
     if (depth > kMaxJsonDepth) {
       fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
       return {};
@@ -416,8 +439,6 @@ class Parser {
   std::size_t error_offset_ = 0;
 };
 
-}  // namespace
-
-JsonParse parse_json(std::string_view text) { return Parser(text).run(); }
+JsonParse parse_json(std::string_view text) { return JsonParser(text).run(); }
 
 }  // namespace vlcsa::harness

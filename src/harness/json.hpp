@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,13 +60,26 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
+  /// This value's exact bytes in `text`, the input parse_json read it from
+  /// (first byte through closing brace/bracket/quote, no surrounding
+  /// whitespace).  Lets a reader carry an embedded value through verbatim —
+  /// re-rendering the tree could reformat it and break byte identity.
+  /// Empty for values built by make_*.
+  [[nodiscard]] std::string_view source(std::string_view text) const {
+    return text.substr(begin_, end_ - begin_);
+  }
+
  private:
+  friend class JsonParser;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
   std::string text_;  // string payload, or the raw number token
   std::vector<JsonValue> items_;
   std::vector<Member> members_;
+  std::size_t begin_ = 0;  // source byte range [begin_, end_), see source()
+  std::size_t end_ = 0;
 };
 
 /// Result of parsing; `error` is empty on success and names the problem plus
@@ -83,5 +97,13 @@ struct JsonParse {
 /// kMaxJsonDepth so adversarial request lines cannot overflow the stack.
 inline constexpr int kMaxJsonDepth = 64;
 [[nodiscard]] JsonParse parse_json(std::string_view text);
+
+/// Strictness for every reader with a fixed schema (protocol requests, sweep
+/// specs): each member of `object` must be named in `allowed` — a typo'd
+/// field is an error, never silently ignored.  Returns "" or
+/// "unknown field 'KEY' <where>" for the first stray member.
+[[nodiscard]] std::string check_fields(const JsonValue& object,
+                                       std::initializer_list<std::string_view> allowed,
+                                       std::string_view where);
 
 }  // namespace vlcsa::harness

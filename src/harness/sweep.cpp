@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <initializer_list>
 #include <iostream>
 #include <istream>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "arith/distributions.hpp"
 #include "harness/experiments.hpp"
 #include "harness/json.hpp"
 #include "harness/montecarlo.hpp"
@@ -20,23 +18,6 @@
 namespace vlcsa::harness {
 
 namespace {
-
-/// Strictness, in the service.cpp tradition: every member of the spec must
-/// be expected — a typo'd axis must never silently run a different grid.
-std::string check_spec_fields(const JsonValue& spec,
-                              std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : spec.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return "unknown field '" + key + "' in sweep spec";
-  }
-  return {};
-}
 
 /// Reads an optional array of non-empty strings; "" or an error message.
 std::string read_string_axis(const JsonValue& spec, const char* name,
@@ -101,62 +82,6 @@ double now_epoch_seconds() {
       .count();
 }
 
-/// The exact q-quantile of a sorted sample (nearest-rank, as in loadgen).
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t index = static_cast<std::size_t>(rank);
-  if (static_cast<double>(index) < rank) ++index;  // ceil
-  if (index == 0) index = 1;
-  return sorted[std::min(index, sorted.size()) - 1];
-}
-
-/// Extracts the raw bytes of one JSON value starting at `pos` (its first
-/// byte) — balanced-brace scan respecting string quoting, so an embedded
-/// record is carried through byte-identical to what the service rendered
-/// (re-rendering a parsed tree could reorder or reformat, breaking the
-/// byte-identity the resume contract promises).
-std::string raw_json_value(const std::string& text, std::size_t pos) {
-  if (pos >= text.size()) return {};
-  const char open = text[pos];
-  if (open != '{' && open != '[') return {};
-  const char close = open == '{' ? '}' : ']';
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0 && c == close) return text.substr(pos, i - pos + 1);
-    }
-  }
-  return {};
-}
-
-/// Finds the next `"key": <value>` at or after `cursor` and returns the raw
-/// value bytes, advancing `cursor` past it; "" when absent.
-std::string next_raw_field(const std::string& text, const char* key, std::size_t& cursor) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = text.find(needle, cursor);
-  if (at == std::string::npos) return {};
-  const std::size_t value_at = at + needle.size();
-  std::string value = raw_json_value(text, value_at);
-  if (!value.empty()) cursor = value_at + value.size();
-  return value;
-}
-
 std::string read_string_member(const JsonValue& object, const char* name) {
   const JsonValue* field = object.find(name);
   if (field == nullptr || field->kind() != JsonValue::Kind::kString) return {};
@@ -174,14 +99,14 @@ void add_stage_us(std::vector<std::pair<std::string, std::uint64_t>>& totals,
   totals.emplace_back(name, us);
 }
 
-/// Folds one rendered RunProfile into the sweep-level rollup.
-void accumulate_profile(SweepProfileTotals& totals, const std::string& profile_json) {
-  const JsonParse parse = parse_json(profile_json);
-  if (!parse.ok() || parse.value.kind() != JsonValue::Kind::kObject) return;
+/// Folds one computed cell's RunProfile (the reply element's parsed
+/// "profile" object) into the sweep-level rollup.
+void accumulate_profile(SweepProfileTotals& totals, const JsonValue& profile) {
+  if (profile.kind() != JsonValue::Kind::kObject) return;
   ++totals.cells;
   const auto add_u64 = [&](const char* name, std::uint64_t& slot) {
     std::uint64_t value = 0;
-    const JsonValue* field = parse.value.find(name);
+    const JsonValue* field = profile.find(name);
     if (field != nullptr && field->to_u64(value)) slot += value;
   };
   add_u64("shards", totals.shards);
@@ -191,7 +116,7 @@ void accumulate_profile(SweepProfileTotals& totals, const std::string& profile_j
   add_u64("scalar_samples", totals.scalar_samples);
   add_u64("rng_words", totals.rng_words);
   const auto add_seconds = [&](const char* name, double& slot) {
-    const JsonValue* field = parse.value.find(name);
+    const JsonValue* field = profile.find(name);
     if (field != nullptr && field->kind() == JsonValue::Kind::kNumber) {
       slot += field->as_double();
     }
@@ -200,28 +125,24 @@ void accumulate_profile(SweepProfileTotals& totals, const std::string& profile_j
   add_seconds("eval_seconds", totals.eval_seconds);
   add_seconds("merge_seconds", totals.merge_seconds);
   std::uint64_t threads = 0;
-  const JsonValue* threads_field = parse.value.find("threads");
+  const JsonValue* threads_field = profile.find("threads");
   if (threads_field != nullptr && threads_field->to_u64(threads)) {
     totals.threads_max = std::max(totals.threads_max, threads);
   }
-  const std::string backend = read_string_member(parse.value, "backend");
+  const std::string backend = read_string_member(profile, "backend");
   if (!backend.empty()) totals.backend = backend;
 }
 
-/// Live progress line: counts, throughput, nearest-rank ETA, current cell.
-/// One \r-rewritten line so a watching terminal sees it update in place.
+/// Live progress line: counts, throughput, ETA at that throughput, current
+/// cell.  One \r-rewritten line so a watching terminal sees it update in
+/// place.
 void render_progress(std::ostream& out, std::uint64_t done, std::uint64_t total,
                      std::uint64_t computed, std::uint64_t resumed, std::uint64_t failed,
-                     double elapsed_seconds, const std::vector<double>& terminal_wall_ms,
-                     const std::string& label) {
+                     double elapsed_seconds, const std::string& label) {
   const double rate = elapsed_seconds > 0.0
                           ? static_cast<double>(done) / elapsed_seconds
                           : 0.0;
-  std::vector<double> sorted = terminal_wall_ms;
-  std::sort(sorted.begin(), sorted.end());
-  const double p50_ms = quantile_sorted(sorted, 0.50);
-  const double eta_seconds =
-      static_cast<double>(total - done) * p50_ms * 1e-3;
+  const double eta_seconds = rate > 0.0 ? static_cast<double>(total - done) / rate : 0.0;
   char line[256];
   std::snprintf(line, sizeof(line),
                 "\r[sweep] %llu/%llu (%llu computed, %llu cached, %llu failed) "
@@ -251,9 +172,8 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     return out;
   }
   const JsonValue& spec = parse.value;
-  if (std::string error = check_spec_fields(
-          spec, {"name", "experiments", "models", "widths", "windows", "distributions",
-                 "samples", "seeds", "eval_path"});
+  if (std::string error = check_fields(
+          spec, {"name", "experiments", "samples", "seeds", "eval_path"}, "in sweep spec");
       !error.empty()) {
     out.error = std::move(error);
     return out;
@@ -308,154 +228,6 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     for (const SelectedExperiment& candidate : matched) {
       if (seen.insert(candidate.name()).second) selection.push_back(candidate);
     }
-  }
-
-  // Error-rate-only filters: models/widths/windows/distributions narrow a
-  // prefix selection to a sub-grid.  Strict on both sides — a filter with a
-  // chain-profile experiment in the selection is an error (chain profiles
-  // have no model/window axes), and so is a filter value matching nothing
-  // (a typo'd width must not silently empty an axis).
-  std::vector<std::string> model_names;
-  std::vector<std::uint64_t> widths;
-  std::vector<std::uint64_t> windows;
-  std::vector<std::string> distribution_names;
-  bool models_given = false;
-  bool widths_given = false;
-  bool windows_given = false;
-  bool distributions_given = false;
-  if (std::string error = read_string_axis(spec, "models", model_names, models_given);
-      !error.empty()) {
-    out.error = std::move(error);
-    return out;
-  }
-  if (std::string error = read_u64_axis(spec, "widths", widths, widths_given);
-      !error.empty()) {
-    out.error = std::move(error);
-    return out;
-  }
-  if (std::string error = read_u64_axis(spec, "windows", windows, windows_given);
-      !error.empty()) {
-    out.error = std::move(error);
-    return out;
-  }
-  if (std::string error =
-          read_string_axis(spec, "distributions", distribution_names, distributions_given);
-      !error.empty()) {
-    out.error = std::move(error);
-    return out;
-  }
-  const bool filtered = models_given || widths_given || windows_given || distributions_given;
-  if (filtered) {
-    for (const SelectedExperiment& candidate : selection) {
-      if (candidate.chain_profile != nullptr) {
-        out.error = "filters (models/widths/windows/distributions) apply to error-rate "
-                    "experiments only; '" +
-                    candidate.name() + "' is a chain-profile experiment";
-        return out;
-      }
-    }
-  }
-  std::vector<ModelKind> models;
-  for (const std::string& name : model_names) {
-    ModelKind kind{};
-    if (!parse_model_kind(name, kind)) {
-      out.error = "field 'models' has unknown model '" + name +
-                  "' (expected \"VLCSA 1\", \"VLCSA 2\" or \"VLSA\")";
-      return out;
-    }
-    models.push_back(kind);
-  }
-  std::vector<arith::InputDistribution> distributions;
-  for (const std::string& name : distribution_names) {
-    arith::InputDistribution dist{};
-    if (!arith::parse_distribution(name, dist)) {
-      out.error = "field 'distributions' has unknown distribution '" + name + "'";
-      return out;
-    }
-    distributions.push_back(dist);
-  }
-  const auto matches = [&](const ErrorRateExperiment& experiment) {
-    const auto has_u64 = [](const std::vector<std::uint64_t>& axis, std::uint64_t value) {
-      return std::find(axis.begin(), axis.end(), value) != axis.end();
-    };
-    if (models_given &&
-        std::find(models.begin(), models.end(), experiment.model) == models.end()) {
-      return false;
-    }
-    if (widths_given && !has_u64(widths, static_cast<std::uint64_t>(experiment.width))) {
-      return false;
-    }
-    if (windows_given && !has_u64(windows, static_cast<std::uint64_t>(experiment.window))) {
-      return false;
-    }
-    if (distributions_given &&
-        std::find(distributions.begin(), distributions.end(), experiment.dist) ==
-            distributions.end()) {
-      return false;
-    }
-    return true;
-  };
-  if (filtered) {
-    // Every filter value must bite somewhere in the selection.
-    const auto check_values = [&](const char* field, auto&& value_matches, std::size_t count,
-                                  auto&& describe) -> std::string {
-      for (std::size_t i = 0; i < count; ++i) {
-        bool any = false;
-        for (const SelectedExperiment& candidate : selection) {
-          if (value_matches(*candidate.error_rate, i)) {
-            any = true;
-            break;
-          }
-        }
-        if (!any) {
-          return std::string("field '") + field + "' value " + describe(i) +
-                 " matches no selected experiment";
-        }
-      }
-      return {};
-    };
-    std::string error = check_values(
-        "models",
-        [&](const ErrorRateExperiment& e, std::size_t i) { return e.model == models[i]; },
-        models.size(), [&](std::size_t i) { return "'" + model_names[i] + "'"; });
-    if (error.empty()) {
-      error = check_values(
-          "widths",
-          [&](const ErrorRateExperiment& e, std::size_t i) {
-            return static_cast<std::uint64_t>(e.width) == widths[i];
-          },
-          widths.size(), [&](std::size_t i) { return std::to_string(widths[i]); });
-    }
-    if (error.empty()) {
-      error = check_values(
-          "windows",
-          [&](const ErrorRateExperiment& e, std::size_t i) {
-            return static_cast<std::uint64_t>(e.window) == windows[i];
-          },
-          windows.size(), [&](std::size_t i) { return std::to_string(windows[i]); });
-    }
-    if (error.empty()) {
-      error = check_values(
-          "distributions",
-          [&](const ErrorRateExperiment& e, std::size_t i) {
-            return e.dist == distributions[i];
-          },
-          distributions.size(),
-          [&](std::size_t i) { return "'" + distribution_names[i] + "'"; });
-    }
-    if (!error.empty()) {
-      out.error = std::move(error);
-      return out;
-    }
-    std::vector<SelectedExperiment> narrowed;
-    for (const SelectedExperiment& candidate : selection) {
-      if (matches(*candidate.error_rate)) narrowed.push_back(candidate);
-    }
-    if (narrowed.empty()) {
-      out.error = "filters eliminated every selected experiment";
-      return out;
-    }
-    selection = std::move(narrowed);
   }
 
   // Eval path (error-rate cells only; chain profiles are keyed "scalar").
@@ -577,7 +349,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
   const std::string trace_prefix =
       options.trace_prefix.empty() ? std::string("sw") : options.trace_prefix;
   std::vector<std::pair<std::string, std::uint64_t>> stage_totals_us;
-  std::vector<double> terminal_wall_ms;
   std::uint64_t done = 0;
   std::size_t chunk_index = 0;
 
@@ -593,7 +364,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
     out.cells.push_back(result);
     ++out.failed_cells;
     ++done;
-    terminal_wall_ms.push_back(wall_ms);
     JsonObject event;
     event.add("event", "cell-error");
     event.add("ts", now_epoch_seconds());
@@ -614,7 +384,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
       render_progress(progress, done, total, out.computed_cells, out.resumed_cells,
                       out.failed_cells,
                       std::chrono::duration<double>(Clock::now() - start).count(),
-                      terminal_wall_ms, spec.cells[base].experiment);
+                      spec.cells[base].experiment);
     }
 
     JsonObject request;
@@ -694,31 +464,22 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
     }
 
     // Reply spans: the k-th "element" span is the k-th cell's server-side
-    // wall time; every non-root span feeds the sweep's stage totals.
+    // wall time; every non-root span feeds the sweep's stage totals.  Spans
+    // are observability only — a malformed array costs the chunk its
+    // timings, never its cells.
+    std::vector<service::TraceSpan> spans;
+    if (!service::parse_spans(parsed.value, spans).empty()) spans.clear();
     std::vector<double> element_ms;
-    if (const JsonValue* spans = parsed.value.find("spans");
-        spans != nullptr && spans->kind() == JsonValue::Kind::kArray) {
-      for (const JsonValue& span : spans->items()) {
-        if (span.kind() != JsonValue::Kind::kObject) continue;
-        const std::string name = read_string_member(span, "name");
-        std::uint64_t depth = 0;
-        std::uint64_t dur_us = 0;
-        const JsonValue* depth_field = span.find("depth");
-        const JsonValue* dur_field = span.find("dur_us");
-        if (name.empty() || depth_field == nullptr || !depth_field->to_u64(depth) ||
-            dur_field == nullptr || !dur_field->to_u64(dur_us)) {
-          continue;
-        }
-        if (depth == 0) continue;
-        add_stage_us(stage_totals_us, name, dur_us);
-        if (name == "element") element_ms.push_back(static_cast<double>(dur_us) * 1e-3);
+    for (const service::TraceSpan& span : spans) {
+      if (span.depth == 0) continue;
+      add_stage_us(stage_totals_us, span.name, span.dur_us);
+      if (span.name == "element") {
+        element_ms.push_back(static_cast<double>(span.dur_us) * 1e-3);
       }
     }
 
-    // Raw-byte cursors: records and profiles are lifted from the reply text
-    // verbatim (see raw_json_value) in element order.
-    std::size_t record_cursor = 0;
-    std::size_t profile_cursor = 0;
+    // Records and profiles are copied from the reply text by their parsed
+    // byte ranges — the exact bytes the service rendered, never re-rendered.
     for (std::size_t k = 0; k < count; ++k) {
       const SweepCell& cell = spec.cells[base + k];
       const JsonValue& element = results->items()[k];
@@ -742,11 +503,11 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
       result.cached = !result.cache.empty() && result.cache != "miss";
       result.trace_id = trace_id;
       result.wall_ms = wall_ms;
-      result.record = next_raw_field(reply, "record", record_cursor);
-      if (element.find("profile") != nullptr) {
-        result.profile = next_raw_field(reply, "profile", profile_cursor);
+      if (const JsonValue* record = element.find("record"); record != nullptr) {
+        result.record = record->source(reply);
       }
-      terminal_wall_ms.push_back(wall_ms);
+      const JsonValue* profile = element.find("profile");
+      if (profile != nullptr) result.profile = profile->source(reply);
       ++done;
       JsonObject event;
       event.add("event", result.cached ? "cell-cached" : "cell-done");
@@ -761,8 +522,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
         ++out.resumed_cells;
       } else {
         ++out.computed_cells;
-        if (!result.profile.empty()) {
-          accumulate_profile(out.profile_totals, result.profile);
+        if (profile != nullptr) {
+          accumulate_profile(out.profile_totals, *profile);
           event.add_json("profile", result.profile);
         }
       }
@@ -791,7 +552,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
   }
   if (options.progress) {
     render_progress(progress, done, total, out.computed_cells, out.resumed_cells,
-                    out.failed_cells, out.wall_seconds, terminal_wall_ms, "done");
+                    out.failed_cells, out.wall_seconds, "done");
     progress << "\n";
   }
   return out;

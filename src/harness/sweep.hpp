@@ -1,11 +1,10 @@
 #pragma once
 // Sweep orchestration: the grid runner every comparison-table campaign goes
-// through (ROADMAP item 1's adder-zoo atlas multiplies the paper's grids by
-// several model families — this is the machinery that runs them).
+// through (the paper's Table 7.x / Fig 7.x grids, and any new adder family's
+// rows once they join the registry).
 //
 // A sweep is declared as one JSON spec: which experiments (exact names or
-// "prefix/" selections from the registry, optionally narrowed by
-// model/width/window/distribution filters), crossed with explicit samples
+// "prefix/" selections from the registry), crossed with explicit samples
 // and seeds axes.  parse_sweep_spec expands the spec into a deterministic
 // cell list — same spec, same cells, same order, same ids — which is what
 // makes a sweep resumable by construction: every cell maps onto the result
@@ -24,14 +23,15 @@
 //     cell-error) per cell, and one closing sweep-done summary whose counts
 //     reconcile with the per-cell events (validate_sweep_event_log checks
 //     both properties — the CI sweep smoke gates on it);
-//   - a live progress line (done/cached/failed, cells/s, nearest-rank ETA);
+//   - a live progress line (done/cached/failed, cells/s, ETA at that rate);
 //   - a vlcsa-sweep-1 JSON report (render_sweep_report) with per-cell
 //     records plus aggregate stage and profile totals, mirroring the
 //     loadgen report idiom.
 //
 // Determinism contract: everything here is orchestration + observability.
-// Cell result records come back verbatim from the service/cache layer and
-// are never modified — wall times, spans and profiles live only in the
+// Cell result records are copied out of each reply by their parsed byte
+// ranges (JsonValue::source) — verbatim from the service/cache layer, never
+// re-rendered or modified — wall times, spans and profiles live only in the
 // event log and report, exactly like trace data in reply envelopes.
 
 #include <cstdint>
@@ -69,13 +69,11 @@ struct SweepSpecParse {
 };
 
 /// Parses one sweep spec (strict, json.hpp): unknown fields, empty or
-/// duplicate axis values, selections matching no experiment, filters that
-/// eliminate everything, and eval_path/filters applied to chain-profile
-/// experiments are all errors.  Spec shape:
+/// duplicate axis values, selections matching no experiment, and eval_path
+/// applied to chain-profile experiments are all errors.  A sub-grid is an
+/// explicit list of registry names.  Spec shape:
 ///
 ///   {"name": STR?, "experiments": [NAME-or-"prefix/", ...],
-///    "models": [STR, ...]?, "widths": [INT, ...]?, "windows": [INT, ...]?,
-///    "distributions": [STR, ...]?,          // error-rate-only filters
 ///    "samples": [INT, ...]?,                // default: experiment default
 ///    "seeds": [INT, ...]?,                  // default: [1]
 ///    "eval_path": "batched"|"scalar"?}      // error-rate cells only

@@ -34,6 +34,7 @@ struct ExperimentService::RequestContext {
 
 namespace {
 
+using harness::check_fields;
 using harness::JsonObject;
 using harness::JsonValue;
 
@@ -61,23 +62,6 @@ ExperimentService::Reply error_reply(ExperimentService::RequestContext& ctx,
   response.add("code", code);
   response.add("error", message);
   return {response.render_line(), false, false};
-}
-
-/// Strictness: every member of the request object must be expected for its
-/// request type — a typo'd field is an error, never silently ignored.
-std::string check_fields(const JsonValue& request,
-                         std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : request.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return "unknown field '" + key + "' for this request";
-  }
-  return {};
 }
 
 /// Optional unsigned-integer field; "" or an error message.
@@ -210,7 +194,10 @@ std::string read_timeout_ms(const JsonValue& request, std::uint64_t& out) {
 std::string read_run_spec(const JsonValue& request,
                           std::initializer_list<std::string_view> allowed,
                           ExperimentService::RunSpec& out) {
-  if (std::string error = check_fields(request, allowed); !error.empty()) return error;
+  if (std::string error = check_fields(request, allowed, "for this request");
+      !error.empty()) {
+    return error;
+  }
   bool given = false;
   if (std::string error = read_string_field(request, "experiment", out.experiment, given);
       !error.empty()) {
@@ -631,8 +618,9 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
                        kCodeDraining);
   }
-  if (std::string error =
-          check_fields(request, {"request", "runs", "timeout_ms", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "runs", "timeout_ms", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -723,7 +711,9 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
 
 ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request,
                                                         RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "prefix", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "prefix", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -753,8 +743,9 @@ ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request
 
 ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& request,
                                                             RequestContext& ctx) {
-  if (std::string error =
-          check_fields(request, {"request", "experiment", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "experiment", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -799,7 +790,9 @@ ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& req
 
 ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& request,
                                                                RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -838,7 +831,9 @@ ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& 
 
 ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& request,
                                                            RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -884,7 +879,9 @@ ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& requ
 
 ExperimentService::Reply ExperimentService::handle_metrics_prom(const JsonValue& request,
                                                                 RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -903,7 +900,9 @@ ExperimentService::Reply ExperimentService::handle_metrics_prom(const JsonValue&
 
 ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& request,
                                                          RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }
@@ -923,7 +922,9 @@ ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& reques
 
 ExperimentService::Reply ExperimentService::handle_shutdown(const JsonValue& request,
                                                             RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
+  if (std::string error = check_fields(
+          request, {"request", "trace", "trace_id", "origin"},
+          "for this request");
       !error.empty()) {
     return error_reply(ctx, error);
   }

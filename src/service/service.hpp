@@ -1,6 +1,6 @@
 #pragma once
 // Experiment service: the long-running front end over the experiment
-// registry (ROADMAP item 1).  One instance owns the two-tier result cache
+// registry (harness/experiments.hpp).  One instance owns the two-tier result cache
 // and routes newline-delimited JSON requests:
 //
 //   {"request": "run", "experiment": NAME, "samples": N?, "seed": S?,

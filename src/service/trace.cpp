@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 
+#include "harness/json.hpp"
 #include "harness/report.hpp"
 
 namespace vlcsa::service {
@@ -58,6 +60,36 @@ std::string RequestTrace::render_spans() const {
   }
   out += "]";
   return out;
+}
+
+std::string parse_spans(const harness::JsonValue& object, std::vector<TraceSpan>& out) {
+  using harness::JsonValue;
+  const JsonValue* spans = object.find("spans");
+  if (spans == nullptr || spans->kind() != JsonValue::Kind::kArray) {
+    return "missing array field 'spans'";
+  }
+  for (const JsonValue& item : spans->items()) {
+    if (item.kind() != JsonValue::Kind::kObject) return "span is not an object";
+    TraceSpan span;
+    const JsonValue* name = item.find("name");
+    if (name == nullptr || name->kind() != JsonValue::Kind::kString) {
+      return "span without a string 'name'";
+    }
+    span.name = name->as_string();
+    std::uint64_t depth = 0;
+    const JsonValue* depth_field = item.find("depth");
+    const JsonValue* start = item.find("start_us");
+    const JsonValue* dur = item.find("dur_us");
+    if (depth_field == nullptr || !depth_field->to_u64(depth) ||
+        depth > static_cast<std::uint64_t>(std::numeric_limits<int>::max()) ||
+        start == nullptr || !start->to_u64(span.start_us) || dur == nullptr ||
+        !dur->to_u64(span.dur_us)) {
+      return "span '" + span.name + "' without numeric depth/start_us/dur_us";
+    }
+    span.depth = static_cast<int>(depth);
+    out.push_back(std::move(span));
+  }
+  return {};
 }
 
 std::string JsonlLog::open(const std::string& path, std::uint64_t max_bytes) {

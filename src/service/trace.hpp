@@ -21,6 +21,10 @@
 #include <string>
 #include <vector>
 
+namespace vlcsa::harness {
+class JsonValue;
+}  // namespace vlcsa::harness
+
 namespace vlcsa::service {
 
 /// One span of a request trace: [start_us, start_us + dur_us), microseconds
@@ -83,6 +87,14 @@ class RequestTrace {
   Clock::time_point start_{};
   std::vector<TraceSpan> spans_;
 };
+
+/// Reads back what render_spans writes: the "spans" array member of a parsed
+/// reply envelope or trace-log line, appended to `out` in document order.
+/// Strict — a missing array, a non-object span, a span without a string
+/// name or without integer depth/start_us/dur_us is an error.  Returns "" or
+/// what is wrong.
+[[nodiscard]] std::string parse_spans(const harness::JsonValue& object,
+                                      std::vector<TraceSpan>& out);
 
 /// Append-only JSONL sink shared by --trace-log and --access-log: one line
 /// per write under a mutex, flushed per line so a tail -f (or the CI smoke)

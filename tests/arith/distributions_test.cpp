@@ -116,25 +116,5 @@ TEST(Distributions, ToStringIsStable) {
                "gaussian-twos-complement");
 }
 
-TEST(Distributions, ParseDistributionRoundTripsEveryValue) {
-  // Exhaustive over the enum: parse must be the exact inverse of to_string.
-  for (const auto dist :
-       {InputDistribution::kUniformUnsigned, InputDistribution::kUniformTwos,
-        InputDistribution::kGaussianUnsigned, InputDistribution::kGaussianTwos}) {
-    InputDistribution parsed = InputDistribution::kUniformUnsigned;
-    ASSERT_TRUE(parse_distribution(to_string(dist), parsed)) << to_string(dist);
-    EXPECT_EQ(parsed, dist);
-  }
-}
-
-TEST(Distributions, ParseDistributionRejectsUnknownText) {
-  InputDistribution parsed = InputDistribution::kGaussianTwos;
-  EXPECT_FALSE(parse_distribution("uniform", parsed));
-  EXPECT_FALSE(parse_distribution("Uniform-Unsigned", parsed));  // case-sensitive
-  EXPECT_FALSE(parse_distribution("", parsed));
-  EXPECT_FALSE(parse_distribution("uniform-unsigned ", parsed));  // full-string match
-  EXPECT_EQ(parsed, InputDistribution::kGaussianTwos);  // untouched on failure
-}
-
 }  // namespace
 }  // namespace vlcsa::arith

@@ -107,23 +107,6 @@ TEST(Experiments, ProfilerMergeRejectsMismatchedShapes) {
   EXPECT_THROW(a += c, std::invalid_argument);
 }
 
-TEST(Experiments, ParseModelKindRoundTripsEveryValue) {
-  // Exhaustive over the enum: parse must be the exact inverse of to_string.
-  for (const ModelKind kind : {ModelKind::kVlcsa1, ModelKind::kVlcsa2, ModelKind::kVlsa}) {
-    ModelKind parsed = ModelKind::kVlcsa1;
-    ASSERT_TRUE(parse_model_kind(to_string(kind), parsed)) << to_string(kind);
-    EXPECT_EQ(parsed, kind);
-  }
-}
-
-TEST(Experiments, ParseModelKindRejectsUnknownText) {
-  ModelKind parsed = ModelKind::kVlsa;
-  EXPECT_FALSE(parse_model_kind("VLCSA1", parsed));   // missing space
-  EXPECT_FALSE(parse_model_kind("vlcsa 1", parsed));  // case-sensitive
-  EXPECT_FALSE(parse_model_kind("", parsed));
-  EXPECT_EQ(parsed, ModelKind::kVlsa);  // untouched on failure
-}
-
 TEST(Experiments, ParseEvalPathRoundTripsEveryValue) {
   for (const EvalPath path : {EvalPath::kBatched, EvalPath::kScalar}) {
     EvalPath parsed = EvalPath::kBatched;
@@ -138,20 +121,6 @@ TEST(Experiments, ParseEvalPathRejectsUnknownText) {
   EXPECT_FALSE(parse_eval_path("Batched", parsed));
   EXPECT_FALSE(parse_eval_path("", parsed));
   EXPECT_EQ(parsed, EvalPath::kScalar);
-}
-
-TEST(Experiments, EveryRegisteredNameRoundTripsThroughParsers) {
-  // Every registry entry's model and distribution names must survive the
-  // record → parse round trip the service cache relies on.
-  for (const auto& experiment : error_rate_experiments()) {
-    ModelKind model = ModelKind::kVlsa;
-    ASSERT_TRUE(parse_model_kind(to_string(experiment.model), model)) << experiment.name;
-    EXPECT_EQ(model, experiment.model);
-    arith::InputDistribution dist = arith::InputDistribution::kUniformUnsigned;
-    ASSERT_TRUE(parse_distribution(arith::to_string(experiment.dist), dist))
-        << experiment.name;
-    EXPECT_EQ(dist, experiment.dist);
-  }
 }
 
 }  // namespace

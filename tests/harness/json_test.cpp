@@ -132,6 +132,96 @@ TEST(JsonParser, ObjectStrictness) {
   parse_error("{");
 }
 
+/// Structural equality of two values (numbers compare by source token).
+bool json_equal(const JsonValue& a, const JsonValue& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case JsonValue::Kind::kNull: return true;
+    case JsonValue::Kind::kBool: return a.as_bool() == b.as_bool();
+    case JsonValue::Kind::kNumber: return a.number_text() == b.number_text();
+    case JsonValue::Kind::kString: return a.as_string() == b.as_string();
+    case JsonValue::Kind::kArray:
+      if (a.items().size() != b.items().size()) return false;
+      for (std::size_t i = 0; i < a.items().size(); ++i) {
+        if (!json_equal(a.items()[i], b.items()[i])) return false;
+      }
+      return true;
+    case JsonValue::Kind::kObject:
+      if (a.members().size() != b.members().size()) return false;
+      for (std::size_t i = 0; i < a.members().size(); ++i) {
+        if (a.members()[i].first != b.members()[i].first ||
+            !json_equal(a.members()[i].second, b.members()[i].second)) {
+          return false;
+        }
+      }
+      return true;
+  }
+  return false;
+}
+
+/// Every value in the tree: its source range re-parses to an equal value.
+void expect_sources_reparse(const JsonValue& value, const std::string& text) {
+  const std::string source(value.source(text));
+  const JsonParse reparsed = parse_json(source);
+  ASSERT_TRUE(reparsed.ok()) << "'" << source << "' -> " << reparsed.error;
+  EXPECT_TRUE(json_equal(reparsed.value, value)) << source;
+  if (value.kind() == JsonValue::Kind::kArray) {
+    for (const JsonValue& item : value.items()) expect_sources_reparse(item, text);
+  } else if (value.kind() == JsonValue::Kind::kObject) {
+    for (const auto& [key, member] : value.members()) expect_sources_reparse(member, text);
+  }
+}
+
+TEST(JsonParser, SourceRangesAreTheValuesExactBytes) {
+  // Strings holding closers and escapes, whitespace around every token,
+  // nested containers, numbers and literals.
+  const std::string text =
+      " \t{\"a\" :  {\"b\": [1, {\"c\": null}], \"s\": \"}]\\\"\\\\{[\"} ,\n"
+      "  \"list\": [ [ ] , { } , -1.5e3 ,true,false ] , \"n\":0 }\r\n ";
+  const JsonValue value = parse_ok(text);
+  const std::string body = text.substr(2, text.size() - 5);
+  EXPECT_EQ(value.source(text), body);
+  const JsonValue& a = *value.find("a");
+  EXPECT_EQ(a.source(text), R"({"b": [1, {"c": null}], "s": "}]\"\\{["})");
+  EXPECT_EQ(a.find("b")->source(text), R"([1, {"c": null}])");
+  EXPECT_EQ(a.find("b")->items()[1].source(text), R"({"c": null})");
+  EXPECT_EQ(a.find("b")->items()[1].find("c")->source(text), "null");
+  EXPECT_EQ(a.find("s")->source(text), R"("}]\"\\{[")");
+  EXPECT_EQ(a.find("s")->as_string(), "}]\"\\{[");
+  const JsonValue& list = *value.find("list");
+  EXPECT_EQ(list.source(text), "[ [ ] , { } , -1.5e3 ,true,false ]");
+  ASSERT_EQ(list.items().size(), 5u);
+  EXPECT_EQ(list.items()[0].source(text), "[ ]");
+  EXPECT_EQ(list.items()[1].source(text), "{ }");
+  EXPECT_EQ(list.items()[2].source(text), "-1.5e3");
+  EXPECT_EQ(list.items()[3].source(text), "true");
+  EXPECT_EQ(list.items()[4].source(text), "false");
+  EXPECT_EQ(value.find("n")->source(text), "0");
+  expect_sources_reparse(value, text);
+}
+
+TEST(JsonParser, SourceRangesSurviveRenderedRecords) {
+  // The sweep's use: a JsonObject-rendered record embedded in an envelope
+  // comes back out byte-identical by its range.
+  JsonObject record;
+  record.add("experiment", "table7.1/n64");
+  record.add("label", "quote \" brace } bracket ] backslash \\");
+  record.add("rate", 0.125);
+  record.add("count", std::uint64_t{18446744073709551615ull});
+  JsonObject envelope;
+  envelope.add("status", "ok");
+  envelope.add_json("record", record.render_line());
+  const std::string text = envelope.render_line();
+  const JsonValue value = parse_ok(text);
+  EXPECT_EQ(value.find("record")->source(text), record.render_line());
+  expect_sources_reparse(value, text);
+}
+
+TEST(JsonParser, BuiltValuesHaveEmptySource) {
+  EXPECT_EQ(JsonValue::make_string("x").source("anything"), "");
+  EXPECT_EQ(JsonValue().source("null"), "");
+}
+
 TEST(JsonParser, TrailingGarbageRejected) {
   parse_error("{} x");
   parse_error("1 2");

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/json.hpp"
@@ -125,6 +126,61 @@ TEST(RequestTrace, RenderSpansParsesStrictly) {
     EXPECT_NE(span.find("depth"), nullptr);
     EXPECT_NE(span.find("start_us"), nullptr);
     EXPECT_NE(span.find("dur_us"), nullptr);
+  }
+}
+
+TEST(RequestTrace, ParseSpansRoundTripsRenderSpans) {
+  RequestTrace trace;
+  trace.enable();
+  const std::size_t root = trace.open("request");
+  {
+    const RequestTrace::Scope parse(trace, "parse");
+  }
+  {
+    const RequestTrace::Scope run(trace, "engine-run");
+    const RequestTrace::Scope inner(trace, "render");
+  }
+  trace.close(root);
+
+  const JsonParse parsed = parse_json("{\"spans\": " + trace.render_spans() + "}");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  std::vector<TraceSpan> spans;
+  ASSERT_EQ(parse_spans(parsed.value, spans), "");
+  ASSERT_EQ(spans.size(), trace.spans().size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].name, trace.spans()[i].name);
+    EXPECT_EQ(spans[i].depth, trace.spans()[i].depth);
+    EXPECT_EQ(spans[i].start_us, trace.spans()[i].start_us);
+    EXPECT_EQ(spans[i].dur_us, trace.spans()[i].dur_us);
+  }
+}
+
+TEST(RequestTrace, ParseSpansRejectsMalformedSpanArrays) {
+  // The error texts are what vlcsa_loadgen --trace-log reports per line.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {R"({"trace_id": "t"})", "missing array field 'spans'"},
+      {R"({"spans": {}})", "missing array field 'spans'"},
+      {R"({"spans": [1]})", "span is not an object"},
+      {R"({"spans": [{"depth": 0, "start_us": 0, "dur_us": 1}]})",
+       "span without a string 'name'"},
+      {R"({"spans": [{"name": 7, "depth": 0, "start_us": 0, "dur_us": 1}]})",
+       "span without a string 'name'"},
+      {R"({"spans": [{"name": "request", "depth": -1, "start_us": 0, "dur_us": 1}]})",
+       "span 'request' without numeric depth/start_us/dur_us"},
+      {R"({"spans": [{"name": "request", "depth": 1.0, "start_us": 0, "dur_us": 1}]})",
+       "span 'request' without numeric depth/start_us/dur_us"},
+      {R"({"spans": [{"name": "request", "depth": 4294967296, "start_us": 0, "dur_us": 1}]})",
+       "span 'request' without numeric depth/start_us/dur_us"},
+      {R"({"spans": [{"name": "request", "depth": 0, "start_us": "0", "dur_us": 1}]})",
+       "span 'request' without numeric depth/start_us/dur_us"},
+      {R"({"spans": [{"name": "request", "depth": 0, "start_us": 0}]})",
+       "span 'request' without numeric depth/start_us/dur_us"},
+  };
+  for (const auto& [line, expected] : cases) {
+    const JsonParse parsed = parse_json(line);
+    ASSERT_TRUE(parsed.ok()) << line << " -> " << parsed.error;
+    std::vector<TraceSpan> spans;
+    EXPECT_EQ(parse_spans(parsed.value, spans), expected) << line;
   }
 }
 
