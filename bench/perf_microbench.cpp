@@ -210,10 +210,12 @@ BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Arg
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
 // feeds.  Args where present: (0 = scalar backend / 1 = auto-dispatched).
 
-/// The pre-BlockRng uniform fill: one std::mt19937_64 draw per limb per
-/// sample into the transpose blocks — exactly what
-/// UniformUnsignedSource::fill_batch did before the block RNG.  The baseline
-/// BM_RngFillBatchPerCallReference compares the direct-to-plane path against.
+/// The original uniform fill: one std::mt19937_64 draw per limb per sample
+/// into per-limb 64x64 transpose blocks — the sample-major stream
+/// UniformUnsignedSource drew before both the block RNG and the plane-major
+/// stream (uniform-plane-v1).  It draws different samples than today's
+/// fill, so it is a cost baseline only: BM_RngFillBatchPerCallReference
+/// times it on the same shapes as BM_RngFillBatch.
 void fill_batch_percall_reference(std::mt19937_64& rng, arith::BitSlicedBatch& batch,
                                   std::vector<std::uint64_t>& rows) {
   const int width = batch.width();
@@ -282,11 +284,14 @@ void BM_RngGenerateBlock(benchmark::State& state) {
 BENCHMARK(BM_RngGenerateBlock)
     ->Args({312, 0})->Args({312, 1})->Args({4096, 0})->Args({4096, 1});
 
-// The uniform operand fill the block RNG accelerates end to end: one batch
-// of 64 * lane_words operand pairs into bit-planes.  Args: (width,
-// lane_words, backend).  Compare with BM_RngFillBatchPerCallReference, which
-// re-implements the PR 4 per-call fill (one std::mt19937_64 draw per limb)
-// on the same shapes — the ratio is the operand-generation speedup.
+// The uniform operand fill: one batch of 64 * lane_words operand pairs into
+// bit-planes — one generate_block for the batch's groups, copied word for
+// word into the planes (no transpose).  Args: (width, lane_words, backend;
+// the backend moves the RNG twist/temper).  Compare with
+// BM_RngFillBatchPerCallReference, which re-implements the original
+// per-call, transposing fill on the same shapes — the ratio is the
+// operand-generation speedup of the block RNG and the plane-major stream
+// together.
 void BM_RngFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));

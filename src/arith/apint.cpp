@@ -45,6 +45,16 @@ ApInt ApInt::from_i64(int width, std::int64_t v) {
   return r;
 }
 
+ApInt ApInt::from_limbs(int width, std::span<const std::uint64_t> limbs) {
+  ApInt r(width);
+  if (limbs.size() != r.limbs_.size()) {
+    throw std::invalid_argument("ApInt::from_limbs: limb count does not match width");
+  }
+  std::copy(limbs.begin(), limbs.end(), r.limbs_.begin());
+  r.normalize();
+  return r;
+}
+
 ApInt ApInt::from_binary(int width, const std::string& bits) {
   if (static_cast<int>(bits.size()) > width) {
     throw std::invalid_argument("binary string longer than width");

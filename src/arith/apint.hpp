@@ -43,6 +43,10 @@ class ApInt {
   /// Value `v` sign-extended/truncated to `width` bits (two's complement).
   [[nodiscard]] static ApInt from_i64(int width, std::int64_t v);
 
+  /// Value from little-endian limbs, exactly ceil(width / 64) of them; bits
+  /// above `width` in the top limb are dropped.
+  [[nodiscard]] static ApInt from_limbs(int width, std::span<const std::uint64_t> limbs);
+
   /// Parses a binary string, MSB first (e.g. "1011" == 11). The string
   /// length must not exceed `width`.
   [[nodiscard]] static ApInt from_binary(int width, const std::string& bits);

@@ -26,61 +26,49 @@ void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
 }
 
 std::pair<ApInt, ApInt> UniformUnsignedSource::next(BlockRng& rng) {
-  return {ApInt::random(width(), rng), ApInt::random(width(), rng)};
+  const int n = width();
+  const std::size_t limbs = static_cast<std::size_t>((n + ApInt::kLimbBits - 1) / ApInt::kLimbBits);
+  if (cursor_ == kBatchLanes) {
+    // Draw the next group in stream order (a's planes 0..n-1, then b's),
+    // one 64-plane block per limb with rows past n left zero; transposing a
+    // block turns row j into sample j's limb, stored sample-major so each
+    // operand is one contiguous limb run.
+    group_.resize(2 * limbs * kBatchLanes);
+    for (std::size_t op = 0; op < 2; ++op) {
+      for (std::size_t limb = 0; limb < limbs; ++limb) {
+        std::uint64_t block[kBatchLanes] = {};
+        rng.generate_block(block, std::min<std::size_t>(kBatchLanes, n - limb * ApInt::kLimbBits));
+        transpose_64x64(block);
+        for (std::size_t j = 0; j < kBatchLanes; ++j) {
+          group_[(j * 2 + op) * limbs + limb] = block[j];
+        }
+      }
+    }
+    cursor_ = 0;
+  }
+  const std::uint64_t* sample = group_.data() + static_cast<std::size_t>(cursor_++) * 2 * limbs;
+  return {ApInt::from_limbs(n, {sample, limbs}), ApInt::from_limbs(n, {sample + limbs, limbs})};
 }
 
 void UniformUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("UniformUnsignedSource::fill_batch: batch width mismatch");
   }
-  // Mirror of out.lanes() x next(): per sample, a's limbs then b's limbs, one
-  // rng word per limb in limb order, top limb masked — exactly ApInt::random's
-  // consumption — but the whole lane-word group's words come from ONE
-  // generate_block() call (the block RNG's SIMD twist + batched tempering),
-  // then get deinterleaved into per-limb 64x64 transpose blocks and written
-  // straight into the bit-planes.  Member scratch: no allocation after the
-  // first batch.
-  const int n = width();
-  const int lane_words = out.lane_words();
-  const int limbs = (n + ApInt::kLimbBits - 1) / ApInt::kLimbBits;
-  const int top_bits = n - (limbs - 1) * ApInt::kLimbBits;
-  const std::uint64_t top_mask =
-      top_bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << top_bits) - 1);
-  const std::size_t group_words = static_cast<std::size_t>(2 * limbs) * 64;
-  stream_.resize(group_words);
-  rows_.resize(group_words);
-  for (int w = 0; w < lane_words; ++w) {
-    rng.generate_block(stream_.data(), group_words);
-    if (limbs == 1) {
-      // Single-limb fast path (every width <= 64): the stream is simply
-      // a0 b0 a1 b1 ..., a two-way deinterleave with the width mask applied
-      // on the way through.
-      for (int j = 0; j < kBatchLanes; ++j) {
-        rows_[static_cast<std::size_t>(j)] = stream_[static_cast<std::size_t>(2 * j)] & top_mask;
-        rows_[static_cast<std::size_t>(64 + j)] =
-            stream_[static_cast<std::size_t>(2 * j + 1)] & top_mask;
-      }
-    } else {
-      // Sample j's words sit at stream_[j*2*limbs ..]; scatter them into the
-      // (op, limb) blocks the transpose wants, masking top limbs in place.
-      for (int j = 0; j < kBatchLanes; ++j) {
-        const std::uint64_t* sample = stream_.data() + static_cast<std::size_t>(j) * 2 * limbs;
-        for (int op = 0; op < 2; ++op) {
-          for (int limb = 0; limb < limbs; ++limb) {
-            std::uint64_t word = sample[op * limbs + limb];
-            if (limb == limbs - 1) word &= top_mask;
-            rows_[static_cast<std::size_t>((op * limbs + limb) * 64 + j)] = word;
-          }
-        }
-      }
-    }
-    for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      for (int limb = 0; limb < limbs; ++limb) {
-        std::uint64_t* block =
-            rows_.data() + static_cast<std::size_t>(op * limbs + limb) * 64;
-        transpose_64x64(block);
-        block_to_planes(block, limb, n, planes, lane_words, w);
+  // All of the batch's groups in one generate_block() call: group w is
+  // stream_[w * 2n ..], a's planes then b's.  The copy runs bit-outer, so
+  // each plane group's lane words are written contiguously.
+  const std::size_t n = static_cast<std::size_t>(width());
+  const std::size_t lane_words = static_cast<std::size_t>(out.lane_words());
+  const std::size_t group_words = 2 * n;
+  stream_.resize(group_words * lane_words);
+  rng.generate_block(stream_.data(), stream_.size());
+  cursor_ = kBatchLanes;
+  for (std::size_t op = 0; op < 2; ++op) {
+    std::uint64_t* planes = op == 0 ? out.a() : out.b();
+    const std::uint64_t* group = stream_.data() + op * n;
+    for (std::size_t bit = 0; bit < n; ++bit) {
+      for (std::size_t w = 0; w < lane_words; ++w) {
+        planes[bit * lane_words + w] = group[w * group_words + bit];
       }
     }
   }

@@ -31,13 +31,17 @@ class OperandSource {
   /// Draws the next operand pair.
   virtual std::pair<ApInt, ApInt> next(BlockRng& rng) = 0;
 
-  /// Draws the next out.lanes() (= 64 * lane_words) operand pairs and
-  /// transposes them into bit-planes.  CONTRACT: consumes the RNG exactly
-  /// like out.lanes() successive next() calls and produces the same samples
-  /// (lane j = the j-th pair) — this is what keeps the batched Monte Carlo
-  /// path bit-identical to the scalar one at every lane width.  The default
-  /// implementation literally calls next(); overrides may generate straight
-  /// into the planes as long as the stream is preserved.
+  /// Draws the next out.lanes() (= 64 * lane_words) operand pairs into
+  /// bit-planes, lane word w holding the w-th 64-sample group.  CONTRACT:
+  /// a source's stream is a sequence of 64-sample groups, and fill_batch
+  /// consumes the RNG exactly like out.lanes() successive next() calls
+  /// started on a group boundary, producing the same samples (lane j = the
+  /// j-th pair).  That is what keeps the batched Monte Carlo path
+  /// bit-identical to the scalar one at every lane width and shard size:
+  /// a shard of `count` samples draws ceil(count / 64) groups on either
+  /// path.  The default implementation literally calls next(); overrides
+  /// may generate straight into the planes as long as the stream is
+  /// preserved.
   virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out);
 
   /// Fresh source of the same distribution with pristine stream state (any
@@ -50,17 +54,25 @@ class OperandSource {
 };
 
 /// Uniformly random n-bit patterns ("unsigned random inputs", Ch. 3).
+///
+/// The stream is plane-major (stream_version uniform-plane-v1): each
+/// 64-sample group is 2n raw generate_block words, a's bit-planes 0..n-1
+/// then b's, where bit j of plane word `bit` is sample j's operand bit
+/// `bit`.  Uniform i.i.d. bits are uniform i.i.d. in either orientation,
+/// so the batched path copies words straight into the planes and only the
+/// scalar oracle pays for a transpose.
 class UniformUnsignedSource final : public OperandSource {
  public:
   explicit UniformUnsignedSource(int width) : OperandSource(width) {}
   [[nodiscard]] std::string name() const override { return "uniform-unsigned"; }
+  /// Scalar oracle: draws one group when the buffered one runs out and
+  /// inverse-transposes it (2 * ceil(n / 64) 64x64 blocks) once per 64
+  /// samples; each pair is then built from whole limbs.
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: one generate_block() per lane-word group fills the raw limb
-  /// stream directly (same word order as ApInt::random — per sample, a's
-  /// limbs then b's limbs — so the stream contract holds), then the words
-  /// are deinterleaved into per-limb 64x64 blocks, masked, transposed, and
-  /// written straight into the bit-planes.  No per-sample draw loop and no
-  /// heap ApInts — this is the direct-to-plane path the block RNG enables.
+  /// Fast path: one generate_block() for all of the batch's groups, copied
+  /// word for word into the bit-planes — no transpose, no mask, no
+  /// per-sample work.  Starts a fresh group: a group next() had begun is
+  /// dropped.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<UniformUnsignedSource>(width());
@@ -68,7 +80,8 @@ class UniformUnsignedSource final : public OperandSource {
 
  private:
   std::vector<std::uint64_t> stream_;  // fill_batch raw block-RNG draw scratch
-  std::vector<std::uint64_t> rows_;    // fill_batch transpose scratch
+  std::vector<std::uint64_t> group_;   // next(): the current group, sample-major limbs
+  int cursor_ = kBatchLanes;           // next(): samples of group_ already returned
 };
 
 /// Two's-complement uniform inputs (Fig 6.3): a uniformly random magnitude

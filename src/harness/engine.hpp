@@ -76,7 +76,7 @@ struct RunProfile {
   std::uint64_t samples = 0;          // samples folded, all shards
   std::uint64_t batch_blocks = 0;     // bit-sliced blocks evaluated
   std::uint64_t batched_samples = 0;  // samples through the batch pipeline
-  std::uint64_t scalar_samples = 0;   // per-sample path (scalar runs + tails)
+  std::uint64_t scalar_samples = 0;   // per-sample path (scalar runs)
   std::uint64_t rng_words = 0;        // BlockRng words consumed, all shards
   double fill_seconds = 0.0;          // operand fill_batch time (summed)
   double eval_seconds = 0.0;          // model step/evaluate_batch time (summed)
@@ -153,8 +153,9 @@ class RunProfileCollector {
 /// Controls one sharded run.  `threads == 0` means "all hardware threads".
 /// `lane_words == 0` means "the default batch width" (arith::default_lane_words());
 /// like `threads`, it is purely a throughput knob — merged counters are
-/// bit-identical at any lane width (scalar tails keep the RNG stream equal
-/// to per-sample draws).
+/// bit-identical at any lane width (operand streams are defined per
+/// 64-sample group, and a shard's masked last batch draws whole groups just
+/// as per-sample draws do).
 struct RunOptions {
   std::uint64_t samples = 0;
   std::uint64_t seed = 1;
@@ -196,7 +197,7 @@ struct RunOptions {
 ///
 /// that draws and folds in exactly `count` samples.  Block granularity is
 /// what lets the bit-sliced pipeline consume 64 samples per machine word
-/// inside a shard (with its own scalar tail for count % 64); per-sample
+/// inside a shard (with a masked last batch for the remainder); per-sample
 /// kernels should use run_sharded below.  Per-shard kernel construction is
 /// what keeps stateful sample sources (e.g. std::normal_distribution's
 /// cached second variate) from leaking state across shard boundaries.

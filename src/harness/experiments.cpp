@@ -18,12 +18,23 @@ const arith::GaussianParams kFig6Gaussian{0.0, std::ldexp(1.0, 20)};    // 32-bi
 /// sources moved from per-sample std::normal_distribution onto the block
 /// ziggurat (arith::GaussianBlockSampler), redefining every Gaussian-input
 /// counter.  crypto-rng-v2: run_crypto_workload's seeding moved onto the
-/// shared seed_seq discipline (arith::make_stream_rng).  Uniform streams
-/// were untouched by both and stay unversioned, so their keys never moved.
+/// shared seed_seq discipline (arith::make_stream_rng).  uniform-plane-v1:
+/// the uniform-unsigned stream became plane-major (each 64-sample group is
+/// raw bit-plane words, see UniformUnsignedSource), redefining every
+/// uniform-unsigned counter and the fig6.1 histogram.  Two's-complement
+/// uniform streams were untouched by all three and stay unversioned, so
+/// their keys never moved.
 const char* stream_version(arith::InputDistribution dist) {
-  const bool gaussian = dist == arith::InputDistribution::kGaussianUnsigned ||
-                        dist == arith::InputDistribution::kGaussianTwos;
-  return gaussian ? "gauss-rng-v2" : "";
+  switch (dist) {
+    case arith::InputDistribution::kUniformUnsigned:
+      return "uniform-plane-v1";
+    case arith::InputDistribution::kGaussianUnsigned:
+    case arith::InputDistribution::kGaussianTwos:
+      return "gauss-rng-v2";
+    case arith::InputDistribution::kUniformTwos:
+      break;
+  }
+  return "";
 }
 
 const char* stream_version(const ChainProfileExperiment& experiment) {

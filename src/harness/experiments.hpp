@@ -115,8 +115,9 @@ struct RecordKey {
   std::uint64_t seed = 1;
   EvalPath path = EvalPath::kBatched;  // always kScalar for chain profiles
   /// The entry's draw-stream version: "gauss-rng-v2" for Gaussian-input
-  /// entries, "crypto-rng-v2" for the fig6.2 crypto workloads, "" for
-  /// streams that never moved.  Bumped whenever an entry's stream changes
+  /// entries, "crypto-rng-v2" for the fig6.2 crypto workloads,
+  /// "uniform-plane-v1" for uniform-unsigned entries, "" for streams that
+  /// never moved.  Bumped whenever an entry's stream changes
   /// incompatibly, so records from the old stream miss instead of hitting
   /// stale.
   std::string stream_version;

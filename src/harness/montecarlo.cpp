@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cmath>
 
 #include "harness/engine.hpp"
 
@@ -11,6 +12,20 @@ namespace {
 
 inline std::uint64_t lanes(std::uint64_t mask) {
   return static_cast<std::uint64_t>(std::popcount(mask));
+}
+
+/// Lanes of plane word `w` that fall before `valid`: all 64 for a word of a
+/// full batch, the low bits for the word that straddles a masked batch's
+/// end, none past it.
+std::uint64_t valid_mask(int w, std::uint64_t valid) {
+  const std::uint64_t first = static_cast<std::uint64_t>(arith::kBatchLanes) * w;
+  if (valid >= first + arith::kBatchLanes) return ~std::uint64_t{0};
+  if (valid <= first) return 0;
+  return (std::uint64_t{1} << (valid - first)) - 1;
+}
+
+std::uint64_t all_lanes(int lane_words) {
+  return static_cast<std::uint64_t>(arith::kBatchLanes) * lane_words;
 }
 
 }  // namespace
@@ -31,6 +46,16 @@ bool parse_eval_path(std::string_view text, EvalPath& out) {
     }
   }
   return false;
+}
+
+WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials, double z) {
+  if (trials == 0) return {};
+  const double n = static_cast<double>(trials);
+  const double x = static_cast<double>(successes);
+  const double z2 = z * z;
+  const double center = (x + z2 / 2) / (n + z2);
+  const double half = z / (n + z2) * std::sqrt(x * (n - x) / n + z2 / 4);
+  return {center - half, center + half};
 }
 
 void accumulate_vlcsa(const spec::VlcsaStep& step, spec::ScsaVariant variant,
@@ -61,46 +86,60 @@ void accumulate_vlsa(const spec::VlsaEvaluation& ev, ErrorRateResult& out) {
 
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
                             ErrorRateResult& out) {
+  accumulate_vlcsa_batch(step, variant, out, all_lanes(step.lane_words()));
+}
+
+void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
+                            ErrorRateResult& out, std::uint64_t valid_lanes) {
   const auto& ev = step.eval;
-  const int lw = step.lane_words();
-  const std::uint64_t stalls =
-      arith::planeops::popcount_sum(step.stalled.data(), step.stalled.size());
-  for (int w = 0; w < lw; ++w) {
+  std::uint64_t stalls = 0;
+  for (int w = 0; w < step.lane_words(); ++w) {
     const std::size_t ws = static_cast<std::size_t>(w);
+    const std::uint64_t valid = valid_mask(w, valid_lanes);
+    const std::uint64_t stalled = step.stalled[ws] & valid;
     const std::uint64_t primary_wrong =
-        variant == spec::ScsaVariant::kScsa1 ? ev.spec0_wrong[ws] : ev.either_wrong(w);
+        (variant == spec::ScsaVariant::kScsa1 ? ev.spec0_wrong[ws] : ev.either_wrong(w)) & valid;
+    stalls += lanes(stalled);
     out.actual_errors += lanes(primary_wrong);
-    out.false_negatives += lanes(primary_wrong & ~step.stalled[ws]);
-    out.either_wrong += lanes(ev.either_wrong(w));
+    out.false_negatives += lanes(primary_wrong & ~stalled);
+    out.either_wrong += lanes(ev.either_wrong(w) & valid);
+    out.emitted_wrong += lanes(step.emitted_wrong[ws] & valid);
   }
-  out.samples += static_cast<std::uint64_t>(arith::kBatchLanes) * lw;
+  out.samples += valid_lanes;
   out.nominal_errors += stalls;
-  out.emitted_wrong +=
-      arith::planeops::popcount_sum(step.emitted_wrong.data(), step.emitted_wrong.size());
   // 1 cycle per lane + 1 extra per stall (eq. 5.2/6.1).
-  out.total_cycles += static_cast<std::uint64_t>(arith::kBatchLanes) * lw + stalls;
+  out.total_cycles += valid_lanes + stalls;
 }
 
 void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult& out) {
-  const int lw = ev.lane_words();
-  const std::uint64_t errs = arith::planeops::popcount_sum(ev.err.data(), ev.err.size());
-  for (int w = 0; w < lw; ++w) {
+  accumulate_vlsa_batch(ev, out, all_lanes(ev.lane_words()));
+}
+
+void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult& out,
+                           std::uint64_t valid_lanes) {
+  std::uint64_t errs = 0;
+  for (int w = 0; w < ev.lane_words(); ++w) {
     const std::size_t ws = static_cast<std::size_t>(w);
-    out.actual_errors += lanes(ev.spec_wrong[ws]);
-    out.false_negatives += lanes(ev.spec_wrong[ws] & ~ev.err[ws]);
-    out.either_wrong += lanes(ev.spec_wrong[ws]);
-    out.emitted_wrong += lanes(ev.spec_wrong[ws] & ~ev.err[ws]);
+    const std::uint64_t valid = valid_mask(w, valid_lanes);
+    const std::uint64_t err = ev.err[ws] & valid;
+    const std::uint64_t wrong = ev.spec_wrong[ws] & valid;
+    errs += lanes(err);
+    out.actual_errors += lanes(wrong);
+    out.false_negatives += lanes(wrong & ~err);
+    out.either_wrong += lanes(wrong);
+    out.emitted_wrong += lanes(wrong & ~err);
   }
-  out.samples += static_cast<std::uint64_t>(arith::kBatchLanes) * lw;
+  out.samples += valid_lanes;
   out.nominal_errors += errs;
-  out.total_cycles += static_cast<std::uint64_t>(arith::kBatchLanes) * lw + errs;
+  out.total_cycles += valid_lanes + errs;
 }
 
 namespace {
 
 /// The model families run_model drives.  Each folds either one operand pair
-/// (the scalar oracle) or one bit-sliced batch into ErrorRateResult counters;
-/// `Scratch` is the per-shard batch output buffer.
+/// (the scalar oracle) or the first `valid` lanes of one bit-sliced batch
+/// into ErrorRateResult counters; `Scratch` is the per-shard batch output
+/// buffer.
 class VlcsaFolds {
  public:
   using Scratch = spec::VlcsaBatchStep;
@@ -110,9 +149,10 @@ class VlcsaFolds {
   void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
     accumulate_vlcsa(model_.step(a, b), variant_, out);
   }
-  void batch(const arith::BitSlicedBatch& in, Scratch& step, ErrorRateResult& out) const {
+  void batch(const arith::BitSlicedBatch& in, std::uint64_t valid, Scratch& step,
+             ErrorRateResult& out) const {
     model_.step_batch(in, step);
-    accumulate_vlcsa_batch(step, variant_, out);
+    accumulate_vlcsa_batch(step, variant_, out, valid);
   }
 
  private:
@@ -128,27 +168,15 @@ class VlsaFolds {
   void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
     accumulate_vlsa(model_.evaluate(a, b), out);
   }
-  void batch(const arith::BitSlicedBatch& in, Scratch& ev, ErrorRateResult& out) const {
+  void batch(const arith::BitSlicedBatch& in, std::uint64_t valid, Scratch& ev,
+             ErrorRateResult& out) const {
     model_.evaluate_batch(in, ev);
-    accumulate_vlsa_batch(ev, out);
+    accumulate_vlsa_batch(ev, out, valid);
   }
 
  private:
   spec::VlsaModel model_;
 };
-
-/// Draws and folds `count` samples one at a time: the whole shard on the
-/// scalar path, and the tail after the last full batch on the batched path —
-/// same draws in the same order, so both paths consume identical RNG streams
-/// and merge to identical counters.
-template <typename Folds>
-void fold_samples(const Folds& folds, OperandSource& source, arith::BlockRng& rng,
-                  std::uint64_t count, ErrorRateResult& out) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto [a, b] = source.next(rng);
-    folds.sample(a, b, out);
-  }
-}
 
 /// run_batched's compile-time timing policies.  NoTimer's calls compile to
 /// nothing, so the default loop has no clock reads and no per-block branch;
@@ -159,7 +187,7 @@ struct NoTimer {
   void start() {}
   void filled() {}
   void evaluated() {}
-  void finish(std::uint64_t /*batched*/, std::uint64_t /*count*/) {}
+  void finish(std::uint64_t /*count*/) {}
 };
 
 class BlockTimer {
@@ -173,11 +201,8 @@ class BlockTimer {
     profile_->add_eval_ns(ns(eval_end - eval_start_));
     ++blocks_;
   }
-  /// `batched` of the shard's `count` samples went through the batch loop.
-  void finish(std::uint64_t batched, std::uint64_t count) {
-    profile_->add_batch(blocks_, batched);
-    if (batched < count) profile_->add_scalar_samples(count - batched);
-  }
+  /// All of the shard's `count` samples went through the batch loop.
+  void finish(std::uint64_t count) { profile_->add_batch(blocks_, count); }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -193,26 +218,35 @@ class BlockTimer {
 };
 
 /// The batched sampling loop, once for every model family: per shard, fill
-/// and fold whole batches of 64 * lane_words samples, then the scalar tail.
+/// and fold whole batches of 64 * lane_words samples, then one last batch
+/// of ceil(rest / 64) lane words whose lanes past `rest` are masked out of
+/// every counter.  Every sample goes through the batched kernel, and the
+/// shard draws ceil(count / 64) whole groups — the scalar path's draws.
 template <typename Timer, typename Folds>
 ErrorRateResult run_batched(const Folds& folds, int width, int lane_words, OperandSource& source,
                             const RunOptions& options) {
   return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
-    return [&folds, shard_source = source.clone(), batch = arith::BitSlicedBatch(width, lane_words),
-            scratch = typename Folds::Scratch{}, profile = options.profile](
-               arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count) mutable {
+    return [&folds, width, shard_source = source.clone(),
+            batch = arith::BitSlicedBatch(width, lane_words), scratch = typename Folds::Scratch{},
+            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
+                                       std::uint64_t count) mutable {
       Timer timer(profile);
+      const auto fold = [&](arith::BitSlicedBatch& in, std::uint64_t valid) {
+        timer.start();
+        shard_source->fill_batch(rng, in);
+        timer.filled();
+        folds.batch(in, valid, scratch, out);
+        timer.evaluated();
+      };
       const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
       std::uint64_t done = 0;
-      for (; done + batch_lanes <= count; done += batch_lanes) {
-        timer.start();
-        shard_source->fill_batch(rng, batch);
-        timer.filled();
-        folds.batch(batch, scratch, out);
-        timer.evaluated();
+      for (; done + batch_lanes <= count; done += batch_lanes) fold(batch, batch_lanes);
+      if (const std::uint64_t rest = count - done; rest > 0) {
+        const auto groups = (rest + arith::kBatchLanes - 1) / arith::kBatchLanes;
+        arith::BitSlicedBatch last(width, static_cast<int>(groups));
+        fold(last, rest);
       }
-      timer.finish(done, count);
-      fold_samples(folds, *shard_source, rng, count - done, out);
+      timer.finish(count);
     };
   });
 }
@@ -224,7 +258,10 @@ ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
     return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
       return [&folds, shard_source = source.clone(), profile = options.profile](
                  arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count) {
-        fold_samples(folds, *shard_source, rng, count, out);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const auto [a, b] = shard_source->next(rng);
+          folds.sample(a, b, out);
+        }
         if (profile != nullptr) profile->add_scalar_samples(count);
       };
     });

@@ -29,7 +29,8 @@ using arith::OperandSource;
 /// How an experiment pushes samples through the behavioral model.
 ///  * kBatched — bit-sliced: 64 * lane_words samples per model pass, with
 ///    the plane arrays streamed through the dispatched planeops backend
-///    (and a scalar tail for shard sizes not divisible by the batch size);
+///    (a shard size not divisible by the batch size ends in one narrower
+///    batch whose unused lanes are masked out of the counters);
 ///  * kScalar  — one sample at a time (the original path, kept as the
 ///    differential-testing oracle).
 /// Both produce bit-identical ErrorRateResult counters at any thread count,
@@ -92,6 +93,21 @@ struct ErrorRateResult {
   }
 };
 
+/// Wilson score interval for a binomial proportion: the rates p for which
+/// `successes` of `trials` lies within `z` standard deviations.  Unlike a
+/// normal-approximation band it stays honest at rates near 0, where the
+/// paper's 0.01% design points live, so it is the one statistical bound the
+/// tests hold Monte Carlo rates to.
+struct WilsonInterval {
+  double lo = 0.0;
+  double hi = 1.0;
+  [[nodiscard]] bool contains(double p) const { return p >= lo && p <= hi; }
+};
+
+/// The z-sigma Wilson interval of successes / trials ([0, 1] for no trials).
+[[nodiscard]] WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
+                                             double z);
+
 /// Folds one VLCSA step into the accumulator — the single per-sample kernel
 /// every VLCSA experiment (registry, benches, window search) shares.
 void accumulate_vlcsa(const spec::VlcsaStep& step, spec::ScsaVariant variant,
@@ -107,8 +123,17 @@ void accumulate_vlsa(const spec::VlsaEvaluation& eval, ErrorRateResult& out);
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
                             ErrorRateResult& out);
 
+/// Folds only the first `valid_lanes` lanes of a batch (a shard's masked
+/// last batch): lanes at or past it move no counter.
+void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
+                            ErrorRateResult& out, std::uint64_t valid_lanes);
+
 /// Folds one whole bit-sliced VLSA batch the same way.
 void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& eval, ErrorRateResult& out);
+
+/// Folds the first `valid_lanes` lanes of a VLSA batch.
+void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& eval, ErrorRateResult& out,
+                           std::uint64_t valid_lanes);
 
 /// Runs `options.samples` additions of a VLCSA configuration over an operand
 /// source on the sharded engine.  The result is bit-identical for any thread

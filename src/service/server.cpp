@@ -294,6 +294,10 @@ void SocketServer::handle_connection(int fd) {
     }
     if (status != RecvStatus::kLine) break;  // peer gone or idle-timed-out
     if (line.empty()) continue;
+    // handle_line has moved every counter, gauge and log line this reply
+    // reports on before it returns.  Only the transport's own stop/drain
+    // state follows the send: flipping it first could shut this connection
+    // before its reply went out.
     const ExperimentService::Reply reply = service_.handle_line(line);
     if (!send_all(fd, reply.line + "\n")) break;
     if (reply.shutdown) {
@@ -383,10 +387,12 @@ std::string SocketServer::serve() {
       }
       if (reject) {
         // Shedding load beats queueing unboundedly: tell the peer why in one
-        // protocol-shaped line, then close.
+        // protocol-shaped line, then close.  Counted first, like every
+        // counter a reply reports on: a peer that has read the line must
+        // find it in the metrics.
+        service_.metrics().record_rejected_connection();
         send_all(fd, kOverloadedLine);
         ::close(fd);
-        service_.metrics().record_rejected_connection();
       } else {
         queue_cv_.notify_one();
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 namespace vlcsa::arith {
 namespace {
@@ -25,6 +26,16 @@ TEST(ApInt, FromI64SignExtends) {
   EXPECT_EQ(w.popcount(), 127);
   EXPECT_FALSE(w.bit(0));
   EXPECT_TRUE(w.bit(127));
+}
+
+TEST(ApInt, FromLimbsTakesWholeLimbsAndDropsBitsAboveWidth) {
+  const std::uint64_t limbs[] = {0x0123456789abcdefULL, ~std::uint64_t{0}};
+  const ApInt v = ApInt::from_limbs(70, limbs);
+  EXPECT_EQ(v.limb(0), limbs[0]);
+  EXPECT_EQ(v.limb(1), 0x3fULL);
+  EXPECT_EQ(v.popcount(), 32 + 6);
+  EXPECT_THROW((void)ApInt::from_limbs(64, limbs), std::invalid_argument);
+  EXPECT_THROW((void)ApInt::from_limbs(129, limbs), std::invalid_argument);
 }
 
 TEST(ApInt, AllOnes) {

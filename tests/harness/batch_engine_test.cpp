@@ -1,8 +1,8 @@
 // End-to-end guarantees of the batched Monte Carlo pipeline:
 //  * every registered error-rate experiment produces bit-identical
 //    ErrorRateResult counters under EvalPath::kBatched vs kScalar;
-//  * the scalar tail path (shard sizes not divisible by 64, incl. < 64)
-//    preserves that equality;
+//  * a shard's masked last batch (shard sizes not divisible by the batch,
+//    incl. < 64) preserves that equality;
 //  * the thread-count-invariance contract of engine.hpp holds on the
 //    batched path too.
 
@@ -17,8 +17,8 @@ namespace vlcsa::harness {
 namespace {
 
 TEST(BatchEngineTest, EveryRegistryExperimentBitIdenticalBatchVsScalar) {
-  // 1031 samples: prime, so the last shard carries a scalar tail of
-  // 1031 % 64 = 7 samples on top of 16 full batches.
+  // 1031 samples: prime, so the last shard ends in a masked batch whose
+  // last group holds 1031 % 64 = 7 valid lanes.
   constexpr std::uint64_t kSamples = 1031;
   for (const auto& experiment : error_rate_experiments()) {
     const auto batched = run_experiment(experiment, kSamples, 3, 1, EvalPath::kBatched);
@@ -31,8 +31,8 @@ TEST(BatchEngineTest, EveryRegistryExperimentBitIdenticalBatchVsScalar) {
 TEST(BatchEngineTest, TailOnlyShardSizesStayBitIdentical) {
   const auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64);
   const spec::VlcsaConfig config{64, 9, spec::ScsaVariant::kScsa2};
-  // Shard sizes straddling the 64-lane boundary: 1 and 63 are pure scalar
-  // tail, 65 and 127 are one batch + tail, 128 is batch-only.
+  // Shard sizes straddling the 64-lane boundary: 1 and 63 are one masked
+  // group, 65 and 127 a masked batch of two groups, 128 two whole groups.
   for (const std::uint64_t shard_size : {1ull, 63ull, 65ull, 127ull, 128ull}) {
     const RunOptions options{300, 11, 2, shard_size};
     const auto batched = run_vlcsa(config, *source, options, EvalPath::kBatched);
@@ -44,8 +44,8 @@ TEST(BatchEngineTest, TailOnlyShardSizesStayBitIdentical) {
 
 TEST(BatchEngineTest, BatchedPathIsLaneWidthInvariant) {
   // lane_words is a pure throughput knob: the merged counters must be
-  // bit-identical at every batch width (and any thread count), because the
-  // scalar tail keeps each shard's RNG stream equal to per-sample draws.
+  // bit-identical at every batch width (and any thread count), because
+  // every shard draws the same whole 64-sample groups at any width.
   const auto* experiment = find_error_rate_experiment("table7.1/n64");
   ASSERT_NE(experiment, nullptr);
   const auto source =

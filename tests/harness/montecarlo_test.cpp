@@ -38,8 +38,8 @@ TEST(MonteCarlo, NominalRateTracksAnalyticalModel) {
   const std::uint64_t samples = 300000;
   const auto r = run_vlcsa(config, *source, samples, 11);
   const double expected = spec::scsa_exact_error_rate(n, k);
-  const double sigma = std::sqrt(expected * (1 - expected) / static_cast<double>(samples));
-  EXPECT_NEAR(r.nominal_rate(), expected, 5 * sigma + 1e-4);
+  EXPECT_TRUE(wilson_interval(r.nominal_errors, r.samples, 5.0).contains(expected))
+      << "nominal " << r.nominal_rate() << " vs exact " << expected;
 }
 
 TEST(MonteCarlo, GaussianVlcsa1StallsNearQuarter) {
@@ -88,8 +88,8 @@ TEST(MonteCarlo, VlsaRunHonorsInvariants) {
   EXPECT_EQ(r.emitted_wrong, 0u);
   EXPECT_GE(r.nominal_errors, r.actual_errors);
   const double expected = spec::vlsa_exact_error_rate(64, 8);
-  const double sigma = std::sqrt(expected * (1 - expected) / 50000.0);
-  EXPECT_NEAR(r.actual_rate(), expected, 5 * sigma + 1e-3);
+  EXPECT_TRUE(wilson_interval(r.actual_errors, r.samples, 5.0).contains(expected))
+      << "actual " << r.actual_rate() << " vs exact " << expected;
 }
 
 TEST(MonteCarlo, WindowSearchFindsSmallGaussianWindows) {
@@ -106,8 +106,9 @@ TEST(MonteCarlo, WindowSearchFindsSmallGaussianWindows) {
 TEST(MonteCarlo, ProfiledRunFoldsTheSameCounters) {
   // The profiled and unprofiled instantiations of the batched loop differ
   // only in their timing policy: identical counters for both model
-  // families, and a profile whose batched/scalar split accounts for every
-  // sample (tail included).
+  // families, and a profile in which every sample went through the batched
+  // kernel — the 3000 % 256 = 184-sample tail as one more (masked,
+  // 3-lane-word) block, counted and timed like any other.
   const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa2};
   const spec::VlsaConfig vlsa{64, 8};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
@@ -120,10 +121,47 @@ TEST(MonteCarlo, ProfiledRunFoldsTheSameCounters) {
   EXPECT_EQ(run_vlcsa(config, *source, options), plain);
   const RunProfile profile = collector.snapshot();
   EXPECT_EQ(run_vlsa(vlsa, *source, options), plain_vlsa);
-  EXPECT_EQ(profile.batch_blocks, 3000u / 256);
-  EXPECT_EQ(profile.batched_samples, 3000u / 256 * 256);
-  EXPECT_EQ(profile.scalar_samples, 3000u % 256);
+  EXPECT_EQ(profile.batch_blocks, 3000u / 256 + 1);
+  EXPECT_EQ(profile.batched_samples, 3000u);
+  EXPECT_EQ(profile.scalar_samples, 0u);
   EXPECT_EQ(profile.lane_words, 4);
+  EXPECT_GT(profile.fill_seconds + profile.eval_seconds, 0.0);
+}
+
+TEST(MonteCarlo, MaskedLastBatchMatchesTheScalarOracle) {
+  // Shards ending in a masked batch of under one group (1, 63), whole
+  // groups (64) or a partial last group (65, 200, 1000), and whole batches
+  // (512, 256 lanes each at 4 lane words, with a 452-sample last shard),
+  // all fold to the scalar path's counters, for both model families.
+  const spec::VlcsaConfig config{64, 6, spec::ScsaVariant::kScsa1};
+  const spec::VlsaConfig vlsa{64, 5};
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
+  for (const std::uint64_t shard_size : {1u, 63u, 64u, 65u, 200u, 512u, 1000u}) {
+    RunOptions options{2500, 3, 2, shard_size};
+    options.lane_words = 4;
+    EXPECT_EQ(run_vlcsa(config, *source, options),
+              run_vlcsa(config, *source, options, EvalPath::kScalar))
+        << "shard size " << shard_size;
+    EXPECT_EQ(run_vlsa(vlsa, *source, options),
+              run_vlsa(vlsa, *source, options, EvalPath::kScalar))
+        << "shard size " << shard_size;
+  }
+}
+
+TEST(MonteCarlo, WilsonIntervalMatchesClosedForm) {
+  // 0 of 100 at z = 2: [0, z^2 / (n + z^2)].
+  const WilsonInterval none = wilson_interval(0, 100, 2.0);
+  EXPECT_NEAR(none.lo, 0.0, 1e-15);
+  EXPECT_NEAR(none.hi, 4.0 / 104.0, 1e-15);
+  // 50 of 100 at z = 1: centred on 0.5, half-width sqrt(25.25) / 101.
+  const WilsonInterval half = wilson_interval(50, 100, 1.0);
+  EXPECT_NEAR(half.lo, 0.5 - std::sqrt(25.25) / 101.0, 1e-15);
+  EXPECT_NEAR(half.hi, 0.5 + std::sqrt(25.25) / 101.0, 1e-15);
+  EXPECT_TRUE(half.contains(0.451));
+  EXPECT_FALSE(half.contains(0.45));
+  const WilsonInterval empty = wilson_interval(0, 0, 5.0);
+  EXPECT_TRUE(empty.contains(0.0));
+  EXPECT_TRUE(empty.contains(1.0));
 }
 
 TEST(MonteCarlo, ZeroSamplesIsWellDefined) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 
+#include "harness/experiments.hpp"
 #include "harness/json.hpp"
 #include "service/server.hpp"
 
@@ -59,15 +60,14 @@ bool bool_field(const JsonValue& response, const char* name) {
   return value != nullptr && value->kind() == JsonValue::Kind::kBool && value->as_bool();
 }
 
-/// The run key every request in this file resolves to (defaults: seed 1,
-/// batched path; the error-rate family carries no stream version).
+/// The cache key every request in this file resolves to (defaults: seed 1,
+/// batched path), stream_version included — taken from the registry, as
+/// the service takes it.
 CacheKey error_rate_key(std::uint64_t samples) {
-  CacheKey key;
-  key.experiment = "fig7.1/n64-k6";
-  key.samples = samples;
-  key.seed = 1;
-  key.eval_path = "batched";
-  return key;
+  const auto key =
+      harness::record_key("fig7.1/n64-k6", samples, 1, harness::EvalPath::kBatched);
+  EXPECT_TRUE(key.has_value());
+  return {key->experiment, key->samples, key->seed, to_string(key->path), key->stream_version};
 }
 
 TEST(ServiceDrain, DrainReplyThenRunsRefusedObservationStillServed) {

@@ -450,15 +450,16 @@ TEST(ExperimentService, AccessLogLinesParseStrictlyAndFlagSlowRequests) {
   ServiceConfig config;
   config.threads = 1;
   config.access_log = access_path;
-  config.slow_ms = 1;  // a cold 50k-sample run is well past 1 ms
+  // Slow by construction: a cold 50k-sample run on the per-sample scalar
+  // oracle is tens of milliseconds on any host, well past 1 ms.
+  config.slow_ms = 1;
   ExperimentService service(config);
   ASSERT_EQ(service.log_error(), "");
 
-  EXPECT_TRUE(
-      service
-          .handle_line(
-              R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 50000})")
-          .ok);
+  EXPECT_TRUE(service
+                  .handle_line(R"({"request": "run", "experiment": "fig7.1/n64-k6", )"
+                               R"("samples": 50000, "eval_path": "scalar"})")
+                  .ok);
   EXPECT_FALSE(service.handle_line(R"({"request": "describe"})").ok);
 
   const std::vector<std::string> lines = read_lines(access_path);
