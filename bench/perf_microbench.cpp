@@ -191,20 +191,6 @@ void BM_PlaneTranspose64x64(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneTranspose64x64)->Arg(0)->Arg(1);
 
-void BM_PlanePopcountSum(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const BackendScope scope(state.range(1) != 0);
-  vlcsa::arith::BlockRng rng(10);
-  planeops::PlaneVec x(m);
-  for (auto& word : x) word = rng();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planeops::popcount_sum(x.data(), m));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) * 64);
-  state.SetLabel(to_string(planeops::active_backend()));
-}
-BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Args({2048, 1});
-
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
@@ -238,7 +224,7 @@ void fill_batch_percall_reference(std::mt19937_64& rng, arith::BitSlicedBatch& b
       std::uint64_t* planes = op == 0 ? batch.a() : batch.b();
       for (int limb = 0; limb < limbs; ++limb) {
         std::uint64_t* block = rows.data() + static_cast<std::size_t>(op * limbs + limb) * 64;
-        arith::transpose_64x64(block);
+        planeops::transpose_64x64(block);
         arith::block_to_planes(block, limb, width, planes, lane_words, w);
       }
     }

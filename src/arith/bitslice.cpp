@@ -5,8 +5,6 @@
 
 namespace vlcsa::arith {
 
-void transpose_64x64(std::uint64_t block[64]) { planeops::transpose_64x64(block); }
-
 int default_lane_words() {
   return planeops::active_backend() == planeops::Backend::kAvx512 ? 2 * kDefaultLaneWords
                                                                   : kDefaultLaneWords;
@@ -30,7 +28,7 @@ void transpose_to_planes(const ApInt* samples, int count, int width, std::uint64
   for (int limb = 0; limb < limbs; ++limb) {
     for (int j = 0; j < count; ++j) block[j] = samples[j].limb(limb);
     for (int j = count; j < 64; ++j) block[j] = 0;
-    transpose_64x64(block);
+    planeops::transpose_64x64(block);
     block_to_planes(block, limb, width, planes, lane_words, lane_word);
   }
 }
@@ -101,13 +99,6 @@ void BitSlicedBatch::load(const std::vector<ApInt>& a, const std::vector<ApInt>&
 std::pair<ApInt, ApInt> BitSlicedBatch::lane(int lane) const {
   return {plane_lane(a_.data(), width_, lane, lane_words_),
           plane_lane(b_.data(), width_, lane, lane_words_)};
-}
-
-void kogge_stone_carries(const std::uint64_t* g, const std::uint64_t* p, int n,
-                         int lane_words, std::uint64_t* carry,
-                         planeops::PlaneVec& pp_scratch) {
-  pp_scratch.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words));
-  planeops::kogge_stone(g, p, n, lane_words, carry, pp_scratch.data());
 }
 
 }  // namespace vlcsa::arith

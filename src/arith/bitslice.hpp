@@ -52,10 +52,6 @@ inline constexpr int kDefaultLaneWords = 4;
 /// in fixed-size stack buffers inside their hot sweeps.
 inline constexpr int kMaxLaneWords = 16;
 
-/// In-place transpose of a 64x64 bit matrix.  block[i] is row i; bit j of
-/// row i moves to bit i of row j.  Dispatches through the plane-kernel layer.
-void transpose_64x64(std::uint64_t block[64]);
-
 /// Transposes `count` (<= 64) width-bit samples into lane word `lane_word`
 /// of a plane array with `lane_words` words per bit:
 /// planes[bit * lane_words + lane_word] bit j = samples[j].bit(bit) for
@@ -105,18 +101,5 @@ class BitSlicedBatch {
   planeops::PlaneVec a_;  // a_[bit * lane_words + w] = plane word w of bit `bit`
   planeops::PlaneVec b_;
 };
-
-/// Word-level Kogge-Stone prefix over bit-planes with `lane_words` words per
-/// bit: given per-bit generate and propagate planes g/p (each n * lane_words
-/// words), writes carry[bit] = carry *out* of that bit assuming carry-in 0,
-/// independently in each lane.  This is the batch pipeline's exact-adder
-/// reference; the heavy lifting dispatches through planeops::kogge_stone.
-/// `carry` must hold n * lane_words words and may not alias g or p.
-/// `pp_scratch` is the group-propagate working array — callers keep one per
-/// evaluation state so the hot loop never allocates; it is resized as needed
-/// and clobbered.
-void kogge_stone_carries(const std::uint64_t* g, const std::uint64_t* p, int n,
-                         int lane_words, std::uint64_t* carry,
-                         planeops::PlaneVec& pp_scratch);
 
 }  // namespace vlcsa::arith

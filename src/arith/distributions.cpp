@@ -38,7 +38,7 @@ std::pair<ApInt, ApInt> UniformUnsignedSource::next(BlockRng& rng) {
       for (std::size_t limb = 0; limb < limbs; ++limb) {
         std::uint64_t block[kBatchLanes] = {};
         rng.generate_block(block, std::min<std::size_t>(kBatchLanes, n - limb * ApInt::kLimbBits));
-        transpose_64x64(block);
+        planeops::transpose_64x64(block);
         for (std::size_t j = 0; j < kBatchLanes; ++j) {
           group_[(j * 2 + op) * limbs + limb] = block[j];
         }
@@ -163,7 +163,7 @@ void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
     for (int op = 0; op < 2; ++op) {
       std::uint64_t* planes = op == 0 ? out.a() : out.b();
       std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
-      transpose_64x64(block);
+      planeops::transpose_64x64(block);
       block_to_planes(block, 0, n, planes, lane_words, w);
       for (int bit = 64; bit < n; ++bit) {
         planes[static_cast<std::size_t>(bit) * lane_words + w] = 0;
@@ -202,7 +202,7 @@ void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
     for (int op = 0; op < 2; ++op) {
       std::uint64_t* planes = op == 0 ? out.a() : out.b();
       std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
-      transpose_64x64(block);
+      planeops::transpose_64x64(block);
       block_to_planes(block, 0, n, planes, lane_words, w);
       for (int bit = 64; bit < n; ++bit) {
         planes[static_cast<std::size_t>(bit) * lane_words + w] = sign[op];

@@ -1,19 +1,15 @@
 #include "arith/planeops.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VLCSA_HAVE_AVX2_BACKEND 1
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define VLCSA_HAVE_NEON_BACKEND 1
-#include <arm_neon.h>
 #endif
 
 namespace vlcsa::arith::planeops {
@@ -26,45 +22,12 @@ inline bool aligned64(const void* p) {
 
 // ---- scalar backend (the oracle every other backend is pinned to) ----------
 
-void and_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-void or_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-               std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-void xor_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-void andnot_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                   std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-void select_scalar(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                   std::uint64_t* dst, std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
 void gp_scalar(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
                std::uint64_t* p, std::size_t m) {
   for (std::size_t i = 0; i < m; ++i) {
     g[i] = a[i] & b[i];
     p[i] = a[i] ^ b[i];
   }
-}
-
-std::uint64_t popcount_scalar(const std::uint64_t* x, std::size_t m) {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    sum += static_cast<std::uint64_t>(std::popcount(x[i]));
-  }
-  return sum;
 }
 
 // One doubling round of the prefix: carry'[i] = carry[i] | (pp[i] & carry[i-off]),
@@ -116,68 +79,6 @@ void transpose_scalar(std::uint64_t block[64]) {
 
 #if VLCSA_HAVE_AVX2_BACKEND
 
-__attribute__((target("avx2"))) void and_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                              std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_and_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-__attribute__((target("avx2"))) void or_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                             std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_or_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-__attribute__((target("avx2"))) void xor_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                              std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-__attribute__((target("avx2"))) void andnot_avx2(const std::uint64_t* x,
-                                                 const std::uint64_t* y, std::uint64_t* dst,
-                                                 std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    // _mm256_andnot_si256(a, b) = ~a & b.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_andnot_si256(vy, vx));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-__attribute__((target("avx2"))) void select_avx2(const std::uint64_t* mask,
-                                                 const std::uint64_t* t,
-                                                 const std::uint64_t* f, std::uint64_t* dst,
-                                                 std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vm = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    const __m256i vt = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i));
-    const __m256i vf = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(f + i));
-    const __m256i sel =
-        _mm256_or_si256(_mm256_and_si256(vm, vt), _mm256_andnot_si256(vm, vf));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), sel);
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
 __attribute__((target("avx2"))) void gp_avx2(const std::uint64_t* a, const std::uint64_t* b,
                                              std::uint64_t* g, std::uint64_t* p,
                                              std::size_t m) {
@@ -192,17 +93,6 @@ __attribute__((target("avx2"))) void gp_avx2(const std::uint64_t* a, const std::
     g[i] = a[i] & b[i];
     p[i] = a[i] ^ b[i];
   }
-}
-
-__attribute__((target("avx2,popcnt"))) std::uint64_t popcount_avx2(const std::uint64_t* x,
-                                                                   std::size_t m) {
-  // Lane masks are short (a handful of words); the hardware popcnt loop beats
-  // a pshufb reduction until far larger m than the accumulators ever pass.
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    sum += static_cast<std::uint64_t>(__builtin_popcountll(x[i]));
-  }
-  return sum;
 }
 
 // Top-down chunked doubling rounds; within one 4-word chunk all loads happen
@@ -294,10 +184,7 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 //
 // Same per-function target-attribute scheme as AVX2 (stock builds carry the
 // bodies, runtime cpuid picks them), at twice the width: 8 plane words per
-// vector.  Requires avx512f+avx512bw; the vpopcntdq popcount kernel is a
-// separate dispatch row so Skylake-class parts (avx512bw without vpopcntdq)
-// still get the 512-bit boolean/prefix kernels with the hardware-popcnt
-// reduction.
+// vector.  Requires avx512f+avx512bw.
 
 #if VLCSA_HAVE_AVX2_BACKEND  // same toolchain gate: x86-64 gcc/clang
 #define VLCSA_HAVE_AVX512_BACKEND 1
@@ -311,75 +198,6 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-
-__attribute__((target("avx512f,avx512bw"))) void and_avx512(const std::uint64_t* x,
-                                                            const std::uint64_t* y,
-                                                            std::uint64_t* dst,
-                                                            std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void or_avx512(const std::uint64_t* x,
-                                                           const std::uint64_t* y,
-                                                           std::uint64_t* dst,
-                                                           std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void xor_avx512(const std::uint64_t* x,
-                                                            const std::uint64_t* y,
-                                                            std::uint64_t* dst,
-                                                            std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void andnot_avx512(const std::uint64_t* x,
-                                                               const std::uint64_t* y,
-                                                               std::uint64_t* dst,
-                                                               std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    // _mm512_andnot_si512(a, b) = ~a & b.
-    _mm512_storeu_si512(dst + i, _mm512_andnot_si512(vy, vx));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void select_avx512(const std::uint64_t* mask,
-                                                               const std::uint64_t* t,
-                                                               const std::uint64_t* f,
-                                                               std::uint64_t* dst,
-                                                               std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vm = _mm512_loadu_si512(mask + i);
-    const __m512i vt = _mm512_loadu_si512(t + i);
-    const __m512i vf = _mm512_loadu_si512(f + i);
-    // vpternlog 0xCA = (m & t) | (~m & f): one instruction for the select.
-    _mm512_storeu_si512(dst + i, _mm512_ternarylogic_epi64(vm, vt, vf, 0xCA));
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
 
 __attribute__((target("avx512f,avx512bw"))) void gp_avx512(const std::uint64_t* a,
                                                            const std::uint64_t* b,
@@ -396,22 +214,6 @@ __attribute__((target("avx512f,avx512bw"))) void gp_avx512(const std::uint64_t* 
     g[i] = a[i] & b[i];
     p[i] = a[i] ^ b[i];
   }
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t popcount_avx512(
-    const std::uint64_t* x, std::size_t m) {
-  // Single-instruction per-word popcount (vpopcntq) with a vector accumulator;
-  // the horizontal reduce happens once at the end.
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_loadu_si512(x + i)));
-  }
-  std::uint64_t sum = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < m; ++i) {
-    sum += static_cast<std::uint64_t>(__builtin_popcountll(x[i]));
-  }
-  return sum;
 }
 
 // Top-down chunked doubling rounds, same pre-round-read argument as
@@ -516,108 +318,12 @@ __attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t 
 
 #endif  // VLCSA_HAVE_AVX512_BACKEND
 
-// ---- NEON backend ----------------------------------------------------------
-//
-// aarch64 only (NEON is baseline there, so no runtime CPU check is needed).
-// Only the trivially translatable kernels get vector bodies; the structured
-// ones reuse the scalar implementations.
-
-#if VLCSA_HAVE_NEON_BACKEND
-
-void and_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vandq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-void or_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vorrq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-void xor_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, veorq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-void andnot_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m) {
-  std::size_t i = 0;
-  // vbicq_u64(a, b) = a & ~b.
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vbicq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-void select_neon(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    vst1q_u64(dst + i, vbslq_u64(vld1q_u64(mask + i), vld1q_u64(t + i), vld1q_u64(f + i)));
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
-void gp_neon(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    vst1q_u64(g + i, vandq_u64(va, vb));
-    vst1q_u64(p + i, veorq_u64(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
-void kogge_neon(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                std::uint64_t* carry, std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= 2 && i >= 2) {
-      i -= 2;
-      const uint64x2_t c = vld1q_u64(carry + i);
-      const uint64x2_t q = vld1q_u64(pp + i);
-      const uint64x2_t cl = vld1q_u64(carry + i - off);
-      const uint64x2_t ql = vld1q_u64(pp + i - off);
-      vst1q_u64(carry + i, vorrq_u64(c, vandq_u64(q, cl)));
-      vst1q_u64(pp + i, vandq_u64(q, ql));
-    }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
-  }
-}
-
-#endif  // VLCSA_HAVE_NEON_BACKEND
-
 // ---- dispatch --------------------------------------------------------------
 
 struct Kernels {
   Backend backend;
-  void (*and_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*or_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*xor_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*andnot)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*select)(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-                 std::uint64_t*, std::size_t);
   void (*gp)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::uint64_t*,
              std::size_t);
-  std::uint64_t (*popcount)(const std::uint64_t*, std::size_t);
   void (*kogge)(const std::uint64_t*, const std::uint64_t*, int, int, std::uint64_t*,
                 std::uint64_t*);
   void (*ssand)(std::uint64_t*, int, int, int);
@@ -625,39 +331,18 @@ struct Kernels {
 };
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, and_scalar,      or_scalar,  xor_scalar, andnot_scalar,
-    select_scalar,    gp_scalar,       popcount_scalar,
-    kogge_scalar,     ssand_scalar,    transpose_scalar,
+    Backend::kScalar, gp_scalar, kogge_scalar, ssand_scalar, transpose_scalar,
 };
 
 #if VLCSA_HAVE_AVX2_BACKEND
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, and_avx2,      or_avx2,  xor_avx2, andnot_avx2,
-    select_avx2,    gp_avx2,       popcount_avx2,
-    kogge_avx2,     ssand_avx2,    transpose_avx2,
+    Backend::kAvx2, gp_avx2, kogge_avx2, ssand_avx2, transpose_avx2,
 };
 #endif
 
 #if VLCSA_HAVE_AVX512_BACKEND
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, and_avx512,    or_avx512,  xor_avx512, andnot_avx512,
-    select_avx512,    gp_avx512,     popcount_avx512,
-    kogge_avx512,     ssand_avx512,  transpose_avx512,
-};
-// Skylake-class row: avx512f+avx512bw without avx512vpopcntdq keeps the
-// 512-bit kernels but reduces with the hardware-popcnt loop.
-constexpr Kernels kAvx512KernelsNoVpopcnt = {
-    Backend::kAvx512, and_avx512,    or_avx512,  xor_avx512, andnot_avx512,
-    select_avx512,    gp_avx512,     popcount_avx2,
-    kogge_avx512,     ssand_avx512,  transpose_avx512,
-};
-#endif
-
-#if VLCSA_HAVE_NEON_BACKEND
-constexpr Kernels kNeonKernels = {
-    Backend::kNeon, and_neon,      or_neon,  xor_neon, andnot_neon,
-    select_neon,    gp_neon,       popcount_scalar,
-    kogge_neon,     ssand_scalar,  transpose_scalar,
+    Backend::kAvx512, gp_avx512, kogge_avx512, ssand_avx512, transpose_avx512,
 };
 #endif
 
@@ -673,17 +358,10 @@ const Kernels* kernels_for(Backend backend) {
     case Backend::kAvx512:
 #if VLCSA_HAVE_AVX512_BACKEND
       if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
-        return __builtin_cpu_supports("avx512vpopcntdq") ? &kAvx512Kernels
-                                                         : &kAvx512KernelsNoVpopcnt;
+        return &kAvx512Kernels;
       }
 #endif
       return nullptr;
-    case Backend::kNeon:
-#if VLCSA_HAVE_NEON_BACKEND
-      return &kNeonKernels;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -691,31 +369,30 @@ const Kernels* kernels_for(Backend backend) {
 const Kernels* best_kernels() {
   if (const Kernels* k = kernels_for(Backend::kAvx512)) return k;
   if (const Kernels* k = kernels_for(Backend::kAvx2)) return k;
-  if (const Kernels* k = kernels_for(Backend::kNeon)) return k;
   return &kScalarKernels;
+}
+
+/// The backend whose to_string name is `name`, or nullopt ("auto" is not a
+/// backend; callers handle it first).
+std::optional<Backend> parse_backend(std::string_view name) {
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
+    if (name == to_string(b)) return b;
+  }
+  return std::nullopt;
 }
 
 const Kernels* resolve_initial() {
   const char* forced = std::getenv("VLCSA_FORCE_BACKEND");
   if (forced == nullptr || std::string_view(forced) == "auto") return best_kernels();
-  const std::string_view name(forced);
-  Backend backend;
-  if (name == "scalar") {
-    backend = Backend::kScalar;
-  } else if (name == "avx2") {
-    backend = Backend::kAvx2;
-  } else if (name == "avx512") {
-    backend = Backend::kAvx512;
-  } else if (name == "neon") {
-    backend = Backend::kNeon;
-  } else {
+  const std::optional<Backend> backend = parse_backend(forced);
+  if (!backend) {
     std::fprintf(stderr,
-                 "vlcsa: VLCSA_FORCE_BACKEND=%s is not scalar/avx2/avx512/neon/auto; "
+                 "vlcsa: VLCSA_FORCE_BACKEND=%s is not scalar/avx2/avx512/auto; "
                  "using auto dispatch\n",
                  forced);
     return best_kernels();
   }
-  if (const Kernels* k = kernels_for(backend)) return k;
+  if (const Kernels* k = kernels_for(*backend)) return k;
   std::fprintf(stderr,
                "vlcsa: VLCSA_FORCE_BACKEND=%s is unsupported on this CPU/build; "
                "falling back to scalar\n",
@@ -741,7 +418,6 @@ const char* to_string(Backend backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
     case Backend::kAvx512: return "avx512";
-    case Backend::kNeon: return "neon";
   }
   return "?";
 }
@@ -762,45 +438,13 @@ bool set_backend(std::string_view name) {
     active_slot().store(best_kernels(), std::memory_order_relaxed);
     return true;
   }
-  if (name == "scalar") return set_backend(Backend::kScalar);
-  if (name == "avx2") return set_backend(Backend::kAvx2);
-  if (name == "avx512") return set_backend(Backend::kAvx512);
-  if (name == "neon") return set_backend(Backend::kNeon);
-  return false;
-}
-
-void bulk_and(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  active().and_(x, y, dst, m);
-}
-
-void bulk_or(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m) {
-  active().or_(x, y, dst, m);
-}
-
-void bulk_xor(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  active().xor_(x, y, dst, m);
-}
-
-void bulk_andnot(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m) {
-  active().andnot(x, y, dst, m);
-}
-
-void bulk_select(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m) {
-  active().select(mask, t, f, dst, m);
+  const std::optional<Backend> backend = parse_backend(name);
+  return backend && set_backend(*backend);
 }
 
 void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
              std::uint64_t* p, std::size_t m) {
   active().gp(a, b, g, p, m);
-}
-
-std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m) {
-  return active().popcount(x, m);
 }
 
 void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,

@@ -1,21 +1,23 @@
 #pragma once
-// Plane-kernel layer: the bulk word-parallel primitives every bit-sliced
-// evaluation path is built from, each with a scalar backend and (on x86-64)
-// AVX2 and AVX-512 backends — plus NEON where the translation is trivial —
-// selected once at startup by runtime CPU dispatch.
+// Plane-kernel layer: the word-parallel primitives the bit-sliced models and
+// operand fills run — the VLSA baseline's generate/propagate fill,
+// Kogge-Stone prefix and propagate-run sweep, and the 64x64 bit transpose
+// behind the operand streams — each with a scalar backend and (on x86-64)
+// AVX2 and AVX-512 backends, selected once at startup by runtime CPU
+// dispatch.  Other targets (aarch64 included) run the scalar oracle.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
-// planes out bit-major with `lane_words` words per bit (bitslice.hpp), but
-// the elementwise kernels below are layout-agnostic: they just stream over
-// `m` words.  The only structured kernel is the Kogge-Stone prefix, which
-// takes the (n, lane_words) shape explicitly.
+// planes out bit-major with `lane_words` words per bit (bitslice.hpp).
+// bulk_gp just streams over `m` words; the Kogge-Stone prefix and the
+// shifted self-and take the (n, lane_words) shape explicitly.
 //
 // Contracts:
 //  * Every backend computes bit-identical results — the scalar backend is
 //    the oracle and tests/arith/planeops_test.cpp pins the others to it.
-//  * Backend selection: VLCSA_FORCE_BACKEND=scalar|avx2|avx512|neon|auto in the
-//    environment wins (unsupported forced backends fall back to scalar with
-//    a one-time stderr note); otherwise the best supported backend is used.
+//  * Backend selection: VLCSA_FORCE_BACKEND=scalar|avx2|avx512|auto in the
+//    environment wins (an unknown name uses auto dispatch; a backend this
+//    CPU/build lacks falls back to scalar; both with a one-time stderr
+//    note); otherwise the best supported backend is used.
 //    set_backend() switches at runtime for tests/benches; it must not race
 //    in-flight kernels (switch between runs, not during).
 //  * Plane storage should be 64-byte aligned (PlaneVec below guarantees it);
@@ -66,8 +68,7 @@ using PlaneVec = std::vector<std::uint64_t, AlignedAllocator<std::uint64_t>>;
 enum class Backend {
   kScalar,
   kAvx2,
-  kAvx512,  // needs avx512f+avx512bw; vpopcntdq picked up separately when present
-  kNeon,
+  kAvx512,  // needs avx512f+avx512bw
 };
 
 [[nodiscard]] const char* to_string(Backend backend);
@@ -83,36 +84,17 @@ enum class Backend {
 /// kernels are executing on other threads.
 bool set_backend(Backend backend);
 
-/// Parses "scalar" / "avx2" / "avx512" / "neon" / "auto" ("auto" = best
-/// available) and switches; returns false on unknown names and unavailable
-/// backends (an avx512 request on a CPU without the ISA fails, it does not
-/// degrade to auto).
+/// Parses a to_string name or "auto" (= best available) and switches;
+/// returns false on unknown names and unavailable backends (an avx512
+/// request on a CPU without the ISA fails, it does not degrade to auto).
 bool set_backend(std::string_view name);
 
-// --- Bulk boolean kernels over m words (dst may alias x and/or y; all
-// --- pointers may be interior, but whole-plane callers pass aligned bases).
-void bulk_and(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m);
-void bulk_or(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m);
-void bulk_xor(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m);
-/// dst = x & ~y.
-void bulk_andnot(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m);
-/// dst = (mask & t) | (~mask & f) — per-bit select.
-void bulk_select(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m);
 /// g = a & b, p = a ^ b in one pass (the generate/propagate plane fill).
-/// Unlike the single-output kernels above, g and p must NOT alias a, b, or
-/// each other — the two outputs are interleaved per element, so an aliased
-/// input would be clobbered mid-pass (and differently per backend).
+/// g and p must NOT alias a, b, or each other — the two outputs are
+/// interleaved per element, so an aliased input would be clobbered mid-pass
+/// (and differently per backend).  Pointers may be interior.
 void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
              std::uint64_t* p, std::size_t m);
-
-/// Sum of popcounts over m words — the mask-popcount reduction the Monte
-/// Carlo accumulators fold lane masks with.
-[[nodiscard]] std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m);
 
 /// Word-level Kogge-Stone carry prefix over bit-major plane arrays with
 /// `lane_words` words per bit: carry[i] = carry out of bit i with carry-in 0,
@@ -127,7 +109,8 @@ void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane
 /// VLSA propagate-run sweep).  Group = lane_words words.
 void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step);
 
-/// In-place transpose of a 64x64 bit matrix; block[i] is row i.
+/// In-place transpose of a 64x64 bit matrix; block[i] is row i, and bit j
+/// of row i moves to bit i of row j.
 void transpose_64x64(std::uint64_t block[64]);
 
 }  // namespace vlcsa::arith::planeops

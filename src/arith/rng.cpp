@@ -209,8 +209,6 @@ __attribute__((target("avx512f,avx512bw"))) void temper_avx512(const std::uint64
 // The RNG rides the planeops dispatch state rather than keeping its own:
 // VLCSA_FORCE_BACKEND and planeops::set_backend select the twist/temper
 // implementation too, so one switch covers the whole bit-parallel stack.
-// NEON has no dedicated body (the scalar twist is already branch-light on
-// aarch64); it dispatches to the oracle.
 
 struct RngKernels {
   void (*twist)(std::uint64_t*);

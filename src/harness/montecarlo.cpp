@@ -24,8 +24,37 @@ std::uint64_t valid_mask(int w, std::uint64_t valid) {
   return (std::uint64_t{1} << (valid - first)) - 1;
 }
 
-std::uint64_t all_lanes(int lane_words) {
-  return static_cast<std::uint64_t>(arith::kBatchLanes) * lane_words;
+/// Folds one VLSA evaluation (actual = spec wrong, nominal = ERR).
+void accumulate_vlsa(const spec::VlsaEvaluation& ev, ErrorRateResult& out) {
+  const bool wrong = !ev.spec_correct();
+  ++out.samples;
+  if (wrong) ++out.actual_errors;
+  if (ev.err) ++out.nominal_errors;
+  if (wrong && !ev.err) ++out.false_negatives;
+  if (wrong) ++out.either_wrong;
+  // Recovery is exact: emitted result is spec when !err else recovered.
+  if (wrong && !ev.err) ++out.emitted_wrong;
+  out.total_cycles += ev.err ? 2 : 1;
+}
+
+/// Folds the first `valid_lanes` lanes of a VLSA batch the same way.
+void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult& out,
+                           std::uint64_t valid_lanes) {
+  std::uint64_t errs = 0;
+  for (int w = 0; w < ev.lane_words(); ++w) {
+    const std::size_t ws = static_cast<std::size_t>(w);
+    const std::uint64_t valid = valid_mask(w, valid_lanes);
+    const std::uint64_t err = ev.err[ws] & valid;
+    const std::uint64_t wrong = ev.spec_wrong[ws] & valid;
+    errs += lanes(err);
+    out.actual_errors += lanes(wrong);
+    out.false_negatives += lanes(wrong & ~err);
+    out.either_wrong += lanes(wrong);
+    out.emitted_wrong += lanes(wrong & ~err);
+  }
+  out.samples += valid_lanes;
+  out.nominal_errors += errs;
+  out.total_cycles += valid_lanes + errs;
 }
 
 }  // namespace
@@ -72,21 +101,10 @@ void accumulate_vlcsa(const spec::VlcsaStep& step, spec::ScsaVariant variant,
   out.total_cycles += static_cast<std::uint64_t>(step.cycles);
 }
 
-void accumulate_vlsa(const spec::VlsaEvaluation& ev, ErrorRateResult& out) {
-  const bool wrong = !ev.spec_correct();
-  ++out.samples;
-  if (wrong) ++out.actual_errors;
-  if (ev.err) ++out.nominal_errors;
-  if (wrong && !ev.err) ++out.false_negatives;
-  if (wrong) ++out.either_wrong;
-  // Recovery is exact: emitted result is spec when !err else recovered.
-  if (wrong && !ev.err) ++out.emitted_wrong;
-  out.total_cycles += ev.err ? 2 : 1;
-}
-
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
                             ErrorRateResult& out) {
-  accumulate_vlcsa_batch(step, variant, out, all_lanes(step.lane_words()));
+  accumulate_vlcsa_batch(step, variant, out,
+                         static_cast<std::uint64_t>(arith::kBatchLanes) * step.lane_words());
 }
 
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
@@ -109,29 +127,6 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
   out.nominal_errors += stalls;
   // 1 cycle per lane + 1 extra per stall (eq. 5.2/6.1).
   out.total_cycles += valid_lanes + stalls;
-}
-
-void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult& out) {
-  accumulate_vlsa_batch(ev, out, all_lanes(ev.lane_words()));
-}
-
-void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult& out,
-                           std::uint64_t valid_lanes) {
-  std::uint64_t errs = 0;
-  for (int w = 0; w < ev.lane_words(); ++w) {
-    const std::size_t ws = static_cast<std::size_t>(w);
-    const std::uint64_t valid = valid_mask(w, valid_lanes);
-    const std::uint64_t err = ev.err[ws] & valid;
-    const std::uint64_t wrong = ev.spec_wrong[ws] & valid;
-    errs += lanes(err);
-    out.actual_errors += lanes(wrong);
-    out.false_negatives += lanes(wrong & ~err);
-    out.either_wrong += lanes(wrong);
-    out.emitted_wrong += lanes(wrong & ~err);
-  }
-  out.samples += valid_lanes;
-  out.nominal_errors += errs;
-  out.total_cycles += valid_lanes + errs;
 }
 
 namespace {

@@ -113,9 +113,6 @@ struct WilsonInterval {
 void accumulate_vlcsa(const spec::VlcsaStep& step, spec::ScsaVariant variant,
                       ErrorRateResult& out);
 
-/// Folds one VLSA evaluation the same way (actual = spec wrong, nominal = ERR).
-void accumulate_vlsa(const spec::VlsaEvaluation& eval, ErrorRateResult& out);
-
 /// Folds one whole bit-sliced VLCSA batch (64 * lane_words steps) at once:
 /// each counter advances by the popcount of the corresponding lane-mask
 /// group, so the totals match 64 * lane_words scalar accumulate_vlcsa calls
@@ -127,13 +124,6 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
 /// last batch): lanes at or past it move no counter.
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
                             ErrorRateResult& out, std::uint64_t valid_lanes);
-
-/// Folds one whole bit-sliced VLSA batch the same way.
-void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& eval, ErrorRateResult& out);
-
-/// Folds the first `valid_lanes` lanes of a VLSA batch.
-void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& eval, ErrorRateResult& out,
-                           std::uint64_t valid_lanes);
 
 /// Runs `options.samples` additions of a VLCSA configuration over an operand
 /// source on the sharded engine.  The result is bit-identical for any thread

@@ -85,10 +85,12 @@ void VlsaModel::evaluate_batch(const arith::BitSlicedBatch& batch,
   out.g.resize(planes);
   out.p.resize(planes);
   out.carry.resize(planes);
+  out.pp.resize(planes);
   arith::planeops::bulk_gp(batch.a(), batch.b(), out.g.data(), out.p.data(), planes);
   // Exact per-bit carries via the word-level Kogge-Stone prefix; carry[j] is
   // the carry *out* of bit j, so the carry *into* bit j is carry[j - 1].
-  arith::kogge_stone_carries(out.g.data(), out.p.data(), n, lw, out.carry.data(), out.pp);
+  arith::planeops::kogge_stone(out.g.data(), out.p.data(), n, lw, out.carry.data(),
+                               out.pp.data());
 
   // Sliding all-propagate mask over the planes, same doubling scheme as the
   // scalar propagate_runs(): runs[j] = all of p[j-l+1 .. j], zero when the

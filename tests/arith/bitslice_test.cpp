@@ -23,7 +23,7 @@ TEST(Transpose64x64Test, SingleBitLandsTransposed) {
   for (const auto& [r, c] : {std::pair{0, 0}, {0, 63}, {63, 0}, {3, 5}, {31, 32}, {40, 17}}) {
     std::uint64_t block[64] = {};
     block[r] = std::uint64_t{1} << c;
-    transpose_64x64(block);
+    planeops::transpose_64x64(block);
     for (int row = 0; row < 64; ++row) {
       EXPECT_EQ(block[row], row == c ? std::uint64_t{1} << r : 0)
           << "bit (" << r << "," << c << "), row " << row;
@@ -35,8 +35,8 @@ TEST(Transpose64x64Test, DoubleTransposeIsIdentity) {
   vlcsa::arith::BlockRng rng(1);
   std::uint64_t block[64], orig[64];
   for (int i = 0; i < 64; ++i) orig[i] = block[i] = rng();
-  transpose_64x64(block);
-  transpose_64x64(block);
+  planeops::transpose_64x64(block);
+  planeops::transpose_64x64(block);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], orig[i]);
 }
 
@@ -50,7 +50,7 @@ TEST(Transpose64x64Test, MatchesNaiveBitGather) {
       expected[c] |= ((block[r] >> c) & 1) << r;
     }
   }
-  transpose_64x64(block);
+  planeops::transpose_64x64(block);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expected[i]);
 }
 
@@ -163,9 +163,9 @@ TEST_P(KoggeStoneTest, LaneCarriesMatchApIntAdd) {
   batch.load(a, b);
   const std::size_t planes =
       static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
-  planeops::PlaneVec g(planes), p(planes), carry(planes), scratch;
+  planeops::PlaneVec g(planes), p(planes), carry(planes), pp(planes);
   planeops::bulk_gp(batch.a(), batch.b(), g.data(), p.data(), planes);
-  kogge_stone_carries(g.data(), p.data(), width, lane_words, carry.data(), scratch);
+  planeops::kogge_stone(g.data(), p.data(), width, lane_words, carry.data(), pp.data());
   for (int j = 0; j < batch.lanes(); ++j) {
     const auto exact = ApInt::add(a[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(j)]);
     const ApInt& aj = a[static_cast<std::size_t>(j)];

@@ -23,7 +23,7 @@ namespace {
 std::vector<planeops::Backend> available_backends() {
   std::vector<planeops::Backend> out;
   for (const auto b : {planeops::Backend::kScalar, planeops::Backend::kAvx2,
-                       planeops::Backend::kAvx512, planeops::Backend::kNeon}) {
+                       planeops::Backend::kAvx512}) {
     if (planeops::backend_available(b)) out.push_back(b);
   }
   return out;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,13 +29,15 @@ using service::ExperimentService;
 using service::ServiceConfig;
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("vlcsa_sweep_test_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_sweep_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
 }
 
 std::string temp_file(const std::string& tag) {
-  const auto path = std::filesystem::temp_directory_path() / ("vlcsa_sweep_test_" + tag);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("vlcsa_sweep_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove(path);
   return path.string();
 }

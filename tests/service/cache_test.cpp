@@ -23,8 +23,8 @@ namespace vlcsa::service {
 namespace {
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / ("vlcsa_cache_test_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_cache_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
 }

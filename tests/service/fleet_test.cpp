@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -19,7 +21,8 @@ namespace vlcsa::service::fleet {
 namespace {
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("vlcsa_fleet_test_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_fleet_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

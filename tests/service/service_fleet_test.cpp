@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -34,7 +36,8 @@ constexpr const char* kLongRun =
     R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 40000000000})";
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("vlcsa_service_fleet_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_service_fleet_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

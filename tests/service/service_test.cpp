@@ -42,8 +42,17 @@ constexpr const char* kErrorRateRun =
 constexpr const char* kChainProfileRun =
     R"({"request": "run", "experiment": "fig6.1/uniform-unsigned", "samples": 2000})";
 
+/// A per-process socket path, so concurrent test runs on one host never bind
+/// the same name; it stays far under the 108-byte sun_path limit.
+std::string temp_socket(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("vlcsa_service_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("vlcsa_service_test_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_service_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
 }
@@ -298,8 +307,7 @@ TEST(ExperimentService, ConcurrentIdenticalColdRequestsComputeOnce) {
 TEST(SocketServer, ShutdownCompletesWithAnotherConnectionOpen) {
   // Regression: a worker blocked in recv() on an idle connection must not
   // keep serve() from returning after another client requests shutdown.
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_shutdown_test.sock").string();
+  const std::string socket_path = temp_socket("shutdown_test");
   ExperimentService service({"", 4, 1});
   SocketServer server(socket_path, service, /*workers=*/2);
   ASSERT_EQ(server.listen_or_error(), "");
@@ -319,8 +327,7 @@ TEST(SocketServer, ShutdownCompletesWithAnotherConnectionOpen) {
 }
 
 TEST(SocketServer, EndToEndOverUnixSocket) {
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_test.sock").string();
+  const std::string socket_path = temp_socket("test");
   ExperimentService service({"", 16, 1});
   SocketServer server(socket_path, service, /*workers=*/2);
   ASSERT_EQ(server.listen_or_error(), "");
@@ -614,8 +621,7 @@ TEST(SocketServer, EndToEndOverTcp) {
 }
 
 TEST(SocketServer, UnixAndTcpListenersShareOneCache) {
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_dual_test.sock").string();
+  const std::string socket_path = temp_socket("dual_test");
   ExperimentService service({"", 16, 1});
   SocketServer server({ListenerSpec::unix_socket(socket_path), ListenerSpec::tcp("127.0.0.1", 0)},
                       service);
@@ -643,8 +649,7 @@ TEST(SocketServer, RejectsConnectionsPastTheBacklogWithOverloadedError) {
   // workers=1 and max_pending=1: one connection conversing, one queued; the
   // next connection must be answered with one "overloaded" line and closed,
   // not queued unboundedly.
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_backlog_test.sock").string();
+  const std::string socket_path = temp_socket("backlog_test");
   ExperimentService service({"", 4, 1});
   SocketServer::Options options;
   options.workers = 1;
@@ -683,8 +688,7 @@ TEST(SocketServer, OversizedUnterminatedLineGetsOneErrorLineThenEof) {
   // A peer streaming bytes with no newline must not grow a worker's buffer
   // without bound: past the cap it gets one bad-request line and EOF, and
   // the (only) worker moves on to the next connection.
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_longline_test.sock").string();
+  const std::string socket_path = temp_socket("longline_test");
   ExperimentService service({"", 4, 1});
   SocketServer server(socket_path, service, /*workers=*/1);
   ASSERT_EQ(server.listen_or_error(), "");
@@ -734,8 +738,7 @@ TEST(SocketServer, OversizedUnterminatedLineGetsOneErrorLineThenEof) {
 TEST(ServiceClient, ReadTimeoutFailsInsteadOfHangingOnASilentServer) {
   // A listener that accepts but never answers: the armed I/O deadline must
   // turn the roundtrip into a "timed out" error, not a hang.
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "vlcsa_service_silent_test.sock").string();
+  const std::string socket_path = temp_socket("silent_test");
   ::unlink(socket_path.c_str());
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <chrono>
 #include <filesystem>
@@ -30,13 +32,15 @@ using harness::JsonValue;
 using harness::parse_json;
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("vlcsa_trace_test_" + tag);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_trace_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
 }
 
 std::string temp_file(const std::string& tag) {
-  const auto path = std::filesystem::temp_directory_path() / ("vlcsa_trace_test_" + tag);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("vlcsa_trace_test_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove(path);
   std::filesystem::remove(path.string() + ".1");
   return path.string();

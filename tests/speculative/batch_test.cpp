@@ -334,8 +334,7 @@ INSTANTIATE_TEST_SUITE_P(
     BackendByLaneWords, BackendLaneWidthTest,
     ::testing::Combine(::testing::Values(planeops::Backend::kScalar,
                                          planeops::Backend::kAvx2,
-                                         planeops::Backend::kAvx512,
-                                         planeops::Backend::kNeon),
+                                         planeops::Backend::kAvx512),
                        ::testing::Values(1, 2, 4, 8, 16)),
     [](const ::testing::TestParamInfo<std::tuple<planeops::Backend, int>>& info) {
       return std::string(planeops::to_string(std::get<0>(info.param))) + "_w" +
