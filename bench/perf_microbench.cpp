@@ -10,7 +10,7 @@
 // google-benchmark's own JSON, whose "context" block carries the host (CPUs,
 // MHz, caches, build type):
 //
-//   perf_microbench --benchmark_filter='Plane|Rng|ErrorRateSamples|EvaluateBatch|ServiceCachedHit'
+//   perf_microbench --benchmark_filter='Plane|Rng|GaussianFill|ErrorRateSamples|EvaluateBatch|ServiceCachedHit'
 //                   --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
 // End-to-end and per-layer numbers come from perfbench/ (BENCHMARK.json).
@@ -311,6 +311,25 @@ void BM_RngGaussianBlock(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_RngGaussianBlock)->Arg(0)->Arg(1);
+
+// One Gaussian fill_batch (two's complement, the Ch. 7 operand source):
+// the ziggurat, the group encode and the limb-0 transposes together.
+// Args: (width, lane words, 0 = scalar backend / 1 = auto-dispatched).
+void BM_GaussianFillBatch(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const int lane_words = static_cast<int>(state.range(1));
+  const BackendScope scope(state.range(2) != 0);
+  arith::GaussianTwosSource source(width, arith::GaussianParams{});
+  arith::BitSlicedBatch batch(width, lane_words);
+  arith::BlockRng rng(23);
+  for (auto _ : state) {
+    source.fill_batch(rng, batch);
+    benchmark::DoNotOptimize(batch.a());
+  }
+  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
+  state.SetLabel(to_string(planeops::active_backend()));
+}
+BENCHMARK(BM_GaussianFillBatch)->Args({64, 8, 0})->Args({64, 8, 1});
 
 void BM_RngGaussianPerCallReference(benchmark::State& state) {
   arith::BlockRng rng(19);

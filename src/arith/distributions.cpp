@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 namespace vlcsa::arith {
 
 void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
@@ -136,72 +140,137 @@ std::pair<ApInt, ApInt> GaussianTwosSource::next(BlockRng& rng) {
   return {encode_signed_sample(width(), a), encode_signed_sample(width(), b)};
 }
 
-void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  if (out.width() != width()) {
-    throw std::invalid_argument("GaussianUnsignedSource::fill_batch: batch width mismatch");
-  }
-  // Mirror of out.lanes() x next(): variates a0 b0 a1 b1 ... from the shared
-  // block sampler (so the RNG stream is exactly next()'s), encoded to raw
-  // limb-0 words in per-operand 64x64 blocks.  Samples carry at most 64
-  // magnitude bits, so bit-planes >= 64 are identically zero — no transposes
-  // above limb 0.
-  const int n = width();
-  const int lane_words = out.lane_words();
-  const std::uint64_t top_mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  variates_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  rows_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  for (int w = 0; w < lane_words; ++w) {
-    sampler_.fill(rng, variates_.data(), static_cast<std::size_t>(2 * kBatchLanes));
-    for (int j = 0; j < kBatchLanes; ++j) {
-      const double a = params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j)];
-      const double b =
-          params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j + 1)];
-      rows_[static_cast<std::size_t>(j)] = unsigned_sample_to_u64(n, a) & top_mask;
-      rows_[static_cast<std::size_t>(64 + j)] = unsigned_sample_to_u64(n, b) & top_mask;
+namespace {
+
+// ---- Gaussian group encode ---------------------------------------------------
+//
+// One 64-sample group of variates a0 b0 a1 b1 ... (next()'s draw order)
+// becomes the limb-0 rows of both operands — a's in rows[0, 64), b's in
+// rows[64, 128), row j = sample j, masked to the width — plus the lane-wise
+// sign masks of a and b (zero for the unsigned encode).  The scalar body is
+// the oracle: it is next()'s encode word for word.
+
+struct GaussianEncode {
+  int width;
+  bool twos;  // two's complement (GaussianTwosSource) or magnitude
+  GaussianParams params;
+};
+
+inline std::uint64_t width_mask(int width) {
+  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+}
+
+void encode_group_scalar(const GaussianEncode& e, const double* variates,
+                         std::uint64_t* rows, std::uint64_t sign[2]) {
+  const int width = e.width;
+  const std::uint64_t top_mask = width_mask(width);
+  std::uint64_t negative_a = 0;
+  std::uint64_t negative_b = 0;
+  for (int j = 0; j < kBatchLanes; ++j) {
+    const double a = e.params.mean + e.params.sigma * variates[2 * j];
+    const double b = e.params.mean + e.params.sigma * variates[2 * j + 1];
+    if (e.twos) {
+      const std::int64_t av = signed_sample_to_i64(width, a);
+      const std::int64_t bv = signed_sample_to_i64(width, b);
+      negative_a |= static_cast<std::uint64_t>(av < 0) << j;
+      negative_b |= static_cast<std::uint64_t>(bv < 0) << j;
+      rows[j] = static_cast<std::uint64_t>(av) & top_mask;
+      rows[kBatchLanes + j] = static_cast<std::uint64_t>(bv) & top_mask;
+    } else {
+      rows[j] = unsigned_sample_to_u64(width, a) & top_mask;
+      rows[kBatchLanes + j] = unsigned_sample_to_u64(width, b) & top_mask;
     }
+  }
+  sign[0] = negative_a;
+  sign[1] = negative_b;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define VLCSA_HAVE_AVX512_ENCODE 1
+
+// Same GCC avx512fintrin.h -Wmaybe-uninitialized false positive as
+// planeops.cpp (GCC bug 105593); silenced for this section only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+// Eight samples per step, bit-identical to the scalar body: a/b
+// deinterleaved by permutex2var; mean + sigma * x as a separate multiply and
+// add (the _round forms are builtins, so no FMA contraction can fuse them);
+// roundscale to nearest-even for nearbyint; min/max for the clamp, whose
+// NaN handling matches fmin/fmax on the second operand; truncating
+// conversions, exact on integral values in range (out-of-range samples are
+// undefined in the scalar oracle too); and the sign mask straight from the
+// int64 sign bits.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void encode_group_avx512(
+    const GaussianEncode& e, const double* variates, std::uint64_t* rows,
+    std::uint64_t sign[2]) {
+  constexpr int kRound = _MM_FROUND_CUR_DIRECTION;
+  const __m512i pick[2] = {_mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                           _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15)};
+  const __m512d mean = _mm512_set1_pd(e.params.mean);
+  const __m512d sigma = _mm512_set1_pd(e.params.sigma);
+  const bool clamp = e.width < 64;  // the bounds below are used only then
+  const __m512d lo = _mm512_set1_pd(-std::ldexp(1.0, e.width - 1));
+  const __m512d hi = _mm512_set1_pd(std::ldexp(1.0, e.twos ? e.width - 1 : e.width) - 1.0);
+  const __m512i top_mask = _mm512_set1_epi64(static_cast<long long>(width_mask(e.width)));
+  sign[0] = sign[1] = 0;
+  for (int g = 0; g < kBatchLanes / 8; ++g) {
+    const __m512d v0 = _mm512_loadu_pd(variates + 16 * g);
+    const __m512d v1 = _mm512_loadu_pd(variates + 16 * g + 8);
     for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
-      planeops::transpose_64x64(block);
-      block_to_planes(block, 0, n, planes, lane_words, w);
-      for (int bit = 64; bit < n; ++bit) {
-        planes[static_cast<std::size_t>(bit) * lane_words + w] = 0;
+      const __m512d x = _mm512_permutex2var_pd(v0, pick[op], v1);
+      __m512d y = _mm512_add_round_pd(mean, _mm512_mul_round_pd(sigma, x, kRound), kRound);
+      y = _mm512_roundscale_pd(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+      __m512i word;
+      if (e.twos) {
+        if (clamp) y = _mm512_min_pd(_mm512_max_pd(y, lo), hi);
+        word = _mm512_cvttpd_epi64(y);
+        sign[op] |= static_cast<std::uint64_t>(_mm512_movepi64_mask(word)) << (8 * g);
+      } else {
+        y = _mm512_abs_pd(y);
+        if (clamp) y = _mm512_min_pd(y, hi);
+        word = _mm512_cvttpd_epu64(y);
       }
+      _mm512_storeu_si512(rows + op * kBatchLanes + 8 * g, _mm512_and_si512(word, top_mask));
     }
   }
 }
 
-void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  if (out.width() != width()) {
-    throw std::invalid_argument("GaussianTwosSource::fill_batch: batch width mismatch");
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+#endif  // VLCSA_HAVE_AVX512_ENCODE
+
+/// The one Gaussian fill body behind both sources' fill_batch: mirror of
+/// out.lanes() x next() — one 128-variate sampler fill per lane word (so
+/// the RNG stream is exactly next()'s), encoded to limb-0 rows, one 64x64
+/// transpose per operand, and every bit-plane >= 64 set to the sign mask
+/// (two's-complement sign extension; zero for magnitudes, which never
+/// exceed 64 bits).
+void fill_gaussian_batch(const GaussianEncode& e, GaussianBlockSampler& sampler,
+                         BlockRng& rng, BitSlicedBatch& out) {
+  if (out.width() != e.width) {
+    throw std::invalid_argument("Gaussian fill_batch: batch width mismatch");
   }
-  // Same structure as the unsigned fill; negatives make every bit-plane
-  // above limb 0 the lane-wise sign mask (two's-complement sign extension),
-  // written directly instead of transposing constant blocks.
-  const int n = width();
+  auto* encode = encode_group_scalar;
+#if VLCSA_HAVE_AVX512_ENCODE
+  if (planeops::active_backend() == planeops::Backend::kAvx512) encode = encode_group_avx512;
+#endif
+  const int n = e.width;
   const int lane_words = out.lane_words();
-  const std::uint64_t top_mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  variates_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  rows_.resize(static_cast<std::size_t>(2 * kBatchLanes));
+  alignas(planeops::kPlaneAlignment) double variates[2 * kBatchLanes];
+  alignas(planeops::kPlaneAlignment) std::uint64_t rows[2 * kBatchLanes];
   for (int w = 0; w < lane_words; ++w) {
-    sampler_.fill(rng, variates_.data(), static_cast<std::size_t>(2 * kBatchLanes));
-    std::uint64_t sign[2] = {0, 0};
-    for (int j = 0; j < kBatchLanes; ++j) {
-      const double a = params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j)];
-      const double b =
-          params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j + 1)];
-      const std::int64_t av = signed_sample_to_i64(n, a);
-      const std::int64_t bv = signed_sample_to_i64(n, b);
-      rows_[static_cast<std::size_t>(j)] = static_cast<std::uint64_t>(av) & top_mask;
-      rows_[static_cast<std::size_t>(64 + j)] = static_cast<std::uint64_t>(bv) & top_mask;
-      if (av < 0) sign[0] |= std::uint64_t{1} << j;
-      if (bv < 0) sign[1] |= std::uint64_t{1} << j;
-    }
+    sampler.fill(rng, variates, 2 * kBatchLanes);
+    std::uint64_t sign[2];
+    encode(e, variates, rows, sign);
     for (int op = 0; op < 2; ++op) {
       std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
+      std::uint64_t* block = rows + op * kBatchLanes;
       planeops::transpose_64x64(block);
       block_to_planes(block, 0, n, planes, lane_words, w);
       for (int bit = 64; bit < n; ++bit) {
@@ -209,6 +278,16 @@ void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
       }
     }
   }
+}
+
+}  // namespace
+
+void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
+  fill_gaussian_batch({width(), false, params_}, sampler_, rng, out);
+}
+
+void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
+  fill_gaussian_batch({width(), true, params_}, sampler_, rng, out);
 }
 
 std::string to_string(InputDistribution dist) {

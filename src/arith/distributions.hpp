@@ -115,9 +115,11 @@ class GaussianUnsignedSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-unsigned"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: bulk ziggurat variates encoded straight into transpose
-  /// blocks — samples are at most 64 bits of magnitude, so only the limb-0
-  /// block is transposed and every higher bit-plane is zero.
+  /// Fast path (shared with GaussianTwosSource): bulk ziggurat variates,
+  /// one vector encode per 64-sample group straight into the limb-0
+  /// transpose blocks (avx512 backend; the scalar encode elsewhere) —
+  /// samples are at most 64 bits of magnitude, so only the limb-0 block is
+  /// transposed and every higher bit-plane is zero.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);
@@ -126,8 +128,6 @@ class GaussianUnsignedSource final : public OperandSource {
  private:
   GaussianParams params_;
   GaussianBlockSampler sampler_;
-  std::vector<double> variates_;     // fill_batch variate scratch
-  std::vector<std::uint64_t> rows_;  // fill_batch transpose scratch
 };
 
 /// round(N(mu, sigma)) encoded in n-bit two's complement (Fig 6.5, Ch. 7).
@@ -140,9 +140,10 @@ class GaussianTwosSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: like GaussianUnsignedSource::fill_batch, plus sign
-  /// extension — every bit-plane above limb 0 is the lane-wise sign mask,
-  /// written directly with no extra transposes.
+  /// Fast path: GaussianUnsignedSource::fill_batch's body with the two's
+  /// complement encode, plus sign extension — every bit-plane above limb 0
+  /// is the lane-wise sign mask the encode produces, written directly with
+  /// no extra transposes.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianTwosSource>(width(), params_);
@@ -151,8 +152,6 @@ class GaussianTwosSource final : public OperandSource {
  private:
   GaussianParams params_;
   GaussianBlockSampler sampler_;
-  std::vector<double> variates_;     // fill_batch variate scratch
-  std::vector<std::uint64_t> rows_;  // fill_batch transpose scratch
 };
 
 enum class InputDistribution {

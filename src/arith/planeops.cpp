@@ -184,7 +184,9 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 //
 // Same per-function target-attribute scheme as AVX2 (stock builds carry the
 // bodies, runtime cpuid picks them), at twice the width: 8 plane words per
-// vector.  Requires avx512f+avx512bw.
+// vector.  The backend requires avx512f+avx512bw+avx512dq: the kernels here
+// need only f/bw, but the RNG's ziggurat fast path and the Gaussian encode
+// that ride this backend's dispatch use the dq int64 <-> double conversions.
 
 #if VLCSA_HAVE_AVX2_BACKEND  // same toolchain gate: x86-64 gcc/clang
 #define VLCSA_HAVE_AVX512_BACKEND 1
@@ -268,48 +270,72 @@ __attribute__((target("avx512f,avx512bw"))) void ssand_avx512(std::uint64_t* x, 
   std::memset(x, 0, off * sizeof(std::uint64_t));
 }
 
-// Same recursive block swap as the scalar transpose; sub-block sizes >= 8
-// handle eight rows per 512-bit op (runs of consecutive k with bit j clear
-// have length j, a multiple of 8 there), size 4 uses one 256-bit op (avx512f
-// implies avx2), sizes 2 and 1 finish scalar.
-__attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t block[64]) {
+// Same recursive block swap as the scalar transpose, with the whole block
+// held in eight registers (register r = rows 8r..8r+7).  Each level moves
+// the partner row's bits in with one bitwise select: for a row pair
+// (lo, hi) at distance j with column mask m, lo keeps its bits outside
+// m << j and takes (hi << j) inside it, hi keeps its bits outside m and
+// takes (lo >> j) inside it.  Levels 32/16/8 pair whole registers; levels
+// 4/2/1 pair lanes of one register, the partner rows brought alongside by
+// a permutexvar and the shift direction and select mask chosen per lane
+// (lanes with bit j clear hold the lo rows).
+
+/// Column mask of the transpose level with row distance j (32 -> low
+/// halves, ..., 1 -> 0x5555...), as the scalar loop derives it.
+constexpr std::uint64_t transpose_mask(unsigned j) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
-  int j = 32;
-  for (; j >= 8; m ^= m << (j >>= 1)) {
-    const __m512i vm = _mm512_set1_epi64(static_cast<long long>(m));
-    for (int base = 0; base < 64; base += 2 * j) {
-      for (int k = base; k < base + j; k += 8) {
-        const __m512i lo = _mm512_loadu_si512(block + k);
-        const __m512i hi = _mm512_loadu_si512(block + k + j);
-        const __m512i t = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(lo, static_cast<unsigned>(j)), hi), vm);
-        _mm512_storeu_si512(block + k,
-                            _mm512_xor_si512(lo, _mm512_slli_epi64(t, static_cast<unsigned>(j))));
-        _mm512_storeu_si512(block + k + j, _mm512_xor_si512(hi, t));
-      }
-    }
+  for (unsigned k = 32; k != j; k >>= 1) m ^= m << (k >> 1);
+  return m;
+}
+
+// vpternlog 0xCA = a ? b : c, bitwise.
+constexpr int kSelectBits = 0xCA;
+
+template <unsigned J>  // J = 32, 16, 8: register i pairs with i + J / 8
+__attribute__((target("avx512f,avx512bw"))) inline void transpose_level_regs(__m512i (&r)[8]) {
+  constexpr std::uint64_t m = transpose_mask(J);
+  constexpr int d = J / 8;
+  const __m512i lo_sel = _mm512_set1_epi64(static_cast<long long>(m << J));
+  const __m512i hi_sel = _mm512_set1_epi64(static_cast<long long>(m));
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) {
+    if ((i & d) != 0) continue;
+    const __m512i lo = r[i];
+    const __m512i hi = r[i + d];
+    r[i] = _mm512_ternarylogic_epi64(lo_sel, _mm512_slli_epi64(hi, J), lo, kSelectBits);
+    r[i + d] = _mm512_ternarylogic_epi64(hi_sel, _mm512_srli_epi64(lo, J), hi, kSelectBits);
   }
-  {
-    const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
-    for (int k = 0; k < 64; k += 8) {
-      const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k));
-      const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k + 4));
-      const __m256i t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(lo, 4), hi), vm);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k),
-                          _mm256_xor_si256(lo, _mm256_slli_epi64(t, 4)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k + 4),
-                          _mm256_xor_si256(hi, t));
-    }
-    m ^= m << 2;
-    j = 2;
+}
+
+template <unsigned J>  // J = 4, 2, 1: lane k pairs with lane k ^ J
+__attribute__((target("avx512f,avx512bw"))) inline void transpose_level_lanes(__m512i (&r)[8]) {
+  constexpr std::uint64_t m = transpose_mask(J);
+  constexpr long long j = J;
+  constexpr __mmask8 hi_lanes = J == 4 ? 0xF0 : J == 2 ? 0xCC : 0xAA;
+  const __m512i partner =
+      _mm512_setr_epi64(0 ^ j, 1 ^ j, 2 ^ j, 3 ^ j, 4 ^ j, 5 ^ j, 6 ^ j, 7 ^ j);
+  const __m512i sel =
+      _mm512_mask_blend_epi64(hi_lanes, _mm512_set1_epi64(static_cast<long long>(m << J)),
+                              _mm512_set1_epi64(static_cast<long long>(m)));
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) {
+    const __m512i other = _mm512_permutexvar_epi64(partner, r[i]);
+    const __m512i moved =
+        _mm512_mask_srli_epi64(_mm512_slli_epi64(other, J), hi_lanes, other, J);
+    r[i] = _mm512_ternarylogic_epi64(sel, moved, r[i], kSelectBits);
   }
-  for (; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((block[k] >> j) ^ block[k | j]) & m;
-      block[k] ^= t << j;
-      block[k | j] ^= t;
-    }
-  }
+}
+
+__attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t block[64]) {
+  __m512i r[8];
+  for (int i = 0; i < 8; ++i) r[i] = _mm512_loadu_si512(block + 8 * i);
+  transpose_level_regs<32>(r);
+  transpose_level_regs<16>(r);
+  transpose_level_regs<8>(r);
+  transpose_level_lanes<4>(r);
+  transpose_level_lanes<2>(r);
+  transpose_level_lanes<1>(r);
+  for (int i = 0; i < 8; ++i) _mm512_storeu_si512(block + 8 * i, r[i]);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -357,7 +383,8 @@ const Kernels* kernels_for(Backend backend) {
       return nullptr;
     case Backend::kAvx512:
 #if VLCSA_HAVE_AVX512_BACKEND
-      if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
+      if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+          __builtin_cpu_supports("avx512dq")) {
         return &kAvx512Kernels;
       }
 #endif

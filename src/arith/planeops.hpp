@@ -3,8 +3,11 @@
 // operand fills run — the VLSA baseline's generate/propagate fill,
 // Kogge-Stone prefix and propagate-run sweep, and the 64x64 bit transpose
 // behind the operand streams — each with a scalar backend and (on x86-64)
-// AVX2 and AVX-512 backends, selected once at startup by runtime CPU
-// dispatch.  Other targets (aarch64 included) run the scalar oracle.
+// AVX2 (avx2) and AVX-512 (avx512f + avx512bw + avx512dq) backends,
+// selected once at startup by runtime CPU dispatch.  Other targets
+// (aarch64 included) run the scalar oracle.  The RNG twist/temper, the
+// ziggurat fast path and the Gaussian encode follow the same dispatch
+// through active_backend().
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp).
@@ -68,7 +71,7 @@ using PlaneVec = std::vector<std::uint64_t, AlignedAllocator<std::uint64_t>>;
 enum class Backend {
   kScalar,
   kAvx2,
-  kAvx512,  // needs avx512f+avx512bw
+  kAvx512,  // needs avx512f + avx512bw + avx512dq
 };
 
 [[nodiscard]] const char* to_string(Backend backend);

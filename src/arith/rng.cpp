@@ -55,6 +55,43 @@ void temper_scalar(const std::uint64_t* mt, std::uint64_t* dst) {
   for (std::size_t i = 0; i < kN; ++i) dst[i] = temper_word(mt[i]);
 }
 
+// 256-layer ziggurat for the standard normal (Marsaglia & Tsang 2000,
+// widened from the classic 32-bit draw to one 64-bit word per attempt):
+// the low 8 bits pick the layer, the top 55 bits form a signed mantissa hz
+// with |hz| < 2^54, and the fast path accepts when |hz| < kn[iz], returning
+// x = hz * wn[iz].  Layer boundaries x_i solve the standard recurrence with
+// strip area V and base boundary R; kn/wn are pre-scaled by m = 2^54 so the
+// fast path is one integer compare and one multiply.
+
+struct ZigguratTables {
+  std::uint64_t kn[256];  // acceptance thresholds, in hz units
+  double wn[256];         // hz -> x scale per layer
+  double fn[256];         // exp(-x_i^2 / 2) at the layer boundaries
+};
+
+/// The ziggurat fast path for one raw word: x = hz * wn[iz] always, and
+/// whether the layer test accepts it.
+inline bool zig_fast(std::uint64_t w, const ZigguratTables& t, double& x) {
+  const std::size_t iz = w & 0xFF;
+  const std::int64_t hz = static_cast<std::int64_t>(w) >> 9;
+  const std::uint64_t mag = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
+  x = static_cast<double>(hz) * t.wn[iz];
+  return mag < t.kn[iz];
+}
+
+/// Fast-path variates of the longest accepted prefix of words[0, m): writes
+/// dst[0, k) and returns k, stopping at the first word the layer test
+/// rejects (k < m), which the caller hands to the slow path.
+std::size_t zig_accept_scalar(const std::uint64_t* words, std::size_t m,
+                              const ZigguratTables& t, double* dst) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double x;
+    if (!zig_fast(words[i], t, x)) return i;
+    dst[i] = x;
+  }
+  return m;
+}
+
 // ---- AVX2 backend ----------------------------------------------------------
 //
 // Same per-function target attributes as planeops.cpp: the stock build
@@ -130,7 +167,10 @@ __attribute__((target("avx2"))) void temper_avx2(const std::uint64_t* mt,
 // The 8-wide analogue of the AVX2 twist/temper.  The same pre-round-read
 // argument holds — a chunk loads mt[i..i+8] (and the feed vector) before it
 // stores mt[i..i+7] — but the chunk counts change: the first stretch spans
-// 156 words (19 chunks of 8 + 4 tail) and the second spans 155.
+// 156 words (19 chunks of 8 + 4 tail) and the second spans 155.  The
+// ziggurat fast path also runs 8 words per step here; it needs avx512dq for
+// the int64 -> double conversion, which is why the AVX2 row keeps the
+// scalar body.
 
 #if VLCSA_HAVE_AVX2_RNG
 #define VLCSA_HAVE_AVX512_RNG 1
@@ -198,6 +238,32 @@ __attribute__((target("avx512f,avx512bw"))) void temper_avx512(const std::uint64
   }
 }
 
+// Eight words per step: the same integer layer test and multiply as
+// zig_fast (cvtepi64_pd and the scalar int64 -> double cast both round in
+// the current rounding mode), with kn/wn gathered per lane.  A chunk
+// holding a rejected word stores only the lanes below it.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) std::size_t zig_accept_avx512(
+    const std::uint64_t* words, std::size_t m, const ZigguratTables& t, double* dst) {
+  const __m512i layer_bits = _mm512_set1_epi64(0xFF);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    const __m512i w = _mm512_loadu_si512(words + i);
+    const __m512i iz = _mm512_and_si512(w, layer_bits);
+    const __m512i hz = _mm512_srai_epi64(w, 9);
+    const __mmask8 accept = _mm512_cmplt_epu64_mask(_mm512_abs_epi64(hz),
+                                                    _mm512_i64gather_epi64(iz, t.kn, 8));
+    const __m512d x =
+        _mm512_mul_pd(_mm512_cvtepi64_pd(hz), _mm512_i64gather_pd(iz, t.wn, 8));
+    if (accept != 0xFF) {
+      const unsigned taken = static_cast<unsigned>(__builtin_ctz(~accept & 0xFFu));
+      _mm512_mask_storeu_pd(dst + i, static_cast<__mmask8>((1u << taken) - 1), x);
+      return i + taken;
+    }
+    _mm512_storeu_pd(dst + i, x);
+  }
+  return i + zig_accept_scalar(words + i, m - i, t, dst + i);
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -213,20 +279,22 @@ __attribute__((target("avx512f,avx512bw"))) void temper_avx512(const std::uint64
 struct RngKernels {
   void (*twist)(std::uint64_t*);
   void (*temper)(const std::uint64_t*, std::uint64_t*);
+  std::size_t (*zig_accept)(const std::uint64_t*, std::size_t, const ZigguratTables&,
+                            double*);
 };
 
 RngKernels active_kernels() {
 #if VLCSA_HAVE_AVX512_RNG
   if (planeops::active_backend() == planeops::Backend::kAvx512) {
-    return {twist_avx512, temper_avx512};
+    return {twist_avx512, temper_avx512, zig_accept_avx512};
   }
 #endif
 #if VLCSA_HAVE_AVX2_RNG
   if (planeops::active_backend() == planeops::Backend::kAvx2) {
-    return {twist_avx2, temper_avx2};
+    return {twist_avx2, temper_avx2, zig_accept_scalar};
   }
 #endif
-  return {twist_scalar, temper_scalar};
+  return {twist_scalar, temper_scalar, zig_accept_scalar};
 }
 
 }  // namespace
@@ -302,25 +370,15 @@ void BlockRng::discard(unsigned long long z) {
 
 // ---- GaussianBlockSampler ---------------------------------------------------
 //
-// 256-layer ziggurat for the standard normal (Marsaglia & Tsang 2000,
-// widened from the classic 32-bit draw to one 64-bit word per attempt):
-// the low 8 bits pick the layer, the top 55 bits form a signed mantissa hz
-// with |hz| < 2^54, and the fast path accepts when |hz| < kn[iz], returning
-// x = hz * wn[iz].  Layer boundaries x_i solve the standard recurrence with
-// strip area V and base boundary R; kn/wn are pre-scaled by m = 2^54 so the
-// fast path is one integer compare and one multiply.
+// The ziggurat of the scalar backend section above: fill() runs the
+// dispatched fast path over the word buffer in bulk and hands each rejected
+// word to operator(), which re-reads it and runs the wedge/tail slow path.
 
 namespace {
 
 constexpr double kZigR = 3.6541528853610088;   // base strip boundary
 constexpr double kZigV = 4.92867323399e-3;     // per-strip area
 constexpr double kZigM = 18014398509481984.0;  // 2^54, the |hz| scale
-
-struct ZigguratTables {
-  std::uint64_t kn[256];  // acceptance thresholds, in hz units
-  double wn[256];         // hz -> x scale per layer
-  double fn[256];         // exp(-x_i^2 / 2) at the layer boundaries
-};
 
 const ZigguratTables& ziggurat_tables() {
   static const ZigguratTables tables = [] {
@@ -357,22 +415,21 @@ double GaussianBlockSampler::operator()(BlockRng& rng) {
   const ZigguratTables& t = ziggurat_tables();
   for (;;) {
     const std::uint64_t w = next_word(rng);
+    double x;
+    if (zig_fast(w, t, x)) return x;
     const std::size_t iz = w & 0xFF;
-    const std::int64_t hz = static_cast<std::int64_t>(w) >> 9;
-    const std::uint64_t mag = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
-    if (mag < t.kn[iz]) return static_cast<double>(hz) * t.wn[iz];
     if (iz == 0) {
-      // Tail beyond R, Marsaglia's exponential-majorant rejection.
-      double x;
-      double y;
+      // Tail beyond R, Marsaglia's exponential-majorant rejection; the
+      // sign is hz's, i.e. w's top bit.
+      double tx;
+      double ty;
       do {
-        x = -std::log(u01_from_word(next_word(rng))) * (1.0 / kZigR);
-        y = -std::log(u01_from_word(next_word(rng)));
-      } while (y + y < x * x);
-      return hz < 0 ? -(kZigR + x) : kZigR + x;
+        tx = -std::log(u01_from_word(next_word(rng))) * (1.0 / kZigR);
+        ty = -std::log(u01_from_word(next_word(rng)));
+      } while (ty + ty < tx * tx);
+      return static_cast<std::int64_t>(w) < 0 ? -(kZigR + tx) : kZigR + tx;
     }
     // Wedge between layer iz and iz-1.
-    const double x = static_cast<double>(hz) * t.wn[iz];
     if (t.fn[iz] + u01_from_word(next_word(rng)) * (t.fn[iz - 1] - t.fn[iz]) <
         std::exp(-0.5 * x * x)) {
       return x;
@@ -381,7 +438,24 @@ double GaussianBlockSampler::operator()(BlockRng& rng) {
 }
 
 void GaussianBlockSampler::fill(BlockRng& rng, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (*this)(rng);
+  const ZigguratTables& t = ziggurat_tables();
+  const auto accept = active_kernels().zig_accept;
+  std::size_t i = 0;
+  while (i < n) {
+    if (pos_ == kBufferWords) refill(rng);
+    const std::size_t m = std::min(n - i, kBufferWords - pos_);
+    const std::size_t taken = accept(buffer_ + pos_, m, t, dst + i);
+    pos_ += taken;
+    i += taken;
+    // buffer_[pos_] failed the layer test: operator() re-reads it and takes
+    // the slow path, then the bulk walk resumes after whatever it consumed.
+    if (taken < m) dst[i++] = (*this)(rng);
+  }
+}
+
+void GaussianBlockSampler::refill(BlockRng& rng) {
+  rng.generate_block(buffer_, kBufferWords);
+  pos_ = 0;
 }
 
 BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream) {

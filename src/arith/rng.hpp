@@ -131,13 +131,19 @@ class BlockRng {
 /// ziggurat would quantize samples in steps of ~2^8 there and corrupt
 /// low-bit carry statistics.
 ///
+/// fill() walks the word buffer in bulk: the fast-path layer test runs as a
+/// planeops-dispatched kernel (8 words per step on the avx512 backend, the
+/// scalar loop on the others) up to the first rejected word, which goes
+/// through operator()'s wedge/tail slow path before the walk resumes.
+///
 /// Contracts:
 ///  * operator() and fill() consume the underlying BlockRng from one shared
 ///    internal word buffer, so per-variate and bulk consumption interleave
 ///    freely and produce the same variate stream — this is what keeps the
 ///    scalar and batched Gaussian Monte Carlo paths bit-identical.
 ///  * The variate stream is a pure function of the BlockRng stream (and
-///    therefore backend-invariant).  It is NOT the std::normal_distribution
+///    therefore backend-invariant; tests/arith/rng_test.cpp pins fill()
+///    against operator() per backend).  It is NOT the std::normal_distribution
 ///    stream: swapping this sampler in was the gauss-rng-v2 golden-counter
 ///    migration (see tests/harness/registry_pin_test.cpp and
 ///    docs/OPERATIONS.md).
@@ -156,12 +162,11 @@ class GaussianBlockSampler {
 
  private:
   [[nodiscard]] std::uint64_t next_word(BlockRng& rng) {
-    if (pos_ == kBufferWords) {
-      rng.generate_block(buffer_, kBufferWords);
-      pos_ = 0;
-    }
+    if (pos_ == kBufferWords) refill(rng);
     return buffer_[pos_++];
   }
+
+  void refill(BlockRng& rng);  // the next kBufferWords draws into buffer_
 
   /// Raw-draw buffer size: two full BlockRng blocks per refill.
   static constexpr std::size_t kBufferWords = 2 * BlockRng::kStateWords;

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
+
+#include "arith/bitslice.hpp"
+#include "arith/planeops.hpp"
 
 namespace vlcsa::arith {
 namespace {
@@ -115,6 +120,58 @@ TEST(Distributions, ToStringIsStable) {
   EXPECT_STREQ(to_string(InputDistribution::kGaussianTwos).c_str(),
                "gaussian-twos-complement");
 }
+
+// The Gaussian fill's group encode (vector on the avx512 backend, scalar
+// elsewhere) against next()'s scalar encode, lane by lane through
+// plane_lane, on every available backend.  Widths below 64 exercise the
+// clamp, 64 the plain 64-bit encode, and 65/128 the planes above limb 0
+// (sign masks for two's complement, zeros for magnitudes) that the paper's
+// n = 64 workloads never reach.  The parameter sets cover the paper's
+// sigma = 2^32 (which saturates widths 8 and 32), a sigma = 0 round-half-
+// to-even tie (-2.5 -> -2), a mid-range mean with fractional offset, and a
+// sigma of 1e17, where sigma * x is inexact and a fused multiply-add would
+// round mean + sigma * x differently from next()'s separate multiply and
+// add.
+class GaussianEncodeTest
+    : public ::testing::TestWithParam<std::tuple<InputDistribution, int, int>> {};
+
+/// Restores the backend that was active when the test started.
+struct BackendRestore {
+  planeops::Backend prev = planeops::active_backend();
+  ~BackendRestore() { planeops::set_backend(prev); }
+};
+
+TEST_P(GaussianEncodeTest, FillBatchLanesMatchNextOnEveryBackend) {
+  const auto [dist, width, lane_words] = GetParam();
+  const BackendRestore restore;
+  const GaussianParams params_sets[] = {
+      {0.0, std::ldexp(1.0, 32)}, {-2.5, 0.0}, {1000.5, 300.0}, {12345.0, 1e17}};
+  for (const planeops::Backend backend :
+       {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512}) {
+    if (!planeops::set_backend(backend)) continue;
+    for (const GaussianParams& params : params_sets) {
+      const auto proto = make_source(dist, width, params);
+      BlockRng rng_batch(21), rng_scalar(21);
+      BitSlicedBatch batch(width, lane_words);
+      proto->clone()->fill_batch(rng_batch, batch);
+      const auto scalar_source = proto->clone();
+      for (int j = 0; j < batch.lanes(); ++j) {
+        const auto [a, b] = scalar_source->next(rng_scalar);
+        ASSERT_EQ(plane_lane(batch.a(), width, j, lane_words), a)
+            << planeops::to_string(backend) << " mean " << params.mean << " lane " << j;
+        ASSERT_EQ(plane_lane(batch.b(), width, j, lane_words), b)
+            << planeops::to_string(backend) << " mean " << params.mean << " lane " << j;
+      }
+      EXPECT_EQ(rng_batch(), rng_scalar()) << planeops::to_string(backend);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SourcesByWidthByLaneWords, GaussianEncodeTest,
+    ::testing::Combine(::testing::Values(InputDistribution::kGaussianUnsigned,
+                                         InputDistribution::kGaussianTwos),
+                       ::testing::Values(8, 32, 63, 64, 65, 128), ::testing::Values(1, 4, 8)));
 
 }  // namespace
 }  // namespace vlcsa::arith

@@ -229,8 +229,9 @@ TEST(Engine, ShardSizeIsPartOfTheContract) {
 }
 
 TEST(Engine, SourceStreamStateDoesNotLeakAcrossShards) {
-  // Gaussian sources cache a second Box-Muller variate; the engine must
-  // clone per shard so the cache never straddles a shard boundary.  Run the
+  // Gaussian sources buffer raw ziggurat words in their block sampler; the
+  // engine must clone per shard so that buffer never straddles a shard
+  // boundary.  Run the
   // same experiment twice at different thread counts — any leak shows up as
   // a diverging stream.
   const spec::VlcsaConfig config{32, 6, spec::ScsaVariant::kScsa1};
