@@ -198,7 +198,9 @@ void encode_group_scalar(const GaussianEncode& e, const double* variates,
 
 // Eight samples per step, bit-identical to the scalar body: a/b
 // deinterleaved by permutex2var; mean + sigma * x as a separate multiply and
-// add (the _round forms are builtins, so no FMA contraction can fuse them);
+// add (the _round forms are builtins, so no FMA contraction can fuse them,
+// and the build passes -ffp-contract=off so the scalar side never fuses
+// either);
 // roundscale to nearest-even for nearbyint; min/max for the clamp, whose
 // NaN handling matches fmin/fmax on the second operand; truncating
 // conversions, exact on integral values in range (out-of-range samples are
