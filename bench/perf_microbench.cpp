@@ -126,14 +126,21 @@ void BM_VlsaEvaluateBatch(benchmark::State& state) {
 BENCHMARK(BM_VlsaEvaluateBatch)->Args({64, 1})->Args({64, 4})->Args({512, 1})->Args({512, 4});
 
 // ---- plane-kernel layer, per backend ---------------------------------------
-// Args: (plane words, 0 = scalar backend / 1 = auto-dispatched best).  Each
-// bench pins the requested backend for its own run and restores dispatch on
-// exit, so orderings never leak between benches.
+// Args: (plane words, backend = the planeops::Backend value: 0 scalar,
+// 1 avx2, 2 avx512).  Each bench pins the requested backend for its own run
+// and restores dispatch on exit, so orderings never leak between benches; a
+// backend this host/build lacks is reported as a skipped row.
 
 class BackendScope {
  public:
-  explicit BackendScope(bool best) : prev_(planeops::active_backend()) {
-    planeops::set_backend(best ? "auto" : "scalar");
+  BackendScope(benchmark::State& state, std::int64_t backend)
+      : prev_(planeops::active_backend()) {
+    const auto wanted = static_cast<planeops::Backend>(backend);
+    if (!planeops::set_backend(wanted)) {
+      state.SkipWithError((std::string(planeops::to_string(wanted)) +
+                           " backend unavailable on this host")
+                              .c_str());
+    }
   }
   // Restore the pre-bench backend, so a VLCSA_FORCE_BACKEND pin survives.
   ~BackendScope() { planeops::set_backend(prev_); }
@@ -145,7 +152,7 @@ class BackendScope {
 void BM_PlaneKoggeStone(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
-  const BackendScope scope(state.range(2) != 0);
+  const BackendScope scope(state, state.range(2));
   const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
   vlcsa::arith::BlockRng rng(7);
   planeops::PlaneVec g(m), p(m), carry(m), pp(m);
@@ -159,11 +166,12 @@ void BM_PlaneKoggeStone(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_PlaneKoggeStone)
-    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1});
+    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({64, 4, 2})
+    ->Args({512, 4, 0})->Args({512, 4, 1})->Args({512, 4, 2});
 
 void BM_PlaneBulkGp(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const BackendScope scope(state.range(1) != 0);
+  const BackendScope scope(state, state.range(1));
   vlcsa::arith::BlockRng rng(8);
   planeops::PlaneVec a(m), b(m), g(m), p(m);
   for (auto& word : a) word = rng();
@@ -175,10 +183,10 @@ void BM_PlaneBulkGp(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(m) * 8 * 2);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneBulkGp)->Args({2048, 0})->Args({2048, 1});
+BENCHMARK(BM_PlaneBulkGp)->Args({2048, 0})->Args({2048, 1})->Args({2048, 2});
 
 void BM_PlaneTranspose64x64(benchmark::State& state) {
-  const BackendScope scope(state.range(0) != 0);
+  const BackendScope scope(state, state.range(0));
   vlcsa::arith::BlockRng rng(9);
   alignas(64) std::uint64_t block[64];
   for (auto& row : block) row = rng();
@@ -189,12 +197,12 @@ void BM_PlaneTranspose64x64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneTranspose64x64)->Arg(0)->Arg(1);
+BENCHMARK(BM_PlaneTranspose64x64)->DenseRange(0, 2);
 
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
-// feeds.  Args where present: (0 = scalar backend / 1 = auto-dispatched).
+// feeds.  Args where present end in the backend, as in BackendScope.
 
 /// The original uniform fill: one std::mt19937_64 draw per limb per sample
 /// into per-limb 64x64 transpose blocks — the sample-major stream
@@ -243,7 +251,7 @@ void BM_RngStdMt19937Draws(benchmark::State& state) {
 BENCHMARK(BM_RngStdMt19937Draws);
 
 void BM_RngBlockRngDraws(benchmark::State& state) {
-  const BackendScope scope(state.range(0) != 0);
+  const BackendScope scope(state, state.range(0));
   arith::BlockRng rng(1);
   std::uint64_t sum = 0;
   for (auto _ : state) {
@@ -253,11 +261,11 @@ void BM_RngBlockRngDraws(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_RngBlockRngDraws)->Arg(0)->Arg(1);
+BENCHMARK(BM_RngBlockRngDraws)->DenseRange(0, 2);
 
 void BM_RngGenerateBlock(benchmark::State& state) {
   const std::size_t words = static_cast<std::size_t>(state.range(0));
-  const BackendScope scope(state.range(1) != 0);
+  const BackendScope scope(state, state.range(1));
   arith::BlockRng rng(1);
   std::vector<std::uint64_t> buf(words);
   for (auto _ : state) {
@@ -268,7 +276,8 @@ void BM_RngGenerateBlock(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_RngGenerateBlock)
-    ->Args({312, 0})->Args({312, 1})->Args({4096, 0})->Args({4096, 1});
+    ->Args({312, 0})->Args({312, 1})->Args({312, 2})
+    ->Args({4096, 0})->Args({4096, 1})->Args({4096, 2});
 
 // The uniform operand fill: one batch of 64 * lane_words operand pairs into
 // bit-planes — one generate_block for the batch's groups, copied word for
@@ -281,7 +290,7 @@ BENCHMARK(BM_RngGenerateBlock)
 void BM_RngFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
-  const BackendScope scope(state.range(2) != 0);
+  const BackendScope scope(state, state.range(2));
   arith::UniformUnsignedSource source(width);
   arith::BitSlicedBatch batch(width, lane_words);
   arith::BlockRng rng(5);
@@ -293,13 +302,14 @@ void BM_RngFillBatch(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_RngFillBatch)
-    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1});
+    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({64, 4, 2})
+    ->Args({512, 4, 0})->Args({512, 4, 1})->Args({512, 4, 2});
 
 // Bulk ziggurat variates from the block sampler — the per-variate floor of
-// every Gaussian workload.  Arg: 0 = scalar backend / 1 = auto-dispatched
-// (the backend moves the generate_block refills under the ziggurat).
+// every Gaussian workload.  Arg: the backend (it moves the generate_block
+// refills and the fast-path walk under the ziggurat).
 void BM_RngGaussianBlock(benchmark::State& state) {
-  const BackendScope scope(state.range(0) != 0);
+  const BackendScope scope(state, state.range(0));
   arith::GaussianBlockSampler sampler;
   arith::BlockRng rng(19);
   std::vector<double> variates(4096);
@@ -310,15 +320,15 @@ void BM_RngGaussianBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_RngGaussianBlock)->Arg(0)->Arg(1);
+BENCHMARK(BM_RngGaussianBlock)->DenseRange(0, 2);
 
 // One Gaussian fill_batch (two's complement, the Ch. 7 operand source):
 // the ziggurat, the group encode and the limb-0 transposes together.
-// Args: (width, lane words, 0 = scalar backend / 1 = auto-dispatched).
+// Args: (width, lane words, backend).
 void BM_GaussianFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
-  const BackendScope scope(state.range(2) != 0);
+  const BackendScope scope(state, state.range(2));
   arith::GaussianTwosSource source(width, arith::GaussianParams{});
   arith::BitSlicedBatch batch(width, lane_words);
   arith::BlockRng rng(23);
@@ -329,7 +339,7 @@ void BM_GaussianFillBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_GaussianFillBatch)->Args({64, 8, 0})->Args({64, 8, 1});
+BENCHMARK(BM_GaussianFillBatch)->Args({64, 8, 0})->Args({64, 8, 1})->Args({64, 8, 2});
 
 void BM_RngGaussianPerCallReference(benchmark::State& state) {
   arith::BlockRng rng(19);
@@ -394,16 +404,17 @@ BENCHMARK(BM_StaticTiming)->Arg(64)->Arg(256);
 // The acceptance benchmark for the batch pipeline: the full error-rate
 // sampling loop (operand generation + model + counters), one body for all
 // four distribution x eval-path variants.  Batched args: (width, lane_words,
-// backend: 0 scalar / 1 auto) — (W=1, scalar backend) is how PR 2 ran the
-// batched pipeline, (kDefaultLaneWords, auto) is the current default, and
-// the items/sec ratio between them is the SIMD layer's end-to-end delta.
+// backend) — (W=1, scalar backend) is the single-word scalar-kernel pipeline,
+// (4, avx2) and (8, avx512) are those backends' default lane widths
+// (arith::default_lane_words()), and the items/sec ratio between them is
+// the SIMD layer's end-to-end delta.
 // Scalar-path args: (width) only.  `window` 0 = sized for 0.01%.
 void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, int window,
                         std::uint64_t seed, harness::EvalPath path) {
   const int width = static_cast<int>(state.range(0));
   const bool batched = path == harness::EvalPath::kBatched;
   std::optional<BackendScope> scope;
-  if (batched) scope.emplace(state.range(2) != 0);
+  if (batched) scope.emplace(state, state.range(2));
   auto source = arith::make_source(dist, width);
   const spec::VlcsaConfig config{
       width, window > 0 ? window : spec::min_window_for_error_rate(width, 1e-4),
@@ -423,7 +434,8 @@ void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, 
 BENCHMARK_CAPTURE(error_rate_samples, Batched, arith::InputDistribution::kUniformUnsigned, 0,
                   5, harness::EvalPath::kBatched)
     ->Name("BM_ErrorRateSamplesBatched")
-    ->Args({64, 1, 0})->Args({64, 4, 1})->Args({512, 1, 0})->Args({512, 4, 1});
+    ->Args({64, 1, 0})->Args({64, 4, 1})->Args({64, 8, 2})
+    ->Args({512, 1, 0})->Args({512, 4, 1})->Args({512, 8, 2});
 BENCHMARK_CAPTURE(error_rate_samples, Scalar, arith::InputDistribution::kUniformUnsigned, 0,
                   5, harness::EvalPath::kScalar)
     ->Name("BM_ErrorRateSamplesScalar")->Arg(64)->Arg(512);
@@ -432,7 +444,8 @@ BENCHMARK_CAPTURE(error_rate_samples, Scalar, arith::InputDistribution::kUniform
 BENCHMARK_CAPTURE(error_rate_samples, GaussBatched, arith::InputDistribution::kGaussianTwos,
                   13, 6, harness::EvalPath::kBatched)
     ->Name("BM_ErrorRateSamplesGaussBatched")
-    ->Args({64, 1, 0})->Args({64, 4, 1})->Args({512, 1, 0})->Args({512, 4, 1});
+    ->Args({64, 1, 0})->Args({64, 4, 1})->Args({64, 8, 2})
+    ->Args({512, 1, 0})->Args({512, 4, 1})->Args({512, 8, 2});
 BENCHMARK_CAPTURE(error_rate_samples, GaussScalar, arith::InputDistribution::kGaussianTwos,
                   13, 6, harness::EvalPath::kScalar)
     ->Name("BM_ErrorRateSamplesGaussScalar")->Arg(64)->Arg(512);

@@ -1,13 +1,10 @@
 #include "arith/distributions.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
+#include "arith/planeops.hpp"
 
 namespace vlcsa::arith {
 
@@ -71,6 +68,11 @@ void UniformUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
     std::uint64_t* planes = op == 0 ? out.a() : out.b();
     const std::uint64_t* group = stream_.data() + op * n;
     for (std::size_t bit = 0; bit < n; ++bit) {
+      // Unrolled: a one-word-per-iteration copy keeps its one-cycle pace
+      // only while the loop fits one 32-byte fetch window, so its speed
+      // (~20% of the uniform fill) would swing with unrelated code moving
+      // in this file.
+#pragma GCC unroll 8
       for (std::size_t w = 0; w < lane_words; ++w) {
         planes[bit * lane_words + w] = group[w * group_words + bit];
       }
@@ -94,38 +96,12 @@ std::pair<ApInt, ApInt> UniformTwosSource::next(BlockRng& rng) {
   return {random_signed_magnitude(width(), rng), random_signed_magnitude(width(), rng)};
 }
 
-namespace {
-
-// Raw-word encode bodies shared by the ApInt wrappers below and the
-// direct-to-plane Gaussian fill paths (which build transpose blocks from
-// these words without touching the heap).
-
-std::int64_t signed_sample_to_i64(int width, double sample) {
-  const double rounded = std::nearbyint(sample);
-  if (width >= 64) {
-    // sigma = 2^32 keeps samples far inside int64 range (8 sigma < 2^36).
-    return static_cast<std::int64_t>(rounded);
-  }
-  const double lo = -std::ldexp(1.0, width - 1);
-  const double hi = std::ldexp(1.0, width - 1) - 1.0;
-  return static_cast<std::int64_t>(std::fmin(std::fmax(rounded, lo), hi));
-}
-
-std::uint64_t unsigned_sample_to_u64(int width, double sample) {
-  const double mag = std::fabs(std::nearbyint(sample));
-  if (width >= 64) return static_cast<std::uint64_t>(mag);
-  const double hi = std::ldexp(1.0, width) - 1.0;
-  return static_cast<std::uint64_t>(std::fmin(mag, hi));
-}
-
-}  // namespace
-
 ApInt encode_signed_sample(int width, double sample) {
-  return ApInt::from_i64(width, signed_sample_to_i64(width, sample));
+  return ApInt::from_i64(width, planeops::signed_sample_to_i64(width, sample));
 }
 
 ApInt encode_unsigned_sample(int width, double sample) {
-  return ApInt::from_u64(width, unsigned_sample_to_u64(width, sample));
+  return ApInt::from_u64(width, planeops::unsigned_sample_to_u64(width, sample));
 }
 
 std::pair<ApInt, ApInt> GaussianUnsignedSource::next(BlockRng& rng) {
@@ -142,126 +118,17 @@ std::pair<ApInt, ApInt> GaussianTwosSource::next(BlockRng& rng) {
 
 namespace {
 
-// ---- Gaussian group encode ---------------------------------------------------
-//
-// One 64-sample group of variates a0 b0 a1 b1 ... (next()'s draw order)
-// becomes the limb-0 rows of both operands — a's in rows[0, 64), b's in
-// rows[64, 128), row j = sample j, masked to the width — plus the lane-wise
-// sign masks of a and b (zero for the unsigned encode).  The scalar body is
-// the oracle: it is next()'s encode word for word.
-
-struct GaussianEncode {
-  int width;
-  bool twos;  // two's complement (GaussianTwosSource) or magnitude
-  GaussianParams params;
-};
-
-inline std::uint64_t width_mask(int width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
-void encode_group_scalar(const GaussianEncode& e, const double* variates,
-                         std::uint64_t* rows, std::uint64_t sign[2]) {
-  const int width = e.width;
-  const std::uint64_t top_mask = width_mask(width);
-  std::uint64_t negative_a = 0;
-  std::uint64_t negative_b = 0;
-  for (int j = 0; j < kBatchLanes; ++j) {
-    const double a = e.params.mean + e.params.sigma * variates[2 * j];
-    const double b = e.params.mean + e.params.sigma * variates[2 * j + 1];
-    if (e.twos) {
-      const std::int64_t av = signed_sample_to_i64(width, a);
-      const std::int64_t bv = signed_sample_to_i64(width, b);
-      negative_a |= static_cast<std::uint64_t>(av < 0) << j;
-      negative_b |= static_cast<std::uint64_t>(bv < 0) << j;
-      rows[j] = static_cast<std::uint64_t>(av) & top_mask;
-      rows[kBatchLanes + j] = static_cast<std::uint64_t>(bv) & top_mask;
-    } else {
-      rows[j] = unsigned_sample_to_u64(width, a) & top_mask;
-      rows[kBatchLanes + j] = unsigned_sample_to_u64(width, b) & top_mask;
-    }
-  }
-  sign[0] = negative_a;
-  sign[1] = negative_b;
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VLCSA_HAVE_AVX512_ENCODE 1
-
-// Same GCC avx512fintrin.h -Wmaybe-uninitialized false positive as
-// planeops.cpp (GCC bug 105593); silenced for this section only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-// Eight samples per step, bit-identical to the scalar body: a/b
-// deinterleaved by permutex2var; mean + sigma * x as a separate multiply and
-// add (the _round forms are builtins, so no FMA contraction can fuse them,
-// and the build passes -ffp-contract=off so the scalar side never fuses
-// either);
-// roundscale to nearest-even for nearbyint; min/max for the clamp, whose
-// NaN handling matches fmin/fmax on the second operand; truncating
-// conversions, exact on integral values in range (out-of-range samples are
-// undefined in the scalar oracle too); and the sign mask straight from the
-// int64 sign bits.
-__attribute__((target("avx512f,avx512bw,avx512dq"))) void encode_group_avx512(
-    const GaussianEncode& e, const double* variates, std::uint64_t* rows,
-    std::uint64_t sign[2]) {
-  constexpr int kRound = _MM_FROUND_CUR_DIRECTION;
-  const __m512i pick[2] = {_mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-                           _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15)};
-  const __m512d mean = _mm512_set1_pd(e.params.mean);
-  const __m512d sigma = _mm512_set1_pd(e.params.sigma);
-  const bool clamp = e.width < 64;  // the bounds below are used only then
-  const __m512d lo = _mm512_set1_pd(-std::ldexp(1.0, e.width - 1));
-  const __m512d hi = _mm512_set1_pd(std::ldexp(1.0, e.twos ? e.width - 1 : e.width) - 1.0);
-  const __m512i top_mask = _mm512_set1_epi64(static_cast<long long>(width_mask(e.width)));
-  sign[0] = sign[1] = 0;
-  for (int g = 0; g < kBatchLanes / 8; ++g) {
-    const __m512d v0 = _mm512_loadu_pd(variates + 16 * g);
-    const __m512d v1 = _mm512_loadu_pd(variates + 16 * g + 8);
-    for (int op = 0; op < 2; ++op) {
-      const __m512d x = _mm512_permutex2var_pd(v0, pick[op], v1);
-      __m512d y = _mm512_add_round_pd(mean, _mm512_mul_round_pd(sigma, x, kRound), kRound);
-      y = _mm512_roundscale_pd(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-      __m512i word;
-      if (e.twos) {
-        if (clamp) y = _mm512_min_pd(_mm512_max_pd(y, lo), hi);
-        word = _mm512_cvttpd_epi64(y);
-        sign[op] |= static_cast<std::uint64_t>(_mm512_movepi64_mask(word)) << (8 * g);
-      } else {
-        y = _mm512_abs_pd(y);
-        if (clamp) y = _mm512_min_pd(y, hi);
-        word = _mm512_cvttpd_epu64(y);
-      }
-      _mm512_storeu_si512(rows + op * kBatchLanes + 8 * g, _mm512_and_si512(word, top_mask));
-    }
-  }
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-#endif  // VLCSA_HAVE_AVX512_ENCODE
-
 /// The one Gaussian fill body behind both sources' fill_batch: mirror of
 /// out.lanes() x next() — one 128-variate sampler fill per lane word (so
-/// the RNG stream is exactly next()'s), encoded to limb-0 rows, one 64x64
-/// transpose per operand, and every bit-plane >= 64 set to the sign mask
-/// (two's-complement sign extension; zero for magnitudes, which never
-/// exceed 64 bits).
-void fill_gaussian_batch(const GaussianEncode& e, GaussianBlockSampler& sampler,
+/// the RNG stream is exactly next()'s), encoded to limb-0 rows
+/// (planeops::encode_gaussian_group), one 64x64 transpose per operand, and
+/// every bit-plane >= 64 set to the sign mask (two's-complement sign
+/// extension; zero for magnitudes, which never exceed 64 bits).
+void fill_gaussian_batch(const planeops::GaussianEncode& e, GaussianBlockSampler& sampler,
                          BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != e.width) {
     throw std::invalid_argument("Gaussian fill_batch: batch width mismatch");
   }
-  auto* encode = encode_group_scalar;
-#if VLCSA_HAVE_AVX512_ENCODE
-  if (planeops::active_backend() == planeops::Backend::kAvx512) encode = encode_group_avx512;
-#endif
   const int n = e.width;
   const int lane_words = out.lane_words();
   alignas(planeops::kPlaneAlignment) double variates[2 * kBatchLanes];
@@ -269,7 +136,7 @@ void fill_gaussian_batch(const GaussianEncode& e, GaussianBlockSampler& sampler,
   for (int w = 0; w < lane_words; ++w) {
     sampler.fill(rng, variates, 2 * kBatchLanes);
     std::uint64_t sign[2];
-    encode(e, variates, rows, sign);
+    planeops::encode_gaussian_group(e, variates, rows, sign);
     for (int op = 0; op < 2; ++op) {
       std::uint64_t* planes = op == 0 ? out.a() : out.b();
       std::uint64_t* block = rows + op * kBatchLanes;
@@ -285,11 +152,11 @@ void fill_gaussian_batch(const GaussianEncode& e, GaussianBlockSampler& sampler,
 }  // namespace
 
 void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  fill_gaussian_batch({width(), false, params_}, sampler_, rng, out);
+  fill_gaussian_batch({width(), false, params_.mean, params_.sigma}, sampler_, rng, out);
 }
 
 void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  fill_gaussian_batch({width(), true, params_}, sampler_, rng, out);
+  fill_gaussian_batch({width(), true, params_.mean, params_.sigma}, sampler_, rng, out);
 }
 
 std::string to_string(InputDistribution dist) {

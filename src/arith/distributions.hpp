@@ -116,10 +116,10 @@ class GaussianUnsignedSource final : public OperandSource {
   [[nodiscard]] std::string name() const override { return "gaussian-unsigned"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path (shared with GaussianTwosSource): bulk ziggurat variates,
-  /// one vector encode per 64-sample group straight into the limb-0
-  /// transpose blocks (avx512 backend; the scalar encode elsewhere) —
-  /// samples are at most 64 bits of magnitude, so only the limb-0 block is
-  /// transposed and every higher bit-plane is zero.
+  /// one planeops::encode_gaussian_group per 64-sample group straight into
+  /// the limb-0 transpose blocks — samples are at most 64 bits of
+  /// magnitude, so only the limb-0 block is transposed and every higher
+  /// bit-plane is zero.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);

@@ -7,8 +7,11 @@
 #include <cstring>
 #include <optional>
 
+// The one toolchain gate for the x86 backends: gcc/clang on x86-64 carry the
+// AVX2 and AVX-512 bodies through per-function target attributes, so a
+// stock (non -march=native) build still dispatches to them at runtime.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VLCSA_HAVE_AVX2_BACKEND 1
+#define VLCSA_HAVE_X86_BACKENDS 1
 #include <immintrin.h>
 #endif
 
@@ -18,6 +21,24 @@ namespace {
 
 inline bool aligned64(const void* p) {
   return (reinterpret_cast<std::uintptr_t>(p) % kPlaneAlignment) == 0;
+}
+
+// MT19937-64 constants ([rand.eng.mers] mersenne_twister_engine<uint64, 64,
+// 312, 156, 31, A, 29, D, 17, B, 37, C, 43, F>).
+constexpr std::size_t kN = kMtStateWords;  // 312
+constexpr std::size_t kM = 156;
+constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr std::uint64_t kLowerMask = 0x7FFFFFFFULL;        // low r = 31 bits
+constexpr std::uint64_t kUpperMask = ~kLowerMask;          // high w - r bits
+constexpr std::uint64_t kTemperD = 0x5555555555555555ULL;  // u = 29
+constexpr std::uint64_t kTemperB = 0x71D67FFFEDA60000ULL;  // s = 17
+constexpr std::uint64_t kTemperC = 0xFFF7EEE000000000ULL;  // t = 37
+
+/// Samples per Gaussian encode group (one transpose block).
+constexpr int kGroupLanes = 64;
+
+inline std::uint64_t width_mask(int width) {
+  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
 }
 
 // ---- scalar backend (the oracle every other backend is pinned to) ----------
@@ -71,37 +92,119 @@ void transpose_scalar(std::uint64_t block[64]) {
   }
 }
 
-// ---- AVX2 backend ----------------------------------------------------------
-//
-// Built with per-function target attributes so the stock (non -march=native)
-// build still carries the AVX2 code paths and runtime dispatch picks them on
-// capable hosts.  All memory accesses are unaligned-safe loadu/storeu.
-
-#if VLCSA_HAVE_AVX2_BACKEND
-
-__attribute__((target("avx2"))) void gp_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                             std::uint64_t* g, std::uint64_t* p,
-                                             std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), _mm256_and_si256(va, vb));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + i), _mm256_xor_si256(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
+inline std::uint64_t twist_word(std::uint64_t hi, std::uint64_t lo) {
+  const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  return (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
 }
 
-// Top-down chunked doubling rounds; within one 4-word chunk all loads happen
+void twist_scalar(std::uint64_t* mt) {
+  for (std::size_t i = 0; i < kN - kM; ++i) {
+    mt[i] = mt[i + kM] ^ twist_word(mt[i], mt[i + 1]);
+  }
+  for (std::size_t i = kN - kM; i < kN - 1; ++i) {
+    mt[i] = mt[i + kM - kN] ^ twist_word(mt[i], mt[i + 1]);
+  }
+  mt[kN - 1] = mt[kM - 1] ^ twist_word(mt[kN - 1], mt[0]);
+}
+
+inline std::uint64_t temper_word(std::uint64_t z) {
+  z ^= (z >> 29) & kTemperD;
+  z ^= (z << 17) & kTemperB;
+  z ^= (z << 37) & kTemperC;
+  z ^= z >> 43;
+  return z;
+}
+
+void temper_scalar(const std::uint64_t* mt, std::uint64_t* dst) {
+  for (std::size_t i = 0; i < kN; ++i) dst[i] = temper_word(mt[i]);
+}
+
+std::size_t zig_accept_scalar(const std::uint64_t* words, std::size_t m,
+                              const std::uint64_t* kn, const double* wn, double* dst) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double x;
+    if (!zig_fast(words[i], kn, wn, x)) return i;
+    dst[i] = x;
+  }
+  return m;
+}
+
+void encode_scalar(const GaussianEncode& e, const double* variates, std::uint64_t* rows,
+                   std::uint64_t sign[2]) {
+  const std::uint64_t top_mask = width_mask(e.width);
+  std::uint64_t negative_a = 0;
+  std::uint64_t negative_b = 0;
+  for (int j = 0; j < kGroupLanes; ++j) {
+    const double a = e.mean + e.sigma * variates[2 * j];
+    const double b = e.mean + e.sigma * variates[2 * j + 1];
+    if (e.twos) {
+      const std::int64_t av = signed_sample_to_i64(e.width, a);
+      const std::int64_t bv = signed_sample_to_i64(e.width, b);
+      negative_a |= static_cast<std::uint64_t>(av < 0) << j;
+      negative_b |= static_cast<std::uint64_t>(bv < 0) << j;
+      rows[j] = static_cast<std::uint64_t>(av) & top_mask;
+      rows[kGroupLanes + j] = static_cast<std::uint64_t>(bv) & top_mask;
+    } else {
+      rows[j] = unsigned_sample_to_u64(e.width, a) & top_mask;
+      rows[kGroupLanes + j] = unsigned_sample_to_u64(e.width, b) & top_mask;
+    }
+  }
+  sign[0] = negative_a;
+  sign[1] = negative_b;
+}
+
+// ---- streaming kernels, one body for both vector widths --------------------
+//
+// gp, kogge, ssand, twist and temper are plain bitwise/shift chains, so each
+// is written once over a GCC vector type of W words and instantiated by the
+// AVX2 (W = 4) and AVX-512 (W = 8) rows below, whose target attributes
+// decide the registers (GCC fuses the and/or/xor chains into vpternlogq on
+// its own).  Vectors move through memcpy and references only: a by-value
+// vector parameter or return would change the ABI per target (-Wpsabi).
+// All loads/stores are unaligned-safe.
+
+typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
+typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
+
+template <class V>
+constexpr std::size_t kWords = sizeof(V) / sizeof(std::uint64_t);
+
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const std::uint64_t* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store(std::uint64_t* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void gp_body(const std::uint64_t* a, const std::uint64_t* b,
+                                           std::uint64_t* g, std::uint64_t* p,
+                                           std::size_t m) {
+  std::size_t i = 0;
+  for (; i + kWords<V> <= m; i += kWords<V>) {
+    V va, vb;
+    load(va, a + i);
+    load(vb, b + i);
+    store(g + i, V(va & vb));
+    store(p + i, V(va ^ vb));
+  }
+  gp_scalar(a + i, b + i, g + i, p + i, m - i);
+}
+
+// Top-down chunked doubling rounds; within one W-word chunk all loads happen
 // before the stores, and chunks run from the top of the array downward, so
 // every read observes the pre-round value for any offset — the same
-// pre-round-read semantics as the scalar loop (see kogge_scalar).
-__attribute__((target("avx2"))) void kogge_avx2(const std::uint64_t* g, const std::uint64_t* p,
-                                                int n, int lane_words, std::uint64_t* carry,
-                                                std::uint64_t* pp) {
+// pre-round-read semantics as the scalar loop (see kogge_scalar).  off < m,
+// and a chunk runs only while i - off >= W, so i never drops below off and
+// the unsigned i - off never wraps (the same holds in ssand_body, where
+// off <= m).
+template <class V>
+[[gnu::always_inline]] inline void kogge_body(const std::uint64_t* g, const std::uint64_t* p,
+                                              int n, int lane_words, std::uint64_t* carry,
+                                              std::uint64_t* pp) {
   const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
   std::memcpy(carry, g, m * sizeof(std::uint64_t));
   std::memcpy(pp, p, m * sizeof(std::uint64_t));
@@ -109,16 +212,15 @@ __attribute__((target("avx2"))) void kogge_avx2(const std::uint64_t* g, const st
     const std::size_t off =
         static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
     std::size_t i = m;
-    while (i - off >= 4 && i >= 4) {
-      i -= 4;
-      const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(carry + i));
-      const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pp + i));
-      const __m256i cl =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(carry + i - off));
-      const __m256i ql = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pp + i - off));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(carry + i),
-                          _mm256_or_si256(c, _mm256_and_si256(q, cl)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pp + i), _mm256_and_si256(q, ql));
+    while (i - off >= kWords<V>) {
+      i -= kWords<V>;
+      V c, q, cl, ql;
+      load(c, carry + i);
+      load(q, pp + i);
+      load(cl, carry + i - off);
+      load(ql, pp + i - off);
+      store(carry + i, V(c | (q & cl)));
+      store(pp + i, V(q & ql));
     }
     while (i > off) {
       --i;
@@ -128,17 +230,19 @@ __attribute__((target("avx2"))) void kogge_avx2(const std::uint64_t* g, const st
   }
 }
 
-__attribute__((target("avx2"))) void ssand_avx2(std::uint64_t* x, int n, int lane_words,
-                                                int step) {
+template <class V>
+[[gnu::always_inline]] inline void ssand_body(std::uint64_t* x, int n, int lane_words,
+                                              int step) {
   const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
   const std::size_t off =
       static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
   std::size_t i = m;
-  while (i - off >= 4 && i >= 4) {
-    i -= 4;
-    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i - off));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + i), _mm256_and_si256(hi, lo));
+  while (i - off >= kWords<V>) {
+    i -= kWords<V>;
+    V hi, lo;
+    load(hi, x + i);
+    load(lo, x + i - off);
+    store(x + i, V(hi & lo));
   }
   while (i > off) {
     --i;
@@ -147,10 +251,84 @@ __attribute__((target("avx2"))) void ssand_avx2(std::uint64_t* x, int n, int lan
   std::memset(x, 0, off * sizeof(std::uint64_t));
 }
 
+// mt[i] = mt[feed] ^ twist(mt[i], mt[i + 1]) for W consecutive i, loading
+// mt[i .. i + W] and the feed words before storing.
+template <class V>
+[[gnu::always_inline]] inline void twist_chunk(std::uint64_t* mt, std::size_t i,
+                                               std::size_t feed) {
+  V hi, lo, f;
+  load(hi, mt + i);
+  load(lo, mt + i + 1);
+  load(f, mt + feed);
+  const V y = (hi & kUpperMask) | (lo & kLowerMask);
+  // (y & 1) ? A : 0 without a compare: 0 - (y & 1) is all-ones or zero.
+  const V odd = V{} - (y & 1);
+  store(mt + i, V(f ^ (y >> 1) ^ (odd & kMatrixA)));
+}
+
+// The twist recurrence x[i] = x[i+m] ^ f(x[i], x[i+1]) only feeds back at
+// distances m = 156 and 1 (through the *old* value of x[i+1]), so W-word
+// chunks that load both operand vectors before storing never observe a
+// value the chunk itself wrote — the pre-round-read reasoning of kogge_body.
+template <class V>
+[[gnu::always_inline]] inline void twist_body(std::uint64_t* mt) {
+  constexpr std::size_t w = kWords<V>;
+  // First stretch: i in [0, n-m) reads old mt[i..i+1] and old mt[i+m].
+  // 156 words: no tail at W = 4, a 4-word tail at W = 8 (the guard keeps
+  // GCC from warning about the empty W = 4 loop).
+  std::size_t i = 0;
+  for (; i + w <= kN - kM; i += w) twist_chunk<V>(mt, i, i + kM);
+  if constexpr ((kN - kM) % w != 0) {
+    for (; i < kN - kM; ++i) mt[i] = mt[i + kM] ^ twist_word(mt[i], mt[i + 1]);
+  }
+  // Second stretch: i in [n-m, n-1) feeds back the *new* mt[i+m-n] (written
+  // 156 slots earlier) while still reading old mt[i..i+1].  155 words ->
+  // a 3-word tail at both widths.
+  for (; i + w <= kN - 1; i += w) twist_chunk<V>(mt, i, i + kM - kN);
+  for (; i < kN - 1; ++i) mt[i] = mt[i + kM - kN] ^ twist_word(mt[i], mt[i + 1]);
+  mt[kN - 1] = mt[kM - 1] ^ twist_word(mt[kN - 1], mt[0]);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void temper_body(const std::uint64_t* mt, std::uint64_t* dst) {
+  static_assert(kN % kWords<V> == 0);
+  for (std::size_t i = 0; i < kN; i += kWords<V>) {
+    V z;
+    load(z, mt + i);
+    z ^= (z >> 29) & kTemperD;
+    z ^= (z << 17) & kTemperB;
+    z ^= (z << 37) & kTemperC;
+    z ^= z >> 43;
+    store(dst + i, z);
+  }
+}
+
+#if VLCSA_HAVE_X86_BACKENDS
+
+// ---- AVX2 backend ----------------------------------------------------------
+
+#define VLCSA_AVX2 __attribute__((target("avx2")))
+
+VLCSA_AVX2 void gp_avx2(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
+                        std::uint64_t* p, std::size_t m) {
+  gp_body<U64x4>(a, b, g, p, m);
+}
+VLCSA_AVX2 void kogge_avx2(const std::uint64_t* g, const std::uint64_t* p, int n,
+                           int lane_words, std::uint64_t* carry, std::uint64_t* pp) {
+  kogge_body<U64x4>(g, p, n, lane_words, carry, pp);
+}
+VLCSA_AVX2 void ssand_avx2(std::uint64_t* x, int n, int lane_words, int step) {
+  ssand_body<U64x4>(x, n, lane_words, step);
+}
+VLCSA_AVX2 void twist_avx2(std::uint64_t* mt) { twist_body<U64x4>(mt); }
+VLCSA_AVX2 void temper_avx2(const std::uint64_t* mt, std::uint64_t* dst) {
+  temper_body<U64x4>(mt, dst);
+}
+
 // Same recursive block swap as the scalar transpose; sub-block sizes >= 4
 // handle four rows per vector op (runs of consecutive k with bit j clear have
 // length j, a multiple of 4 there), sizes 2 and 1 finish scalar.
-__attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
+VLCSA_AVX2 void transpose_avx2(std::uint64_t block[64]) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
   int j = 32;
   for (; j >= 4; m ^= m << (j >>= 1)) {
@@ -178,18 +356,14 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
   }
 }
 
-#endif  // VLCSA_HAVE_AVX2_BACKEND
+#undef VLCSA_AVX2
 
 // ---- AVX-512 backend -------------------------------------------------------
 //
-// Same per-function target-attribute scheme as AVX2 (stock builds carry the
-// bodies, runtime cpuid picks them), at twice the width: 8 plane words per
-// vector.  The backend requires avx512f+avx512bw+avx512dq: the kernels here
-// need only f/bw, but the RNG's ziggurat fast path and the Gaussian encode
-// that ride this backend's dispatch use the dq int64 <-> double conversions.
-
-#if VLCSA_HAVE_AVX2_BACKEND  // same toolchain gate: x86-64 gcc/clang
-#define VLCSA_HAVE_AVX512_BACKEND 1
+// Twice the AVX2 width: 8 words per vector.  The backend requires
+// avx512f + avx512bw + avx512dq; the dq int64 <-> double conversions are
+// used by zig_accept and the Gaussian encode, so every row of this table
+// carries the full target list.
 
 // GCC's avx512fintrin.h expands the unmasked intrinsics through their masked
 // forms with an undefined pass-through operand, which -Wmaybe-uninitialized
@@ -201,73 +375,22 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-__attribute__((target("avx512f,avx512bw"))) void gp_avx512(const std::uint64_t* a,
-                                                           const std::uint64_t* b,
-                                                           std::uint64_t* g, std::uint64_t* p,
-                                                           std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(g + i, _mm512_and_si512(va, vb));
-    _mm512_storeu_si512(p + i, _mm512_xor_si512(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
+#define VLCSA_AVX512 __attribute__((target("avx512f,avx512bw,avx512dq")))
 
-// Top-down chunked doubling rounds, same pre-round-read argument as
-// kogge_avx2: within one 8-word chunk all loads precede the stores, and
-// chunks run from the top of the array downward.
-__attribute__((target("avx512f,avx512bw"))) void kogge_avx512(const std::uint64_t* g,
-                                                              const std::uint64_t* p, int n,
-                                                              int lane_words,
-                                                              std::uint64_t* carry,
-                                                              std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= 8 && i >= 8) {
-      i -= 8;
-      const __m512i c = _mm512_loadu_si512(carry + i);
-      const __m512i q = _mm512_loadu_si512(pp + i);
-      const __m512i cl = _mm512_loadu_si512(carry + i - off);
-      const __m512i ql = _mm512_loadu_si512(pp + i - off);
-      // vpternlog 0xF8 = c | (q & cl).
-      _mm512_storeu_si512(carry + i, _mm512_ternarylogic_epi64(c, q, cl, 0xF8));
-      _mm512_storeu_si512(pp + i, _mm512_and_si512(q, ql));
-    }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
-  }
+VLCSA_AVX512 void gp_avx512(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
+                            std::uint64_t* p, std::size_t m) {
+  gp_body<U64x8>(a, b, g, p, m);
 }
-
-__attribute__((target("avx512f,avx512bw"))) void ssand_avx512(std::uint64_t* x, int n,
-                                                              int lane_words, int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  std::size_t i = m;
-  while (i - off >= 8 && i >= 8) {
-    i -= 8;
-    const __m512i hi = _mm512_loadu_si512(x + i);
-    const __m512i lo = _mm512_loadu_si512(x + i - off);
-    _mm512_storeu_si512(x + i, _mm512_and_si512(hi, lo));
-  }
-  while (i > off) {
-    --i;
-    x[i] &= x[i - off];
-  }
-  std::memset(x, 0, off * sizeof(std::uint64_t));
+VLCSA_AVX512 void kogge_avx512(const std::uint64_t* g, const std::uint64_t* p, int n,
+                               int lane_words, std::uint64_t* carry, std::uint64_t* pp) {
+  kogge_body<U64x8>(g, p, n, lane_words, carry, pp);
+}
+VLCSA_AVX512 void ssand_avx512(std::uint64_t* x, int n, int lane_words, int step) {
+  ssand_body<U64x8>(x, n, lane_words, step);
+}
+VLCSA_AVX512 void twist_avx512(std::uint64_t* mt) { twist_body<U64x8>(mt); }
+VLCSA_AVX512 void temper_avx512(const std::uint64_t* mt, std::uint64_t* dst) {
+  temper_body<U64x8>(mt, dst);
 }
 
 // Same recursive block swap as the scalar transpose, with the whole block
@@ -292,7 +415,7 @@ constexpr std::uint64_t transpose_mask(unsigned j) {
 constexpr int kSelectBits = 0xCA;
 
 template <unsigned J>  // J = 32, 16, 8: register i pairs with i + J / 8
-__attribute__((target("avx512f,avx512bw"))) inline void transpose_level_regs(__m512i (&r)[8]) {
+VLCSA_AVX512 inline void transpose_level_regs(__m512i (&r)[8]) {
   constexpr std::uint64_t m = transpose_mask(J);
   constexpr int d = J / 8;
   const __m512i lo_sel = _mm512_set1_epi64(static_cast<long long>(m << J));
@@ -308,7 +431,7 @@ __attribute__((target("avx512f,avx512bw"))) inline void transpose_level_regs(__m
 }
 
 template <unsigned J>  // J = 4, 2, 1: lane k pairs with lane k ^ J
-__attribute__((target("avx512f,avx512bw"))) inline void transpose_level_lanes(__m512i (&r)[8]) {
+VLCSA_AVX512 inline void transpose_level_lanes(__m512i (&r)[8]) {
   constexpr std::uint64_t m = transpose_mask(J);
   constexpr long long j = J;
   constexpr __mmask8 hi_lanes = J == 4 ? 0xF0 : J == 2 ? 0xCC : 0xAA;
@@ -326,7 +449,7 @@ __attribute__((target("avx512f,avx512bw"))) inline void transpose_level_lanes(__
   }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t block[64]) {
+VLCSA_AVX512 void transpose_avx512(std::uint64_t block[64]) {
   __m512i r[8];
   for (int i = 0; i < 8; ++i) r[i] = _mm512_loadu_si512(block + 8 * i);
   transpose_level_regs<32>(r);
@@ -338,11 +461,82 @@ __attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t 
   for (int i = 0; i < 8; ++i) _mm512_storeu_si512(block + 8 * i, r[i]);
 }
 
+// Eight words per step: the same integer layer test and multiply as
+// zig_fast (cvtepi64_pd and the scalar int64 -> double cast both round in
+// the current rounding mode), with kn/wn gathered per lane.  A chunk
+// holding a rejected word stores only the lanes below it.
+VLCSA_AVX512 std::size_t zig_accept_avx512(const std::uint64_t* words, std::size_t m,
+                                           const std::uint64_t* kn, const double* wn,
+                                           double* dst) {
+  const __m512i layer_bits = _mm512_set1_epi64(0xFF);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    const __m512i w = _mm512_loadu_si512(words + i);
+    const __m512i iz = _mm512_and_si512(w, layer_bits);
+    const __m512i hz = _mm512_srai_epi64(w, 9);
+    const __mmask8 accept =
+        _mm512_cmplt_epu64_mask(_mm512_abs_epi64(hz), _mm512_i64gather_epi64(iz, kn, 8));
+    const __m512d x = _mm512_mul_pd(_mm512_cvtepi64_pd(hz), _mm512_i64gather_pd(iz, wn, 8));
+    if (accept != 0xFF) {
+      const unsigned taken = static_cast<unsigned>(__builtin_ctz(~accept & 0xFFu));
+      _mm512_mask_storeu_pd(dst + i, static_cast<__mmask8>((1u << taken) - 1), x);
+      return i + taken;
+    }
+    _mm512_storeu_pd(dst + i, x);
+  }
+  return i + zig_accept_scalar(words + i, m - i, kn, wn, dst + i);
+}
+
+// Eight samples per step, bit-identical to the scalar body: a/b
+// deinterleaved by permutex2var; mean + sigma * x as a separate multiply and
+// add (the _round forms are builtins, so no FMA contraction can fuse them,
+// and the build passes -ffp-contract=off so the scalar side never fuses
+// either); roundscale to nearest-even for nearbyint; min/max for the clamp,
+// whose NaN handling matches fmin/fmax on the second operand; truncating
+// conversions, exact on integral values in range (out-of-range samples are
+// undefined in the scalar oracle too); and the sign mask straight from the
+// int64 sign bits.
+VLCSA_AVX512 void encode_avx512(const GaussianEncode& e, const double* variates,
+                                std::uint64_t* rows, std::uint64_t sign[2]) {
+  constexpr int kRound = _MM_FROUND_CUR_DIRECTION;
+  const __m512i pick[2] = {_mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                           _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15)};
+  const __m512d mean = _mm512_set1_pd(e.mean);
+  const __m512d sigma = _mm512_set1_pd(e.sigma);
+  const bool clamp = e.width < 64;  // the bounds below are used only then
+  const __m512d lo = _mm512_set1_pd(-std::ldexp(1.0, e.width - 1));
+  const __m512d hi = _mm512_set1_pd(std::ldexp(1.0, e.twos ? e.width - 1 : e.width) - 1.0);
+  const __m512i top_mask = _mm512_set1_epi64(static_cast<long long>(width_mask(e.width)));
+  sign[0] = sign[1] = 0;
+  for (int g = 0; g < kGroupLanes / 8; ++g) {
+    const __m512d v0 = _mm512_loadu_pd(variates + 16 * g);
+    const __m512d v1 = _mm512_loadu_pd(variates + 16 * g + 8);
+    for (int op = 0; op < 2; ++op) {
+      const __m512d x = _mm512_permutex2var_pd(v0, pick[op], v1);
+      __m512d y = _mm512_add_round_pd(mean, _mm512_mul_round_pd(sigma, x, kRound), kRound);
+      y = _mm512_roundscale_pd(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+      __m512i word;
+      if (e.twos) {
+        if (clamp) y = _mm512_min_pd(_mm512_max_pd(y, lo), hi);
+        word = _mm512_cvttpd_epi64(y);
+        sign[op] |= static_cast<std::uint64_t>(_mm512_movepi64_mask(word)) << (8 * g);
+      } else {
+        y = _mm512_abs_pd(y);
+        if (clamp) y = _mm512_min_pd(y, hi);
+        word = _mm512_cvttpd_epu64(y);
+      }
+      _mm512_storeu_si512(rows + op * kGroupLanes + 8 * g, _mm512_and_si512(word, top_mask));
+    }
+  }
+}
+
+#undef VLCSA_AVX512
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
-#endif  // VLCSA_HAVE_AVX512_BACKEND
+#endif  // VLCSA_HAVE_X86_BACKENDS
 
 // ---- dispatch --------------------------------------------------------------
 
@@ -354,21 +548,29 @@ struct Kernels {
                 std::uint64_t*);
   void (*ssand)(std::uint64_t*, int, int, int);
   void (*transpose)(std::uint64_t*);
+  void (*twist)(std::uint64_t*);
+  void (*temper)(const std::uint64_t*, std::uint64_t*);
+  std::size_t (*zig_accept)(const std::uint64_t*, std::size_t, const std::uint64_t*,
+                            const double*, double*);
+  void (*encode)(const GaussianEncode&, const double*, std::uint64_t*, std::uint64_t*);
 };
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, gp_scalar, kogge_scalar, ssand_scalar, transpose_scalar,
+    Backend::kScalar, gp_scalar,     kogge_scalar,      ssand_scalar,  transpose_scalar,
+    twist_scalar,     temper_scalar, zig_accept_scalar, encode_scalar,
 };
 
-#if VLCSA_HAVE_AVX2_BACKEND
+#if VLCSA_HAVE_X86_BACKENDS
+// The ziggurat fast path and the encode need avx512dq; the AVX2 row runs
+// their scalar bodies.
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, gp_avx2, kogge_avx2, ssand_avx2, transpose_avx2,
+    Backend::kAvx2, gp_avx2,     kogge_avx2,        ssand_avx2,    transpose_avx2,
+    twist_avx2,     temper_avx2, zig_accept_scalar, encode_scalar,
 };
-#endif
 
-#if VLCSA_HAVE_AVX512_BACKEND
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, gp_avx512, kogge_avx512, ssand_avx512, transpose_avx512,
+    Backend::kAvx512, gp_avx512,     kogge_avx512,      ssand_avx512,  transpose_avx512,
+    twist_avx512,     temper_avx512, zig_accept_avx512, encode_avx512,
 };
 #endif
 
@@ -377,12 +579,12 @@ const Kernels* kernels_for(Backend backend) {
     case Backend::kScalar:
       return &kScalarKernels;
     case Backend::kAvx2:
-#if VLCSA_HAVE_AVX2_BACKEND
+#if VLCSA_HAVE_X86_BACKENDS
       if (__builtin_cpu_supports("avx2")) return &kAvx2Kernels;
 #endif
       return nullptr;
     case Backend::kAvx512:
-#if VLCSA_HAVE_AVX512_BACKEND
+#if VLCSA_HAVE_X86_BACKENDS
       if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
           __builtin_cpu_supports("avx512dq")) {
         return &kAvx512Kernels;
@@ -427,15 +629,28 @@ const Kernels* resolve_initial() {
   return &kScalarKernels;
 }
 
-std::atomic<const Kernels*>& active_slot() {
-  // Function-local so the env override resolves exactly once, on first use,
-  // regardless of static-initialization order.
-  static std::atomic<const Kernels*> slot{resolve_initial()};
-  return slot;
+// The dispatch table in use; null until first use.  Constant-initialized,
+// so a kernel called from another file's static initializer still finds it.
+constinit std::atomic<const Kernels*> active_table{nullptr};
+
+// First use: resolves the env override exactly once (a function-local
+// static, whatever the static-initialization order).  Out of line and cold,
+// so every kernel entry point stays a load, a test and a tail jump — with
+// the resolution inlined, GCC saved six registers on every kernel call.
+[[gnu::cold, gnu::noinline]] const Kernels& resolve_active() {
+  static const bool resolved = [] {
+    const Kernels* unset = nullptr;
+    active_table.compare_exchange_strong(unset, resolve_initial(),
+                                         std::memory_order_relaxed);
+    return true;
+  }();
+  (void)resolved;
+  return *active_table.load(std::memory_order_relaxed);
 }
 
 inline const Kernels& active() {
-  return *active_slot().load(std::memory_order_relaxed);
+  const Kernels* k = active_table.load(std::memory_order_relaxed);
+  return k != nullptr ? *k : resolve_active();
 }
 
 }  // namespace
@@ -456,13 +671,15 @@ bool backend_available(Backend backend) { return kernels_for(backend) != nullptr
 bool set_backend(Backend backend) {
   const Kernels* k = kernels_for(backend);
   if (k == nullptr) return false;
-  active_slot().store(k, std::memory_order_relaxed);
+  (void)active();  // the env override still resolves (and reports) first
+  active_table.store(k, std::memory_order_relaxed);
   return true;
 }
 
 bool set_backend(std::string_view name) {
   if (name == "auto") {
-    active_slot().store(best_kernels(), std::memory_order_relaxed);
+    (void)active();
+    active_table.store(best_kernels(), std::memory_order_relaxed);
     return true;
   }
   const std::optional<Backend> backend = parse_backend(name);
@@ -490,5 +707,25 @@ void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step) {
 }
 
 void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }
+
+void mt_twist(std::uint64_t state[kMtStateWords]) { active().twist(state); }
+
+void mt_regenerate(std::uint64_t state[kMtStateWords], std::uint64_t* out, std::size_t blocks) {
+  const Kernels& k = active();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    k.twist(state);
+    k.temper(state, out + b * kMtStateWords);
+  }
+}
+
+std::size_t zig_accept(const std::uint64_t* words, std::size_t m, const std::uint64_t* kn,
+                       const double* wn, double* dst) {
+  return active().zig_accept(words, m, kn, wn, dst);
+}
+
+void encode_gaussian_group(const GaussianEncode& e, const double* variates,
+                           std::uint64_t* rows, std::uint64_t sign[2]) {
+  active().encode(e, variates, rows, sign);
+}
 
 }  // namespace vlcsa::arith::planeops

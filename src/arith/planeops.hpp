@@ -1,13 +1,18 @@
 #pragma once
-// Plane-kernel layer: the word-parallel primitives the bit-sliced models and
-// operand fills run — the VLSA baseline's generate/propagate fill,
-// Kogge-Stone prefix and propagate-run sweep, and the 64x64 bit transpose
-// behind the operand streams — each with a scalar backend and (on x86-64)
-// AVX2 (avx2) and AVX-512 (avx512f + avx512bw + avx512dq) backends,
-// selected once at startup by runtime CPU dispatch.  Other targets
-// (aarch64 included) run the scalar oracle.  The RNG twist/temper, the
-// ziggurat fast path and the Gaussian encode follow the same dispatch
-// through active_backend().
+// Plane-kernel layer: every word-parallel kernel the Monte Carlo path runs,
+// and the one module that knows which ISA backs which kernel.  It owns:
+//  * the VLSA baseline's generate/propagate fill (bulk_gp), Kogge-Stone
+//    prefix (kogge_stone) and propagate-run sweep (shifted_self_and);
+//  * the 64x64 bit transpose behind the operand streams (transpose_64x64);
+//  * the MT19937-64 block twist and tempering under BlockRng (mt_twist,
+//    mt_regenerate);
+//  * the ziggurat fast path under GaussianBlockSampler::fill (zig_accept);
+//  * the Gaussian operand encode of one 64-sample group
+//    (encode_gaussian_group).
+// Each has a scalar backend and (on x86-64 gcc/clang) AVX2 (avx2) and
+// AVX-512 (avx512f + avx512bw + avx512dq) backends, selected once at startup
+// by runtime CPU dispatch.  Other targets (aarch64 included) run the scalar
+// oracle.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp).
@@ -29,6 +34,7 @@
 //    the SIMD backends are unaligned-safe, so alignment is a performance
 //    contract, not a correctness one.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -115,5 +121,84 @@ void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step);
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i, and bit j
 /// of row i moves to bit i of row j.
 void transpose_64x64(std::uint64_t block[64]);
+
+// ---- MT19937-64 block kernels ----------------------------------------------
+
+/// MT19937-64 state size in words (BlockRng::kStateWords).
+inline constexpr std::size_t kMtStateWords = 312;
+
+/// One MT19937-64 twist of the whole state, in place — the std engine's
+/// regeneration of the next kMtStateWords untempered words.
+void mt_twist(std::uint64_t state[kMtStateWords]);
+
+/// `blocks` consecutive MT19937-64 blocks: each twists the state and writes
+/// its kMtStateWords tempered words to the next stretch of `out` (which
+/// must not alias the state).  One dispatch for the whole run.
+void mt_regenerate(std::uint64_t state[kMtStateWords], std::uint64_t* out,
+                   std::size_t blocks = 1);
+
+// ---- ziggurat fast path ----------------------------------------------------
+//
+// One raw 64-bit word per attempt of a 256-layer ziggurat: the low 8 bits
+// pick the layer iz, the top 55 bits form a signed mantissa hz with
+// |hz| < 2^54, and the layer test accepts when |hz| < kn[iz], giving
+// x = hz * wn[iz].  The tables (256 entries each) belong to the caller
+// (rng.cpp's GaussianBlockSampler).
+
+/// The fast path for one word: x = hz * wn[iz] always, and whether the
+/// layer test accepts it.
+inline bool zig_fast(std::uint64_t w, const std::uint64_t* kn, const double* wn, double& x) {
+  const std::size_t iz = w & 0xFF;
+  const std::int64_t hz = static_cast<std::int64_t>(w) >> 9;
+  const std::uint64_t mag = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
+  x = static_cast<double>(hz) * wn[iz];
+  return mag < kn[iz];
+}
+
+/// Fast-path variates of the longest accepted prefix of words[0, m): writes
+/// dst[0, k) and returns k, stopping at the first word the layer test
+/// rejects (k < m), which the caller hands to its slow path.
+std::size_t zig_accept(const std::uint64_t* words, std::size_t m, const std::uint64_t* kn,
+                       const double* wn, double* dst);
+
+// ---- Gaussian operand encode -----------------------------------------------
+
+/// round(sample) clamped to the signed range of `width` bits, as int64.
+inline std::int64_t signed_sample_to_i64(int width, double sample) {
+  const double rounded = std::nearbyint(sample);
+  if (width >= 64) {
+    // sigma = 2^32 keeps samples far inside int64 range (8 sigma < 2^36).
+    return static_cast<std::int64_t>(rounded);
+  }
+  const double lo = -std::ldexp(1.0, width - 1);
+  const double hi = std::ldexp(1.0, width - 1) - 1.0;
+  return static_cast<std::int64_t>(std::fmin(std::fmax(rounded, lo), hi));
+}
+
+/// |round(sample)| clamped to the unsigned range of `width` bits.
+inline std::uint64_t unsigned_sample_to_u64(int width, double sample) {
+  const double mag = std::fabs(std::nearbyint(sample));
+  if (width >= 64) return static_cast<std::uint64_t>(mag);
+  const double hi = std::ldexp(1.0, width) - 1.0;
+  return static_cast<std::uint64_t>(std::fmin(mag, hi));
+}
+
+/// How one Gaussian operand group is encoded: sample = mean + sigma * x,
+/// then signed_sample_to_i64 (twos) or unsigned_sample_to_u64 at `width`.
+struct GaussianEncode {
+  int width;
+  bool twos;  // two's complement, or magnitude
+  double mean;
+  double sigma;
+};
+
+/// One 64-sample group of standard-normal variates a0 b0 a1 b1 ... (128
+/// values, the sources' next() draw order) becomes the limb-0 rows of both
+/// operands — a's in rows[0, 64), b's in rows[64, 128), row j = sample j,
+/// masked to the width — plus the lane-wise sign masks of a and b in
+/// sign[0] / sign[1] (zero for the magnitude encode).  The scalar row is
+/// next()'s encode word for word.
+void encode_gaussian_group(const GaussianEncode& e, const double* variates,
+                           std::uint64_t* rows, std::uint64_t sign[2]);
 
 }  // namespace vlcsa::arith::planeops

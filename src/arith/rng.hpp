@@ -6,12 +6,10 @@
 // anywhere (tests/arith/rng_test.cpp pins the first 10^6 draws per seed).
 //
 // What the std engine cannot do, and this one exists for: the 312-word state
-// is regenerated as one *block* (SIMD twist + batched tempering through the
-// planeops backend pattern — scalar oracle + AVX2, runtime dispatch,
-// VLCSA_FORCE_BACKEND / planeops::set_backend respected), and consumers can
-// pull whole blocks with generate_block() instead of one word per call.
-// That lifts the Amdahl ceiling PR 4 left: operand generation was ~90% of
-// batched sampling cost, dominated by per-call std::mt19937_64 draws.
+// is regenerated as one *block* (planeops::mt_regenerate / mt_twist, so the
+// planeops backend dispatch — VLCSA_FORCE_BACKEND, planeops::set_backend —
+// picks their bodies), and consumers can pull whole blocks with
+// generate_block() instead of one word per call.
 //
 // Contracts:
 //  * operator() is sequence-identical to std::mt19937_64 under the same
@@ -20,14 +18,16 @@
 //    per-call consumption interleave freely.
 //  * Every planeops backend produces the identical stream (the scalar twist
 //    is the oracle; rng_test pins the others to it).
-//  * The engine's reproducibility contract is unchanged: make_stream_rng
-//    (and harness::make_shard_rng on top of it) feed all 128 bits of
-//    (seed, stream) through std::seed_seq exactly as before this subsystem.
+//  * The engine's reproducibility contract: make_stream_rng (and
+//    harness::make_shard_rng on top of it) feed all 128 bits of
+//    (seed, stream) through std::seed_seq.
 
 #include <cstddef>
 #include <cstdint>
 #include <random>
 #include <type_traits>
+
+#include "arith/planeops.hpp"
 
 namespace vlcsa::arith {
 
@@ -39,7 +39,7 @@ class BlockRng {
   using result_type = std::uint64_t;
 
   /// MT19937-64 state size (the block granularity of regeneration).
-  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kStateWords = planeops::kMtStateWords;
 
   /// Same default seed as std::mt19937_64.
   static constexpr result_type default_seed = 5489u;
@@ -131,10 +131,9 @@ class BlockRng {
 /// ziggurat would quantize samples in steps of ~2^8 there and corrupt
 /// low-bit carry statistics.
 ///
-/// fill() walks the word buffer in bulk: the fast-path layer test runs as a
-/// planeops-dispatched kernel (8 words per step on the avx512 backend, the
-/// scalar loop on the others) up to the first rejected word, which goes
-/// through operator()'s wedge/tail slow path before the walk resumes.
+/// fill() walks the word buffer in bulk: the fast-path layer test runs as
+/// planeops::zig_accept up to the first rejected word, which goes through
+/// operator()'s wedge/tail slow path before the walk resumes.
 ///
 /// Contracts:
 ///  * operator() and fill() consume the underlying BlockRng from one shared

@@ -121,8 +121,8 @@ TEST(Distributions, ToStringIsStable) {
                "gaussian-twos-complement");
 }
 
-// The Gaussian fill's group encode (vector on the avx512 backend, scalar
-// elsewhere) against next()'s scalar encode, lane by lane through
+// The Gaussian fill's group encode (planeops::encode_gaussian_group)
+// against next()'s scalar encode, lane by lane through
 // plane_lane, on every available backend.  Widths below 64 exercise the
 // clamp, 64 the plain 64-bit encode, and 65/128 the planes above limb 0
 // (sign masks for two's complement, zeros for magnitudes) that the paper's

@@ -1,14 +1,18 @@
 // Plane-kernel layer tests: every available backend (scalar always; AVX2 /
 // AVX-512 when the host supports them) must compute bit-identical results to
 // the scalar oracle on every kernel, including ragged tails and the
-// shape-sensitive Kogge-Stone / shifted-and kernels.  Also covers the
-// dispatch surface: backend naming, availability, the set_backend contract
-// and VLCSA_FORCE_BACKEND resolution.
+// shape-sensitive Kogge-Stone / shifted-and kernels, the MT19937-64
+// twist/temper and the ziggurat fast path (the Gaussian group encode is
+// pinned against next() by distributions_test's GaussianEncodeTest).  Also
+// covers the dispatch surface: backend naming, availability, the
+// set_backend contract and VLCSA_FORCE_BACKEND resolution.
 
 #include "arith/planeops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -220,6 +224,105 @@ TEST_P(PlaneOpsBackendTest, TransposeMatchesNaiveBitGather) {
   transpose_64x64(block);
   std::mt19937_64 rng2(5);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], rng2()) << "row " << i;
+}
+
+/// Runs `body` with the scalar backend, then restores the test's backend.
+template <typename Body>
+void on_scalar(Body body) {
+  const Backend backend = active_backend();
+  ASSERT_TRUE(set_backend(Backend::kScalar));
+  body();
+  ASSERT_TRUE(set_backend(backend));
+}
+
+// Random 312-word states (so every lane of every chunk and both scalar
+// tails see arbitrary words): a bare twist, then three blocks twisted and
+// tempered in one mt_regenerate — every backend against the scalar oracle,
+// state and tempered words alike.
+TEST_P(PlaneOpsBackendTest, MtTwistAndRegenerateMatchScalar) {
+  constexpr std::size_t kBlocks = 3;
+  std::mt19937_64 rng(6);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::uint64_t> want(kMtStateWords);
+    for (auto& word : want) word = rng();
+    std::vector<std::uint64_t> got = want;
+    std::vector<std::uint64_t> want_out(kBlocks * kMtStateWords);
+    std::vector<std::uint64_t> got_out(kBlocks * kMtStateWords);
+    on_scalar([&] {
+      mt_twist(want.data());
+      mt_regenerate(want.data(), want_out.data(), kBlocks);
+    });
+    mt_twist(got.data());
+    mt_regenerate(got.data(), got_out.data(), kBlocks);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(got_out, want_out) << "trial " << trial;
+  }
+}
+
+// zig_accept on crafted words: accepted words (|hz| < kn[iz]) everywhere
+// before position r and a rejected one at r, for every r in [0, m], so the
+// first rejection lands on each lane 0..7 of a vector chunk and in the
+// scalar remainder.  Words after r are random (accepted or not).  The
+// result must be r (m when nothing is rejected), dst[0, r) the fast-path
+// variates, and dst[r, m) untouched — on every backend, bit for bit the
+// scalar oracle.
+TEST_P(PlaneOpsBackendTest, ZigAcceptStopsAtTheFirstRejectedWord) {
+  constexpr std::int64_t kHzLimit = std::int64_t{1} << 54;  // |hz| <= 2^54
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> kn(256);
+  std::vector<double> wn(256);
+  for (int iz = 0; iz < 256; ++iz) {
+    kn[iz] = 1 + rng() % static_cast<std::uint64_t>(kHzLimit);
+    wn[iz] = std::ldexp(1.0 + static_cast<double>(iz) / 256.0, -54);
+  }
+  const auto word = [](std::int64_t hz, std::uint64_t iz) {
+    return (static_cast<std::uint64_t>(hz) << 9) | iz;
+  };
+  // hz uniform in (-limit, limit), i.e. |hz| < limit.
+  const auto hz_below = [&](std::uint64_t limit) {
+    const auto mag = static_cast<std::int64_t>(rng() % limit);
+    return (rng() & 1) != 0 ? -mag : mag;
+  };
+  constexpr double kSentinel = -12345.0;
+  for (const std::size_t m : {0, 1, 7, 8, 9, 17}) {
+    for (std::size_t r = 0; r <= m; ++r) {
+      std::vector<std::uint64_t> words(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint64_t iz = rng() & 0xFF;
+        if (i < r) {
+          words[i] = word(hz_below(kn[iz]), iz);
+        } else if (i == r) {
+          // Rejected: |hz| in [kn[iz], 2^54], the edges included.
+          const std::uint64_t span = static_cast<std::uint64_t>(kHzLimit) - kn[iz] + 1;
+          const std::uint64_t mag = r % 3 == 0   ? kn[iz]
+                                    : r % 3 == 1 ? static_cast<std::uint64_t>(kHzLimit)
+                                                 : kn[iz] + rng() % span;
+          const auto hz = static_cast<std::int64_t>(mag);
+          words[i] = word((rng() & 1) != 0 ? -hz : hz, iz);
+        } else {
+          words[i] = rng();
+        }
+      }
+      std::vector<double> want(m, kSentinel), got(m, kSentinel);
+      std::size_t want_taken = 0;
+      on_scalar([&] {
+        want_taken = zig_accept(words.data(), m, kn.data(), wn.data(), want.data());
+      });
+      const std::size_t taken = zig_accept(words.data(), m, kn.data(), wn.data(), got.data());
+      ASSERT_EQ(want_taken, r) << "m=" << m << " r=" << r;
+      ASSERT_EQ(taken, r) << "m=" << m << " r=" << r;
+      for (std::size_t i = 0; i < m; ++i) {
+        double x = 0.0;
+        if (i < r) {
+          ASSERT_TRUE(zig_fast(words[i], kn.data(), wn.data(), x)) << i;
+        } else {
+          x = kSentinel;
+        }
+        ASSERT_EQ(want[i], x) << "m=" << m << " r=" << r << " @" << i;
+        ASSERT_EQ(got[i], x) << "m=" << m << " r=" << r << " @" << i;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlaneOpsBackendTest,
