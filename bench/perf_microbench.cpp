@@ -17,6 +17,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -487,35 +489,48 @@ BENCHMARK(BM_MonteCarloVlcsaParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // request line without "trace" in it must pay exactly one substring scan and
 // one disabled-branch per stage, nothing else.  Arg 1 runs the same requests
 // with --trace-log enabled (span collection + one JSONL line per request),
-// which prices what an operator buys when they turn tracing on.
+// which prices what an operator buys when they turn tracing on.  Arg 2 adds
+// --access-log=FILE --access-log-max-bytes=64MiB: the production
+// configuration perfbench's svc-hit daemon runs.
 void BM_ServiceCachedHit(benchmark::State& state) {
-  const bool traced = state.range(0) != 0;
+  const int logs = static_cast<int>(state.range(0));
   service::ServiceConfig config;
   config.threads = 1;
-  std::filesystem::path trace_path;
-  if (traced) {
-    trace_path = std::filesystem::temp_directory_path() / "vlcsa_bench_trace.jsonl";
-    config.trace_log = trace_path.string();
+  // Per-process paths, so concurrent bench runs never share a log file.
+  const std::string prefix = (std::filesystem::temp_directory_path() /
+                              ("vlcsa_bench_" + std::to_string(::getpid()) + "_"))
+                                 .string();
+  if (logs >= 1) config.trace_log = prefix + "trace.jsonl";
+  if (logs >= 2) {
+    config.access_log = prefix + "access.jsonl";
+    config.access_log_max_bytes = std::uint64_t{64} << 20;
   }
-  service::ExperimentService service(config);
-  const std::string line =
-      "{\"request\": \"run\", \"experiment\": \"table7.1/n64\", \"samples\": 4096, \"seed\": 3}";
-  if (!service.handle_line(line).ok) {  // warm the memory tier
-    state.SkipWithError("warm-up run failed");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(service.handle_line(line));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(traced ? "traced" : "untraced");
-  if (traced) {
+  const auto remove_logs = [&config] {
     std::error_code ec;  // best-effort cleanup
-    std::filesystem::remove(trace_path, ec);
-    std::filesystem::remove(trace_path.string() + ".1", ec);
-  }
+    for (const std::string& path : {config.trace_log, config.access_log}) {
+      if (path.empty()) continue;
+      std::filesystem::remove(path, ec);
+      std::filesystem::remove(path + ".1", ec);
+    }
+  };
+  {
+    service::ExperimentService service(config);
+    const std::string line =
+        "{\"request\": \"run\", \"experiment\": \"table7.1/n64\", \"samples\": 4096, "
+        "\"seed\": 3}";
+    if (!service.handle_line(line).ok) {  // warm the memory tier
+      state.SkipWithError("warm-up run failed");
+    } else {
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(service.handle_line(line));
+      }
+      state.SetItemsProcessed(state.iterations());
+      state.SetLabel(logs == 0 ? "untraced" : logs == 1 ? "traced" : "traced+access");
+    }
+  }  // the service closes its logs before they are removed
+  remove_logs();
 }
-BENCHMARK(BM_ServiceCachedHit)->Arg(0)->Arg(1);
+BENCHMARK(BM_ServiceCachedHit)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

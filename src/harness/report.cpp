@@ -1,6 +1,7 @@
 #include "harness/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -43,81 +44,106 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+void append_json_escaped(std::string& out, std::string_view text) {
+  // Unescaped runs go in with one append each; only the bytes JSON needs
+  // rewritten are handled one at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf], kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_json_escaped(out, text);
   return out;
 }
 
-void JsonObject::add_raw(const std::string& key, std::string rendered) {
-  fields_.emplace_back(key, std::move(rendered));
+void JsonObject::add_raw(std::string_view key, std::string rendered) {
+  auto& field = fields_.emplace_back(std::string(), std::move(rendered));
+  append_json_escaped(field.first, key);
 }
 
-void JsonObject::add(const std::string& key, const std::string& value) {
-  add_raw(key, "\"" + json_escape(value) + "\"");
+void JsonObject::add(std::string_view key, std::string_view value) {
+  std::string rendered;
+  rendered.reserve(value.size() + 2);
+  rendered += '"';
+  append_json_escaped(rendered, value);
+  rendered += '"';
+  add_raw(key, std::move(rendered));
 }
 
-void JsonObject::add(const std::string& key, const char* value) {
-  add(key, std::string(value));
+void JsonObject::add(std::string_view key, const char* value) {
+  add(key, std::string_view(value));
 }
 
-void JsonObject::add(const std::string& key, std::uint64_t value) {
+void JsonObject::add(std::string_view key, std::uint64_t value) {
   add_raw(key, std::to_string(value));
 }
 
-void JsonObject::add(const std::string& key, double value) {
+void JsonObject::add(std::string_view key, double value) {
   if (!std::isfinite(value)) {
     add_raw(key, "null");
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  add_raw(key, buf);
+  // to_chars with general format and a precision is specified as printf's
+  // "%.17g" — the same bytes without the format-string parse.
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  add_raw(key, std::string(buf, end.ptr));
 }
 
-void JsonObject::add(const std::string& key, int value) { add_raw(key, std::to_string(value)); }
+void JsonObject::add(std::string_view key, int value) { add_raw(key, std::to_string(value)); }
 
-void JsonObject::add(const std::string& key, bool value) {
+void JsonObject::add(std::string_view key, bool value) {
   add_raw(key, value ? "true" : "false");
 }
 
-void JsonObject::add_json(const std::string& key, std::string rendered_json) {
+void JsonObject::add_json(std::string_view key, std::string rendered_json) {
   add_raw(key, std::move(rendered_json));
 }
 
 void JsonObject::write(std::ostream& os) const {
   os << "{\n";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
-    os << "  \"" << json_escape(fields_[i].first) << "\": " << fields_[i].second;
+    os << "  \"" << fields_[i].first << "\": " << fields_[i].second;
     os << (i + 1 < fields_.size() ? ",\n" : "\n");
   }
   os << "}\n";
 }
 
 std::string JsonObject::render_line() const {
-  std::string out = "{";
+  // {"k": v, ...}: 4 bytes of quotes and ": " per field, 2 of ", " between.
+  std::size_t size = 2;
+  for (const auto& [key, value] : fields_) size += key.size() + value.size() + 6;
+  std::string out;
+  out.reserve(size);
+  out += '{';
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + json_escape(fields_[i].first) + "\": " + fields_[i].second;
+    out += '"';
+    out += fields_[i].first;
+    out += "\": ";
+    out += fields_[i].second;
   }
-  out += "}";
+  out += '}';
   return out;
 }
 

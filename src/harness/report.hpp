@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,18 +34,23 @@ class Table {
 /// where the protocol nests a record inside a response.  Rendering is a pure
 /// function of the added fields — byte-identical output for identical fields
 /// is what makes cached records comparable against fresh recomputation.
+///
+/// Every byte is rendered once: add escapes the key and renders the value
+/// (strings escaped, doubles as printf "%.17g", non-finite doubles as null),
+/// and write/render_line only concatenate the stored pieces.
 class JsonObject {
  public:
-  void add(const std::string& key, const std::string& value);
-  void add(const std::string& key, const char* value);
-  void add(const std::string& key, std::uint64_t value);
-  void add(const std::string& key, double value);
-  void add(const std::string& key, int value);
-  void add(const std::string& key, bool value);
+  void add(std::string_view key, std::string_view value);
+  /// (A literal would otherwise convert to bool, not to string_view.)
+  void add(std::string_view key, const char* value);
+  void add(std::string_view key, std::uint64_t value);
+  void add(std::string_view key, double value);
+  void add(std::string_view key, int value);
+  void add(std::string_view key, bool value);
 
   /// Embeds `rendered_json` verbatim as the value (caller guarantees it is
   /// one valid JSON value, e.g. another JsonObject's render_line()).
-  void add_json(const std::string& key, std::string rendered_json);
+  void add_json(std::string_view key, std::string rendered_json);
 
   /// Writes "{...}\n", one field per line.
   void write(std::ostream& os) const;
@@ -54,13 +60,18 @@ class JsonObject {
   [[nodiscard]] std::string render_line() const;
 
  private:
-  void add_raw(const std::string& key, std::string rendered);
+  void add_raw(std::string_view key, std::string rendered);
 
+  // (escaped key, rendered value) in insertion order.
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// JSON string escaping (quotes, backslash, control characters).
-[[nodiscard]] std::string json_escape(const std::string& text);
+/// JSON string escaping (quotes, backslash, control characters; bytes from
+/// 0x20 up, UTF-8 included, pass through).
+[[nodiscard]] std::string json_escape(std::string_view text);
+
+/// Appends json_escape(text) to `out` without a temporary.
+void append_json_escaped(std::string& out, std::string_view text);
 
 struct RunProfile;  // engine.hpp
 

@@ -83,8 +83,10 @@ ServiceMetrics::InFlight::~InFlight() {
   --metrics_.in_flight_;
 }
 
-void ServiceMetrics::record_request(const std::string& type, bool ok, double seconds) {
+void ServiceMetrics::record_request(const std::string& type, bool ok, double seconds,
+                                    std::span<const TraceSpan> spans) {
   const auto now = std::chrono::steady_clock::now();
+  const auto& stages = stage_names();
   const std::lock_guard<std::mutex> lock(mutex_);
   ++requests_total_;
   ++(ok ? ok_total_ : error_total_);
@@ -113,6 +115,17 @@ void ServiceMetrics::record_request(const std::string& type, bool ok, double sec
     second_counts_[slot] = 0;
   }
   ++second_counts_[slot];
+
+  for (const TraceSpan& span : spans) {
+    if (span.depth == 0) continue;
+    const auto stage = std::find(stages.begin(), stages.end(), span.name);
+    if (stage == stages.end()) continue;
+    const double span_seconds = static_cast<double>(span.dur_us) * 1e-6;
+    StageState& state = stages_[static_cast<std::size_t>(stage - stages.begin())];
+    ++state.buckets[bucket_index(span_seconds)];
+    state.sum_seconds += span_seconds;
+    ++state.count;
+  }
 }
 
 void ServiceMetrics::record_timeout() {
@@ -139,20 +152,6 @@ void ServiceMetrics::record_rejected_connection() {
 void ServiceMetrics::set_draining(bool draining) {
   const std::lock_guard<std::mutex> lock(mutex_);
   draining_ = draining;
-}
-
-void ServiceMetrics::record_stage(const std::string& stage, double seconds) {
-  const auto& names = stage_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == stage) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      StageState& state = stages_[i];
-      ++state.buckets[bucket_index(seconds)];
-      state.sum_seconds += seconds;
-      ++state.count;
-      return;
-    }
-  }
 }
 
 MetricsSnapshot ServiceMetrics::snapshot() const {

@@ -18,10 +18,12 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "service/cache.hpp"
+#include "service/trace.hpp"
 
 namespace vlcsa::service {
 
@@ -32,7 +34,7 @@ struct RequestTypeCount {
 };
 
 /// One stage's latency histogram (per-stage request breakdown, fed from the
-/// trace spans — see ServiceMetrics::record_stage).  `buckets` is parallel
+/// trace spans — see ServiceMetrics::record_request).  `buckets` is parallel
 /// to latency_bucket_bounds_seconds() plus one overflow slot.
 struct StageLatency {
   std::string name;
@@ -86,8 +88,13 @@ class ServiceMetrics {
 
   /// Records one completed request line: its protocol type (a kRequestTypes
   /// name, or "invalid" for lines that never reached a handler), whether the
-  /// response said ok, and the handler wall time.
-  void record_request(const std::string& type, bool ok, double seconds);
+  /// response said ok, the handler wall time, and its trace spans (empty when
+  /// untraced), whose durations feed the per-stage latency histograms.  The
+  /// depth-0 root span is skipped (its distribution is the request latency
+  /// histogram itself), and span names outside stage_names() are ignored so
+  /// the histogram label set stays fixed for scrapers.  One lock per request.
+  void record_request(const std::string& type, bool ok, double seconds,
+                      std::span<const TraceSpan> spans = {});
 
   /// One run/run-batch element hit its deadline and was cancelled.
   void record_timeout();
@@ -110,19 +117,14 @@ class ServiceMetrics {
   /// — a draining daemon exits).
   void set_draining(bool draining);
 
-  /// Records one stage duration (a trace span) into the per-stage latency
-  /// histograms.  `stage` must be a stage_names() entry; unknown names are
-  /// ignored so the histogram label set stays fixed for scrapers.
-  void record_stage(const std::string& stage, double seconds);
-
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// The request-type names the breakdown tracks ("invalid" last).
   [[nodiscard]] static const std::vector<std::string>& request_types();
 
-  /// The stage names record_stage accepts — the trace span names the
-  /// service emits (service.cpp), which double as the `stage` label values
-  /// of the Prometheus exposition.
+  /// The stage names record_request bins span durations under — the trace
+  /// span names the service emits (service.cpp), which double as the `stage`
+  /// label values of the Prometheus exposition.
   [[nodiscard]] static const std::vector<std::string>& stage_names();
 
   /// Upper bucket bounds of every latency histogram, in seconds (the 1-2-5

@@ -298,8 +298,9 @@ void SocketServer::handle_connection(int fd) {
     // reports on before it returns.  Only the transport's own stop/drain
     // state follows the send: flipping it first could shut this connection
     // before its reply went out.
-    const ExperimentService::Reply reply = service_.handle_line(line);
-    if (!send_all(fd, reply.line + "\n")) break;
+    ExperimentService::Reply reply = service_.handle_line(line);
+    reply.line += '\n';  // in place: the reply is not copied to frame it
+    if (!send_all(fd, reply.line)) break;
     if (reply.shutdown) {
       request_stop();
       break;

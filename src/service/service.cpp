@@ -232,7 +232,7 @@ ExperimentService::ExperimentService(ServiceConfig config)
       cache_(config_.cache_dir, config_.memory_entries, config_.cache_max_bytes,
              config_.lease_stale_ms) {
   if (!config_.trace_log.empty()) {
-    log_error_ = trace_log_.open(config_.trace_log);
+    log_error_ = trace_log_.open(config_.trace_log, config_.trace_log_max_bytes);
   }
   if (!config_.access_log.empty()) {
     std::string error = access_log_.open(config_.access_log, config_.access_log_max_bytes);
@@ -340,7 +340,9 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
   ctx.trace.close(root);
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   finalize_request(ctx, type, reply, wall);
-  metrics_.record_request(type, reply.ok, wall);
+  // One metrics update per request: the counters, the latency histogram and
+  // the per-stage histograms fed from the span durations.
+  metrics_.record_request(type, reply.ok, wall, ctx.trace.spans());
   return reply;
 }
 
@@ -348,27 +350,37 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
                                          Reply& reply, double wall_seconds) {
   if (!ctx.trace.enabled() && !access_log_.enabled()) return;
 
-  // Span durations feed the per-stage latency histograms ("metrics-prom");
-  // the depth-0 root is the request latency histogram itself and is skipped.
-  for (const TraceSpan& span : ctx.trace.spans()) {
-    if (span.depth == 0) continue;
-    metrics_.record_stage(span.name, static_cast<double>(span.dur_us) * 1e-6);
-  }
-
   if (ctx.trace_id.empty()) ctx.trace_id = trace_ids_.next();
   const bool slow =
       config_.slow_ms > 0 && wall_seconds * 1e3 >= static_cast<double>(config_.slow_ms);
+
+  // The span tree is rendered once; the echo and the trace line share it.
+  // Both extend an already-rendered object whose closing brace the caller
+  // dropped: `, "spans": [...]` (+ `, "profile": {...}`) and the brace.
+  const bool echo = ctx.echo && !reply.line.empty() && reply.line.back() == '}';
+  std::string spans;
+  if (echo || trace_log_.enabled()) spans = ctx.trace.render_spans();
+  const auto close_with_spans = [&](std::string& line) {
+    line += ", \"spans\": ";
+    line += spans;
+    if (!ctx.profile_json.empty()) {
+      line += ", \"profile\": ";
+      line += ctx.profile_json;
+    }
+    line += '}';
+  };
 
   // The echo goes into the already-rendered reply envelope, in front of its
   // closing brace — the embedded record bytes stay untouched, keeping the
   // determinism contract (cached records never carry wall time or spans).
   // A traced engine run's profile rides along, so a sweep or client can
   // attribute a computed run without tailing the daemon's trace log.
-  if (ctx.echo && !reply.line.empty() && reply.line.back() == '}') {
-    std::string echo = ", \"trace_id\": \"" + harness::json_escape(ctx.trace_id) +
-                       "\", \"spans\": " + ctx.trace.render_spans();
-    if (!ctx.profile_json.empty()) echo += ", \"profile\": " + ctx.profile_json;
-    reply.line.insert(reply.line.size() - 1, echo);
+  if (echo) {
+    reply.line.pop_back();
+    reply.line += ", \"trace_id\": \"";
+    harness::append_json_escaped(reply.line, ctx.trace_id);
+    reply.line += '"';
+    close_with_spans(reply.line);
   }
 
   if (!trace_log_.enabled() && !access_log_.enabled()) return;
@@ -386,15 +398,18 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
   if (ctx.code != nullptr) entry.add("code", ctx.code);
   entry.add("wall_ms", wall_seconds * 1e3);
   if (slow) entry.add("slow", true);
-  if (access_log_.enabled()) access_log_.write(entry.render_line());
+  std::string line = entry.render_line();
+  if (access_log_.enabled()) access_log_.write(line);
   if (trace_log_.enabled()) {
     // The trace line is the access line plus the span tree and, for traced
     // engine runs, the per-shard profile — one self-contained JSONL record
     // per request, which is what lets a slow request be attributed to a
-    // stage from the log alone.
-    entry.add_json("spans", ctx.trace.render_spans());
-    if (!ctx.profile_json.empty()) entry.add_json("profile", ctx.profile_json);
-    trace_log_.write(entry.render_line());
+    // stage from the log alone.  It extends the rendered access line in
+    // place: the same bytes as rendering the entry again with "spans" (and
+    // "profile") added as its last fields.
+    line.pop_back();
+    close_with_spans(line);
+    trace_log_.write(line);
   }
 }
 
@@ -607,7 +622,7 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   response.add("experiment", run.experiment);
   response.add("cache", ctx.cache);
   response.add("wall_seconds", wall);
-  response.add_json("record", outcome.record);
+  response.add_json("record", std::move(outcome.record));
   return {response.render_line(), false};
 }
 

@@ -75,6 +75,9 @@ struct ServiceConfig {
   std::uint64_t cache_max_bytes = 0;  // disk-tier byte cap; 0 = unbounded
   int timeout_ms = 0;  // default per-request run deadline; 0 = none
   std::string trace_log{};   // JSONL trace sink (--trace-log); empty = off
+  // Trace-log rotate cap: built in (no flag) and generous, but bounded — a
+  // cache hit's trace line is ~440 bytes, ~20 MB/s on a busy daemon.
+  std::uint64_t trace_log_max_bytes = std::uint64_t{1} << 30;
   std::string access_log{};  // JSONL access sink (--access-log); empty = off
   std::uint64_t access_log_max_bytes = 0;  // rotate cap; 0 = unbounded
   int slow_ms = 0;  // flag requests at/over this wall time; 0 = never

@@ -1,5 +1,6 @@
 #include "service/trace.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -18,6 +19,12 @@ std::uint64_t us_since(RequestTrace::Clock::time_point origin) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                         RequestTrace::Clock::now() - origin)
                                         .count());
+}
+
+template <class Integer>
+void append_decimal(std::string& out, Integer value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 }  // namespace
@@ -47,18 +54,25 @@ void RequestTrace::close(std::size_t handle) {
 }
 
 std::string RequestTrace::render_spans() const {
-  std::string out = "[";
+  // The bytes JsonObject::render_line would give each span, appended in
+  // place instead of through one JsonObject per span.
+  std::string out;
+  out.reserve(2 + spans_.size() * 80);
+  out += '[';
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const TraceSpan& span = spans_[i];
     if (i != 0) out += ", ";
-    harness::JsonObject object;
-    object.add("name", span.name);
-    object.add("depth", span.depth);
-    object.add("start_us", span.start_us);
-    object.add("dur_us", span.dur_us);
-    out += object.render_line();
+    out += "{\"name\": \"";
+    harness::append_json_escaped(out, span.name);
+    out += "\", \"depth\": ";
+    append_decimal(out, span.depth);
+    out += ", \"start_us\": ";
+    append_decimal(out, span.start_us);
+    out += ", \"dur_us\": ";
+    append_decimal(out, span.dur_us);
+    out += '}';
   }
-  out += "]";
+  out += ']';
   return out;
 }
 

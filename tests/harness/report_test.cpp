@@ -2,12 +2,55 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "arith/rng.hpp"
 
 namespace vlcsa::harness {
 namespace {
+
+/// The byte-at-a-time escaper JsonObject used before it escaped in runs:
+/// the oracle the single-pass renderer must match byte for byte.
+std::string reference_escape(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string printf_17g(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+std::string rendered_double(double value) {
+  JsonObject object;
+  object.add("v", value);
+  return object.render_line();
+}
 
 TEST(JsonEscape, QuotesBackslashesAndNamedControls) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -48,6 +91,77 @@ TEST(JsonObject, NonFiniteDoublesBecomeNull) {
   object.add("finite", 0.5);
   EXPECT_EQ(object.render_line(),
             "{\"nan\": null, \"inf\": null, \"neg_inf\": null, \"finite\": 0.5}");
+}
+
+TEST(JsonObject, DoublesRenderAsPrintf17g) {
+  const std::vector<double> edges = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      0.1,
+      1.0 / 3.0,
+      9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+      1e16,
+      1e17,
+      1e-300,
+      0.5,
+      123456789.0,
+      1e-5,
+      1e-4,
+  };
+  for (const double value : edges) {
+    EXPECT_EQ(rendered_double(value), "{\"v\": " + printf_17g(value) + "}") << printf_17g(value);
+  }
+
+  // Random bit patterns cover every exponent, subnormals and both signs.
+  arith::BlockRng rng = arith::make_stream_rng(20, 1);
+  int checked = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double value = std::bit_cast<double>(rng());
+    if (!std::isfinite(value)) continue;
+    ++checked;
+    const std::string expected = "{\"v\": " + printf_17g(value) + "}";
+    const std::string actual = rendered_double(value);
+    if (actual != expected) {
+      ADD_FAILURE() << "mismatch: " << actual << " vs " << expected;
+      break;
+    }
+  }
+  EXPECT_GT(checked, 99000);
+}
+
+TEST(JsonObject, EscapingMatchesTheByteAtATimeEscaper) {
+  const std::vector<std::string> texts = {
+      "",
+      "plain",
+      "\"",
+      "\\",
+      "say \"hi\" \\ back",
+      "line\nfeed\rtab\t",
+      std::string("nul\0mid", 7),
+      "\x01\x1f",
+      "\b\f\x7f",
+      "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80",  // UTF-8 passes through
+      "\"\\\n\r\t\x01\x1f\xc3\xa9",  // nothing but escapes and high bytes
+      "trailing run after escape\t...",
+  };
+  for (const std::string& text : texts) {
+    const std::string escaped = reference_escape(text);
+    EXPECT_EQ(json_escape(text), escaped);
+
+    JsonObject object;
+    object.add(text, text);
+    object.add("k", 1);
+    EXPECT_EQ(object.render_line(),
+              "{\"" + escaped + "\": \"" + escaped + "\", \"k\": 1}");
+    std::ostringstream os;
+    object.write(os);
+    EXPECT_EQ(os.str(), "{\n  \"" + escaped + "\": \"" + escaped + "\",\n  \"k\": 1\n}\n");
+  }
 }
 
 TEST(JsonObject, EscapesKeysToo) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/json.hpp"
 #include "service/cache.hpp"
@@ -186,10 +187,16 @@ TEST(ServiceMetrics, RecentQpsMatchesLifetimeQpsEarlyInUptime) {
 
 TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
   ServiceMetrics metrics;
-  metrics.record_stage("parse", 0.0000005);      // -> 1 us bucket
-  metrics.record_stage("parse", 0.0008);         // -> 1 ms bucket
-  metrics.record_stage("engine-run", 0.050);
-  metrics.record_stage("not-a-stage", 1.0);      // ignored: fixed label set
+  // Span durations are whole microseconds (trace.hpp).
+  const std::vector<TraceSpan> first = {
+      {"request", 0, 0, 60000},     // ignored: the root is the request histogram
+      {"parse", 1, 0, 1},           // -> 1 us bucket
+      {"engine-run", 1, 1, 50000},
+      {"not-a-stage", 1, 50001, 1000000},  // ignored: fixed label set
+  };
+  const std::vector<TraceSpan> second = {{"parse", 1, 0, 800}};  // -> 1 ms bucket
+  metrics.record_request("run", true, 0.06, first);
+  metrics.record_request("run", true, 0.001, second);
 
   const MetricsSnapshot snapshot = metrics.snapshot();
   ASSERT_EQ(snapshot.stages.size(), ServiceMetrics::stage_names().size());
@@ -202,7 +209,7 @@ TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
   const StageLatency* parse = find_stage("parse");
   ASSERT_NE(parse, nullptr);
   EXPECT_EQ(parse->count, 2u);
-  EXPECT_DOUBLE_EQ(parse->sum_seconds, 0.0008005);
+  EXPECT_DOUBLE_EQ(parse->sum_seconds, 0.000801);
   const StageLatency* engine = find_stage("engine-run");
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->count, 1u);
@@ -210,13 +217,16 @@ TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
   std::uint64_t bucketed = 0;
   for (const std::uint64_t count : parse->buckets) bucketed += count;
   EXPECT_EQ(bucketed, 2u);
+  EXPECT_EQ(parse->buckets[0], 1u);  // 1 us
+  EXPECT_EQ(parse->buckets[9], 1u);  // 1 ms
+  EXPECT_DOUBLE_EQ(engine->sum_seconds, 0.05);
 }
 
 TEST(ServiceMetrics, PrometheusExpositionIsWellFormed) {
   ServiceMetrics metrics;
   metrics.record_request("run", true, 0.002);
-  metrics.record_request("list", false, 0.0001);
-  metrics.record_stage("parse", 0.00005);
+  const std::vector<TraceSpan> spans = {{"parse", 1, 0, 50}};
+  metrics.record_request("list", false, 0.0001, spans);
   CacheStats cache;
   cache.memory_hits = 3;
   cache.disk_hits = 1;

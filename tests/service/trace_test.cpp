@@ -409,6 +409,80 @@ TEST(ExperimentService, TraceLogLinesParseStrictlyWithExpectedSpans) {
   EXPECT_EQ(hit.value.find("profile"), nullptr);  // no engine run on a hit
 }
 
+TEST(ExperimentService, TraceLogRotatesAtItsCap) {
+  const std::string trace_path = temp_file("tracelog_rotate.jsonl");
+  ServiceConfig config;
+  config.threads = 1;
+  config.trace_log = trace_path;
+  config.trace_log_max_bytes = 4096;
+  ExperimentService service(config);
+  ASSERT_EQ(service.log_error(), "");
+
+  // A logged hit writes a few hundred bytes: 40 of them pass 4 KiB twice.
+  const char* run = R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})";
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(service.handle_line(run).ok);
+
+  ASSERT_TRUE(std::filesystem::exists(trace_path + ".1"));
+  for (const std::string& path : {trace_path, trace_path + ".1"}) {
+    EXPECT_LE(std::filesystem::file_size(path), 4096u) << path;
+    const std::vector<std::string> lines = read_lines(path);
+    EXPECT_FALSE(lines.empty()) << path;
+    for (const std::string& line : lines) {
+      const JsonParse parsed = parse_json(line);
+      ASSERT_TRUE(parsed.ok()) << path << ": " << line << " -> " << parsed.error;
+      std::vector<TraceSpan> spans;
+      EXPECT_EQ(parse_spans(parsed.value, spans), "") << line;
+      EXPECT_FALSE(spans.empty()) << line;
+    }
+  }
+}
+
+TEST(ExperimentService, TraceLineExtendsTheAccessLineByteForByte) {
+  // The entry is rendered once: the trace line is the access line with its
+  // closing brace replaced by the span tree (and a traced run's profile).
+  const std::string trace_path = temp_file("extend_trace.jsonl");
+  const std::string access_path = temp_file("extend_access.jsonl");
+  ServiceConfig config;
+  config.threads = 1;
+  config.trace_log = trace_path;
+  config.access_log = access_path;
+  ExperimentService service(config);
+  ASSERT_EQ(service.log_error(), "");
+
+  const char* run = R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000, )"
+                    R"("origin": "sweep"})";
+  EXPECT_TRUE(service.handle_line(run).ok);   // miss: carries a profile
+  EXPECT_TRUE(service.handle_line(run).ok);   // memory hit
+  EXPECT_TRUE(service.handle_line(R"({"request": "list", "trace": true, )"
+                                  R"("trace_id": "we\"ird\tid"})")
+                  .ok);
+  EXPECT_FALSE(service.handle_line(R"({"request": "describe"})").ok);  // error + code
+  EXPECT_FALSE(service.handle_line("not json").ok);                    // invalid
+
+  const std::vector<std::string> access = read_lines(access_path);
+  const std::vector<std::string> trace = read_lines(trace_path);
+  ASSERT_EQ(access.size(), 5u);
+  ASSERT_EQ(trace.size(), access.size());
+  for (std::size_t i = 0; i < access.size(); ++i) {
+    const JsonParse access_entry = parse_json(access[i]);
+    const JsonParse trace_entry = parse_json(trace[i]);
+    ASSERT_TRUE(access_entry.ok()) << access[i] << " -> " << access_entry.error;
+    ASSERT_TRUE(trace_entry.ok()) << trace[i] << " -> " << trace_entry.error;
+    EXPECT_EQ(field(access_entry.value, "trace_id"), field(trace_entry.value, "trace_id"));
+
+    ASSERT_EQ(access[i].back(), '}');
+    const std::string prefix = access[i].substr(0, access[i].size() - 1);
+    ASSERT_EQ(trace[i].compare(0, prefix.size(), prefix), 0)
+        << "access: " << access[i] << "\ntrace:  " << trace[i];
+    const std::string tail = trace[i].substr(prefix.size());
+    EXPECT_EQ(tail.rfind(", \"spans\": [", 0), 0u) << tail;
+    EXPECT_EQ(tail.back(), '}');
+    // Only the cold run carries a profile, after the spans.
+    EXPECT_EQ(tail.find(", \"profile\": {") != std::string::npos, i == 0) << tail;
+  }
+  EXPECT_EQ(field(parse_json(access[2]).value, "trace_id"), "we\"ird\tid");
+}
+
 TEST(ExperimentService, TracedBatchCarriesProfilesOnlyInsideComputedElements) {
   // Profiles are per computed element: a batch whose last element ran the
   // engine must not echo that element's profile again at envelope level,
