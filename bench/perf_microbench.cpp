@@ -208,10 +208,11 @@ BENCHMARK(BM_PlaneTranspose64x64)->DenseRange(0, 2);
 
 /// The original uniform fill: one std::mt19937_64 draw per limb per sample
 /// into per-limb 64x64 transpose blocks — the sample-major stream
-/// UniformUnsignedSource drew before both the block RNG and the plane-major
-/// stream (uniform-plane-v1).  It draws different samples than today's
-/// fill, so it is a cost baseline only: BM_RngFillBatchPerCallReference
-/// times it on the same shapes as BM_RngFillBatch.
+/// UniformUnsignedSource drew before the block RNG and the plane-major
+/// streams (uniform-plane-v1 groups, then uniform-plane-v2 superblocks).
+/// It draws different samples than today's fill, so it is a cost baseline
+/// only: BM_RngFillBatchPerCallReference times it on the same shapes as
+/// BM_RngFillBatch.
 void fill_batch_percall_reference(std::mt19937_64& rng, arith::BitSlicedBatch& batch,
                                   std::vector<std::uint64_t>& rows) {
   const int width = batch.width();
@@ -282,9 +283,11 @@ BENCHMARK(BM_RngGenerateBlock)
     ->Args({4096, 0})->Args({4096, 1})->Args({4096, 2});
 
 // The uniform operand fill: one batch of 64 * lane_words operand pairs into
-// bit-planes — one generate_block for the batch's groups, copied word for
-// word into the planes (no transpose).  Args: (width, lane_words, backend;
-// the backend moves the RNG twist/temper).  Compare with
+// bit-planes, no transpose.  At 8 lane words a batch is one 512-sample
+// superblock that two generate_block calls write straight into the planes
+// (at width 512 that is two BM_RngGenerateBlock/4096 calls, its floor);
+// other lane widths copy contiguous row runs out of a buffered superblock.  Args: (width,
+// lane_words, backend; the backend moves the RNG twist/temper).  Compare with
 // BM_RngFillBatchPerCallReference, which re-implements the original
 // per-call, transposing fill on the same shapes — the ratio is the
 // operand-generation speedup of the block RNG and the plane-major stream
@@ -305,7 +308,8 @@ void BM_RngFillBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFillBatch)
     ->Args({64, 4, 0})->Args({64, 4, 1})->Args({64, 4, 2})
-    ->Args({512, 4, 0})->Args({512, 4, 1})->Args({512, 4, 2});
+    ->Args({512, 4, 0})->Args({512, 4, 1})->Args({512, 4, 2})
+    ->Args({512, 8, 0})->Args({512, 8, 1})->Args({512, 8, 2});
 
 // Bulk ziggurat variates from the block sampler — the per-variate floor of
 // every Gaussian workload.  Arg: the backend (it moves the generate_block
@@ -367,7 +371,7 @@ void BM_RngFillBatchPerCallReference(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
 }
-BENCHMARK(BM_RngFillBatchPerCallReference)->Args({64, 4})->Args({512, 4});
+BENCHMARK(BM_RngFillBatchPerCallReference)->Args({64, 4})->Args({512, 4})->Args({512, 8});
 
 void BM_NetlistSimulate64Vectors(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));

@@ -37,9 +37,9 @@ void block_to_planes(const std::uint64_t block[64], int limb, int width,
                      std::uint64_t* planes, int lane_words, int lane_word) {
   const int base = limb * ApInt::kLimbBits;
   const int top = std::min(width - base, ApInt::kLimbBits);
-  // Unrolled for the reason UniformUnsignedSource::fill_batch's plane copy
-  // is: a one-word-per-iteration loop runs at half speed whenever code
-  // layout puts it across a 32-byte fetch window (~7% of mc-gauss-n64).
+  // Unrolled: a one-word-per-iteration loop runs at half speed whenever
+  // code layout puts it across a 32-byte fetch window, so its speed (~7% of
+  // mc-gauss-n64) would swing with unrelated code moving in the library.
 #pragma GCC unroll 8
   for (int bit = 0; bit < top; ++bit) {
     planes[static_cast<std::size_t>(base + bit) * static_cast<std::size_t>(lane_words) +

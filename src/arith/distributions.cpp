@@ -1,6 +1,8 @@
 #include "arith/distributions.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -26,19 +28,33 @@ void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   }
 }
 
+std::size_t UniformUnsignedSource::next_group(BlockRng& rng) {
+  if (taken_ == kSuperblockGroups) {
+    superblock_.resize(2 * kSuperblockGroups * static_cast<std::size_t>(width()));
+    rng.generate_block(superblock_.data(), superblock_.size());
+    taken_ = 0;
+  }
+  return taken_++;
+}
+
 std::pair<ApInt, ApInt> UniformUnsignedSource::next(BlockRng& rng) {
   const int n = width();
   const std::size_t limbs = static_cast<std::size_t>((n + ApInt::kLimbBits - 1) / ApInt::kLimbBits);
   if (cursor_ == kBatchLanes) {
-    // Draw the next group in stream order (a's planes 0..n-1, then b's),
-    // one 64-plane block per limb with rows past n left zero; transposing a
+    // Gather the group's plane words (a's rows 0..n-1, then b's), one
+    // 64-plane block per limb with rows past n left zero; transposing a
     // block turns row j into sample j's limb, stored sample-major so each
     // operand is one contiguous limb run.
+    const std::size_t g = next_group(rng);
     group_.resize(2 * limbs * kBatchLanes);
     for (std::size_t op = 0; op < 2; ++op) {
+      const std::uint64_t* rows = superblock_.data() + op * kSuperblockGroups * n + g;
       for (std::size_t limb = 0; limb < limbs; ++limb) {
         std::uint64_t block[kBatchLanes] = {};
-        rng.generate_block(block, std::min<std::size_t>(kBatchLanes, n - limb * ApInt::kLimbBits));
+        const std::size_t base = limb * ApInt::kLimbBits;
+        for (std::size_t r = 0; r < std::min<std::size_t>(kBatchLanes, n - base); ++r) {
+          block[r] = rows[(base + r) * kSuperblockGroups];
+        }
         planeops::transpose_64x64(block);
         for (std::size_t j = 0; j < kBatchLanes; ++j) {
           group_[(j * 2 + op) * limbs + limb] = block[j];
@@ -51,32 +67,57 @@ std::pair<ApInt, ApInt> UniformUnsignedSource::next(BlockRng& rng) {
   return {ApInt::from_limbs(n, {sample, limbs}), ApInt::from_limbs(n, {sample + limbs, limbs})};
 }
 
+namespace {
+
+/// Copies `Run` contiguous words of each of n superblock rows (stride
+/// kSuperblockGroups) to the matching plane rows (stride lane_words).  The
+/// run length is a template argument so each row is a fixed-size copy, not
+/// a memmove call; unrolled so its pace does not depend on code placement.
+template <std::size_t Run>
+void copy_run(const std::uint64_t* rows, std::uint64_t* planes, std::size_t n,
+              std::size_t lane_words) {
+#pragma GCC unroll 8
+  for (std::size_t bit = 0; bit < n; ++bit) {
+    std::memcpy(planes + bit * lane_words, rows + bit * UniformUnsignedSource::kSuperblockGroups,
+                Run * sizeof(std::uint64_t));
+  }
+}
+
+template <std::size_t... Run>
+constexpr auto copy_run_table(std::index_sequence<Run...>) {
+  return std::array{&copy_run<Run + 1>...};
+}
+
+/// kCopyRun[run - 1] copies a run of `run` lane words.
+constexpr auto kCopyRun =
+    copy_run_table(std::make_index_sequence<UniformUnsignedSource::kSuperblockGroups>());
+
+}  // namespace
+
 void UniformUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("UniformUnsignedSource::fill_batch: batch width mismatch");
   }
-  // All of the batch's groups in one generate_block() call: group w is
-  // stream_[w * 2n ..], a's planes then b's.  The copy runs bit-outer, so
-  // each plane group's lane words are written contiguously.
   const std::size_t n = static_cast<std::size_t>(width());
   const std::size_t lane_words = static_cast<std::size_t>(out.lane_words());
-  const std::size_t group_words = 2 * n;
-  stream_.resize(group_words * lane_words);
-  rng.generate_block(stream_.data(), stream_.size());
   cursor_ = kBatchLanes;
-  for (std::size_t op = 0; op < 2; ++op) {
-    std::uint64_t* planes = op == 0 ? out.a() : out.b();
-    const std::uint64_t* group = stream_.data() + op * n;
-    for (std::size_t bit = 0; bit < n; ++bit) {
-      // Unrolled: a one-word-per-iteration copy keeps its one-cycle pace
-      // only while the loop fits one 32-byte fetch window, so its speed
-      // (~20% of the uniform fill) would swing with unrelated code moving
-      // in this file.
-#pragma GCC unroll 8
-      for (std::size_t w = 0; w < lane_words; ++w) {
-        planes[bit * lane_words + w] = group[w * group_words + bit];
-      }
+  if (lane_words == kSuperblockGroups && taken_ == kSuperblockGroups) {
+    // One whole superblock in the planes' own layout: a's rows, then b's.
+    rng.generate_block(out.a(), kSuperblockGroups * n);
+    rng.generate_block(out.b(), kSuperblockGroups * n);
+    return;
+  }
+  // Lane words [w, w + run) come from groups [g, g + run) of one buffered
+  // superblock: per plane row, `run` contiguous words on both sides.
+  for (std::size_t w = 0; w < lane_words;) {
+    const std::size_t g = next_group(rng);
+    const std::size_t run = std::min(lane_words - w, kSuperblockGroups - g);
+    taken_ = g + run;
+    for (std::size_t op = 0; op < 2; ++op) {
+      kCopyRun[run - 1](superblock_.data() + op * kSuperblockGroups * n + g,
+                        (op == 0 ? out.a() : out.b()) + w, n, lane_words);
     }
+    w += run;
   }
 }
 

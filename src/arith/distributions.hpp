@@ -4,6 +4,7 @@
 // Gaussian and two's-complement Gaussian (the practical-input proxy), plus a
 // common interface so the Monte Carlo harness can run any of them.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -33,15 +34,17 @@ class OperandSource {
 
   /// Draws the next out.lanes() (= 64 * lane_words) operand pairs into
   /// bit-planes, lane word w holding the w-th 64-sample group.  CONTRACT:
-  /// a source's stream is a sequence of 64-sample groups, and fill_batch
-  /// consumes the RNG exactly like out.lanes() successive next() calls
-  /// started on a group boundary, producing the same samples (lane j = the
-  /// j-th pair).  That is what keeps the batched Monte Carlo path
-  /// bit-identical to the scalar one at every lane width and shard size:
-  /// a shard of `count` samples draws ceil(count / 64) groups on either
-  /// path.  The default implementation literally calls next(); overrides
-  /// may generate straight into the planes as long as the stream is
-  /// preserved.
+  /// a source's stream is a sequence of draw units of whole 64-sample groups
+  /// (one group by default; the uniform source draws 512-sample
+  /// superblocks), and fill_batch consumes the RNG exactly like
+  /// out.lanes() successive next() calls started on a group boundary,
+  /// producing the same samples (lane j = the j-th pair).  That is what
+  /// keeps the batched Monte Carlo path bit-identical to the scalar one at
+  /// every lane width and shard size: a shard of `count` samples draws the
+  /// units covering ceil(count / 64) groups on either path (for the uniform
+  /// source, ceil(count / 512) superblocks).  The default implementation
+  /// literally calls next(); overrides may generate straight into the
+  /// planes as long as the stream is preserved.
   virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out);
 
   /// Fresh source of the same distribution with pristine stream state (any
@@ -55,33 +58,47 @@ class OperandSource {
 
 /// Uniformly random n-bit patterns ("unsigned random inputs", Ch. 3).
 ///
-/// The stream is plane-major (stream_version uniform-plane-v1): each
-/// 64-sample group is 2n raw generate_block words, a's bit-planes 0..n-1
-/// then b's, where bit j of plane word `bit` is sample j's operand bit
-/// `bit`.  Uniform i.i.d. bits are uniform i.i.d. in either orientation,
-/// so the batched path copies words straight into the planes and only the
-/// scalar oracle pays for a transpose.
+/// The stream is plane-major in 512-sample superblocks (stream_version
+/// uniform-plane-v2): a superblock is 8 groups of 64 samples drawn as 16n
+/// raw generate_block words — a's bit-plane row 0 for groups 0..7, then
+/// row 1, ... row n-1, then b's rows the same way — where bit j of row
+/// `bit`, group g is sample 64g + j's operand bit `bit`.  Uniform i.i.d.
+/// bits are uniform i.i.d. in either orientation, and at 8 lane words that
+/// order is exactly BitSlicedBatch's layout, so the batched path generates
+/// straight into the planes and only the scalar oracle pays for a
+/// transpose.
 class UniformUnsignedSource final : public OperandSource {
  public:
+  /// 64-sample groups per superblock: one 512-bit vector of lane words.
+  static constexpr std::size_t kSuperblockGroups = 8;
+
   explicit UniformUnsignedSource(int width) : OperandSource(width) {}
   [[nodiscard]] std::string name() const override { return "uniform-unsigned"; }
-  /// Scalar oracle: draws one group when the buffered one runs out and
-  /// inverse-transposes it (2 * ceil(n / 64) 64x64 blocks) once per 64
+  /// Scalar oracle: takes the buffered superblock's next group (drawing a
+  /// superblock when none is left), gathers its 2n plane words and
+  /// inverse-transposes them (2 * ceil(n / 64) 64x64 blocks) once per 64
   /// samples; each pair is then built from whole limbs.
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: one generate_block() for all of the batch's groups, copied
-  /// word for word into the bit-planes — no transpose, no mask, no
-  /// per-sample work.  Starts a fresh group: a group next() had begun is
-  /// dropped.
+  /// Fast path: at 8 lane words on a superblock boundary, two
+  /// generate_block() calls write the superblock straight into out.a() and
+  /// out.b() — no buffer, no copy, no transpose.  Any other width (or a
+  /// partly consumed superblock) copies contiguous runs of up to 8 lane
+  /// words per plane row out of the buffered superblock.  Starts a fresh
+  /// group: a group next() had begun is dropped.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<UniformUnsignedSource>(width());
   }
 
  private:
-  std::vector<std::uint64_t> stream_;  // fill_batch raw block-RNG draw scratch
-  std::vector<std::uint64_t> group_;   // next(): the current group, sample-major limbs
-  int cursor_ = kBatchLanes;           // next(): samples of group_ already returned
+  /// Index of the buffered superblock's next unconsumed group, drawing a
+  /// fresh superblock first when every group has been consumed.
+  std::size_t next_group(BlockRng& rng);
+
+  std::vector<std::uint64_t> superblock_;  // buffered superblock, 16n words in stream order
+  std::size_t taken_ = kSuperblockGroups;  // groups of superblock_ already consumed
+  std::vector<std::uint64_t> group_;       // next(): the current group, sample-major limbs
+  int cursor_ = kBatchLanes;               // next(): samples of group_ already returned
 };
 
 /// Two's-complement uniform inputs (Fig 6.3): a uniformly random magnitude

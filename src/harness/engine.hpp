@@ -153,9 +153,9 @@ class RunProfileCollector {
 /// Controls one sharded run.  `threads == 0` means "all hardware threads".
 /// `lane_words == 0` means "the default batch width" (arith::default_lane_words());
 /// like `threads`, it is purely a throughput knob — merged counters are
-/// bit-identical at any lane width (operand streams are defined per
-/// 64-sample group, and a shard's masked last batch draws whole groups just
-/// as per-sample draws do).
+/// bit-identical at any lane width (operand streams are drawn in whole
+/// 64-sample groups — 512-sample superblocks for the uniform source — and a
+/// shard's masked last batch draws whole units just as per-sample draws do).
 struct RunOptions {
   std::uint64_t samples = 0;
   std::uint64_t seed = 1;

@@ -20,14 +20,15 @@ const arith::GaussianParams kFig6Gaussian{0.0, std::ldexp(1.0, 20)};    // 32-bi
 /// counter.  crypto-rng-v2: run_crypto_workload's seeding moved onto the
 /// shared seed_seq discipline (arith::make_stream_rng).  uniform-plane-v1:
 /// the uniform-unsigned stream became plane-major (each 64-sample group is
-/// raw bit-plane words, see UniformUnsignedSource), redefining every
-/// uniform-unsigned counter and the fig6.1 histogram.  Two's-complement
-/// uniform streams were untouched by all three and stay unversioned, so
-/// their keys never moved.
+/// raw bit-plane words).  uniform-plane-v2: it is drawn per 512-sample
+/// superblock in BitSlicedBatch's 8-lane-word layout (see
+/// UniformUnsignedSource); each step redefined every uniform-unsigned
+/// counter and the fig6.1 histogram.  Two's-complement uniform streams were
+/// untouched by all four and stay unversioned, so their keys never moved.
 const char* stream_version(arith::InputDistribution dist) {
   switch (dist) {
     case arith::InputDistribution::kUniformUnsigned:
-      return "uniform-plane-v1";
+      return "uniform-plane-v2";
     case arith::InputDistribution::kGaussianUnsigned:
     case arith::InputDistribution::kGaussianTwos:
       return "gauss-rng-v2";

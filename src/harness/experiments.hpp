@@ -116,7 +116,7 @@ struct RecordKey {
   EvalPath path = EvalPath::kBatched;  // always kScalar for chain profiles
   /// The entry's draw-stream version: "gauss-rng-v2" for Gaussian-input
   /// entries, "crypto-rng-v2" for the fig6.2 crypto workloads,
-  /// "uniform-plane-v1" for uniform-unsigned entries, "" for streams that
+  /// "uniform-plane-v2" for uniform-unsigned entries, "" for streams that
   /// never moved.  Bumped whenever an entry's stream changes
   /// incompatibly, so records from the old stream miss instead of hitting
   /// stale.

@@ -216,7 +216,9 @@ class BlockTimer {
 /// and fold whole batches of 64 * lane_words samples, then one last batch
 /// of ceil(rest / 64) lane words whose lanes past `rest` are masked out of
 /// every counter.  Every sample goes through the batched kernel, and the
-/// shard draws ceil(count / 64) whole groups — the scalar path's draws.
+/// shard draws the source's whole draw units covering ceil(count / 64)
+/// groups (ceil(count / 512) superblocks for the uniform source) — the
+/// scalar path's draws.
 template <typename Timer, typename Folds>
 ErrorRateResult run_batched(const Folds& folds, int width, int lane_words, OperandSource& source,
                             const RunOptions& options) {

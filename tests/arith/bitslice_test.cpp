@@ -1,16 +1,20 @@
 // Tests for the bit-sliced batch layer: the 64x64 bit-matrix transpose, the
 // ApInt <-> bit-plane conversions, the word-level Kogge-Stone prefix, and
 // the OperandSource::fill_batch stream contract (fill_batch must consume
-// the RNG exactly like 64 next() calls and produce the same samples — the
-// foundation of the batched pipeline's bit-identical-counters guarantee).
+// the RNG exactly like lanes() next() calls and produce the same samples,
+// at any lane width and in any sequence of widths — the foundation of the
+// batched pipeline's bit-identical-counters guarantee), and the uniform
+// source's superblock layout (an 8-word fill is the raw RNG stream).
 
 #include "arith/bitslice.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <tuple>
+#include <vector>
 
 #include "arith/apint.hpp"
 #include "arith/distributions.hpp"
@@ -222,8 +226,69 @@ INSTANTIATE_TEST_SUITE_P(
                                          InputDistribution::kUniformTwos,
                                          InputDistribution::kGaussianUnsigned,
                                          InputDistribution::kGaussianTwos),
-                       ::testing::Values(12, 32, 64, 128),
-                       ::testing::Values(1, 2, 4)));
+                       ::testing::Values(12, 32, 64, 128, 130, 512),
+                       ::testing::Values(1, 2, 4, 8, 16)));
+
+// Successive fills at mixed lane widths continue one stream: a 4-word fill
+// leaves the uniform source's superblock half consumed before the 8-word
+// fill, the 16- and 3-word fills straddle superblocks, and the last 8-word
+// fill starts on a superblock boundary (its zero-copy path).
+class FillBatchSequenceTest
+    : public ::testing::TestWithParam<std::tuple<InputDistribution, int>> {};
+
+TEST_P(FillBatchSequenceTest, MixedLaneWordsMatchScalarStreamAndRngState) {
+  const auto [dist, width] = GetParam();
+  const auto proto = make_source(dist, width);
+  BlockRng rng_batch(7), rng_scalar(7);
+  const auto batch_source = proto->clone();
+  const auto scalar_source = proto->clone();
+  int sample = 0;
+  for (const int lane_words : {4, 8, 1, 16, 3, 8}) {
+    BitSlicedBatch batch(width, lane_words);
+    batch_source->fill_batch(rng_batch, batch);
+    for (int j = 0; j < batch.lanes(); ++j, ++sample) {
+      const auto [a, b] = scalar_source->next(rng_scalar);
+      const auto [la, lb] = batch.lane(j);
+      ASSERT_EQ(la, a) << proto->name() << " width " << width << " sample " << sample;
+      ASSERT_EQ(lb, b) << proto->name() << " width " << width << " sample " << sample;
+    }
+  }
+  EXPECT_EQ(rng_batch(), rng_scalar()) << proto->name() << " width " << width;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DistributionsByWidth, FillBatchSequenceTest,
+    ::testing::Combine(::testing::Values(InputDistribution::kUniformUnsigned,
+                                         InputDistribution::kUniformTwos,
+                                         InputDistribution::kGaussianUnsigned,
+                                         InputDistribution::kGaussianTwos),
+                       ::testing::Values(12, 130, 512)));
+
+// uniform-plane-v2 layout pin: a superblock is 16n raw words in
+// BitSlicedBatch's 8-lane-word layout, so a fresh source's 8-word fills are
+// exactly the raw stream — a's planes, then b's — with nothing reordered.
+class UniformSuperblockLayoutTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UniformSuperblockLayoutTest, EightWordFillIsTheRawStream) {
+  const int width = GetParam();
+  UniformUnsignedSource source(width);
+  BlockRng rng(11), raw_rng(11);
+  BitSlicedBatch batch(width, UniformUnsignedSource::kSuperblockGroups);
+  const std::size_t plane_words =
+      static_cast<std::size_t>(width) * UniformUnsignedSource::kSuperblockGroups;
+  std::vector<std::uint64_t> raw(plane_words);
+  for (int superblock = 0; superblock < 2; ++superblock) {
+    source.fill_batch(rng, batch);
+    raw_rng.generate_block(raw.data(), raw.size());
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), batch.a())) << "superblock " << superblock;
+    raw_rng.generate_block(raw.data(), raw.size());
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), batch.b())) << "superblock " << superblock;
+  }
+  EXPECT_EQ(rng(), raw_rng());
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, UniformSuperblockLayoutTest,
+                         ::testing::Values(1, 12, 64, 130, 512));
 
 }  // namespace
 }  // namespace vlcsa::arith

@@ -2,10 +2,12 @@
 //
 //  * Golden ErrorRateResult counters for a sample of registry experiments at
 //    20000 samples, seed 1.  Counters must stay bit-identical — at every lane
-//    width {1, 4} and thread count {1, 4}, on whatever planeops backend
-//    dispatch selected.  If one of these values ever moves, the RNG (or the
-//    engine's stream discipline) broke its identity contract, and every
-//    cached service record on disk is silently stale.  The sample spans both
+//    width {1, 4, 8, 16} and thread count {1, 4}, on whatever planeops backend
+//    dispatch selected (8 lane words is the uniform source's zero-copy path,
+//    pinned here even where the host's default width is 4).  If one of
+//    these values ever moves, the RNG (or the engine's stream discipline)
+//    broke its identity contract, and every cached service record on disk
+//    is silently stale.  The sample spans both
 //    VLCSA variants, VLSA, three distributions, and widths 64..256.
 //
 //  * The FNV-1a-64 hash of EVERY registry entry's exact result record
@@ -13,9 +15,10 @@
 //    on both eval paths and all 7 chain profiles, fig6.2's crypto workloads
 //    included.  1000 is not a multiple of 64, so every batched run ends in a
 //    masked last batch (ceil(1000 / 64) = 16 groups, the last one 40 lanes
-//    wide) and every scalar run draws that same 16th group in full.  These
-//    hashes pin the cache format itself: field order, spelling, number
-//    formatting and stream_version, not just the counters.
+//    wide) and every scalar run draws that same 16th group in full (the
+//    uniform source draws the whole second 512-sample superblock either
+//    way).  These hashes pin the cache format itself: field order,
+//    spelling, number formatting and stream_version, not just the counters.
 //
 // Golden provenance, by row:
 //  * Two's-complement uniform (fig6.3) and crypto (fig6.2) rows: recorded
@@ -29,13 +32,15 @@
 //    evidence that the masked batch folds exactly the lanes the scalar tail
 //    did.
 //  * Uniform-unsigned rows (table7.4, fig7.1, eq5.2 *-uniform, vlsa, and the
-//    fig6.1 histogram and record): re-recorded at the uniform-plane-v1
-//    migration, when UniformUnsignedSource's stream became plane-major (each
-//    64-sample group is 2n raw words, a's bit-planes then b's).  That changes
-//    the uniform-unsigned samples by design; the matching stream_version
-//    bump keeps pre-migration disk records from being served (see
-//    docs/OPERATIONS.md), and uniform_rates_test checks the migrated rates
-//    against the exact DP error models.  Every other row staying
+//    fig6.1 histogram and record): re-recorded at the uniform-plane-v2
+//    migration, when UniformUnsignedSource's stream moved from 64-sample
+//    groups (uniform-plane-v1) to 512-sample superblocks drawn in
+//    BitSlicedBatch's 8-lane-word layout (a's plane rows 0..n-1, each row
+//    8 group words, then b's), so fill_batch generates straight into the
+//    planes.  That changes the uniform-unsigned samples by design; the
+//    matching stream_version bump keeps pre-migration disk records from
+//    being served (see docs/OPERATIONS.md), and uniform_rates_test checks
+//    the migrated rates against the exact DP error models.  Every other row staying
 //    byte-identical across the same change is the evidence the migration
 //    reached only the uniform-unsigned stream.
 
@@ -66,14 +71,14 @@ struct GoldenCounters {
 
 // samples=20000, seed=1; false_negatives and emitted_wrong were 0 everywhere
 // (also asserted below as the model invariants they are).  Gaussian rows are
-// gauss-rng-v2 values; uniform rows are uniform-plane-v1 values (see header).
+// gauss-rng-v2 values; uniform rows are uniform-plane-v2 values (see header).
 constexpr GoldenCounters kGolden[] = {
     {"table7.1/n64", 5102, 5102, 1, 25102},
     {"table7.2/n128", 1, 1, 1, 20001},
-    {"table7.4/n256-rate0.01", 2, 2, 0, 20002},
-    {"fig7.1/n64-k8", 239, 274, 1, 20274},
+    {"table7.4/n256-rate0.01", 3, 3, 0, 20003},
+    {"fig7.1/n64-k8", 244, 278, 0, 20278},
     {"eq5.2/n64-gaussian-2c", 27, 61, 27, 20061},
-    {"vlsa/n128", 3, 3, 3, 20003},
+    {"vlsa/n128", 0, 1, 0, 20001},
 };
 
 constexpr std::uint64_t kSamples = 20000;
@@ -115,13 +120,13 @@ std::string pin_name(
 
 INSTANTIATE_TEST_SUITE_P(GoldenByLaneWordsByThreads, RegistryPinTest,
                          ::testing::Combine(::testing::ValuesIn(kGolden),
-                                            ::testing::Values(1, 4),
+                                            ::testing::Values(1, 4, 8, 16),
                                             ::testing::Values(1, 4)),
                          pin_name);
 
 // The chain-profile side of the registry, pinned the same way (fig6.1 runs
 // the uniform source through the per-sample engine path; its histogram is a
-// pure function of the shard streams — uniform-plane-v1 value).
+// pure function of the shard streams — uniform-plane-v2 value).
 TEST(RegistryPinTest, ChainProfileHistogramMatchesPreBlockRngBaseline) {
   const ChainProfileExperiment* experiment =
       find_chain_profile_experiment("fig6.1/uniform-unsigned");
@@ -134,7 +139,7 @@ TEST(RegistryPinTest, ChainProfileHistogramMatchesPreBlockRngBaseline) {
       fnv ^= count;
       fnv *= 1099511628211ULL;
     }
-    EXPECT_EQ(fnv, 196329698476296708ULL) << "threads " << threads;
+    EXPECT_EQ(fnv, 17340686134405563113ULL) << "threads " << threads;
   }
 }
 
@@ -168,95 +173,95 @@ constexpr GoldenRecord kGoldenRecords[] = {
     {"table7.2/n256", "scalar", 0x5652d77386c3087eULL},
     {"table7.2/n512", "batched", 0x572c924138f876a2ULL},
     {"table7.2/n512", "scalar", 0xe288849d7b2f0253ULL},
-    {"table7.4/n64-rate0.01", "batched", 0xe62eb75eba6db837ULL},
-    {"table7.4/n64-rate0.01", "scalar", 0x140fb380ccbf4ea6ULL},
-    {"table7.4/n64-rate0.25", "batched", 0xd274b4e290f5b337ULL},
-    {"table7.4/n64-rate0.25", "scalar", 0x88a90a281478db46ULL},
-    {"table7.4/n128-rate0.01", "batched", 0x38ce326d5c9de616ULL},
-    {"table7.4/n128-rate0.01", "scalar", 0xc5fd17695b451b95ULL},
-    {"table7.4/n128-rate0.25", "batched", 0x6e8bf5521e641534ULL},
-    {"table7.4/n128-rate0.25", "scalar", 0x9be5e0304a5a0df1ULL},
-    {"table7.4/n256-rate0.01", "batched", 0xf859777c791a3735ULL},
-    {"table7.4/n256-rate0.01", "scalar", 0x205fde84c9351bf4ULL},
-    {"table7.4/n256-rate0.25", "batched", 0x69b9d6726aad0abfULL},
-    {"table7.4/n256-rate0.25", "scalar", 0xed1f3b286e53e324ULL},
-    {"table7.4/n512-rate0.01", "batched", 0x6899ae0f9c418b30ULL},
-    {"table7.4/n512-rate0.01", "scalar", 0x44b92da5e004a80fULL},
-    {"table7.4/n512-rate0.25", "batched", 0x1aba20aff76f1ed8ULL},
-    {"table7.4/n512-rate0.25", "scalar", 0x9b261ec254f9cea1ULL},
-    {"fig7.1/n64-k6", "batched", 0xdd56cb6f1fce933fULL},
-    {"fig7.1/n64-k6", "scalar", 0x30b37de96beca78eULL},
-    {"fig7.1/n64-k8", "batched", 0xc11c46e116f064adULL},
-    {"fig7.1/n64-k8", "scalar", 0x936c0c397d2045a0ULL},
-    {"fig7.1/n64-k10", "batched", 0xc3adce3ee9a8991bULL},
-    {"fig7.1/n64-k10", "scalar", 0xe257fd97f0948e32ULL},
-    {"fig7.1/n64-k12", "batched", 0x3187b8a4a5f5fd33ULL},
-    {"fig7.1/n64-k12", "scalar", 0xcc3de4139345d6daULL},
-    {"fig7.1/n64-k14", "batched", 0x9d4ed21d4cb3f8b5ULL},
-    {"fig7.1/n64-k14", "scalar", 0x8dec387962b49474ULL},
-    {"fig7.1/n64-k16", "batched", 0x193c6ff4466731adULL},
-    {"fig7.1/n64-k16", "scalar", 0x6bb4ffcbca46375cULL},
-    {"fig7.1/n128-k6", "batched", 0x839426c5f8633978ULL},
-    {"fig7.1/n128-k6", "scalar", 0x69ef9f6ce2839915ULL},
-    {"fig7.1/n128-k8", "batched", 0x128908e6adb42bb5ULL},
-    {"fig7.1/n128-k8", "scalar", 0x48a9a673a61cf058ULL},
-    {"fig7.1/n128-k10", "batched", 0x5cc579549b7eec57ULL},
-    {"fig7.1/n128-k10", "scalar", 0x0eee1e571bbf5150ULL},
-    {"fig7.1/n128-k12", "batched", 0x88e38935f26aa275ULL},
-    {"fig7.1/n128-k12", "scalar", 0xb6482e1f932fee34ULL},
-    {"fig7.1/n128-k14", "batched", 0x9eb7dd0343091f19ULL},
-    {"fig7.1/n128-k14", "scalar", 0x68b380ef618474f0ULL},
-    {"fig7.1/n128-k16", "batched", 0xcc627eb0896aa1e5ULL},
-    {"fig7.1/n128-k16", "scalar", 0xacefb6e27dfc2c64ULL},
-    {"fig7.1/n256-k6", "batched", 0x16b2809f9a71f4dbULL},
-    {"fig7.1/n256-k6", "scalar", 0x1a4d65c03d90666aULL},
-    {"fig7.1/n256-k8", "batched", 0xf43aa0840a344fe0ULL},
-    {"fig7.1/n256-k8", "scalar", 0xb29e6788fef79e3bULL},
-    {"fig7.1/n256-k10", "batched", 0xb4829e543bef3557ULL},
-    {"fig7.1/n256-k10", "scalar", 0xd050058917f3d19cULL},
-    {"fig7.1/n256-k12", "batched", 0xe9237a4500e5494dULL},
-    {"fig7.1/n256-k12", "scalar", 0xf87672b8aedfd0eaULL},
-    {"fig7.1/n256-k14", "batched", 0xd1463998e0ef06adULL},
-    {"fig7.1/n256-k14", "scalar", 0x994e6bf4c6828e5cULL},
-    {"fig7.1/n256-k16", "batched", 0xd7565bd6784a81f5ULL},
-    {"fig7.1/n256-k16", "scalar", 0xc7bc729477d5d0b4ULL},
-    {"fig7.1/n512-k6", "batched", 0x3b67b47195feb481ULL},
-    {"fig7.1/n512-k6", "scalar", 0x420ed52d54921b2aULL},
-    {"fig7.1/n512-k8", "batched", 0x20b757894ddb25bbULL},
-    {"fig7.1/n512-k8", "scalar", 0x4e597f82e5974c0cULL},
-    {"fig7.1/n512-k10", "batched", 0x997abf30d278ea13ULL},
-    {"fig7.1/n512-k10", "scalar", 0x2f5edae2cfa2e82aULL},
-    {"fig7.1/n512-k12", "batched", 0x2a41b49f1090a7e7ULL},
-    {"fig7.1/n512-k12", "scalar", 0x1ea2012aa49d7292ULL},
-    {"fig7.1/n512-k14", "batched", 0xd97581952efc52dfULL},
-    {"fig7.1/n512-k14", "scalar", 0x67c08e9d17bd6844ULL},
-    {"fig7.1/n512-k16", "batched", 0x09d46a8d51612493ULL},
-    {"fig7.1/n512-k16", "scalar", 0x1068308f17ae842aULL},
-    {"eq5.2/n64-uniform", "batched", 0x5cb2b653e777f7f4ULL},
-    {"eq5.2/n64-uniform", "scalar", 0x1407f8f2fb1f96bfULL},
+    {"table7.4/n64-rate0.01", "batched", 0x90c1a48e16263d22ULL},
+    {"table7.4/n64-rate0.01", "scalar", 0x42412f7c91cc452bULL},
+    {"table7.4/n64-rate0.25", "batched", 0x9051c6881ed3cab2ULL},
+    {"table7.4/n64-rate0.25", "scalar", 0xe2d6db8c082d4533ULL},
+    {"table7.4/n128-rate0.01", "batched", 0xeba767fb6656109bULL},
+    {"table7.4/n128-rate0.01", "scalar", 0x7d5d0bd5ac2583dcULL},
+    {"table7.4/n128-rate0.25", "batched", 0x08ef874c82b340c7ULL},
+    {"table7.4/n128-rate0.25", "scalar", 0xde964b4d38dd9a74ULL},
+    {"table7.4/n256-rate0.01", "batched", 0xc5b2a75bd26d93f2ULL},
+    {"table7.4/n256-rate0.01", "scalar", 0x883dea86ee689365ULL},
+    {"table7.4/n256-rate0.25", "batched", 0x02dc8f17396e942cULL},
+    {"table7.4/n256-rate0.25", "scalar", 0xb423b013bee667fdULL},
+    {"table7.4/n512-rate0.01", "batched", 0xb3446bf045afb6a9ULL},
+    {"table7.4/n512-rate0.01", "scalar", 0xc5212016b9e2623aULL},
+    {"table7.4/n512-rate0.25", "batched", 0xbeee27092155f087ULL},
+    {"table7.4/n512-rate0.25", "scalar", 0xa9cd0aecffd19038ULL},
+    {"fig7.1/n64-k6", "batched", 0x7f1aef6b6ca7ff72ULL},
+    {"fig7.1/n64-k6", "scalar", 0x41af54e68d6ee827ULL},
+    {"fig7.1/n64-k8", "batched", 0x90fef284ce4405bcULL},
+    {"fig7.1/n64-k8", "scalar", 0xfc60311291632891ULL},
+    {"fig7.1/n64-k10", "batched", 0xfb6cee766923d6e6ULL},
+    {"fig7.1/n64-k10", "scalar", 0x8a41f98ec31ae77fULL},
+    {"fig7.1/n64-k12", "batched", 0xd5a364a8dac3e05cULL},
+    {"fig7.1/n64-k12", "scalar", 0x322080f9a82d480bULL},
+    {"fig7.1/n64-k14", "batched", 0xe2687ec06d7a71fcULL},
+    {"fig7.1/n64-k14", "scalar", 0x69fc7f99578e606dULL},
+    {"fig7.1/n64-k16", "batched", 0x04dc01447ce73eb4ULL},
+    {"fig7.1/n64-k16", "scalar", 0xb4550b5f7965cf15ULL},
+    {"fig7.1/n128-k6", "batched", 0x860f80630d62c3d7ULL},
+    {"fig7.1/n128-k6", "scalar", 0x6d27ab50300fbfd0ULL},
+    {"fig7.1/n128-k8", "batched", 0xae13fdb3aaa2a151ULL},
+    {"fig7.1/n128-k8", "scalar", 0x352d43e91d708994ULL},
+    {"fig7.1/n128-k10", "batched", 0xd9cb93348818e574ULL},
+    {"fig7.1/n128-k10", "scalar", 0x5e3413c74c4161cbULL},
+    {"fig7.1/n128-k12", "batched", 0x6a2d5635489523b2ULL},
+    {"fig7.1/n128-k12", "scalar", 0xf7da9b205f579f25ULL},
+    {"fig7.1/n128-k14", "batched", 0x5b9a04945418d8a0ULL},
+    {"fig7.1/n128-k14", "scalar", 0x0a140ffaac532a69ULL},
+    {"fig7.1/n128-k16", "batched", 0x711a5a4f848e146cULL},
+    {"fig7.1/n128-k16", "scalar", 0xc0723b97931ee69dULL},
+    {"fig7.1/n256-k6", "batched", 0x495ef5c2fe49ca3fULL},
+    {"fig7.1/n256-k6", "scalar", 0x2af7b105e428737cULL},
+    {"fig7.1/n256-k8", "batched", 0x95f40552a19acfa8ULL},
+    {"fig7.1/n256-k8", "scalar", 0x0f58069962e15b2dULL},
+    {"fig7.1/n256-k10", "batched", 0xfaf06b305b03bd54ULL},
+    {"fig7.1/n256-k10", "scalar", 0x6a483f00ef9b3b53ULL},
+    {"fig7.1/n256-k12", "batched", 0xd7b8456ab51ea222ULL},
+    {"fig7.1/n256-k12", "scalar", 0x8707eae926ebfb6bULL},
+    {"fig7.1/n256-k14", "batched", 0x039cb0b57ce890d0ULL},
+    {"fig7.1/n256-k14", "scalar", 0x5ff58ee27dbeea5fULL},
+    {"fig7.1/n256-k16", "batched", 0xd3582d1abb395a32ULL},
+    {"fig7.1/n256-k16", "scalar", 0xfe3457a5e6f64ea5ULL},
+    {"fig7.1/n512-k6", "batched", 0x15c3682350b7f03aULL},
+    {"fig7.1/n512-k6", "scalar", 0x6c965da732fe4eafULL},
+    {"fig7.1/n512-k8", "batched", 0xebde9c140dbcd611ULL},
+    {"fig7.1/n512-k8", "scalar", 0x7599e064c8456946ULL},
+    {"fig7.1/n512-k10", "batched", 0xedfefbb1357661c2ULL},
+    {"fig7.1/n512-k10", "scalar", 0x1ed4faa01ddbbffbULL},
+    {"fig7.1/n512-k12", "batched", 0xf472a3f840e0295eULL},
+    {"fig7.1/n512-k12", "scalar", 0x6d291d9f7e24ec5bULL},
+    {"fig7.1/n512-k14", "batched", 0xffc313dc37be02a0ULL},
+    {"fig7.1/n512-k14", "scalar", 0x67d16db24a626813ULL},
+    {"fig7.1/n512-k16", "batched", 0x7154640ebd99088eULL},
+    {"fig7.1/n512-k16", "scalar", 0x2286683a628a44bfULL},
+    {"eq5.2/n64-uniform", "batched", 0x62295e2d964ebc0dULL},
+    {"eq5.2/n64-uniform", "scalar", 0x90ab9b5e8412557aULL},
     {"eq5.2/n64-gaussian-2c", "batched", 0xc9f774387833361aULL},
     {"eq5.2/n64-gaussian-2c", "scalar", 0x8bd904ebde13cb47ULL},
-    {"eq5.2/n128-uniform", "batched", 0xeeabadd26c93ab3dULL},
-    {"eq5.2/n128-uniform", "scalar", 0x69d041218736eb1eULL},
+    {"eq5.2/n128-uniform", "batched", 0xeb1d13beca97aba8ULL},
+    {"eq5.2/n128-uniform", "scalar", 0x6b19a40acd05eb71ULL},
     {"eq5.2/n128-gaussian-2c", "batched", 0x8903f44b5a17ed61ULL},
     {"eq5.2/n128-gaussian-2c", "scalar", 0x88880edb631a7034ULL},
-    {"eq5.2/n256-uniform", "batched", 0x3dae2d952d5ab54eULL},
-    {"eq5.2/n256-uniform", "scalar", 0xfc16971d83961027ULL},
+    {"eq5.2/n256-uniform", "batched", 0x0e4ec3622d3e03c7ULL},
+    {"eq5.2/n256-uniform", "scalar", 0x01cfc79d4f084b74ULL},
     {"eq5.2/n256-gaussian-2c", "batched", 0xe3ee8e838dacc629ULL},
     {"eq5.2/n256-gaussian-2c", "scalar", 0x86a85e2af9a99292ULL},
-    {"eq5.2/n512-uniform", "batched", 0xf2f98fa9887f1bf3ULL},
-    {"eq5.2/n512-uniform", "scalar", 0x44656219043521d0ULL},
+    {"eq5.2/n512-uniform", "batched", 0x1cde019cdd6502d2ULL},
+    {"eq5.2/n512-uniform", "scalar", 0xe1d74df33812b7bfULL},
     {"eq5.2/n512-gaussian-2c", "batched", 0x4cc154fa2e495c20ULL},
     {"eq5.2/n512-gaussian-2c", "scalar", 0x321262a7cd59a4bdULL},
-    {"vlsa/n64", "batched", 0xef4b9ff374cdaff7ULL},
-    {"vlsa/n64", "scalar", 0x4b5122949ebfc666ULL},
-    {"vlsa/n128", "batched", 0x72aec59b1e9da9f4ULL},
-    {"vlsa/n128", "scalar", 0x6ec7aa10c5ade2ebULL},
-    {"vlsa/n256", "batched", 0xb5c1a2fae0188a85ULL},
-    {"vlsa/n256", "scalar", 0x6722561693480e04ULL},
-    {"vlsa/n512", "batched", 0x8c12513a878a8314ULL},
-    {"vlsa/n512", "scalar", 0xbe0f6d5f9be2af0bULL},
-    {"fig6.1/uniform-unsigned", nullptr, 0x5030a686dc324212ULL},
+    {"vlsa/n64", "batched", 0x196e9251b844b6e2ULL},
+    {"vlsa/n64", "scalar", 0xd9987ada28b81aebULL},
+    {"vlsa/n128", "batched", 0x4ebf0cbb137775edULL},
+    {"vlsa/n128", "scalar", 0xe08051cb3bb58e66ULL},
+    {"vlsa/n256", "batched", 0xf98c10e729a1df0cULL},
+    {"vlsa/n256", "scalar", 0x8a5bd7d0945ca0bdULL},
+    {"vlsa/n512", "batched", 0xd29657dac8370b0dULL},
+    {"vlsa/n512", "scalar", 0x0e93f6895a390c86ULL},
+    {"fig6.1/uniform-unsigned", nullptr, 0x36e8f8ec641d4415ULL},
     {"fig6.2/rsa-like", nullptr, 0x70aa8b01c1138135ULL},
     {"fig6.2/diffie-hellman-like", nullptr, 0x8d3badb0b9e2c58dULL},
     {"fig6.2/ec-field-like", nullptr, 0xbdfbde48c1203b8fULL},
