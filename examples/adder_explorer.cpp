@@ -102,17 +102,18 @@ void list_experiments() {
   }
 }
 
-/// The explorer's table view of a result record: the record's own fields,
-/// read back, plus the run's wall time (which never enters the record).
-void print_record(const std::string& record, double wall, double rate) {
+/// The explorer's table view of a result record: its result fields, read
+/// back, plus the run's wall time (which never enters the record).
+void print_record(const std::string& record, const harness::RecordKey& key, bool error_rate,
+                  double wall, double rate) {
   const harness::JsonParse parsed = harness::parse_json(record);
   if (!parsed.ok()) throw std::runtime_error("unparseable record: " + parsed.error);
   const auto raw = [&](const char* field) { return parsed.value.find(field)->number_text(); };
   const auto number = [&](const char* field) { return parsed.value.find(field)->as_double(); };
 
   harness::Table table({"metric", "value"});
-  if (parsed.value.find("kind")->as_string() == "error-rate") {
-    table.add_row({"samples", raw("samples")});
+  if (error_rate) {
+    table.add_row({"samples", std::to_string(key.samples)});
     table.add_row({"actual error rate", harness::fmt_pct(number("actual_rate"), 3)});
     table.add_row({"nominal (stall) rate", harness::fmt_pct(number("nominal_rate"), 3)});
     table.add_row({"either-wrong rate", harness::fmt_pct(number("either_wrong_rate"), 3)});
@@ -133,24 +134,26 @@ void print_record(const std::string& record, double wall, double rate) {
 }
 
 int run_experiment_by_name(const harness::ExplorerOptions& opt) {
-  const std::optional<harness::RecordKey> key =
-      harness::record_key(opt.experiment, opt.samples, opt.seed, opt.path);
-  if (!key) {
+  const harness::KeyResolution resolved =
+      harness::record_key(opt.experiment, opt.samples, opt.seed,
+                          opt.path_explicit ? std::optional(opt.path) : std::nullopt);
+  if (resolved.error == harness::KeyError::kUnknownExperiment) {
     std::cerr << "unknown experiment: " << opt.experiment << " (try --list-experiments)\n";
     return 2;
   }
-  const auto* error_rate = harness::find_error_rate_experiment(key->experiment);
-  const auto* chain_profile = harness::find_chain_profile_experiment(key->experiment);
-  if (chain_profile != nullptr && opt.path_explicit) {
-    std::cerr << "error: --batch only applies to error-rate experiments; "
-              << chain_profile->name << " is a chain-profile experiment\n";
+  if (resolved.error == harness::KeyError::kEvalPathOnChainProfile) {
+    std::cerr << "error: --batch only applies to error-rate experiments; " << opt.experiment
+              << " is a chain-profile experiment\n";
     return 2;
   }
-  std::cout << key->experiment << ": "
+  const harness::RecordKey& key = resolved.key;
+  const auto* error_rate = harness::find_error_rate_experiment(key.experiment);
+  const auto* chain_profile = harness::find_chain_profile_experiment(key.experiment);
+  std::cout << key.experiment << ": "
             << (error_rate != nullptr ? error_rate->description : chain_profile->description)
             << "\n"
-            << key->samples << " samples, seed " << key->seed;
-  if (error_rate != nullptr) std::cout << ", " << to_string(key->path) << " evaluation";
+            << key.samples << " samples, seed " << key.seed;
+  if (error_rate != nullptr) std::cout << ", " << to_string(key.path) << " evaluation";
   std::cout << "\n\n";
 
   harness::RunOptions options;
@@ -158,13 +161,13 @@ int run_experiment_by_name(const harness::ExplorerOptions& opt) {
   harness::RunProfileCollector collector;
   if (opt.profile) options.profile = &collector;
   const auto start = std::chrono::steady_clock::now();
-  const harness::RecordRun run = harness::run_record(*key, options);
+  const harness::RecordRun run = harness::run_record(key, options);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  const double rate = wall > 0.0 ? static_cast<double>(key->samples) / wall : 0.0;
+  const double rate = wall > 0.0 ? static_cast<double>(key.samples) / wall : 0.0;
   const std::string profile = run.profile ? harness::render_run_profile(*run.profile) : "";
   if (!profile.empty()) std::cerr << profile << "\n";
-  print_record(run.record, wall, rate);
+  print_record(run.record, key, error_rate != nullptr, wall, rate);
 
   if (!opt.json_path.empty()) {
     // The envelope: the record bytes exactly as the service caches them,

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "harness/engine.hpp"
+#include "harness/json.hpp"
 #include "harness/report.hpp"
 #include "speculative/error_model.hpp"
 
@@ -300,9 +301,28 @@ std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix
 namespace {
 
 // The result records.  Field order and spelling are the cache format: the
-// disk tier re-parses the embedded experiment/samples/seed/eval_path/
-// stream_version fields and validates them against the key (cache.hpp), and
-// registry_pin_test pins every entry's bytes.
+// disk tier re-parses the key fields add_key_fields writes and checks them
+// against the key (record_matches_key), describe replies lead with the same
+// identity fields, and registry_pin_test pins every entry's bytes.
+void add_identity_fields(JsonObject& out, const ErrorRateExperiment& experiment) {
+  out.add("experiment", experiment.name);
+  out.add("kind", "error-rate");
+  out.add("model", to_string(experiment.model));
+  out.add("width", experiment.width);
+  out.add("window", experiment.window);
+  out.add("distribution", arith::to_string(experiment.dist));
+}
+
+void add_identity_fields(JsonObject& out, const ChainProfileExperiment& experiment) {
+  const bool crypto = experiment.workload == ChainProfileExperiment::Workload::kCrypto;
+  out.add("experiment", experiment.name);
+  out.add("kind", "chain-profile");
+  out.add("width", experiment.width);
+  out.add("workload", crypto ? "crypto" : "distribution");
+  out.add("source", crypto ? std::string(to_string(experiment.crypto_kind))
+                           : arith::to_string(experiment.dist));
+}
+
 void add_key_fields(JsonObject& record, const RecordKey& key) {
   record.add("samples", key.samples);
   record.add("seed", key.seed);
@@ -313,12 +333,7 @@ void add_key_fields(JsonObject& record, const RecordKey& key) {
 std::string error_rate_record(const ErrorRateExperiment& experiment, const RecordKey& key,
                               const ErrorRateResult& result) {
   JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "error-rate");
-  record.add("model", to_string(experiment.model));
-  record.add("width", experiment.width);
-  record.add("window", experiment.window);
-  record.add("distribution", arith::to_string(experiment.dist));
+  add_identity_fields(record, experiment);
   add_key_fields(record, key);
   record.add("actual_errors", result.actual_errors);
   record.add("nominal_errors", result.nominal_errors);
@@ -335,14 +350,8 @@ std::string error_rate_record(const ErrorRateExperiment& experiment, const Recor
 
 std::string chain_profile_record(const ChainProfileExperiment& experiment, const RecordKey& key,
                                  const arith::CarryChainProfiler& profiler) {
-  const bool crypto = experiment.workload == ChainProfileExperiment::Workload::kCrypto;
   JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "chain-profile");
-  record.add("width", experiment.width);
-  record.add("workload", crypto ? "crypto" : "distribution");
-  record.add("source", crypto ? std::string(to_string(experiment.crypto_kind))
-                              : arith::to_string(experiment.dist));
+  add_identity_fields(record, experiment);
   add_key_fields(record, key);
   record.add("additions", profiler.additions());
   record.add("chains", profiler.total());
@@ -354,17 +363,57 @@ std::string chain_profile_record(const ChainProfileExperiment& experiment, const
 
 }  // namespace
 
-std::optional<RecordKey> record_key(std::string_view name, std::uint64_t samples,
-                                    std::uint64_t seed, EvalPath path) {
+KeyResolution record_key(std::string_view name, std::uint64_t samples, std::uint64_t seed,
+                         std::optional<EvalPath> path) {
   if (const ErrorRateExperiment* experiment = find_error_rate_experiment(name)) {
-    return RecordKey{experiment->name, samples == 0 ? experiment->default_samples : samples,
-                     seed, path, stream_version(experiment->dist)};
+    return {{experiment->name, samples == 0 ? experiment->default_samples : samples, seed,
+             path.value_or(EvalPath::kBatched), stream_version(experiment->dist)}};
   }
-  if (const ChainProfileExperiment* experiment = find_chain_profile_experiment(name)) {
-    return RecordKey{experiment->name, samples == 0 ? experiment->default_samples : samples,
-                     seed, EvalPath::kScalar, stream_version(*experiment)};
+  const ChainProfileExperiment* chain = find_chain_profile_experiment(name);
+  if (chain == nullptr) return {{}, KeyError::kUnknownExperiment};
+  if (path) return {{}, KeyError::kEvalPathOnChainProfile};
+  return {{chain->name, samples == 0 ? chain->default_samples : samples, seed, EvalPath::kScalar,
+           stream_version(*chain)}};
+}
+
+std::string encode_key(const RecordKey& key, KeyEncoding encoding) {
+  std::string out = key.experiment + "|" + std::to_string(key.samples) + "|" +
+                    std::to_string(key.seed) + "|" + to_string(key.path);
+  // Appended only when set, so unversioned entries keep their historical
+  // cache keys (and therefore their on-disk record file names) byte-for-byte.
+  if (encoding == KeyEncoding::kCache && !key.stream_version.empty()) {
+    out += "|" + key.stream_version;
   }
-  return std::nullopt;
+  return out;
+}
+
+bool record_matches_key(const std::string& record, const RecordKey& key) {
+  const JsonParse parse = parse_json(record);  // find() is nullptr on a non-object
+  const auto text_is = [&parse](const char* name, std::string_view expected) {
+    const JsonValue* field = parse.value.find(name);
+    return field != nullptr && field->kind() == JsonValue::Kind::kString &&
+           field->as_string() == expected;
+  };
+  const auto u64_is = [&parse](const char* name, std::uint64_t expected) {
+    const JsonValue* field = parse.value.find(name);
+    std::uint64_t value = 0;
+    return field != nullptr && field->to_u64(value) && value == expected;
+  };
+  return parse.ok() && text_is("experiment", key.experiment) && u64_is("samples", key.samples) &&
+         u64_is("seed", key.seed) && text_is("eval_path", to_string(key.path)) &&
+         (key.stream_version.empty() || text_is("stream_version", key.stream_version));
+}
+
+bool describe_experiment(std::string_view name, JsonObject& out) {
+  const auto describe = [&out](const auto& experiment) {
+    add_identity_fields(out, experiment);
+    out.add("default_samples", experiment.default_samples);
+    out.add("description", experiment.description);
+    return true;
+  };
+  if (const auto* experiment = find_error_rate_experiment(name)) return describe(*experiment);
+  if (const auto* chain = find_chain_profile_experiment(name)) return describe(*chain);
+  return false;
 }
 
 RecordRun run_record(const RecordKey& key, RunOptions options) {

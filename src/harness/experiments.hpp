@@ -5,8 +5,9 @@
 // example look experiments up here instead of hand-rolling sampling loops;
 // new workloads are added by appending a registration, and immediately
 // become runnable from every front end.  The registry also defines what an
-// experiment's result record is: record_key + run_record below are the one
-// place that names a record's key, stream version and bytes.
+// experiment's result record is: record_key, encode_key, record_matches_key,
+// describe_experiment and run_record below are the one place that resolves,
+// encodes, checks and describes a record's identity, and renders its bytes.
 //
 // Naming convention: "<artifact>/<point>", e.g. "table7.1/n64" or
 // "fig6.5/gaussian-twos-complement".  Prefix queries ("table7.1/") return
@@ -22,6 +23,7 @@
 #include "arith/distributions.hpp"
 #include "arith/workload.hpp"
 #include "harness/montecarlo.hpp"
+#include "harness/report.hpp"
 
 namespace vlcsa::harness {
 
@@ -107,8 +109,8 @@ struct ChainProfileExperiment {
 [[nodiscard]] std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix(
     std::string_view prefix);
 
-/// What an experiment's result record is a pure function of — the service's
-/// cache key, and the identity fields every record embeds.
+/// What an experiment's result record is a pure function of: the service's
+/// cache key, a sweep cell, and the key fields every record embeds.
 struct RecordKey {
   std::string experiment;
   std::uint64_t samples = 0;
@@ -123,11 +125,43 @@ struct RecordKey {
   std::string stream_version;
 };
 
+/// Why record_key resolved no key; each front end words its own message.
+enum class KeyError { kNone, kUnknownExperiment, kEvalPathOnChainProfile };
+
+struct KeyResolution {
+  RecordKey key;  // meaningful only when ok()
+  KeyError error = KeyError::kNone;
+  [[nodiscard]] bool ok() const { return error == KeyError::kNone; }
+};
+
 /// Resolves a run of registry entry `name` into its record key: `samples`
-/// 0 selects the entry's default, and chain profiles key the scalar path
-/// (they have no batched pipeline).  nullopt when no entry has that name.
-[[nodiscard]] std::optional<RecordKey> record_key(std::string_view name, std::uint64_t samples,
-                                                  std::uint64_t seed, EvalPath path);
+/// 0 selects the entry's default, `path` unset the batched path.  Chain
+/// profiles have no batched pipeline: they key the scalar path, and an
+/// explicit `path` for one is an error.
+[[nodiscard]] KeyResolution record_key(std::string_view name, std::uint64_t samples,
+                                       std::uint64_t seed,
+                                       std::optional<EvalPath> path = std::nullopt);
+
+enum class KeyEncoding {
+  kCache,   // "experiment|samples|seed|eval_path[|stream_version]"
+  kCellId,  // "experiment|samples|seed|eval_path"
+};
+
+/// The key's flat encoding: the service cache's map key (its FNV-1a names
+/// the record's file, so it must never change) or a sweep cell id.
+[[nodiscard]] std::string encode_key(const RecordKey& key, KeyEncoding encoding);
+
+/// True when `record` is one JSON object whose key fields (experiment,
+/// samples, seed, eval_path, and stream_version when the key has one)
+/// equal `key`'s: the cache's disk-tier check, so a corrupt, foreign or
+/// pre-stream-change file reads as a miss.
+[[nodiscard]] bool record_matches_key(const std::string& record, const RecordKey& key);
+
+/// Adds what a describe reply says of entry `name`: the identity fields its
+/// records lead with (experiment, kind, model, width, window, distribution;
+/// or experiment, kind, width, workload, source for a chain profile), then
+/// default_samples and description.  false when no entry has that name.
+[[nodiscard]] bool describe_experiment(std::string_view name, JsonObject& out);
 
 /// What run_record produced.
 struct RecordRun {

@@ -252,14 +252,10 @@ template <typename Folds>
 ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
   if (path == EvalPath::kScalar) {
-    return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
-      return [&folds, shard_source = source.clone(), profile = options.profile](
-                 arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count) {
-        for (std::uint64_t i = 0; i < count; ++i) {
-          const auto [a, b] = shard_source->next(rng);
-          folds.sample(a, b, out);
-        }
-        if (profile != nullptr) profile->add_scalar_samples(count);
+    return run_sharded(options, [] { return ErrorRateResult{}; }, [&] {
+      return [&folds, shard_source = source.clone()](arith::BlockRng& rng, ErrorRateResult& out) {
+        const auto [a, b] = shard_source->next(rng);
+        folds.sample(a, b, out);
       };
     });
   }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 #include <istream>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -65,16 +66,6 @@ std::string read_u64_axis(const JsonValue& spec, const char* name,
   if (out.empty()) return std::string("field '") + name + "' must not be empty";
   return {};
 }
-
-/// One selected registry entry (exactly one pointer is set).
-struct SelectedExperiment {
-  const ErrorRateExperiment* error_rate = nullptr;
-  const ChainProfileExperiment* chain_profile = nullptr;
-
-  [[nodiscard]] const std::string& name() const {
-    return error_rate != nullptr ? error_rate->name : chain_profile->name;
-  }
-};
 
 double now_epoch_seconds() {
   return std::chrono::duration<double>(
@@ -202,50 +193,47 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     out.error = "sweep spec requires field 'experiments'";
     return out;
   }
-  std::vector<SelectedExperiment> selection;
-  std::unordered_set<std::string> seen;
+  std::vector<std::string_view> selection;  // registry-owned names
+  std::unordered_set<std::string_view> seen;
   for (const std::string& entry : entries) {
-    std::vector<SelectedExperiment> matched;
+    std::vector<std::string_view> matched;
     if (entry.back() == '/') {
       for (const auto* experiment : error_rate_experiments_with_prefix(entry)) {
-        matched.push_back({experiment, nullptr});
+        matched.push_back(experiment->name);
       }
       for (const auto* experiment : chain_profile_experiments_with_prefix(entry)) {
-        matched.push_back({nullptr, experiment});
+        matched.push_back(experiment->name);
       }
       if (matched.empty()) {
         out.error = "experiments entry '" + entry + "' matched no experiment";
         return out;
       }
     } else if (const auto* experiment = find_error_rate_experiment(entry)) {
-      matched.push_back({experiment, nullptr});
+      matched.push_back(experiment->name);
     } else if (const auto* experiment = find_chain_profile_experiment(entry)) {
-      matched.push_back({nullptr, experiment});
+      matched.push_back(experiment->name);
     } else {
       out.error = "unknown experiment '" + entry + "' (exact name or \"prefix/\")";
       return out;
     }
-    for (const SelectedExperiment& candidate : matched) {
-      if (seen.insert(candidate.name()).second) selection.push_back(candidate);
+    for (const std::string_view name : matched) {
+      if (seen.insert(name).second) selection.push_back(name);
     }
   }
 
-  // Eval path (error-rate cells only; chain profiles are keyed "scalar").
-  EvalPath path = EvalPath::kBatched;
-  bool path_given = false;
+  // Eval path: record_key rejects it for chain profiles.  Checked before
+  // the numeric axes, so a spec with several faults reports the same one.
+  std::optional<EvalPath> path;
   if (const JsonValue* field = spec.find("eval_path"); field != nullptr) {
-    path_given = true;
     if (field->kind() != JsonValue::Kind::kString ||
-        !parse_eval_path(field->as_string(), path)) {
+        !parse_eval_path(field->as_string(), path.emplace())) {
       out.error = "field 'eval_path' must be \"batched\" or \"scalar\"";
       return out;
     }
-  }
-  if (path_given) {
-    for (const SelectedExperiment& candidate : selection) {
-      if (candidate.chain_profile != nullptr) {
+    for (const std::string_view name : selection) {
+      if (!record_key(name, 0, 1, path).ok()) {
         out.error = "field 'eval_path' only applies to error-rate experiments; '" +
-                    candidate.name() + "' is a chain-profile experiment";
+                    std::string(name) + "' is a chain-profile experiment";
         return out;
       }
     }
@@ -275,30 +263,21 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
   }
   if (!seeds_given) seeds.push_back(1);
 
-  // Expansion: experiments (selection order) × samples × seeds, duplicates
-  // collapsed by id (an explicit samples value equal to a default can
-  // collide; the first occurrence wins, order stays deterministic).
+  // Expansion: experiments (selection order) × samples × seeds, each cell
+  // the record key the registry resolves (samples 0 = the entry default,
+  // chain profiles on the scalar path).  Duplicates collapse by id (an
+  // explicit samples value equal to a default can collide; the first
+  // occurrence wins, order stays deterministic).
   std::unordered_set<std::string> ids;
-  for (const SelectedExperiment& candidate : selection) {
-    const bool error_rate = candidate.error_rate != nullptr;
-    const std::uint64_t default_samples = error_rate
-                                              ? candidate.error_rate->default_samples
-                                              : candidate.chain_profile->default_samples;
-    const std::string eval_path =
-        error_rate ? to_string(path) : to_string(EvalPath::kScalar);
+  for (const std::string_view name : selection) {
+    const bool error_rate = find_error_rate_experiment(name) != nullptr;
     for (const std::uint64_t samples : samples_axis) {
       for (const std::uint64_t seed : seeds) {
-        SweepCell cell;
-        cell.experiment = candidate.name();
-        cell.samples = samples == 0 ? default_samples : samples;
-        cell.seed = seed;
-        cell.eval_path = eval_path;
-        cell.error_rate = error_rate;
-        cell.id = cell.experiment + "|" + std::to_string(cell.samples) + "|" +
-                  std::to_string(cell.seed) + "|" + cell.eval_path;
-        if (!ids.insert(cell.id).second) continue;
-        cell.index = out.spec.cells.size();
-        out.spec.cells.push_back(std::move(cell));
+        RecordKey key = record_key(name, samples, seed, path).key;
+        std::string id = encode_key(key, KeyEncoding::kCellId);
+        if (!ids.insert(id).second) continue;
+        out.spec.cells.push_back({std::move(id), out.spec.cells.size(), std::move(key.experiment),
+                                  key.samples, key.seed, to_string(key.path), error_rate});
       }
     }
   }

@@ -7,10 +7,9 @@
 // "prefix/" selections from the registry), crossed with explicit samples
 // and seeds axes.  parse_sweep_spec expands the spec into a deterministic
 // cell list — same spec, same cells, same order, same ids — which is what
-// makes a sweep resumable by construction: every cell maps onto the result
-// cache's key space (experiment|samples|seed|eval_path), so re-running the
-// same spec against a warm cache answers prior work as cache hits and only
-// computes the frontier.
+// makes a sweep resumable by construction: every cell is a registry record
+// key (harness::record_key), so re-running the same spec against a warm
+// cache answers prior work as cache hits and only computes the frontier.
 //
 // run_sweep executes the cells through an injected transport (one
 // request-line/reply-line roundtrip — the vlcsa_sweep front end wires it to
@@ -46,7 +45,7 @@ namespace vlcsa::harness {
 /// One expanded grid cell: a fully resolved (experiment, samples, seed,
 /// eval_path) point, in deterministic expansion order.
 struct SweepCell {
-  std::string id;          // "experiment|samples|seed|eval_path" (cache-key shaped)
+  std::string id;          // encode_key(key, KeyEncoding::kCellId)
   std::size_t index = 0;   // position in expansion order
   std::string experiment;
   std::uint64_t samples = 0;  // resolved against the experiment default

@@ -6,10 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 #include <vector>
 
-#include "harness/json.hpp"
 #include "service/fleet.hpp"
 
 namespace vlcsa::service {
@@ -52,44 +52,12 @@ std::string sanitize(const std::string& text) {
 
 }  // namespace
 
-std::string cache_map_key(const CacheKey& key) {
-  std::string map_key = key.experiment + "|" + std::to_string(key.samples) + "|" +
-                        std::to_string(key.seed) + "|" + key.eval_path;
-  // Appended only when set, so unversioned families keep their historical
-  // map keys (and therefore their on-disk record file names) byte-for-byte.
-  if (!key.stream_version.empty()) map_key += "|" + key.stream_version;
-  return map_key;
-}
-
-bool record_matches_key(const std::string& record, const CacheKey& key) {
-  const harness::JsonParse parse = harness::parse_json(record);
-  if (!parse.ok() || parse.value.kind() != harness::JsonValue::Kind::kObject) return false;
-  const harness::JsonValue* experiment = parse.value.find("experiment");
-  const harness::JsonValue* samples = parse.value.find("samples");
-  const harness::JsonValue* seed = parse.value.find("seed");
-  const harness::JsonValue* eval_path = parse.value.find("eval_path");
-  if (experiment == nullptr || experiment->kind() != harness::JsonValue::Kind::kString ||
-      experiment->as_string() != key.experiment) {
-    return false;
+CacheKey::operator harness::RecordKey() const {
+  harness::EvalPath path = harness::EvalPath::kBatched;
+  if (!harness::parse_eval_path(eval_path, path)) {
+    throw std::invalid_argument("unknown eval_path '" + eval_path + "'");
   }
-  std::uint64_t value = 0;
-  if (samples == nullptr || !samples->to_u64(value) || value != key.samples) return false;
-  if (seed == nullptr || !seed->to_u64(value) || value != key.seed) return false;
-  if (eval_path == nullptr || eval_path->kind() != harness::JsonValue::Kind::kString ||
-      eval_path->as_string() != key.eval_path) {
-    return false;
-  }
-  if (!key.stream_version.empty()) {
-    // Versioned family: the record must declare the same stream version.
-    // A record from before the family's stream change has no such field
-    // and must read as a miss, never as a stale hit.
-    const harness::JsonValue* stream = parse.value.find("stream_version");
-    if (stream == nullptr || stream->kind() != harness::JsonValue::Kind::kString ||
-        stream->as_string() != key.stream_version) {
-      return false;
-    }
-  }
-  return true;
+  return {experiment, samples, seed, path, stream_version};
 }
 
 ResultCache::ResultCache(std::string disk_dir, std::size_t memory_capacity,
@@ -201,10 +169,10 @@ void ResultCache::enforce_disk_cap_locked() {
   }
 }
 
-std::string ResultCache::file_path(const CacheKey& key) const {
-  const std::string map_key = cache_map_key(key);
+std::string ResultCache::file_path(const harness::RecordKey& key) const {
+  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
   return disk_dir_ + "/" + sanitize(key.experiment) + "-s" + std::to_string(key.samples) +
-         "-seed" + std::to_string(key.seed) + "-" + sanitize(key.eval_path) + "-" +
+         "-seed" + std::to_string(key.seed) + "-" + to_string(key.path) + "-" +
          hex64(fnv1a64(map_key)) + ".json";
 }
 
@@ -225,8 +193,8 @@ void ResultCache::promote_locked(const std::string& map_key, const std::string& 
   }
 }
 
-ResultCache::Lookup ResultCache::get(const CacheKey& key) {
-  const std::string map_key = cache_map_key(key);
+ResultCache::Lookup ResultCache::get(const harness::RecordKey& key) {
+  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(map_key);
@@ -248,7 +216,7 @@ ResultCache::Lookup ResultCache::get(const CacheKey& key) {
       // non-atomic writer — it must degrade to a miss, never a wrong hit.
       fleet::fault::maybe_tear("torn-read", record);
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (record_matches_key(record, key)) {
+      if (harness::record_matches_key(record, key)) {
         promote_locked(map_key, record);
         ++stats_.disk_hits;
         return {Tier::kDisk, std::move(record)};
@@ -261,10 +229,10 @@ ResultCache::Lookup ResultCache::get(const CacheKey& key) {
   return {Tier::kMiss, {}};
 }
 
-void ResultCache::put(const CacheKey& key, const std::string& record) {
+void ResultCache::put(const harness::RecordKey& key, const std::string& record) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    promote_locked(cache_map_key(key), record);
+    promote_locked(harness::encode_key(key, harness::KeyEncoding::kCache), record);
     ++stats_.stores;
   }
   if (disk_dir_.empty()) return;
@@ -315,11 +283,11 @@ void ResultCache::put(const CacheKey& key, const std::string& record) {
   }
 }
 
-std::string ResultCache::lease_path(const CacheKey& key) const {
+std::string ResultCache::lease_path(const harness::RecordKey& key) const {
   return file_path(key) + ".lease";
 }
 
-fleet::ComputeLease ResultCache::try_acquire_lease(const CacheKey& key) {
+fleet::ComputeLease ResultCache::try_acquire_lease(const harness::RecordKey& key) {
   fleet::ComputeLease lease;
   if (disk_dir_.empty()) return lease;  // kDisabled: no shared tier to guard
   lease.try_acquire(lease_path(key), lease_stale_ms_);

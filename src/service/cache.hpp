@@ -2,8 +2,8 @@
 // Two-tier result cache for the experiment service daemon (service.hpp).
 //
 // A cache value is one rendered result record (a single-line JSON object,
-// JsonObject::render_line()) keyed on the four inputs a record is a pure
-// function of: (experiment name, resolved sample count, seed, eval path).
+// JsonObject::render_line()) keyed on the harness::RecordKey it is a pure
+// function of; the registry resolves, encodes and checks keys.
 // The registry + sharded engine guarantee records are deterministic and
 // thread-count-invariant, so a hit may be returned byte-for-byte in place of
 // recomputation — the contract the service smoke test enforces with cmp.
@@ -32,23 +32,22 @@
 #include <string>
 #include <unordered_map>
 
+#include "harness/experiments.hpp"
 #include "service/fleet.hpp"
 
 namespace vlcsa::service {
 
-/// What a result record is a pure function of.
+/// Not a second key type: harness::RecordKey spelled with the eval path as
+/// its wire string, which only perfbench's cache-layer timer builds.  It
+/// converts implicitly to the RecordKey every ResultCache call takes.
 struct CacheKey {
   std::string experiment;
   std::uint64_t samples = 0;
   std::uint64_t seed = 1;
-  std::string eval_path;  // "batched" / "scalar" (to_string(EvalPath))
-  /// Version tag for experiment families whose draw streams have changed
-  /// incompatibly (empty for families whose streams never moved — keys,
-  /// file names, and record matching are byte-identical to the pre-field
-  /// era then), so records written before a stream change miss instead of
-  /// being served as silently stale hits.  The registry assigns it
-  /// (harness::RecordKey::stream_version).
+  std::string eval_path;  // "batched" / "scalar"; anything else throws on conversion
   std::string stream_version;
+
+  operator harness::RecordKey() const;  // NOLINT(google-explicit-constructor)
 };
 
 /// Monotonic counters, exposed through the protocol's cache-stats request.
@@ -87,11 +86,11 @@ class ResultCache {
   };
 
   /// Looks `key` up memory-first; a disk hit is promoted into memory.
-  [[nodiscard]] Lookup get(const CacheKey& key);
+  [[nodiscard]] Lookup get(const harness::RecordKey& key);
 
   /// Stores `record` in both tiers (best effort on disk: an unwritable
   /// directory degrades the cache, never the result).
-  void put(const CacheKey& key, const std::string& record);
+  void put(const harness::RecordKey& key, const std::string& record);
 
   [[nodiscard]] CacheStats stats() const;
 
@@ -107,17 +106,17 @@ class ResultCache {
 
   /// The file a key is stored under: "<sanitized-key>-<fnv1a64>.json" inside
   /// disk_dir.  Exposed so tests and the CI smoke step can find records.
-  [[nodiscard]] std::string file_path(const CacheKey& key) const;
+  [[nodiscard]] std::string file_path(const harness::RecordKey& key) const;
 
   /// The key's compute-lease file (file_path + ".lease") — what
   /// try_acquire_lease creates and waiters poll.
-  [[nodiscard]] std::string lease_path(const CacheKey& key) const;
+  [[nodiscard]] std::string lease_path(const harness::RecordKey& key) const;
 
   /// Cross-process single-flight: attempts the key's compute lease.
   /// kAcquired = we compute (release after put); kBusy = another replica is
   /// computing, wait on lease_path; kDisabled = no disk tier, just compute.
   /// Counts takeovers of stale leases into the stats.
-  [[nodiscard]] fleet::ComputeLease try_acquire_lease(const CacheKey& key);
+  [[nodiscard]] fleet::ComputeLease try_acquire_lease(const harness::RecordKey& key);
 
   /// Counts one lease wait: a miss that parked behind another replica's
   /// compute lease instead of recomputing (the cross-process analogue of
@@ -159,14 +158,5 @@ class ResultCache {
       index_;
   CacheStats stats_;
 };
-
-/// The canonical flat encoding of a key ("experiment|samples|seed|path") —
-/// the memory tier's map key.  Exposed for testing.
-[[nodiscard]] std::string cache_map_key(const CacheKey& key);
-
-/// True when `record` is a valid single JSON object whose "experiment",
-/// "samples", "seed" and "eval_path" fields match `key` exactly — the disk
-/// tier's validation predicate.  Exposed for testing.
-[[nodiscard]] bool record_matches_key(const std::string& record, const CacheKey& key);
 
 }  // namespace vlcsa::service

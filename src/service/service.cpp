@@ -155,8 +155,7 @@ struct ExperimentService::RunSpec {
   std::string experiment;
   std::uint64_t samples = 0;  // 0 = not given (the experiment default)
   std::uint64_t seed = 1;
-  harness::EvalPath path = harness::EvalPath::kBatched;
-  bool path_given = false;
+  std::optional<harness::EvalPath> path;  // unset = not given
   std::uint64_t timeout_ms = 0;  // request-level override; 0 = not given
 };
 
@@ -215,11 +214,11 @@ std::string read_run_spec(const JsonValue& request,
     return error;
   }
   std::string path_text;
-  if (std::string error = read_string_field(request, "eval_path", path_text, out.path_given);
+  if (std::string error = read_string_field(request, "eval_path", path_text, given);
       !error.empty()) {
     return error;
   }
-  if (out.path_given && !harness::parse_eval_path(path_text, out.path)) {
+  if (given && !harness::parse_eval_path(path_text, out.path.emplace())) {
     return "field 'eval_path' must be \"batched\" or \"scalar\"";
   }
   return read_timeout_ms(request, out.timeout_ms);
@@ -426,20 +425,19 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
                                                          harness::RunStop stop,
                                                          RequestContext& ctx) {
   RunOutcome out;
-  const std::optional<harness::RecordKey> resolved =
+  const harness::KeyResolution resolved =
       harness::record_key(run.experiment, run.samples, run.seed, run.path);
-  if (!resolved) {
+  if (resolved.error == harness::KeyError::kUnknownExperiment) {
     out.error = "unknown experiment '" + run.experiment + "' (try \"list\")";
     out.code = kCodeUnknownExperiment;
     return out;
   }
-  if (run.path_given && harness::find_chain_profile_experiment(run.experiment) != nullptr) {
+  if (resolved.error == harness::KeyError::kEvalPathOnChainProfile) {
     out.error = "field 'eval_path' only applies to error-rate experiments; '" + run.experiment +
                 "' is a chain-profile experiment";
     return out;
   }
-  const CacheKey key{resolved->experiment, resolved->samples, resolved->seed,
-                     to_string(resolved->path), resolved->stream_version};
+  const harness::RecordKey& key = resolved.key;
 
   // Cancellation wears two hats: a fired per-request deadline (timeout) or
   // a server drain cancelling in-flight runs at its deadline (draining —
@@ -467,7 +465,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
   // the leader's future instead of re-sampling the same experiment in
   // parallel.  The latch is taken before the lookup so the cache counters
   // see exactly one event per non-coalesced request.
-  const std::string map_key = cache_map_key(key);
+  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
   std::promise<std::string> promise;
   std::shared_future<std::string> future;
   bool leader = false;
@@ -526,7 +524,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           harness::RecordRun computed;
           {
             const RequestTrace::Scope run_scope(ctx.trace, "engine-run");
-            computed = harness::run_record(*resolved, options);
+            computed = harness::run_record(key, options);
           }
           lookup.record = std::move(computed.record);
           if (computed.profile) out.profile_json = harness::render_run_profile(*computed.profile);
@@ -775,30 +773,7 @@ ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& req
   JsonObject response;
   response.add("status", "ok");
   response.add("request", "describe");
-  if (const auto* experiment = harness::find_error_rate_experiment(name)) {
-    response.add("experiment", experiment->name);
-    response.add("kind", "error-rate");
-    response.add("model", to_string(experiment->model));
-    response.add("width", experiment->width);
-    response.add("window", experiment->window);
-    response.add("distribution", arith::to_string(experiment->dist));
-    response.add("default_samples", experiment->default_samples);
-    response.add("description", experiment->description);
-    return {response.render_line(), false};
-  }
-  if (const auto* experiment = harness::find_chain_profile_experiment(name)) {
-    const bool crypto =
-        experiment->workload == harness::ChainProfileExperiment::Workload::kCrypto;
-    response.add("experiment", experiment->name);
-    response.add("kind", "chain-profile");
-    response.add("width", experiment->width);
-    response.add("workload", crypto ? "crypto" : "distribution");
-    response.add("source", crypto ? std::string(to_string(experiment->crypto_kind))
-                                  : arith::to_string(experiment->dist));
-    response.add("default_samples", experiment->default_samples);
-    response.add("description", experiment->description);
-    return {response.render_line(), false};
-  }
+  if (harness::describe_experiment(name, response)) return {response.render_line(), false};
   return error_reply(ctx, "unknown experiment '" + name + "' (try \"list\")",
                      kCodeUnknownExperiment);
 }

@@ -25,10 +25,11 @@
 // cached result record, whose bytes stay a pure function of the run inputs.
 //
 // Runs cover both experiment families (error-rate and chain-profile); the
-// registry defines each record's key and bytes (harness::record_key and
-// harness::run_record), and this service only caches them.  Request
-// parsing is strict in the cli.hpp tradition: unknown request names, unknown
-// fields, wrong field types and malformed JSON are all errors — a typo'd
+// registry resolves, encodes, checks and describes each record's key and
+// renders its bytes (harness::record_key, encode_key, record_matches_key,
+// describe_experiment, run_record); this service only caches the records.
+// Request parsing is strict in the cli.hpp tradition: unknown request names,
+// unknown fields, wrong field types and malformed JSON are all errors — a typo'd
 // field must never silently run a different experiment.  Responses are
 // single-line JSON objects with "status": "ok"|"error" (error responses
 // also carry a machine-readable "code"); a run response embeds the result
@@ -172,8 +173,8 @@ class ExperimentService {
 
   // Single-flight latch: concurrent run requests for the same cold key
   // compute once — the first request (leader) runs the experiment, the rest
-  // wait on its future and answer "cache": "coalesced".  Keyed on
-  // cache_map_key; entries live only while a computation is in flight.
+  // wait on its future and answer "cache": "coalesced".  Keyed on the
+  // key's cache encoding; entries live only while a computation is in flight.
   std::mutex inflight_mutex_;
   std::unordered_map<std::string, std::shared_future<std::string>> inflight_;
 };

@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -285,29 +286,30 @@ class RegistryRecordPinTest : public ::testing::TestWithParam<GoldenRecord> {};
 
 TEST_P(RegistryRecordPinTest, RecordBytesMatchServiceRenderedGolden) {
   const GoldenRecord& golden = GetParam();
-  EvalPath path = EvalPath::kBatched;
+  std::optional<EvalPath> path;  // unset for chain profiles
   if (golden.eval_path != nullptr) {
-    ASSERT_TRUE(parse_eval_path(golden.eval_path, path));
+    ASSERT_TRUE(parse_eval_path(golden.eval_path, path.emplace()));
   }
-  const auto key = record_key(golden.experiment, kRecordSamples, kSeed, path);
-  ASSERT_TRUE(key.has_value()) << golden.experiment;
+  const KeyResolution resolved = record_key(golden.experiment, kRecordSamples, kSeed, path);
+  ASSERT_TRUE(resolved.ok()) << golden.experiment;
+  const RecordKey& key = resolved.key;
   if (golden.eval_path == nullptr) {
-    EXPECT_EQ(key->path, EvalPath::kScalar);
+    EXPECT_EQ(key.path, EvalPath::kScalar);
   }
 
   RunOptions options;
   options.threads = 1;
-  const RecordRun run = run_record(*key, options);
+  const RecordRun run = run_record(key, options);
   EXPECT_EQ(fnv1a64(run.record), golden.fnv1a64) << run.record;
   EXPECT_FALSE(run.profile.has_value());
 
   // The key and the record agree on every field the disk tier validates.
   const JsonParse parsed = parse_json(run.record);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_EQ(parsed.value.find("experiment")->as_string(), key->experiment);
-  EXPECT_EQ(parsed.value.find("eval_path")->as_string(), to_string(key->path));
+  EXPECT_EQ(parsed.value.find("experiment")->as_string(), key.experiment);
+  EXPECT_EQ(parsed.value.find("eval_path")->as_string(), to_string(key.path));
   const JsonValue* version = parsed.value.find("stream_version");
-  EXPECT_EQ(version == nullptr ? std::string() : version->as_string(), key->stream_version);
+  EXPECT_EQ(version == nullptr ? std::string() : version->as_string(), key.stream_version);
 }
 
 std::string record_pin_name(const ::testing::TestParamInfo<GoldenRecord>& info) {
@@ -340,17 +342,35 @@ TEST(RegistryRecordPin, GoldensCoverTheWholeRegistry) {
 }
 
 TEST(RegistryRecordPin, UnknownNamesHaveNoKey) {
-  EXPECT_FALSE(record_key("table7.1/n65", 0, 1, EvalPath::kBatched).has_value());
+  EXPECT_EQ(record_key("table7.1/n65", 0, 1, EvalPath::kBatched).error,
+            KeyError::kUnknownExperiment);
+  EXPECT_EQ(record_key("table7.1/n65", 0, 1).error, KeyError::kUnknownExperiment);
+  // A chain profile has no batched pipeline, so an explicit eval path for
+  // one (either value) resolves no key; omitted, it keys the scalar path.
+  EXPECT_EQ(record_key("fig6.1/uniform-unsigned", 0, 1, EvalPath::kBatched).error,
+            KeyError::kEvalPathOnChainProfile);
+  EXPECT_EQ(record_key("fig6.1/uniform-unsigned", 0, 1, EvalPath::kScalar).error,
+            KeyError::kEvalPathOnChainProfile);
+  EXPECT_TRUE(record_key("fig6.1/uniform-unsigned", 0, 1).ok());
   RecordKey unknown;
   unknown.experiment = "table7.1/n65";
   EXPECT_THROW((void)run_record(unknown, RunOptions{}), std::invalid_argument);
 }
 
 TEST(RegistryRecordPin, ZeroSamplesSelectsTheEntryDefault) {
-  const auto key = record_key("fig6.2/rsa-like", 0, 7, EvalPath::kBatched);
-  ASSERT_TRUE(key.has_value());
-  EXPECT_EQ(key->samples, find_chain_profile_experiment("fig6.2/rsa-like")->default_samples);
-  EXPECT_EQ(key->seed, 7u);
+  const KeyResolution chain = record_key("fig6.2/rsa-like", 0, 7);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain.key.samples, find_chain_profile_experiment("fig6.2/rsa-like")->default_samples);
+  EXPECT_EQ(chain.key.seed, 7u);
+  EXPECT_EQ(chain.key.path, EvalPath::kScalar);
+  // The default applies whether or not the path was given, but a chain
+  // profile with a path is still rejected rather than defaulted.
+  const KeyResolution error_rate = record_key("table7.1/n64", 0, 7, EvalPath::kScalar);
+  ASSERT_TRUE(error_rate.ok());
+  EXPECT_EQ(error_rate.key.samples, find_error_rate_experiment("table7.1/n64")->default_samples);
+  EXPECT_EQ(error_rate.key.path, EvalPath::kScalar);
+  EXPECT_EQ(record_key("fig6.2/rsa-like", 0, 7, EvalPath::kScalar).error,
+            KeyError::kEvalPathOnChainProfile);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -227,9 +228,12 @@ TEST(SweepRun, ComputesEveryCellThenResumesFromCacheByteIdentically) {
   for (const SweepCellResult& cell : cold.cells) {
     EvalPath path = EvalPath::kBatched;
     ASSERT_TRUE(parse_eval_path(cell.cell.eval_path, path));
-    const auto key = record_key(cell.cell.experiment, cell.cell.samples, cell.cell.seed, path);
-    ASSERT_TRUE(key.has_value()) << cell.cell.id;
-    EXPECT_EQ(cell.record, run_record(*key, RunOptions{}).record) << cell.cell.id;
+    const KeyResolution key =
+        record_key(cell.cell.experiment, cell.cell.samples, cell.cell.seed,
+                   cell.cell.error_rate ? std::optional(path) : std::nullopt);
+    ASSERT_TRUE(key.ok()) << cell.cell.id;
+    EXPECT_EQ(key.key.path, path) << cell.cell.id;
+    EXPECT_EQ(cell.record, run_record(key.key, RunOptions{}).record) << cell.cell.id;
   }
   const SweepLogValidation cold_log = validate_file(log_cold);
   ASSERT_TRUE(cold_log.ok()) << cold_log.error;

@@ -22,6 +22,10 @@
 namespace vlcsa::service {
 namespace {
 
+using harness::EvalPath;
+using harness::KeyEncoding;
+using harness::RecordKey;
+
 std::string temp_dir(const std::string& tag) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("vlcsa_cache_test_" + std::to_string(::getpid()) + "_" + tag);
@@ -30,16 +34,16 @@ std::string temp_dir(const std::string& tag) {
 }
 
 /// A minimal record carrying exactly the fields disk validation checks.
-std::string record_for(const CacheKey& key, const std::string& payload = "x") {
+std::string record_for(const RecordKey& key, const std::string& payload = "x") {
   return "{\"experiment\": \"" + key.experiment +
          "\", \"samples\": " + std::to_string(key.samples) +
-         ", \"seed\": " + std::to_string(key.seed) + ", \"eval_path\": \"" + key.eval_path +
-         "\", \"payload\": \"" + payload + "\"}";
+         ", \"seed\": " + std::to_string(key.seed) + ", \"eval_path\": \"" +
+         to_string(key.path) + "\", \"payload\": \"" + payload + "\"}";
 }
 
 TEST(ResultCache, MissThenMemoryHit) {
   ResultCache cache("", 4);
-  const CacheKey key{"table7.1/n64", 1000, 1, "batched", ""};
+  const RecordKey key{"table7.1/n64", 1000, 1, EvalPath::kBatched, ""};
   EXPECT_EQ(cache.get(key).tier, ResultCache::Tier::kMiss);
   cache.put(key, record_for(key));
   const auto hit = cache.get(key);
@@ -69,22 +73,23 @@ TEST(ResultCache, CoalescedHitsAreCountedAsTheirOwnTier) {
 
 TEST(ResultCache, KeyComponentsAllDiscriminate) {
   ResultCache cache("", 8);
-  const CacheKey key{"table7.1/n64", 1000, 1, "batched", ""};
+  const RecordKey key{"table7.1/n64", 1000, 1, EvalPath::kBatched, ""};
   cache.put(key, record_for(key));
-  for (const CacheKey& other :
-       {CacheKey{"table7.1/n128", 1000, 1, "batched", ""},
-        CacheKey{"table7.1/n64", 1001, 1, "batched", ""},
-        CacheKey{"table7.1/n64", 1000, 2, "batched", ""},
-        CacheKey{"table7.1/n64", 1000, 1, "scalar", ""}}) {
-    EXPECT_EQ(cache.get(other).tier, ResultCache::Tier::kMiss) << cache_map_key(other);
+  for (const RecordKey& other :
+       {RecordKey{"table7.1/n128", 1000, 1, EvalPath::kBatched, ""},
+        RecordKey{"table7.1/n64", 1001, 1, EvalPath::kBatched, ""},
+        RecordKey{"table7.1/n64", 1000, 2, EvalPath::kBatched, ""},
+        RecordKey{"table7.1/n64", 1000, 1, EvalPath::kScalar, ""}}) {
+    EXPECT_EQ(cache.get(other).tier, ResultCache::Tier::kMiss)
+        << encode_key(other, KeyEncoding::kCache);
   }
 }
 
 TEST(ResultCache, LruEvictsLeastRecentlyUsed) {
   ResultCache cache("", 2);
-  const CacheKey a{"a", 1, 1, "batched", ""};
-  const CacheKey b{"b", 1, 1, "batched", ""};
-  const CacheKey c{"c", 1, 1, "batched", ""};
+  const RecordKey a{"a", 1, 1, EvalPath::kBatched, ""};
+  const RecordKey b{"b", 1, 1, EvalPath::kBatched, ""};
+  const RecordKey c{"c", 1, 1, EvalPath::kBatched, ""};
   cache.put(a, record_for(a));
   cache.put(b, record_for(b));
   EXPECT_EQ(cache.get(a).tier, ResultCache::Tier::kMemory);  // a is now most recent
@@ -98,14 +103,14 @@ TEST(ResultCache, LruEvictsLeastRecentlyUsed) {
 
 TEST(ResultCache, ZeroCapacityDisablesMemoryTier) {
   ResultCache cache("", 0);
-  const CacheKey key{"a", 1, 1, "batched", ""};
+  const RecordKey key{"a", 1, 1, EvalPath::kBatched, ""};
   cache.put(key, record_for(key));
   EXPECT_EQ(cache.get(key).tier, ResultCache::Tier::kMiss);
 }
 
 TEST(ResultCache, DiskTierSurvivesInstances) {
   const std::string dir = temp_dir("persist");
-  const CacheKey key{"table7.1/n64", 2000, 7, "scalar", ""};
+  const RecordKey key{"table7.1/n64", 2000, 7, EvalPath::kScalar, ""};
   const std::string record = record_for(key, "persisted");
   {
     ResultCache writer(dir, 4);
@@ -125,7 +130,7 @@ TEST(ResultCache, DiskTierSurvivesInstances) {
 TEST(ResultCache, CorruptDiskFileIsAMiss) {
   const std::string dir = temp_dir("corrupt");
   ResultCache cache(dir, 0);  // memory off so every get goes to disk
-  const CacheKey key{"table7.1/n64", 2000, 7, "batched", ""};
+  const RecordKey key{"table7.1/n64", 2000, 7, EvalPath::kBatched, ""};
   cache.put(key, record_for(key));
   {
     std::ofstream out(cache.file_path(key), std::ios::trunc);
@@ -138,8 +143,8 @@ TEST(ResultCache, CorruptDiskFileIsAMiss) {
 TEST(ResultCache, MismatchedRecordIsAMiss) {
   const std::string dir = temp_dir("mismatch");
   ResultCache cache(dir, 0);
-  const CacheKey key{"table7.1/n64", 2000, 7, "batched", ""};
-  const CacheKey other{"table7.1/n64", 2000, 8, "batched", ""};  // different seed
+  const RecordKey key{"table7.1/n64", 2000, 7, EvalPath::kBatched, ""};
+  const RecordKey other{"table7.1/n64", 2000, 8, EvalPath::kBatched, ""};  // different seed
   {
     std::ofstream out(cache.file_path(key), std::ios::trunc);
     out << record_for(other) << "\n";  // valid JSON, wrong key fields
@@ -156,11 +161,12 @@ TEST(ResultCache, StreamVersionedKeyRejectsUnversionedRecord) {
   // while unversioned keys keep their historical map keys and file names.
   const std::string dir = temp_dir("stream_version");
   ResultCache cache(dir, 0);
-  const CacheKey unversioned{"fig6.2/rsa-like", 4, 1, "scalar", ""};
-  CacheKey versioned = unversioned;
+  const RecordKey unversioned{"fig6.2/rsa-like", 4, 1, EvalPath::kScalar, ""};
+  RecordKey versioned = unversioned;
   versioned.stream_version = "crypto-rng-v2";
-  EXPECT_EQ(cache_map_key(unversioned), "fig6.2/rsa-like|4|1|scalar");
-  EXPECT_EQ(cache_map_key(versioned), "fig6.2/rsa-like|4|1|scalar|crypto-rng-v2");
+  EXPECT_EQ(encode_key(unversioned, KeyEncoding::kCache), "fig6.2/rsa-like|4|1|scalar");
+  EXPECT_EQ(encode_key(versioned, KeyEncoding::kCache),
+            "fig6.2/rsa-like|4|1|scalar|crypto-rng-v2");
   EXPECT_NE(cache.file_path(unversioned), cache.file_path(versioned));
 
   // Pre-versioning record on disk under the *versioned* file name (the
@@ -182,18 +188,18 @@ TEST(ResultCache, StreamVersionedKeyRejectsUnversionedRecord) {
   EXPECT_EQ(hit.tier, ResultCache::Tier::kDisk);
   EXPECT_EQ(hit.record, record);
   // The wrong version string is as dead as a missing one.
-  CacheKey bumped = versioned;
+  RecordKey bumped = versioned;
   bumped.stream_version = "crypto-rng-v3";
   EXPECT_FALSE(record_matches_key(record, bumped));
 }
 
 TEST(ResultCache, RecordMatchesKeyPredicate) {
-  const CacheKey key{"e/p", 10, 2, "batched", ""};
+  const RecordKey key{"e/p", 10, 2, EvalPath::kBatched, ""};
   EXPECT_TRUE(record_matches_key(record_for(key), key));
   EXPECT_FALSE(record_matches_key("not json", key));
   EXPECT_FALSE(record_matches_key("[1, 2]", key));
   EXPECT_FALSE(record_matches_key("{\"experiment\": \"e/p\"}", key));  // fields missing
-  CacheKey wrong = key;
+  RecordKey wrong = key;
   wrong.samples = 11;
   EXPECT_FALSE(record_matches_key(record_for(key), wrong));
 }
@@ -201,8 +207,9 @@ TEST(ResultCache, RecordMatchesKeyPredicate) {
 TEST(ResultCache, DiskCapEvictsOldestRecords) {
   const std::string dir = temp_dir("cap");
   // Roomy cap first: three records persist.
-  CacheKey keys[3] = {{"exp/a", 1, 1, "batched", ""}, {"exp/b", 2, 1, "batched", ""},
-                      {"exp/c", 3, 1, "batched", ""}};
+  RecordKey keys[3] = {{"exp/a", 1, 1, EvalPath::kBatched, ""},
+                       {"exp/b", 2, 1, EvalPath::kBatched, ""},
+                       {"exp/c", 3, 1, EvalPath::kBatched, ""}};
   {
     ResultCache cache(dir, 0, 1 << 20);
     for (int i = 0; i < 3; ++i) {
@@ -227,7 +234,7 @@ TEST(ResultCache, DiskCapEvictsOldestRecords) {
   EXPECT_EQ(cache.get(keys[1]).tier, ResultCache::Tier::kMiss);
   EXPECT_EQ(cache.get(keys[2]).tier, ResultCache::Tier::kDisk);
   // A fresh store pushes past the cap again: the older survivor goes.
-  const CacheKey fresh{"exp/d", 4, 1, "batched", ""};
+  const RecordKey fresh{"exp/d", 4, 1, EvalPath::kBatched, ""};
   cache.put(fresh, record_for(fresh));
   EXPECT_EQ(cache.get(fresh).tier, ResultCache::Tier::kDisk);
   EXPECT_EQ(cache.get(keys[2]).tier, ResultCache::Tier::kMiss);
@@ -239,16 +246,16 @@ TEST(ResultCache, ZeroCapLeavesDiskUnbounded) {
   const std::string dir = temp_dir("nocap");
   ResultCache cache(dir, 0, 0);
   for (int i = 0; i < 8; ++i) {
-    const CacheKey key{"exp/x" + std::to_string(i), static_cast<std::uint64_t>(i), 1,
-                      "batched", ""};
+    const RecordKey key{"exp/x" + std::to_string(i), static_cast<std::uint64_t>(i), 1,
+                        EvalPath::kBatched, ""};
     cache.put(key, record_for(key));
   }
   EXPECT_EQ(cache.stats().disk_evictions, 0u);
   EXPECT_EQ(cache.max_disk_bytes(), 0u);
   int on_disk = 0;
   for (int i = 0; i < 8; ++i) {
-    const CacheKey key{"exp/x" + std::to_string(i), static_cast<std::uint64_t>(i), 1,
-                      "batched", ""};
+    const RecordKey key{"exp/x" + std::to_string(i), static_cast<std::uint64_t>(i), 1,
+                        EvalPath::kBatched, ""};
     if (cache.get(key).tier == ResultCache::Tier::kDisk) ++on_disk;
   }
   EXPECT_EQ(on_disk, 8);
@@ -257,15 +264,23 @@ TEST(ResultCache, ZeroCapLeavesDiskUnbounded) {
 
 TEST(ResultCache, FilePathIsReadableAndKeyed) {
   ResultCache cache("/tmp/cache", 1);
-  const CacheKey key{"table7.1/n64", 200000, 1, "batched", ""};
+  const RecordKey key{"table7.1/n64", 200000, 1, EvalPath::kBatched, ""};
   const std::string path = cache.file_path(key);
   EXPECT_NE(path.find("/tmp/cache/table7.1_n64-s200000-seed1-batched-"), std::string::npos)
       << path;
   EXPECT_EQ(path.substr(path.size() - 5), ".json");
   // Different keys map to different files.
-  CacheKey other = key;
+  RecordKey other = key;
   other.seed = 2;
   EXPECT_NE(cache.file_path(other), path);
+
+  // Full names of registry keys, as every existing cache directory holds
+  // them (one unversioned, one gauss-rng-v2): a moved key encoding would
+  // rename every record and silently turn those caches cold.
+  EXPECT_EQ(cache.file_path(harness::record_key("fig6.3/uniform-twos-complement", 1000, 1).key),
+            "/tmp/cache/fig6.3_uniform-twos-complement-s1000-seed1-scalar-5679b30cfbd23926.json");
+  EXPECT_EQ(cache.file_path(harness::record_key("table7.1/n64", 1000, 1).key),
+            "/tmp/cache/table7.1_n64-s1000-seed1-batched-34a9ff56ac793a11.json");
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +311,7 @@ std::string read_file(const std::string& path) {
 TEST(ResultCacheFleet, StartupReapsOnlyProvablyStaleScratch) {
   const std::string dir = temp_dir("reap");
   std::filesystem::create_directories(dir);
-  const CacheKey key{"exp/reap", 10, 1, "batched", ""};
+  const RecordKey key{"exp/reap", 10, 1, EvalPath::kBatched, ""};
   {
     ResultCache writer(dir, 0);
     writer.put(key, record_for(key));
@@ -332,7 +347,7 @@ TEST(ResultCacheFleet, TruncatedRecordAndLeftoverTmpRecoverOnRestart) {
   // a dead writer's .tmp.  The restarted daemon must serve a miss, reap the
   // scratch, and recover by recomputing.
   const std::string dir = temp_dir("restart");
-  const CacheKey key{"exp/restart", 10, 1, "batched", ""};
+  const RecordKey key{"exp/restart", 10, 1, EvalPath::kBatched, ""};
   const std::string record = record_for(key, "recovered");
   std::string path;
   {
@@ -366,7 +381,7 @@ TEST(ResultCacheFleet, TruncatedRecordAndLeftoverTmpRecoverOnRestart) {
 TEST(ResultCacheFleet, TornReadFaultDegradesToMissNeverWrongHit) {
   const std::string dir = temp_dir("torn");
   ResultCache cache(dir, 0);
-  const CacheKey key{"exp/torn", 10, 1, "batched", ""};
+  const RecordKey key{"exp/torn", 10, 1, EvalPath::kBatched, ""};
   const std::string record = record_for(key, "whole");
   cache.put(key, record);
 
@@ -384,7 +399,7 @@ TEST(ResultCacheFleet, TornReadFaultDegradesToMissNeverWrongHit) {
 
 TEST(ResultCacheFleet, CrashBeforeRenameLeavesScratchNotARecord) {
   const std::string dir = temp_dir("crash");
-  const CacheKey key{"exp/crash", 10, 1, "batched", ""};
+  const RecordKey key{"exp/crash", 10, 1, EvalPath::kBatched, ""};
   const pid_t child = fork();
   ASSERT_NE(child, -1);
   if (child == 0) {
@@ -426,7 +441,7 @@ TEST(ResultCacheFleet, TwoProcessConcurrentStoreIsByteIdentical) {
   // pid-suffixed tmp + dir-locked rename make the overlap harmless: one
   // record file, exact bytes, no scratch left behind.
   const std::string dir = temp_dir("twoproc");
-  const CacheKey key{"exp/shared", 20, 3, "batched", ""};
+  const RecordKey key{"exp/shared", 20, 3, EvalPath::kBatched, ""};
   const std::string record = record_for(key, "identical-bytes");
   ResultCache mine(dir, 0);  // created before the fork so both see the dir
 
@@ -457,7 +472,7 @@ TEST(ResultCacheFleet, TwoProcessConcurrentStoreIsByteIdentical) {
 TEST(ResultCacheFleet, LeaseCountersFlowThroughStats) {
   const std::string dir = temp_dir("leasestats");
   ResultCache cache(dir, 0, 0, /*lease_stale_ms=*/1000);
-  const CacheKey key{"exp/lease", 10, 1, "batched", ""};
+  const RecordKey key{"exp/lease", 10, 1, EvalPath::kBatched, ""};
 
   // First acquire wins; with the lease file present a second cache (another
   // "replica") reads busy; a stale lease is taken over and counted.

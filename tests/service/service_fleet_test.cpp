@@ -66,11 +66,10 @@ bool bool_field(const JsonValue& response, const char* name) {
 /// The cache key every request in this file resolves to (defaults: seed 1,
 /// batched path), stream_version included — taken from the registry, as
 /// the service takes it.
-CacheKey error_rate_key(std::uint64_t samples) {
-  const auto key =
-      harness::record_key("fig7.1/n64-k6", samples, 1, harness::EvalPath::kBatched);
-  EXPECT_TRUE(key.has_value());
-  return {key->experiment, key->samples, key->seed, to_string(key->path), key->stream_version};
+harness::RecordKey error_rate_key(std::uint64_t samples) {
+  const harness::KeyResolution resolved = harness::record_key("fig7.1/n64-k6", samples, 1);
+  EXPECT_TRUE(resolved.ok());
+  return resolved.key;
 }
 
 TEST(ServiceDrain, DrainReplyThenRunsRefusedObservationStillServed) {
@@ -170,7 +169,7 @@ TEST(ServiceDrain, DeadlineCancellationAnswersDrainingNotTimeout) {
 TEST(ServiceFleet, LeaderWaitsOnForeignLeaseThenHitsDisk) {
   const std::string dir = temp_dir("leasewait");
   ExperimentService service({dir, 64, 1});
-  const CacheKey key = error_rate_key(2000);
+  const harness::RecordKey key = error_rate_key(2000);
 
   // A peer replica "holds" the compute lease for this key.
   const std::string lease_path = service.cache().lease_path(key);
@@ -192,7 +191,7 @@ TEST(ServiceFleet, LeaderWaitsOnForeignLeaseThenHitsDisk) {
     ASSERT_EQ(field(response, "status"), "ok");
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const CacheKey peer_key = error_rate_key(2000);
+  const harness::RecordKey peer_key = error_rate_key(2000);
   std::filesystem::copy_file(ResultCache(peer_dir, 0).file_path(peer_key),
                              service.cache().file_path(key));
   std::filesystem::remove(lease_path);
@@ -217,7 +216,7 @@ TEST(ServiceFleet, StaleForeignLeaseIsTakenOverAndRunProceeds) {
 
   // A crashed peer left a lease behind (created after construction so the
   // startup reap does not sweep it; backdated past the staleness bound).
-  const CacheKey key = error_rate_key(2000);
+  const harness::RecordKey key = error_rate_key(2000);
   const std::string lease_path = service.cache().lease_path(key);
   {
     std::ofstream out(lease_path);

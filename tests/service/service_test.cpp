@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/experiments.hpp"
 #include "harness/json.hpp"
 #include "service/server.hpp"
 
@@ -241,6 +242,41 @@ TEST(ExperimentService, ListAndDescribe) {
       service.handle_line(R"({"request": "describe", "experiment": "fig6.2/rsa-like"})"));
   EXPECT_EQ(field(crypto, "kind"), "chain-profile");
   EXPECT_EQ(field(crypto, "workload"), "crypto");
+}
+
+TEST(ExperimentService, DescribeLeadsWithTheRecordsIdentityFields) {
+  // describe and a run record render one identity block: for every entry,
+  // the describe reply's fields from "experiment" up to "default_samples"
+  // are byte-for-byte the fields a run record leads with.
+  ExperimentService service({"", 0, 1});
+  std::vector<std::string> names;
+  for (const auto& experiment : harness::error_rate_experiments()) {
+    names.push_back(experiment.name);
+  }
+  for (const auto& experiment : harness::chain_profile_experiments()) {
+    names.push_back(experiment.name);
+  }
+  EXPECT_EQ(names.size(), 52u + 7u);
+  for (const std::string& name : names) {
+    const std::string describe =
+        service.handle_line(R"({"request": "describe", "experiment": ")" + name + "\"}").line;
+    const std::string run =
+        service.handle_line(R"({"request": "run", "experiment": ")" + name +
+                            R"(", "samples": 1})")
+            .line;
+    const std::size_t describe_begin = describe.find("\"experiment\": ");
+    const std::size_t describe_end = describe.find(", \"default_samples\": ");
+    const std::size_t record_begin = run.find("\"record\": {\"experiment\": ");
+    ASSERT_NE(describe_begin, std::string::npos) << describe;
+    ASSERT_NE(describe_end, std::string::npos) << describe;
+    ASSERT_NE(record_begin, std::string::npos) << run;
+    const std::size_t identity_begin = record_begin + std::string("\"record\": {").size();
+    const std::size_t identity_end = run.find(", \"samples\": ", identity_begin);
+    ASSERT_NE(identity_end, std::string::npos) << run;
+    EXPECT_EQ(describe.substr(describe_begin, describe_end - describe_begin),
+              run.substr(identity_begin, identity_end - identity_begin))
+        << name;
+  }
 }
 
 TEST(ExperimentService, ShutdownReply) {
