@@ -20,14 +20,13 @@
 #include "harness/json.hpp"
 #include "harness/montecarlo.hpp"
 #include "harness/report.hpp"
-#include "service/fleet.hpp"
 #include "service/server.hpp"
 
 using namespace vlcsa;
 
 namespace {
 
-void print_usage() {
+void print_usage(const service::ClientFlags& connection) {
   std::cout
       << "usage: vlcsa_client (--socket=PATH | --tcp=HOST:PORT)\n"
          "                    (--request=run|run-batch|list|describe|cache-stats\n"
@@ -38,9 +37,8 @@ void print_usage() {
          "                     | --send=JSONLINE)\n"
          "                    [--connect-timeout-ms=N] [--timeout-ms=N]\n"
          "                    [--retries=N] [--retry-base-ms=T]\n"
-         "  --socket    Unix domain socket vlcsa_serve listens on\n"
-         "  --tcp       TCP endpoint vlcsa_serve listens on\n"
-         "  --request   protocol request to build from the flags below\n"
+      << connection.usage()
+      << "  --request   protocol request to build from the flags below\n"
          "              (metrics-prom prints the Prometheus text exposition\n"
          "              unwrapped from its JSON envelope)\n"
          "  --experiment, --samples, --seed, --eval-path   run/describe fields\n"
@@ -50,24 +48,15 @@ void print_usage() {
          "              (\"trace\": true) in the response envelope\n"
          "  --trace-id  correlation id to stamp on the request (\"trace_id\")\n"
          "  --send      send this raw request line instead of building one\n"
-         "  --connect-timeout-ms   keep retrying the connect this long\n"
-         "                         (default 0 = single attempt)\n"
          "  --timeout-ms   client I/O deadline: fail instead of hanging if the\n"
          "                 server goes silent (default 0 = wait forever)\n"
-         "  --retries      retry a refused connect, a transport failure, or an\n"
-         "                 overloaded/draining error reply up to N times with\n"
-         "                 exponential backoff + jitter (default 0 = no retry)\n"
-         "  --retry-base-ms   first backoff step; doubles per retry, capped at\n"
-         "                 5000 ms (default 100)\n"
          "exit status: 0 response ok, 1 response/transport error, 2 usage error\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path;
-  std::string tcp_host;
-  int tcp_port = -1;
+  service::ClientFlags connection("--socket");
   std::string request;
   std::string experiment;
   std::string eval_path;
@@ -79,12 +68,8 @@ int main(int argc, char** argv) {
   bool seed_given = false;
   std::uint64_t run_timeout_ms = 0;
   bool run_timeout_given = false;
-  int connect_timeout_ms = 0;
-  int io_timeout_ms = 0;
   bool trace = false;
   std::string trace_id;
-  service::fleet::RetryPolicy retry_policy;
-  bool retry_base_given = false;
 
   const auto store_string = [](std::string& field) {
     return [&field](const std::string& value) {
@@ -93,12 +78,7 @@ int main(int argc, char** argv) {
       return true;
     };
   };
-  const std::vector<harness::ValueFlag> flags = {
-      {"--socket", store_string(socket_path)},
-      {"--tcp",
-       [&](const std::string& value) {
-         return harness::parse_host_port(value, tcp_host, tcp_port);
-       }},
+  std::vector<harness::ValueFlag> flags = {
       {"--request", store_string(request)},
       {"--experiment", store_string(experiment)},
       {"--eval-path",
@@ -125,26 +105,13 @@ int main(int argc, char** argv) {
          run_timeout_given = true;
          return harness::parse_u64(value, run_timeout_ms) && run_timeout_ms > 0;
        }},
-      {"--connect-timeout-ms",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, connect_timeout_ms);
-       }},
       {"--timeout-ms",
        [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, io_timeout_ms);
+         return harness::parse_nonnegative_int(value, connection.options.io_timeout_ms);
        }},
       {"--trace-id", store_string(trace_id)},
-      {"--retries",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, retry_policy.attempts);
-       }},
-      {"--retry-base-ms",
-       [&](const std::string& value) {
-         retry_base_given = true;
-         return harness::parse_nonnegative_int(value, retry_policy.base_ms) &&
-                retry_policy.base_ms > 0;
-       }},
   };
+  for (harness::ValueFlag& row : connection.rows()) flags.push_back(std::move(row));
 
   // --trace and --help take no value, so they sit outside the ValueFlag set.
   std::vector<const char*> value_args;
@@ -154,7 +121,7 @@ int main(int argc, char** argv) {
     if (arg == "--trace") {
       trace = true;
     } else if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(connection);
       return 0;
     } else {
       value_args.push_back(argv[i]);
@@ -164,21 +131,15 @@ int main(int argc, char** argv) {
           static_cast<int>(value_args.size()), value_args.data(), flags);
       !error.empty()) {
     std::cerr << "error: " << error << "\n";
-    print_usage();
+    print_usage(connection);
     return 2;
   }
-  const bool tcp = tcp_port >= 0;
-  if (socket_path.empty() == !tcp) {
-    std::cerr << "error: exactly one of --socket=PATH or --tcp=HOST:PORT is required\n";
+  if (const std::string error = connection.check(/*endpoint_required=*/true); !error.empty()) {
+    std::cerr << "error: " << error << "\n";
     return 2;
   }
   if (request.empty() == raw_line.empty()) {
     std::cerr << "error: exactly one of --request or --send is required\n";
-    return 2;
-  }
-  if (retry_base_given && retry_policy.attempts == 0) {
-    // A backoff base without retries would be silently dead.
-    std::cerr << "error: --retry-base-ms requires --retries\n";
     return 2;
   }
 
@@ -199,27 +160,12 @@ int main(int argc, char** argv) {
     line = object.render_line();
   }
 
-  service::ServiceClient client;
-  const std::string connect_error =
-      tcp ? client.connect_tcp_or_error(tcp_host, tcp_port, connect_timeout_ms)
-          : client.connect_or_error(socket_path, connect_timeout_ms);
-  if (!connect_error.empty() && retry_policy.attempts == 0) {
-    // With retries the backoff loop redials — a daemon that is still coming
-    // up (or rotating) is exactly what retries exist for.
-    std::cerr << "error: " << connect_error << "\n";
-    return 1;
-  }
-  if (connect_error.empty() && io_timeout_ms > 0) {
-    if (const std::string error = client.set_io_timeout_ms(io_timeout_ms); !error.empty()) {
-      std::cerr << "error: " << error << "\n";
-      return 1;
-    }
-  }
+  // The roundtrip dials; with retries a refused connect is redialed too — a
+  // daemon that is still coming up (or rotating) is what retries exist for.
+  service::ServiceClient client(connection.options);
   std::string response;
   std::uint64_t retries = 0;
-  const std::string transport_error =
-      retry_policy.attempts > 0 ? client.roundtrip_with_retry(line, response, retry_policy, &retries)
-                                : client.roundtrip(line, response);
+  const std::string transport_error = client.roundtrip(line, response, &retries);
   if (retries > 0) std::cerr << "vlcsa_client: retried " << retries << " time(s)\n";
   if (!transport_error.empty()) {
     std::cerr << "error: " << transport_error << "\n";

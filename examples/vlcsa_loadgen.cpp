@@ -31,7 +31,6 @@
 #include "harness/cli.hpp"
 #include "harness/json.hpp"
 #include "harness/report.hpp"
-#include "service/fleet.hpp"
 #include "service/metrics.hpp"
 #include "service/server.hpp"
 #include "service/trace.hpp"
@@ -40,35 +39,27 @@ using namespace vlcsa;
 
 namespace {
 
-void print_usage() {
+void print_usage(const service::ClientFlags& connection) {
   std::cout
       << "usage: vlcsa_loadgen (--socket=PATH | --tcp=HOST:PORT) --trace=FILE\n"
          "                     [--repeat=N] [--concurrency=N] [--json=FILE]\n"
          "                     [--timeout-ms=N] [--connect-timeout-ms=N]\n"
          "                     [--slo-p99-ms=MS] [--trace-log=FILE]\n"
          "                     [--retries=N] [--retry-base-ms=T]\n"
-         "  --socket      Unix domain socket vlcsa_serve listens on\n"
-         "  --tcp         TCP endpoint vlcsa_serve listens on\n"
-         "  --trace       request trace: one protocol request line per line\n"
+      << connection.usage()
+      << "  --trace       request trace: one protocol request line per line\n"
          "                (shutdown requests are rejected — a load test must\n"
          "                not stop the daemon it measures)\n"
          "  --repeat      replay the whole trace this many times (default 1)\n"
          "  --concurrency worker connections replaying in parallel (default 1)\n"
          "  --json        also write the report object to this file\n"
          "  --timeout-ms  per-roundtrip I/O deadline (default 0 = wait forever)\n"
-         "  --connect-timeout-ms  keep retrying each connect this long\n"
-         "                        (default 2000)\n"
          "  --slo-p99-ms  fail (exit 1) when client-observed p99 exceeds this\n"
          "                (default 0 = no SLO check)\n"
          "  --trace-log   the daemon's --trace-log file: stamp every replayed\n"
          "                request with a unique trace_id, then check each one\n"
          "                resolved to a complete span tree in that log and\n"
          "                report the per-stage time breakdown (stage_totals_ms)\n"
-         "  --retries     per-request retry budget: redial and retry on refused\n"
-         "                connects, transport failures, and overloaded/draining\n"
-         "                replies, with exponential backoff + jitter (default 0;\n"
-         "                retries are counted in the report's retries_seen)\n"
-         "  --retry-base-ms  first backoff step, doubling per retry (default 100)\n"
          "exit status: 0 clean replay, 1 errors/SLO miss/trace-log validation\n"
          "             failure, 2 usage error\n";
 }
@@ -144,31 +135,16 @@ std::string check_span_tree(const std::vector<service::TraceSpan>& spans,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path;
-  std::string tcp_host;
-  int tcp_port = -1;
+  service::ClientFlags connection("--socket");
+  connection.options.connect_timeout_ms = 2000;
   std::string trace_path;
   std::string json_path;
   std::string daemon_trace_log;
   int repeat = 1;
   int concurrency = 1;
-  int io_timeout_ms = 0;
-  int connect_timeout_ms = 2000;
   int slo_p99_ms = 0;
-  service::fleet::RetryPolicy retry_policy;
-  bool retry_base_given = false;
 
-  const std::vector<harness::ValueFlag> flags = {
-      {"--socket",
-       [&](const std::string& value) {
-         if (value.empty()) return false;
-         socket_path = value;
-         return true;
-       }},
-      {"--tcp",
-       [&](const std::string& value) {
-         return harness::parse_host_port(value, tcp_host, tcp_port);
-       }},
+  std::vector<harness::ValueFlag> flags = {
       {"--trace",
        [&](const std::string& value) {
          if (value.empty()) return false;
@@ -191,11 +167,7 @@ int main(int argc, char** argv) {
        }},
       {"--timeout-ms",
        [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, io_timeout_ms);
-       }},
-      {"--connect-timeout-ms",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, connect_timeout_ms);
+         return harness::parse_nonnegative_int(value, connection.options.io_timeout_ms);
        }},
       {"--slo-p99-ms",
        [&](const std::string& value) {
@@ -207,22 +179,13 @@ int main(int argc, char** argv) {
          daemon_trace_log = value;
          return true;
        }},
-      {"--retries",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, retry_policy.attempts);
-       }},
-      {"--retry-base-ms",
-       [&](const std::string& value) {
-         retry_base_given = true;
-         return harness::parse_nonnegative_int(value, retry_policy.base_ms) &&
-                retry_policy.base_ms > 0;
-       }},
   };
+  for (harness::ValueFlag& row : connection.rows()) flags.push_back(std::move(row));
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(connection);
       return 0;
     }
   }
@@ -230,20 +193,15 @@ int main(int argc, char** argv) {
           argc, const_cast<const char* const*>(argv), flags);
       !error.empty()) {
     std::cerr << "error: " << error << "\n";
-    print_usage();
+    print_usage(connection);
     return 2;
   }
-  const bool tcp = tcp_port >= 0;
-  if (socket_path.empty() == !tcp) {
-    std::cerr << "error: exactly one of --socket=PATH or --tcp=HOST:PORT is required\n";
+  if (const std::string error = connection.check(/*endpoint_required=*/true); !error.empty()) {
+    std::cerr << "error: " << error << "\n";
     return 2;
   }
   if (trace_path.empty()) {
     std::cerr << "error: --trace=FILE is required\n";
-    return 2;
-  }
-  if (retry_base_given && retry_policy.attempts == 0) {
-    std::cerr << "error: --retry-base-ms requires --retries\n";
     return 2;
   }
 
@@ -317,24 +275,14 @@ int main(int argc, char** argv) {
   for (int w = 0; w < concurrency; ++w) {
     workers.emplace_back([&, w] {
       WorkerResult& result = results[static_cast<std::size_t>(w)];
-      service::ServiceClient client;
-      const std::string connect_error =
-          tcp ? client.connect_tcp_or_error(tcp_host, tcp_port, connect_timeout_ms)
-              : client.connect_or_error(socket_path, connect_timeout_ms);
-      if (!connect_error.empty() && retry_policy.attempts == 0) {
-        // With a retry budget the per-request loop redials; without one the
-        // worker is dead on arrival.
+      service::ServiceClient client(connection.options);
+      if (const std::string error = client.connect_or_error();
+          !error.empty() && connection.options.retry.attempts == 0) {
+        // With a retry budget the per-request roundtrip redials; without one
+        // the worker is dead on arrival.
         ++result.protocol_errors;
-        result.first_error = connect_error;
+        result.first_error = error;
         return;
-      }
-      if (connect_error.empty() && io_timeout_ms > 0) {
-        if (const std::string error = client.set_io_timeout_ms(io_timeout_ms);
-            !error.empty()) {
-          ++result.protocol_errors;
-          result.first_error = error;
-          return;
-        }
       }
       while (true) {
         const std::uint64_t index = next.fetch_add(1, std::memory_order_relaxed);
@@ -345,11 +293,7 @@ int main(int argc, char** argv) {
         }
         std::string response;
         const auto sent = Clock::now();
-        const std::string error =
-            retry_policy.attempts > 0
-                ? client.roundtrip_with_retry(request, response, retry_policy,
-                                              &result.retries)
-                : client.roundtrip(request, response);
+        const std::string error = client.roundtrip(request, response, &result.retries);
         result.latencies_seconds.push_back(
             std::chrono::duration<double>(Clock::now() - sent).count());
         if (!error.empty()) {
@@ -460,8 +404,9 @@ int main(int argc, char** argv) {
 
   harness::JsonObject report;
   report.add("schema", "vlcsa-loadgen-4");
-  report.add("transport", tcp ? "tcp" : "unix");
-  report.add("endpoint", tcp ? tcp_host + ":" + std::to_string(tcp_port) : socket_path);
+  const service::Endpoint& endpoint = connection.options.endpoint;
+  report.add("transport", endpoint.kind == service::Endpoint::Kind::kTcp ? "tcp" : "unix");
+  report.add("endpoint", endpoint.describe());
   report.add("trace", trace_path);
   report.add("trace_lines", static_cast<std::uint64_t>(trace.size()));
   report.add("repeat", repeat);

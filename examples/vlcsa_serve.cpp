@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,8 +101,7 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   std::string socket_path;
-  std::string tcp_host;
-  int tcp_port = -1;  // -1 = --tcp not given (0 is a valid ephemeral request)
+  std::optional<service::Endpoint> tcp;  // port 0 = ephemeral
   bool stdio = false;
   bool show_help = false;
   service::ServiceConfig config;
@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
        }},
       {"--tcp",
        [&](const std::string& value) {
-         return harness::parse_host_port(value, tcp_host, tcp_port);
+         tcp = service::Endpoint::parse_tcp(value);
+         return tcp.has_value();
        }},
       {"--cache-dir",
        [&](const std::string& value) {
@@ -230,7 +231,6 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
-  const bool tcp = tcp_port >= 0;
   if (!stdio && socket_path.empty() && !tcp) {
     std::cerr << "error: one of --socket=PATH, --tcp=HOST:PORT or --stdio is required\n";
     print_usage();
@@ -293,12 +293,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<service::ListenerSpec> listeners;
-  if (!socket_path.empty()) {
-    listeners.push_back(service::ListenerSpec::unix_socket(socket_path));
-  }
-  if (tcp) listeners.push_back(service::ListenerSpec::tcp(tcp_host, tcp_port));
-
+  std::vector<service::Endpoint> listeners;
+  if (!socket_path.empty()) listeners.push_back(service::Endpoint::unix_socket(socket_path));
+  if (tcp) listeners.push_back(*tcp);
   service::SocketServer server(std::move(listeners), service, server_options);
   if (const std::string error = server.listen_or_error(); !error.empty()) {
     std::cerr << "error: " << error << "\n";
@@ -317,7 +314,7 @@ int main(int argc, char** argv) {
   }
   std::cerr << "vlcsa_serve: listening on";
   if (!socket_path.empty()) std::cerr << " " << socket_path;
-  if (tcp) std::cerr << " " << tcp_host << ":" << server.tcp_port();
+  if (tcp) std::cerr << " " << tcp->host << ":" << server.tcp_port();
   std::cerr << (config.cache_dir.empty() ? " (memory cache only)"
                                          : ", cache dir " + config.cache_dir)
             << "\n";

@@ -27,7 +27,6 @@
 
 #include "harness/cli.hpp"
 #include "harness/sweep.hpp"
-#include "service/fleet.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -35,7 +34,7 @@ using namespace vlcsa;
 
 namespace {
 
-void print_usage() {
+void print_usage(const service::ClientFlags& connection) {
   std::cout
       << "usage: vlcsa_sweep --spec=FILE [mode] [observability]\n"
          "       vlcsa_sweep --spec=FILE --expand\n"
@@ -44,12 +43,9 @@ void print_usage() {
          "  --cache-dir=DIR   in-process result cache (resume runs point the\n"
          "                    next sweep at the same DIR)\n"
          "  --threads=N       in-process engine threads per cell (0 = all)\n"
-         "  --daemon=PATH     run against vlcsa_serve on this Unix socket\n"
-         "  --tcp=HOST:PORT   run against vlcsa_serve on this TCP endpoint\n"
-         "  --retries=N       daemon mode: retry budget per chunk (default 3)\n"
-         "  --retry-base-ms=T daemon mode: first backoff step (default 100)\n"
-         "  --connect-timeout-ms=T  daemon connect retry window (default 2000)\n"
-         "sweep shape:\n"
+         "daemon mode (instead of in-process; one request per chunk):\n"
+      << connection.usage()
+      << "sweep shape:\n"
          "  --chunk=N         cells per run-batch request (1..4096, default 16)\n"
          "  --timeout-ms=T    per-chunk run deadline (default: server default)\n"
          "observability:\n"
@@ -79,22 +75,19 @@ int main(int argc, char** argv) {
   std::string spec_path;
   std::string validate_path;
   std::string cache_dir;
-  std::string daemon_socket;
-  std::string tcp_host;
-  int tcp_port = -1;
+  service::ClientFlags connection("--daemon");
+  connection.options.connect_timeout_ms = 2000;
+  connection.options.retry.attempts = 3;
   int threads = 0;
   int chunk = 16;
   int timeout_ms = 0;
-  int connect_timeout_ms = 2000;
   std::string event_log_path;
   std::uint64_t event_log_max_bytes = 0;
   std::string json_path;
   bool progress = true;
   bool expand_only = false;
-  service::fleet::RetryPolicy retry_policy;
-  retry_policy.attempts = 3;
 
-  const std::vector<harness::ValueFlag> flags = {
+  std::vector<harness::ValueFlag> flags = {
       {"--spec",
        [&](const std::string& value) {
          if (value.empty()) return false;
@@ -113,16 +106,6 @@ int main(int argc, char** argv) {
          cache_dir = value;
          return true;
        }},
-      {"--daemon",
-       [&](const std::string& value) {
-         if (value.empty()) return false;
-         daemon_socket = value;
-         return true;
-       }},
-      {"--tcp",
-       [&](const std::string& value) {
-         return harness::parse_host_port(value, tcp_host, tcp_port);
-       }},
       {"--threads",
        [&](const std::string& value) { return harness::parse_nonnegative_int(value, threads); }},
       {"--chunk",
@@ -133,19 +116,6 @@ int main(int argc, char** argv) {
       {"--timeout-ms",
        [&](const std::string& value) {
          return harness::parse_nonnegative_int(value, timeout_ms);
-       }},
-      {"--connect-timeout-ms",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, connect_timeout_ms);
-       }},
-      {"--retries",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, retry_policy.attempts);
-       }},
-      {"--retry-base-ms",
-       [&](const std::string& value) {
-         return harness::parse_nonnegative_int(value, retry_policy.base_ms) &&
-                retry_policy.base_ms > 0;
        }},
       {"--event-log",
        [&](const std::string& value) {
@@ -176,6 +146,7 @@ int main(int argc, char** argv) {
          return false;
        }},
   };
+  for (harness::ValueFlag& row : connection.rows()) flags.push_back(std::move(row));
 
   // Bare flags (--help, --expand) are peeled off before the strict
   // "--name=value" pass; everything else must address a ValueFlag.
@@ -183,7 +154,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(connection);
       return 0;
     }
     if (arg == "--expand") {
@@ -196,7 +167,7 @@ int main(int argc, char** argv) {
           static_cast<int>(value_args.size()), value_args.data(), flags);
       !error.empty()) {
     std::cerr << "error: " << error << "\n";
-    print_usage();
+    print_usage(connection);
     return 2;
   }
 
@@ -226,12 +197,11 @@ int main(int argc, char** argv) {
     std::cerr << "error: --spec=FILE is required\n";
     return 2;
   }
-  const bool tcp = tcp_port >= 0;
-  if (!daemon_socket.empty() && tcp) {
-    std::cerr << "error: --daemon and --tcp are mutually exclusive\n";
+  if (const std::string error = connection.check(/*endpoint_required=*/false); !error.empty()) {
+    std::cerr << "error: " << error << "\n";
     return 2;
   }
-  const bool daemon_mode = !daemon_socket.empty() || tcp;
+  const bool daemon_mode = connection.endpoint_given();
   if (daemon_mode && !cache_dir.empty()) {
     std::cerr << "error: --cache-dir applies to in-process mode only "
                  "(the daemon owns its cache)\n";
@@ -285,19 +255,16 @@ int main(int argc, char** argv) {
   harness::SweepResult result;
   if (daemon_mode) {
     options.mode = "daemon";
-    options.endpoint =
-        tcp ? tcp_host + ":" + std::to_string(tcp_port) : daemon_socket;
-    service::ServiceClient client;
-    const std::string connect_error =
-        tcp ? client.connect_tcp_or_error(tcp_host, tcp_port, connect_timeout_ms)
-            : client.connect_or_error(daemon_socket, connect_timeout_ms);
-    if (!connect_error.empty() && retry_policy.attempts == 0) {
-      std::cerr << "error: " << connect_error << "\n";
+    options.endpoint = connection.options.endpoint.describe();
+    service::ServiceClient client(connection.options);
+    if (const std::string error = client.connect_or_error();
+        !error.empty() && connection.options.retry.attempts == 0) {
+      std::cerr << "error: " << error << "\n";
       return 1;
     }
     result = harness::run_sweep(
         spec, options, [&](const std::string& request, std::string& reply) {
-          return client.roundtrip_with_retry(request, reply, retry_policy);
+          return client.roundtrip(request, reply);
         });
   } else {
     options.mode = "in-process";

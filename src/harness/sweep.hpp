@@ -80,8 +80,9 @@ struct SweepSpecParse {
 
 /// One request-line → reply-line roundtrip; returns "" on success, else a
 /// transport error.  The sweep runner is transport-agnostic: vlcsa_sweep
-/// wires this to an owned in-process ExperimentService::handle_line or a
-/// daemon ServiceClient::roundtrip_with_retry.
+/// wires this to an owned in-process ExperimentService::handle_line or to
+/// a daemon ServiceClient::roundtrip, whose ClientOptions carry the
+/// endpoint and the retry budget per chunk.
 using SweepTransport =
     std::function<std::string(const std::string& request_line, std::string& reply_line)>;
 

@@ -36,9 +36,9 @@ ServiceMetrics::ServiceMetrics()
       stages_(stage_names().size()) {}
 
 const std::vector<std::string>& ServiceMetrics::request_types() {
-  // Keep in sync with ExperimentService's dispatch table (service.cpp); the
-  // protocol-doc test pins the dispatch table against DESIGN.md and the
-  // metrics test pins this list against the dispatch table.
+  // Keep in sync with ExperimentService's request table (service.cpp); the
+  // protocol-doc test pins the request table against DESIGN.md and the
+  // metrics test pins this list against the request table.
   static const std::vector<std::string> kTypes = {
       "run",     "run-batch",    "list",     "describe",  "cache-stats",
       "metrics", "metrics-prom", "drain",    "shutdown",  "invalid"};

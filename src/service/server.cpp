@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -42,51 +43,27 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-/// Reads until `buffer` contains a '\n'; returns false on EOF/error before
-/// a complete line (sets errno = 0 on clean EOF).  On success `line` holds
-/// the line without the newline.
-bool recv_line(int fd, std::string& buffer, std::string& line) {
-  while (true) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) {  // EOF mid-line
-      errno = 0;
-      return false;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-}
+/// Reads one line (without its newline) into `line`, keeping the bytes past
+/// it in `buffer` for the next call; each received chunk is scanned for the
+/// newline once.  With `idle_timeout_ms` > 0, a wait that sees nothing
+/// arrive for that long reports kIdle, so the server can close a
+/// conversation that went quiet (keep-alive hygiene).  A line longer than
+/// `max_line_bytes` reports kTooLong, so `buffer` never holds more than the
+/// cap plus one chunk (the server passes its request-line cap; replies are
+/// not capped).  A recv that runs into SO_RCVTIMEO reports kTimedOut.
+enum class RecvStatus { kLine, kIdle, kClosed, kTooLong, kTimedOut };
 
-/// recv_line with an optional idle deadline and the request-line cap: when
-/// no complete line is buffered and nothing arrives within
-/// `idle_timeout_ms`, reports kIdle so the server can close a conversation
-/// that went quiet (keep-alive hygiene); a line longer than
-/// SocketServer::kMaxRequestLineBytes reports kTooLong, so `buffer` never
-/// holds more than the cap plus one chunk.  Each received chunk is scanned
-/// for the newline once.
-enum class RecvStatus { kLine, kIdle, kClosed, kTooLong };
-
-RecvStatus recv_line_idle(int fd, std::string& buffer, std::string& line,
-                          int idle_timeout_ms) {
+RecvStatus recv_line(int fd, std::string& buffer, std::string& line, int idle_timeout_ms = 0,
+                     std::size_t max_line_bytes = std::string::npos) {
   std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   while (true) {
     const std::size_t newline = buffer.find('\n', scanned);
-    if (newline != std::string::npos && newline <= SocketServer::kMaxRequestLineBytes) {
-      line = buffer.substr(0, newline);
+    if (newline != std::string::npos && newline <= max_line_bytes) {
+      line.assign(buffer, 0, newline);
       buffer.erase(0, newline + 1);
       return RecvStatus::kLine;
     }
-    if (buffer.size() > SocketServer::kMaxRequestLineBytes) return RecvStatus::kTooLong;
+    if (buffer.size() > max_line_bytes) return RecvStatus::kTooLong;
     scanned = buffer.size();
     if (idle_timeout_ms > 0) {
       pollfd pfd{fd, POLLIN, 0};
@@ -102,44 +79,58 @@ RecvStatus recv_line_idle(int fd, std::string& buffer, std::string& line,
     do {
       n = ::recv(fd, chunk, sizeof(chunk), 0);
     } while (n < 0 && errno == EINTR);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return RecvStatus::kTimedOut;
     if (n <= 0) return RecvStatus::kClosed;
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
 
-bool fill_sockaddr(const std::string& path, sockaddr_un& addr, std::string& error) {
-  if (path.empty()) {
-    error = "socket path is empty";
-    return false;
-  }
-  if (path.size() >= sizeof(addr.sun_path)) {
-    error = "socket path too long (max " + std::to_string(sizeof(addr.sun_path) - 1) +
-            " bytes): " + path;
-    return false;
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return true;
-}
+/// One socket address an endpoint names.
+struct SocketAddress {
+  sockaddr_storage storage{};
+  socklen_t length = 0;
 
-/// Resolves host:port (numeric or named, IPv4 or IPv6).  Returns a
-/// getaddrinfo result list the caller must freeaddrinfo(), or nullptr with
-/// `error` set.
-addrinfo* resolve_tcp(const std::string& host, int port, bool for_bind, std::string& error) {
+  [[nodiscard]] const sockaddr* get() const {
+    return reinterpret_cast<const sockaddr*>(&storage);
+  }
+};
+
+/// The addresses `endpoint` names, to bind (`for_bind`) or dial: the one
+/// sockaddr_un of a Unix path, or every getaddrinfo result for host:port
+/// (numeric or named, IPv4 or IPv6).  Returns "" or the error.
+std::string resolve(const Endpoint& endpoint, bool for_bind,
+                    std::vector<SocketAddress>& addresses) {
+  addresses.clear();
+  if (endpoint.kind == Endpoint::Kind::kUnix) {
+    sockaddr_un addr{};
+    if (endpoint.path.empty()) return "socket path is empty";
+    if (endpoint.path.size() >= sizeof(addr.sun_path)) {
+      return "socket path too long (max " + std::to_string(sizeof(addr.sun_path) - 1) +
+             " bytes): " + endpoint.path;
+    }
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, endpoint.path.c_str(), endpoint.path.size() + 1);
+    SocketAddress& address = addresses.emplace_back();
+    std::memcpy(&address.storage, &addr, sizeof(addr));
+    address.length = sizeof(addr);
+    return {};
+  }
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
   if (for_bind) hints.ai_flags = AI_PASSIVE;
   addrinfo* result = nullptr;
-  const std::string service = std::to_string(port);
-  const int rc = ::getaddrinfo(host.empty() ? nullptr : host.c_str(), service.c_str(), &hints,
-                               &result);
-  if (rc != 0) {
-    error = "resolve " + host + ":" + service + ": " + ::gai_strerror(rc);
-    return nullptr;
+  const std::string service = std::to_string(endpoint.port);
+  const int rc = ::getaddrinfo(endpoint.host.empty() ? nullptr : endpoint.host.c_str(),
+                               service.c_str(), &hints, &result);
+  if (rc != 0) return "resolve " + endpoint.describe() + ": " + ::gai_strerror(rc);
+  for (const addrinfo* info = result; info != nullptr; info = info->ai_next) {
+    SocketAddress& address = addresses.emplace_back();
+    std::memcpy(&address.storage, info->ai_addr, info->ai_addrlen);
+    address.length = info->ai_addrlen;
   }
-  return result;
+  ::freeaddrinfo(result);
+  return {};
 }
 
 /// The one-line reply a connection gets when the pending queue is full; the
@@ -155,7 +146,14 @@ const std::string kLineTooLongLine =
 
 }  // namespace
 
-SocketServer::SocketServer(std::vector<ListenerSpec> listeners, ExperimentService& service,
+std::optional<Endpoint> Endpoint::parse_tcp(const std::string& host_port) {
+  std::string host;
+  int port = 0;
+  if (!harness::parse_host_port(host_port, host, port)) return std::nullopt;
+  return tcp(std::move(host), port);
+}
+
+SocketServer::SocketServer(std::vector<Endpoint> listeners, ExperimentService& service,
                            Options options)
     : listeners_(std::move(listeners)), service_(service), options_(options) {
   if (options_.workers < 1) options_.workers = 1;
@@ -163,26 +161,19 @@ SocketServer::SocketServer(std::vector<ListenerSpec> listeners, ExperimentServic
   listen_fds_.assign(listeners_.size(), -1);
 }
 
-SocketServer::SocketServer(std::vector<ListenerSpec> listeners, ExperimentService& service)
-    : SocketServer(std::move(listeners), service, Options{}) {}
-
-SocketServer::SocketServer(std::string socket_path, ExperimentService& service, int workers)
-    : SocketServer({ListenerSpec::unix_socket(std::move(socket_path))}, service,
-                   Options{workers, 128}) {}
-
 SocketServer::~SocketServer() {
   for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
     if (listen_fds_[i] < 0) continue;
     ::close(listen_fds_[i]);
-    if (listeners_[i].kind == ListenerSpec::Kind::kUnix) {
+    if (listeners_[i].kind == Endpoint::Kind::kUnix) {
       ::unlink(listeners_[i].path.c_str());
     }
   }
 }
 
 std::string SocketServer::socket_path() const {
-  for (const ListenerSpec& listener : listeners_) {
-    if (listener.kind == ListenerSpec::Kind::kUnix) return listener.path;
+  for (const Endpoint& listener : listeners_) {
+    if (listener.kind == Endpoint::Kind::kUnix) return listener.path;
   }
   return {};
 }
@@ -194,63 +185,41 @@ std::size_t SocketServer::pending_connections() {
 
 std::string SocketServer::listen_or_error() {
   if (listeners_.empty()) return "no listeners configured";
+  std::vector<SocketAddress> addresses;
   for (std::size_t i = 0; i < listeners_.size(); ++i) {
     if (listen_fds_[i] >= 0) continue;  // already bound
-    const ListenerSpec& listener = listeners_[i];
-    if (listener.kind == ListenerSpec::Kind::kUnix) {
-      sockaddr_un addr{};
-      std::string error;
-      if (!fill_sockaddr(listener.path, addr, error)) return error;
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) return errno_message("socket");
-      ::unlink(listener.path.c_str());  // stale socket from a previous daemon
-      if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-        const std::string error_text = errno_message("bind " + listener.path);
-        ::close(fd);
-        return error_text;
+    const Endpoint& listener = listeners_[i];
+    if (std::string error = resolve(listener, /*for_bind=*/true, addresses); !error.empty()) {
+      return error;
+    }
+    const bool tcp = listener.kind == Endpoint::Kind::kTcp;
+    if (!tcp) ::unlink(listener.path.c_str());  // stale socket from a previous daemon
+    int fd = -1;
+    std::string bind_error = "no usable address for " + listener.describe();
+    for (const SocketAddress& address : addresses) {
+      fd = ::socket(address.storage.ss_family, SOCK_STREAM, 0);
+      if (fd < 0) {
+        bind_error = errno_message("socket");
+        continue;
       }
-      if (::listen(fd, 16) < 0) {
-        const std::string error_text = errno_message("listen " + listener.path);
-        ::close(fd);
-        return error_text;
-      }
-      listen_fds_[i] = fd;
-    } else {
-      std::string error;
-      addrinfo* addresses = resolve_tcp(listener.host, listener.port, /*for_bind=*/true, error);
-      if (addresses == nullptr) return error;
-      int fd = -1;
-      std::string bind_error = "no usable address for " + listener.host;
-      for (const addrinfo* address = addresses; address != nullptr;
-           address = address->ai_next) {
-        fd = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
-        if (fd < 0) {
-          bind_error = errno_message("socket");
-          continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (::bind(fd, address->ai_addr, address->ai_addrlen) == 0 && ::listen(fd, 16) == 0) {
-          break;
-        }
-        bind_error = errno_message("bind " + listener.host + ":" +
-                                   std::to_string(listener.port));
-        ::close(fd);
-        fd = -1;
-      }
-      ::freeaddrinfo(addresses);
-      if (fd < 0) return bind_error;
-      listen_fds_[i] = fd;
-      // Resolve an ephemeral-port request (port 0) to the real bound port.
-      if (tcp_port_ == 0) {
-        sockaddr_storage bound{};
-        socklen_t bound_len = sizeof(bound);
-        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0) {
-          if (bound.ss_family == AF_INET) {
-            tcp_port_ = ntohs(reinterpret_cast<const sockaddr_in*>(&bound)->sin_port);
-          } else if (bound.ss_family == AF_INET6) {
-            tcp_port_ = ntohs(reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port);
-          }
+      const int one = 1;
+      if (tcp) ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+      if (::bind(fd, address.get(), address.length) == 0 && ::listen(fd, 16) == 0) break;
+      bind_error = errno_message("bind " + listener.describe());
+      ::close(fd);
+      fd = -1;
+    }
+    if (fd < 0) return bind_error;
+    listen_fds_[i] = fd;
+    // Resolve an ephemeral-port request (port 0) to the real bound port.
+    if (tcp && tcp_port_ == 0) {
+      sockaddr_storage bound{};
+      socklen_t bound_len = sizeof(bound);
+      if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0) {
+        if (bound.ss_family == AF_INET) {
+          tcp_port_ = ntohs(reinterpret_cast<const sockaddr_in*>(&bound)->sin_port);
+        } else if (bound.ss_family == AF_INET6) {
+          tcp_port_ = ntohs(reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port);
         }
       }
     }
@@ -286,7 +255,8 @@ void SocketServer::handle_connection(int fd) {
   std::string line;
   int served = 0;
   while (true) {
-    const RecvStatus status = recv_line_idle(fd, buffer, line, options_.idle_timeout_ms);
+    const RecvStatus status = recv_line(fd, buffer, line, options_.idle_timeout_ms,
+                                        kMaxRequestLineBytes);
     if (status == RecvStatus::kTooLong) {
       // Bytes past the cap stay unread: the conversation ends here.
       send_all(fd, kLineTooLongLine);
@@ -419,7 +389,7 @@ std::string SocketServer::serve() {
       if (listen_fds_[i] < 0) continue;
       ::close(listen_fds_[i]);
       listen_fds_[i] = -1;
-      if (listeners_[i].kind == ListenerSpec::Kind::kUnix) {
+      if (listeners_[i].kind == Endpoint::Kind::kUnix) {
         ::unlink(listeners_[i].path.c_str());
       }
     }
@@ -474,121 +444,63 @@ void ServiceClient::close_connection() {
 }
 
 std::string ServiceClient::connect_or_error(const std::string& socket_path, int timeout_ms) {
-  close_connection();
-  // Remembered before dialing so reconnect() can retry a refused endpoint.
-  endpoint_ = Endpoint::kUnix;
-  unix_path_ = socket_path;
-  connect_timeout_ms_ = timeout_ms;
-
-  sockaddr_un addr{};
-  std::string error;
-  if (!fill_sockaddr(socket_path, addr, error)) return error;
-
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) return errno_message("socket");
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return {};
-    }
-    const std::string connect_error = errno_message("connect " + socket_path);
-    ::close(fd_);
-    fd_ = -1;
-    if (Clock::now() >= deadline) return connect_error;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  options_.endpoint = Endpoint::unix_socket(socket_path);
+  options_.connect_timeout_ms = timeout_ms;
+  return connect_or_error();
 }
 
-std::string ServiceClient::connect_tcp_or_error(const std::string& host, int port,
-                                                int timeout_ms) {
+std::string ServiceClient::connect_or_error() {
   close_connection();
-  endpoint_ = Endpoint::kTcp;
-  tcp_host_ = host;
-  tcp_port_ = port;
-  connect_timeout_ms_ = timeout_ms;
-
+  std::vector<SocketAddress> addresses;
+  if (std::string error = resolve(options_.endpoint, /*for_bind=*/false, addresses);
+      !error.empty()) {
+    return error;
+  }
   using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::string last_error = "connect " + host + ":" + std::to_string(port) + " failed";
+  const auto deadline = Clock::now() + std::chrono::milliseconds(options_.connect_timeout_ms);
+  std::string error = "no usable address for " + options_.endpoint.describe();
   while (true) {
-    std::string resolve_error;
-    addrinfo* addresses = resolve_tcp(host, port, /*for_bind=*/false, resolve_error);
-    if (addresses == nullptr) return resolve_error;
-    for (const addrinfo* address = addresses; address != nullptr;
-         address = address->ai_next) {
-      fd_ = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
+    for (const SocketAddress& address : addresses) {
+      fd_ = ::socket(address.storage.ss_family, SOCK_STREAM, 0);
       if (fd_ < 0) {
-        last_error = errno_message("socket");
+        error = errno_message("socket");
         continue;
       }
-      if (::connect(fd_, address->ai_addr, address->ai_addrlen) == 0) {
-        ::freeaddrinfo(addresses);
-        return {};
-      }
-      last_error = errno_message("connect " + host + ":" + std::to_string(port));
+      if (::connect(fd_, address.get(), address.length) == 0) break;
+      error = errno_message("connect " + options_.endpoint.describe());
       ::close(fd_);
       fd_ = -1;
     }
-    ::freeaddrinfo(addresses);
-    if (Clock::now() >= deadline) return last_error;
+    if (fd_ >= 0) break;
+    if (Clock::now() >= deadline) return error;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-}
-
-std::string ServiceClient::set_io_timeout_ms(int timeout_ms) {
-  if (fd_ < 0) return "not connected";
-  if (timeout_ms < 0) timeout_ms = 0;
-  io_timeout_ms_ = timeout_ms;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) < 0) {
-    return errno_message("setsockopt SO_RCVTIMEO");
-  }
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) < 0) {
-    return errno_message("setsockopt SO_SNDTIMEO");
+  // The I/O deadline belongs to every connection this client dials.
+  if (options_.io_timeout_ms > 0) {
+    timeval tv{};
+    tv.tv_sec = options_.io_timeout_ms / 1000;
+    tv.tv_usec = static_cast<suseconds_t>((options_.io_timeout_ms % 1000) * 1000);
+    for (const int option : {SO_RCVTIMEO, SO_SNDTIMEO}) {
+      if (::setsockopt(fd_, SOL_SOCKET, option, &tv, sizeof(tv)) < 0) {
+        error = errno_message("setsockopt");
+        close_connection();
+        return error;
+      }
+    }
   }
   return {};
-}
-
-std::string ServiceClient::roundtrip(const std::string& request_line, std::string& response) {
-  if (fd_ < 0) return "not connected";
-  if (!send_all(fd_, request_line + "\n")) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return "send timed out";
-    return errno_message("send");
-  }
-  return read_response(response);
 }
 
 std::string ServiceClient::read_response(std::string& response) {
   if (fd_ < 0) return "not connected";
-  if (!recv_line(fd_, buffer_, response)) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+  switch (recv_line(fd_, buffer_, response)) {
+    case RecvStatus::kLine:
+      return {};
+    case RecvStatus::kTimedOut:
       return "read timed out waiting for a response line";
-    }
-    return "connection closed before a response line arrived";
+    default:
+      return "connection closed before a response line arrived";
   }
-  return {};
-}
-
-std::string ServiceClient::reconnect() {
-  const Endpoint endpoint = endpoint_;
-  const int io_timeout_ms = io_timeout_ms_;
-  std::string error;
-  switch (endpoint) {
-    case Endpoint::kNone:
-      return "no endpoint configured (connect first)";
-    case Endpoint::kUnix:
-      error = connect_or_error(unix_path_, connect_timeout_ms_);
-      break;
-    case Endpoint::kTcp:
-      error = connect_tcp_or_error(tcp_host_, tcp_port_, connect_timeout_ms_);
-      break;
-  }
-  if (!error.empty()) return error;
-  if (io_timeout_ms > 0) return set_io_timeout_ms(io_timeout_ms);
-  return {};
 }
 
 namespace {
@@ -614,38 +526,91 @@ bool reply_is_retryable(const std::string& response) {
 
 }  // namespace
 
-std::string ServiceClient::roundtrip_with_retry(const std::string& request_line,
-                                                std::string& response,
-                                                const fleet::RetryPolicy& policy,
-                                                std::uint64_t* retries_out) {
-  fleet::BackoffSchedule backoff(policy);
-  std::string error;
+std::string ServiceClient::roundtrip(const std::string& request_line, std::string& response,
+                                     std::uint64_t* retries) {
+  const fleet::RetryPolicy& policy = options_.retry;
+  std::optional<fleet::BackoffSchedule> backoff;  // built by the first retry
   for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      if (retries_out != nullptr) ++*retries_out;
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff.next_delay_ms()));
+    std::string error;
+    if (fd_ < 0) error = connect_or_error();
+    if (error.empty() && !send_all(fd_, request_line + "\n")) {
+      error = errno == EAGAIN || errno == EWOULDBLOCK ? "send timed out" : errno_message("send");
     }
-    if (fd_ < 0) {
-      error = reconnect();
-      if (!error.empty()) {
-        if (attempt >= policy.attempts) return error;
-        continue;  // refused/unreachable: the retryable case retries exist for
-      }
-    }
-    error = roundtrip(request_line, response);
-    if (!error.empty()) {
-      // Transport failure (peer hung up mid-roundtrip, keep-alive cap, I/O
-      // timeout): the connection state is unknown, drop it and redial.
-      close_connection();
-      if (attempt >= policy.attempts) return error;
-      continue;
-    }
-    if (!reply_is_retryable(response)) return {};
-    // The server answered but refused (overloaded/draining) — it also ends
-    // such conversations, so redial rather than reuse the half-dead fd.
+    if (error.empty()) error = read_response(response);
+    if (error.empty() && (policy.attempts == 0 || !reply_is_retryable(response))) return {};
+    // A transport error leaves the connection state unknown, and a server
+    // that refused (overloaded/draining) also ends the conversation: either
+    // way the next attempt redials.
     close_connection();
-    if (attempt >= policy.attempts) return {};  // caller sees the refusal reply
+    if (attempt >= policy.attempts) return error;  // "" hands the caller the refusal reply
+    if (!backoff) backoff.emplace(policy);
+    if (retries != nullptr) ++*retries;
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff->next_delay_ms()));
   }
+}
+
+std::vector<harness::ValueFlag> ClientFlags::rows() {
+  return {
+      {unix_flag,
+       [this](const std::string& value) {
+         if (value.empty()) return false;
+         unix_given = true;
+         options.endpoint = Endpoint::unix_socket(value);
+         return true;
+       }},
+      {"--tcp",
+       [this](const std::string& value) {
+         std::optional<Endpoint> endpoint = Endpoint::parse_tcp(value);
+         if (!endpoint) return false;
+         tcp_given = true;
+         options.endpoint = std::move(*endpoint);
+         return true;
+       }},
+      {"--connect-timeout-ms",
+       [this](const std::string& value) {
+         return harness::parse_nonnegative_int(value, options.connect_timeout_ms);
+       }},
+      {"--retries",
+       [this](const std::string& value) {
+         return harness::parse_nonnegative_int(value, options.retry.attempts);
+       }},
+      {"--retry-base-ms",
+       [this](const std::string& value) {
+         retry_base_given = true;
+         return harness::parse_nonnegative_int(value, options.retry.base_ms) &&
+                options.retry.base_ms > 0;
+       }},
+  };
+}
+
+std::string ClientFlags::usage() const {
+  return std::string("  ") + unix_flag +
+         "=PATH | --tcp=HOST:PORT\n"
+         "                    the vlcsa_serve endpoint: Unix domain socket or TCP\n"
+         "  --connect-timeout-ms=T  keep redialing a refused connect this long\n"
+         "                    (default " +
+         std::to_string(options.connect_timeout_ms) +
+         "; 0 = one attempt)\n"
+         "  --retries=N       retry a refused connect, a transport failure, or an\n"
+         "                    overloaded/draining error reply up to N times per\n"
+         "                    request, with exponential backoff + jitter (default " +
+         std::to_string(options.retry.attempts) +
+         ")\n"
+         "  --retry-base-ms=T first backoff step; doubles per retry, capped at\n"
+         "                    " +
+         std::to_string(options.retry.max_ms) + " ms (default " +
+         std::to_string(options.retry.base_ms) + ")\n";
+}
+
+std::string ClientFlags::check(bool endpoint_required) const {
+  const std::string unix_name = unix_flag;
+  if (endpoint_required && unix_given == tcp_given) {
+    return "exactly one of " + unix_name + "=PATH or --tcp=HOST:PORT is required";
+  }
+  if (unix_given && tcp_given) return unix_name + " and --tcp are mutually exclusive";
+  // A backoff base without retries would be silently dead.
+  if (retry_base_given && options.retry.attempts == 0) return "--retry-base-ms requires --retries";
+  return {};
 }
 
 }  // namespace vlcsa::service

@@ -2,13 +2,14 @@
 // Socket transports for the experiment service: a long-running daemon loop
 // (SocketServer, used by examples/vlcsa_serve.cpp) and the matching client
 // connection (ServiceClient, used by examples/vlcsa_client.cpp,
-// examples/vlcsa_loadgen.cpp and the tests).  Framing is the same
+// examples/vlcsa_loadgen.cpp, examples/vlcsa_sweep.cpp and the tests, which
+// take their connection flags from ClientFlags).  Framing is the same
 // newline-delimited JSON as the --stdio transport: one request object per
 // line in, one response object per line out, any number of requests per
 // connection.
 //
 // One SocketServer can listen on several transports at once — any mix of
-// Unix-domain sockets and TCP endpoints (ListenerSpec) — all feeding the
+// Unix-domain sockets and TCP endpoints (Endpoint) — all feeding the
 // same accept loop, worker pool and ExperimentService, so a daemon started
 // with --socket and --tcp serves both from one cache.
 //
@@ -35,34 +36,46 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "service/fleet.hpp"
 #include "service/service.hpp"
 
 namespace vlcsa::service {
 
-/// One endpoint the server listens on.
-struct ListenerSpec {
+/// One daemon endpoint: a Unix-domain socket path or a TCP host:port.  The
+/// server listens on a list of them; a client dials one.
+struct Endpoint {
   enum class Kind { kUnix, kTcp };
   Kind kind = Kind::kUnix;
   std::string path;  // kUnix: filesystem socket path
-  std::string host;  // kTcp: bind address (e.g. "127.0.0.1")
-  int port = 0;      // kTcp: port; 0 = ephemeral (see SocketServer::tcp_port)
+  std::string host;  // kTcp: bind address or host to dial (e.g. "127.0.0.1")
+  int port = 0;      // kTcp: port; 0 = ephemeral when listening (see SocketServer::tcp_port)
 
-  static ListenerSpec unix_socket(std::string socket_path) {
-    ListenerSpec spec;
-    spec.kind = Kind::kUnix;
-    spec.path = std::move(socket_path);
-    return spec;
+  static Endpoint unix_socket(std::string socket_path) {
+    Endpoint endpoint;
+    endpoint.path = std::move(socket_path);
+    return endpoint;
   }
-  static ListenerSpec tcp(std::string bind_host, int bind_port) {
-    ListenerSpec spec;
-    spec.kind = Kind::kTcp;
-    spec.host = std::move(bind_host);
-    spec.port = bind_port;
-    return spec;
+  static Endpoint tcp(std::string host, int port) {
+    Endpoint endpoint;
+    endpoint.kind = Kind::kTcp;
+    endpoint.host = std::move(host);
+    endpoint.port = port;
+    return endpoint;
+  }
+
+  /// A TCP endpoint from "HOST:PORT" (harness::parse_host_port); nullopt
+  /// when the text is malformed.
+  static std::optional<Endpoint> parse_tcp(const std::string& host_port);
+
+  /// "PATH" or "HOST:PORT", as reports and error messages print it.
+  [[nodiscard]] std::string describe() const {
+    return kind == Kind::kUnix ? path : host + ":" + std::to_string(port);
   }
 };
 
@@ -84,13 +97,7 @@ class SocketServer {
     int drain_ms = 30000;  // drain deadline: cancel still-running work after this
   };
 
-  SocketServer(std::vector<ListenerSpec> listeners, ExperimentService& service,
-               Options options);
-  SocketServer(std::vector<ListenerSpec> listeners, ExperimentService& service);
-
-  /// Convenience: a single Unix-socket listener (the historical shape).
-  SocketServer(std::string socket_path, ExperimentService& service, int workers = 2);
-
+  SocketServer(std::vector<Endpoint> listeners, ExperimentService& service, Options options);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -128,7 +135,7 @@ class SocketServer {
   void worker_loop();
   void handle_connection(int fd);
 
-  std::vector<ListenerSpec> listeners_;
+  std::vector<Endpoint> listeners_;
   ExperimentService& service_;
   Options options_;
   std::vector<int> listen_fds_;  // parallel to listeners_; -1 = not bound
@@ -143,77 +150,93 @@ class SocketServer {
   std::chrono::steady_clock::time_point drain_start_{};
 };
 
+/// How a ServiceClient reaches its daemon.
+struct ClientOptions {
+  Endpoint endpoint;
+  int connect_timeout_ms = 0;  // keep redialing a refused connect this long; 0 = one try
+  int io_timeout_ms = 0;       // SO_RCVTIMEO/SO_SNDTIMEO armed on every dial; 0 = none
+  fleet::RetryPolicy retry{};  // roundtrip's retry budget; attempts 0 = no retry
+};
+
 /// One client connection speaking the line protocol, over either transport.
+/// It dials on demand: the first roundtrip (or connect_or_error) connects,
+/// and a roundtrip that lost its connection redials.
 class ServiceClient {
  public:
   ServiceClient() = default;
+  explicit ServiceClient(ClientOptions options) : options_(std::move(options)) {}
   ~ServiceClient();
 
   ServiceClient(const ServiceClient&) = delete;
   ServiceClient& operator=(const ServiceClient&) = delete;
 
-  /// Connects to a Unix socket, retrying until `timeout_ms` elapses (covers
-  /// the daemon's startup race in scripts: start vlcsa_serve &, connect
-  /// immediately).  Returns "" on success, else the error.
-  [[nodiscard]] std::string connect_or_error(const std::string& socket_path,
-                                             int timeout_ms = 0);
+  /// Dials the configured endpoint now, redialing a refused connect until
+  /// connect_timeout_ms elapses (covers the daemon's startup race in
+  /// scripts: start vlcsa_serve &, connect immediately), and arms the I/O
+  /// deadline.  Returns "" on success, else the error.
+  [[nodiscard]] std::string connect_or_error();
 
-  /// Connects to a TCP endpoint, with the same startup-race retry loop.
-  /// Returns "" on success, else the error.
-  [[nodiscard]] std::string connect_tcp_or_error(const std::string& host, int port,
-                                                 int timeout_ms = 0);
-
-  /// Arms an I/O deadline on the connected socket (SO_RCVTIMEO/SO_SNDTIMEO):
-  /// a roundtrip blocked longer than this on a silent server fails with a
-  /// "timed out" error instead of hanging forever.  0 disarms.  Returns ""
-  /// on success, else the error.
-  [[nodiscard]] std::string set_io_timeout_ms(int timeout_ms);
+  /// Points the client at a Unix socket with that connect window, then
+  /// dials as above.
+  [[nodiscard]] std::string connect_or_error(const std::string& socket_path, int timeout_ms = 0);
 
   /// Sends one request line and reads one response line (without trailing
-  /// newline) into `response`.  Returns "" on success, else the error.
-  [[nodiscard]] std::string roundtrip(const std::string& request_line, std::string& response);
+  /// newline) into `response`, dialing first when not connected.  A
+  /// transport error (an I/O deadline hit included) drops the connection.
+  /// With a retry budget (options.retry.attempts > 0), a refused connect, a
+  /// transport error or an "overloaded"/"draining"-coded error reply sleeps
+  /// one backoff step and retries, up to that many times; each retry
+  /// increments `*retries` when given.  Returns "" when a response line
+  /// arrived — after exhausted retries that line may still be the refusal
+  /// reply, so callers inspect `response` as usual; a non-empty return
+  /// means transport failure even after retrying.  Without a budget this is
+  /// one send and one line read: the reply is not parsed.
+  [[nodiscard]] std::string roundtrip(const std::string& request_line, std::string& response,
+                                      std::uint64_t* retries = nullptr);
 
   /// Reads one response line without sending anything — what a client does
   /// when the server speaks first, e.g. the one-line "overloaded" rejection
   /// a full-backlog connection receives.  Returns "" on success.
   [[nodiscard]] std::string read_response(std::string& response);
 
-  /// Drops the current connection (if any) and redials the endpoint the last
-  /// connect_* call configured, reapplying the I/O timeout.  Works even when
-  /// that connect failed — the endpoint is remembered before dialing, so a
-  /// client can be pointed at a daemon that is not up yet and retry in.
-  [[nodiscard]] std::string reconnect();
-
-  /// roundtrip(), plus fleet-grade resilience: on a transport error, a
-  /// refused connection, or an "overloaded"/"draining"-coded error reply,
-  /// drops the connection, sleeps one backoff step and retries, up to
-  /// `policy.attempts` retries (0 = plain roundtrip).  Each retry increments
-  /// `*retries_out` when given.  Returns "" when a response line arrived —
-  /// after exhausted retries that line may still be the refusal reply, so
-  /// callers inspect `response` as usual; a non-empty return means transport
-  /// failure even after retrying.
-  [[nodiscard]] std::string roundtrip_with_retry(const std::string& request_line,
-                                                 std::string& response,
-                                                 const fleet::RetryPolicy& policy,
-                                                 std::uint64_t* retries_out = nullptr);
-
  private:
-  enum class Endpoint { kNone, kUnix, kTcp };
-
   /// Closes fd_ and clears the line buffer (half-received bytes must never
   /// leak into the next connection's framing).
   void close_connection();
 
+  ClientOptions options_;
   int fd_ = -1;
   std::string buffer_;  // bytes received past the last complete line
+};
 
-  // The last-dialed endpoint, for reconnect()/roundtrip_with_retry.
-  Endpoint endpoint_ = Endpoint::kNone;
-  std::string unix_path_;
-  std::string tcp_host_;
-  int tcp_port_ = 0;
-  int connect_timeout_ms_ = 0;
-  int io_timeout_ms_ = 0;  // reapplied after every reconnect; 0 = none
+/// The connection flags every daemon client shares — the endpoint
+/// (`unix_flag`=PATH or --tcp=HOST:PORT), --connect-timeout-ms, --retries
+/// and --retry-base-ms — parsed into `options`.  A binary presets
+/// `options` with its own defaults before parsing, and keeps its own
+/// --timeout-ms.
+struct ClientFlags {
+  explicit ClientFlags(const char* unix_flag) : unix_flag(unix_flag) {}
+
+  /// The flag rows, to append to the binary's own.  They write into this
+  /// object, which must stay in place until parsing is done.
+  [[nodiscard]] std::vector<harness::ValueFlag> rows();
+
+  /// Usage lines for the rows, showing the preset defaults.
+  [[nodiscard]] std::string usage() const;
+
+  /// After parsing: "" or the usage error (exit 2).  At most one endpoint
+  /// (exactly one when `endpoint_required`), and no --retry-base-ms
+  /// without retries (a dead backoff base).
+  [[nodiscard]] std::string check(bool endpoint_required) const;
+
+  /// True when an endpoint flag was given.
+  [[nodiscard]] bool endpoint_given() const { return unix_given || tcp_given; }
+
+  const char* unix_flag;
+  ClientOptions options;
+  bool unix_given = false;
+  bool tcp_given = false;
+  bool retry_base_given = false;
 };
 
 }  // namespace vlcsa::service

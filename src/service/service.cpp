@@ -4,6 +4,7 @@
 #include <exception>
 #include <initializer_list>
 #include <istream>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <string_view>
@@ -241,9 +242,24 @@ ExperimentService::ExperimentService(ServiceConfig config)
   }
 }
 
+// The request table, in documentation order: DESIGN.md's protocol reference
+// must list exactly these names (the protocol-doc test diffs them).
+const ExperimentService::RequestRow ExperimentService::kRequests[] = {
+    {"run", &ExperimentService::handle_run},
+    {"run-batch", &ExperimentService::handle_run_batch},
+    {"list", &ExperimentService::handle_list},
+    {"describe", &ExperimentService::handle_describe},
+    {"cache-stats", &ExperimentService::handle_cache_stats},
+    {"metrics", &ExperimentService::handle_metrics},
+    {"metrics-prom", &ExperimentService::handle_metrics_prom},
+    {"drain", &ExperimentService::handle_drain},
+    {"shutdown", &ExperimentService::handle_shutdown},
+};
+
 std::vector<std::string> ExperimentService::request_names() {
-  return {"run",     "run-batch", "list",         "describe", "cache-stats",
-          "metrics", "metrics-prom", "drain",     "shutdown"};
+  std::vector<std::string> names;
+  for (const RequestRow& row : kRequests) names.emplace_back(row.name);
+  return names;
 }
 
 void ExperimentService::begin_drain() {
@@ -289,37 +305,25 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
     if (request_field == nullptr || request_field->kind() != JsonValue::Kind::kString) {
       reply = error_reply(ctx, "missing string field 'request'");
     } else {
-      // The dispatch table: one row per request type.  request_names() and
-      // DESIGN.md's protocol reference must list exactly these names — the
-      // protocol-doc test diffs all three.
-      struct Row {
-        const char* name;
-        Reply (ExperimentService::*handler)(const JsonValue&, RequestContext&);
-      };
-      static constexpr Row kDispatch[] = {
-          {"run", &ExperimentService::handle_run},
-          {"run-batch", &ExperimentService::handle_run_batch},
-          {"list", &ExperimentService::handle_list},
-          {"describe", &ExperimentService::handle_describe},
-          {"cache-stats", &ExperimentService::handle_cache_stats},
-          {"metrics", &ExperimentService::handle_metrics},
-          {"metrics-prom", &ExperimentService::handle_metrics_prom},
-          {"drain", &ExperimentService::handle_drain},
-          {"shutdown", &ExperimentService::handle_shutdown},
-      };
       const std::string& request = request_field->as_string();
-      const Row* row = nullptr;
-      for (const Row& candidate : kDispatch) {
+      const RequestRow* row = nullptr;
+      for (const RequestRow& candidate : kRequests) {
         if (request == candidate.name) {
           row = &candidate;
           break;
         }
       }
       if (row == nullptr) {
-        reply = error_reply(ctx,
-                            "unknown request '" + request +
-                                "' (expected run, run-batch, list, describe, cache-stats, "
-                                "metrics, metrics-prom, drain or shutdown)",
+        // "run, run-batch, ..., drain or shutdown"
+        static const std::string kExpected = [] {
+          std::string names;
+          for (std::size_t i = 0; i < std::size(kRequests); ++i) {
+            if (i > 0) names += i + 1 == std::size(kRequests) ? " or " : ", ";
+            names += kRequests[i].name;
+          }
+          return names;
+        }();
+        reply = error_reply(ctx, "unknown request '" + request + "' (expected " + kExpected + ")",
                             kCodeUnknownRequest);
       } else {
         type = row->name;

@@ -133,6 +133,15 @@ class ExperimentService {
   struct RequestContext;  // per-request observability state (spans, ids)
 
  private:
+  /// One row of the request table (service.cpp): a request name and its
+  /// handler.  handle_line dispatches through the table, and request_names()
+  /// and the unknown-request error are read from it.
+  struct RequestRow {
+    const char* name;
+    Reply (ExperimentService::*handler)(const harness::JsonValue&, RequestContext&);
+  };
+  static const RequestRow kRequests[];
+
   [[nodiscard]] Reply handle_run(const harness::JsonValue& request, RequestContext& ctx);
   [[nodiscard]] Reply handle_run_batch(const harness::JsonValue& request, RequestContext& ctx);
   [[nodiscard]] Reply handle_list(const harness::JsonValue& request, RequestContext& ctx);

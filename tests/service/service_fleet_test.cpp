@@ -247,7 +247,7 @@ TEST(SocketServerDrain, DrainRequestStopsServeCleanly) {
   SocketServer::Options options;
   options.workers = 2;
   options.drain_ms = 2000;
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::string serve_result = "unset";
   std::thread serving([&] { serve_result = server.serve(); });
@@ -271,7 +271,7 @@ TEST(SocketServerDrain, BeginDrainCancelsInFlightRunAtDeadline) {
   SocketServer::Options options;
   options.workers = 2;
   options.drain_ms = 100;  // deadline fires quickly; the long run must die
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::string serve_result = "unset";
   std::thread serving([&] { serve_result = server.serve(); });
@@ -300,21 +300,22 @@ TEST(ServiceClientRetry, ReconnectsThroughMaxRequestsPerConnBounces) {
   SocketServer::Options options;
   options.workers = 1;
   options.max_requests_per_conn = 1;  // every reply ends the conversation
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&] { EXPECT_EQ(server.serve(), ""); });
 
-  ServiceClient client;
-  ASSERT_EQ(client.connect_or_error(socket_path, /*timeout_ms=*/2000), "");
   fleet::RetryPolicy policy;
   policy.attempts = 3;
   policy.base_ms = 1;
   policy.jitter_seed = 1;
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .retry = policy});
+  ASSERT_EQ(client.connect_or_error(), "");
   std::uint64_t retries = 0;
   std::string response;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(client.roundtrip_with_retry(R"({"request": "list"})", response, policy, &retries),
-              "")
+    ASSERT_EQ(client.roundtrip(R"({"request": "list"})", response, &retries), "")
         << "request " << i;
     EXPECT_EQ(field(parse_line(response), "status"), "ok") << "request " << i;
   }
@@ -322,8 +323,7 @@ TEST(ServiceClientRetry, ReconnectsThroughMaxRequestsPerConnBounces) {
   // closed by the per-connection cap and had to redial.
   EXPECT_GE(retries, 2u);
 
-  ASSERT_EQ(client.roundtrip_with_retry(R"({"request": "shutdown"})", response, policy, &retries),
-            "");
+  ASSERT_EQ(client.roundtrip(R"({"request": "shutdown"})", response, &retries), "");
   serving.join();
 }
 
@@ -333,30 +333,32 @@ TEST(ServiceClientRetry, IdleTimeoutClosesConversationAndRetryRecovers) {
   SocketServer::Options options;
   options.workers = 1;
   options.idle_timeout_ms = 50;
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&] { EXPECT_EQ(server.serve(), ""); });
 
-  ServiceClient client;
-  ASSERT_EQ(client.connect_or_error(socket_path, /*timeout_ms=*/2000), "");
-  std::string response;
-  ASSERT_EQ(client.roundtrip(R"({"request": "list"})", response), "");
-  EXPECT_EQ(field(parse_line(response), "status"), "ok");
-
-  // Linger past the idle bound: the server reclaims the worker.  A plain
-  // roundtrip would fail; the retrying one redials and succeeds.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
   fleet::RetryPolicy policy;
   policy.attempts = 3;
   policy.base_ms = 1;
   policy.jitter_seed = 2;
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .retry = policy});
+  ASSERT_EQ(client.connect_or_error(), "");
+  std::string response;
   std::uint64_t retries = 0;
-  ASSERT_EQ(client.roundtrip_with_retry(R"({"request": "list"})", response, policy, &retries), "");
+  ASSERT_EQ(client.roundtrip(R"({"request": "list"})", response, &retries), "");
+  EXPECT_EQ(field(parse_line(response), "status"), "ok");
+  EXPECT_EQ(retries, 0u);  // the fresh conversation answered first time
+
+  // Linger past the idle bound: the server reclaims the worker.  A plain
+  // roundtrip would fail; the retrying one redials and succeeds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_EQ(client.roundtrip(R"({"request": "list"})", response, &retries), "");
   EXPECT_EQ(field(parse_line(response), "status"), "ok");
   EXPECT_GE(retries, 1u);
 
-  ASSERT_EQ(client.roundtrip_with_retry(R"({"request": "shutdown"})", response, policy, &retries),
-            "");
+  ASSERT_EQ(client.roundtrip(R"({"request": "shutdown"})", response, &retries), "");
   serving.join();
 }
 
@@ -370,20 +372,22 @@ TEST(ServiceClientRetry, DrainingReplyIsRetriedAgainstARecoveringServer) {
   SocketServer::Options options;
   options.workers = 2;
   options.drain_ms = 60000;  // drain converges via shutdown below, not deadline
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&] { EXPECT_EQ(server.serve(), ""); });
 
   service.begin_drain();  // service-level drain only; listeners stay open
-  ServiceClient client;
-  ASSERT_EQ(client.connect_or_error(socket_path, /*timeout_ms=*/2000), "");
   fleet::RetryPolicy policy;
   policy.attempts = 2;
   policy.base_ms = 1;
   policy.jitter_seed = 3;
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .retry = policy});
+  ASSERT_EQ(client.connect_or_error(), "");
   std::uint64_t retries = 0;
   std::string response;
-  ASSERT_EQ(client.roundtrip_with_retry(kErrorRateRun, response, policy, &retries), "");
+  ASSERT_EQ(client.roundtrip(kErrorRateRun, response, &retries), "");
   EXPECT_EQ(retries, 2u);  // both retries burned on the refusal
   const JsonValue parsed = parse_line(response);
   EXPECT_EQ(field(parsed, "status"), "error");

@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -345,7 +347,7 @@ TEST(SocketServer, ShutdownCompletesWithAnotherConnectionOpen) {
   // keep serve() from returning after another client requests shutdown.
   const std::string socket_path = temp_socket("shutdown_test");
   ExperimentService service({"", 4, 1});
-  SocketServer server(socket_path, service, /*workers=*/2);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, {});
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
@@ -365,7 +367,7 @@ TEST(SocketServer, ShutdownCompletesWithAnotherConnectionOpen) {
 TEST(SocketServer, EndToEndOverUnixSocket) {
   const std::string socket_path = temp_socket("test");
   ExperimentService service({"", 16, 1});
-  SocketServer server(socket_path, service, /*workers=*/2);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, {});
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
@@ -639,14 +641,14 @@ TEST(SocketServer, EndToEndOverTcp) {
   // on one connection, cache warm across transports would also hold (shared
   // service) — here we just prove the listener abstraction serves TCP.
   ExperimentService service({"", 16, 1});
-  SocketServer server({ListenerSpec::tcp("127.0.0.1", 0)}, service);
+  SocketServer server({Endpoint::tcp("127.0.0.1", 0)}, service, {});
   ASSERT_EQ(server.listen_or_error(), "");
   const int port = server.tcp_port();
   ASSERT_GT(port, 0);
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
-  ServiceClient client;
-  ASSERT_EQ(client.connect_tcp_or_error("127.0.0.1", port, /*timeout_ms=*/2000), "");
+  ServiceClient client({.endpoint = Endpoint::tcp("127.0.0.1", port), .connect_timeout_ms = 2000});
+  ASSERT_EQ(client.connect_or_error(), "");
   std::string response;
   ASSERT_EQ(client.roundtrip(kErrorRateRun, response), "");
   EXPECT_EQ(field(parse_json(response).value, "cache"), "miss");
@@ -659,8 +661,8 @@ TEST(SocketServer, EndToEndOverTcp) {
 TEST(SocketServer, UnixAndTcpListenersShareOneCache) {
   const std::string socket_path = temp_socket("dual_test");
   ExperimentService service({"", 16, 1});
-  SocketServer server({ListenerSpec::unix_socket(socket_path), ListenerSpec::tcp("127.0.0.1", 0)},
-                      service);
+  SocketServer server({Endpoint::unix_socket(socket_path), Endpoint::tcp("127.0.0.1", 0)},
+                      service, {});
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
@@ -672,8 +674,9 @@ TEST(SocketServer, UnixAndTcpListenersShareOneCache) {
     EXPECT_EQ(field(parse_json(response).value, "cache"), "miss");
   }
   {
-    ServiceClient over_tcp;
-    ASSERT_EQ(over_tcp.connect_tcp_or_error("127.0.0.1", server.tcp_port(), 2000), "");
+    ServiceClient over_tcp(
+        {.endpoint = Endpoint::tcp("127.0.0.1", server.tcp_port()), .connect_timeout_ms = 2000});
+    ASSERT_EQ(over_tcp.connect_or_error(), "");
     ASSERT_EQ(over_tcp.roundtrip(kErrorRateRun, response), "");
     EXPECT_EQ(field(parse_json(response).value, "cache"), "hit-memory");  // warmed over Unix
     ASSERT_EQ(over_tcp.roundtrip(R"({"request": "shutdown"})", response), "");
@@ -690,7 +693,7 @@ TEST(SocketServer, RejectsConnectionsPastTheBacklogWithOverloadedError) {
   SocketServer::Options options;
   options.workers = 1;
   options.max_pending = 1;
-  SocketServer server({ListenerSpec::unix_socket(socket_path)}, service, options);
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
@@ -726,7 +729,9 @@ TEST(SocketServer, OversizedUnterminatedLineGetsOneErrorLineThenEof) {
   // the (only) worker moves on to the next connection.
   const std::string socket_path = temp_socket("longline_test");
   ExperimentService service({"", 4, 1});
-  SocketServer server(socket_path, service, /*workers=*/1);
+  SocketServer::Options options;
+  options.workers = 1;
+  SocketServer server({Endpoint::unix_socket(socket_path)}, service, options);
   ASSERT_EQ(server.listen_or_error(), "");
   std::thread serving([&server] { EXPECT_EQ(server.serve(), ""); });
 
@@ -771,25 +776,125 @@ TEST(SocketServer, OversizedUnterminatedLineGetsOneErrorLineThenEof) {
   serving.join();
 }
 
+/// A bare Unix listener for the fake servers below: the bound, listening fd,
+/// or -1.
+int listen_unix(const std::string& socket_path) {
+  ::unlink(socket_path.c_str());
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket_path.c_str());
+  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(listen_fd, 4) != 0) {
+    ::close(listen_fd);
+    return -1;
+  }
+  return listen_fd;
+}
+
 TEST(ServiceClient, ReadTimeoutFailsInsteadOfHangingOnASilentServer) {
   // A listener that accepts but never answers: the armed I/O deadline must
   // turn the roundtrip into a "timed out" error, not a hang.
   const std::string socket_path = temp_socket("silent_test");
-  ::unlink(socket_path.c_str());
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int listen_fd = listen_unix(socket_path);
   ASSERT_GE(listen_fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket_path.c_str());
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
 
-  ServiceClient client;
-  ASSERT_EQ(client.connect_or_error(socket_path, /*timeout_ms=*/2000), "");
-  ASSERT_EQ(client.set_io_timeout_ms(100), "");
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .io_timeout_ms = 100});
+  ASSERT_EQ(client.connect_or_error(), "");
   std::string response;
   const std::string error = client.roundtrip(R"({"request": "list"})", response);
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+  ::close(listen_fd);
+  ::unlink(socket_path.c_str());
+}
+
+TEST(ServiceClient, RedialRearmsTheIoDeadline) {
+  // A listener that accepts every connection and never answers.  With one
+  // retry the roundtrip times out, redials, and must time out again.  A
+  // dial that dropped the deadline would block until the listener closes
+  // and hangs up (the 5 s backstop below): the test fails instead of
+  // hanging.
+  const std::string socket_path = temp_socket("redial_deadline_test");
+  const int listen_fd = listen_unix(socket_path);
+  ASSERT_GE(listen_fd, 0);
+  std::atomic<bool> done{false};
+  std::size_t accepted = 0;
+  std::thread acceptor([&] {
+    std::vector<int> held;
+    const auto backstop = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done.load() && std::chrono::steady_clock::now() < backstop) {
+      pollfd pfd{listen_fd, POLLIN, 0};
+      if (::poll(&pfd, 1, /*timeout_ms=*/10) != 1) continue;
+      if (const int fd = ::accept(listen_fd, nullptr, nullptr); fd >= 0) held.push_back(fd);
+    }
+    ::close(listen_fd);  // first, so a redial after the hang-up is refused
+    for (const int fd : held) ::close(fd);
+    accepted = held.size();
+  });
+
+  fleet::RetryPolicy policy;
+  policy.attempts = 1;
+  policy.base_ms = 1;
+  policy.jitter_seed = 1;
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .io_timeout_ms = 50,
+                        .retry = policy});
+  std::uint64_t retries = 0;
+  std::string response;
+  const auto start = std::chrono::steady_clock::now();
+  const std::string error = client.roundtrip(R"({"request": "list"})", response, &retries);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  done = true;
+  acceptor.join();
+  ::unlink(socket_path.c_str());
+
+  EXPECT_EQ(error, "read timed out waiting for a response line");
+  EXPECT_EQ(retries, 1u);
+  EXPECT_EQ(accepted, 2u);  // the retry redialed
+  EXPECT_GE(elapsed, std::chrono::milliseconds(100));  // two 50 ms deadlines
+  EXPECT_LT(elapsed, std::chrono::seconds(4));         // neither read hung
+}
+
+TEST(ServiceClient, MultiMegabyteReplyLineArrivesByteForByte) {
+  // Replies are not capped: a vlcsa_sweep run-batch reply of 4096 cells
+  // runs to megabytes.  A fake server writes one 4 MiB line in 1000-byte
+  // pieces, with a short second line behind it in the same stream.
+  const std::string socket_path = temp_socket("big_reply_test");
+  const int listen_fd = listen_unix(socket_path);
+  ASSERT_GE(listen_fd, 0);
+  std::string big(std::size_t{4} << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>('a' + i % 26);
+  std::thread server([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    char byte = 0;
+    while (::recv(fd, &byte, 1, 0) == 1 && byte != '\n') {
+    }
+    const std::string stream = big + "\nsecond\n";
+    for (std::size_t sent = 0; sent < stream.size();) {
+      const ssize_t n = ::send(fd, stream.data() + sent,
+                               std::min<std::size_t>(1000, stream.size() - sent), MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+
+  ServiceClient client({.endpoint = Endpoint::unix_socket(socket_path),
+                        .connect_timeout_ms = 2000,
+                        .io_timeout_ms = 10000});
+  std::string response;
+  EXPECT_EQ(client.roundtrip(R"({"request": "list"})", response), "");
+  EXPECT_EQ(response.size(), big.size());
+  EXPECT_TRUE(response == big);
+  EXPECT_EQ(client.read_response(response), "");
+  EXPECT_EQ(response, "second");
+  ::shutdown(listen_fd, SHUT_RDWR);  // wakes the accept() if the client never dialed
+  server.join();
   ::close(listen_fd);
   ::unlink(socket_path.c_str());
 }
