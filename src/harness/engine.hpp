@@ -68,9 +68,12 @@ struct RunStop {
 /// Pure observability: nothing here feeds a result record — records stay
 /// functions of (experiment, samples, seed, eval path) only.  The counter
 /// fields (shards, samples, blocks, rng_words) are exact and invariant
-/// across thread counts and backends for a fixed lane width; the time
-/// fields are cpu-seconds summed over shards (fill/eval) plus the
-/// single-threaded merge, and naturally vary run to run.
+/// across thread counts and backends for a fixed lane width.  The time
+/// fields are not CPU time: fill/eval are steady_clock (wall) intervals
+/// around each block, summed over shards (BlockTimer, montecarlo.cpp), and
+/// merge is the wall time of the single-threaded merge.  A thread that is
+/// descheduled mid-block still accrues time, so fill/eval inflate when the
+/// host is oversubscribed, and they vary run to run.
 struct RunProfile {
   std::uint64_t shards = 0;           // shards executed
   std::uint64_t samples = 0;          // samples folded, all shards

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "service/service.hpp"
+
 namespace vlcsa::service {
 
 namespace {
@@ -36,12 +38,11 @@ ServiceMetrics::ServiceMetrics()
       stages_(stage_names().size()) {}
 
 const std::vector<std::string>& ServiceMetrics::request_types() {
-  // Keep in sync with ExperimentService's request table (service.cpp); the
-  // protocol-doc test pins the request table against DESIGN.md and the
-  // metrics test pins this list against the request table.
-  static const std::vector<std::string> kTypes = {
-      "run",     "run-batch",    "list",     "describe",  "cache-stats",
-      "metrics", "metrics-prom", "drain",    "shutdown",  "invalid"};
+  static const std::vector<std::string> kTypes = [] {
+    std::vector<std::string> types = ExperimentService::request_names();
+    types.emplace_back("invalid");
+    return types;
+  }();
   return kTypes;
 }
 
@@ -83,22 +84,22 @@ ServiceMetrics::InFlight::~InFlight() {
   --metrics_.in_flight_;
 }
 
-void ServiceMetrics::record_request(const std::string& type, bool ok, double seconds,
+void ServiceMetrics::record_request(std::string_view type, bool ok, double seconds,
+                                    std::span<const TraceSpan> spans) {
+  const auto& types = request_types();
+  record_request(static_cast<std::size_t>(std::find(types.begin(), types.end(), type) -
+                                          types.begin()),
+                 ok, seconds, spans);
+}
+
+void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds,
                                     std::span<const TraceSpan> spans) {
   const auto now = std::chrono::steady_clock::now();
   const auto& stages = stage_names();
   const std::lock_guard<std::mutex> lock(mutex_);
   ++requests_total_;
   ++(ok ? ok_total_ : error_total_);
-  const auto& types = request_types();
-  std::size_t index = types.size() - 1;  // "invalid" is the fallback slot
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    if (types[i] == type) {
-      index = i;
-      break;
-    }
-  }
-  ++by_type_[index];
+  ++by_type_[std::min(type, by_type_.size() - 1)];  // the last slot is "invalid"
 
   latency_max_seconds_ = std::max(latency_max_seconds_, seconds);
   latency_sum_seconds_ += seconds;

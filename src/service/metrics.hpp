@@ -20,6 +20,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/cache.hpp"
@@ -65,7 +66,7 @@ struct MetricsSnapshot {
   double latency_max_seconds = 0.0;      // exact, not bucketed
   double latency_sum_seconds = 0.0;      // exact sum (histogram _sum)
   std::vector<std::uint64_t> latency_buckets;  // per-bucket counts (+overflow)
-  std::vector<RequestTypeCount> by_type;  // registration order, see kRequestTypes
+  std::vector<RequestTypeCount> by_type;  // request_types() order
   std::vector<StageLatency> stages;       // per-stage latency, stage_names() order
 };
 
@@ -86,14 +87,18 @@ class ServiceMetrics {
     ServiceMetrics& metrics_;
   };
 
-  /// Records one completed request line: its protocol type (a kRequestTypes
-  /// name, or "invalid" for lines that never reached a handler), whether the
-  /// response said ok, the handler wall time, and its trace spans (empty when
-  /// untraced), whose durations feed the per-stage latency histograms.  The
-  /// depth-0 root span is skipped (its distribution is the request latency
-  /// histogram itself), and span names outside stage_names() are ignored so
-  /// the histogram label set stays fixed for scrapers.  One lock per request.
-  void record_request(const std::string& type, bool ok, double seconds,
+  /// Records one completed request line: its protocol type (an index into
+  /// request_types(); out-of-range indices count as "invalid", the slot of
+  /// lines that never reached a handler), whether the response said ok, the
+  /// handler wall time, and its trace spans (empty when untraced), whose
+  /// durations feed the per-stage latency histograms.  The depth-0 root span
+  /// is skipped (its distribution is the request latency histogram itself),
+  /// and span names outside stage_names() are ignored so the histogram label
+  /// set stays fixed for scrapers.  One lock per request.
+  void record_request(std::size_t type, bool ok, double seconds,
+                      std::span<const TraceSpan> spans = {});
+  /// The same, by type name (a name not in request_types() is "invalid").
+  void record_request(std::string_view type, bool ok, double seconds,
                       std::span<const TraceSpan> spans = {});
 
   /// One run/run-batch element hit its deadline and was cancelled.
@@ -119,7 +124,8 @@ class ServiceMetrics {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// The request-type names the breakdown tracks ("invalid" last).
+  /// The request-type names the breakdown tracks: the service's request
+  /// table (ExperimentService::request_names()), then "invalid".
   [[nodiscard]] static const std::vector<std::string>& request_types();
 
   /// The stage names record_request bins span durations under — the trace

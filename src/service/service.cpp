@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <initializer_list>
@@ -7,6 +8,7 @@
 #include <iterator>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -35,7 +37,6 @@ struct ExperimentService::RequestContext {
 
 namespace {
 
-using harness::check_fields;
 using harness::JsonObject;
 using harness::JsonValue;
 
@@ -53,6 +54,40 @@ constexpr const char* kCodeDraining = "draining";
 /// an overflowing value must be rejected, never silently disable the
 /// deadline.
 constexpr std::uint64_t kMaxTimeoutMs = 86'400'000;
+
+// The request table's field lists: each request's own fields.  Every
+// top-level request also takes "request" and the observability envelope
+// (read_trace_envelope), so those are implied rather than listed.
+constexpr std::string_view kEnvelopeFields[] = {"request", "trace", "trace_id", "origin"};
+constexpr std::string_view kRunFields[] = {"experiment", "samples", "seed", "eval_path",
+                                           "timeout_ms"};
+constexpr std::string_view kRunBatchFields[] = {"runs", "timeout_ms"};
+constexpr std::string_view kListFields[] = {"prefix"};
+constexpr std::string_view kDescribeFields[] = {"experiment"};
+
+// A run-batch element is a run spec without the request-level deadline: the
+// run row's fields minus the trailing "timeout_ms".
+static_assert(kRunFields[std::size(kRunFields) - 1] == "timeout_ms");
+constexpr std::span<const std::string_view> kRunSpecFields =
+    std::span(kRunFields).first(std::size(kRunFields) - 1);
+
+/// Strict field check (the cli.hpp tradition: a typo'd field is an error,
+/// never silently ignored): "" or "unknown field 'KEY' for this request"
+/// for the first member of `object` that is not one of `fields` nor, for a
+/// top-level request (`envelope`), one of kEnvelopeFields — the rule and
+/// wording of harness::check_fields, over a request-table row's fields.
+std::string check_fields(const JsonValue& object, std::span<const std::string_view> fields,
+                         bool envelope) {
+  const auto named = [](std::span<const std::string_view> names, const std::string& key) {
+    return std::ranges::find(names, key) != names.end();
+  };
+  for (const auto& [key, value] : object.members()) {
+    if (!named(fields, key) && !(envelope && named(kEnvelopeFields, key))) {
+      return "unknown field '" + key + "' for this request";
+    }
+  }
+  return {};
+}
 
 ExperimentService::Reply error_reply(ExperimentService::RequestContext& ctx,
                                      const std::string& message,
@@ -103,34 +138,20 @@ std::string read_trace_envelope(const JsonValue& request,
     ctx.echo = flag->as_bool();
     if (ctx.echo) ctx.trace.enable();
   }
-  const JsonValue* id = request.find("trace_id");
-  if (id != nullptr) {
-    if (id->kind() != JsonValue::Kind::kString) return "field 'trace_id' must be a string";
-    ctx.trace_id = id->as_string();
-    if (ctx.trace_id.empty()) return "field 'trace_id' must be non-empty";
-  }
-  const JsonValue* origin = request.find("origin");
-  if (origin != nullptr) {
-    if (origin->kind() != JsonValue::Kind::kString) return "field 'origin' must be a string";
-    ctx.origin = origin->as_string();
-    if (ctx.origin.empty()) return "field 'origin' must be non-empty";
+  for (const auto& [name, out] :
+       {std::pair{"trace_id", &ctx.trace_id}, std::pair{"origin", &ctx.origin}}) {
+    bool given = false;
+    if (std::string error = read_string_field(request, name, *out, given); !error.empty()) {
+      return error;
+    }
+    if (given && out->empty()) return std::string("field '") + name + "' must be non-empty";
   }
   return {};
 }
 
-/// ["a", "b", ...] — string-array rendering for list responses.
-std::string render_string_array(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "\"" + harness::json_escape(values[i]) + "\"";
-  }
-  out += "]";
-  return out;
-}
-
-/// [{...}, {...}] — array of pre-rendered objects (run-batch results).
-std::string render_object_array(const std::vector<std::string>& rendered) {
+/// [a, b, ...] — an array of pre-rendered JSON values (list names,
+/// run-batch results).
+std::string render_array(const std::vector<std::string>& rendered) {
   std::string out = "[";
   for (std::size_t i = 0; i < rendered.size(); ++i) {
     if (i != 0) out += ", ";
@@ -160,10 +181,16 @@ struct ExperimentService::RunSpec {
   std::uint64_t timeout_ms = 0;  // request-level override; 0 = not given
 };
 
-/// What running one spec produced: either `error` (+ `code`) or a record.
-struct ExperimentService::RunOutcome {
-  std::string error;  // empty = success
+/// A handler's verdict: an empty `error` means ok, and handle_line answers
+/// the response the handler filled; otherwise handle_line answers `error`
+/// with `code` through error_reply.
+struct ExperimentService::Status {
+  std::string error;
   const char* code = kCodeBadRequest;
+};
+
+/// What running one spec produced: either a Status error or a record.
+struct ExperimentService::RunOutcome : Status {
   ResultCache::Tier tier = ResultCache::Tier::kMiss;
   bool coalesced = false;
   std::string record;
@@ -188,16 +215,10 @@ std::string read_timeout_ms(const JsonValue& request, std::uint64_t& out) {
   return {};
 }
 
-/// Parses/validates one run spec's fields.  `allowed` differs between a
-/// top-level run request ("request"/"timeout_ms" permitted) and a run-batch
-/// element (bare spec only); "" or an error message.
-std::string read_run_spec(const JsonValue& request,
-                          std::initializer_list<std::string_view> allowed,
-                          ExperimentService::RunSpec& out) {
-  if (std::string error = check_fields(request, allowed, "for this request");
-      !error.empty()) {
-    return error;
-  }
+/// Parses/validates one run spec whose field names were already checked (a
+/// run request, or a run-batch element, which has no "timeout_ms"); "" or an
+/// error message.
+std::string read_run_spec(const JsonValue& request, ExperimentService::RunSpec& out) {
   bool given = false;
   if (std::string error = read_string_field(request, "experiment", out.experiment, given);
       !error.empty()) {
@@ -225,6 +246,30 @@ std::string read_run_spec(const JsonValue& request,
   return read_timeout_ms(request, out.timeout_ms);
 }
 
+/// One run-batch result object: an ok element's record, or an error naming
+/// its experiment when the element got as far as a valid spec.
+std::string render_batch_result(ExperimentService::RunOutcome outcome,
+                                const std::string& experiment) {
+  JsonObject result;
+  if (!outcome.error.empty()) {
+    result.add("status", "error");
+    result.add("code", outcome.code);
+    result.add("error", outcome.error);
+    if (!experiment.empty()) result.add("experiment", experiment);
+    return result.render_line();
+  }
+  result.add("status", "ok");
+  result.add("experiment", experiment);
+  result.add("cache", outcome.coalesced ? "coalesced" : tier_name(outcome.tier));
+  result.add_json("record", std::move(outcome.record));
+  // A traced computed element carries its own RunProfile (cache hits never
+  // ran the engine and have none) — the per-cell attribution sweeps
+  // aggregate into their profile rollups.  It stays out of the request
+  // context, so neither the batch envelope nor its trace-log line carries one.
+  if (!outcome.profile_json.empty()) result.add_json("profile", std::move(outcome.profile_json));
+  return result.render_line();
+}
+
 }  // namespace
 
 ExperimentService::ExperimentService(ServiceConfig config)
@@ -242,24 +287,32 @@ ExperimentService::ExperimentService(ServiceConfig config)
   }
 }
 
-// The request table, in documentation order: DESIGN.md's protocol reference
-// must list exactly these names (the protocol-doc test diffs them).
+// The request table, in documentation order: the protocol's schema.  DESIGN.md's
+// protocol reference must list exactly these names, each with a field table
+// of exactly its fields (the protocol-doc test diffs both).
 const ExperimentService::RequestRow ExperimentService::kRequests[] = {
-    {"run", &ExperimentService::handle_run},
-    {"run-batch", &ExperimentService::handle_run_batch},
-    {"list", &ExperimentService::handle_list},
-    {"describe", &ExperimentService::handle_describe},
-    {"cache-stats", &ExperimentService::handle_cache_stats},
-    {"metrics", &ExperimentService::handle_metrics},
-    {"metrics-prom", &ExperimentService::handle_metrics_prom},
-    {"drain", &ExperimentService::handle_drain},
-    {"shutdown", &ExperimentService::handle_shutdown},
+    {"run", &ExperimentService::handle_run, kRunFields, true},
+    {"run-batch", &ExperimentService::handle_run_batch, kRunBatchFields, true},
+    {"list", &ExperimentService::handle_list, kListFields},
+    {"describe", &ExperimentService::handle_describe, kDescribeFields},
+    {"cache-stats", &ExperimentService::handle_cache_stats, {}},
+    {"metrics", &ExperimentService::handle_metrics, {}},
+    {"metrics-prom", &ExperimentService::handle_metrics_prom, {}},
+    {"drain", &ExperimentService::handle_drain, {}},
+    {"shutdown", &ExperimentService::handle_shutdown, {}},
 };
 
 std::vector<std::string> ExperimentService::request_names() {
   std::vector<std::string> names;
   for (const RequestRow& row : kRequests) names.emplace_back(row.name);
   return names;
+}
+
+std::span<const std::string_view> ExperimentService::request_fields(std::string_view name) {
+  for (const RequestRow& row : kRequests) {
+    if (row.name == name) return row.fields;
+  }
+  return {};
 }
 
 void ExperimentService::begin_drain() {
@@ -285,71 +338,99 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
   }
   const std::size_t root = ctx.trace.open("request");
 
-  std::string type = "invalid";
-  Reply reply;
-  harness::JsonParse parse;
-  {
-    const RequestTrace::Scope parse_scope(ctx.trace, "parse");
-    parse = harness::parse_json(line);
-  }
-  std::string envelope_error;
-  if (!parse.ok()) {
-    reply = error_reply(ctx, "malformed request: " + parse.error);
-  } else if (parse.value.kind() != JsonValue::Kind::kObject) {
-    reply = error_reply(ctx, "request must be a JSON object");
-  } else if (envelope_error = read_trace_envelope(parse.value, ctx);
-             !envelope_error.empty()) {
-    reply = error_reply(ctx, envelope_error);
-  } else {
-    const JsonValue* request_field = parse.value.find("request");
-    if (request_field == nullptr || request_field->kind() != JsonValue::Kind::kString) {
-      reply = error_reply(ctx, "missing string field 'request'");
-    } else {
-      const std::string& request = request_field->as_string();
-      const RequestRow* row = nullptr;
-      for (const RequestRow& candidate : kRequests) {
-        if (request == candidate.name) {
-          row = &candidate;
-          break;
+  // The shared work of every request, in order: parse, read the envelope,
+  // look up the row, gate run rows on the drain, check the row's fields,
+  // open the ok reply, call the handler.  Each step answers the request's
+  // error itself, so the first failing check wins.
+  const RequestRow* row = nullptr;
+  Reply reply = [&]() -> Reply {
+    harness::JsonParse parse;
+    {
+      const RequestTrace::Scope parse_scope(ctx.trace, "parse");
+      parse = harness::parse_json(line);
+    }
+    if (!parse.ok()) return error_reply(ctx, "malformed request: " + parse.error);
+    const JsonValue& request = parse.value;
+    if (request.kind() != JsonValue::Kind::kObject) {
+      return error_reply(ctx, "request must be a JSON object");
+    }
+    if (std::string error = read_trace_envelope(request, ctx); !error.empty()) {
+      return error_reply(ctx, error);
+    }
+    const JsonValue* name = request.find("request");
+    if (name == nullptr || name->kind() != JsonValue::Kind::kString) {
+      return error_reply(ctx, "missing string field 'request'");
+    }
+    const auto found = std::find_if(std::begin(kRequests), std::end(kRequests),
+                                    [&](const RequestRow& candidate) {
+                                      return candidate.name == name->as_string();
+                                    });
+    if (found == std::end(kRequests)) {
+      // "run, run-batch, ..., drain or shutdown"
+      static const std::string kExpected = [] {
+        std::string names;
+        for (std::size_t i = 0; i < std::size(kRequests); ++i) {
+          if (i > 0) names += i + 1 == std::size(kRequests) ? " or " : ", ";
+          names += kRequests[i].name;
         }
-      }
-      if (row == nullptr) {
-        // "run, run-batch, ..., drain or shutdown"
-        static const std::string kExpected = [] {
-          std::string names;
-          for (std::size_t i = 0; i < std::size(kRequests); ++i) {
-            if (i > 0) names += i + 1 == std::size(kRequests) ? " or " : ", ";
-            names += kRequests[i].name;
-          }
-          return names;
-        }();
-        reply = error_reply(ctx, "unknown request '" + request + "' (expected " + kExpected + ")",
-                            kCodeUnknownRequest);
-      } else {
-        type = row->name;
-        // A daemon must outlive any single request: anything a handler
-        // throws (engine failures, rethrown leader exceptions from the
-        // single-flight latch) becomes an error reply, never a dead server.
-        try {
-          reply = (this->*row->handler)(parse.value, ctx);
-        } catch (const std::exception& error) {
-          reply =
-              error_reply(ctx, std::string("internal error: ") + error.what(), kCodeInternal);
-        }
+        return names;
+      }();
+      return error_reply(ctx,
+                         "unknown request '" + name->as_string() + "' (expected " + kExpected +
+                             ")",
+                         kCodeUnknownRequest);
+    }
+    row = found;
+
+    // A run is counted before the draining check, so a server that reads
+    // active_runs() == 0 after begin_drain() knows every later run request
+    // refuses (fleet.hpp).  New work is refused during a drain, before its
+    // fields are checked; observational requests keep working (rotation
+    // scripts poll metrics/cache-stats while the drain converges).
+    std::optional<fleet::DrainState::RunScope> run_scope;
+    if (row->run) {
+      run_scope.emplace(drain_);
+      if (drain_.draining()) {
+        return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
+                           kCodeDraining);
       }
     }
-  }
+    if (std::string error = check_fields(request, row->fields, true); !error.empty()) {
+      return error_reply(ctx, error);
+    }
+
+    JsonObject response;
+    response.add("status", "ok");
+    response.add("request", row->name);
+    Reply result;
+    Status status;
+    // A daemon must outlive any single request: anything a handler throws
+    // (engine failures, rethrown leader exceptions from the single-flight
+    // latch) becomes an error reply, never a dead server.
+    try {
+      status = (this->*row->handler)(request, ctx, response, result);
+    } catch (const std::exception& error) {
+      return error_reply(ctx, std::string("internal error: ") + error.what(), kCodeInternal);
+    }
+    if (!status.error.empty()) return error_reply(ctx, status.error, status.code);
+    result.line = response.render_line();
+    return result;
+  }();
 
   ctx.trace.close(root);
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
+  const std::string_view type = row != nullptr ? row->name : "invalid";
   finalize_request(ctx, type, reply, wall);
   // One metrics update per request: the counters, the latency histogram and
-  // the per-stage histograms fed from the span durations.
-  metrics_.record_request(type, reply.ok, wall, ctx.trace.spans());
+  // the per-stage histograms fed from the span durations.  The row's index
+  // is its request-type slot; std::size(kRequests) is "invalid".
+  const std::size_t type_index =
+      row != nullptr ? static_cast<std::size_t>(row - kRequests) : std::size(kRequests);
+  metrics_.record_request(type_index, reply.ok, wall, ctx.trace.spans());
   return reply;
 }
 
-void ExperimentService::finalize_request(RequestContext& ctx, const std::string& type,
+void ExperimentService::finalize_request(RequestContext& ctx, std::string_view type,
                                          Reply& reply, double wall_seconds) {
   if (!ctx.trace.enabled() && !access_log_.enabled()) return;
 
@@ -583,26 +664,11 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
   return out;
 }
 
-ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
-                                                       RequestContext& ctx) {
-  // Counted before the draining check: a server that reads active_runs() == 0
-  // after begin_drain() then knows every later handler refuses (fleet.hpp).
-  const fleet::DrainState::RunScope drain_scope(drain_);
-  // New work is refused during a drain; observational requests keep working
-  // (rotation scripts poll metrics/cache-stats while the drain converges).
-  if (drain_.draining()) {
-    return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
-                       kCodeDraining);
-  }
+ExperimentService::Status ExperimentService::handle_run(const JsonValue& request,
+                                                        RequestContext& ctx,
+                                                        JsonObject& response, Reply&) {
   RunSpec run;
-  if (std::string error =
-          read_run_spec(request,
-                        {"request", "experiment", "samples", "seed", "eval_path",
-                         "timeout_ms", "trace", "trace_id", "origin"},
-                        run);
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+  if (std::string error = read_run_spec(request, run); !error.empty()) return {error};
   ctx.experiment = run.experiment;
   if (ctx.origin == "sweep") metrics_.record_sweep_request(1);
 
@@ -610,7 +676,7 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   const auto start = Clock::now();
 
   RunOutcome outcome = run_one(run, run_stop(start, run.timeout_ms), ctx);
-  if (!outcome.error.empty()) return error_reply(ctx, outcome.error, outcome.code);
+  if (!outcome.error.empty()) return {outcome.error, outcome.code};
   ctx.cache = outcome.coalesced ? "coalesced" : tier_name(outcome.tier);
   // A lone run's profile belongs to the request: finalize_request echoes it
   // and writes it to the trace log.
@@ -618,37 +684,22 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   const RequestTrace::Scope render_scope(ctx.trace, "render");
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "run");
   response.add("experiment", run.experiment);
   response.add("cache", ctx.cache);
   response.add("wall_seconds", wall);
   response.add_json("record", std::move(outcome.record));
-  return {response.render_line(), false};
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& request,
-                                                             RequestContext& ctx) {
-  const fleet::DrainState::RunScope drain_scope(drain_);  // see handle_run
-  if (drain_.draining()) {
-    return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
-                       kCodeDraining);
-  }
-  if (std::string error = check_fields(
-          request, {"request", "runs", "timeout_ms", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_run_batch(const JsonValue& request,
+                                                              RequestContext& ctx,
+                                                              JsonObject& response, Reply&) {
   const JsonValue* runs = request.find("runs");
   if (runs == nullptr || runs->kind() != JsonValue::Kind::kArray) {
-    return error_reply(ctx, "run-batch requires array field 'runs'");
+    return {"run-batch requires array field 'runs'"};
   }
   std::uint64_t timeout_ms = 0;
-  if (std::string error = read_timeout_ms(request, timeout_ms); !error.empty()) {
-    return error_reply(ctx, error);
-  }
+  if (std::string error = read_timeout_ms(request, timeout_ms); !error.empty()) return {error};
   if (ctx.origin == "sweep") {
     metrics_.record_sweep_request(static_cast<std::uint64_t>(runs->items().size()));
   }
@@ -669,127 +720,81 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     // trace shows where a slow batch spent its deadline element by element.
     const RequestTrace::Scope element_scope(ctx.trace, "element");
     metrics_.record_batch_element();
-    JsonObject rendered;
     RunSpec spec;
-    std::string error;
-    if (element.kind() != JsonValue::Kind::kObject) {
-      error = "batch element must be a JSON object (a run spec)";
-    } else {
-      error = read_run_spec(element, {"experiment", "samples", "seed", "eval_path"}, spec);
-    }
-    if (!error.empty()) {
-      rendered.add("status", "error");
-      rendered.add("code", kCodeBadRequest);
-      rendered.add("error", error);
-      ++error_count;
-      results.push_back(rendered.render_line());
-      continue;
-    }
     RunOutcome outcome;
-    try {
-      outcome = run_one(spec, stop, ctx);
-    } catch (const std::exception& failure) {
-      outcome.error = std::string("internal error: ") + failure.what();
-      outcome.code = kCodeInternal;
+    if (element.kind() != JsonValue::Kind::kObject) {
+      outcome.error = "batch element must be a JSON object (a run spec)";
+    } else if (outcome.error = check_fields(element, kRunSpecFields, false);
+               outcome.error.empty()) {
+      outcome.error = read_run_spec(element, spec);
     }
-    if (!outcome.error.empty()) {
-      rendered.add("status", "error");
-      rendered.add("code", outcome.code);
-      rendered.add("error", outcome.error);
-      rendered.add("experiment", spec.experiment);
-      ++error_count;
-    } else {
-      rendered.add("status", "ok");
-      rendered.add("experiment", spec.experiment);
-      rendered.add("cache", outcome.coalesced ? "coalesced" : tier_name(outcome.tier));
-      rendered.add_json("record", outcome.record);
-      // A traced computed element carries its own RunProfile (cache hits
-      // never ran the engine and have none) — the per-cell attribution
-      // sweeps aggregate into their profile rollups.  It stays out of ctx,
-      // so neither the batch envelope nor its trace-log line carries one.
-      if (!outcome.profile_json.empty()) rendered.add_json("profile", outcome.profile_json);
-      ++ok_count;
+    const bool valid = outcome.error.empty();
+    if (valid) {
+      try {
+        outcome = run_one(spec, stop, ctx);
+      } catch (const std::exception& failure) {
+        outcome.error = std::string("internal error: ") + failure.what();
+        outcome.code = kCodeInternal;
+      }
     }
-    results.push_back(rendered.render_line());
+    ++(outcome.error.empty() ? ok_count : error_count);
+    // An element that failed validation names no experiment.
+    results.push_back(render_batch_result(std::move(outcome), valid ? spec.experiment : ""));
   }
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   const RequestTrace::Scope render_scope(ctx.trace, "render");
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "run-batch");
   response.add("count", static_cast<std::uint64_t>(results.size()));
   response.add("ok", ok_count);
   response.add("errors", error_count);
   response.add("wall_seconds", wall);
-  response.add_json("results", render_object_array(results));
-  return {response.render_line(), false};
+  response.add_json("results", render_array(results));
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request,
-                                                        RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "prefix", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_list(const JsonValue& request,
+                                                         RequestContext&, JsonObject& response,
+                                                         Reply&) {
   std::string prefix;
   bool given = false;
   if (std::string error = read_string_field(request, "prefix", prefix, given);
       !error.empty()) {
-    return error_reply(ctx, error);
+    return {error};
   }
 
+  const auto quoted = [](const auto& experiment) {
+    return "\"" + harness::json_escape(experiment->name) + "\"";
+  };
   std::vector<std::string> error_rate;
   for (const auto* experiment : harness::error_rate_experiments_with_prefix(prefix)) {
-    error_rate.push_back(experiment->name);
+    error_rate.push_back(quoted(experiment));
   }
   std::vector<std::string> chain_profile;
   for (const auto* experiment : harness::chain_profile_experiments_with_prefix(prefix)) {
-    chain_profile.push_back(experiment->name);
+    chain_profile.push_back(quoted(experiment));
   }
-
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "list");
-  response.add_json("error_rate", render_string_array(error_rate));
-  response.add_json("chain_profile", render_string_array(chain_profile));
-  return {response.render_line(), false};
+  response.add_json("error_rate", render_array(error_rate));
+  response.add_json("chain_profile", render_array(chain_profile));
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& request,
-                                                            RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "experiment", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_describe(const JsonValue& request,
+                                                             RequestContext&,
+                                                             JsonObject& response, Reply&) {
   std::string name;
   bool given = false;
   if (std::string error = read_string_field(request, "experiment", name, given);
       !error.empty()) {
-    return error_reply(ctx, error);
+    return {error};
   }
-  if (!given || name.empty()) return error_reply(ctx, "describe requires field 'experiment'");
-
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "describe");
-  if (harness::describe_experiment(name, response)) return {response.render_line(), false};
-  return error_reply(ctx, "unknown experiment '" + name + "' (try \"list\")",
-                     kCodeUnknownExperiment);
+  if (!given || name.empty()) return {"describe requires field 'experiment'"};
+  if (harness::describe_experiment(name, response)) return {};
+  return {"unknown experiment '" + name + "' (try \"list\")", kCodeUnknownExperiment};
 }
 
-ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& request,
-                                                               RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_cache_stats(const JsonValue&,
+                                                                RequestContext&,
+                                                                JsonObject& response, Reply&) {
   const CacheStats stats = cache_.stats();
   // Per-tier ratios over all lookups that answered a run: memory, disk,
   // coalesced (single-flight followers), and leader misses.
@@ -798,9 +803,6 @@ ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& 
   const auto ratio = [lookups](std::uint64_t count) {
     return lookups == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(lookups);
   };
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "cache-stats");
   response.add("memory_hits", stats.memory_hits);
   response.add("disk_hits", stats.disk_hits);
   response.add("coalesced_hits", stats.coalesced_hits);
@@ -820,25 +822,16 @@ ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& 
   response.add("disk_dir", cache_.disk_dir());
   response.add("disk_bytes", stats.disk_bytes);
   response.add("disk_max_bytes", cache_.max_disk_bytes());
-  return {response.render_line(), false};
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& request,
-                                                           RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_metrics(const JsonValue&, RequestContext&,
+                                                            JsonObject& response, Reply&) {
   const MetricsSnapshot snapshot = metrics_.snapshot();
   const CacheStats cache_stats = cache_.stats();
   const std::uint64_t hits = cache_stats.memory_hits + cache_stats.disk_hits;
   const std::uint64_t lookups = hits + cache_stats.misses;
 
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "metrics");
   // The snapshot taken before this request finished — "metrics" itself is
   // not yet in any counter (it records on return like every request).
   response.add("requests_total", snapshot.requests_total);
@@ -868,64 +861,37 @@ ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& requ
     by_type.add(entry.name, entry.count);
   }
   response.add_json("requests_by_type", by_type.render_line());
-  return {response.render_line(), false};
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_metrics_prom(const JsonValue& request,
-                                                                RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_metrics_prom(const JsonValue&,
+                                                                 RequestContext&,
+                                                                 JsonObject& response, Reply&) {
   // The exposition text rides the line-framed protocol as a JSON envelope:
   // "body" is the complete text-format payload (newlines escaped by the
   // renderer), "content_type" what an HTTP scraper would have been served.
   // vlcsa_client --request=metrics-prom unwraps and prints the body raw.
-  const std::string body = render_prometheus_text(metrics_.snapshot(), cache_.stats());
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "metrics-prom");
   response.add("content_type", "text/plain; version=0.0.4");
-  response.add("body", body);
-  return {response.render_line(), false};
+  response.add("body", render_prometheus_text(metrics_.snapshot(), cache_.stats()));
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& request,
-                                                         RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+ExperimentService::Status ExperimentService::handle_drain(const JsonValue&, RequestContext&,
+                                                          JsonObject& response, Reply& reply) {
   // Flip the service-level flag immediately (so even a stdio conversation
   // rejects later runs); the socket server sees Reply::drain and drives the
   // connection side — stop accepting, drain deadline, exit 0.
   begin_drain();
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "drain");
   response.add("draining", true);
   response.add("active_runs", static_cast<std::uint64_t>(drain_.active_runs()));
-  Reply reply{response.render_line(), false};
   reply.drain = true;
-  return reply;
+  return {};
 }
 
-ExperimentService::Reply ExperimentService::handle_shutdown(const JsonValue& request,
-                                                            RequestContext& ctx) {
-  if (std::string error = check_fields(
-          request, {"request", "trace", "trace_id", "origin"},
-          "for this request");
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "shutdown");
-  return {response.render_line(), true};
+ExperimentService::Status ExperimentService::handle_shutdown(const JsonValue&, RequestContext&,
+                                                             JsonObject&, Reply& reply) {
+  reply.shutdown = true;
+  return {};
 }
 
 std::uint64_t serve_stdio(std::istream& in, std::ostream& out, ExperimentService& service) {

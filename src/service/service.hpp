@@ -1,18 +1,7 @@
 #pragma once
 // Experiment service: the long-running front end over the experiment
 // registry (harness/experiments.hpp).  One instance owns the two-tier result cache
-// and routes newline-delimited JSON requests:
-//
-//   {"request": "run", "experiment": NAME, "samples": N?, "seed": S?,
-//    "eval_path": "batched"|"scalar"?, "timeout_ms": T?}
-//   {"request": "run-batch", "runs": [RUNSPEC, ...], "timeout_ms": T?}
-//   {"request": "list", "prefix": P?}
-//   {"request": "describe", "experiment": NAME}
-//   {"request": "cache-stats"}
-//   {"request": "metrics"}
-//   {"request": "metrics-prom"}
-//   {"request": "drain"}
-//   {"request": "shutdown"}
+// and routes newline-delimited JSON requests through its request table.
 //
 // Every request additionally accepts the observability envelope fields
 // "trace": true (echo the request's span tree in the reply — a traced
@@ -28,13 +17,24 @@
 // registry resolves, encodes, checks and describes each record's key and
 // renders its bytes (harness::record_key, encode_key, record_matches_key,
 // describe_experiment, run_record); this service only caches the records.
-// Request parsing is strict in the cli.hpp tradition: unknown request names,
-// unknown fields, wrong field types and malformed JSON are all errors — a typo'd
-// field must never silently run a different experiment.  Responses are
-// single-line JSON objects with "status": "ok"|"error" (error responses
-// also carry a machine-readable "code"); a run response embeds the result
-// record verbatim, so the record bytes a client sees are exactly the bytes
-// the cache stores (DESIGN.md has the full protocol reference).
+// Responses are single-line JSON objects with "status": "ok"|"error" (error
+// responses also carry a machine-readable "code"); a run response embeds the
+// result record verbatim, so the record bytes a client sees are exactly the
+// bytes the cache stores (DESIGN.md has the full protocol reference).
+//
+// The request table (kRequests, service.cpp) is the protocol's schema: one
+// row per request names it, its handler, its own fields and whether it is a
+// run request.  handle_line does the shared work once, in this order: parse
+// the line, read the envelope, look up the row, refuse a run row while
+// draining, check the field names against the row, open the ok reply with
+// "status" and "request", and call the handler, rendering any error it
+// returns.  A handler only reads its own fields (their types and values)
+// and fills in its reply.  Parsing is strict in the cli.hpp tradition:
+// malformed JSON, an unknown request name, an unknown field and a wrong
+// field type are all errors, so a typo'd field never silently runs a
+// different experiment.  Adding a request means one row, one handler and
+// one DESIGN.md subsection; the protocol-doc tests hold DESIGN.md to the
+// table's names and to each row's fields.
 //
 // Timeouts: a run (or run-batch) request may carry "timeout_ms", and the
 // daemon may set a default (ServiceConfig::timeout_ms).  The request's
@@ -53,7 +53,9 @@
 #include <future>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +66,7 @@
 #include "service/trace.hpp"
 
 namespace vlcsa::harness {
+class JsonObject;
 class JsonValue;
 }
 
@@ -128,30 +131,48 @@ class ExperimentService {
   /// (tests/service/protocol_doc_test.cpp).
   [[nodiscard]] static std::vector<std::string> request_names();
 
+  /// A request's own fields, as its table row declares them ("request" and
+  /// the envelope fields are implied; empty for an unknown name) — what
+  /// DESIGN.md's field table for that request must list.
+  [[nodiscard]] static std::span<const std::string_view> request_fields(std::string_view name);
+
   struct RunSpec;         // one validated run request / batch element
   struct RunOutcome;      // what running one spec produced
   struct RequestContext;  // per-request observability state (spans, ids)
 
  private:
-  /// One row of the request table (service.cpp): a request name and its
-  /// handler.  handle_line dispatches through the table, and request_names()
+  struct Status;  // a handler's verdict: ok, or an error message and code
+
+  using Request = harness::JsonValue;
+  using Response = harness::JsonObject;
+  /// A handler fills the response object handle_line opened with
+  /// "status": "ok" and "request" (and may flag the Reply), or returns the
+  /// error handle_line answers instead.
+  using Handler = Status (ExperimentService::*)(const Request& request, RequestContext& ctx,
+                                                Response& response, Reply& reply);
+
+  /// One row of the request table (service.cpp), the protocol's schema.
+  /// handle_line dispatches through it, checks the request's fields against
+  /// it, and gates run rows on the drain; request_names(), request_fields()
   /// and the unknown-request error are read from it.
   struct RequestRow {
-    const char* name;
-    Reply (ExperimentService::*handler)(const harness::JsonValue&, RequestContext&);
+    std::string_view name;
+    Handler handler;
+    std::span<const std::string_view> fields;  // own fields; envelope implied
+    bool run = false;  // counted in active_runs(), refused while draining
   };
   static const RequestRow kRequests[];
 
-  [[nodiscard]] Reply handle_run(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_run_batch(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_list(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_describe(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_cache_stats(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_metrics(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_metrics_prom(const harness::JsonValue& request,
-                                          RequestContext& ctx);
-  [[nodiscard]] Reply handle_drain(const harness::JsonValue& request, RequestContext& ctx);
-  [[nodiscard]] Reply handle_shutdown(const harness::JsonValue& request, RequestContext& ctx);
+  // One handler per row, each a Handler.
+  Status handle_run(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_run_batch(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_list(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_describe(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_cache_stats(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_metrics(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_metrics_prom(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_drain(const Request&, RequestContext&, Response&, Reply&);
+  Status handle_shutdown(const Request&, RequestContext&, Response&, Reply&);
 
   /// Runs one validated spec through cache + single-flight + engine,
   /// abandoning it once `stop` (request deadline + drain flag) is reached.
@@ -162,7 +183,7 @@ class ExperimentService {
   /// histograms, assigns a trace id, injects the trace echo into the reply
   /// envelope (never into the embedded record), and writes the trace and
   /// access log lines.  A single early-exit branch when nothing is enabled.
-  void finalize_request(RequestContext& ctx, const std::string& type, Reply& reply,
+  void finalize_request(RequestContext& ctx, std::string_view type, Reply& reply,
                         double wall_seconds);
 
   /// The stop for a run/run-batch request that started at `start`: its
