@@ -64,16 +64,19 @@ struct RunStop {
   }
 };
 
-/// Plain snapshot of one run's execution profile (RunProfileCollector).
-/// Pure observability: nothing here feeds a result record — records stay
-/// functions of (experiment, samples, seed, eval path) only.  The counter
-/// fields (shards, samples, blocks, rng_words) are exact and invariant
-/// across thread counts and backends for a fixed lane width.  The time
-/// fields are not CPU time: fill/eval are steady_clock (wall) intervals
-/// around each block, summed over shards (BlockTimer, montecarlo.cpp), and
-/// merge is the wall time of the single-threaded merge.  A thread that is
-/// descheduled mid-block still accrues time, so fill/eval inflate when the
-/// host is oversubscribed, and they vary run to run.
+/// One run's execution profile, and the accumulator it is built with: the
+/// engine publishes shard-local partials into a RunProfileCollector, and
+/// rollups (vlcsa_sweep's profile_totals) merge whole profiles, all with
+/// operator+=.  Pure observability: nothing here feeds a result record —
+/// records stay functions of (experiment, samples, seed, eval path) only.
+/// The counter fields (shards, samples, blocks, rng_words) are exact and
+/// invariant across thread counts and backends for a fixed lane width.
+/// The time fields are not CPU time: fill/eval are steady_clock (wall)
+/// intervals around each block, summed per shard (BlockTimer,
+/// montecarlo.cpp) and then over shards, and merge is the wall time of the
+/// single-threaded merge.  A thread that is descheduled mid-block still
+/// accrues time, so fill/eval inflate when the host is oversubscribed, and
+/// they vary run to run.
 struct RunProfile {
   std::uint64_t shards = 0;           // shards executed
   std::uint64_t samples = 0;          // samples folded, all shards
@@ -87,70 +90,48 @@ struct RunProfile {
   int threads = 0;                    // worker pool size actually used
   int lane_words = 0;                 // batch lane width (0 = per-sample path)
   std::string backend;                // active planeops backend name
+
+  /// Counters and seconds add; threads and lane_words take the max (a
+  /// partial that does not know them carries 0); a non-empty backend wins.
+  RunProfile& operator+=(const RunProfile& other) {
+    shards += other.shards;
+    samples += other.samples;
+    batch_blocks += other.batch_blocks;
+    batched_samples += other.batched_samples;
+    scalar_samples += other.scalar_samples;
+    rng_words += other.rng_words;
+    fill_seconds += other.fill_seconds;
+    eval_seconds += other.eval_seconds;
+    merge_seconds += other.merge_seconds;
+    threads = std::max(threads, other.threads);
+    lane_words = std::max(lane_words, other.lane_words);
+    if (!other.backend.empty()) backend = other.backend;
+    return *this;
+  }
+  bool operator==(const RunProfile&) const = default;
 };
 
-/// Opt-in profiling sink threaded through RunOptions::profile.  All methods
-/// are thread-safe (relaxed atomics — counters are independent, and every
-/// field is published by the join before snapshot() runs); a null pointer in
-/// RunOptions disables profiling at a single branch per shard (the batched
-/// loop's untimed instantiation has none per block), so the default path
-/// pays nothing.
+/// Opt-in profiling sink threaded through RunOptions::profile: a lock
+/// around one RunProfile.  The engine builds each shard's partial locally
+/// and add()s it a fixed number of times per shard (never per block); a
+/// null pointer in RunOptions disables profiling at a single branch per
+/// shard (the batched loop's untimed instantiation has none per block), so
+/// the default path pays nothing.
 class RunProfileCollector {
  public:
-  void add_shard(std::uint64_t rng_words, std::uint64_t samples) {
-    shards_.fetch_add(1, std::memory_order_relaxed);
-    rng_words_.fetch_add(rng_words, std::memory_order_relaxed);
-    samples_.fetch_add(samples, std::memory_order_relaxed);
-  }
-  void add_batch(std::uint64_t blocks, std::uint64_t samples) {
-    batch_blocks_.fetch_add(blocks, std::memory_order_relaxed);
-    batched_samples_.fetch_add(samples, std::memory_order_relaxed);
-  }
-  void add_scalar_samples(std::uint64_t samples) {
-    scalar_samples_.fetch_add(samples, std::memory_order_relaxed);
-  }
-  void add_fill_ns(std::uint64_t ns) { fill_ns_.fetch_add(ns, std::memory_order_relaxed); }
-  void add_eval_ns(std::uint64_t ns) { eval_ns_.fetch_add(ns, std::memory_order_relaxed); }
-  void add_merge_ns(std::uint64_t ns) { merge_ns_.fetch_add(ns, std::memory_order_relaxed); }
-  void set_threads(int threads) { threads_.store(threads, std::memory_order_relaxed); }
-  void set_lane_words(int lane_words) {
-    lane_words_.store(lane_words, std::memory_order_relaxed);
-  }
-  void set_backend(const char* backend) {
-    backend_.store(backend, std::memory_order_relaxed);
+  void add(const RunProfile& partial) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    profile_ += partial;
   }
 
   [[nodiscard]] RunProfile snapshot() const {
-    RunProfile out;
-    out.shards = shards_.load(std::memory_order_relaxed);
-    out.samples = samples_.load(std::memory_order_relaxed);
-    out.batch_blocks = batch_blocks_.load(std::memory_order_relaxed);
-    out.batched_samples = batched_samples_.load(std::memory_order_relaxed);
-    out.scalar_samples = scalar_samples_.load(std::memory_order_relaxed);
-    out.rng_words = rng_words_.load(std::memory_order_relaxed);
-    out.fill_seconds = static_cast<double>(fill_ns_.load(std::memory_order_relaxed)) * 1e-9;
-    out.eval_seconds = static_cast<double>(eval_ns_.load(std::memory_order_relaxed)) * 1e-9;
-    out.merge_seconds = static_cast<double>(merge_ns_.load(std::memory_order_relaxed)) * 1e-9;
-    out.threads = threads_.load(std::memory_order_relaxed);
-    out.lane_words = lane_words_.load(std::memory_order_relaxed);
-    const char* backend = backend_.load(std::memory_order_relaxed);
-    if (backend != nullptr) out.backend = backend;
-    return out;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return profile_;
   }
 
  private:
-  std::atomic<std::uint64_t> shards_{0};
-  std::atomic<std::uint64_t> samples_{0};
-  std::atomic<std::uint64_t> batch_blocks_{0};
-  std::atomic<std::uint64_t> batched_samples_{0};
-  std::atomic<std::uint64_t> scalar_samples_{0};
-  std::atomic<std::uint64_t> rng_words_{0};
-  std::atomic<std::uint64_t> fill_ns_{0};
-  std::atomic<std::uint64_t> eval_ns_{0};
-  std::atomic<std::uint64_t> merge_ns_{0};
-  std::atomic<int> threads_{0};
-  std::atomic<int> lane_words_{0};
-  std::atomic<const char*> backend_{nullptr};
+  mutable std::mutex mutex_;
+  RunProfile profile_;
 };
 
 /// Controls one sharded run.  `threads == 0` means "all hardware threads".
@@ -241,7 +222,13 @@ template <typename AccumulatorFactory, typename BlockKernelFactory>
         Accumulator acc = partials[static_cast<std::size_t>(shard)];
         kernel(rng, acc, count);
         partials[static_cast<std::size_t>(shard)] = std::move(acc);
-        if (options.profile != nullptr) options.profile->add_shard(rng.words_drawn(), count);
+        if (options.profile != nullptr) {
+          RunProfile partial;
+          partial.shards = 1;
+          partial.samples = count;
+          partial.rng_words = rng.words_drawn();
+          options.profile->add(partial);
+        }
       }
     } catch (...) {
       const std::lock_guard<std::mutex> lock(failure_mutex);
@@ -265,15 +252,14 @@ template <typename AccumulatorFactory, typename BlockKernelFactory>
   if (cancelled.load(std::memory_order_relaxed)) throw RunCancelled{};
 
   if (options.profile != nullptr) {
-    options.profile->set_threads(static_cast<int>(pool_size));
-    options.profile->set_backend(
-        arith::planeops::to_string(arith::planeops::active_backend()));
     const auto merge_start = std::chrono::steady_clock::now();
     for (const Accumulator& partial : partials) merged += partial;
-    options.profile->add_merge_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count()));
+    RunProfile run;
+    run.merge_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - merge_start).count();
+    run.threads = static_cast<int>(pool_size);
+    run.backend = arith::planeops::to_string(arith::planeops::active_backend());
+    options.profile->add(run);
   } else {
     for (const Accumulator& partial : partials) merged += partial;
   }
@@ -296,7 +282,11 @@ template <typename AccumulatorFactory, typename KernelFactory>
     return [kernel = make_kernel(), profile = options.profile](
                arith::BlockRng& rng, Accumulator& acc, std::uint64_t count) mutable {
       for (std::uint64_t i = 0; i < count; ++i) kernel(rng, acc);
-      if (profile != nullptr) profile->add_scalar_samples(count);
+      if (profile != nullptr) {
+        RunProfile partial;
+        partial.scalar_samples = count;
+        profile->add(partial);
+      }
     };
   });
 }

@@ -175,8 +175,9 @@ class VlsaFolds {
 
 /// run_batched's compile-time timing policies.  NoTimer's calls compile to
 /// nothing, so the default loop has no clock reads and no per-block branch;
-/// BlockTimer times each block's fill and eval stages into the run's
-/// RunProfileCollector.  One instance per shard.
+/// BlockTimer times each block's fill and eval stages into a shard-local
+/// RunProfile and publishes it to the run's RunProfileCollector once, at
+/// finish.  One instance per shard.
 struct NoTimer {
   explicit NoTimer(RunProfileCollector* /*profile*/) {}
   void start() {}
@@ -192,24 +193,24 @@ class BlockTimer {
   void filled() { eval_start_ = Clock::now(); }
   void evaluated() {
     const auto eval_end = Clock::now();
-    profile_->add_fill_ns(ns(eval_start_ - fill_start_));
-    profile_->add_eval_ns(ns(eval_end - eval_start_));
-    ++blocks_;
+    shard_.fill_seconds += Seconds(eval_start_ - fill_start_).count();
+    shard_.eval_seconds += Seconds(eval_end - eval_start_).count();
+    ++shard_.batch_blocks;
   }
   /// All of the shard's `count` samples went through the batch loop.
-  void finish(std::uint64_t count) { profile_->add_batch(blocks_, count); }
+  void finish(std::uint64_t count) {
+    shard_.batched_samples = count;
+    profile_->add(shard_);
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
-  static std::uint64_t ns(Clock::duration d) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
-  }
+  using Seconds = std::chrono::duration<double>;
 
   RunProfileCollector* profile_;
+  RunProfile shard_;
   Clock::time_point fill_start_;
   Clock::time_point eval_start_;
-  std::uint64_t blocks_ = 0;
 };
 
 /// The batched sampling loop, once for every model family: per shard, fill
@@ -263,7 +264,9 @@ ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
   if (options.profile == nullptr) {
     return run_batched<NoTimer>(folds, width, lane_words, source, options);
   }
-  options.profile->set_lane_words(lane_words);
+  RunProfile lanes;
+  lanes.lane_words = lane_words;
+  options.profile->add(lanes);
   return run_batched<BlockTimer>(folds, width, lane_words, source, options);
 }
 

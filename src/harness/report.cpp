@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -9,6 +10,7 @@
 
 #include "harness/cli.hpp"
 #include "harness/engine.hpp"
+#include "harness/json.hpp"
 
 namespace vlcsa::harness {
 
@@ -193,21 +195,68 @@ void print_banner(std::ostream& os, const std::string& artifact, const std::stri
   os << "==== " << artifact << " ====\n" << description << "\n\n";
 }
 
+namespace {
+
+/// A rendered profile's fields in render order: render_run_profile writes
+/// exactly these and parse_run_profile requires exactly these.
+template <typename Profile, typename Visit>
+void visit_profile_fields(Profile& profile, Visit&& visit) {
+  visit("shards", profile.shards);
+  visit("samples", profile.samples);
+  visit("batch_blocks", profile.batch_blocks);
+  visit("batched_samples", profile.batched_samples);
+  visit("scalar_samples", profile.scalar_samples);
+  visit("rng_words", profile.rng_words);
+  visit("fill_seconds", profile.fill_seconds);
+  visit("eval_seconds", profile.eval_seconds);
+  visit("merge_seconds", profile.merge_seconds);
+  visit("threads", profile.threads);
+  visit("lane_words", profile.lane_words);
+  visit("backend", profile.backend);
+}
+
+bool read_profile_field(const JsonValue& field, std::uint64_t& out) { return field.to_u64(out); }
+
+bool read_profile_field(const JsonValue& field, int& out) {
+  std::uint64_t value = 0;
+  if (!field.to_u64(value) || value > static_cast<std::uint64_t>(INT_MAX)) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool read_profile_field(const JsonValue& field, double& out) {
+  if (field.kind() != JsonValue::Kind::kNumber) return false;
+  out = field.as_double();
+  return true;
+}
+
+bool read_profile_field(const JsonValue& field, std::string& out) {
+  if (field.kind() != JsonValue::Kind::kString) return false;
+  out = field.as_string();
+  return true;
+}
+
+}  // namespace
+
 std::string render_run_profile(const RunProfile& profile) {
   JsonObject object;
-  object.add("shards", profile.shards);
-  object.add("samples", profile.samples);
-  object.add("batch_blocks", profile.batch_blocks);
-  object.add("batched_samples", profile.batched_samples);
-  object.add("scalar_samples", profile.scalar_samples);
-  object.add("rng_words", profile.rng_words);
-  object.add("fill_seconds", profile.fill_seconds);
-  object.add("eval_seconds", profile.eval_seconds);
-  object.add("merge_seconds", profile.merge_seconds);
-  object.add("threads", profile.threads);
-  object.add("lane_words", profile.lane_words);
-  object.add("backend", profile.backend);
+  visit_profile_fields(profile,
+                       [&](const char* key, const auto& value) { object.add(key, value); });
   return object.render_line();
+}
+
+std::optional<RunProfile> parse_run_profile(const JsonValue& value) {
+  if (value.kind() != JsonValue::Kind::kObject) return std::nullopt;
+  RunProfile profile;
+  std::size_t fields = 0;
+  bool ok = true;
+  visit_profile_fields(profile, [&](const char* key, auto& slot) {
+    const JsonValue* field = value.find(key);
+    ok = ok && field != nullptr && read_profile_field(*field, slot);
+    ++fields;
+  });
+  if (!ok || value.members().size() != fields) return std::nullopt;
+  return profile;
 }
 
 }  // namespace vlcsa::harness

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,11 +75,17 @@ class JsonObject {
 void append_json_escaped(std::string& out, std::string_view text);
 
 struct RunProfile;  // engine.hpp
+class JsonValue;    // json.hpp
 
 /// Renders one RunProfile as a single-line JSON object — the "profile"
 /// payload of service trace lines and adder_explorer --profile.  Pure
 /// observability output; never embedded in a cached result record.
 [[nodiscard]] std::string render_run_profile(const RunProfile& profile);
+
+/// The inverse of render_run_profile, strictly: an object with exactly the
+/// rendered fields, each of its rendered type (unsigned integers, finite
+/// numbers, a string), or nullopt.  parse_run_profile(render) == profile.
+[[nodiscard]] std::optional<RunProfile> parse_run_profile(const JsonValue& value);
 
 /// Formats a probability as a percentage with `decimals` digits ("0.01%").
 [[nodiscard]] std::string fmt_pct(double fraction, int decimals = 2);

@@ -90,40 +90,6 @@ void add_stage_us(std::vector<std::pair<std::string, std::uint64_t>>& totals,
   totals.emplace_back(name, us);
 }
 
-/// Folds one computed cell's RunProfile (the reply element's parsed
-/// "profile" object) into the sweep-level rollup.
-void accumulate_profile(SweepProfileTotals& totals, const JsonValue& profile) {
-  if (profile.kind() != JsonValue::Kind::kObject) return;
-  ++totals.cells;
-  const auto add_u64 = [&](const char* name, std::uint64_t& slot) {
-    std::uint64_t value = 0;
-    const JsonValue* field = profile.find(name);
-    if (field != nullptr && field->to_u64(value)) slot += value;
-  };
-  add_u64("shards", totals.shards);
-  add_u64("samples", totals.samples);
-  add_u64("batch_blocks", totals.batch_blocks);
-  add_u64("batched_samples", totals.batched_samples);
-  add_u64("scalar_samples", totals.scalar_samples);
-  add_u64("rng_words", totals.rng_words);
-  const auto add_seconds = [&](const char* name, double& slot) {
-    const JsonValue* field = profile.find(name);
-    if (field != nullptr && field->kind() == JsonValue::Kind::kNumber) {
-      slot += field->as_double();
-    }
-  };
-  add_seconds("fill_seconds", totals.fill_seconds);
-  add_seconds("eval_seconds", totals.eval_seconds);
-  add_seconds("merge_seconds", totals.merge_seconds);
-  std::uint64_t threads = 0;
-  const JsonValue* threads_field = profile.find("threads");
-  if (threads_field != nullptr && threads_field->to_u64(threads)) {
-    totals.threads_max = std::max(totals.threads_max, threads);
-  }
-  const std::string backend = read_string_member(profile, "backend");
-  if (!backend.empty()) totals.backend = backend;
-}
-
 /// Live progress line: counts, throughput, ETA at that throughput, current
 /// cell.  One \r-rewritten line so a watching terminal sees it update in
 /// place.
@@ -502,7 +468,10 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
       } else {
         ++out.computed_cells;
         if (profile != nullptr) {
-          accumulate_profile(out.profile_totals, *profile);
+          if (const auto parsed_profile = parse_run_profile(*profile)) {
+            ++out.profile_totals.cells;
+            out.profile_totals.profile += *parsed_profile;
+          }
           event.add_json("profile", result.profile);
         }
       }
@@ -563,9 +532,9 @@ std::string render_sweep_report(const SweepSpec& spec, const SweepOptions& optio
     report.add_json("stage_totals_ms", stages.render_line());
   }
   {
-    const SweepProfileTotals& totals = result.profile_totals;
+    const RunProfile& totals = result.profile_totals.profile;
     JsonObject profile;
-    profile.add("cells", totals.cells);
+    profile.add("cells", result.profile_totals.cells);
     profile.add("shards", totals.shards);
     profile.add("samples", totals.samples);
     profile.add("batch_blocks", totals.batch_blocks);
@@ -575,7 +544,7 @@ std::string render_sweep_report(const SweepSpec& spec, const SweepOptions& optio
     profile.add("fill_seconds", totals.fill_seconds);
     profile.add("eval_seconds", totals.eval_seconds);
     profile.add("merge_seconds", totals.merge_seconds);
-    profile.add("threads_max", totals.threads_max);
+    profile.add("threads_max", totals.threads);
     profile.add("backend", totals.backend);
     report.add_json("profile_totals", profile.render_line());
   }

@@ -40,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "harness/engine.hpp"
+
 namespace vlcsa::harness {
 
 /// One expanded grid cell: a fully resolved (experiment, samples, seed,
@@ -112,20 +114,11 @@ struct SweepCellResult {
   double wall_ms = 0.0;    // this cell's "element" span duration
 };
 
-/// Aggregate RunProfile rollup over every computed cell that carried one.
+/// RunProfile rollup: the += of every computed cell's profile that
+/// parse_run_profile accepted (threads is the max, backend the last seen).
 struct SweepProfileTotals {
-  std::uint64_t cells = 0;  // cells whose reply carried a profile
-  std::uint64_t shards = 0;
-  std::uint64_t samples = 0;
-  std::uint64_t batch_blocks = 0;
-  std::uint64_t batched_samples = 0;
-  std::uint64_t scalar_samples = 0;
-  std::uint64_t rng_words = 0;
-  double fill_seconds = 0.0;
-  double eval_seconds = 0.0;
-  double merge_seconds = 0.0;
-  std::uint64_t threads_max = 0;
-  std::string backend;  // last backend seen (uniform within one host)
+  std::uint64_t cells = 0;  // cells whose profile was counted
+  RunProfile profile;
 };
 
 struct SweepResult {

@@ -74,33 +74,14 @@ ResultCache::ResultCache(std::string disk_dir, std::size_t memory_capacity,
     const std::lock_guard<std::mutex> lock(disk_mutex_);
     fleet::DirLock dir_lock;
     [[maybe_unused]] const bool locked = dir_lock.acquire(dir_lock_path());
-    // Crashed writers leave .tmp/.lease scratch behind; sweep what is
-    // provably stale.  Fresh scratch belongs to a live replica mid-write —
-    // deleting it would tear that replica's store — so it is kept.
-    reap_stale_scratch_locked();
-    if (max_disk_bytes_ != 0) {
-      // A pre-populated directory may already exceed the cap (e.g. after a
-      // restart with a smaller --cache-max-bytes).
-      enforce_disk_cap_locked();
-    }
+    // Crashed writers leave .tmp/.lease scratch behind, and a pre-populated
+    // directory may already exceed the cap (e.g. after a restart with a
+    // smaller --cache-max-bytes): one walk handles both.
+    tidy_disk_locked();
   }
 }
 
 std::string ResultCache::dir_lock_path() const { return disk_dir_ + "/.vlcsa.lock"; }
-
-void ResultCache::reap_stale_scratch_locked() {
-  if (lease_stale_ms_ == 0) return;  // takeover disabled: never touch foreign scratch
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(disk_dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string extension = entry.path().extension().string();
-    if (extension != ".tmp" && extension != ".lease") continue;
-    const long long age = fleet::lease_age_ms(entry.path().string());
-    if (age < 0 || age <= lease_stale_ms_) continue;
-    std::error_code remove_ec;
-    std::filesystem::remove(entry.path(), remove_ec);
-  }
-}
 
 std::uint64_t ResultCache::disk_usage_bytes() const {
   std::uint64_t total = 0;
@@ -113,7 +94,7 @@ std::uint64_t ResultCache::disk_usage_bytes() const {
   return total;
 }
 
-void ResultCache::enforce_disk_cap_locked() {
+void ResultCache::tidy_disk_locked() {
   std::error_code ec;
   struct RecordFile {
     std::filesystem::path path;
@@ -129,15 +110,16 @@ void ResultCache::enforce_disk_cap_locked() {
       // Scratch from a crashed writer — but only provably-stale scratch: a
       // fresh .tmp/.lease may be another replica's store in flight (this
       // walk holds the dir flock, which writers take only around the final
-      // rename, not around the slow record write).
-      const long long age = fleet::lease_age_ms(entry.path().string());
-      if (lease_stale_ms_ > 0 && age > lease_stale_ms_) {
+      // rename, not around the slow record write).  lease_stale_ms_ == 0
+      // disables takeover: foreign scratch is never touched.
+      if (lease_stale_ms_ > 0 &&
+          fleet::lease_age_ms(entry.path().string()) > lease_stale_ms_) {
         std::error_code remove_ec;
         std::filesystem::remove(entry.path(), remove_ec);
       }
       continue;
     }
-    if (extension != ".json") continue;
+    if (max_disk_bytes_ == 0 || extension != ".json") continue;
     // Per-field error codes: a failed mtime must not be masked by a
     // succeeding size query (or vice versa) — a record with indeterminate
     // age would sort as oldest and be evicted ahead of genuinely old ones.
@@ -279,7 +261,7 @@ void ResultCache::put(const harness::RecordKey& key, const std::string& record) 
     // crosses the cap does a directory walk run (and resync the estimate,
     // so key overwrites or external deletions never cause drift to stick).
     disk_bytes_estimate_ += record.size() + 1;  // + framing '\n'
-    if (disk_bytes_estimate_ > max_disk_bytes_) enforce_disk_cap_locked();
+    if (disk_bytes_estimate_ > max_disk_bytes_) tidy_disk_locked();
   }
 }
 

@@ -129,13 +129,12 @@ class ResultCache {
   void promote_locked(const std::string& map_key, const std::string& record);
   /// Sums the sizes of all ".json" record files in disk_dir_.
   [[nodiscard]] std::uint64_t disk_usage_bytes() const;
-  /// Deletes oldest-first (by last write time) until the tier fits the cap;
-  /// called with disk_mutex_ + the cross-process dir lock held.
-  void enforce_disk_cap_locked();
-  /// Removes `.tmp`/`.lease` scratch files older than lease_stale_ms_
-  /// (crashed writers); fresh ones belong to a live peer and are kept.
-  /// Called with disk_mutex_ + the dir lock held (startup).
-  void reap_stale_scratch_locked();
+  /// One directory walk: removes `.tmp`/`.lease` scratch older than
+  /// lease_stale_ms_ (crashed writers; fresh ones belong to a live peer and
+  /// are kept), and with a cap deletes records oldest-first (by last write
+  /// time) until the tier fits it.  Called with disk_mutex_ + the
+  /// cross-process dir lock held, at startup and when a store crosses the cap.
+  void tidy_disk_locked();
   /// The advisory cross-process lock file (".vlcsa.lock" inside disk_dir_).
   [[nodiscard]] std::string dir_lock_path() const;
 

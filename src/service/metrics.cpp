@@ -1,6 +1,7 @@
 #include "service/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "service/service.hpp"
@@ -9,16 +10,18 @@ namespace vlcsa::service {
 
 namespace {
 
-/// The quantile value: the upper bound (seconds) of the first bucket whose
-/// cumulative count reaches fraction `q` of `total`.  The overflow bucket
-/// reports the largest finite bound (latency_max_seconds is the exact tail).
+/// The quantile value: the upper bound (seconds) of the bucket holding the
+/// nearest-rank sample, rank ceil(q * total) (vlcsa_loadgen's rule), i.e.
+/// the first bucket whose cumulative count reaches that rank.  The overflow
+/// bucket reports the largest finite bound (latency_max_seconds is the
+/// exact tail).
 template <std::size_t N>
 double bucket_quantile(const std::array<std::uint64_t, N>& buckets,
                        const std::array<std::uint64_t, N - 1>& bounds_us, std::uint64_t total,
                        double q) {
   if (total == 0) return 0.0;
-  const std::uint64_t rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(q * static_cast<double>(total)));
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     cumulative += buckets[i];
@@ -76,20 +79,12 @@ std::size_t ServiceMetrics::bucket_index(double seconds) {
 
 ServiceMetrics::InFlight::InFlight(ServiceMetrics& metrics) : metrics_(metrics) {
   const std::lock_guard<std::mutex> lock(metrics_.mutex_);
-  ++metrics_.in_flight_;
+  ++metrics_.counters_.in_flight;
 }
 
 ServiceMetrics::InFlight::~InFlight() {
   const std::lock_guard<std::mutex> lock(metrics_.mutex_);
-  --metrics_.in_flight_;
-}
-
-void ServiceMetrics::record_request(std::string_view type, bool ok, double seconds,
-                                    std::span<const TraceSpan> spans) {
-  const auto& types = request_types();
-  record_request(static_cast<std::size_t>(std::find(types.begin(), types.end(), type) -
-                                          types.begin()),
-                 ok, seconds, spans);
+  --metrics_.counters_.in_flight;
 }
 
 void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds,
@@ -97,8 +92,8 @@ void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds,
   const auto now = std::chrono::steady_clock::now();
   const auto& stages = stage_names();
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++requests_total_;
-  ++(ok ? ok_total_ : error_total_);
+  ++counters_.requests_total;
+  ++(ok ? counters_.ok_total : counters_.error_total);
   ++by_type_[std::min(type, by_type_.size() - 1)];  // the last slot is "invalid"
 
   latency_max_seconds_ = std::max(latency_max_seconds_, seconds);
@@ -131,47 +126,38 @@ void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds,
 
 void ServiceMetrics::record_timeout() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++timeouts_;
+  ++counters_.timeouts;
 }
 
 void ServiceMetrics::record_batch_element() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++batch_elements_;
+  ++counters_.batch_elements;
 }
 
 void ServiceMetrics::record_sweep_request(std::uint64_t cells) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++sweep_requests_;
-  sweep_cells_ += cells;
+  ++counters_.sweep_requests;
+  counters_.sweep_cells += cells;
 }
 
 void ServiceMetrics::record_rejected_connection() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++rejected_connections_;
+  ++counters_.rejected_connections;
 }
 
 void ServiceMetrics::set_draining(bool draining) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  draining_ = draining;
+  counters_.draining = draining ? 1 : 0;
 }
 
 MetricsSnapshot ServiceMetrics::snapshot() const {
   const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot out;
-  out.requests_total = requests_total_;
-  out.ok_total = ok_total_;
-  out.error_total = error_total_;
-  out.timeouts = timeouts_;
-  out.batch_elements = batch_elements_;
-  out.sweep_requests = sweep_requests_;
-  out.sweep_cells = sweep_cells_;
-  out.rejected_connections = rejected_connections_;
-  out.in_flight = in_flight_;
-  out.draining = draining_ ? 1 : 0;
+  static_cast<MetricsCounters&>(out) = counters_;
   out.uptime_seconds = std::chrono::duration<double>(now - start_).count();
   out.qps = out.uptime_seconds > 0.0
-                ? static_cast<double>(requests_total_) / out.uptime_seconds
+                ? static_cast<double>(out.requests_total) / out.uptime_seconds
                 : 0.0;
   // Recent-window rate: count the ring slots belonging to the last 60
   // seconds (stale slots keep their old stamp and are skipped), over a
@@ -188,9 +174,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   const double window_seconds = std::min(out.uptime_seconds, 60.0);
   out.qps_60s =
       window_seconds > 0.0 ? static_cast<double>(recent) / window_seconds : 0.0;
-  out.latency_p50_seconds = bucket_quantile(buckets_, kBucketBoundsUs, requests_total_, 0.50);
-  out.latency_p95_seconds = bucket_quantile(buckets_, kBucketBoundsUs, requests_total_, 0.95);
-  out.latency_p99_seconds = bucket_quantile(buckets_, kBucketBoundsUs, requests_total_, 0.99);
+  out.latency_p50_seconds = bucket_quantile(buckets_, kBucketBoundsUs, out.requests_total, 0.50);
+  out.latency_p95_seconds = bucket_quantile(buckets_, kBucketBoundsUs, out.requests_total, 0.95);
+  out.latency_p99_seconds = bucket_quantile(buckets_, kBucketBoundsUs, out.requests_total, 0.99);
   out.latency_max_seconds = latency_max_seconds_;
   out.latency_sum_seconds = latency_sum_seconds_;
   out.latency_buckets.assign(buckets_.begin(), buckets_.end());

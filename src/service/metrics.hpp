@@ -11,8 +11,9 @@
 // microseconds, 1 us .. 2000 s) so quantile queries are O(buckets), the
 // memory footprint is constant for any traffic volume, and p50/p95/p99 are a
 // deterministic function of the recorded durations (each reported quantile
-// is the upper bound of the bucket containing it).  All methods are
-// thread-safe — the socket workers record concurrently.
+// is the upper bound of the bucket holding the nearest-rank sample, rank
+// ceil(q * n) of n).  All methods are thread-safe — the socket workers
+// record concurrently.
 
 #include <array>
 #include <chrono>
@@ -20,7 +21,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "service/cache.hpp"
@@ -44,9 +44,10 @@ struct StageLatency {
   std::uint64_t count = 0;
 };
 
-/// Snapshot returned by ServiceMetrics::snapshot(); plain data so the
-/// response renderer (service.cpp) and tests consume the same numbers.
-struct MetricsSnapshot {
+/// The plain counters and gauges of served traffic.  ServiceMetrics keeps
+/// one under its lock and snapshot() copies it whole, so a new counter is a
+/// field here, its record_* method and its renderer lines.
+struct MetricsCounters {
   std::uint64_t requests_total = 0;
   std::uint64_t ok_total = 0;
   std::uint64_t error_total = 0;
@@ -57,6 +58,11 @@ struct MetricsSnapshot {
   std::uint64_t rejected_connections = 0;  // accept-loop backlog rejections
   std::uint64_t in_flight = 0;           // requests currently inside a handler
   std::uint64_t draining = 0;            // 1 while a graceful drain is under way
+};
+
+/// Snapshot returned by ServiceMetrics::snapshot(); plain data so the
+/// response renderer (service.cpp) and tests consume the same numbers.
+struct MetricsSnapshot : MetricsCounters {
   double uptime_seconds = 0.0;
   double qps = 0.0;                      // requests_total / uptime (lifetime)
   double qps_60s = 0.0;                  // rate over the last 60 s ring
@@ -96,9 +102,6 @@ class ServiceMetrics {
   /// and span names outside stage_names() are ignored so the histogram label
   /// set stays fixed for scrapers.  One lock per request.
   void record_request(std::size_t type, bool ok, double seconds,
-                      std::span<const TraceSpan> spans = {});
-  /// The same, by type name (a name not in request_types() is "invalid").
-  void record_request(std::string_view type, bool ok, double seconds,
                       std::span<const TraceSpan> spans = {});
 
   /// One run/run-batch element hit its deadline and was cancelled.
@@ -153,16 +156,7 @@ class ServiceMetrics {
 
   mutable std::mutex mutex_;
   std::chrono::steady_clock::time_point start_;
-  std::uint64_t requests_total_ = 0;
-  std::uint64_t ok_total_ = 0;
-  std::uint64_t error_total_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t batch_elements_ = 0;
-  std::uint64_t sweep_requests_ = 0;
-  std::uint64_t sweep_cells_ = 0;
-  std::uint64_t rejected_connections_ = 0;
-  std::uint64_t in_flight_ = 0;
-  bool draining_ = false;
+  MetricsCounters counters_;
   double latency_max_seconds_ = 0.0;
   double latency_sum_seconds_ = 0.0;
   Buckets buckets_{};

@@ -1,8 +1,8 @@
 #pragma once
-// Parser for the structural Verilog subset produced by emit_verilog,
-// closing the loop on the paper's generator flow: netlists can be emitted,
-// re-parsed, and formally checked equivalent (round-trip tests do exactly
-// that).  Supported constructs: scalar/vector input/output/wire
+// Test-only parser for the structural Verilog subset produced by
+// emit_verilog: the round-trip oracle of verilog_parser_test, which emits a
+// netlist, re-parses it and checks the two formally equivalent.  Built into
+// that test only, not into the library.  Supported constructs: scalar/vector input/output/wire
 // declarations and continuous assignments of the emitted shapes
 // (constants, buf, ~x, x OP y, ~(x OP y), s ? a : b).
 

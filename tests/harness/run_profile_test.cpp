@@ -3,7 +3,8 @@
 // thread counts, eval paths and backends, the batched/scalar sample split
 // must account for every requested sample, and the rendered profile record
 // (harness/report.hpp render_run_profile) must parse back through the strict
-// JSON parser with every documented field present.
+// JSON parser with every documented field present, and parse_run_profile must
+// invert it exactly and reject anything else.  RunProfile merges with +=.
 
 #include "harness/engine.hpp"
 
@@ -136,6 +137,81 @@ TEST(RunProfile, RenderedRecordParsesWithEveryField) {
   std::uint64_t samples = 0;
   ASSERT_TRUE(parsed.value.find("samples")->to_u64(samples));
   EXPECT_EQ(samples, 4000u);
+}
+
+TEST(RunProfile, ParseInvertsRender) {
+  const RunProfile profile = profiled_run("fig7.1/n64-k6", 20000, 2, EvalPath::kBatched);
+  const JsonParse parsed = parse_json(render_run_profile(profile));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parse_run_profile(parsed.value), profile);
+}
+
+TEST(RunProfile, ParseRejectsAMissingExtraOrMistypedField) {
+  const std::string rendered =
+      render_run_profile(profiled_run("fig7.1/n64-k6", 4000, 1, EvalPath::kBatched));
+  const JsonParse parsed = parse_json(rendered);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const auto& members = parsed.value.members();
+  // Re-renders the profile from its own field bytes, minus member `skip`.
+  const auto without = [&](std::size_t skip) {
+    JsonObject object;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i == skip) continue;
+      object.add_json(members[i].first, std::string(members[i].second.source(rendered)));
+    }
+    return object;
+  };
+  ASSERT_TRUE(parse_run_profile(parse_json(without(members.size()).render_line()).value));
+  for (std::size_t skip = 0; skip < members.size(); ++skip) {
+    EXPECT_FALSE(parse_run_profile(parse_json(without(skip).render_line()).value))
+        << "accepted without " << members[skip].first;
+  }
+  JsonObject extra = without(members.size());
+  extra.add("fold_seconds", 0.0);
+  EXPECT_FALSE(parse_run_profile(parse_json(extra.render_line()).value));
+  for (const char* mistyped :
+       {R"("shards": "1")", R"("threads": -1)", R"("fill_seconds": null)", R"("backend": 0)"}) {
+    std::string text = rendered;
+    const std::string key = std::string(mistyped).substr(0, std::string(mistyped).find(':') + 1);
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    text.replace(at, text.find_first_of(",}", at) - at, mistyped);
+    const JsonParse bad = parse_json(text);
+    ASSERT_TRUE(bad.ok()) << bad.error;
+    EXPECT_FALSE(parse_run_profile(bad.value)) << mistyped;
+  }
+  EXPECT_FALSE(parse_run_profile(parse_json("[]").value));
+}
+
+TEST(RunProfile, MergeSumsCountersAndTakesMaxThreadsAndLastBackend) {
+  RunProfile a;
+  a.shards = 2;
+  a.samples = 100;
+  a.rng_words = 7;
+  a.fill_seconds = 0.5;
+  a.threads = 4;
+  a.lane_words = 8;
+  a.backend = "avx2";
+  RunProfile b;
+  b.shards = 1;
+  b.samples = 50;
+  b.rng_words = 3;
+  b.fill_seconds = 0.25;
+  b.threads = 2;
+  RunProfile merged = a;
+  merged += b;
+  EXPECT_EQ(merged.shards, 3u);
+  EXPECT_EQ(merged.samples, 150u);
+  EXPECT_EQ(merged.rng_words, 10u);
+  EXPECT_EQ(merged.fill_seconds, 0.75);
+  EXPECT_EQ(merged.threads, 4);
+  EXPECT_EQ(merged.lane_words, 8);
+  EXPECT_EQ(merged.backend, "avx2");  // an empty backend never overwrites
+  b.backend = "scalar";
+  merged += b;
+  EXPECT_EQ(merged.backend, "scalar");
+  merged += RunProfile{};
+  EXPECT_EQ(merged.shards, 4u);
 }
 
 }  // namespace

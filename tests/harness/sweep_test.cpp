@@ -21,6 +21,7 @@
 
 #include "harness/experiments.hpp"
 #include "harness/json.hpp"
+#include "harness/report.hpp"
 #include "service/service.hpp"
 
 namespace vlcsa::harness {
@@ -220,9 +221,52 @@ TEST(SweepRun, ComputesEveryCellThenResumesFromCacheByteIdentically) {
     EXPECT_FALSE(cell.profile.empty()) << "computed cells must carry a RunProfile";
     EXPECT_FALSE(cell.trace_id.empty());
   }
-  // The computed profiles rolled up: 4 cells x 2000 samples.
+  // The computed profiles rolled up: 4 cells x 2000 samples, and the whole
+  // rollup is the += of every computed cell's parsed profile.
   EXPECT_EQ(cold.profile_totals.cells, 4u);
-  EXPECT_EQ(cold.profile_totals.samples, 8000u);
+  EXPECT_EQ(cold.profile_totals.profile.samples, 8000u);
+  RunProfile expected;
+  for (const SweepCellResult& cell : cold.cells) {
+    const JsonParse profile_json = parse_json(cell.profile);
+    ASSERT_TRUE(profile_json.ok()) << profile_json.error;
+    const std::optional<RunProfile> profile = parse_run_profile(profile_json.value);
+    ASSERT_TRUE(profile.has_value()) << cell.profile;
+    expected += *profile;
+  }
+  EXPECT_EQ(cold.profile_totals.profile, expected);
+  // The report renders the rollup under the vlcsa-sweep-1 keys, in order,
+  // with the merged threads as threads_max.
+  {
+    const JsonParse report = parse_json(render_sweep_report(parsed.spec, options, cold));
+    ASSERT_TRUE(report.ok()) << report.error;
+    const JsonValue* totals = report.value.find("profile_totals");
+    ASSERT_NE(totals, nullptr);
+    const std::vector<std::string> keys = {
+        "cells",        "shards",         "samples",      "batch_blocks",
+        "batched_samples", "scalar_samples", "rng_words", "fill_seconds",
+        "eval_seconds", "merge_seconds",  "threads_max",  "backend"};
+    ASSERT_EQ(totals->members().size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(totals->members()[i].first, keys[i]);
+    }
+    const auto u64 = [&](const char* name) {
+      std::uint64_t value = 0;
+      EXPECT_TRUE(totals->find(name)->to_u64(value)) << name;
+      return value;
+    };
+    EXPECT_EQ(u64("cells"), 4u);
+    EXPECT_EQ(u64("shards"), expected.shards);
+    EXPECT_EQ(u64("samples"), expected.samples);
+    EXPECT_EQ(u64("batch_blocks"), expected.batch_blocks);
+    EXPECT_EQ(u64("batched_samples"), expected.batched_samples);
+    EXPECT_EQ(u64("scalar_samples"), expected.scalar_samples);
+    EXPECT_EQ(u64("rng_words"), expected.rng_words);
+    EXPECT_EQ(totals->find("fill_seconds")->as_double(), expected.fill_seconds);
+    EXPECT_EQ(totals->find("eval_seconds")->as_double(), expected.eval_seconds);
+    EXPECT_EQ(totals->find("merge_seconds")->as_double(), expected.merge_seconds);
+    EXPECT_EQ(u64("threads_max"), static_cast<std::uint64_t>(expected.threads));
+    EXPECT_EQ(totals->find("backend")->as_string(), expected.backend);
+  }
   // The lifted record bytes are exactly the registry's one definition of a
   // record (copied by parsed byte range, never re-rendered).
   for (const SweepCellResult& cell : cold.cells) {

@@ -1,4 +1,4 @@
-#include "netlist/verilog_parser.hpp"
+#include "common/verilog_parser.hpp"
 
 #include <gtest/gtest.h>
 

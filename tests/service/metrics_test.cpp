@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/json.hpp"
@@ -21,6 +23,13 @@ namespace {
 
 using harness::JsonValue;
 using harness::parse_json;
+
+/// The request_types() index record_request takes; a name outside the
+/// table maps past its end, which record_request counts as "invalid".
+std::size_t type_index(std::string_view name) {
+  const auto& types = ServiceMetrics::request_types();
+  return static_cast<std::size_t>(std::find(types.begin(), types.end(), name) - types.begin());
+}
 
 std::uint64_t u64_field(const JsonValue& object, const char* name) {
   std::uint64_t value = 0;
@@ -37,8 +46,8 @@ TEST(ServiceMetrics, QuantilesComeFromBucketUpperBounds) {
   // 99 fast requests in the (500 us, 1 ms] bucket and one slow outlier in
   // the (100 ms, 200 ms] bucket: p50/p95 report 1 ms, p99 too (rank 99 of
   // 100 still lands in the fast bucket), and max is exact.
-  for (int i = 0; i < 99; ++i) metrics.record_request("list", true, 0.0008);
-  metrics.record_request("run", true, 0.150);
+  for (int i = 0; i < 99; ++i) metrics.record_request(type_index("list"), true, 0.0008);
+  metrics.record_request(type_index("run"), true, 0.150);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.latency_p50_seconds, 0.001);
   EXPECT_DOUBLE_EQ(snapshot.latency_p95_seconds, 0.001);
@@ -49,21 +58,38 @@ TEST(ServiceMetrics, QuantilesComeFromBucketUpperBounds) {
 
 TEST(ServiceMetrics, TailQuantileReachesTheSlowBucket) {
   ServiceMetrics metrics;
-  for (int i = 0; i < 90 ; ++i) metrics.record_request("list", true, 0.0008);
-  for (int i = 0; i < 10; ++i) metrics.record_request("run", true, 0.150);
+  for (int i = 0; i < 90 ; ++i) metrics.record_request(type_index("list"), true, 0.0008);
+  for (int i = 0; i < 10; ++i) metrics.record_request(type_index("run"), true, 0.150);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.latency_p50_seconds, 0.001);
   EXPECT_DOUBLE_EQ(snapshot.latency_p95_seconds, 0.2);  // (100 ms, 200 ms] bucket bound
   EXPECT_DOUBLE_EQ(snapshot.latency_p99_seconds, 0.2);
 }
 
+TEST(ServiceMetrics, QuantilesUseTheNearestRank) {
+  // Nearest rank is ceil(q * n): p99 of 50 requests is the 50th, the slow
+  // one, and p50 of 3 requests is the 2nd.  A floored rank (49th, 1st)
+  // would report the fast bucket in both cases.
+  ServiceMetrics fifty;
+  for (int i = 0; i < 49; ++i) fifty.record_request(type_index("list"), true, 0.0008);
+  fifty.record_request(type_index("run"), true, 0.150);
+  EXPECT_DOUBLE_EQ(fifty.snapshot().latency_p50_seconds, 0.001);
+  EXPECT_DOUBLE_EQ(fifty.snapshot().latency_p99_seconds, 0.2);
+
+  ServiceMetrics three;
+  three.record_request(type_index("list"), true, 0.0008);
+  three.record_request(type_index("run"), true, 0.150);
+  three.record_request(type_index("run"), true, 0.150);
+  EXPECT_DOUBLE_EQ(three.snapshot().latency_p50_seconds, 0.2);
+}
+
 TEST(ServiceMetrics, CountsByTypeWithInvalidFallback) {
   ServiceMetrics metrics;
-  metrics.record_request("run", true, 0.001);
-  metrics.record_request("run", false, 0.001);
-  metrics.record_request("list", true, 0.001);
-  metrics.record_request("invalid", false, 0.001);
-  metrics.record_request("never-heard-of-it", false, 0.001);  // folds into "invalid"
+  metrics.record_request(type_index("run"), true, 0.001);
+  metrics.record_request(type_index("run"), false, 0.001);
+  metrics.record_request(type_index("list"), true, 0.001);
+  metrics.record_request(type_index("invalid"), false, 0.001);
+  metrics.record_request(type_index("never-heard-of-it"), false, 0.001);  // folds into "invalid"
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.requests_total, 5u);
   EXPECT_EQ(snapshot.ok_total, 2u);
@@ -178,7 +204,7 @@ TEST(ServiceMetrics, RecentQpsMatchesLifetimeQpsEarlyInUptime) {
   // window, so the windowed rate and the lifetime average are the same
   // number — the property that makes qps_60s trustworthy from first scrape.
   ServiceMetrics metrics;
-  for (int i = 0; i < 50; ++i) metrics.record_request("list", true, 0.0001);
+  for (int i = 0; i < 50; ++i) metrics.record_request(type_index("list"), true, 0.0001);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.requests_total, 50u);
   EXPECT_GT(snapshot.qps, 0.0);
@@ -195,8 +221,8 @@ TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
       {"not-a-stage", 1, 50001, 1000000},  // ignored: fixed label set
   };
   const std::vector<TraceSpan> second = {{"parse", 1, 0, 800}};  // -> 1 ms bucket
-  metrics.record_request("run", true, 0.06, first);
-  metrics.record_request("run", true, 0.001, second);
+  metrics.record_request(type_index("run"), true, 0.06, first);
+  metrics.record_request(type_index("run"), true, 0.001, second);
 
   const MetricsSnapshot snapshot = metrics.snapshot();
   ASSERT_EQ(snapshot.stages.size(), ServiceMetrics::stage_names().size());
@@ -224,9 +250,9 @@ TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
 
 TEST(ServiceMetrics, PrometheusExpositionIsWellFormed) {
   ServiceMetrics metrics;
-  metrics.record_request("run", true, 0.002);
+  metrics.record_request(type_index("run"), true, 0.002);
   const std::vector<TraceSpan> spans = {{"parse", 1, 0, 50}};
-  metrics.record_request("list", false, 0.0001, spans);
+  metrics.record_request(type_index("list"), false, 0.0001, spans);
   CacheStats cache;
   cache.memory_hits = 3;
   cache.disk_hits = 1;
