@@ -1,0 +1,736 @@
+// The paper-claims ledger: every claim of the paper's evaluation that this
+// reproduction checks — Figs 3.5/3.6, the Figs 6.1–6.5 shapes, Tables
+// 7.1–7.5, Figs 7.1–7.11 and the eq. (5.2) headline — as one row, measured
+// here and held to the published value or range.  One line per row: id,
+// metric, published, measured, status, check, and why a deviating row
+// deviates.
+//
+// A row's status says whether this unit-delay reproduction meets its claim:
+//  * reproduces — the measurement meets the published value or range;
+//  * deviates   — it misses it, for the one-line reason the row gives.
+// A Monte Carlo rate meets the claim when its 5-sigma Wilson interval
+// (harness::wilson_interval) intersects the published range; a deterministic
+// value meets it when, rounded to the digits the paper prints, it lies
+// inside.  The program exits 1 when any row's verdict contradicts its
+// status, so a claim that stops reproducing fails, and so does a deviation
+// that gets fixed: its row must then become a `reproduces` row.
+//
+// Monte Carlo rows run at their registry entry's default_samples (rows
+// without an entry at their stated count); --samples=N overrides them all.
+// ctest runs this program with no flags.
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <iostream>
+#include <map>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "adders/adders.hpp"
+#include "arith/distributions.hpp"
+#include "harness/experiments.hpp"
+#include "harness/report.hpp"
+#include "harness/synthesis.hpp"
+#include "speculative/error_magnitude.hpp"
+#include "speculative/error_model.hpp"
+#include "speculative/scsa_netlist.hpp"
+#include "speculative/vlsa.hpp"
+#include "speculative/window.hpp"
+
+using namespace vlcsa;
+
+namespace {
+
+constexpr std::array<int, 4> kWidths{64, 128, 256, 512};
+constexpr double kWilsonZ = 5.0;
+
+// ---- published values and measurements -----------------------------------
+
+/// How the paper prints a number, and so how a measurement is compared.
+enum class Unit {
+  kPercent,  // a fraction, printed and compared in percent at `digits` decimals
+  kCount,    // a window size or chain length
+  kFlag,     // a shape claim: 1 = it holds, 0 = it does not
+  kRatio,    // a plain ratio at `digits` significant digits
+};
+
+/// The published value (lo == hi) or range, in the printed scale.
+struct Published {
+  double lo = 0.0;
+  double hi = 0.0;
+  Unit unit = Unit::kCount;
+  int digits = 0;
+};
+
+Published percent(double value, int digits) { return {value, value, Unit::kPercent, digits}; }
+Published percent_range(double lo, double hi, int digits = 0) {
+  return {lo, hi, Unit::kPercent, digits};
+}
+Published ratio(double lo, double hi, int digits) { return {lo, hi, Unit::kRatio, digits}; }
+Published count(int value) { return {double(value), double(value), Unit::kCount, 0}; }
+Published holds(bool value) { return {value ? 1.0 : 0.0, value ? 1.0 : 0.0, Unit::kFlag, 0}; }
+
+/// A Monte Carlo rate carries its Wilson interval; a deterministic value
+/// carries only itself.
+struct Measured {
+  double value = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+  bool interval = false;
+};
+
+Measured value(double v) { return {v, v, v, false}; }
+Measured flag(bool v) { return value(v ? 1.0 : 0.0); }
+Measured delta(double v, double baseline) { return value(v / baseline - 1.0); }
+Measured rate(std::uint64_t hits, std::uint64_t trials) {
+  const harness::WilsonInterval w = harness::wilson_interval(hits, trials, kWilsonZ);
+  return {trials == 0 ? 0.0 : double(hits) / double(trials), w.lo, w.hi, true};
+}
+
+double scaled(double v, const Published& p) { return p.unit == Unit::kPercent ? 100.0 * v : v; }
+
+/// `v` (in the printed scale) at the precision the paper prints.
+double rounded(double v, const Published& p) {
+  switch (p.unit) {
+    case Unit::kPercent: {
+      const double step = std::pow(10.0, p.digits);
+      return std::round(v * step) / step;
+    }
+    case Unit::kCount:
+      return std::round(v);
+    case Unit::kFlag:
+      return v;
+    case Unit::kRatio: {
+      if (v == 0.0) return 0.0;
+      const double step = std::pow(10.0, std::floor(std::log10(std::fabs(v))) - p.digits + 1);
+      return std::round(v / step) * step;
+    }
+  }
+  return v;
+}
+
+bool meets(const Measured& m, const Published& p) {
+  const double lo = m.interval ? scaled(m.lo, p) : rounded(scaled(m.value, p), p);
+  const double hi = m.interval ? scaled(m.hi, p) : lo;
+  return hi >= p.lo && lo <= p.hi;
+}
+
+std::string printf_string(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+std::string format_number(double v, const Published& p, int extra_digits) {
+  switch (p.unit) {
+    case Unit::kPercent:
+      return printf_string(("%." + std::to_string(p.digits + extra_digits) + "f%%").c_str(), v);
+    case Unit::kCount:
+      return printf_string("%.0f", v);
+    case Unit::kFlag:
+      return v != 0.0 ? "yes" : "no";
+    case Unit::kRatio:
+      return printf_string(("%." + std::to_string(p.digits - 1 + extra_digits) + "e").c_str(), v);
+  }
+  return "";
+}
+
+std::string format_published(const Published& p) {
+  if (p.lo == p.hi) return format_number(p.lo, p, 0);
+  return format_number(p.lo, p, 0) + ".." + format_number(p.hi, p, 0);
+}
+
+std::string format_measured(const Measured& m, const Published& p) {
+  if (!m.interval) return format_number(scaled(m.value, p), p, 1);
+  const std::string unit = p.unit == Unit::kPercent ? "%" : "";
+  return printf_string("%.4g", scaled(m.value, p)) + unit +
+         printf_string(" [%.3g, ", scaled(m.lo, p)) + printf_string("%.3g]", scaled(m.hi, p));
+}
+
+// ---- measurements ---------------------------------------------------------
+
+const harness::ErrorRateExperiment& registry_entry(const std::string& name) {
+  const auto* experiment = harness::find_error_rate_experiment(name);
+  if (experiment == nullptr) throw std::logic_error("no registry entry " + name);
+  return *experiment;
+}
+
+const spec::ScsaParameters& published_scsa_point(int n) {
+  for (const auto& row : spec::published_scsa_parameters()) {
+    if (row.n == n) return row;
+  }
+  throw std::logic_error("no published SCSA parameters for n = " + std::to_string(n));
+}
+
+/// The value cached under `key`, made by `make()` on first use.
+template <typename T, typename Make>
+const T& memo(std::map<std::string, T>& cache, const std::string& key, Make make) {
+  auto it = cache.find(key);
+  if (it == cache.end()) it = cache.emplace(key, make()).first;
+  return it->second;
+}
+
+/// Runs each experiment and synthesizes each design once, however many rows
+/// read it.
+class Lab {
+ public:
+  explicit Lab(const harness::BenchArgs& args) : args_(args) {}
+
+  const harness::ErrorRateResult& run(const std::string& name) {
+    return memo(runs_, name, [&] {
+      const auto& experiment = registry_entry(name);
+      return harness::run_experiment(experiment, samples(experiment.default_samples), args_.seed,
+                                     args_.threads);
+    });
+  }
+
+  const arith::CarryChainProfiler& profile(const harness::ChainProfileExperiment& experiment) {
+    return memo(profiles_, experiment.name, [&] {
+      return harness::run_experiment(experiment, samples(experiment.default_samples), args_.seed,
+                                     args_.threads);
+    });
+  }
+
+  /// Fig 3.6's error magnitudes (no registry entry; 500000 samples).
+  const spec::ErrorMagnitudeStats& magnitude(int n, int k) {
+    return memo(magnitudes_, std::to_string(n) + "/" + std::to_string(k), [&] {
+      const auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, n);
+      return spec::measure_error_magnitude(spec::ScsaConfig{n, k}, *source, samples(500000),
+                                           args_.seed);
+    });
+  }
+
+  /// Table 7.5's simulated VLCSA 2 window sizing (100000 samples per
+  /// candidate window), on the Table 7.2 entries' operand distribution.
+  int vlcsa2_window(int n, double target) {
+    const auto& inputs = registry_entry("table7.2/n64");
+    return harness::find_window_for_nominal_rate(n, spec::ScsaVariant::kScsa2, inputs.dist,
+                                                 inputs.params, target, 1.25, samples(100000),
+                                                 args_.seed, 4, 24, args_.threads)
+        .window;
+  }
+
+  const harness::SynthesisResult& kogge_stone(int n) {
+    return synth("ks/" + std::to_string(n), [n] {
+      return adders::build_adder_netlist(adders::AdderKind::kKoggeStone, n);
+    });
+  }
+  const harness::SynthesisResult& designware(int n) {
+    return synth("dw/" + std::to_string(n), [n] { return adders::build_designware_adder(n); });
+  }
+  const harness::SynthesisResult& scsa1(int n, int k) {
+    return synth("scsa1/" + std::to_string(n) + "/" + std::to_string(k), [n, k] {
+      return spec::build_scsa_netlist(spec::ScsaConfig{n, k}, spec::ScsaVariant::kScsa1);
+    });
+  }
+  const harness::SynthesisResult& vlcsa(int n, int k, spec::ScsaVariant variant) {
+    const char* family = variant == spec::ScsaVariant::kScsa1 ? "vlcsa1/" : "vlcsa2/";
+    return synth(family + std::to_string(n) + "/" + std::to_string(k), [n, k, variant] {
+      return spec::build_vlcsa_netlist(spec::ScsaConfig{n, k}, variant);
+    });
+  }
+  const harness::SynthesisResult& vlsa(int n) {
+    return synth("vlsa/" + std::to_string(n), [n] {
+      return spec::build_vlsa_netlist({n, spec::vlsa_published_chain_length(n)});
+    });
+  }
+  const harness::SynthesisResult& vlsa_spec(int n) {
+    return synth("vlsa-spec/" + std::to_string(n), [n] {
+      return spec::build_vlsa_spec_netlist({n, spec::vlsa_published_chain_length(n)});
+    });
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t samples(std::uint64_t row_default) const {
+    return args_.samples != 0 ? args_.samples : row_default;
+  }
+
+  template <typename Build>
+  const harness::SynthesisResult& synth(const std::string& key, Build build) {
+    return memo(designs_, key, [&] { return harness::synthesize(build()); });
+  }
+
+  harness::BenchArgs args_;
+  std::map<std::string, harness::ErrorRateResult> runs_;
+  std::map<std::string, arith::CarryChainProfiler> profiles_;
+  std::map<std::string, spec::ErrorMagnitudeStats> magnitudes_;
+  std::map<std::string, harness::SynthesisResult> designs_;
+};
+
+/// The single-cycle ("correctly speculated") path of a variable-latency adder.
+double correct_path(const harness::SynthesisResult& r) {
+  return std::max(r.delay_of("spec"), r.delay_of("detect"));
+}
+
+/// True when some chain length's share beats the next-shorter length's
+/// beyond both 5-sigma Wilson intervals: a second mode sampling noise cannot
+/// make.
+bool has_second_mode(const arith::CarryChainProfiler& profile) {
+  const auto& counts = profile.counts();
+  for (int len = 2; len <= profile.width(); ++len) {
+    const auto here =
+        harness::wilson_interval(counts[std::size_t(len)], profile.total(), kWilsonZ);
+    const auto below =
+        harness::wilson_interval(counts[std::size_t(len - 1)], profile.total(), kWilsonZ);
+    if (here.lo > below.hi) return true;
+  }
+  return false;
+}
+
+/// True when every error's log2 |err| is a window boundary (the histogram's
+/// last bin holds every log2 >= 63, so it counts when a boundary is there).
+bool window_weight_sized(const spec::ErrorMagnitudeStats& stats, int n, int k) {
+  const spec::WindowLayout layout(n, k);
+  std::array<bool, 64> boundary{};
+  for (int i = 1; i < layout.count(); ++i) {
+    boundary[std::size_t(std::min(layout.window(i).pos, 63))] = true;
+  }
+  for (std::size_t bin = 0; bin < boundary.size(); ++bin) {
+    if (stats.magnitude_log2[bin] != 0 && !boundary[bin]) return false;
+  }
+  return true;
+}
+
+// ---- the ledger -----------------------------------------------------------
+
+struct Claim {
+  std::string id;
+  std::string where;
+  std::string metric;
+  Published published;
+  std::string deviates;  // why this reproduction misses the claim; empty: it reproduces
+  std::function<Measured()> measure;
+};
+
+/// Deviation reason per kWidths entry ("" = the row reproduces).
+using PerWidth = std::array<const char*, 4>;
+constexpr PerWidth kReproduces{"", "", "", ""};
+
+/// The two published error-rate targets and their design points.
+struct Target {
+  const char* tag;  // registry spelling
+  double rate;
+  int scsa_window(int n) const {
+    const auto& p = published_scsa_point(n);
+    return low() ? p.k_rate_01 : p.k_rate_25;
+  }
+  int vlcsa2_window() const {
+    const auto p = spec::published_vlcsa2_parameters();
+    return low() ? p.k_rate_01 : p.k_rate_25;
+  }
+  bool low() const { return rate < 1e-3; }
+  std::string point() const { return std::string("-") + tag; }
+  std::string at() const { return low() ? " (0.01% design point)" : " (0.25% design point)"; }
+};
+constexpr std::array<Target, 2> kTargets{Target{"rate0.01", 1e-4}, Target{"rate0.25", 2.5e-3}};
+
+/// Every claim, in presentation order.
+class Ledger {
+ public:
+  explicit Ledger(Lab& lab) : lab_(lab) {
+    chapter3();
+    chapter6();
+    tables();
+    figure7_1();
+    figures7_2_to_7_5();
+    figures7_6_to_7_11();
+    equation5_2();
+  }
+
+  [[nodiscard]] const std::vector<Claim>& claims() const { return claims_; }
+
+ private:
+  void add(std::string id, std::string where, std::string metric, Published published,
+           std::string deviates, std::function<Measured()> measure) {
+    claims_.push_back({std::move(id), std::move(where), std::move(metric), published,
+                       std::move(deviates), std::move(measure)});
+  }
+
+  /// One row per width: "<artifact>/n<width><point>/<name>".
+  void per_width(const std::string& artifact, const std::string& point, const std::string& name,
+                 const std::string& where, const std::string& metric, const Published& published,
+                 const PerWidth& deviates, const std::function<Measured(int)>& measure) {
+    for (std::size_t i = 0; i < kWidths.size(); ++i) {
+      const int n = kWidths[i];
+      add(artifact + "/n" + std::to_string(n) + point + "/" + name, where, metric, published,
+          deviates[i], [measure, n] { return measure(n); });
+    }
+  }
+
+  void chapter3() {
+    add("fig3.5/n256-k16/model", "Fig 3.5 (eq. 3.13)", "P_err model at n = 256, k = 16",
+        percent(0.01, 2), "", [] { return value(spec::scsa_error_rate(256, 16)); });
+
+    constexpr const char* kSmallerWithWidth =
+        "the mean is about 2k/(n 2^k), one window weight of a full-scale sum, so it falls "
+        "below 1e-3 once k >= 8 at n >= 64";
+    struct Config {
+      int n;
+      int k;
+      const char* deviates;
+    };
+    for (const Config& config :
+         {Config{32, 6, ""}, Config{32, 8, ""}, Config{64, 8, kSmallerWithWidth},
+          Config{64, 10, kSmallerWithWidth}, Config{128, 12, kSmallerWithWidth}}) {
+      const int n = config.n;
+      const int k = config.k;
+      const std::string point = "fig3.6/n" + std::to_string(n) + "-k" + std::to_string(k);
+      add(point + "/mean-relative-error", "Fig 3.6 / Ch. 3.3", "mean relative error over errors",
+          ratio(1e-3, 1e-1, 1), config.deviates,
+          [this, n, k] { return value(lab_.magnitude(n, k).mean_relative_error); });
+      add(point + "/window-weight", "Fig 3.6 / Ch. 3.3",
+          "log2 of every error is a window boundary", holds(true), "", [this, n, k] {
+            return flag(window_weight_sized(lab_.magnitude(n, k), n, k));
+          });
+    }
+  }
+
+  void chapter6() {
+    const auto* uniform = harness::find_chain_profile_experiment("fig6.1/uniform-unsigned");
+    if (uniform == nullptr) throw std::logic_error("no registry entry fig6.1/uniform-unsigned");
+    constexpr const char* kTruncated =
+        "2^-L holds for an unbounded adder; a 32-bit adder cuts chains at the MSB, so "
+        "P(L) = ((n-L) 2^-L + 2^(1-L))/n: 51.56, 25.00, 12.11, 5.86%";
+    constexpr std::array<const char*, 4> kLengthDeviates{kTruncated, "", kTruncated, kTruncated};
+    for (int len = 1; len <= 4; ++len) {
+      add("fig6.1/uniform-unsigned/length" + std::to_string(len), "Fig 6.1",
+          "P(length = " + std::to_string(len) + " | chain)", percent(std::ldexp(100.0, -len), 2),
+          kLengthDeviates[std::size_t(len - 1)], [this, uniform, len] {
+            const auto& profile = lab_.profile(*uniform);
+            return rate(profile.counts()[std::size_t(len)], profile.total());
+          });
+    }
+    // Bimodal: uniform inputs decay geometrically (Figs 6.1, 6.3, 6.4);
+    // crypto and 2's-complement Gaussian inputs add sign-extension chains
+    // (Figs 6.2, 6.5).
+    for (const auto* experiment : harness::chain_profile_experiments_with_prefix("fig6.")) {
+      const bool bimodal = experiment->workload ==
+                               harness::ChainProfileExperiment::Workload::kCrypto ||
+                           experiment->dist == arith::InputDistribution::kGaussianTwos;
+      const std::string figure = experiment->name.substr(0, experiment->name.find('/'));
+      add(experiment->name + "/second-mode", "Fig " + figure.substr(3),
+          "a second mode of long (sign-extension) chains", holds(bimodal), "",
+          [this, experiment] { return flag(has_second_mode(lab_.profile(*experiment))); });
+    }
+  }
+
+  void tables() {
+    per_width("table7.1", "", "actual", "Table 7.1 (Ch. 7.3)", "VLCSA 1 P_err (Monte Carlo)",
+              percent(25.01, 2), kReproduces, [this](int n) {
+                const auto& r = lab_.run("table7.1/n" + std::to_string(n));
+                return rate(r.actual_errors, r.samples);
+              });
+    per_width("table7.1", "", "nominal", "Table 7.1 (Ch. 7.3)", "VLCSA 1 stall rate (ERR = 1)",
+              percent(25.01, 2), kReproduces, [this](int n) {
+                const auto& r = lab_.run("table7.1/n" + std::to_string(n));
+                return rate(r.nominal_errors, r.samples);
+              });
+    per_width("table7.2", "", "either-wrong", "Table 7.2 (Ch. 7.3)",
+              "VLCSA 2 P_err (neither S*,0 nor S*,1 exact)", percent(0.01, 2), kReproduces,
+              [this](int n) {
+                const auto& r = lab_.run("table7.2/n" + std::to_string(n));
+                return rate(r.either_wrong, r.samples);
+              });
+    per_width("table7.2", "", "nominal", "Table 7.2 (Ch. 7.3)",
+              "VLCSA 2 stall rate (ERR0 = ERR1 = 1)", percent(0.01, 2), kReproduces,
+              [this](int n) {
+                const auto& r = lab_.run("table7.2/n" + std::to_string(n));
+                return rate(r.nominal_errors, r.samples);
+              });
+
+    per_width("table7.3", "", "scsa-model", "Table 7.3 (Ch. 3/4.3)",
+              "SCSA P_err model (eq. 3.13) at the published k", percent(0.01, 2), kReproduces,
+              [](int n) {
+                return value(spec::scsa_error_rate(n, published_scsa_point(n).k_rate_01));
+              });
+    per_width("table7.3", "", "vlsa-exact", "Table 7.3 (Ch. 3/4.3)",
+              "VLSA [17] P_err (exact DP) at the published l", percent(0.01, 2), kReproduces,
+              [](int n) {
+                return value(spec::vlsa_exact_error_rate(n, spec::vlsa_published_chain_length(n)));
+              });
+
+    for (const Target& target : kTargets) {
+      for (const int n : kWidths) {
+        add("table7.4/n" + std::to_string(n) + target.point() + "/k", "Table 7.4 (Ch. 7.3)",
+            "SCSA window from the sizing rule", count(target.scsa_window(n)), "",
+            [n, target] { return value(spec::min_window_for_error_rate(n, target.rate)); });
+      }
+      per_width("table7.4", target.point(), "simulated", "Table 7.4 (Ch. 7.3)",
+                "VLCSA 1 stall rate at that window, uniform inputs",
+                percent(100.0 * target.rate, 2), kReproduces, [this, target](int n) {
+                  const auto& r = lab_.run("table7.4/n" + std::to_string(n) + target.point());
+                  return rate(r.nominal_errors, r.samples);
+                });
+    }
+
+    constexpr const char* kOneWindowWider01 =
+        "at n = 512 the 100k-sample search sees k = 13 stall above 1.25 x 0.01% and stops at "
+        "k = 14";
+    constexpr const char* kOneWindowWider25 =
+        "VLCSA 2 stalls ~0.35% at k = 9 on these inputs (see eq5.2 rows), above 1.25 x 0.25%, "
+        "so the search stops at k = 10";
+    for (const Target& target : kTargets) {
+      per_width("table7.5", target.point(), "k", "Table 7.5 (Ch. 7.3)",
+                "VLCSA 2 window from simulation (2's-complement Gaussian)",
+                count(target.vlcsa2_window()),
+                target.low() ? PerWidth{"", "", "", kOneWindowWider01}
+                    : PerWidth{kOneWindowWider25, kOneWindowWider25, kOneWindowWider25, ""},
+                [this, target](int n) { return value(lab_.vlcsa2_window(n, target.rate)); });
+    }
+  }
+
+  void figure7_1() {
+    constexpr const char* kUnionBound =
+        "eq. (3.13) sums ceil(n/k)-1 pair probabilities; where that sum is large it "
+        "double-counts inputs with several bad pairs (exact DP 0.149/0.278/0.483/0.116)";
+    for (const int n : kWidths) {
+      for (int k = 6; k <= 16; k += 2) {
+        const std::string entry = "fig7.1/n" + std::to_string(n) + "-k" + std::to_string(k);
+        // Where the union bound's pair sum is large (k = 6 from n = 128 on,
+        // k = 8 at n = 512), it overshoots the simulation.
+        const bool overcounts = k == 6 ? n >= 128 : (k == 8 && n == 512);
+        const auto nominal = [this, entry] {
+          const auto& r = lab_.run(entry);
+          return rate(r.nominal_errors, r.samples);
+        };
+        const double model = spec::scsa_error_rate(n, k);
+        const double exact = spec::scsa_exact_error_rate(n, k);
+        add(entry + "/eq3.13", "Fig 7.1 (Ch. 7.2)", "simulated stall rate vs eq. (3.13)",
+            ratio(model, model, 3), overcounts ? kUnionBound : "", nominal);
+        add(entry + "/exact-dp", "Fig 7.1 (Ch. 7.2)", "simulated stall rate vs the exact DP",
+            ratio(exact, exact, 3), "", nominal);
+      }
+    }
+  }
+
+  void figures7_2_to_7_5() {
+    per_width("fig7.2", "", "scsa1-vs-kogge-stone", "Fig 7.2 (Ch. 7.4.1)",
+              "SCSA 1 delay vs Kogge-Stone", percent_range(-38, -18), {"", "", "",
+              "Kogge-Stone gains a level per doubling while SCSA 1's k = 17 window adder does "
+              "not, so at n = 512 the gap passes 38%"},
+              [this](int n) {
+                return delta(lab_.scsa1(n, published_scsa_point(n).k_rate_01).delay,
+                             lab_.kogge_stone(n).delay);
+              });
+    per_width("fig7.3", "", "scsa1-below-vlsa-spec", "Fig 7.3 (Ch. 7.4.1)",
+              "SCSA 1 area below VLSA's speculative part", holds(true), kReproduces,
+              [this](int n) {
+                return flag(lab_.scsa1(n, published_scsa_point(n).k_rate_01).area <
+                            lab_.vlsa_spec(n).area);
+              });
+    constexpr const char* kSharedDetector =
+        "the reconstruction's detector reuses the truncated tree's l-bit propagates and adds "
+        "only an n-wide OR tree: 1-3% over speculation at n <= 256, 9% at n = 512";
+    per_width("fig7.4", "", "vlsa-detect-vs-spec", "Fig 7.4 (Ch. 7.4.2)",
+              "VLSA detection delay vs its speculation", percent_range(4, 8),
+              {kSharedDetector, kSharedDetector, kSharedDetector, kSharedDetector}, [this](int n) {
+                const auto& r = lab_.vlsa(n);
+                return delta(r.delay_of("detect"), r.delay_of("spec"));
+              });
+    constexpr const char* kDetectionSetsPath =
+        "VLCSA 1's detection (an OR over ceil(n/k) window pairs) sets its correct path at "
+        "n >= 256 (129.0, 142.0 vs VLSA's 136.0, 147.0)";
+    per_width("fig7.4", "", "vlcsa1-vs-vlsa", "Fig 7.4 (Ch. 7.4.2)",
+              "VLCSA 1 correct-path delay vs VLSA's", percent_range(-19, -6),
+              {"", "", kDetectionSetsPath, kDetectionSetsPath}, [this](int n) {
+                return delta(correct_path(lab_.vlcsa(n, published_scsa_point(n).k_rate_01,
+                                                     spec::ScsaVariant::kScsa1)),
+                             correct_path(lab_.vlsa(n)));
+              });
+    per_width("fig7.5", "", "vlsa-area-vs-kogge-stone", "Fig 7.5 (Ch. 7.4.2)",
+              "VLSA area vs Kogge-Stone", percent_range(14, 32), kReproduces, [this](int n) {
+                return delta(lab_.vlsa(n).area, lab_.kogge_stone(n).area);
+              });
+    per_width("fig7.5", "", "vlcsa1-at-or-below-kogge-stone", "Fig 7.5 (Ch. 7.4.2)",
+              "VLCSA 1 area at or below Kogge-Stone", holds(true), kReproduces, [this](int n) {
+                return flag(lab_.vlcsa(n, published_scsa_point(n).k_rate_01,
+                                       spec::ScsaVariant::kScsa1)
+                                .area <= lab_.kogge_stone(n).area);
+              });
+  }
+
+  void figures7_6_to_7_11() {
+    constexpr const char* kKoggeStoneBaseline =
+        "the DesignWare substitute is Kogge-Stone at every width, whose log2(n)-level tree "
+        "trails the windowed adders by 14-50% under unit gate delays, not ~10%";
+    constexpr PerWidth kAllDeviate{kKoggeStoneBaseline, kKoggeStoneBaseline,
+                                   kKoggeStoneBaseline, kKoggeStoneBaseline};
+    constexpr const char* kLinearArea =
+        "Kogge-Stone's n log n area outgrows VLCSA's near-linear area, so against it VLCSA "
+        "needs less area than the paper's range";
+    constexpr PerWidth kLargeWidths{"", "", kLinearArea, kLinearArea};
+    constexpr PerWidth kAllLinearArea{kLinearArea, kLinearArea, kLinearArea, kLinearArea};
+
+    const auto scsa1 = [this](const Target& t, int n) -> const harness::SynthesisResult& {
+      return lab_.scsa1(n, t.scsa_window(n));
+    };
+    const auto vlcsa1 = [this](const Target& t, int n) -> const harness::SynthesisResult& {
+      return lab_.vlcsa(n, t.scsa_window(n), spec::ScsaVariant::kScsa1);
+    };
+    const auto vlcsa2 = [this](const Target& t, int n) -> const harness::SynthesisResult& {
+      return lab_.vlcsa(n, t.vlcsa2_window(), spec::ScsaVariant::kScsa2);
+    };
+    const auto area_vs_designware = [this](auto design, const Target& t) {
+      return [this, design, t](int n) { return delta(design(t, n).area, lab_.designware(n).area); };
+    };
+
+    for (const Target& t : kTargets) {
+      per_width("fig7.6", t.point(), "scsa1-vs-designware", "Fig 7.6 (Ch. 7.5.1)",
+                "SCSA 1 delay vs DesignWare" + t.at(), percent(-10, 0), kAllDeviate,
+                [this, scsa1, t](int n) {
+                  return delta(scsa1(t, n).delay, lab_.designware(n).delay);
+                });
+    }
+    for (const Target& t : kTargets) {
+      per_width("fig7.7", t.point(), "scsa1-area-vs-designware", "Fig 7.7 (Ch. 7.5.1)",
+                "SCSA 1 area vs DesignWare" + t.at(),
+                t.low() ? percent_range(-43, 0) : percent_range(-56, -21),
+                t.low() ? kReproduces
+                        : PerWidth{"at n = 64 SCSA 1 (k = 10) saves 19.4% against the 64-bit "
+                                   "Kogge-Stone, just short of 21%",
+                                   "", "", ""},
+                area_vs_designware(scsa1, t));
+    }
+    per_width("fig7.7", "", "relaxed-target-smaller", "Fig 7.7 (Ch. 7.5.1)",
+              "SCSA 1 area at the 0.25% point below the 0.01% point's", holds(true), kReproduces,
+              [scsa1](int n) {
+                return flag(scsa1(kTargets[1], n).area < scsa1(kTargets[0], n).area);
+              });
+
+    for (const Target& t : kTargets) {
+      per_width("fig7.8", t.point(), "vlcsa1-vs-designware", "Fig 7.8 (Ch. 7.5.2)",
+                "VLCSA 1 correct-path delay vs DesignWare" + t.at(), percent(-10, 0), kAllDeviate,
+                [this, vlcsa1, t](int n) {
+                  return delta(correct_path(vlcsa1(t, n)), lab_.designware(n).delay);
+                });
+      per_width("fig7.8", t.point(), "recovery-below-twice-correct", "Fig 7.8 (Ch. 7.5.2)",
+                "VLCSA 1 recovery below twice its correct path" + t.at(), holds(true),
+                kReproduces, [vlcsa1, t](int n) {
+                  const auto& r = vlcsa1(t, n);
+                  return flag(r.delay_of("recovery") < 2.0 * correct_path(r));
+                });
+    }
+    for (const Target& t : kTargets) {
+      per_width("fig7.9", t.point(), "vlcsa1-area-vs-designware", "Fig 7.9 (Ch. 7.5.2)",
+                "VLCSA 1 area vs DesignWare" + t.at(),
+                t.low() ? percent_range(-6, 42) : percent_range(-19, 16),
+                t.low() ? PerWidth{"", kLinearArea, kLinearArea, kLinearArea} : kLargeWidths,
+                area_vs_designware(vlcsa1, t));
+      add(std::string("fig7.9/") + t.tag + "/improves-with-width", "Fig 7.9 (Ch. 7.5.2)",
+          "VLCSA 1 area vs DesignWare falls as n grows" + t.at(), holds(true), "",
+          [area = area_vs_designware(vlcsa1, t)] { return flag(falls_with_width(area)); });
+    }
+
+    constexpr const char* kVlcsa2AtN64 =
+        "at n = 64 VLCSA 2's second mux bank and ERR1 bring its correct path (129.7 at k = 13, "
+        "123.7 at k = 9) within 1-6% of Kogge-Stone's 131.0";
+    for (const Target& t : kTargets) {
+      per_width("fig7.10", t.point(), "vlcsa2-vs-designware", "Fig 7.10 (Ch. 7.5.3)",
+                "VLCSA 2 correct-path delay vs DesignWare" + t.at(), percent(-10, 0),
+                {kVlcsa2AtN64, kKoggeStoneBaseline, kKoggeStoneBaseline, kKoggeStoneBaseline},
+                [this, vlcsa2, t](int n) {
+                  return delta(correct_path(vlcsa2(t, n)), lab_.designware(n).delay);
+                });
+    }
+    for (const Target& t : kTargets) {
+      per_width("fig7.11", t.point(), "vlcsa2-area-vs-designware", "Fig 7.11 (Ch. 7.5.3)",
+                "VLCSA 2 area vs DesignWare" + t.at(),
+                t.low() ? percent_range(1, 62) : percent_range(-17, 29),
+                t.low() ? kAllLinearArea : kLargeWidths, area_vs_designware(vlcsa2, t));
+      per_width("fig7.11", t.point(), "vlcsa2-above-vlcsa1", "Fig 7.11 (Ch. 7.5.3)",
+                "VLCSA 2 area above VLCSA 1's" + t.at(), holds(true), kReproduces,
+                [vlcsa1, vlcsa2, t](int n) { return flag(vlcsa2(t, n).area > vlcsa1(t, n).area); });
+      add(std::string("fig7.11/") + t.tag + "/shrinks-with-width", "Fig 7.11 (Ch. 7.5.3)",
+          "VLCSA 2 area vs DesignWare falls as n grows" + t.at(), holds(true), "",
+          [area = area_vs_designware(vlcsa2, t)] { return flag(falls_with_width(area)); });
+    }
+  }
+
+  void equation5_2() {
+    constexpr const char* kKoggeStoneClock =
+        "T_clk sits 16-38% under the Kogge-Stone substitute's delay (its log2(n) tree under "
+        "unit gate delays), and stalls add only 0.2-0.4%";
+    constexpr const char* kVlcsa2AtN64 =
+        "at n = 64 VLCSA 2 (k = 9) clocks at 123.7 against Kogge-Stone's 131.0: 5% faster";
+    for (const char* inputs : {"uniform", "gaussian-2c"}) {
+      const bool gaussian = std::string(inputs) == "gaussian-2c";
+      const std::string point = std::string("-") + inputs;
+      per_width("eq5.2", point, "time-per-add-vs-designware", "Eq. (5.2) (Ch. 5.3, 7.5)",
+                std::string("VLCSA time/add vs DesignWare, ") + inputs + " inputs",
+                percent(-10, 0),
+                {gaussian ? kVlcsa2AtN64 : kKoggeStoneClock, kKoggeStoneClock, kKoggeStoneClock,
+                 kKoggeStoneClock},
+                [this, point](int n) {
+                  const auto& experiment =
+                      registry_entry("eq5.2/n" + std::to_string(n) + point);
+                  const auto variant = experiment.model == harness::ModelKind::kVlcsa1
+                                           ? spec::ScsaVariant::kScsa1
+                                           : spec::ScsaVariant::kScsa2;
+                  const double tclk = correct_path(lab_.vlcsa(n, experiment.window, variant));
+                  return delta(lab_.run(experiment.name).average_cycles() * tclk,
+                               lab_.designware(n).delay);
+                });
+      per_width("eq5.2", point, "stall-rate", "Eq. (5.2) (Ch. 5.3, 7.5)",
+                std::string("stall rate (share of adds), ") + inputs + " inputs",
+                percent_range(0.1, 0.3, 1), kReproduces, [this, point](int n) {
+                  const auto& r = lab_.run("eq5.2/n" + std::to_string(n) + point);
+                  return rate(r.nominal_errors, r.samples);
+                });
+    }
+  }
+
+  /// True when measure(n) falls strictly from each width to the next.
+  static bool falls_with_width(const std::function<Measured(int)>& measure) {
+    double previous = INFINITY;
+    for (const int n : kWidths) {
+      const double v = measure(n).value;
+      if (v >= previous) return false;
+      previous = v;
+    }
+    return true;
+  }
+
+  Lab& lab_;
+  std::vector<Claim> claims_;
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto args = harness::BenchArgs::parse(argc, argv, 0);
+  Lab lab(args);
+  const Ledger ledger(lab);
+
+  std::size_t deviating = 0;
+  std::size_t contradicted = 0;
+  std::string section;
+  std::optional<harness::Table> table;
+  for (const Claim& claim : ledger.claims()) {
+    if (!table || claim.where != section) {
+      if (table) table->print(std::cout);
+      section = claim.where;
+      std::cout << "\n==== " << section << " ====\n";
+      table.emplace(std::vector<std::string>{"id", "metric", "published", "measured", "status",
+                                             "check", "why it deviates"});
+    }
+    const Measured measured = claim.measure();
+    const bool reproduces = claim.deviates.empty();
+    const bool ok = meets(measured, claim.published) == reproduces;
+    deviating += reproduces ? 0 : 1;
+    contradicted += ok ? 0 : 1;
+    table->add_row({claim.id, claim.metric, format_published(claim.published),
+                    format_measured(measured, claim.published),
+                    reproduces ? "reproduces" : "deviates", ok ? "ok" : "FAIL", claim.deviates});
+  }
+  if (table) table->print(std::cout);
+  std::cout << "\n" << ledger.claims().size() << " claims: "
+            << ledger.claims().size() - deviating << " reproduce, " << deviating
+            << " deviate; " << contradicted << " contradict their status\n";
+  return contradicted == 0 ? 0 : 1;
+}

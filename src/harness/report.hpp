@@ -1,8 +1,8 @@
 #pragma once
 // Fixed-width table/series printers shared by all bench binaries, plus the
 // tiny CLI parser they use for --samples/--seed overrides.  Output format is
-// deliberately paper-like: one bench binary regenerates one table or figure
-// as rows on stdout (see DESIGN.md "Per-experiment index").
+// deliberately paper-like: the benches print tables and figures as rows on
+// stdout (see DESIGN.md "Per-experiment index" and "Paper claims").
 
 #include <cstdint>
 #include <iosfwd>

@@ -7,7 +7,14 @@ namespace vlcsa::spec {
 
 namespace {
 
-/// |exact - spec| over the unsigned n-bit interpretation.
+/// The n-bit sum with its carry-out as bit n: the value the adder computed.
+ApInt with_carry_out(const ApInt& sum, bool carry_out) {
+  ApInt wide = sum.zext(sum.width() + 1);
+  wide.set_bit(sum.width(), carry_out);
+  return wide;
+}
+
+/// |exact - spec| over the unsigned interpretation.
 ApInt absolute_difference(const ApInt& exact, const ApInt& spec) {
   return exact.compare_unsigned(spec) >= 0 ? exact - spec : spec - exact;
 }
@@ -36,10 +43,11 @@ ErrorMagnitudeStats measure_error_magnitude(const ScsaConfig& config,
     const auto ev = model.evaluate(a, b);
     if (ev.spec0_correct()) continue;
     ++stats.errors;
-    const ApInt diff = absolute_difference(ev.exact, ev.spec0);
+    const ApInt exact = with_carry_out(ev.exact, ev.exact_cout);
+    const ApInt diff = absolute_difference(exact, with_carry_out(ev.spec0, ev.spec0_cout));
     const int log2_mag = std::max(diff.highest_set_bit(), 0);
     stats.magnitude_log2[static_cast<std::size_t>(std::min(log2_mag, 63))] += 1;
-    const double exact_value = to_double_unsigned(ev.exact);
+    const double exact_value = to_double_unsigned(exact);
     const double relative =
         exact_value == 0.0 ? 1.0 : to_double_unsigned(diff) / exact_value;
     sum_relative += relative;

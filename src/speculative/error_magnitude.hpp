@@ -29,8 +29,10 @@ struct ErrorMagnitudeStats {
 };
 
 /// Measures S*,0 error magnitudes over a distribution.  Relative error uses
-/// the unsigned interpretation (the paper's Ch. 3.3 convention); exact-zero
-/// results with an error count as relative error 1.
+/// the unsigned interpretation (the paper's Ch. 3.3 convention) of the
+/// (n+1)-bit sums, carry-out included, so a sum that wraps past 2^n is not
+/// mistaken for a small one; exact-zero results with an error count as
+/// relative error 1.
 [[nodiscard]] ErrorMagnitudeStats measure_error_magnitude(const ScsaConfig& config,
                                                           arith::OperandSource& source,
                                                           std::uint64_t samples,

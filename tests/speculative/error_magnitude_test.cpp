@@ -2,8 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 namespace vlcsa::spec {
 namespace {
+
+/// Draws one fixed operand pair forever.
+class FixedPairSource final : public arith::OperandSource {
+ public:
+  FixedPairSource(arith::ApInt a, arith::ApInt b)
+      : OperandSource(a.width()), a_(std::move(a)), b_(std::move(b)) {}
+  [[nodiscard]] std::string name() const override { return "fixed-pair"; }
+  std::pair<arith::ApInt, arith::ApInt> next(arith::BlockRng&) override { return {a_, b_}; }
+  [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
+    return std::make_unique<FixedPairSource>(a_, b_);
+  }
+
+ private:
+  arith::ApInt a_;
+  arith::ApInt b_;
+};
 
 TEST(ErrorMagnitude, CountsMatchDirectEvaluation) {
   const ScsaConfig config{32, 6};
@@ -46,6 +66,21 @@ TEST(ErrorMagnitude, MeanRelativeErrorIsSmallOnUniformInputs) {
   const auto stats = measure_error_magnitude(config, source, 300000, 19);
   ASSERT_GT(stats.errors, 10u);
   EXPECT_LT(stats.mean_relative_error, 0.05);
+}
+
+TEST(ErrorMagnitude, ASumThatCarriesOutIsMeasuredWithItsCarry) {
+  // n = 16, k = 4: window 1 (bits 4..7) generates, windows 2 and 3
+  // propagate, so the exact sum 0xfff0 + 0x0011 = 0x1_0001 carries out while
+  // SCSA drops the carry into window 3 and emits 0x0_f001.  The error is one
+  // window weight, 2^12, against a sum of 2^16 + 1; read as 16-bit values the
+  // sum would be 1 and the error 0xf000.
+  const ScsaConfig config{16, 4};
+  FixedPairSource source(arith::ApInt::from_u64(16, 0xfff0), arith::ApInt::from_u64(16, 0x0011));
+  const auto stats = measure_error_magnitude(config, source, 3, 1);
+  ASSERT_EQ(stats.errors, 3u);
+  EXPECT_EQ(stats.magnitude_log2[12], 3u);
+  EXPECT_DOUBLE_EQ(stats.mean_relative_error, 4096.0 / 65537.0);
+  EXPECT_DOUBLE_EQ(stats.max_relative_error, 4096.0 / 65537.0);
 }
 
 TEST(ErrorMagnitude, NoErrorsOnSingleWindow) {

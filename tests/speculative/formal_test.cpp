@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "adders/adders.hpp"
 #include "netlist/equivalence.hpp"
@@ -120,21 +123,63 @@ TEST(ScsaFormal, ExhaustiveTinyWidthBehavioralAgreement) {
   }
 }
 
-TEST(ScsaFormal, ExhaustiveTinyWidthNominalRateMatchesDp) {
-  // Exact DP probability vs exhaustive enumeration at n = 8, k = 3.
-  const int n = 8, k = 3;
-  const ScsaModel model(ScsaConfig{n, k});
-  std::uint64_t flagged = 0;
-  for (unsigned ua = 0; ua < 256; ++ua) {
-    for (unsigned ub = 0; ub < 256; ++ub) {
-      const auto ev =
-          model.evaluate(arith::ApInt::from_u64(n, ua), arith::ApInt::from_u64(n, ub));
-      flagged += ev.err0 ? 1 : 0;
+struct TinyWidthCase {
+  int n;
+  int window;  // SCSA window size k or VLSA chain length l
+};
+
+std::vector<TinyWidthCase> tiny_width_cases(const std::vector<int>& widths, int first_window) {
+  std::vector<TinyWidthCase> cases;
+  for (const int n : widths) {
+    for (int window = first_window; window <= n; ++window) cases.push_back({n, window});
+  }
+  return cases;
+}
+
+std::string tiny_width_name(const ::testing::TestParamInfo<TinyWidthCase>& info) {
+  return "n" + std::to_string(info.param.n) + "_w" + std::to_string(info.param.window);
+}
+
+/// Exhaustive enumeration of all 2^2n operand pairs: the fraction for which
+/// `hit(a, b)` holds.
+template <typename Hit>
+double exhaustive_rate(int n, Hit hit) {
+  const unsigned values = 1u << n;
+  std::uint64_t hits = 0;
+  for (unsigned ua = 0; ua < values; ++ua) {
+    for (unsigned ub = 0; ub < values; ++ub) {
+      hits += hit(arith::ApInt::from_u64(n, ua), arith::ApInt::from_u64(n, ub)) ? 1 : 0;
     }
   }
-  const double exhaustive = static_cast<double>(flagged) / 65536.0;
+  return static_cast<double>(hits) / (static_cast<double>(values) * values);
+}
+
+class ScsaTinyWidth : public ::testing::TestWithParam<TinyWidthCase> {};
+
+TEST_P(ScsaTinyWidth, ExhaustiveNominalRateMatchesDp) {
+  const auto [n, k] = GetParam();
+  const ScsaModel model(ScsaConfig{n, k});
+  const double exhaustive = exhaustive_rate(
+      n, [&](const arith::ApInt& a, const arith::ApInt& b) { return model.evaluate(a, b).err0; });
   EXPECT_NEAR(exhaustive, scsa_exact_error_rate(n, k), 1e-12);
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryWindow, ScsaTinyWidth,
+                         ::testing::ValuesIn(tiny_width_cases({4, 6, 8}, 2)), tiny_width_name);
+
+class VlsaTinyWidth : public ::testing::TestWithParam<TinyWidthCase> {};
+
+TEST_P(VlsaTinyWidth, ExhaustiveActualRateMatchesDp) {
+  const auto [n, l] = GetParam();
+  const VlsaModel model(VlsaConfig{n, l});
+  const double exhaustive = exhaustive_rate(n, [&](const arith::ApInt& a, const arith::ApInt& b) {
+    return !model.evaluate(a, b).spec_correct();
+  });
+  EXPECT_NEAR(exhaustive, vlsa_exact_error_rate(n, l), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryChainLength, VlsaTinyWidth,
+                         ::testing::ValuesIn(tiny_width_cases({8}, 1)), tiny_width_name);
 
 }  // namespace
 }  // namespace vlcsa::spec
