@@ -58,80 +58,10 @@ void BM_ApIntAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ApIntAdd)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_ScsaEvaluate(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  const spec::ScsaModel model(
-      spec::ScsaConfig{width, spec::min_window_for_error_rate(width, 1e-4)});
-  vlcsa::arith::BlockRng rng(2);
-  const ApInt a = ApInt::random(width, rng);
-  const ApInt b = ApInt::random(width, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(a, b));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ScsaEvaluate)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-// The bit-sliced counterpart: one pass evaluates 64 * lane_words samples, so
-// items/sec is directly comparable with BM_ScsaEvaluate.  Args: (width,
-// lane_words); runs on whatever planeops backend dispatch selected.
-void BM_ScsaEvaluateBatch(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  const int lane_words = static_cast<int>(state.range(1));
-  const spec::ScsaModel model(
-      spec::ScsaConfig{width, spec::min_window_for_error_rate(width, 1e-4)});
-  vlcsa::arith::BlockRng rng(2);
-  arith::BitSlicedBatch batch(width, lane_words);
-  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
-  source->fill_batch(rng, batch);
-  spec::ScsaBatchEvaluation ev;
-  for (auto _ : state) {
-    model.evaluate_batch(batch, ev);
-    benchmark::DoNotOptimize(ev.spec0_wrong.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
-}
-BENCHMARK(BM_ScsaEvaluateBatch)
-    ->Args({64, 1})->Args({64, 4})->Args({128, 4})->Args({256, 4})
-    ->Args({512, 1})->Args({512, 4})->Args({512, 8});
-
-void BM_VlsaEvaluate(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  const spec::VlsaModel model(
-      spec::VlsaConfig{width, spec::vlsa_published_chain_length(width)});
-  vlcsa::arith::BlockRng rng(3);
-  const ApInt a = ApInt::random(width, rng);
-  const ApInt b = ApInt::random(width, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(a, b));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VlsaEvaluate)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_VlsaEvaluateBatch(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  const int lane_words = static_cast<int>(state.range(1));
-  const spec::VlsaModel model(
-      spec::VlsaConfig{width, spec::vlsa_published_chain_length(width)});
-  vlcsa::arith::BlockRng rng(3);
-  arith::BitSlicedBatch batch(width, lane_words);
-  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
-  source->fill_batch(rng, batch);
-  spec::VlsaBatchEvaluation ev;
-  for (auto _ : state) {
-    model.evaluate_batch(batch, ev);
-    benchmark::DoNotOptimize(ev.spec_wrong.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
-}
-BENCHMARK(BM_VlsaEvaluateBatch)->Args({64, 1})->Args({64, 4})->Args({512, 1})->Args({512, 4});
-
-// ---- plane-kernel layer, per backend ---------------------------------------
-// Args: (plane words, backend = the planeops::Backend value: 0 scalar,
-// 1 avx2, 2 avx512).  Each bench pins the requested backend for its own run
-// and restores dispatch on exit, so orderings never leak between benches; a
-// backend this host/build lacks is reported as a skipped row.
+// Benches whose last arg is a backend (the planeops::Backend value: 0 scalar,
+// 1 avx2, 2 avx512) pin it for their own run and restore dispatch on exit,
+// so orderings never leak between benches; a backend this host/build lacks
+// is reported as a skipped row.
 
 class BackendScope {
  public:
@@ -151,41 +81,88 @@ class BackendScope {
   planeops::Backend prev_;
 };
 
-void BM_PlaneKoggeStone(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+void BM_ScsaEvaluate(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const spec::ScsaModel model(
+      spec::ScsaConfig{width, spec::min_window_for_error_rate(width, 1e-4)});
+  vlcsa::arith::BlockRng rng(2);
+  const ApInt a = ApInt::random(width, rng);
+  const ApInt b = ApInt::random(width, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.evaluate(a, b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScsaEvaluate)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+/// The (width, lane_words) shapes of the batched model benches, each once
+/// per backend.
+void batch_shapes_per_backend(benchmark::internal::Benchmark* bench) {
+  for (const auto& [width, lane_words] : {std::pair{64, 1}, {64, 4}, {128, 4}, {256, 4},
+                                          {256, 8}, {512, 1}, {512, 4}, {512, 8}}) {
+    for (int backend = 0; backend < 3; ++backend) bench->Args({width, lane_words, backend});
+  }
+}
+
+// The bit-sliced counterpart: one pass evaluates 64 * lane_words samples, so
+// items/sec is directly comparable with BM_ScsaEvaluate.  Args: (width,
+// lane_words, backend).
+void BM_ScsaEvaluateBatch(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
   const BackendScope scope(state, state.range(2));
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  vlcsa::arith::BlockRng rng(7);
-  planeops::PlaneVec g(m), p(m), carry(m), pp(m);
-  for (auto& word : g) word = rng();
-  for (auto& word : p) word = rng();
+  const spec::ScsaModel model(
+      spec::ScsaConfig{width, spec::min_window_for_error_rate(width, 1e-4)});
+  vlcsa::arith::BlockRng rng(2);
+  arith::BitSlicedBatch batch(width, lane_words);
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
+  source->fill_batch(rng, batch);
+  spec::ScsaBatchEvaluation ev;
   for (auto _ : state) {
-    planeops::kogge_stone(g.data(), p.data(), n, lane_words, carry.data(), pp.data());
-    benchmark::DoNotOptimize(carry.data());
+    model.evaluate_batch(batch, ev);
+    benchmark::DoNotOptimize(ev.spec0_wrong.data());
   }
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneKoggeStone)
-    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({64, 4, 2})
-    ->Args({512, 4, 0})->Args({512, 4, 1})->Args({512, 4, 2});
+BENCHMARK(BM_ScsaEvaluateBatch)->Apply(batch_shapes_per_backend);
 
-void BM_PlaneBulkGp(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const BackendScope scope(state, state.range(1));
-  vlcsa::arith::BlockRng rng(8);
-  planeops::PlaneVec a(m), b(m), g(m), p(m);
-  for (auto& word : a) word = rng();
-  for (auto& word : b) word = rng();
+void BM_VlsaEvaluate(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const spec::VlsaModel model(
+      spec::VlsaConfig{width, spec::vlsa_published_chain_length(width)});
+  vlcsa::arith::BlockRng rng(3);
+  const ApInt a = ApInt::random(width, rng);
+  const ApInt b = ApInt::random(width, rng);
   for (auto _ : state) {
-    planeops::bulk_gp(a.data(), b.data(), g.data(), p.data(), m);
-    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(model.evaluate(a, b));
   }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(m) * 8 * 2);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VlsaEvaluate)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// Args: (width, lane_words, backend).
+void BM_VlsaEvaluateBatch(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const int lane_words = static_cast<int>(state.range(1));
+  const BackendScope scope(state, state.range(2));
+  const spec::VlsaModel model(
+      spec::VlsaConfig{width, spec::vlsa_published_chain_length(width)});
+  vlcsa::arith::BlockRng rng(3);
+  arith::BitSlicedBatch batch(width, lane_words);
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
+  source->fill_batch(rng, batch);
+  spec::VlsaBatchEvaluation ev;
+  for (auto _ : state) {
+    model.evaluate_batch(batch, ev);
+    benchmark::DoNotOptimize(ev.spec_wrong.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneBulkGp)->Args({2048, 0})->Args({2048, 1})->Args({2048, 2});
+BENCHMARK(BM_VlsaEvaluateBatch)->Apply(batch_shapes_per_backend);
+
+// ---- plane-kernel layer, per backend ---------------------------------------
 
 void BM_PlaneTranspose64x64(benchmark::State& state) {
   const BackendScope scope(state, state.range(0));

@@ -1,4 +1,5 @@
-// The DesignWare-substitute baseline (see DESIGN.md "Substitutions").
+// The DesignWare-substitute baseline (see DESIGN.md "Substitutions and
+// deviations").
 //
 // Synopsys DesignWare's DW01_add resolves, under a tight delay constraint,
 // to a delay-optimized parallel-prefix (or hybrid) architecture chosen by

@@ -48,8 +48,7 @@ inline constexpr int kDefaultLaneWords = 4;
 /// depend on the choice — only throughput does.
 [[nodiscard]] int default_lane_words();
 
-/// Upper bound on lane_words — lets the models keep per-window lane groups
-/// in fixed-size stack buffers inside their hot sweeps.
+/// Upper bound on lane_words (BitSlicedBatch rejects wider batches).
 inline constexpr int kMaxLaneWords = 16;
 
 /// Transposes `count` (<= 64) width-bit samples into lane word `lane_word`

@@ -1,6 +1,7 @@
 #include "arith/planeops.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -42,40 +43,6 @@ inline std::uint64_t width_mask(int width) {
 }
 
 // ---- scalar backend (the oracle every other backend is pinned to) ----------
-
-void gp_scalar(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-               std::uint64_t* p, std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
-// One doubling round of the prefix: carry'[i] = carry[i] | (pp[i] & carry[i-off]),
-// pp'[i] = pp[i] & pp[i-off], all reads pre-round.  Processing the flat array
-// top-down with loads before stores realizes exactly that for any off.
-void kogge_scalar(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                  std::uint64_t* carry, std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    for (std::size_t i = m; i-- > off;) {
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
-  }
-}
-
-void ssand_scalar(std::uint64_t* x, int n, int lane_words, int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  for (std::size_t i = m; i-- > off;) x[i] &= x[i - off];
-  std::memset(x, 0, off * sizeof(std::uint64_t));
-}
 
 void transpose_scalar(std::uint64_t block[64]) {
   // Recursive block swap (Hacker's Delight 7-3 style, oriented for a true
@@ -153,15 +120,16 @@ void encode_scalar(const GaussianEncode& e, const double* variates, std::uint64_
   sign[1] = negative_b;
 }
 
-// ---- streaming kernels, one body for both vector widths --------------------
+// ---- streaming kernels, one body for every width ---------------------------
 //
-// gp, kogge, ssand, twist and temper are plain bitwise/shift chains, so each
-// is written once over a GCC vector type of W words and instantiated by the
-// AVX2 (W = 4) and AVX-512 (W = 8) rows below, whose target attributes
-// decide the registers (GCC fuses the and/or/xor chains into vpternlogq on
-// its own).  Vectors move through memcpy and references only: a by-value
-// vector parameter or return would change the ABI per target (-Wpsabi).
-// All loads/stores are unaligned-safe.
+// The carry-chain sweeps, twist and temper are plain bitwise/shift chains,
+// so each is written once over a word type V — a GCC vector type of W words
+// for the AVX2 (W = 4) and AVX-512 (W = 8) rows below, whose target
+// attributes decide the registers (GCC fuses the and/or/xor chains into
+// vpternlogq on its own), and std::uint64_t for the sweeps' scalar row.
+// Vectors move through memcpy and references only: a by-value vector
+// parameter or return would change the ABI per target (-Wpsabi).  All
+// loads/stores are unaligned-safe.
 
 typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
 typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
@@ -179,76 +147,117 @@ template <class V>
   std::memcpy(p, &v, sizeof v);
 }
 
+// The carry-chain sweeps run column chunks: lane words [col, col + W) of
+// every plane, bottom bit first, with the whole sweep state in V registers
+// (each chunk loads every plane word of its columns once).  Each *_chunks
+// function sweeps every whole W-wide chunk from `col` on and returns where
+// it stopped; a backend row runs its own width and hands the columns left
+// over to the next narrower row (avx512 -> avx2 -> scalar), so any
+// lane_words is covered and each chunk width is compiled once.
+
+// SCSA (scsa_window_sweep's equations): per window, G/P from the per-bit
+// generate/propagate on the fly, then the select checks against the exact
+// carry threaded through the window chain — nine live signals.
 template <class V>
-[[gnu::always_inline]] inline void gp_body(const std::uint64_t* a, const std::uint64_t* b,
-                                           std::uint64_t* g, std::uint64_t* p,
-                                           std::size_t m) {
-  std::size_t i = 0;
-  for (; i + kWords<V> <= m; i += kWords<V>) {
-    V va, vb;
-    load(va, a + i);
-    load(vb, b + i);
-    store(g + i, V(va & vb));
-    store(p + i, V(va ^ vb));
+[[gnu::always_inline]] inline std::size_t scsa_chunks(const std::uint64_t* a,
+                                                      const std::uint64_t* b, std::size_t lw,
+                                                      const int* sizes, int m,
+                                                      const ScsaLaneMasks& out,
+                                                      std::size_t col) {
+  for (; col + kWords<V> <= lw; col += kWords<V>) {
+    V carry{}, prev_g{}, prev_p{}, spec0{}, spec1{}, err0{}, err1{};
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    for (int i = 0; i < m; ++i) {
+      V g{}, p = ~V{};
+      for (int bit = 0; bit < sizes[i]; ++bit, pa += lw, pb += lw) {
+        V va, vb;
+        load(va, pa);
+        load(vb, pb);
+        g = (va & vb) | ((va ^ vb) & g);
+        p &= va ^ vb;
+      }
+      if (i > 0) {
+        const V sel1 = i == 1 ? prev_g : V(prev_g | prev_p);
+        spec0 |= prev_g ^ carry;
+        spec1 |= sel1 ^ carry;
+        err0 |= prev_g & p;
+        if (i > 1) err1 |= prev_p & ~p;
+      }
+      carry = g | (p & carry);
+      prev_g = g;
+      prev_p = p;
+    }
+    store(out.spec0_wrong + col, spec0);
+    store(out.spec1_wrong + col, spec1);
+    store(out.err0 + col, err0);
+    store(out.err1 + col, err1);
   }
-  gp_scalar(a + i, b + i, g + i, p + i, m - i);
+  return col;
 }
 
-// Top-down chunked doubling rounds; within one W-word chunk all loads happen
-// before the stores, and chunks run from the top of the array downward, so
-// every read observes the pre-round value for any offset — the same
-// pre-round-read semantics as the scalar loop (see kogge_scalar).  off < m,
-// and a chunk runs only while i - off >= W, so i never drops below off and
-// the unsigned i - off never wraps (the same holds in ssand_body, where
-// off <= m).
-template <class V>
-[[gnu::always_inline]] inline void kogge_body(const std::uint64_t* g, const std::uint64_t* p,
-                                              int n, int lane_words, std::uint64_t* carry,
-                                              std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= kWords<V>) {
-      i -= kWords<V>;
-      V c, q, cl, ql;
-      load(c, carry + i);
-      load(q, pp + i);
-      load(cl, carry + i - off);
-      load(ql, pp + i - off);
-      store(carry + i, V(c | (q & cl)));
-      store(pp + i, V(q & ql));
+// VLSA (vlsa_run_sweep's state machine) with a kBits-plane run counter,
+// kBits = bit_width(chain); count[k] is plane k, and the increment's carry
+// out of the top plane (the counter was all ones) is what saturates it.
+template <class V, int kBits>
+[[gnu::always_inline]] inline std::size_t vlsa_chunks(const std::uint64_t* a,
+                                                      const std::uint64_t* b, int n,
+                                                      std::size_t lw, int chain,
+                                                      std::uint64_t* spec_wrong,
+                                                      std::uint64_t* err, std::size_t col) {
+  // reached = AND over planes of (count[k] ^ differs[k]): all ones iff
+  // count == chain.
+  std::uint64_t differs[kBits];
+  for (int k = 0; k < kBits; ++k) differs[k] = ((chain >> k) & 1) != 0 ? 0 : ~std::uint64_t{0};
+  for (; col + kWords<V> <= lw; col += kWords<V>) {
+    V count[kBits] = {};
+    V c{}, wrong{}, any{};
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    for (int j = 0; j < n; ++j, pa += lw, pb += lw) {
+      V va, vb;
+      load(va, pa);
+      load(vb, pb);
+      const V p = va ^ vb;
+      c = (va & vb) | (p & c);
+      V inc = ~V{};
+#pragma GCC unroll 16
+      for (int k = 0; k < kBits; ++k) {
+        const V old = count[k];
+        count[k] = old ^ inc;
+        inc &= old;
+      }
+      V reached = ~V{};
+#pragma GCC unroll 16
+      for (int k = 0; k < kBits; ++k) {
+        count[k] = (count[k] | inc) & p;
+        reached &= count[k] ^ differs[k];
+      }
+      any |= reached;
+      wrong |= reached & c;
     }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
+    store(spec_wrong + col, wrong);
+    store(err + col, any);
   }
+  return col;
 }
 
-template <class V>
-[[gnu::always_inline]] inline void ssand_body(std::uint64_t* x, int n, int lane_words,
-                                              int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  std::size_t i = m;
-  while (i - off >= kWords<V>) {
-    i -= kWords<V>;
-    V hi, lo;
-    load(hi, x + i);
-    load(lo, x + i - off);
-    store(x + i, V(hi & lo));
+/// Most counter planes vlsa_run_sweep needs: bit_width(kMaxRunChain).
+constexpr int kMaxRunBits = std::bit_width(static_cast<unsigned>(kMaxRunChain));
+
+// vlsa_chunks with kBits = bit_width(chain), found by walking up from 1.
+template <class V, int kBits = 1>
+[[gnu::always_inline]] inline std::size_t vlsa_chunks_for(const std::uint64_t* a,
+                                                          const std::uint64_t* b, int n,
+                                                          std::size_t lw, int chain,
+                                                          std::uint64_t* spec_wrong,
+                                                          std::uint64_t* err, std::size_t col) {
+  if constexpr (kBits < kMaxRunBits) {
+    if ((chain >> kBits) != 0) {
+      return vlsa_chunks_for<V, kBits + 1>(a, b, n, lw, chain, spec_wrong, err, col);
+    }
   }
-  while (i > off) {
-    --i;
-    x[i] &= x[i - off];
-  }
-  std::memset(x, 0, off * sizeof(std::uint64_t));
+  return vlsa_chunks<V, kBits>(a, b, n, lw, chain, spec_wrong, err, col);
 }
 
 // mt[i] = mt[feed] ^ twist(mt[i], mt[i + 1]) for W consecutive i, loading
@@ -269,7 +278,7 @@ template <class V>
 // The twist recurrence x[i] = x[i+m] ^ f(x[i], x[i+1]) only feeds back at
 // distances m = 156 and 1 (through the *old* value of x[i+1]), so W-word
 // chunks that load both operand vectors before storing never observe a
-// value the chunk itself wrote — the pre-round-read reasoning of kogge_body.
+// value the chunk itself wrote: every read sees the pre-chunk value.
 template <class V>
 [[gnu::always_inline]] inline void twist_body(std::uint64_t* mt) {
   constexpr std::size_t w = kWords<V>;
@@ -303,22 +312,36 @@ template <class V>
   }
 }
 
+// The sweep rows take the first column to sweep (0 from the entry points).
+[[gnu::noinline]] void scsa_sweep_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                                         std::size_t lw, const int* sizes, int m,
+                                         const ScsaLaneMasks& out, std::size_t col) {
+  scsa_chunks<std::uint64_t>(a, b, lw, sizes, m, out, col);
+}
+[[gnu::noinline]] void vlsa_sweep_scalar(const std::uint64_t* a, const std::uint64_t* b, int n,
+                                         std::size_t lw, int chain, std::uint64_t* spec_wrong,
+                                         std::uint64_t* err, std::size_t col) {
+  vlsa_chunks_for<std::uint64_t>(a, b, n, lw, chain, spec_wrong, err, col);
+}
+
 #if VLCSA_HAVE_X86_BACKENDS
 
 // ---- AVX2 backend ----------------------------------------------------------
 
 #define VLCSA_AVX2 __attribute__((target("avx2")))
 
-VLCSA_AVX2 void gp_avx2(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-                        std::uint64_t* p, std::size_t m) {
-  gp_body<U64x4>(a, b, g, p, m);
+[[gnu::noinline]] VLCSA_AVX2 void scsa_sweep_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                                                 std::size_t lw, const int* sizes, int m,
+                                                 const ScsaLaneMasks& out, std::size_t col) {
+  col = scsa_chunks<U64x4>(a, b, lw, sizes, m, out, col);
+  if (col < lw) scsa_sweep_scalar(a, b, lw, sizes, m, out, col);
 }
-VLCSA_AVX2 void kogge_avx2(const std::uint64_t* g, const std::uint64_t* p, int n,
-                           int lane_words, std::uint64_t* carry, std::uint64_t* pp) {
-  kogge_body<U64x4>(g, p, n, lane_words, carry, pp);
-}
-VLCSA_AVX2 void ssand_avx2(std::uint64_t* x, int n, int lane_words, int step) {
-  ssand_body<U64x4>(x, n, lane_words, step);
+[[gnu::noinline]] VLCSA_AVX2 void vlsa_sweep_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                                                 int n, std::size_t lw, int chain,
+                                                 std::uint64_t* spec_wrong, std::uint64_t* err,
+                                                 std::size_t col) {
+  col = vlsa_chunks_for<U64x4>(a, b, n, lw, chain, spec_wrong, err, col);
+  if (col < lw) vlsa_sweep_scalar(a, b, n, lw, chain, spec_wrong, err, col);
 }
 VLCSA_AVX2 void twist_avx2(std::uint64_t* mt) { twist_body<U64x4>(mt); }
 VLCSA_AVX2 void temper_avx2(const std::uint64_t* mt, std::uint64_t* dst) {
@@ -377,16 +400,17 @@ VLCSA_AVX2 void transpose_avx2(std::uint64_t block[64]) {
 
 #define VLCSA_AVX512 __attribute__((target("avx512f,avx512bw,avx512dq")))
 
-VLCSA_AVX512 void gp_avx512(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-                            std::uint64_t* p, std::size_t m) {
-  gp_body<U64x8>(a, b, g, p, m);
+VLCSA_AVX512 void scsa_sweep_avx512(const std::uint64_t* a, const std::uint64_t* b,
+                                    std::size_t lw, const int* sizes, int m,
+                                    const ScsaLaneMasks& out, std::size_t col) {
+  col = scsa_chunks<U64x8>(a, b, lw, sizes, m, out, col);
+  if (col < lw) scsa_sweep_avx2(a, b, lw, sizes, m, out, col);
 }
-VLCSA_AVX512 void kogge_avx512(const std::uint64_t* g, const std::uint64_t* p, int n,
-                               int lane_words, std::uint64_t* carry, std::uint64_t* pp) {
-  kogge_body<U64x8>(g, p, n, lane_words, carry, pp);
-}
-VLCSA_AVX512 void ssand_avx512(std::uint64_t* x, int n, int lane_words, int step) {
-  ssand_body<U64x8>(x, n, lane_words, step);
+VLCSA_AVX512 void vlsa_sweep_avx512(const std::uint64_t* a, const std::uint64_t* b, int n,
+                                    std::size_t lw, int chain, std::uint64_t* spec_wrong,
+                                    std::uint64_t* err, std::size_t col) {
+  col = vlsa_chunks_for<U64x8>(a, b, n, lw, chain, spec_wrong, err, col);
+  if (col < lw) vlsa_sweep_avx2(a, b, n, lw, chain, spec_wrong, err, col);
 }
 VLCSA_AVX512 void twist_avx512(std::uint64_t* mt) { twist_body<U64x8>(mt); }
 VLCSA_AVX512 void temper_avx512(const std::uint64_t* mt, std::uint64_t* dst) {
@@ -542,11 +566,10 @@ VLCSA_AVX512 void encode_avx512(const GaussianEncode& e, const double* variates,
 
 struct Kernels {
   Backend backend;
-  void (*gp)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::uint64_t*,
-             std::size_t);
-  void (*kogge)(const std::uint64_t*, const std::uint64_t*, int, int, std::uint64_t*,
-                std::uint64_t*);
-  void (*ssand)(std::uint64_t*, int, int, int);
+  void (*scsa_sweep)(const std::uint64_t*, const std::uint64_t*, std::size_t, const int*, int,
+                     const ScsaLaneMasks&, std::size_t);
+  void (*vlsa_sweep)(const std::uint64_t*, const std::uint64_t*, int, std::size_t, int,
+                     std::uint64_t*, std::uint64_t*, std::size_t);
   void (*transpose)(std::uint64_t*);
   void (*twist)(std::uint64_t*);
   void (*temper)(const std::uint64_t*, std::uint64_t*);
@@ -556,21 +579,21 @@ struct Kernels {
 };
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, gp_scalar,     kogge_scalar,      ssand_scalar,  transpose_scalar,
-    twist_scalar,     temper_scalar, zig_accept_scalar, encode_scalar,
+    Backend::kScalar, scsa_sweep_scalar, vlsa_sweep_scalar, transpose_scalar,
+    twist_scalar,     temper_scalar,     zig_accept_scalar, encode_scalar,
 };
 
 #if VLCSA_HAVE_X86_BACKENDS
 // The ziggurat fast path and the encode need avx512dq; the AVX2 row runs
 // their scalar bodies.
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, gp_avx2,     kogge_avx2,        ssand_avx2,    transpose_avx2,
-    twist_avx2,     temper_avx2, zig_accept_scalar, encode_scalar,
+    Backend::kAvx2, scsa_sweep_avx2, vlsa_sweep_avx2,   transpose_avx2,
+    twist_avx2,     temper_avx2,     zig_accept_scalar, encode_scalar,
 };
 
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, gp_avx512,     kogge_avx512,      ssand_avx512,  transpose_avx512,
-    twist_avx512,     temper_avx512, zig_accept_avx512, encode_avx512,
+    Backend::kAvx512, scsa_sweep_avx512, vlsa_sweep_avx512, transpose_avx512,
+    twist_avx512,     temper_avx512,     zig_accept_avx512, encode_avx512,
 };
 #endif
 
@@ -686,24 +709,20 @@ bool set_backend(std::string_view name) {
   return backend && set_backend(*backend);
 }
 
-void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m) {
-  active().gp(a, b, g, p, m);
-}
-
-void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                 std::uint64_t* carry, std::uint64_t* pp) {
-  assert(n >= 1 && lane_words >= 1);
+void scsa_window_sweep(const std::uint64_t* a, const std::uint64_t* b, int lane_words,
+                       const int* window_sizes, int m, const ScsaLaneMasks& masks) {
+  assert(lane_words >= 1 && m >= 1);
   // Whole-plane kernel: bases must sit on the PlaneVec alignment contract.
-  assert(aligned64(g) && aligned64(p) && aligned64(carry) && aligned64(pp));
-  (void)aligned64;
-  active().kogge(g, p, n, lane_words, carry, pp);
+  assert(aligned64(a) && aligned64(b));
+  active().scsa_sweep(a, b, static_cast<std::size_t>(lane_words), window_sizes, m, masks, 0);
 }
 
-void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step) {
-  assert(n >= 1 && lane_words >= 1 && step >= 1 && step <= n);
-  assert(aligned64(x));
-  active().ssand(x, n, lane_words, step);
+void vlsa_run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                    int chain, std::uint64_t* spec_wrong, std::uint64_t* err) {
+  assert(n >= 1 && lane_words >= 1 && chain >= 1 && chain <= n && chain <= kMaxRunChain);
+  assert(aligned64(a) && aligned64(b));
+  (void)aligned64;
+  active().vlsa_sweep(a, b, n, static_cast<std::size_t>(lane_words), chain, spec_wrong, err, 0);
 }
 
 void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }

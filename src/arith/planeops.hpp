@@ -1,8 +1,8 @@
 #pragma once
 // Plane-kernel layer: every word-parallel kernel the Monte Carlo path runs,
 // and the one module that knows which ISA backs which kernel.  It owns:
-//  * the VLSA baseline's generate/propagate fill (bulk_gp), Kogge-Stone
-//    prefix (kogge_stone) and propagate-run sweep (shifted_self_and);
+//  * the two batched carry-chain evaluators: SCSA's window sweep
+//    (scsa_window_sweep) and VLSA's streaming run detector (vlsa_run_sweep);
 //  * the 64x64 bit transpose behind the operand streams (transpose_64x64);
 //  * the MT19937-64 block twist and tempering under BlockRng (mt_twist,
 //    mt_regenerate);
@@ -15,9 +15,10 @@
 // oracle.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
-// planes out bit-major with `lane_words` words per bit (bitslice.hpp).
-// bulk_gp just streams over `m` words; the Kogge-Stone prefix and the
-// shifted self-and take the (n, lane_words) shape explicitly.
+// planes out bit-major with `lane_words` words per bit (bitslice.hpp).  The
+// carry-chain sweeps walk the operand planes once, bottom bit first, and
+// write one lane-mask group (`lane_words` words, bit j of word w = sample
+// w*64 + j) per result.
 //
 // Contracts:
 //  * Every backend computes bit-identical results — the scalar backend is
@@ -98,25 +99,56 @@ bool set_backend(Backend backend);
 /// request on a CPU without the ISA fails, it does not degrade to auto).
 bool set_backend(std::string_view name);
 
-/// g = a & b, p = a ^ b in one pass (the generate/propagate plane fill).
-/// g and p must NOT alias a, b, or each other — the two outputs are
-/// interleaved per element, so an aliased input would be clobbered mid-pass
-/// (and differently per backend).  Pointers may be interior.
-void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m);
+// ---- carry-chain sweeps ----------------------------------------------------
 
-/// Word-level Kogge-Stone carry prefix over bit-major plane arrays with
-/// `lane_words` words per bit: carry[i] = carry out of bit i with carry-in 0,
-/// independently in each of the n*lane_words*64 lanes.  `carry` and `pp`
-/// must each hold n*lane_words words, be 64-byte aligned, and not alias
-/// g/p/each other.  `pp` is clobbered scratch.
-void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                 std::uint64_t* carry, std::uint64_t* pp);
+/// The lane masks scsa_window_sweep writes, `lane_words` words each.
+struct ScsaLaneMasks {
+  std::uint64_t* spec0_wrong;  // S*,0 (incl. carry-out) != exact sum
+  std::uint64_t* spec1_wrong;  // S*,1 (incl. carry-out) != exact sum
+  std::uint64_t* err0;         // detector ERR0 fired
+  std::uint64_t* err1;         // detector ERR1 fired
+};
 
-/// In-place groupwise x[i] &= x[i - step] for i = n-1 .. step, then zeroes
-/// groups [0, step) — one doubling step of a sliding all-ones window (the
-/// VLSA propagate-run sweep).  Group = lane_words words.
-void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step);
+/// SCSA's window sweep over the operand planes a, b (`lane_words` words per
+/// bit, 1..16).  Window i covers the next window_sizes[i] bits (window 0
+/// starts at bit 0; m windows in all).  Per lane, with G_i / P_i window i's
+/// group generate / propagate and c_i the exact carry into window i
+/// (c_0 = 0, c_{i+1} = G_i | (P_i & c_i)):
+///   spec0_wrong = OR_{i>=1} (G_{i-1} ^ c_i)            S*,0's select
+///   spec1_wrong = OR_{i>=1} (sel1_i ^ c_i),  sel1_1 = G_0,
+///                 sel1_i = G_{i-1} | P_{i-1} beyond     S*,1's select
+///   err0        = OR_{i>=1} G_{i-1} & P_i
+///   err1        = OR_{i>=2} P_{i-1} & ~P_i
+/// A speculative sum is wrong iff some window's carry-in select differs
+/// from the exact carry into it, so the select mismatches are the
+/// wrongness masks.  Window 1's S*,1 select is G_0, not G_0 | P_0: window
+/// 0's carry-in is the constant 0, so G_0 is its exact carry-out (DESIGN.md
+/// "Substitutions and deviations").
+void scsa_window_sweep(const std::uint64_t* a, const std::uint64_t* b, int lane_words,
+                       const int* window_sizes, int m, const ScsaLaneMasks& masks);
+
+/// Longest chain vlsa_run_sweep takes: its run counter has at most 16 planes.
+inline constexpr int kMaxRunChain = (1 << 16) - 1;
+
+/// VLSA's speculation check and detector in one pass over the n operand
+/// planes (`lane_words` words per bit), for chain length l in
+/// [1, min(n, kMaxRunChain)].  Per lane, bit j = 0 .. n-1 with p = a ^ b
+/// and g = a & b, the state machine is
+///   c       = g | (p & c)              carry out of bit j (carry-in 0)
+///   count   = p ? sat(count + 1) : 0   propagate run ending at bit j
+///   reached = (count == l)             an l-long propagate run ends at j
+///   err        |= reached
+///   spec_wrong |= reached & c
+/// where count is a bit-sliced counter of bit_width(l) planes that
+/// saturates at all ones (>= l), so `reached` fires when a run's l-th
+/// propagate bit arrives.  Inside an all-propagate run the carry passes
+/// through unchanged, so c (the carry out of bit j) equals the carry into
+/// the run's first bit, j-l+1 — the one carry the l-bit speculative window
+/// ending at j cannot see, and the speculative carry out of j is wrong
+/// exactly when it is 1.  Every speculative error thus flips a sum bit or
+/// the carry-out, and err is VLSA's "some l-long propagate run" detector.
+void vlsa_run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                    int chain, std::uint64_t* spec_wrong, std::uint64_t* err);
 
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i, and bit j
 /// of row i moves to bit i of row j.

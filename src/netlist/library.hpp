@@ -1,6 +1,7 @@
 #pragma once
 // Normalized technology model — the substitute for the UMC 65 nm standard
-// cell library used in the paper (see DESIGN.md "Substitutions").
+// cell library used in the paper (see DESIGN.md "Substitutions and
+// deviations").
 //
 // Delay follows the logical-effort model: a gate driving h unit loads takes
 //   d = parasitic + effort * h        [units of tau]
@@ -26,7 +27,7 @@ class CellLibrary {
   /// buffer chain (what synthesis does); each chain stage drives kMaxFanout.
   static constexpr double kMaxFanout = 4.0;
 
-  /// The default normalized library (values in DESIGN.md).
+  /// The default normalized library (values in library.cpp).
   [[nodiscard]] static const CellLibrary& standard();
 
   [[nodiscard]] const CellParams& params(GateKind kind) const {

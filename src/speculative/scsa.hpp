@@ -87,12 +87,11 @@ struct ScsaEvaluation {
 /// Word-parallel SCSA evaluation of a whole batch (64 * lane_words samples):
 /// every field is a lane-mask group of lane_words() words — bit j of word w
 /// refers to sample w*64 + j of the batch.  Only correctness/detection
-/// *predicates* are materialized (not the speculative sums themselves) —
-/// S*,0 differs from the exact sum iff some window's speculative carry-in
-/// select differs from the true carry into that window, so the per-sample
-/// comparison collapses to boolean algebra over window G/P planes.  The
-/// scalar evaluate() remains the oracle; the differential tests pin the two
-/// paths bit-identical across lane widths and planeops backends.
+/// *predicates* are materialized (not the speculative sums themselves):
+/// planeops::scsa_window_sweep derives them from window G/P and the exact
+/// window carries in one pass over the operand planes, with no scratch.
+/// The scalar evaluate() remains the oracle; the differential tests pin the
+/// two paths bit-identical across lane widths and planeops backends.
 struct ScsaBatchEvaluation {
   arith::planeops::PlaneVec spec0_wrong;  // S*,0 (incl. carry-out) != exact
   arith::planeops::PlaneVec spec1_wrong;  // S*,1 (incl. carry-out) != exact
@@ -117,10 +116,6 @@ struct ScsaBatchEvaluation {
     const std::size_t i = static_cast<std::size_t>(w);
     return (err0[i] & spec1_wrong[i]) | (~err0[i] & spec0_wrong[i]);
   }
-
-  // No plane-sized scratch: generate/propagate fuse into the window sweep
-  // and the exact carries thread window G/P through the window chain, so no
-  // full-width prefix pass is needed here (unlike the VLSA batch).
 };
 
 /// Behavioral SCSA evaluator.  One instance is reusable across calls and
@@ -143,6 +138,7 @@ class ScsaModel {
  private:
   ScsaConfig config_;
   WindowLayout layout_;
+  std::vector<int> window_sizes_;  // layout_'s sizes, bottom window first
 };
 
 }  // namespace vlcsa::spec

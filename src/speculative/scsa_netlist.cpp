@@ -48,8 +48,8 @@ SpecDatapath build_spec_datapath_over(Netlist& nl, const WindowLayout& layout,
   // Window i > 0: bank 0 selects with the previous window's group generate
   // (the truncated speculation, eq. 4.3); bank 1 selects with the previous
   // window's carry-out-assuming-carry-in-1 (Fig 6.6) — except window 1,
-  // whose S*,1 select is window 0's *exact* carry-out G0 (see scsa.cpp and
-  // DESIGN.md on this deviation from the thesis's literal equations).
+  // whose S*,1 select is window 0's *exact* carry-out G0 (DESIGN.md
+  // "Substitutions and deviations").
   for (int i = 0; i < m; ++i) {
     const auto [pos, size] = layout.window(i);
     const ConditionalSums& win = dp.windows[static_cast<std::size_t>(i)];

@@ -27,8 +27,10 @@ ApInt propagate_runs(const ApInt& p, int len) {
 
 VlsaModel::VlsaModel(VlsaConfig config) : config_(config) {
   if (config_.width < 1) throw std::invalid_argument("VLSA width must be >= 1");
-  if (config_.chain < 1 || config_.chain > config_.width) {
-    throw std::invalid_argument("VLSA chain length must be in [1, width]");
+  if (config_.chain < 1 || config_.chain > config_.width ||
+      config_.chain > arith::planeops::kMaxRunChain) {
+    throw std::invalid_argument("VLSA chain length must be in [1, width] and at most " +
+                                std::to_string(arith::planeops::kMaxRunChain));
   }
 }
 
@@ -76,51 +78,11 @@ void VlsaModel::evaluate_batch(const arith::BitSlicedBatch& batch,
   if (batch.width() != config_.width) {
     throw std::invalid_argument("VlsaModel: batch width mismatch");
   }
-  const int n = config_.width;
-  const int l = config_.chain;
-  const int lw = batch.lane_words();
-  const std::size_t lws = static_cast<std::size_t>(lw);
-  const std::size_t planes = static_cast<std::size_t>(n) * lws;
-
-  out.g.resize(planes);
-  out.p.resize(planes);
-  out.carry.resize(planes);
-  out.pp.resize(planes);
-  arith::planeops::bulk_gp(batch.a(), batch.b(), out.g.data(), out.p.data(), planes);
-  // Exact per-bit carries via the word-level Kogge-Stone prefix; carry[j] is
-  // the carry *out* of bit j, so the carry *into* bit j is carry[j - 1].
-  arith::planeops::kogge_stone(out.g.data(), out.p.data(), n, lw, out.carry.data(),
-                               out.pp.data());
-
-  // Sliding all-propagate mask over the planes, same doubling scheme as the
-  // scalar propagate_runs(): runs[j] = all of p[j-l+1 .. j], zero when the
-  // window would overhang bit 0.  Each doubling step is the plane-kernel
-  // shifted_self_and (groupwise runs[j] &= runs[j-step], zero-fill below).
-  out.runs = out.p;
-  int covered = 1;
-  while (covered < l) {
-    const int step = std::min(covered, l - covered);
-    arith::planeops::shifted_self_and(out.runs.data(), n, lw, step);
-    covered += step;
-  }
-
-  // The speculative carry out of bit j differs from the exact one iff the
-  // window ending at j is all-propagate and the true carry entering it is 1
-  // (carry into bit j-l+1).  Any such difference flips a sum bit (j <= n-2)
-  // or the reported carry-out (j = n-1), so spec_wrong is their OR.
-  out.spec_wrong.assign(lws, 0);
-  out.err.assign(lws, 0);
-  for (int j = l - 1; j < n; ++j) {
-    const std::size_t run_idx = static_cast<std::size_t>(j) * lws;
-    const int into = j - l + 1;  // window's lowest bit
-    for (std::size_t w = 0; w < lws; ++w) {
-      const std::uint64_t run = out.runs[run_idx + w];
-      const std::uint64_t carry_in =
-          into == 0 ? 0 : out.carry[static_cast<std::size_t>(into - 1) * lws + w];
-      out.spec_wrong[w] |= run & carry_in;
-      out.err[w] |= run;
-    }
-  }
+  const std::size_t lw = static_cast<std::size_t>(batch.lane_words());
+  out.spec_wrong.resize(lw);
+  out.err.resize(lw);
+  arith::planeops::vlsa_run_sweep(batch.a(), batch.b(), config_.width, batch.lane_words(),
+                                  config_.chain, out.spec_wrong.data(), out.err.data());
 }
 
 // ---- netlist generator ------------------------------------------------------

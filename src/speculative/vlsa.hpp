@@ -48,15 +48,13 @@ struct VlsaEvaluation {
 /// Word-parallel VLSA evaluation of a whole batch (64 * lane_words samples;
 /// lane-mask groups, bit j of word w = sample w*64 + j).  Like
 /// ScsaBatchEvaluation, only the predicates the Monte Carlo counters consume
-/// are materialized; evaluate() stays the oracle.
+/// are materialized — by planeops::vlsa_run_sweep's one pass over the
+/// operand planes; evaluate() stays the oracle.
 struct VlsaBatchEvaluation {
   arith::planeops::PlaneVec spec_wrong;  // speculative result (incl. cout) != exact
   arith::planeops::PlaneVec err;         // detection: some l-long propagate run
 
   [[nodiscard]] int lane_words() const { return static_cast<int>(err.size()); }
-
-  // Reused scratch planes (see ScsaBatchEvaluation).
-  arith::planeops::PlaneVec g, p, carry, runs, pp;
 };
 
 class VlsaModel {

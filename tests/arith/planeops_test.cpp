@@ -1,9 +1,11 @@
 // Plane-kernel layer tests: every available backend (scalar always; AVX2 /
 // AVX-512 when the host supports them) must compute bit-identical results to
-// the scalar oracle on every kernel, including ragged tails and the
-// shape-sensitive Kogge-Stone / shifted-and kernels, the MT19937-64
-// twist/temper and the ziggurat fast path (the Gaussian group encode is
-// pinned against next() by distributions_test's GaussianEncodeTest).  Also
+// the scalar oracle on every kernel: the SCSA / VLSA carry-chain sweeps over
+// every column-chunk shape, the transpose, the MT19937-64 twist/temper and
+// the ziggurat fast path (the Gaussian group encode is pinned against
+// next() by distributions_test's GaussianEncodeTest; the sweeps' scalar
+// rows are pinned to the models' scalar evaluate() by
+// speculative/batch_test.cpp).  Also
 // covers the dispatch surface: backend naming, availability, the
 // set_backend contract and VLCSA_FORCE_BACKEND resolution.
 
@@ -50,8 +52,6 @@ PlaneVec random_words(std::mt19937_64& rng, std::size_t m) {
   for (auto& word : out) word = rng();
   return out;
 }
-
-const std::vector<std::size_t> kSizes = {0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 257};
 
 TEST(PlaneOpsDispatchTest, ScalarAlwaysAvailableAndNamed) {
   EXPECT_TRUE(backend_available(Backend::kScalar));
@@ -141,73 +141,6 @@ class PlaneOpsBackendTest : public ::testing::TestWithParam<Backend> {
   Backend prev_ = active_backend();  // captured before SetUp switches
 };
 
-TEST_P(PlaneOpsBackendTest, BulkOpsMatchScalarSemantics) {
-  std::mt19937_64 rng(1);
-  for (const std::size_t m : kSizes) {
-    const PlaneVec x = random_words(rng, m);
-    const PlaneVec y = random_words(rng, m);
-    PlaneVec g(m, 0), p(m, 0);
-    bulk_gp(x.data(), y.data(), g.data(), p.data(), m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(g[i], x[i] & y[i]) << "gp/g @" << i;
-      ASSERT_EQ(p[i], x[i] ^ y[i]) << "gp/p @" << i;
-    }
-  }
-}
-
-TEST_P(PlaneOpsBackendTest, KoggeStoneMatchesSequentialCarryChain) {
-  std::mt19937_64 rng(3);
-  for (const int n : {1, 2, 3, 5, 8, 17, 64, 130}) {
-    for (const int lane_words : {1, 2, 3, 4, 8, 16}) {
-      const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-      const PlaneVec a = random_words(rng, m);
-      const PlaneVec b = random_words(rng, m);
-      PlaneVec g(m), p(m), carry(m), pp(m);
-      bulk_gp(a.data(), b.data(), g.data(), p.data(), m);
-      kogge_stone(g.data(), p.data(), n, lane_words, carry.data(), pp.data());
-      // Reference: the sequential carry recurrence per lane word.
-      PlaneVec expected(m);
-      for (int w = 0; w < lane_words; ++w) {
-        std::uint64_t c = 0;
-        for (int i = 0; i < n; ++i) {
-          const std::size_t idx =
-              static_cast<std::size_t>(i) * static_cast<std::size_t>(lane_words) +
-              static_cast<std::size_t>(w);
-          c = g[idx] | (p[idx] & c);
-          expected[idx] = c;
-        }
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(carry[i], expected[i]) << "n=" << n << " W=" << lane_words << " @" << i;
-      }
-    }
-  }
-}
-
-TEST_P(PlaneOpsBackendTest, ShiftedSelfAndMatchesScalarSweep) {
-  std::mt19937_64 rng(4);
-  for (const int n : {1, 2, 5, 16, 64, 130}) {
-    for (const int lane_words : {1, 2, 4, 8, 16}) {
-      for (const int step : {1, 2, 3, n}) {
-        if (step > n) continue;
-        const std::size_t m =
-            static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-        PlaneVec x = random_words(rng, m);
-        PlaneVec expected = x;
-        const std::size_t off =
-            static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-        for (std::size_t i = m; i-- > off;) expected[i] &= expected[i - off];
-        for (std::size_t i = 0; i < off; ++i) expected[i] = 0;
-        shifted_self_and(x.data(), n, lane_words, step);
-        for (std::size_t i = 0; i < m; ++i) {
-          ASSERT_EQ(x[i], expected[i])
-              << "n=" << n << " W=" << lane_words << " step=" << step << " @" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST_P(PlaneOpsBackendTest, TransposeMatchesNaiveBitGather) {
   std::mt19937_64 rng(5);
   alignas(kPlaneAlignment) std::uint64_t block[64];
@@ -233,6 +166,131 @@ void on_scalar(Body body) {
   ASSERT_TRUE(set_backend(Backend::kScalar));
   body();
   ASSERT_TRUE(set_backend(backend));
+}
+
+/// Operand planes with long propagate runs: a random, b = ~a ^ sparse, where
+/// each bit of `sparse` is set with probability 2^-sparse_log2 (1 gives
+/// uniform operands; 8 gives runs of hundreds of propagate bits).
+void run_planes(std::mt19937_64& rng, std::size_t m, int sparse_log2, PlaneVec& a,
+                PlaneVec& b) {
+  a = random_words(rng, m);
+  b.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::uint64_t sparse = ~std::uint64_t{0};
+    for (int t = 0; t < sparse_log2; ++t) sparse &= rng();
+    b[i] = ~a[i] ^ sparse;
+  }
+}
+
+const int kSweepWidths[] = {1, 2, 17, 64, 130, 512};
+const int kSweepLaneWords[] = {1, 2, 3, 4, 8, 16};
+const int kSparseLog2[] = {1, 4, 8};
+
+// Window layouts as the SCSA model builds them (the remainder window at the
+// bottom) for window sizes from 1 to 63, so windows straddle 64-bit limbs.
+TEST_P(PlaneOpsBackendTest, ScsaWindowSweepMatchesScalar) {
+  std::mt19937_64 rng(3);
+  for (const int n : kSweepWidths) {
+    for (const int lane_words : kSweepLaneWords) {
+      const std::size_t lw = static_cast<std::size_t>(lane_words);
+      const std::size_t m = static_cast<std::size_t>(n) * lw;
+      for (const int window : {1, 3, 17, 63}) {
+        const int k = std::min(window, n);
+        const int count = (n + k - 1) / k;
+        std::vector<int> sizes(static_cast<std::size_t>(count), k);
+        sizes[0] = n - k * (count - 1);
+        for (const int sparse_log2 : kSparseLog2) {
+          PlaneVec a, b;
+          run_planes(rng, m, sparse_log2, a, b);
+          std::vector<PlaneVec> want(4, PlaneVec(lw)), got(4, PlaneVec(lw));
+          const auto sweep = [&](std::vector<PlaneVec>& out) {
+            scsa_window_sweep(a.data(), b.data(), lane_words, sizes.data(), count,
+                              {out[0].data(), out[1].data(), out[2].data(), out[3].data()});
+          };
+          on_scalar([&] { sweep(want); });
+          sweep(got);
+          for (std::size_t mask = 0; mask < 4; ++mask) {
+            ASSERT_EQ(got[mask], want[mask]) << "n=" << n << " W=" << lane_words << " k=" << k
+                                             << " sparse=2^-" << sparse_log2 << " mask "
+                                             << mask;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Chain lengths where the run counter gains a plane (15/16, 31/32) and the
+// whole width, at every chunk shape.
+TEST_P(PlaneOpsBackendTest, VlsaRunSweepMatchesScalar) {
+  std::mt19937_64 rng(4);
+  for (const int n : kSweepWidths) {
+    for (const int lane_words : kSweepLaneWords) {
+      const std::size_t lw = static_cast<std::size_t>(lane_words);
+      const std::size_t m = static_cast<std::size_t>(n) * lw;
+      for (const int chain : {1, 2, 15, 16, 17, 31, 32, 33, n}) {
+        if (chain > n) continue;
+        for (const int sparse_log2 : kSparseLog2) {
+          PlaneVec a, b;
+          run_planes(rng, m, sparse_log2, a, b);
+          PlaneVec want_wrong(lw), want_err(lw), got_wrong(lw), got_err(lw);
+          on_scalar([&] {
+            vlsa_run_sweep(a.data(), b.data(), n, lane_words, chain, want_wrong.data(),
+                           want_err.data());
+          });
+          vlsa_run_sweep(a.data(), b.data(), n, lane_words, chain, got_wrong.data(),
+                         got_err.data());
+          ASSERT_EQ(got_wrong, want_wrong)
+              << "n=" << n << " W=" << lane_words << " l=" << chain << " sparse=2^-"
+              << sparse_log2;
+          ASSERT_EQ(got_err, want_err) << "n=" << n << " W=" << lane_words << " l=" << chain
+                                       << " sparse=2^-" << sparse_log2;
+        }
+      }
+    }
+  }
+}
+
+// Lanes never interact: a sweep over W lane words gives, in word w, what a
+// one-word sweep of word w's column gives.  Checked on each backend without
+// the scalar oracle, at widths that mix vector chunks with a remainder.
+TEST_P(PlaneOpsBackendTest, SweepsKeepLaneWordsIndependent) {
+  std::mt19937_64 rng(6);
+  for (const int n : {17, 64, 130}) {
+    for (const int lane_words : {3, 5, 8, 13, 16}) {
+      const std::size_t lw = static_cast<std::size_t>(lane_words);
+      const std::size_t nn = static_cast<std::size_t>(n);
+      PlaneVec a, b;
+      run_planes(rng, nn * lw, 4, a, b);
+      const int count = (n + 16) / 17;
+      std::vector<int> sizes(static_cast<std::size_t>(count), 17);
+      sizes[0] = n - 17 * (count - 1);
+      const int chain = std::min(n, 16);
+      std::vector<PlaneVec> scsa(4, PlaneVec(lw));
+      scsa_window_sweep(a.data(), b.data(), lane_words, sizes.data(), count,
+                        {scsa[0].data(), scsa[1].data(), scsa[2].data(), scsa[3].data()});
+      PlaneVec vlsa_wrong(lw), vlsa_err(lw);
+      vlsa_run_sweep(a.data(), b.data(), n, lane_words, chain, vlsa_wrong.data(),
+                     vlsa_err.data());
+      for (std::size_t w = 0; w < lw; ++w) {
+        PlaneVec col_a(nn), col_b(nn);
+        for (std::size_t i = 0; i < nn; ++i) {
+          col_a[i] = a[i * lw + w];
+          col_b[i] = b[i * lw + w];
+        }
+        std::uint64_t one[4] = {}, wrong = 0, err = 0;
+        scsa_window_sweep(col_a.data(), col_b.data(), 1, sizes.data(), count,
+                          {&one[0], &one[1], &one[2], &one[3]});
+        vlsa_run_sweep(col_a.data(), col_b.data(), n, 1, chain, &wrong, &err);
+        for (std::size_t mask = 0; mask < 4; ++mask) {
+          ASSERT_EQ(scsa[mask][w], one[mask])
+              << "n=" << n << " W=" << lane_words << " word " << w << " mask " << mask;
+        }
+        ASSERT_EQ(vlsa_wrong[w], wrong) << "n=" << n << " W=" << lane_words << " word " << w;
+        ASSERT_EQ(vlsa_err[w], err) << "n=" << n << " W=" << lane_words << " word " << w;
+      }
+    }
+  }
 }
 
 // Random 312-word states (so every lane of every chunk and both scalar

@@ -8,6 +8,9 @@
 //    n in {10, 12}, again over all windows/chains;
 //  * randomized at n in {32, 64, 128} x every registered operand
 //    distribution x all four models (ScsaModel, VLCSA 1, VLCSA 2, VLSA);
+//  * forced long propagate runs at chosen positions: VLSA chains where the
+//    run counter widens (l in {15, 16, 17, 31, 32, 33, n}) and SCSA
+//    windows that straddle 64-bit limbs (k in {17, 18, 32, 63});
 //  * the backend/lane-width matrix: scalar vs SIMD backend x lane words
 //    {1, 2, 4} x all four models x tail sizes {1, 63, 65, 127, 255, 257},
 //    pinned bit-identical both per-lane (direct batch loads) and through
@@ -15,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <tuple>
@@ -196,6 +200,110 @@ TEST(VlsaBatchDifferentialTest, ExhaustiveOperandAtMediumWidthsAllChains) {
         }
       }
       if (!a.empty()) check_vlsa_batch(model, a, b);
+    }
+  }
+}
+
+// ---- forced long propagate runs ---------------------------------------------
+//
+// At realistic windows and chains uniform operands reach the error paths
+// about once per 10^4 samples, so these cases build operands that do: one
+// all-propagate run of chosen length at a chosen position, the bit below it
+// a generate (a carry enters the run) or a kill, the bit above it a kill,
+// and b = ~a ^ sparse elsewhere (sparse sets one bit in eight, so shorter
+// runs and stray generates surround the forced one).
+
+std::pair<ApInt, ApInt> forced_run(int n, int start, int len, bool carry_in,
+                                   arith::BlockRng& rng) {
+  ApInt a = ApInt::random(n, rng);
+  ApInt sparse = ApInt::random(n, rng) & ApInt::random(n, rng) & ApInt::random(n, rng);
+  for (int i = start; i < start + len; ++i) sparse.set_bit(i, false);
+  ApInt b = ~a ^ sparse;
+  for (const auto& [bit, value] : {std::pair{start - 1, carry_in}, {start + len, false}}) {
+    if (bit < 0 || bit >= n) continue;
+    a.set_bit(bit, value);
+    b.set_bit(bit, value);
+  }
+  return {std::move(a), std::move(b)};
+}
+
+/// Every forced run of each length in `lens` at each start in `starts`
+/// (skipping runs that do not fit), with and without a carry into it.
+std::vector<std::pair<ApInt, ApInt>> forced_runs(int n, const std::vector<int>& starts,
+                                                 const std::vector<int>& lens,
+                                                 arith::BlockRng& rng) {
+  std::vector<std::pair<ApInt, ApInt>> out;
+  for (const int len : lens) {
+    for (const int start : starts) {
+      if (len < 1 || start < 0 || start + len > n) continue;
+      for (const bool carry_in : {false, true}) out.push_back(forced_run(n, start, len, carry_in, rng));
+    }
+  }
+  return out;
+}
+
+/// Feeds `pairs` to `check(a, b, lane_words)` in batches of 64 * lane_words
+/// at lane words 1, 5 and 8 (single words, a 4-word chunk plus a single word
+/// on avx512, one full vector chunk).
+template <class Check>
+void check_in_batches(const std::vector<std::pair<ApInt, ApInt>>& pairs, Check check) {
+  for (const int lane_words : {1, 5, 8}) {
+    const std::size_t lanes = 64 * static_cast<std::size_t>(lane_words);
+    for (std::size_t first = 0; first < pairs.size(); first += lanes) {
+      std::vector<ApInt> a, b;
+      for (std::size_t j = first; j < std::min(pairs.size(), first + lanes); ++j) {
+        a.push_back(pairs[j].first);
+        b.push_back(pairs[j].second);
+      }
+      check(a, b, lane_words);
+    }
+  }
+}
+
+// Chains where the run counter gains a plane (15/16, 31/32) and l = n, with
+// runs of l - 1, l and l + 1 bits at the bottom, across limb boundaries and
+// at the top.
+TEST(VlsaBatchDifferentialTest, ForcedRunsWhereTheCounterWidens) {
+  arith::BlockRng rng(41);
+  for (const int n : {64, 130}) {
+    for (const int l : {15, 16, 17, 31, 32, 33, n}) {
+      const VlsaModel model(VlsaConfig{n, l});
+      const std::vector<int> starts = {0, 1, 40, 63, 64, 65, n - l - 1, n - l};
+      const auto pairs = forced_runs(n, starts, {l - 1, l, l + 1, 2 * l}, rng);
+      int stalls = 0, wrong = 0;
+      for (const auto& [a, b] : pairs) {
+        const VlsaEvaluation ev = model.evaluate(a, b);
+        stalls += ev.err ? 1 : 0;
+        wrong += ev.spec_correct() ? 0 : 1;
+      }
+      EXPECT_GT(stalls, 0) << "n=" << n << " l=" << l;
+      // At l = n the one window starts at bit 0, whose carry-in is 0.
+      if (l < n) {
+        EXPECT_GT(wrong, 0) << "n=" << n << " l=" << l;
+      }
+      check_in_batches(pairs, [&](const std::vector<ApInt>& a, const std::vector<ApInt>& b,
+                                  int lane_words) { check_vlsa_batch(model, a, b, lane_words); });
+    }
+  }
+}
+
+// Windows of 17..63 bits, which straddle 64-bit limbs, with runs that end
+// inside, cover or overhang a window around every window boundary.
+TEST(ScsaBatchDifferentialTest, ForcedRunsAcrossLimbCrossingWindows) {
+  arith::BlockRng rng(42);
+  for (const int n : {130, 512}) {
+    for (const int k : {17, 18, 32, 63}) {
+      const ScsaModel model(ScsaConfig{n, k});
+      std::vector<int> starts;
+      for (const Window& w : model.layout().windows()) {
+        for (const int d : {-1, 0, 1}) starts.push_back(w.pos + d);
+      }
+      const auto pairs = forced_runs(n, starts, {k - 1, k, k + 1, 2 * k + 1}, rng);
+      int stalls = 0;
+      for (const auto& [a, b] : pairs) stalls += model.evaluate(a, b).vlcsa2_stall() ? 1 : 0;
+      EXPECT_GT(stalls, 0) << "n=" << n << " k=" << k << ": no case reached the error path";
+      check_in_batches(pairs, [&](const std::vector<ApInt>& a, const std::vector<ApInt>& b,
+                                  int lane_words) { check_scsa_batch(model, a, b, lane_words); });
     }
   }
 }

@@ -21,6 +21,9 @@ TEST(VlsaModel, RejectsBadConfig) {
   EXPECT_THROW(VlsaModel(VlsaConfig{0, 4}), std::invalid_argument);
   EXPECT_THROW(VlsaModel(VlsaConfig{32, 0}), std::invalid_argument);
   EXPECT_THROW(VlsaModel(VlsaConfig{32, 33}), std::invalid_argument);
+  // The batched run counter holds at most 16 planes.
+  EXPECT_NO_THROW(VlsaModel(VlsaConfig{70000, 65535}));
+  EXPECT_THROW(VlsaModel(VlsaConfig{70000, 65536}), std::invalid_argument);
 }
 
 TEST(VlsaModel, FullChainLengthIsExact) {
