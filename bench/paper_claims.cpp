@@ -16,7 +16,8 @@
 // that gets fixed: its row must then become a `reproduces` row.
 //
 // Monte Carlo rows run at their registry entry's default_samples (rows
-// without an entry at their stated count); --samples=N overrides them all.
+// without an entry, and Table 7.2's rows at the paper's 1M samples, at their
+// stated count); --samples=N overrides them all.
 // ctest runs this program with no flags.
 
 #include <algorithm>
@@ -49,6 +50,9 @@ namespace {
 
 constexpr std::array<int, 4> kWidths{64, 128, 256, 512};
 constexpr double kWilsonZ = 5.0;
+// Table 7.2's Monte Carlo count in the paper, where its 0.01% is resolved;
+// the registry entries' 200000 default cannot tell 0.01% from 0.
+constexpr std::uint64_t kTable72Samples = 1000000;
 
 // ---- published values and measurements -----------------------------------
 
@@ -182,11 +186,14 @@ class Lab {
  public:
   explicit Lab(const harness::BenchArgs& args) : args_(args) {}
 
-  const harness::ErrorRateResult& run(const std::string& name) {
-    return memo(runs_, name, [&] {
-      const auto& experiment = registry_entry(name);
-      return harness::run_experiment(experiment, samples(experiment.default_samples), args_.seed,
-                                     args_.threads);
+  /// `name` at its registry entry's default samples, or at `row_samples`
+  /// when the row states its own count.
+  const harness::ErrorRateResult& run(const std::string& name, std::uint64_t row_samples = 0) {
+    const auto& experiment = registry_entry(name);
+    const std::uint64_t count =
+        samples(row_samples != 0 ? row_samples : experiment.default_samples);
+    return memo(runs_, name + "@" + std::to_string(count), [&] {
+      return harness::run_experiment(experiment, count, args_.seed, args_.threads);
     });
   }
 
@@ -431,16 +438,20 @@ class Ledger {
                 const auto& r = lab_.run("table7.1/n" + std::to_string(n));
                 return rate(r.nominal_errors, r.samples);
               });
+    constexpr const char* kScsaWindows =
+        "the Table 7.2 entries run VLCSA 2 at SCSA's 0.01% windows k = 14..17, not Table "
+        "7.5's k = 13, so at 1M samples it errs and stalls 5-sigma below 0.01%";
+    constexpr PerWidth kAtScsaWindows{kScsaWindows, kScsaWindows, kScsaWindows, kScsaWindows};
     per_width("table7.2", "", "either-wrong", "Table 7.2 (Ch. 7.3)",
-              "VLCSA 2 P_err (neither S*,0 nor S*,1 exact)", percent(0.01, 2), kReproduces,
+              "VLCSA 2 P_err (neither S*,0 nor S*,1 exact)", percent(0.01, 2), kAtScsaWindows,
               [this](int n) {
-                const auto& r = lab_.run("table7.2/n" + std::to_string(n));
+                const auto& r = lab_.run("table7.2/n" + std::to_string(n), kTable72Samples);
                 return rate(r.either_wrong, r.samples);
               });
     per_width("table7.2", "", "nominal", "Table 7.2 (Ch. 7.3)",
-              "VLCSA 2 stall rate (ERR0 = ERR1 = 1)", percent(0.01, 2), kReproduces,
+              "VLCSA 2 stall rate (ERR0 = ERR1 = 1)", percent(0.01, 2), kAtScsaWindows,
               [this](int n) {
-                const auto& r = lab_.run("table7.2/n" + std::to_string(n));
+                const auto& r = lab_.run("table7.2/n" + std::to_string(n), kTable72Samples);
                 return rate(r.nominal_errors, r.samples);
               });
 

@@ -280,14 +280,9 @@ fleet::ComputeLease ResultCache::try_acquire_lease(const harness::RecordKey& key
   return lease;
 }
 
-void ResultCache::record_lease_wait() {
+void ResultCache::add(const CacheStats& delta) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.lease_waits;
-}
-
-void ResultCache::record_coalesced_hit() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.coalesced_hits;
+  stats_ += delta;
 }
 
 CacheStats ResultCache::stats() const {

@@ -33,6 +33,7 @@
 #include <unordered_map>
 
 #include "harness/experiments.hpp"
+#include "service/counters.hpp"
 #include "service/fleet.hpp"
 
 namespace vlcsa::service {
@@ -50,7 +51,8 @@ struct CacheKey {
   operator harness::RecordKey() const;  // NOLINT(google-explicit-constructor)
 };
 
-/// Monotonic counters, exposed through the protocol's cache-stats request.
+/// Monotonic counters, exposed through the protocol's cache-stats request
+/// and the metrics-prom exposition; kCacheStatsRows lists them.
 struct CacheStats {
   std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
@@ -64,7 +66,50 @@ struct CacheStats {
   std::uint64_t lease_takeovers = 0;  // stale (crashed-holder) leases reaped
   std::uint64_t memory_entries = 0;  // current, not monotonic; filled by stats()
   std::uint64_t disk_bytes = 0;      // current on-disk record bytes; by stats()
+
+  CacheStats& operator+=(const CacheStats& delta);
+
+  /// Lookups that answered a run from the cache (memory, disk and coalesced
+  /// hits), and `count` over every lookup that answered one (0 before any).
+  [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits + coalesced_hits; }
+  [[nodiscard]] double ratio(std::uint64_t count) const {
+    const std::uint64_t lookups = hits() + misses;
+    return lookups == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(lookups);
+  }
 };
+
+/// CacheStats' counters in cache-stats reply order (the exposition's
+/// vlcsa_cache_* families follow it too).
+inline constexpr CounterRow<CacheStats> kCacheStatsRows[] = {
+    {"memory_hits", "vlcsa_cache_hits_total", CounterType::kCounter, "Cache hits, by tier.",
+     "tier=\"memory\"", &CacheStats::memory_hits},
+    {"disk_hits", "vlcsa_cache_hits_total", CounterType::kCounter, "Cache hits, by tier.",
+     "tier=\"disk\"", &CacheStats::disk_hits},
+    {"coalesced_hits", "vlcsa_cache_hits_total", CounterType::kCounter, "Cache hits, by tier.",
+     "tier=\"coalesced\"", &CacheStats::coalesced_hits},
+    {"misses", "vlcsa_cache_misses_total", CounterType::kCounter,
+     "Cache misses (leader lookups).", "", &CacheStats::misses},
+    {"stores", "vlcsa_cache_stores_total", CounterType::kCounter, "Records stored.", "",
+     &CacheStats::stores},
+    {"evictions", "vlcsa_cache_evictions_total", CounterType::kCounter, "Evictions, by tier.",
+     "tier=\"memory\"", &CacheStats::evictions},
+    {"disk_evictions", "vlcsa_cache_evictions_total", CounterType::kCounter,
+     "Evictions, by tier.", "tier=\"disk\"", &CacheStats::disk_evictions},
+    {"invalid_disk_records", "vlcsa_cache_invalid_disk_records_total", CounterType::kCounter,
+     "Corrupt or mismatched disk records seen.", "", &CacheStats::invalid_disk_records},
+    {"lease_waits", "vlcsa_cache_lease_waits_total", CounterType::kCounter,
+     "Misses that waited on another replica's compute lease.", "", &CacheStats::lease_waits},
+    {"lease_takeovers", "vlcsa_cache_lease_takeovers_total", CounterType::kCounter,
+     "Stale (crashed-holder) compute leases reaped.", "", &CacheStats::lease_takeovers},
+    {"memory_entries", "vlcsa_cache_memory_entries", CounterType::kGauge,
+     "Memory-tier entries.", "", &CacheStats::memory_entries},
+    {"disk_bytes", "vlcsa_cache_disk_bytes", CounterType::kGauge, "Disk-tier record bytes.", "",
+     &CacheStats::disk_bytes},
+};
+
+inline CacheStats& CacheStats::operator+=(const CacheStats& delta) {
+  return add_rows(*this, delta, kCacheStatsRows);
+}
 
 class ResultCache {
  public:
@@ -94,11 +139,10 @@ class ResultCache {
 
   [[nodiscard]] CacheStats stats() const;
 
-  /// Counts one coalesced hit: a request that was served by waiting on an
-  /// identical in-flight computation instead of recomputing.  Coalescing
-  /// itself lives in the service's single-flight map (service.cpp run_one);
-  /// the counter lives here so cache-stats reports all tiers together.
-  void record_coalesced_hit();
+  /// Adds counts made outside the cache: coalesced hits (the single-flight
+  /// map is service.cpp's run_one) and lease waits, so that cache-stats
+  /// reports every tier together.
+  void add(const CacheStats& delta);
 
   [[nodiscard]] const std::string& disk_dir() const { return disk_dir_; }
   [[nodiscard]] std::size_t memory_capacity() const { return memory_capacity_; }
@@ -117,11 +161,6 @@ class ResultCache {
   /// computing, wait on lease_path; kDisabled = no disk tier, just compute.
   /// Counts takeovers of stale leases into the stats.
   [[nodiscard]] fleet::ComputeLease try_acquire_lease(const harness::RecordKey& key);
-
-  /// Counts one lease wait: a miss that parked behind another replica's
-  /// compute lease instead of recomputing (the cross-process analogue of
-  /// record_coalesced_hit).
-  void record_lease_wait();
 
   [[nodiscard]] int lease_stale_ms() const { return lease_stale_ms_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "service/service.hpp"
 
@@ -124,25 +125,9 @@ void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds,
   }
 }
 
-void ServiceMetrics::record_timeout() {
+void ServiceMetrics::add(const MetricsCounters& delta) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.timeouts;
-}
-
-void ServiceMetrics::record_batch_element() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.batch_elements;
-}
-
-void ServiceMetrics::record_sweep_request(std::uint64_t cells) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.sweep_requests;
-  counters_.sweep_cells += cells;
-}
-
-void ServiceMetrics::record_rejected_connection() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.rejected_connections;
+  counters_ += delta;
 }
 
 void ServiceMetrics::set_draining(bool draining) {
@@ -188,12 +173,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   const auto& stages = stage_names();
   out.stages.reserve(stages.size());
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    StageLatency stage;
-    stage.name = stages[i];
-    stage.buckets.assign(stages_[i].buckets.begin(), stages_[i].buckets.end());
-    stage.sum_seconds = stages_[i].sum_seconds;
-    stage.count = stages_[i].count;
-    out.stages.push_back(std::move(stage));
+    const StageState& state = stages_[i];
+    out.stages.push_back({stages[i], {state.buckets.begin(), state.buckets.end()},
+                          state.sum_seconds, state.count});
   }
   return out;
 }
@@ -211,121 +193,74 @@ std::string prom_double(double value) {
 std::string prom_u64(std::uint64_t value) { return std::to_string(value); }
 
 void prom_header(std::string& out, const char* name, const char* type, const char* help) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
+  out.append("# HELP ").append(name).append(" ").append(help);
+  out.append("\n# TYPE ").append(name).append(" ").append(type).append("\n");
+}
+
+/// `name{labels} value`, without the braces when there are no labels.
+void prom_line(std::string& out, std::string_view name, std::string_view labels,
+               std::string_view value) {
+  out.append(name);
+  if (!labels.empty()) out.append("{").append(labels).append("}");
+  out.append(" ").append(value).append("\n");
 }
 
 /// One histogram: cumulative le-labeled buckets, then _sum and _count.
 /// `labels` is either empty or a pre-rendered `name="value",` list
 /// (trailing comma) the le label is appended to.
-void prom_histogram(std::string& out, const char* name, const std::string& labels,
+void prom_histogram(std::string& out, const std::string& name, const std::string& labels,
                     const std::vector<double>& bounds,
                     const std::vector<std::uint64_t>& buckets, double sum_seconds,
                     std::uint64_t count) {
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < bounds.size() && i < buckets.size(); ++i) {
     cumulative += buckets[i];
-    out += name;
-    out += "_bucket{";
-    out += labels;
-    out += "le=\"";
-    out += prom_double(bounds[i]);
-    out += "\"} ";
-    out += prom_u64(cumulative);
-    out += '\n';
+    prom_line(out, name + "_bucket", labels + "le=\"" + prom_double(bounds[i]) + "\"",
+              prom_u64(cumulative));
   }
-  out += name;
-  out += "_bucket{";
-  out += labels;
-  out += "le=\"+Inf\"} ";
-  out += prom_u64(count);
-  out += '\n';
+  prom_line(out, name + "_bucket", labels + "le=\"+Inf\"", prom_u64(count));
   // _sum/_count carry the labels without le (and no "{}" when unlabeled).
-  const std::string bare =
-      labels.empty() ? "" : "{" + labels.substr(0, labels.size() - 1) + "}";
-  out += name;
-  out += "_sum";
-  out += bare;
-  out += ' ';
-  out += prom_double(sum_seconds);
-  out += '\n';
-  out += name;
-  out += "_count";
-  out += bare;
-  out += ' ';
-  out += prom_u64(count);
-  out += '\n';
+  const std::string bare = labels.empty() ? "" : labels.substr(0, labels.size() - 1);
+  prom_line(out, name + "_sum", bare, prom_double(sum_seconds));
+  prom_line(out, name + "_count", bare, prom_u64(count));
 }
 
-void prom_line(std::string& out, const char* name, const std::string& labels,
-               const std::string& value) {
-  out += name;
-  if (!labels.empty()) {
-    out += '{';
-    out += labels;
-    out += '}';
+/// One sample per row; a family's # HELP/# TYPE lines head its first row.
+template <class Stats>
+void prom_rows(std::string& out, const Stats& stats, CounterRows<Stats> rows) {
+  std::string_view family;
+  for (const auto& row : rows) {
+    if (family != row.family) {
+      family = row.family;
+      prom_header(out, row.family, row.type == CounterType::kCounter ? "counter" : "gauge",
+                  row.help);
+    }
+    prom_line(out, row.family, row.label, prom_u64(stats.*row.member));
   }
-  out += ' ';
-  out += value;
-  out += '\n';
 }
 
 }  // namespace
 
 std::string render_prometheus_text(const MetricsSnapshot& metrics, const CacheStats& cache) {
   const std::vector<double> bounds = ServiceMetrics::latency_bucket_bounds_seconds();
+  const auto [traffic, rest] = split_after(std::span(kMetricsCounterRows), "error_total");
   std::string out;
   out.reserve(8192);
 
   prom_header(out, "vlcsa_uptime_seconds", "gauge", "Daemon uptime in seconds.");
   prom_line(out, "vlcsa_uptime_seconds", "", prom_double(metrics.uptime_seconds));
-  prom_header(out, "vlcsa_requests_total", "counter", "Requests handled (all types).");
-  prom_line(out, "vlcsa_requests_total", "", prom_u64(metrics.requests_total));
-  prom_header(out, "vlcsa_requests_ok_total", "counter", "Requests answered status ok.");
-  prom_line(out, "vlcsa_requests_ok_total", "", prom_u64(metrics.ok_total));
-  prom_header(out, "vlcsa_requests_error_total", "counter",
-              "Requests answered status error.");
-  prom_line(out, "vlcsa_requests_error_total", "", prom_u64(metrics.error_total));
+  prom_rows<MetricsCounters>(out, metrics, traffic);
   prom_header(out, "vlcsa_requests_by_type_total", "counter",
               "Requests handled, by protocol request type.");
   for (const RequestTypeCount& entry : metrics.by_type) {
     prom_line(out, "vlcsa_requests_by_type_total", "type=\"" + entry.name + "\"",
               prom_u64(entry.count));
   }
-  prom_header(out, "vlcsa_timeouts_total", "counter",
-              "Run or run-batch elements cancelled by their deadline.");
-  prom_line(out, "vlcsa_timeouts_total", "", prom_u64(metrics.timeouts));
-  prom_header(out, "vlcsa_batch_elements_total", "counter",
-              "run-batch elements processed.");
-  prom_line(out, "vlcsa_batch_elements_total", "", prom_u64(metrics.batch_elements));
-  prom_header(out, "vlcsa_sweep_requests_total", "counter",
-              "run/run-batch requests declaring origin \"sweep\".");
-  prom_line(out, "vlcsa_sweep_requests_total", "", prom_u64(metrics.sweep_requests));
-  prom_header(out, "vlcsa_sweep_cells_total", "counter",
-              "Sweep grid cells carried by origin-\"sweep\" run traffic.");
-  prom_line(out, "vlcsa_sweep_cells_total", "", prom_u64(metrics.sweep_cells));
-  prom_header(out, "vlcsa_rejected_connections_total", "counter",
-              "Connections rejected at the backlog cap.");
-  prom_line(out, "vlcsa_rejected_connections_total", "",
-            prom_u64(metrics.rejected_connections));
-  prom_header(out, "vlcsa_in_flight", "gauge", "Requests currently inside handlers.");
-  prom_line(out, "vlcsa_in_flight", "", prom_u64(metrics.in_flight));
-  prom_header(out, "vlcsa_draining", "gauge",
-              "1 while the daemon is draining (rejecting new runs).");
-  prom_line(out, "vlcsa_draining", "", prom_u64(metrics.draining));
-  prom_header(out, "vlcsa_qps_60s", "gauge",
-              "Request rate over the last 60 seconds.");
+  prom_rows<MetricsCounters>(out, metrics, rest);
+  prom_header(out, "vlcsa_qps_60s", "gauge", "Request rate over the last 60 seconds.");
   prom_line(out, "vlcsa_qps_60s", "", prom_double(metrics.qps_60s));
 
-  prom_header(out, "vlcsa_request_latency_seconds", "histogram",
-              "Request handler wall time.");
+  prom_header(out, "vlcsa_request_latency_seconds", "histogram", "Request handler wall time.");
   prom_histogram(out, "vlcsa_request_latency_seconds", "", bounds, metrics.latency_buckets,
                  metrics.latency_sum_seconds, metrics.requests_total);
   prom_header(out, "vlcsa_stage_latency_seconds", "histogram",
@@ -336,34 +271,7 @@ std::string render_prometheus_text(const MetricsSnapshot& metrics, const CacheSt
                    bounds, stage.buckets, stage.sum_seconds, stage.count);
   }
 
-  prom_header(out, "vlcsa_cache_hits_total", "counter", "Cache hits, by tier.");
-  prom_line(out, "vlcsa_cache_hits_total", "tier=\"memory\"", prom_u64(cache.memory_hits));
-  prom_line(out, "vlcsa_cache_hits_total", "tier=\"disk\"", prom_u64(cache.disk_hits));
-  prom_line(out, "vlcsa_cache_hits_total", "tier=\"coalesced\"",
-            prom_u64(cache.coalesced_hits));
-  prom_header(out, "vlcsa_cache_misses_total", "counter", "Cache misses (leader lookups).");
-  prom_line(out, "vlcsa_cache_misses_total", "", prom_u64(cache.misses));
-  prom_header(out, "vlcsa_cache_stores_total", "counter", "Records stored.");
-  prom_line(out, "vlcsa_cache_stores_total", "", prom_u64(cache.stores));
-  prom_header(out, "vlcsa_cache_evictions_total", "counter", "Evictions, by tier.");
-  prom_line(out, "vlcsa_cache_evictions_total", "tier=\"memory\"",
-            prom_u64(cache.evictions));
-  prom_line(out, "vlcsa_cache_evictions_total", "tier=\"disk\"",
-            prom_u64(cache.disk_evictions));
-  prom_header(out, "vlcsa_cache_invalid_disk_records_total", "counter",
-              "Corrupt or mismatched disk records seen.");
-  prom_line(out, "vlcsa_cache_invalid_disk_records_total", "",
-            prom_u64(cache.invalid_disk_records));
-  prom_header(out, "vlcsa_cache_lease_waits_total", "counter",
-              "Misses that waited on another replica's compute lease.");
-  prom_line(out, "vlcsa_cache_lease_waits_total", "", prom_u64(cache.lease_waits));
-  prom_header(out, "vlcsa_cache_lease_takeovers_total", "counter",
-              "Stale (crashed-holder) compute leases reaped.");
-  prom_line(out, "vlcsa_cache_lease_takeovers_total", "", prom_u64(cache.lease_takeovers));
-  prom_header(out, "vlcsa_cache_memory_entries", "gauge", "Memory-tier entries.");
-  prom_line(out, "vlcsa_cache_memory_entries", "", prom_u64(cache.memory_entries));
-  prom_header(out, "vlcsa_cache_disk_bytes", "gauge", "Disk-tier record bytes.");
-  prom_line(out, "vlcsa_cache_disk_bytes", "", prom_u64(cache.disk_bytes));
+  prom_rows(out, cache, kCacheStatsRows);
   return out;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "service/cache.hpp"
+#include "service/counters.hpp"
 #include "service/trace.hpp"
 
 namespace vlcsa::service {
@@ -46,7 +47,7 @@ struct StageLatency {
 
 /// The plain counters and gauges of served traffic.  ServiceMetrics keeps
 /// one under its lock and snapshot() copies it whole, so a new counter is a
-/// field here, its record_* method and its renderer lines.
+/// field here, its row in kMetricsCounterRows and its increment site.
 struct MetricsCounters {
   std::uint64_t requests_total = 0;
   std::uint64_t ok_total = 0;
@@ -58,7 +59,39 @@ struct MetricsCounters {
   std::uint64_t rejected_connections = 0;  // accept-loop backlog rejections
   std::uint64_t in_flight = 0;           // requests currently inside a handler
   std::uint64_t draining = 0;            // 1 while a graceful drain is under way
+
+  MetricsCounters& operator+=(const MetricsCounters& delta);
 };
+
+/// MetricsCounters in metrics reply order (the exposition follows it too).
+inline constexpr CounterRow<MetricsCounters> kMetricsCounterRows[] = {
+    {"requests_total", "vlcsa_requests_total", CounterType::kCounter,
+     "Requests handled (all types).", "", &MetricsCounters::requests_total},
+    {"ok_total", "vlcsa_requests_ok_total", CounterType::kCounter,
+     "Requests answered status ok.", "", &MetricsCounters::ok_total},
+    {"error_total", "vlcsa_requests_error_total", CounterType::kCounter,
+     "Requests answered status error.", "", &MetricsCounters::error_total},
+    {"timeouts", "vlcsa_timeouts_total", CounterType::kCounter,
+     "Run or run-batch elements cancelled by their deadline.", "", &MetricsCounters::timeouts},
+    {"batch_elements", "vlcsa_batch_elements_total", CounterType::kCounter,
+     "run-batch elements processed.", "", &MetricsCounters::batch_elements},
+    {"sweep_requests", "vlcsa_sweep_requests_total", CounterType::kCounter,
+     "run/run-batch requests declaring origin \"sweep\".", "",
+     &MetricsCounters::sweep_requests},
+    {"sweep_cells", "vlcsa_sweep_cells_total", CounterType::kCounter,
+     "Sweep grid cells carried by origin-\"sweep\" run traffic.", "",
+     &MetricsCounters::sweep_cells},
+    {"rejected_connections", "vlcsa_rejected_connections_total", CounterType::kCounter,
+     "Connections rejected at the backlog cap.", "", &MetricsCounters::rejected_connections},
+    {"in_flight", "vlcsa_in_flight", CounterType::kGauge, "Requests currently inside handlers.",
+     "", &MetricsCounters::in_flight},
+    {"draining", "vlcsa_draining", CounterType::kFlag,
+     "1 while the daemon is draining (rejecting new runs).", "", &MetricsCounters::draining},
+};
+
+inline MetricsCounters& MetricsCounters::operator+=(const MetricsCounters& delta) {
+  return add_rows(*this, delta, kMetricsCounterRows);
+}
 
 /// Snapshot returned by ServiceMetrics::snapshot(); plain data so the
 /// response renderer (service.cpp) and tests consume the same numbers.
@@ -104,22 +137,9 @@ class ServiceMetrics {
   void record_request(std::size_t type, bool ok, double seconds,
                       std::span<const TraceSpan> spans = {});
 
-  /// One run/run-batch element hit its deadline and was cancelled.
-  void record_timeout();
-
-  /// One run-batch element was processed (counted in addition to the
-  /// enclosing run-batch request itself).
-  void record_batch_element();
-
-  /// One run/run-batch request declared "origin": "sweep", carrying `cells`
-  /// grid cells (1 for a run, the element count for a run-batch) — the
-  /// daemon-side view of sweep traffic an operator watches from Prometheus
-  /// while a grid hammers a replica.
-  void record_sweep_request(std::uint64_t cells);
-
-  /// The accept loop turned a connection away because the pending queue was
-  /// at its backlog cap.
-  void record_rejected_connection();
+  /// Adds counts made outside record_request (timeouts, batch elements,
+  /// sweep traffic, rejected connections).
+  void add(const MetricsCounters& delta);
 
   /// Flips the drain gauge (begin_drain sets it; it never clears in practice
   /// — a draining daemon exits).

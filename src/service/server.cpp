@@ -361,7 +361,7 @@ std::string SocketServer::serve() {
         // protocol-shaped line, then close.  Counted first, like every
         // counter a reply reports on: a peer that has read the line must
         // find it in the metrics.
-        service_.metrics().record_rejected_connection();
+        service_.metrics().add({.rejected_connections = 1});
         send_all(fd, kOverloadedLine);
         ::close(fd);
       } else {

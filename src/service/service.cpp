@@ -71,6 +71,18 @@ static_assert(kRunFields[std::size(kRunFields) - 1] == "timeout_ms");
 constexpr std::span<const std::string_view> kRunSpecFields =
     std::span(kRunFields).first(std::size(kRunFields) - 1);
 
+/// One reply field per counter row (a flag row as a bool).
+template <class Stats>
+void json_rows(JsonObject& out, const Stats& stats, CounterRows<Stats> rows) {
+  for (const auto& row : rows) {
+    if (row.type == CounterType::kFlag) {
+      out.add(row.json, stats.*row.member != 0);
+    } else {
+      out.add(row.json, stats.*row.member);
+    }
+  }
+}
+
 /// Strict field check (the cli.hpp tradition: a typo'd field is an error,
 /// never silently ignored): "" or "unknown field 'KEY' for this request"
 /// for the first member of `object` that is not one of `fields` nor, for a
@@ -532,7 +544,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
       out.error = "draining: " + what + " (server is draining, retry another replica)";
       out.code = kCodeDraining;
     } else {
-      metrics_.record_timeout();
+      metrics_.add({.timeouts = 1});
       out.error = "timeout: " + what;
       out.code = kCodeTimeout;
     }
@@ -585,7 +597,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           if (lease.state() == fleet::ComputeLease::State::kBusy) {
             if (!lease_waited) {
               lease_waited = true;  // count once per request, not per poll round
-              cache_.record_lease_wait();
+              cache_.add({.lease_waits = 1});
             }
             const RequestTrace::Scope wait_scope(ctx.trace, "lease-wait");
             const fleet::LeaseWaitResult wait = fleet::wait_for_lease_release(
@@ -650,7 +662,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
         return out;
       }
       lookup.record = future.get();  // rethrows if the leader failed
-      cache_.record_coalesced_hit();
+      cache_.add({.coalesced_hits = 1});
     }
   } catch (const harness::RunCancelled&) {
     // Either our own deadline fired, or we coalesced onto a leader whose
@@ -670,7 +682,7 @@ ExperimentService::Status ExperimentService::handle_run(const JsonValue& request
   RunSpec run;
   if (std::string error = read_run_spec(request, run); !error.empty()) return {error};
   ctx.experiment = run.experiment;
-  if (ctx.origin == "sweep") metrics_.record_sweep_request(1);
+  if (ctx.origin == "sweep") metrics_.add({.sweep_requests = 1, .sweep_cells = 1});
 
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
@@ -701,7 +713,7 @@ ExperimentService::Status ExperimentService::handle_run_batch(const JsonValue& r
   std::uint64_t timeout_ms = 0;
   if (std::string error = read_timeout_ms(request, timeout_ms); !error.empty()) return {error};
   if (ctx.origin == "sweep") {
-    metrics_.record_sweep_request(static_cast<std::uint64_t>(runs->items().size()));
+    metrics_.add({.sweep_requests = 1, .sweep_cells = runs->items().size()});
   }
 
   using Clock = std::chrono::steady_clock;
@@ -719,7 +731,7 @@ ExperimentService::Status ExperimentService::handle_run_batch(const JsonValue& r
     // One "element" span per batch element (all depth 1, sequential): the
     // trace shows where a slow batch spent its deadline element by element.
     const RequestTrace::Scope element_scope(ctx.trace, "element");
-    metrics_.record_batch_element();
+    metrics_.add({.batch_elements = 1});
     RunSpec spec;
     RunOutcome outcome;
     if (element.kind() != JsonValue::Kind::kObject) {
@@ -796,31 +808,17 @@ ExperimentService::Status ExperimentService::handle_cache_stats(const JsonValue&
                                                                 RequestContext&,
                                                                 JsonObject& response, Reply&) {
   const CacheStats stats = cache_.stats();
-  // Per-tier ratios over all lookups that answered a run: memory, disk,
-  // coalesced (single-flight followers), and leader misses.
-  const std::uint64_t hits = stats.memory_hits + stats.disk_hits + stats.coalesced_hits;
-  const std::uint64_t lookups = hits + stats.misses;
-  const auto ratio = [lookups](std::uint64_t count) {
-    return lookups == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(lookups);
-  };
-  response.add("memory_hits", stats.memory_hits);
-  response.add("disk_hits", stats.disk_hits);
-  response.add("coalesced_hits", stats.coalesced_hits);
-  response.add("misses", stats.misses);
-  response.add("memory_hit_ratio", ratio(stats.memory_hits));
-  response.add("disk_hit_ratio", ratio(stats.disk_hits));
-  response.add("coalesced_hit_ratio", ratio(stats.coalesced_hits));
-  response.add("hit_ratio", ratio(hits));
-  response.add("stores", stats.stores);
-  response.add("evictions", stats.evictions);
-  response.add("disk_evictions", stats.disk_evictions);
-  response.add("invalid_disk_records", stats.invalid_disk_records);
-  response.add("lease_waits", stats.lease_waits);
-  response.add("lease_takeovers", stats.lease_takeovers);
-  response.add("memory_entries", stats.memory_entries);
+  const auto [lookups, rest] = split_after(std::span(kCacheStatsRows), "misses");
+  const auto [bookkeeping, disk] = split_after(rest, "memory_entries");
+  json_rows(response, stats, lookups);
+  response.add("memory_hit_ratio", stats.ratio(stats.memory_hits));
+  response.add("disk_hit_ratio", stats.ratio(stats.disk_hits));
+  response.add("coalesced_hit_ratio", stats.ratio(stats.coalesced_hits));
+  response.add("hit_ratio", stats.ratio(stats.hits()));
+  json_rows(response, stats, bookkeeping);
   response.add("memory_capacity", static_cast<std::uint64_t>(cache_.memory_capacity()));
   response.add("disk_dir", cache_.disk_dir());
-  response.add("disk_bytes", stats.disk_bytes);
+  json_rows(response, stats, disk);
   response.add("disk_max_bytes", cache_.max_disk_bytes());
   return {};
 }
@@ -829,29 +827,16 @@ ExperimentService::Status ExperimentService::handle_metrics(const JsonValue&, Re
                                                             JsonObject& response, Reply&) {
   const MetricsSnapshot snapshot = metrics_.snapshot();
   const CacheStats cache_stats = cache_.stats();
-  const std::uint64_t hits = cache_stats.memory_hits + cache_stats.disk_hits;
-  const std::uint64_t lookups = hits + cache_stats.misses;
 
   // The snapshot taken before this request finished — "metrics" itself is
   // not yet in any counter (it records on return like every request).
-  response.add("requests_total", snapshot.requests_total);
-  response.add("ok_total", snapshot.ok_total);
-  response.add("error_total", snapshot.error_total);
-  response.add("timeouts", snapshot.timeouts);
-  response.add("batch_elements", snapshot.batch_elements);
-  response.add("sweep_requests", snapshot.sweep_requests);
-  response.add("sweep_cells", snapshot.sweep_cells);
-  response.add("rejected_connections", snapshot.rejected_connections);
-  response.add("in_flight", snapshot.in_flight);
-  response.add("draining", snapshot.draining != 0);
+  json_rows<MetricsCounters>(response, snapshot, kMetricsCounterRows);
   response.add("uptime_seconds", snapshot.uptime_seconds);
   response.add("qps", snapshot.qps);
   response.add("qps_60s", snapshot.qps_60s);
-  response.add("cache_hits", hits);
+  response.add("cache_hits", cache_stats.hits());
   response.add("cache_misses", cache_stats.misses);
-  response.add("cache_hit_ratio",
-               lookups == 0 ? 0.0
-                            : static_cast<double>(hits) / static_cast<double>(lookups));
+  response.add("cache_hit_ratio", cache_stats.ratio(cache_stats.hits()));
   response.add("latency_p50_seconds", snapshot.latency_p50_seconds);
   response.add("latency_p95_seconds", snapshot.latency_p95_seconds);
   response.add("latency_p99_seconds", snapshot.latency_p99_seconds);

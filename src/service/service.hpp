@@ -104,7 +104,6 @@ class ExperimentService {
   [[nodiscard]] Reply handle_line(const std::string& line);
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
-  [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] ResultCache& cache() { return cache_; }
   [[nodiscard]] ServiceMetrics& metrics() { return metrics_; }
 

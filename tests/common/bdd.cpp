@@ -1,4 +1,4 @@
-#include "netlist/bdd.hpp"
+#include "common/bdd.hpp"
 
 #include <array>
 #include <cmath>

@@ -4,6 +4,9 @@
 // netlists implement addition, that the optimizer preserves functions, and
 // that the VLCSA recovery path is exact.
 //
+// Test-only: built into bdd_test and the three equivalence-checking tests
+// (tests/CMakeLists.txt), not into the library.
+//
 // Design notes: classic unique-table + ITE with a computed cache, no
 // complement edges (simplicity over peak capacity).  Adder cones with an
 // interleaved variable order stay small (O(n) nodes), so 64-bit datapaths

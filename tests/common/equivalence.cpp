@@ -1,10 +1,10 @@
-#include "netlist/equivalence.hpp"
+#include "common/equivalence.hpp"
 
 #include <algorithm>
 #include <set>
 #include <stdexcept>
 
-#include "netlist/bdd.hpp"
+#include "common/bdd.hpp"
 
 namespace vlcsa::netlist {
 

@@ -1,6 +1,9 @@
 #pragma once
 // Formal combinational equivalence checking between two netlists, via BDDs.
 //
+// Test-only: built into equivalence_test, verilog_parser_test and
+// formal_test (tests/CMakeLists.txt), not into the library.
+//
 // Unlike the randomized simulation checks in the test utilities, this
 // *proves* equality over the full input space — the right tool for "the
 // optimizer preserved the function", "every prefix topology adds", and "the

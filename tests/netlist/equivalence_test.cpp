@@ -1,4 +1,4 @@
-#include "netlist/equivalence.hpp"
+#include "common/equivalence.hpp"
 
 #include <gtest/gtest.h>
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "adders/adders.hpp"
-#include "netlist/equivalence.hpp"
+#include "common/equivalence.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/verilog.hpp"
 #include "speculative/scsa_netlist.hpp"

@@ -63,8 +63,8 @@ TEST(ResultCache, CoalescedHitsAreCountedAsTheirOwnTier) {
   // other tier stats the cache-stats request renders.
   ResultCache cache("", 4);
   EXPECT_EQ(cache.stats().coalesced_hits, 0u);
-  cache.record_coalesced_hit();
-  cache.record_coalesced_hit();
+  cache.add({.coalesced_hits = 1});
+  cache.add({.coalesced_hits = 1});
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.coalesced_hits, 2u);
   EXPECT_EQ(stats.memory_hits, 0u);  // a coalesced hit is not a tier lookup
@@ -488,7 +488,7 @@ TEST(ResultCacheFleet, LeaseCountersFlowThroughStats) {
   }
   backdate(cache.lease_path(key), 60);
   EXPECT_EQ(cache.try_acquire_lease(key).state(), fleet::ComputeLease::State::kAcquired);
-  cache.record_lease_wait();
+  cache.add({.lease_waits = 1});
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.lease_takeovers, 1u);
   EXPECT_EQ(stats.lease_waits, 1u);

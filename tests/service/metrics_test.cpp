@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -183,6 +184,32 @@ TEST(MetricsRequest, CountersAcrossAScriptedSequence) {
   EXPECT_EQ(u64_field(*again.value.find("requests_by_type"), "metrics"), 1u);
 }
 
+TEST(MetricsRequest, HitRatioCountsCoalescedHitsLikeCacheStats) {
+  // One leader miss plus one coalesced follower: both replies count every
+  // lookup that answered a run, so both ratios read 0.5.
+  ExperimentService service({"", 16, 1});
+  EXPECT_TRUE(
+      service
+          .handle_line(
+              R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})")
+          .ok);
+  service.cache().add({.coalesced_hits = 1});
+
+  const harness::JsonParse stats =
+      parse_json(service.handle_line(R"({"request": "cache-stats"})").line);
+  const harness::JsonParse metrics =
+      parse_json(service.handle_line(R"({"request": "metrics"})").line);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(metrics.ok());
+  const JsonValue* hit_ratio = stats.value.find("hit_ratio");
+  const JsonValue* cache_hit_ratio = metrics.value.find("cache_hit_ratio");
+  ASSERT_NE(hit_ratio, nullptr);
+  ASSERT_NE(cache_hit_ratio, nullptr);
+  EXPECT_DOUBLE_EQ(hit_ratio->as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(cache_hit_ratio->as_double(), hit_ratio->as_double());
+  EXPECT_EQ(u64_field(metrics.value, "cache_hits"), 1u);
+}
+
 TEST(MetricsRequest, BatchElementsAndStrictValidation) {
   ExperimentService service({"", 16, 1});
   const std::string batch =
@@ -288,6 +315,41 @@ TEST(ServiceMetrics, PrometheusExpositionIsWellFormed) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
 
+  // Text format 0.0.4: each family has exactly one # HELP and one # TYPE
+  // line, in that order, ahead of its samples, and its samples are
+  // contiguous (a sample's family is its name minus a histogram suffix).
+  {
+    std::istringstream lines(text);
+    std::set<std::string> helped;
+    std::set<std::string> typed;
+    std::set<std::string> closed;  // families whose samples have ended
+    std::string current;
+    while (std::getline(lines, line)) {
+      if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+        const std::string family = line.substr(7, line.find(' ', 7) - 7);
+        const bool help = line[2] == 'H';
+        EXPECT_TRUE((help ? helped : typed).insert(family).second) << "repeated: " << line;
+        if (!help) {
+          EXPECT_EQ(helped.count(family), 1u) << "# TYPE before # HELP: " << line;
+        }
+        continue;
+      }
+      std::string family = line.substr(0, line.find_first_of("{ "));
+      for (const std::string_view suffix : {"_bucket", "_sum", "_count"}) {
+        if (typed.count(family) == 0 && family.ends_with(suffix)) {
+          family.resize(family.size() - suffix.size());
+        }
+      }
+      EXPECT_EQ(typed.count(family), 1u) << "sample ahead of its # TYPE: " << line;
+      if (family != current) {
+        EXPECT_EQ(closed.count(family), 0u) << "family split: " << line;
+        if (!current.empty()) closed.insert(current);
+        current = family;
+      }
+    }
+    EXPECT_EQ(helped, typed);
+  }
+
   // Cumulative-histogram invariant: bucket counts never decrease with le.
   std::istringstream again(text);
   std::uint64_t last = 0;
@@ -340,8 +402,8 @@ TEST(ServiceMetrics, SweepCountersAccumulateCellsPerRequest) {
   ServiceMetrics metrics;
   EXPECT_EQ(metrics.snapshot().sweep_requests, 0u);
   EXPECT_EQ(metrics.snapshot().sweep_cells, 0u);
-  metrics.record_sweep_request(2);
-  metrics.record_sweep_request(1);
+  metrics.add({.sweep_requests = 1, .sweep_cells = 2});
+  metrics.add({.sweep_requests = 1, .sweep_cells = 1});
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.sweep_requests, 2u);
   EXPECT_EQ(snapshot.sweep_cells, 3u);

@@ -8,11 +8,14 @@
 // ExperimentService::request_names() both ways, so adding a request without
 // documenting it (or documenting one that does not exist) fails CI.  Each
 // request's `### \`name\`` subsection must also document exactly the fields
-// its request-table row declares (ExperimentService::request_fields()).
+// its request-table row declares (ExperimentService::request_fields()), and
+// every counter row (cache.hpp, metrics.hpp) must be named in its request's
+// subsection and, by its Prometheus family, in `metrics-prom`'s.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -135,6 +138,43 @@ TEST(ProtocolDoc, EveryRequestDocumentsExactlyItsTableFields) {
     EXPECT_EQ(documented, expected)
         << "DESIGN.md's `" << name << "` field table differs from its request-table row";
   }
+}
+
+/// Whether `text` names `word` whole: not as part of a longer identifier.
+bool mentions(const std::string& text, std::string_view word) {
+  const auto identifier = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  for (std::size_t pos = text.find(word); pos != std::string::npos;
+       pos = text.find(word, pos + 1)) {
+    const std::size_t end = pos + word.size();
+    if ((pos == 0 || !identifier(text[pos - 1])) &&
+        (end == text.size() || !identifier(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ProtocolDoc, EveryCounterRowIsDocumented) {
+  // Each counter row's JSON key is named in its request's subsection
+  // (cache-stats or metrics), and its Prometheus family in metrics-prom's.
+  std::ifstream in(design_md_path());
+  ASSERT_TRUE(in.is_open());
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  const std::string prom = request_subsection(contents, "metrics-prom");
+  const auto check = [&](const char* request, const auto& rows) {
+    const std::string section = request_subsection(contents, request);
+    for (const auto& row : rows) {
+      EXPECT_TRUE(mentions(section, row.json))
+          << "DESIGN.md's `" << request << "` subsection does not name `" << row.json << "`";
+      EXPECT_TRUE(mentions(prom, row.family))
+          << "DESIGN.md's `metrics-prom` subsection does not name `" << row.family << "`";
+    }
+  };
+  check("cache-stats", kCacheStatsRows);
+  check("metrics", kMetricsCounterRows);
 }
 
 TEST(ProtocolDoc, TraceEnvelopeFieldsAreDocumented) {

@@ -200,7 +200,7 @@ TEST(ServiceFleet, LeaderWaitsOnForeignLeaseThenHitsDisk) {
   const JsonValue response = parse_reply(reply);
   EXPECT_EQ(field(response, "status"), "ok");
   EXPECT_EQ(field(response, "cache"), "hit-disk");
-  const CacheStats stats = service.cache_stats();
+  const CacheStats stats = service.cache().stats();
   EXPECT_EQ(stats.lease_waits, 1u);
   EXPECT_EQ(stats.disk_hits, 1u);
   EXPECT_EQ(stats.stores, 0u);  // the wait saved the recompute entirely
@@ -228,7 +228,7 @@ TEST(ServiceFleet, StaleForeignLeaseIsTakenOverAndRunProceeds) {
   const JsonValue response = parse_reply(service.handle_line(kErrorRateRun));
   EXPECT_EQ(field(response, "status"), "ok");
   EXPECT_EQ(field(response, "cache"), "miss");  // took over and computed
-  EXPECT_EQ(service.cache_stats().lease_takeovers, 1u);
+  EXPECT_EQ(service.cache().stats().lease_takeovers, 1u);
   EXPECT_FALSE(std::filesystem::exists(lease_path));  // released after the store
   EXPECT_TRUE(std::filesystem::exists(service.cache().file_path(key)));
 

@@ -115,7 +115,7 @@ TEST(ExperimentService, RunMissThenMemoryHitWithoutResampling) {
 
   // "Without re-sampling" is observable through the counters: one miss (the
   // only compute), one memory hit, one store.
-  const CacheStats stats = service.cache_stats();
+  const CacheStats stats = service.cache().stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.memory_hits, 1u);
   EXPECT_EQ(stats.stores, 1u);
@@ -210,7 +210,7 @@ TEST(ExperimentService, StrictRequestValidation) {
                           "unknown field");
   expect_error_containing(service, R"({"request": "shutdown", "now": true})", "unknown field");
   // Validation failures never touch the cache.
-  EXPECT_EQ(service.cache_stats().misses, 0u);
+  EXPECT_EQ(service.cache().stats().misses, 0u);
 }
 
 TEST(ExperimentService, ListAndDescribe) {
@@ -331,7 +331,7 @@ TEST(ExperimentService, ConcurrentIdenticalColdRequestsComputeOnce) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(service.cache_stats().stores, 1u);  // exactly one computation
+  EXPECT_EQ(service.cache().stats().stores, 1u);  // exactly one computation
   int miss_count = 0;
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(caches[t] == "miss" || caches[t] == "coalesced" || caches[t] == "hit-memory")
@@ -449,7 +449,7 @@ TEST(ExperimentService, RunBatchContinuesPastABadElement) {
   EXPECT_NE(field(results[2], "error").find("unknown field 'widht'"), std::string::npos);
   EXPECT_EQ(field(results[3], "status"), "ok");
   // The two good elements each computed and stored.
-  EXPECT_EQ(service.cache_stats().stores, 2u);
+  EXPECT_EQ(service.cache().stats().stores, 2u);
 }
 
 TEST(ExperimentService, RunBatchRecordsByteIdenticalToSingleRuns) {
@@ -490,9 +490,9 @@ TEST(ExperimentService, RunBatchAllHitServesFromCacheWithoutRecompute) {
       R"({"experiment": "fig7.1/n64-k6", "samples": 2000}, )"
       R"({"experiment": "fig6.1/uniform-unsigned", "samples": 2000}]})";
   (void)parse_reply(service.handle_line(batch));
-  EXPECT_EQ(service.cache_stats().stores, 2u);
+  EXPECT_EQ(service.cache().stats().stores, 2u);
   const JsonValue again = parse_reply(service.handle_line(batch));
-  EXPECT_EQ(service.cache_stats().stores, 2u);  // nothing recomputed
+  EXPECT_EQ(service.cache().stats().stores, 2u);  // nothing recomputed
   for (const JsonValue& result : again.find("results")->items()) {
     EXPECT_EQ(field(result, "cache"), "hit-memory");
   }
@@ -527,7 +527,7 @@ TEST(ExperimentService, TimeoutCancelsRunWithoutWritingACacheRecord) {
   EXPECT_EQ(field(response, "code"), "timeout");
   EXPECT_NE(field(response, "error").find("timeout"), std::string::npos);
 
-  EXPECT_EQ(service.cache_stats().stores, 0u);
+  EXPECT_EQ(service.cache().stats().stores, 0u);
   // No record file, even partial (the dir itself holds the fleet lock file).
   int record_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -562,7 +562,7 @@ TEST(ExperimentService, BatchSharesOneDeadlineAcrossElements) {
   for (const JsonValue& result : response.find("results")->items()) {
     EXPECT_EQ(field(result, "code"), "timeout");
   }
-  EXPECT_EQ(service.cache_stats().stores, 0u);
+  EXPECT_EQ(service.cache().stats().stores, 0u);
 }
 
 TEST(ExperimentService, ExplicitZeroTimeoutIsRejected) {
@@ -622,7 +622,7 @@ TEST(ExperimentService, CoalescedFollowerEnforcesItsOwnDeadline) {
   EXPECT_EQ(field(follower, "status"), "error");
   EXPECT_EQ(field(follower, "code"), "timeout");
   leader.join();
-  EXPECT_EQ(service.cache_stats().stores, 1u);  // the leader was not cancelled
+  EXPECT_EQ(service.cache().stats().stores, 1u);  // the leader was not cancelled
 }
 
 TEST(ExperimentService, ErrorRepliesCarryMachineReadableCodes) {

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "adders/adders.hpp"
-#include "netlist/equivalence.hpp"
+#include "common/equivalence.hpp"
 #include "netlist/opt.hpp"
 #include "speculative/error_model.hpp"
 #include "speculative/scsa_netlist.hpp"
