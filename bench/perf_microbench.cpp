@@ -306,7 +306,9 @@ void BM_RngGaussianBlock(benchmark::State& state) {
 BENCHMARK(BM_RngGaussianBlock)->DenseRange(0, 2);
 
 // One Gaussian fill_batch (two's complement, the Ch. 7 operand source):
-// the ziggurat, the group encode and the limb-0 transposes together.
+// one ziggurat fill for the batch and the planeops::gaussian_to_planes
+// encode and transpose.  Lane words 4 and 16 run the avx512 row's
+// four-word and eight-word chunks alone; width 128 adds the sign planes.
 // Args: (width, lane words, backend).
 void BM_GaussianFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
@@ -322,7 +324,22 @@ void BM_GaussianFillBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_GaussianFillBatch)->Args({64, 8, 0})->Args({64, 8, 1})->Args({64, 8, 2});
+BENCHMARK(BM_GaussianFillBatch)
+    ->Args({64, 8, 0})->Args({64, 8, 1})->Args({64, 8, 2})
+    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({64, 4, 2})
+    ->Args({64, 16, 0})->Args({64, 16, 1})->Args({64, 16, 2})
+    ->Args({128, 8, 0})->Args({128, 8, 1})->Args({128, 8, 2});
+
+// One engine shard's generator: make_stream_rng's 624 seed words, the
+// state they fill and the first block's twist (one draw).
+void BM_RngMakeStream(benchmark::State& state) {
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    arith::BlockRng rng = arith::make_stream_rng(1, ++stream);
+    benchmark::DoNotOptimize(rng());
+  }
+}
+BENCHMARK(BM_RngMakeStream);
 
 void BM_RngGaussianPerCallReference(benchmark::State& state) {
   arith::BlockRng rng(19);

@@ -160,31 +160,28 @@ std::pair<ApInt, ApInt> GaussianTwosSource::next(BlockRng& rng) {
 namespace {
 
 /// The one Gaussian fill body behind both sources' fill_batch: mirror of
-/// out.lanes() x next() — one 128-variate sampler fill per lane word (so
-/// the RNG stream is exactly next()'s), encoded to limb-0 rows
-/// (planeops::encode_gaussian_group), one 64x64 transpose per operand, and
-/// every bit-plane >= 64 set to the sign mask (two's-complement sign
-/// extension; zero for magnitudes, which never exceed 64 bits).
+/// out.lanes() x next() — one sampler fill for the whole batch (so the RNG
+/// stream is exactly next()'s), encoded and transposed into the limb-0
+/// planes by planeops::gaussian_to_planes, and every bit-plane >= 64 a copy
+/// of plane 63, the sign masks (two's-complement sign extension; zero for
+/// magnitudes, which never exceed 64 bits).
 void fill_gaussian_batch(const planeops::GaussianEncode& e, GaussianBlockSampler& sampler,
                          BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != e.width) {
     throw std::invalid_argument("Gaussian fill_batch: batch width mismatch");
   }
-  const int n = e.width;
-  const int lane_words = out.lane_words();
-  alignas(planeops::kPlaneAlignment) double variates[2 * kBatchLanes];
-  alignas(planeops::kPlaneAlignment) std::uint64_t rows[2 * kBatchLanes];
-  for (int w = 0; w < lane_words; ++w) {
-    sampler.fill(rng, variates, 2 * kBatchLanes);
-    std::uint64_t sign[2];
-    planeops::encode_gaussian_group(e, variates, rows, sign);
-    for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      std::uint64_t* block = rows + op * kBatchLanes;
-      planeops::transpose_64x64(block);
-      block_to_planes(block, 0, n, planes, lane_words, w);
-      for (int bit = 64; bit < n; ++bit) {
-        planes[static_cast<std::size_t>(bit) * lane_words + w] = sign[op];
+  const std::size_t lane_words = static_cast<std::size_t>(out.lane_words());
+  alignas(planeops::kPlaneAlignment) double variates[2 * kBatchLanes * kMaxLaneWords];
+  sampler.fill(rng, variates, 2 * kBatchLanes * lane_words);
+  planeops::gaussian_to_planes(e, variates, out.lane_words(), out.a(), out.b());
+  for (std::uint64_t* planes : {out.a(), out.b()}) {
+    const std::uint64_t* sign = planes + 63 * lane_words;
+    for (std::size_t bit = 64; bit < static_cast<std::size_t>(e.width); ++bit) {
+      std::uint64_t* row = planes + bit * lane_words;
+      if (e.twos) {
+        std::copy(sign, sign + lane_words, row);
+      } else {
+        std::fill(row, row + lane_words, 0);
       }
     }
   }

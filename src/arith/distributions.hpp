@@ -132,11 +132,10 @@ class GaussianUnsignedSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-unsigned"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path (shared with GaussianTwosSource): bulk ziggurat variates,
-  /// one planeops::encode_gaussian_group per 64-sample group straight into
-  /// the limb-0 transpose blocks — samples are at most 64 bits of
-  /// magnitude, so only the limb-0 block is transposed and every higher
-  /// bit-plane is zero.
+  /// Fast path (shared with GaussianTwosSource): one bulk ziggurat fill
+  /// per batch, encoded and transposed into the limb-0 planes by one
+  /// planeops::gaussian_to_planes call — samples are at most 64 bits of
+  /// magnitude, so every higher bit-plane is zero.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);
@@ -159,8 +158,7 @@ class GaussianTwosSource final : public OperandSource {
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: GaussianUnsignedSource::fill_batch's body with the two's
   /// complement encode, plus sign extension — every bit-plane above limb 0
-  /// is the lane-wise sign mask the encode produces, written directly with
-  /// no extra transposes.
+  /// is a copy of plane 63, the lane-wise sign mask.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianTwosSource>(width(), params_);

@@ -96,28 +96,41 @@ std::size_t zig_accept_scalar(const std::uint64_t* words, std::size_t m,
   return m;
 }
 
-void encode_scalar(const GaussianEncode& e, const double* variates, std::uint64_t* rows,
-                   std::uint64_t sign[2]) {
+// next()'s encode of one operand of a 64-sample group: rows[j] = sample j
+// of operand `op` (0 = a, 1 = b) from variates a0 b0 a1 b1 ..., masked to
+// the width.
+void encode_scalar(const GaussianEncode& e, const double* variates, int op,
+                   std::uint64_t rows[kGroupLanes]) {
   const std::uint64_t top_mask = width_mask(e.width);
-  std::uint64_t negative_a = 0;
-  std::uint64_t negative_b = 0;
   for (int j = 0; j < kGroupLanes; ++j) {
-    const double a = e.mean + e.sigma * variates[2 * j];
-    const double b = e.mean + e.sigma * variates[2 * j + 1];
-    if (e.twos) {
-      const std::int64_t av = signed_sample_to_i64(e.width, a);
-      const std::int64_t bv = signed_sample_to_i64(e.width, b);
-      negative_a |= static_cast<std::uint64_t>(av < 0) << j;
-      negative_b |= static_cast<std::uint64_t>(bv < 0) << j;
-      rows[j] = static_cast<std::uint64_t>(av) & top_mask;
-      rows[kGroupLanes + j] = static_cast<std::uint64_t>(bv) & top_mask;
-    } else {
-      rows[j] = unsigned_sample_to_u64(e.width, a) & top_mask;
-      rows[kGroupLanes + j] = unsigned_sample_to_u64(e.width, b) & top_mask;
+    const double x = e.mean + e.sigma * variates[2 * j + op];
+    const std::uint64_t word = e.twos
+                                   ? static_cast<std::uint64_t>(signed_sample_to_i64(e.width, x))
+                                   : unsigned_sample_to_u64(e.width, x);
+    rows[j] = word & top_mask;
+  }
+}
+
+/// Plane rows the Gaussian fill writes: limb 0's, capped at the width.
+inline std::size_t limb0_rows(int width) {
+  return static_cast<std::size_t>(width < kGroupLanes ? width : kGroupLanes);
+}
+
+// The Gaussian fill rows take the two operands' plane arrays and the first
+// lane word to fill (0 from the entry point), like the sweep rows.
+[[gnu::noinline]] void gauss_planes_scalar(const GaussianEncode& e, const double* variates,
+                                           std::size_t lw, std::uint64_t* const planes[2],
+                                           std::size_t col) {
+  const std::size_t top = limb0_rows(e.width);
+  std::uint64_t block[kGroupLanes];
+  for (; col < lw; ++col) {
+    for (int op = 0; op < 2; ++op) {
+      encode_scalar(e, variates + col * 2 * kGroupLanes, op, block);
+      transpose_scalar(block);
+#pragma GCC unroll 8
+      for (std::size_t bit = 0; bit < top; ++bit) planes[op][bit * lw + col] = block[bit];
     }
   }
-  sign[0] = negative_a;
-  sign[1] = negative_b;
 }
 
 // ---- streaming kernels, one body for every width ---------------------------
@@ -126,11 +139,13 @@ void encode_scalar(const GaussianEncode& e, const double* variates, std::uint64_
 // so each is written once over a word type V — a GCC vector type of W words
 // for the AVX2 (W = 4) and AVX-512 (W = 8) rows below, whose target
 // attributes decide the registers (GCC fuses the and/or/xor chains into
-// vpternlogq on its own), and std::uint64_t for the sweeps' scalar row.
+// vpternlogq on its own), and std::uint64_t for the sweeps' scalar rows
+// (SCSA's sweeps U64x2 chunks first).
 // Vectors move through memcpy and references only: a by-value vector
 // parameter or return would change the ABI per target (-Wpsabi).  All
 // loads/stores are unaligned-safe.
 
+typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
 typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
 typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
 
@@ -312,10 +327,108 @@ template <class V>
   }
 }
 
+/// Column mask of the transpose level with row distance j (32 -> low
+/// halves, ..., 1 -> 0x5555...), as the scalar loop derives it.
+constexpr std::uint64_t transpose_mask(unsigned j) {
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (unsigned k = 32; k != j; k >>= 1) m ^= m << (k >> 1);
+  return m;
+}
+
+// The 64x64 transpose's level with row distance J between two registers
+// of rows: lane k of `lo` is row i, lane k of `hi` row i + J (the scalar
+// loop's pair (k, k | j)).
+template <class V, unsigned J>
+[[gnu::always_inline]] inline void transpose_pair(V& lo, V& hi) {
+  constexpr std::uint64_t m = transpose_mask(J);
+  const V new_lo = lo ^ ((lo ^ (hi << J)) & (m << J));
+  hi ^= (hi ^ (lo >> J)) & m;
+  lo = new_lo;
+}
+
+// Levels J = kTop, kTop / 2, ..., kLast over kCount registers that hold
+// kRows consecutive rows each (row distance J = register distance
+// J / kRows).
+template <class V, std::size_t kCount, std::size_t kRows, unsigned kTop, unsigned kLast>
+[[gnu::always_inline]] inline void transpose_levels(V* r) {
+  constexpr std::size_t d = kTop / kRows;
+#pragma GCC unroll 16
+  for (std::size_t q = 0; q < kCount; ++q) {
+    if ((q & d) == 0) transpose_pair<V, kTop>(r[q], r[q + d]);
+  }
+  if constexpr (kTop > kLast) transpose_levels<V, kCount, kRows, kTop / 2, kLast>(r);
+}
+
+// The W x W word transpose of x[0, W), level by level (word distance D):
+// afterwards lane g of x[k] holds what lane k of x[g] held.
+template <class V, std::size_t D>
+[[gnu::always_inline]] inline void transpose_words(V* x) {
+  constexpr std::size_t w = kWords<V>;
+  V lo_pick, hi_pick;
+  for (std::size_t k = 0; k < w; ++k) {
+    lo_pick[k] = (k & D) != 0 ? w + k - D : k;
+    hi_pick[k] = (k & D) != 0 ? w + k : k + D;
+  }
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < w; ++i) {
+    if ((i & D) != 0) continue;
+    const V lo = x[i];
+    const V hi = x[i + D];
+    x[i] = __builtin_shuffle(lo, hi, lo_pick);
+    x[i + D] = __builtin_shuffle(lo, hi, hi_pick);
+  }
+  if constexpr (D > 1) transpose_words<V, D / 2>(x);
+}
+
+// The Gaussian fill in W-column chunks (W = kWords<V>, lane words
+// [col, col + W) per chunk).  Stage 1: each group's operand rows, encoded
+// straight into R = 64 / W registers (register q = rows qW .. qW + W-1),
+// take the transpose levels 32 .. W, which pair whole registers.  Stage 2:
+// register q of the chunk's W groups goes through a W x W word transpose,
+// so that register k holds row qW + k of every group, and the levels
+// below W pair registers again; each register is then W words of one plane
+// row, stored once.  kEncode(e, group_variates, op, r) writes the R
+// registers of one operand.
+template <class V, auto kEncode>
+[[gnu::always_inline]] inline std::size_t gauss_chunks(const GaussianEncode& e,
+                                                       const double* variates, std::size_t lw,
+                                                       std::uint64_t* const planes[2],
+                                                       std::size_t col) {
+  constexpr std::size_t w = kWords<V>;
+  constexpr std::size_t regs = kGroupLanes / w;
+  static_assert(w >= 2, "one column at a time is gauss_planes_scalar");
+  const std::size_t top = limb0_rows(e.width);
+  for (; col + w <= lw; col += w) {
+    V stage[2][w][regs];  // [op][group][register] after stage 1
+    for (std::size_t g = 0; g < w; ++g) {
+      for (int op = 0; op < 2; ++op) {
+        V* r = stage[op][g];
+        kEncode(e, variates + (col + g) * 2 * kGroupLanes, op, r);
+        transpose_levels<V, regs, w, 32, w>(r);
+      }
+    }
+    for (int op = 0; op < 2; ++op) {
+      for (std::size_t q = 0; q * w < top; ++q) {
+        V row[w];
+        for (std::size_t g = 0; g < w; ++g) row[g] = stage[op][g][q];
+        transpose_words<V, w / 2>(row);
+        transpose_levels<V, w, 1, w / 2, 1>(row);
+        for (std::size_t k = 0; k < w && q * w + k < top; ++k) {
+          store(planes[op] + (q * w + k) * lw + col, row[k]);
+        }
+      }
+    }
+  }
+  return col;
+}
+
 // The sweep rows take the first column to sweep (0 from the entry points).
+// The scalar row sweeps two columns at a time in the baseline ISA's
+// 128-bit vectors (SSE2 on x86-64, NEON on aarch64), then a last odd one.
 [[gnu::noinline]] void scsa_sweep_scalar(const std::uint64_t* a, const std::uint64_t* b,
                                          std::size_t lw, const int* sizes, int m,
                                          const ScsaLaneMasks& out, std::size_t col) {
+  col = scsa_chunks<U64x2>(a, b, lw, sizes, m, out, col);
   scsa_chunks<std::uint64_t>(a, b, lw, sizes, m, out, col);
 }
 [[gnu::noinline]] void vlsa_sweep_scalar(const std::uint64_t* a, const std::uint64_t* b, int n,
@@ -379,6 +492,24 @@ VLCSA_AVX2 void transpose_avx2(std::uint64_t block[64]) {
   }
 }
 
+// next()'s scalar encode into the registers' storage: without avx512dq
+// there is no int64 <-> double conversion to vectorize it with.
+template <class V>
+[[gnu::always_inline]] inline void encode_rows(const GaussianEncode& e, const double* variates,
+                                               int op, V* r) {
+  std::uint64_t rows[kGroupLanes];
+  encode_scalar(e, variates, op, rows);
+  std::memcpy(r, rows, sizeof rows);
+}
+
+[[gnu::noinline]] VLCSA_AVX2 void gauss_planes_avx2(const GaussianEncode& e,
+                                                   const double* variates, std::size_t lw,
+                                                   std::uint64_t* const planes[2],
+                                                   std::size_t col) {
+  col = gauss_chunks<U64x4, encode_rows<U64x4>>(e, variates, lw, planes, col);
+  if (col < lw) gauss_planes_scalar(e, variates, lw, planes, col);
+}
+
 #undef VLCSA_AVX2
 
 // ---- AVX-512 backend -------------------------------------------------------
@@ -426,14 +557,6 @@ VLCSA_AVX512 void temper_avx512(const std::uint64_t* mt, std::uint64_t* dst) {
 // 4/2/1 pair lanes of one register, the partner rows brought alongside by
 // a permutexvar and the shift direction and select mask chosen per lane
 // (lanes with bit j clear hold the lo rows).
-
-/// Column mask of the transpose level with row distance j (32 -> low
-/// halves, ..., 1 -> 0x5555...), as the scalar loop derives it.
-constexpr std::uint64_t transpose_mask(unsigned j) {
-  std::uint64_t m = 0x00000000FFFFFFFFULL;
-  for (unsigned k = 32; k != j; k >>= 1) m ^= m << (k >> 1);
-  return m;
-}
 
 // vpternlog 0xCA = a ? b : c, bitwise.
 constexpr int kSelectBits = 0xCA;
@@ -511,47 +634,56 @@ VLCSA_AVX512 std::size_t zig_accept_avx512(const std::uint64_t* words, std::size
   return i + zig_accept_scalar(words + i, m - i, kn, wn, dst + i);
 }
 
-// Eight samples per step, bit-identical to the scalar body: a/b
-// deinterleaved by permutex2var; mean + sigma * x as a separate multiply and
-// add (the _round forms are builtins, so no FMA contraction can fuse them,
-// and the build passes -ffp-contract=off so the scalar side never fuses
-// either); roundscale to nearest-even for nearbyint; min/max for the clamp,
-// whose NaN handling matches fmin/fmax on the second operand; truncating
-// conversions, exact on integral values in range (out-of-range samples are
-// undefined in the scalar oracle too); and the sign mask straight from the
-// int64 sign bits.
-VLCSA_AVX512 void encode_avx512(const GaussianEncode& e, const double* variates,
-                                std::uint64_t* rows, std::uint64_t sign[2]) {
+// One operand of a group, eight samples per step, bit-identical to
+// encode_scalar: the operand's lanes picked out of a0 b0 a1 b1 ... by
+// permutex2var; mean + sigma * x as a separate multiply and add (the _round
+// forms are builtins, so no FMA contraction can fuse them, and the build
+// passes -ffp-contract=off so the scalar side never fuses either); min/max
+// for the clamp, whose NaN handling matches fmin/fmax on the second operand
+// (the bounds are integers, so clamping before the rounding equals
+// clamping after it, and |x| rounds like x); and a conversion rounding to
+// nearest-even for nearbyint (out-of-range samples are undefined in the
+// scalar oracle too).  Each step's eight rows go straight into the
+// registers gauss_chunks transposes.
+template <class V>
+VLCSA_AVX512 inline void encode_avx512(const GaussianEncode& e, const double* variates, int op,
+                                       V* r) {
   constexpr int kRound = _MM_FROUND_CUR_DIRECTION;
-  const __m512i pick[2] = {_mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-                           _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15)};
+  constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  const __m512i pick = op == 0 ? _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14)
+                               : _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
   const __m512d mean = _mm512_set1_pd(e.mean);
   const __m512d sigma = _mm512_set1_pd(e.sigma);
-  const bool clamp = e.width < 64;  // the bounds below are used only then
+  const bool clamp = e.width < 64;  // the bounds and the mask are used only then
   const __m512d lo = _mm512_set1_pd(-std::ldexp(1.0, e.width - 1));
   const __m512d hi = _mm512_set1_pd(std::ldexp(1.0, e.twos ? e.width - 1 : e.width) - 1.0);
   const __m512i top_mask = _mm512_set1_epi64(static_cast<long long>(width_mask(e.width)));
-  sign[0] = sign[1] = 0;
   for (int g = 0; g < kGroupLanes / 8; ++g) {
-    const __m512d v0 = _mm512_loadu_pd(variates + 16 * g);
-    const __m512d v1 = _mm512_loadu_pd(variates + 16 * g + 8);
-    for (int op = 0; op < 2; ++op) {
-      const __m512d x = _mm512_permutex2var_pd(v0, pick[op], v1);
-      __m512d y = _mm512_add_round_pd(mean, _mm512_mul_round_pd(sigma, x, kRound), kRound);
-      y = _mm512_roundscale_pd(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-      __m512i word;
-      if (e.twos) {
-        if (clamp) y = _mm512_min_pd(_mm512_max_pd(y, lo), hi);
-        word = _mm512_cvttpd_epi64(y);
-        sign[op] |= static_cast<std::uint64_t>(_mm512_movepi64_mask(word)) << (8 * g);
-      } else {
-        y = _mm512_abs_pd(y);
-        if (clamp) y = _mm512_min_pd(y, hi);
-        word = _mm512_cvttpd_epu64(y);
-      }
-      _mm512_storeu_si512(rows + op * kGroupLanes + 8 * g, _mm512_and_si512(word, top_mask));
+    const __m512d x = _mm512_permutex2var_pd(_mm512_loadu_pd(variates + 16 * g), pick,
+                                             _mm512_loadu_pd(variates + 16 * g + 8));
+    __m512d y = _mm512_add_round_pd(mean, _mm512_mul_round_pd(sigma, x, kRound), kRound);
+    __m512i word;
+    if (e.twos) {
+      if (clamp) y = _mm512_min_pd(_mm512_max_pd(y, lo), hi);
+      word = _mm512_cvt_roundpd_epi64(y, kNearest);
+    } else {
+      y = _mm512_abs_pd(y);
+      if (clamp) y = _mm512_min_pd(y, hi);
+      word = _mm512_cvt_roundpd_epu64(y, kNearest);
     }
+    if (clamp) word = _mm512_and_si512(word, top_mask);
+    std::memcpy(reinterpret_cast<char*>(r) + sizeof word * g, &word, sizeof word);
   }
+}
+
+// Eight-column chunks, then a four-column one with the same encode, then
+// one column at a time.
+VLCSA_AVX512 void gauss_planes_avx512(const GaussianEncode& e, const double* variates,
+                                      std::size_t lw, std::uint64_t* const planes[2],
+                                      std::size_t col) {
+  col = gauss_chunks<U64x8, encode_avx512<U64x8>>(e, variates, lw, planes, col);
+  col = gauss_chunks<U64x4, encode_avx512<U64x4>>(e, variates, lw, planes, col);
+  if (col < lw) gauss_planes_scalar(e, variates, lw, planes, col);
 }
 
 #undef VLCSA_AVX512
@@ -575,25 +707,26 @@ struct Kernels {
   void (*temper)(const std::uint64_t*, std::uint64_t*);
   std::size_t (*zig_accept)(const std::uint64_t*, std::size_t, const std::uint64_t*,
                             const double*, double*);
-  void (*encode)(const GaussianEncode&, const double*, std::uint64_t*, std::uint64_t*);
+  void (*gauss_planes)(const GaussianEncode&, const double*, std::size_t, std::uint64_t* const*,
+                       std::size_t);
 };
 
 constexpr Kernels kScalarKernels = {
     Backend::kScalar, scsa_sweep_scalar, vlsa_sweep_scalar, transpose_scalar,
-    twist_scalar,     temper_scalar,     zig_accept_scalar, encode_scalar,
+    twist_scalar,     temper_scalar,     zig_accept_scalar, gauss_planes_scalar,
 };
 
 #if VLCSA_HAVE_X86_BACKENDS
-// The ziggurat fast path and the encode need avx512dq; the AVX2 row runs
-// their scalar bodies.
+// The ziggurat fast path needs avx512dq; the AVX2 row runs its scalar body
+// (and the Gaussian fill the scalar encode).
 constexpr Kernels kAvx2Kernels = {
     Backend::kAvx2, scsa_sweep_avx2, vlsa_sweep_avx2,   transpose_avx2,
-    twist_avx2,     temper_avx2,     zig_accept_scalar, encode_scalar,
+    twist_avx2,     temper_avx2,     zig_accept_scalar, gauss_planes_avx2,
 };
 
 constexpr Kernels kAvx512Kernels = {
     Backend::kAvx512, scsa_sweep_avx512, vlsa_sweep_avx512, transpose_avx512,
-    twist_avx512,     temper_avx512,     zig_accept_avx512, encode_avx512,
+    twist_avx512,     temper_avx512,     zig_accept_avx512, gauss_planes_avx512,
 };
 #endif
 
@@ -742,9 +875,11 @@ std::size_t zig_accept(const std::uint64_t* words, std::size_t m, const std::uin
   return active().zig_accept(words, m, kn, wn, dst);
 }
 
-void encode_gaussian_group(const GaussianEncode& e, const double* variates,
-                           std::uint64_t* rows, std::uint64_t sign[2]) {
-  active().encode(e, variates, rows, sign);
+void gaussian_to_planes(const GaussianEncode& e, const double* variates, int lane_words,
+                        std::uint64_t* a, std::uint64_t* b) {
+  assert(lane_words >= 1);
+  std::uint64_t* const planes[2] = {a, b};
+  active().gauss_planes(e, variates, static_cast<std::size_t>(lane_words), planes, 0);
 }
 
 }  // namespace vlcsa::arith::planeops

@@ -7,8 +7,8 @@
 //  * the MT19937-64 block twist and tempering under BlockRng (mt_twist,
 //    mt_regenerate);
 //  * the ziggurat fast path under GaussianBlockSampler::fill (zig_accept);
-//  * the Gaussian operand encode of one 64-sample group
-//    (encode_gaussian_group).
+//  * the Gaussian operand fill from variates to limb-0 plane rows
+//    (gaussian_to_planes).
 // Each has a scalar backend and (on x86-64 gcc/clang) AVX2 (avx2) and
 // AVX-512 (avx512f + avx512bw + avx512dq) backends, selected once at startup
 // by runtime CPU dispatch.  Other targets (aarch64 included) run the scalar
@@ -224,13 +224,17 @@ struct GaussianEncode {
   double sigma;
 };
 
-/// One 64-sample group of standard-normal variates a0 b0 a1 b1 ... (128
-/// values, the sources' next() draw order) becomes the limb-0 rows of both
-/// operands — a's in rows[0, 64), b's in rows[64, 128), row j = sample j,
-/// masked to the width — plus the lane-wise sign masks of a and b in
-/// sign[0] / sign[1] (zero for the magnitude encode).  The scalar row is
-/// next()'s encode word for word.
-void encode_gaussian_group(const GaussianEncode& e, const double* variates,
-                           std::uint64_t* rows, std::uint64_t sign[2]);
+/// The Gaussian operand fill of one batch: lane_words 64-sample groups of
+/// standard-normal variates, group w = variates[128 w, 128 w + 128) in the
+/// sources' next() draw order a0 b0 a1 b1 ..., encoded per sample (masked
+/// to the width) and bit-transposed into the limb-0 plane rows of both
+/// operands: a[bit * lane_words + w] bit j = bit `bit` of group w's sample
+/// j of a (b likewise), for bit in [0, min(width, 64)).  Rows at bit 64 and
+/// above are the caller's (the two's-complement sign planes equal row 63).
+/// The scalar row is next()'s encode and the 64x64 transpose, one lane word
+/// at a time; the vector rows transpose W lane words together so each plane
+/// row is one W-word store.
+void gaussian_to_planes(const GaussianEncode& e, const double* variates, int lane_words,
+                        std::uint64_t* a, std::uint64_t* b);
 
 }  // namespace vlcsa::arith::planeops

@@ -177,13 +177,73 @@ void GaussianBlockSampler::refill(BlockRng& rng) {
   pos_ = 0;
 }
 
+namespace {
+
+/// std::seed_seq over the four 32-bit words of (seed, stream), for
+/// BlockRng's seed-sequence constructor: generate() is [rand.util.seedseq]'s
+/// algorithm for s = 4 input words, with its index arithmetic as wrapping
+/// counters instead of a `%` per step and the previous step's word kept in
+/// a register (std::seed_seq{...}.generate gives the same words; rng_test
+/// holds the two together).
+class StreamSeedSeq {
+ public:
+  using result_type = std::uint32_t;
+
+  StreamSeedSeq(std::uint64_t seed, std::uint64_t stream)
+      : v_{static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
+           static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)} {}
+
+  void generate(std::uint32_t* begin, std::uint32_t* end) const {
+    const std::size_t n = static_cast<std::size_t>(end - begin);
+    if (n == 0) return;
+    constexpr std::size_t s = kWords;
+    const std::size_t t = n >= 623 ? 11 : n >= 68 ? 7 : n >= 39 ? 5 : n >= 7 ? 3 : (n - 1) / 2;
+    const std::size_t p = (n - t) / 2;
+    const std::size_t m = std::max(s + 1, n);
+    std::fill(begin, end, 0x8b8b8b8bu);
+    // i = k % n, ip = (k + p) % n, iq = (k + p + t) % n; prev is word
+    // (k - 1) % n, which step k - 1 wrote last.
+    std::size_t i = 0;
+    std::size_t ip = p % n;
+    std::size_t iq = (p + t) % n;
+    std::uint32_t prev = begin[n - 1];
+    const auto advance = [n, &i, &ip, &iq] {
+      if (++i == n) i = 0;
+      if (++ip == n) ip = 0;
+      if (++iq == n) iq = 0;
+    };
+    for (std::size_t k = 0; k < m; ++k, advance()) {
+      const std::uint32_t r1 = 1664525u * mix(begin[i] ^ begin[ip] ^ prev);
+      const std::size_t add = k == 0 ? s : k <= s ? i + v_[k - 1] : i;
+      const std::uint32_t r2 = r1 + static_cast<std::uint32_t>(add);
+      begin[ip] += r1;
+      begin[iq] += r2;
+      begin[i] = prev = r2;
+    }
+    for (std::size_t k = 0; k < n; ++k, advance()) {
+      const std::uint32_t r3 = 1566083941u * mix(begin[i] + begin[ip] + prev);
+      const std::uint32_t r4 = r3 - static_cast<std::uint32_t>(i);
+      begin[ip] ^= r3;
+      begin[iq] ^= r4;
+      begin[i] = prev = r4;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kWords = 4;
+
+  static std::uint32_t mix(std::uint32_t x) { return x ^ (x >> 27); }
+
+  std::uint32_t v_[kWords];
+};
+
+}  // namespace
+
 BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream) {
-  // Identical construction to the engine's historical make_shard_rng: all
-  // 128 bits of (seed, stream) feed the seed_seq, so distinct streams and
-  // distinct seeds never collide.
-  std::seed_seq sequence{
-      static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
-      static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)};
+  // All 128 bits of (seed, stream) feed the seed sequence, so distinct
+  // streams and distinct seeds never collide; the words are std::seed_seq's,
+  // as in the engine's historical make_shard_rng.
+  StreamSeedSeq sequence(seed, stream);
   return BlockRng(sequence);
 }
 

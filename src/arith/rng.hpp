@@ -20,7 +20,8 @@
 //    is the oracle; rng_test pins the others to it).
 //  * The engine's reproducibility contract: make_stream_rng (and
 //    harness::make_shard_rng on top of it) feed all 128 bits of
-//    (seed, stream) through std::seed_seq.
+//    (seed, stream) through std::seed_seq's algorithm (rng.cpp's copy of
+//    it; rng_test holds the two to the same words).
 
 #include <cstddef>
 #include <cstdint>
@@ -181,9 +182,10 @@ class GaussianBlockSampler {
 };
 
 /// The one shared seeding discipline for standalone (non-sharded) runs:
-/// all 128 bits of (seed, stream) through std::seed_seq — the same
-/// construction as the engine's per-shard streams, so ad-hoc `rng(seed)`
-/// call sites stop bypassing it.  harness::make_shard_rng delegates here
+/// all 128 bits of (seed, stream) through std::seed_seq's algorithm — the
+/// same construction as the engine's per-shard streams, so ad-hoc
+/// `rng(seed)` call sites stop bypassing it.  The state equals
+/// BlockRng(std::seed_seq{seed lo, seed hi, stream lo, stream hi}).  harness::make_shard_rng delegates here
 /// with stream = shard index.
 [[nodiscard]] BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream = 0);
 

@@ -285,13 +285,15 @@ void ResultCache::add(const CacheStats& delta) {
   stats_ += delta;
 }
 
+CacheStats ResultCache::counters() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CacheStats out = stats_;
+  out.memory_entries = lru_.size();
+  return out;
+}
+
 CacheStats ResultCache::stats() const {
-  CacheStats out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out = stats_;
-    out.memory_entries = lru_.size();
-  }
+  CacheStats out = counters();
   if (!disk_dir_.empty()) out.disk_bytes = disk_usage_bytes();
   return out;
 }

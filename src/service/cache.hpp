@@ -64,7 +64,7 @@ struct CacheStats {
   std::uint64_t invalid_disk_records = 0;  // corrupt/mismatched files seen
   std::uint64_t lease_waits = 0;      // misses that waited on another replica's lease
   std::uint64_t lease_takeovers = 0;  // stale (crashed-holder) leases reaped
-  std::uint64_t memory_entries = 0;  // current, not monotonic; filled by stats()
+  std::uint64_t memory_entries = 0;  // current, not monotonic; by counters()/stats()
   std::uint64_t disk_bytes = 0;      // current on-disk record bytes; by stats()
 
   CacheStats& operator+=(const CacheStats& delta);
@@ -137,6 +137,12 @@ class ResultCache {
   /// directory degrades the cache, never the result).
   void put(const harness::RecordKey& key, const std::string& record);
 
+  /// The counters and memory_entries, with disk_bytes left 0: measuring it
+  /// walks the disk directory, so only the replies that report it pay for
+  /// that walk (through stats()).
+  [[nodiscard]] CacheStats counters() const;
+
+  /// counters() plus disk_bytes, the current on-disk record bytes.
   [[nodiscard]] CacheStats stats() const;
 
   /// Adds counts made outside the cache: coalesced hits (the single-flight

@@ -826,7 +826,7 @@ ExperimentService::Status ExperimentService::handle_cache_stats(const JsonValue&
 ExperimentService::Status ExperimentService::handle_metrics(const JsonValue&, RequestContext&,
                                                             JsonObject& response, Reply&) {
   const MetricsSnapshot snapshot = metrics_.snapshot();
-  const CacheStats cache_stats = cache_.stats();
+  const CacheStats cache_stats = cache_.counters();
 
   // The snapshot taken before this request finished — "metrics" itself is
   // not yet in any counter (it records on return like every request).

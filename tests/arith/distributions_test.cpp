@@ -121,9 +121,10 @@ TEST(Distributions, ToStringIsStable) {
                "gaussian-twos-complement");
 }
 
-// The Gaussian fill's group encode (planeops::encode_gaussian_group)
-// against next()'s scalar encode, lane by lane through
-// plane_lane, on every available backend.  Widths below 64 exercise the
+// The Gaussian fill's batch kernel (planeops::gaussian_to_planes) against
+// next()'s scalar encode, lane by lane through plane_lane, on every
+// available backend.  Lane words 3 and 13 leave columns to the four-word
+// and one-word rows after the eight-word chunks.  Widths below 64 exercise the
 // clamp, 64 the plain 64-bit encode, and 65/128 the planes above limb 0
 // (sign masks for two's complement, zeros for magnitudes) that the paper's
 // n = 64 workloads never reach.  The parameter sets cover the paper's
@@ -167,11 +168,39 @@ TEST_P(GaussianEncodeTest, FillBatchLanesMatchNextOnEveryBackend) {
   }
 }
 
+// 40 consecutive batches from one source and one generator, so the
+// sampler's buffer refills and its slow-path words fall across batch
+// boundaries: the planes of every batch match next() lane by lane.
+TEST_P(GaussianEncodeTest, ConsecutiveFillBatchesMatchNextOnEveryBackend) {
+  const auto [dist, width, lane_words] = GetParam();
+  const BackendRestore restore;
+  for (const planeops::Backend backend :
+       {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512}) {
+    if (!planeops::set_backend(backend)) continue;
+    const auto batch_source = make_source(dist, width);
+    const auto scalar_source = make_source(dist, width);
+    BlockRng rng_batch(33), rng_scalar(33);
+    BitSlicedBatch batch(width, lane_words);
+    for (int call = 0; call < 40; ++call) {
+      batch_source->fill_batch(rng_batch, batch);
+      for (int j = 0; j < batch.lanes(); ++j) {
+        const auto [a, b] = scalar_source->next(rng_scalar);
+        ASSERT_EQ(plane_lane(batch.a(), width, j, lane_words), a)
+            << planeops::to_string(backend) << " call " << call << " lane " << j;
+        ASSERT_EQ(plane_lane(batch.b(), width, j, lane_words), b)
+            << planeops::to_string(backend) << " call " << call << " lane " << j;
+      }
+    }
+    EXPECT_EQ(rng_batch(), rng_scalar()) << planeops::to_string(backend);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SourcesByWidthByLaneWords, GaussianEncodeTest,
     ::testing::Combine(::testing::Values(InputDistribution::kGaussianUnsigned,
                                          InputDistribution::kGaussianTwos),
-                       ::testing::Values(8, 32, 63, 64, 65, 128), ::testing::Values(1, 4, 8)));
+                       ::testing::Values(8, 32, 63, 64, 65, 128),
+                       ::testing::Values(1, 3, 4, 8, 13, 16)));
 
 }  // namespace
 }  // namespace vlcsa::arith

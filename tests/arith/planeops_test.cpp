@@ -1,13 +1,13 @@
 // Plane-kernel layer tests: every available backend (scalar always; AVX2 /
 // AVX-512 when the host supports them) must compute bit-identical results to
 // the scalar oracle on every kernel: the SCSA / VLSA carry-chain sweeps over
-// every column-chunk shape, the transpose, the MT19937-64 twist/temper and
-// the ziggurat fast path (the Gaussian group encode is pinned against
-// next() by distributions_test's GaussianEncodeTest; the sweeps' scalar
-// rows are pinned to the models' scalar evaluate() by
-// speculative/batch_test.cpp).  Also
-// covers the dispatch surface: backend naming, availability, the
-// set_backend contract and VLCSA_FORCE_BACKEND resolution.
+// every column-chunk shape, the transpose, the MT19937-64 twist/temper,
+// the ziggurat fast path and the Gaussian fill (its scalar row is pinned
+// against next() by distributions_test's GaussianEncodeTest; the sweeps'
+// scalar rows are pinned to the models' scalar evaluate() by
+// speculative/batch_test.cpp).  Also covers the dispatch surface: backend
+// naming, availability, the set_backend contract and VLCSA_FORCE_BACKEND
+// resolution.
 
 #include "arith/planeops.hpp"
 
@@ -378,6 +378,49 @@ TEST_P(PlaneOpsBackendTest, ZigAcceptStopsAtTheFirstRejectedWord) {
         }
         ASSERT_EQ(want[i], x) << "m=" << m << " r=" << r << " @" << i;
         ASSERT_EQ(got[i], x) << "m=" << m << " r=" << r << " @" << i;
+      }
+    }
+  }
+}
+
+// gaussian_to_planes against its scalar row, bit for bit: widths around
+// the limb boundary (rows from 64 up must stay untouched) and below it
+// (the clamp), lane words that leave columns to every narrower row, both
+// encodes, and parameter sets with saturating, tie-rounding and inexact
+// (sigma = 1e17) samples.
+TEST_P(PlaneOpsBackendTest, GaussianToPlanesMatchesScalar) {
+  std::mt19937_64 rng(8);
+  std::normal_distribution<double> normal;
+  constexpr std::uint64_t kUntouched = 0x5A5A5A5A5A5A5A5AULL;
+  const GaussianEncode params[] = {{0, true, 0.0, std::ldexp(1.0, 32)},
+                                   {0, true, -2.5, 0.0},
+                                   {0, true, 1000.5, 300.0},
+                                   {0, true, 12345.0, 1e17}};
+  for (const int width : {1, 8, 63, 64, 65, 130}) {
+    for (const int lane_words : {1, 2, 3, 4, 5, 8, 9, 12, 13, 16}) {
+      const std::size_t lw = static_cast<std::size_t>(lane_words);
+      std::vector<double> variates(2 * 64 * lw);
+      for (double& x : variates) x = normal(rng);
+      for (GaussianEncode e : params) {
+        for (const bool twos : {true, false}) {
+          e.width = width;
+          e.twos = twos;
+          const std::size_t words = static_cast<std::size_t>(width) * lw;
+          PlaneVec want_a(words, kUntouched), want_b(words, kUntouched);
+          PlaneVec got_a(words, kUntouched), got_b(words, kUntouched);
+          on_scalar([&] {
+            gaussian_to_planes(e, variates.data(), lane_words, want_a.data(), want_b.data());
+          });
+          gaussian_to_planes(e, variates.data(), lane_words, got_a.data(), got_b.data());
+          ASSERT_EQ(got_a, want_a) << "n=" << width << " W=" << lane_words << " twos=" << twos
+                                   << " mean " << e.mean;
+          ASSERT_EQ(got_b, want_b) << "n=" << width << " W=" << lane_words << " twos=" << twos
+                                   << " mean " << e.mean;
+          for (std::size_t i = 64 * lw; i < words; ++i) {
+            ASSERT_EQ(got_a[i], kUntouched) << "n=" << width << " word " << i;
+            ASSERT_EQ(got_b[i], kUntouched) << "n=" << width << " word " << i;
+          }
+        }
       }
     }
   }

@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "arith/planeops.hpp"
@@ -109,6 +110,35 @@ TEST_P(RngBackendTest, MakeStreamRngMatchesStdEngineUnderSameSeedSeq) {
       for (int i = 0; i < 10000; ++i) {
         ASSERT_EQ(rng(), ref()) << "seed " << seed << " stream " << stream << " draw " << i;
       }
+    }
+  }
+}
+
+// make_stream_rng builds its 624 seed words with its own copy of
+// std::seed_seq's algorithm: the state it seeds must be the std one for 256
+// random (seed, stream) pairs and for 0 and 2^64 - 1 in either half.  The
+// first 320 draws cover one whole twisted block (a bijection of the state)
+// and the start of the next.
+TEST(RngSeedingTest, MakeStreamRngMatchesStdSeedSeqWords) {
+  std::mt19937_64 pick(2);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  for (int i = 0; i < 256; ++i) {
+    const std::uint64_t seed = pick();
+    pairs.emplace_back(seed, pick());
+  }
+  for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+    for (const std::uint64_t stream : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+      pairs.emplace_back(seed, stream);
+    }
+  }
+  for (const auto& [seed, stream] : pairs) {
+    std::seed_seq sequence{
+        static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
+        static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)};
+    BlockRng ref(sequence);
+    BlockRng rng = make_stream_rng(seed, stream);
+    for (int i = 0; i < 320; ++i) {
+      ASSERT_EQ(rng(), ref()) << "seed " << seed << " stream " << stream << " draw " << i;
     }
   }
 }

@@ -127,6 +127,26 @@ TEST(ResultCache, DiskTierSurvivesInstances) {
   EXPECT_EQ(reader.stats().memory_hits, 1u);
 }
 
+// counters() is stats() without the directory walk: the same counters and
+// memory_entries, disk_bytes left 0 (metrics reports no disk bytes, so it
+// reads counters(); cache-stats and metrics-prom read stats()).
+TEST(ResultCache, CountersAreStatsWithoutTheDiskWalk) {
+  const std::string dir = temp_dir("counters");
+  const RecordKey key{"table7.1/n64", 2000, 7, EvalPath::kScalar, ""};
+  ResultCache cache(dir, 4);
+  cache.put(key, record_for(key));
+  EXPECT_EQ(cache.get(key).tier, ResultCache::Tier::kMemory);
+  const CacheStats full = cache.stats();
+  const CacheStats counters = cache.counters();
+  EXPECT_GT(full.disk_bytes, 0u);
+  EXPECT_EQ(counters.disk_bytes, 0u);
+  CacheStats without_disk = full;
+  without_disk.disk_bytes = 0;
+  for (const CounterRow<CacheStats>& row : kCacheStatsRows) {
+    EXPECT_EQ(counters.*row.member, without_disk.*row.member) << row.json;
+  }
+}
+
 TEST(ResultCache, CorruptDiskFileIsAMiss) {
   const std::string dir = temp_dir("corrupt");
   ResultCache cache(dir, 0);  // memory off so every get goes to disk
