@@ -162,10 +162,10 @@ void BM_VlsaEvaluateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VlsaEvaluateBatch)->Apply(batch_shapes_per_backend);
 
-// ---- plane-kernel layer, per backend ---------------------------------------
+// ---- 64x64 bit transpose ---------------------------------------------------
+// One body on every backend: transpose_64x64 is not dispatched.
 
 void BM_PlaneTranspose64x64(benchmark::State& state) {
-  const BackendScope scope(state, state.range(0));
   vlcsa::arith::BlockRng rng(9);
   alignas(64) std::uint64_t block[64];
   for (auto& row : block) row = rng();
@@ -174,9 +174,8 @@ void BM_PlaneTranspose64x64(benchmark::State& state) {
     benchmark::DoNotOptimize(&block[0]);
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneTranspose64x64)->DenseRange(0, 2);
+BENCHMARK(BM_PlaneTranspose64x64);
 
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical
@@ -314,7 +313,7 @@ void BM_GaussianFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
   const BackendScope scope(state, state.range(2));
-  arith::GaussianTwosSource source(width, arith::GaussianParams{});
+  arith::GaussianSource source(width, arith::GaussianParams{}, true);
   arith::BitSlicedBatch batch(width, lane_words);
   arith::BlockRng rng(23);
   for (auto _ : state) {

@@ -21,7 +21,7 @@
 //  sample 64*W-1 [ .    .              .   ]           (lane_words words)
 //
 // The row<->column conversion is the classic 64x64 bit-matrix transpose
-// (6 log-steps per block), shared with the netlist-simulator test harness.
+// (6 log-steps per block, planeops::transpose_64x64).
 // Plane storage is 64-byte aligned (planeops::PlaneVec) so the SIMD
 // backends stream whole cache lines.
 
@@ -60,8 +60,7 @@ void transpose_to_planes(const ApInt* samples, int count, int width, std::uint64
 
 /// Copies an already-transposed 64x64 block (rows = bits of limb `limb`)
 /// into lane word `lane_word` of the plane array of a `width`-bit layout,
-/// dropping rows beyond the width.  Shared by transpose_to_planes and the
-/// operand sources' direct raw-limb fill paths.
+/// dropping rows beyond the width: transpose_to_planes' store step.
 void block_to_planes(const std::uint64_t block[64], int limb, int width,
                      std::uint64_t* planes, int lane_words = 1, int lane_word = 0);
 

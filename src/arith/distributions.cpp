@@ -145,56 +145,41 @@ ApInt encode_unsigned_sample(int width, double sample) {
   return ApInt::from_u64(width, planeops::unsigned_sample_to_u64(width, sample));
 }
 
-std::pair<ApInt, ApInt> GaussianUnsignedSource::next(BlockRng& rng) {
+std::pair<ApInt, ApInt> GaussianSource::next(BlockRng& rng) {
   const double a = params_.mean + params_.sigma * sampler_(rng);
   const double b = params_.mean + params_.sigma * sampler_(rng);
+  if (twos_) return {encode_signed_sample(width(), a), encode_signed_sample(width(), b)};
   return {encode_unsigned_sample(width(), a), encode_unsigned_sample(width(), b)};
 }
 
-std::pair<ApInt, ApInt> GaussianTwosSource::next(BlockRng& rng) {
-  const double a = params_.mean + params_.sigma * sampler_(rng);
-  const double b = params_.mean + params_.sigma * sampler_(rng);
-  return {encode_signed_sample(width(), a), encode_signed_sample(width(), b)};
-}
-
-namespace {
-
-/// The one Gaussian fill body behind both sources' fill_batch: mirror of
-/// out.lanes() x next() — one sampler fill for the whole batch (so the RNG
-/// stream is exactly next()'s), encoded and transposed into the limb-0
-/// planes by planeops::gaussian_to_planes, and every bit-plane >= 64 a copy
-/// of plane 63, the sign masks (two's-complement sign extension; zero for
-/// magnitudes, which never exceed 64 bits).
-void fill_gaussian_batch(const planeops::GaussianEncode& e, GaussianBlockSampler& sampler,
-                         BlockRng& rng, BitSlicedBatch& out) {
-  if (out.width() != e.width) {
-    throw std::invalid_argument("Gaussian fill_batch: batch width mismatch");
+// Mirror of out.lanes() x next(): one sampler fill for the whole batch (so
+// the RNG stream is exactly next()'s), encoded and transposed into the
+// limb-0 planes by planeops::gaussian_to_planes, and every bit-plane >= 64
+// a copy of plane 63 (two's-complement sign extension) or zero.
+void GaussianSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
+  if (out.width() != width()) {
+    throw std::invalid_argument("GaussianSource::fill_batch: batch width mismatch");
   }
+  const std::size_t n = static_cast<std::size_t>(width());
   const std::size_t lane_words = static_cast<std::size_t>(out.lane_words());
   alignas(planeops::kPlaneAlignment) double variates[2 * kBatchLanes * kMaxLaneWords];
-  sampler.fill(rng, variates, 2 * kBatchLanes * lane_words);
-  planeops::gaussian_to_planes(e, variates, out.lane_words(), out.a(), out.b());
+  sampler_.fill(rng, variates, 2 * kBatchLanes * lane_words);
+  planeops::gaussian_to_planes({width(), twos_, params_.mean, params_.sigma}, variates,
+                               out.lane_words(), out.a(), out.b());
+  // Narrower batches have no rows from 64 up, and plane 63's address would
+  // lie past their plane arrays.
+  if (n <= 64) return;
   for (std::uint64_t* planes : {out.a(), out.b()}) {
     const std::uint64_t* sign = planes + 63 * lane_words;
-    for (std::size_t bit = 64; bit < static_cast<std::size_t>(e.width); ++bit) {
+    for (std::size_t bit = 64; bit < n; ++bit) {
       std::uint64_t* row = planes + bit * lane_words;
-      if (e.twos) {
+      if (twos_) {
         std::copy(sign, sign + lane_words, row);
       } else {
         std::fill(row, row + lane_words, 0);
       }
     }
   }
-}
-
-}  // namespace
-
-void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  fill_gaussian_batch({width(), false, params_.mean, params_.sigma}, sampler_, rng, out);
-}
-
-void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  fill_gaussian_batch({width(), true, params_.mean, params_.sigma}, sampler_, rng, out);
 }
 
 std::string to_string(InputDistribution dist) {
@@ -219,9 +204,9 @@ std::unique_ptr<OperandSource> make_source(InputDistribution dist, int width,
     case InputDistribution::kUniformTwos:
       return std::make_unique<UniformTwosSource>(width);
     case InputDistribution::kGaussianUnsigned:
-      return std::make_unique<GaussianUnsignedSource>(width, params);
+      return std::make_unique<GaussianSource>(width, params, false);
     case InputDistribution::kGaussianTwos:
-      return std::make_unique<GaussianTwosSource>(width, params);
+      return std::make_unique<GaussianSource>(width, params, true);
   }
   throw std::logic_error("unknown InputDistribution");
 }

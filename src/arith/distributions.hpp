@@ -122,50 +122,34 @@ struct GaussianParams {
   double sigma = 4294967296.0;  // 2^32
 };
 
-/// |round(N(mu, sigma))| encoded as an unsigned n-bit value (Fig 6.4).
-/// Variates come from the block ziggurat (GaussianBlockSampler); next() and
-/// fill_batch() share the sampler state, so the scalar and batched Monte
-/// Carlo paths consume one identical stream.
-class GaussianUnsignedSource final : public OperandSource {
+/// Gaussian operands: |round(N(mu, sigma))| encoded as an unsigned n-bit
+/// value (Fig 6.4), or, with `twos`, round(N(mu, sigma)) in n-bit two's
+/// complement (Fig 6.5, Ch. 7), whose small-magnitude negatives produce the
+/// long sign-extension carry chains that motivate VLCSA 2.  Variates come
+/// from the block ziggurat (GaussianBlockSampler); next() and fill_batch()
+/// share the sampler state, so the scalar and batched Monte Carlo paths
+/// consume one identical stream.
+class GaussianSource final : public OperandSource {
  public:
-  GaussianUnsignedSource(int width, GaussianParams params)
-      : OperandSource(width), params_(params) {}
-  [[nodiscard]] std::string name() const override { return "gaussian-unsigned"; }
+  GaussianSource(int width, GaussianParams params, bool twos)
+      : OperandSource(width), params_(params), twos_(twos) {}
+  [[nodiscard]] std::string name() const override {
+    return twos_ ? "gaussian-twos-complement" : "gaussian-unsigned";
+  }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path (shared with GaussianTwosSource): one bulk ziggurat fill
-  /// per batch, encoded and transposed into the limb-0 planes by one
-  /// planeops::gaussian_to_planes call — samples are at most 64 bits of
-  /// magnitude, so every higher bit-plane is zero.
+  /// Fast path: one bulk ziggurat fill per batch, encoded and transposed
+  /// into the limb-0 planes by one planeops::gaussian_to_planes call.
+  /// Samples are at most 64 bits of magnitude, so every higher bit-plane is
+  /// a copy of plane 63, the lane-wise sign mask (two's complement), or
+  /// zero.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
-    return std::make_unique<GaussianUnsignedSource>(width(), params_);
+    return std::make_unique<GaussianSource>(width(), params_, twos_);
   }
 
  private:
   GaussianParams params_;
-  GaussianBlockSampler sampler_;
-};
-
-/// round(N(mu, sigma)) encoded in n-bit two's complement (Fig 6.5, Ch. 7).
-/// Small-magnitude negatives produce the long sign-extension carry chains
-/// that motivate VLCSA 2.  Same block-ziggurat sampling discipline as
-/// GaussianUnsignedSource.
-class GaussianTwosSource final : public OperandSource {
- public:
-  GaussianTwosSource(int width, GaussianParams params)
-      : OperandSource(width), params_(params) {}
-  [[nodiscard]] std::string name() const override { return "gaussian-twos-complement"; }
-  std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: GaussianUnsignedSource::fill_batch's body with the two's
-  /// complement encode, plus sign extension — every bit-plane above limb 0
-  /// is a copy of plane 63, the lane-wise sign mask.
-  void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
-  [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
-    return std::make_unique<GaussianTwosSource>(width(), params_);
-  }
-
- private:
-  GaussianParams params_;
+  bool twos_;
   GaussianBlockSampler sampler_;
 };
 

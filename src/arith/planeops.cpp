@@ -44,21 +44,6 @@ inline std::uint64_t width_mask(int width) {
 
 // ---- scalar backend (the oracle every other backend is pinned to) ----------
 
-void transpose_scalar(std::uint64_t block[64]) {
-  // Recursive block swap (Hacker's Delight 7-3 style, oriented for a true
-  // main-diagonal transpose): at each level, swap the high-column half of
-  // the upper row group with the low-column half of the lower row group,
-  // for sub-block sizes 32, 16, ..., 1.
-  std::uint64_t m = 0x00000000FFFFFFFFULL;
-  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((block[k] >> j) ^ block[k | j]) & m;
-      block[k] ^= t << j;
-      block[k | j] ^= t;
-    }
-  }
-}
-
 inline std::uint64_t twist_word(std::uint64_t hi, std::uint64_t lo) {
   const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
   return (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
@@ -116,31 +101,15 @@ inline std::size_t limb0_rows(int width) {
   return static_cast<std::size_t>(width < kGroupLanes ? width : kGroupLanes);
 }
 
-// The Gaussian fill rows take the two operands' plane arrays and the first
-// lane word to fill (0 from the entry point), like the sweep rows.
-[[gnu::noinline]] void gauss_planes_scalar(const GaussianEncode& e, const double* variates,
-                                           std::size_t lw, std::uint64_t* const planes[2],
-                                           std::size_t col) {
-  const std::size_t top = limb0_rows(e.width);
-  std::uint64_t block[kGroupLanes];
-  for (; col < lw; ++col) {
-    for (int op = 0; op < 2; ++op) {
-      encode_scalar(e, variates + col * 2 * kGroupLanes, op, block);
-      transpose_scalar(block);
-#pragma GCC unroll 8
-      for (std::size_t bit = 0; bit < top; ++bit) planes[op][bit * lw + col] = block[bit];
-    }
-  }
-}
-
 // ---- streaming kernels, one body for every width ---------------------------
 //
-// The carry-chain sweeps, twist and temper are plain bitwise/shift chains,
-// so each is written once over a word type V — a GCC vector type of W words
-// for the AVX2 (W = 4) and AVX-512 (W = 8) rows below, whose target
-// attributes decide the registers (GCC fuses the and/or/xor chains into
-// vpternlogq on its own), and std::uint64_t for the sweeps' scalar rows
-// (SCSA's sweeps U64x2 chunks first).
+// The carry-chain sweeps, twist, temper and the 64x64 transpose are plain
+// bitwise/shift chains, so each is written once over a word type V — a GCC
+// vector type of W words for the AVX2 (W = 4) and AVX-512 (W = 8) rows
+// below, whose target attributes decide the registers (GCC fuses the
+// and/or/xor chains into vpternlogq on its own), and std::uint64_t for the
+// sweeps' scalar rows (SCSA's sweeps U64x2 chunks first) and for
+// transpose_64x64, which runs on every backend.
 // Vectors move through memcpy and references only: a by-value vector
 // parameter or return would change the ABI per target (-Wpsabi).  All
 // loads/stores are unaligned-safe.
@@ -327,8 +296,8 @@ template <class V>
   }
 }
 
-/// Column mask of the transpose level with row distance j (32 -> low
-/// halves, ..., 1 -> 0x5555...), as the scalar loop derives it.
+/// Column mask of the transpose level with row distance j: the columns
+/// whose bit j is clear (32 -> low halves, ..., 1 -> 0x5555...).
 constexpr std::uint64_t transpose_mask(unsigned j) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
   for (unsigned k = 32; k != j; k >>= 1) m ^= m << (k >> 1);
@@ -336,8 +305,10 @@ constexpr std::uint64_t transpose_mask(unsigned j) {
 }
 
 // The 64x64 transpose's level with row distance J between two registers
-// of rows: lane k of `lo` is row i, lane k of `hi` row i + J (the scalar
-// loop's pair (k, k | j)).
+// of rows: lane k of `lo` is row i, lane k of `hi` row i + J, for a row i
+// with bit J clear.  The pair swaps lo's high columns (mask m << J) with
+// hi's low columns (mask m).  Levels 32, 16, ..., 1 make the transpose
+// (Hacker's Delight 7-3's recursive block swap).
 template <class V, unsigned J>
 [[gnu::always_inline]] inline void transpose_pair(V& lo, V& hi) {
   constexpr std::uint64_t m = transpose_mask(J);
@@ -348,11 +319,12 @@ template <class V, unsigned J>
 
 // Levels J = kTop, kTop / 2, ..., kLast over kCount registers that hold
 // kRows consecutive rows each (row distance J = register distance
-// J / kRows).
+// J / kRows).  Fully unrolled up to transpose_64x64's 64 registers, so the
+// pair test is resolved at compile time and no level branches.
 template <class V, std::size_t kCount, std::size_t kRows, unsigned kTop, unsigned kLast>
 [[gnu::always_inline]] inline void transpose_levels(V* r) {
   constexpr std::size_t d = kTop / kRows;
-#pragma GCC unroll 16
+#pragma GCC unroll 64
   for (std::size_t q = 0; q < kCount; ++q) {
     if ((q & d) == 0) transpose_pair<V, kTop>(r[q], r[q + d]);
   }
@@ -422,6 +394,23 @@ template <class V, auto kEncode>
   return col;
 }
 
+// The Gaussian fill rows take the two operands' plane arrays and the first
+// lane word to fill (0 from the entry point), like the sweep rows.
+[[gnu::noinline]] void gauss_planes_scalar(const GaussianEncode& e, const double* variates,
+                                           std::size_t lw, std::uint64_t* const planes[2],
+                                           std::size_t col) {
+  const std::size_t top = limb0_rows(e.width);
+  std::uint64_t block[kGroupLanes];
+  for (; col < lw; ++col) {
+    for (int op = 0; op < 2; ++op) {
+      encode_scalar(e, variates + col * 2 * kGroupLanes, op, block);
+      transpose_64x64(block);
+#pragma GCC unroll 8
+      for (std::size_t bit = 0; bit < top; ++bit) planes[op][bit * lw + col] = block[bit];
+    }
+  }
+}
+
 // The sweep rows take the first column to sweep (0 from the entry points).
 // The scalar row sweeps two columns at a time in the baseline ISA's
 // 128-bit vectors (SSE2 on x86-64, NEON on aarch64), then a last odd one.
@@ -459,37 +448,6 @@ template <class V, auto kEncode>
 VLCSA_AVX2 void twist_avx2(std::uint64_t* mt) { twist_body<U64x4>(mt); }
 VLCSA_AVX2 void temper_avx2(const std::uint64_t* mt, std::uint64_t* dst) {
   temper_body<U64x4>(mt, dst);
-}
-
-// Same recursive block swap as the scalar transpose; sub-block sizes >= 4
-// handle four rows per vector op (runs of consecutive k with bit j clear have
-// length j, a multiple of 4 there), sizes 2 and 1 finish scalar.
-VLCSA_AVX2 void transpose_avx2(std::uint64_t block[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFULL;
-  int j = 32;
-  for (; j >= 4; m ^= m << (j >>= 1)) {
-    const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
-    for (int base = 0; base < 64; base += 2 * j) {
-      for (int k = base; k < base + j; k += 4) {
-        const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k));
-        const __m256i hi =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k + j));
-        const __m256i t =
-            _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(lo, j), hi), vm);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k),
-                            _mm256_xor_si256(lo, _mm256_slli_epi64(t, j)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k + j),
-                            _mm256_xor_si256(hi, t));
-      }
-    }
-  }
-  for (; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((block[k] >> j) ^ block[k | j]) & m;
-      block[k] ^= t << j;
-      block[k | j] ^= t;
-    }
-  }
 }
 
 // next()'s scalar encode into the registers' storage: without avx512dq
@@ -546,66 +504,6 @@ VLCSA_AVX512 void vlsa_sweep_avx512(const std::uint64_t* a, const std::uint64_t*
 VLCSA_AVX512 void twist_avx512(std::uint64_t* mt) { twist_body<U64x8>(mt); }
 VLCSA_AVX512 void temper_avx512(const std::uint64_t* mt, std::uint64_t* dst) {
   temper_body<U64x8>(mt, dst);
-}
-
-// Same recursive block swap as the scalar transpose, with the whole block
-// held in eight registers (register r = rows 8r..8r+7).  Each level moves
-// the partner row's bits in with one bitwise select: for a row pair
-// (lo, hi) at distance j with column mask m, lo keeps its bits outside
-// m << j and takes (hi << j) inside it, hi keeps its bits outside m and
-// takes (lo >> j) inside it.  Levels 32/16/8 pair whole registers; levels
-// 4/2/1 pair lanes of one register, the partner rows brought alongside by
-// a permutexvar and the shift direction and select mask chosen per lane
-// (lanes with bit j clear hold the lo rows).
-
-// vpternlog 0xCA = a ? b : c, bitwise.
-constexpr int kSelectBits = 0xCA;
-
-template <unsigned J>  // J = 32, 16, 8: register i pairs with i + J / 8
-VLCSA_AVX512 inline void transpose_level_regs(__m512i (&r)[8]) {
-  constexpr std::uint64_t m = transpose_mask(J);
-  constexpr int d = J / 8;
-  const __m512i lo_sel = _mm512_set1_epi64(static_cast<long long>(m << J));
-  const __m512i hi_sel = _mm512_set1_epi64(static_cast<long long>(m));
-#pragma GCC unroll 8
-  for (int i = 0; i < 8; ++i) {
-    if ((i & d) != 0) continue;
-    const __m512i lo = r[i];
-    const __m512i hi = r[i + d];
-    r[i] = _mm512_ternarylogic_epi64(lo_sel, _mm512_slli_epi64(hi, J), lo, kSelectBits);
-    r[i + d] = _mm512_ternarylogic_epi64(hi_sel, _mm512_srli_epi64(lo, J), hi, kSelectBits);
-  }
-}
-
-template <unsigned J>  // J = 4, 2, 1: lane k pairs with lane k ^ J
-VLCSA_AVX512 inline void transpose_level_lanes(__m512i (&r)[8]) {
-  constexpr std::uint64_t m = transpose_mask(J);
-  constexpr long long j = J;
-  constexpr __mmask8 hi_lanes = J == 4 ? 0xF0 : J == 2 ? 0xCC : 0xAA;
-  const __m512i partner =
-      _mm512_setr_epi64(0 ^ j, 1 ^ j, 2 ^ j, 3 ^ j, 4 ^ j, 5 ^ j, 6 ^ j, 7 ^ j);
-  const __m512i sel =
-      _mm512_mask_blend_epi64(hi_lanes, _mm512_set1_epi64(static_cast<long long>(m << J)),
-                              _mm512_set1_epi64(static_cast<long long>(m)));
-#pragma GCC unroll 8
-  for (int i = 0; i < 8; ++i) {
-    const __m512i other = _mm512_permutexvar_epi64(partner, r[i]);
-    const __m512i moved =
-        _mm512_mask_srli_epi64(_mm512_slli_epi64(other, J), hi_lanes, other, J);
-    r[i] = _mm512_ternarylogic_epi64(sel, moved, r[i], kSelectBits);
-  }
-}
-
-VLCSA_AVX512 void transpose_avx512(std::uint64_t block[64]) {
-  __m512i r[8];
-  for (int i = 0; i < 8; ++i) r[i] = _mm512_loadu_si512(block + 8 * i);
-  transpose_level_regs<32>(r);
-  transpose_level_regs<16>(r);
-  transpose_level_regs<8>(r);
-  transpose_level_lanes<4>(r);
-  transpose_level_lanes<2>(r);
-  transpose_level_lanes<1>(r);
-  for (int i = 0; i < 8; ++i) _mm512_storeu_si512(block + 8 * i, r[i]);
 }
 
 // Eight words per step: the same integer layer test and multiply as
@@ -702,7 +600,6 @@ struct Kernels {
                      const ScsaLaneMasks&, std::size_t);
   void (*vlsa_sweep)(const std::uint64_t*, const std::uint64_t*, int, std::size_t, int,
                      std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*transpose)(std::uint64_t*);
   void (*twist)(std::uint64_t*);
   void (*temper)(const std::uint64_t*, std::uint64_t*);
   std::size_t (*zig_accept)(const std::uint64_t*, std::size_t, const std::uint64_t*,
@@ -712,21 +609,21 @@ struct Kernels {
 };
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, scsa_sweep_scalar, vlsa_sweep_scalar, transpose_scalar,
-    twist_scalar,     temper_scalar,     zig_accept_scalar, gauss_planes_scalar,
+    Backend::kScalar, scsa_sweep_scalar, vlsa_sweep_scalar, twist_scalar,
+    temper_scalar,    zig_accept_scalar, gauss_planes_scalar,
 };
 
 #if VLCSA_HAVE_X86_BACKENDS
 // The ziggurat fast path needs avx512dq; the AVX2 row runs its scalar body
 // (and the Gaussian fill the scalar encode).
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, scsa_sweep_avx2, vlsa_sweep_avx2,   transpose_avx2,
-    twist_avx2,     temper_avx2,     zig_accept_scalar, gauss_planes_avx2,
+    Backend::kAvx2, scsa_sweep_avx2,   vlsa_sweep_avx2, twist_avx2,
+    temper_avx2,    zig_accept_scalar, gauss_planes_avx2,
 };
 
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, scsa_sweep_avx512, vlsa_sweep_avx512, transpose_avx512,
-    twist_avx512,     temper_avx512,     zig_accept_avx512, gauss_planes_avx512,
+    Backend::kAvx512, scsa_sweep_avx512, vlsa_sweep_avx512, twist_avx512,
+    temper_avx512,    zig_accept_avx512, gauss_planes_avx512,
 };
 #endif
 
@@ -858,7 +755,9 @@ void vlsa_run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int l
   active().vlsa_sweep(a, b, n, static_cast<std::size_t>(lane_words), chain, spec_wrong, err, 0);
 }
 
-void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }
+void transpose_64x64(std::uint64_t block[64]) {
+  transpose_levels<std::uint64_t, 64, 1, 32, 1>(block);
+}
 
 void mt_twist(std::uint64_t state[kMtStateWords]) { active().twist(state); }
 

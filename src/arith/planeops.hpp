@@ -3,7 +3,6 @@
 // and the one module that knows which ISA backs which kernel.  It owns:
 //  * the two batched carry-chain evaluators: SCSA's window sweep
 //    (scsa_window_sweep) and VLSA's streaming run detector (vlsa_run_sweep);
-//  * the 64x64 bit transpose behind the operand streams (transpose_64x64);
 //  * the MT19937-64 block twist and tempering under BlockRng (mt_twist,
 //    mt_regenerate);
 //  * the ziggurat fast path under GaussianBlockSampler::fill (zig_accept);
@@ -12,7 +11,10 @@
 // Each has a scalar backend and (on x86-64 gcc/clang) AVX2 (avx2) and
 // AVX-512 (avx512f + avx512bw + avx512dq) backends, selected once at startup
 // by runtime CPU dispatch.  Other targets (aarch64 included) run the scalar
-// oracle.
+// oracle.  The 64x64 bit transpose (transpose_64x64) is not dispatched: one
+// portable body, built from the transpose levels gaussian_to_planes runs,
+// serves the uniform source's scalar oracle and transpose_to_planes (the
+// default OperandSource::fill_batch and BitSlicedBatch::load).
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp).  The
@@ -151,7 +153,8 @@ void vlsa_run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int l
                     int chain, std::uint64_t* spec_wrong, std::uint64_t* err);
 
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i, and bit j
-/// of row i moves to bit i of row j.
+/// of row i moves to bit i of row j.  One body on every backend (not
+/// dispatched).
 void transpose_64x64(std::uint64_t block[64]);
 
 // ---- MT19937-64 block kernels ----------------------------------------------

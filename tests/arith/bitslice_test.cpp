@@ -1,18 +1,20 @@
 // Tests for the bit-sliced batch layer: the 64x64 bit-matrix transpose, the
-// ApInt <-> bit-plane conversions, the word-level Kogge-Stone prefix, and
-// the OperandSource::fill_batch stream contract (fill_batch must consume
-// the RNG exactly like lanes() next() calls and produce the same samples,
-// at any lane width and in any sequence of widths — the foundation of the
-// batched pipeline's bit-identical-counters guarantee), and the uniform
-// source's superblock layout (an 8-word fill is the raw RNG stream).
+// ApInt <-> bit-plane conversions, the OperandSource::fill_batch stream
+// contract (fill_batch must consume the RNG exactly like lanes() next()
+// calls and produce the same samples, at any lane width and in any sequence
+// of widths — the foundation of the batched pipeline's bit-identical-counters
+// guarantee), and the uniform source's superblock layout (an 8-word fill is
+// the raw RNG stream).
 
 #include "arith/bitslice.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -45,17 +47,30 @@ TEST(Transpose64x64Test, DoubleTransposeIsIdentity) {
 }
 
 TEST(Transpose64x64Test, MatchesNaiveBitGather) {
+  // 16 random blocks, then all ones, alternating columns and single columns.
+  std::vector<std::array<std::uint64_t, 64>> inputs;
   vlcsa::arith::BlockRng rng(2);
-  std::uint64_t block[64];
-  for (auto& row : block) row = rng();
-  std::uint64_t expected[64] = {};
-  for (int r = 0; r < 64; ++r) {
-    for (int c = 0; c < 64; ++c) {
-      expected[c] |= ((block[r] >> c) & 1) << r;
-    }
+  for (int k = 0; k < 16; ++k) {
+    for (auto& row : inputs.emplace_back()) row = rng();
   }
-  planeops::transpose_64x64(block);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expected[i]);
+  for (const std::uint64_t rows :
+       {~std::uint64_t{0}, std::uint64_t{0xAAAAAAAAAAAAAAAA}, std::uint64_t{0x5555555555555555}}) {
+    inputs.emplace_back().fill(rows);
+  }
+  for (const int c : {0, 1, 31, 32, 63}) inputs.emplace_back().fill(std::uint64_t{1} << c);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    SCOPED_TRACE("input block " + std::to_string(k));
+    std::uint64_t block[64];
+    std::copy(inputs[k].begin(), inputs[k].end(), block);
+    std::uint64_t expected[64] = {};
+    for (int r = 0; r < 64; ++r) {
+      for (int c = 0; c < 64; ++c) {
+        expected[c] |= ((block[r] >> c) & 1) << r;
+      }
+    }
+    planeops::transpose_64x64(block);
+    for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expected[i]);
+  }
 }
 
 class TransposeToPlanesTest : public ::testing::TestWithParam<int> {};

@@ -65,7 +65,7 @@ TEST(Distributions, UniformTwosCoversBothSigns) {
 TEST(Distributions, GaussianTwosIsSignExtendedSmallMagnitude) {
   // sigma = 2^32 on a 512-bit datapath: operands must be sign extensions of
   // ~33-bit values, i.e. bits far above 48 all equal the sign bit.
-  GaussianTwosSource source(512, GaussianParams{0.0, std::ldexp(1.0, 32)});
+  GaussianSource source(512, GaussianParams{0.0, std::ldexp(1.0, 32)}, true);
   vlcsa::arith::BlockRng rng(7);
   for (int i = 0; i < 100; ++i) {
     const auto [a, b] = source.next(rng);
@@ -79,7 +79,7 @@ TEST(Distributions, GaussianTwosIsSignExtendedSmallMagnitude) {
 }
 
 TEST(Distributions, GaussianUnsignedNeverSetsFarHighBits) {
-  GaussianUnsignedSource source(512, GaussianParams{0.0, std::ldexp(1.0, 32)});
+  GaussianSource source(512, GaussianParams{0.0, std::ldexp(1.0, 32)}, false);
   vlcsa::arith::BlockRng rng(11);
   for (int i = 0; i < 100; ++i) {
     const auto [a, b] = source.next(rng);
@@ -102,7 +102,7 @@ TEST(Distributions, EncodeUnsignedSampleTakesMagnitude) {
 }
 
 TEST(Distributions, GaussianTwosSignBalance) {
-  GaussianTwosSource source(64, GaussianParams{0.0, std::ldexp(1.0, 20)});
+  GaussianSource source(64, GaussianParams{0.0, std::ldexp(1.0, 20)}, true);
   vlcsa::arith::BlockRng rng(13);
   int negatives = 0;
   const int n = 2000;

@@ -107,7 +107,7 @@ TEST(MultiOperandAdder, AlwaysExactOverRandomStreams) {
 TEST(MultiOperandAdder, GaussianOperandsStayExact) {
   const int width = 64;
   const MultiOperandAdder adder({width, 13, ScsaVariant::kScsa2});
-  arith::GaussianTwosSource source(width, arith::GaussianParams{0.0, 1048576.0});
+  arith::GaussianSource source(width, arith::GaussianParams{0.0, 1048576.0}, true);
   vlcsa::arith::BlockRng rng(9);
   for (int trial = 0; trial < 1000; ++trial) {
     std::vector<ApInt> ops;

@@ -165,7 +165,7 @@ TEST_P(ScsaSweepTest, Vlcsa2SelectionTheoremOnGaussianInputs) {
   const auto [n, k] = GetParam();
   if (n < 64) GTEST_SKIP() << "sigma 2^20 needs some headroom";
   const ScsaModel model(ScsaConfig{n, k});
-  arith::GaussianTwosSource source(n, arith::GaussianParams{0.0, 1048576.0});
+  arith::GaussianSource source(n, arith::GaussianParams{0.0, 1048576.0}, true);
   vlcsa::arith::BlockRng rng(400 + static_cast<unsigned>(n * k));
   for (int i = 0; i < kSamples; ++i) {
     const auto [a, b] = source.next(rng);

@@ -16,7 +16,7 @@ TEST(VlcsaModel, EmittedResultIsAlwaysExact) {
   // inputs, what VLCSA emits (1 or 2 cycles) equals the true sum.
   for (const auto variant : {ScsaVariant::kScsa1, ScsaVariant::kScsa2}) {
     const VlcsaModel model(VlcsaConfig{64, 9, variant});
-    arith::GaussianTwosSource gauss(64, arith::GaussianParams{0.0, 1048576.0});
+    arith::GaussianSource gauss(64, arith::GaussianParams{0.0, 1048576.0}, true);
     arith::UniformUnsignedSource uniform(64);
     vlcsa::arith::BlockRng rng(11);
     for (int i = 0; i < 20000; ++i) {
@@ -77,7 +77,7 @@ TEST(VlcsaModel, GaussianStallRateGapBetweenVariants) {
   // VLCSA 1 stalls on ~25% of additions (long sign chains), VLCSA 2 on far
   // fewer.
   const int n = 64, k = 14;
-  arith::GaussianTwosSource source(n, arith::GaussianParams{0.0, 4294967296.0});
+  arith::GaussianSource source(n, arith::GaussianParams{0.0, 4294967296.0}, true);
   const VlcsaModel v1(VlcsaConfig{n, k, ScsaVariant::kScsa1});
   const VlcsaModel v2(VlcsaConfig{n, k, ScsaVariant::kScsa2});
   vlcsa::arith::BlockRng r1(23), r2(23);
