@@ -5,8 +5,9 @@
 // path and the Gaussian fill (its scalar row is pinned against next() by
 // distributions_test's GaussianEncodeTest; the sweeps' scalar rows are
 // pinned to the models' scalar evaluate() by speculative/batch_test.cpp).
-// The 64x64 transpose has one body on every backend; bitslice_test pins it
-// to a naive bit gather.  Also covers the dispatch surface: backend naming,
+// The 64x64 transpose has one body on every backend; it is pinned to a naive
+// bit gather under each backend here and on more blocks in bitslice_test.
+// Also covers the dispatch surface: backend naming,
 // availability, the set_backend contract and VLCSA_FORCE_BACKEND resolution.
 
 #include "arith/planeops.hpp"
@@ -140,6 +141,27 @@ class PlaneOpsBackendTest : public ::testing::TestWithParam<Backend> {
  private:
   Backend prev_ = active_backend();  // captured before SetUp switches
 };
+
+// transpose_64x64 is not dispatched: whichever backend is active, callers
+// (the uniform next() oracle, transpose_to_planes, perfbench) must get the
+// same naive bit gather and an involution.
+TEST_P(PlaneOpsBackendTest, TransposeMatchesNaiveBitGather) {
+  std::mt19937_64 rng(5);
+  alignas(kPlaneAlignment) std::uint64_t block[64];
+  for (auto& row : block) row = rng();
+  std::uint64_t expected[64] = {};
+  for (int r = 0; r < 64; ++r) {
+    for (int c = 0; c < 64; ++c) {
+      expected[c] |= ((block[r] >> c) & 1) << r;
+    }
+  }
+  transpose_64x64(block);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expected[i]) << "row " << i;
+  // Involution.
+  transpose_64x64(block);
+  std::mt19937_64 rng2(5);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], rng2()) << "row " << i;
+}
 
 /// Runs `body` with the scalar backend, then restores the test's backend.
 template <typename Body>
