@@ -13,8 +13,10 @@
 // by runtime CPU dispatch.  Other targets (aarch64 included) run the scalar
 // oracle.  The 64x64 bit transpose (transpose_64x64) is not dispatched: one
 // portable body, built from the transpose levels gaussian_to_planes runs,
-// serves the uniform source's scalar oracle and transpose_to_planes (the
-// default OperandSource::fill_batch and BitSlicedBatch::load).
+// serves gaussian_to_planes' scalar row (and the vector rows' leftover
+// columns), the uniform source's scalar oracle next() and
+// transpose_to_planes (the default OperandSource::fill_batch and
+// BitSlicedBatch::load).
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp).  The
