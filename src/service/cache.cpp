@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "service/fleet.hpp"
+#include "service/trace.hpp"
 
 namespace vlcsa::service {
 
@@ -83,17 +86,6 @@ ResultCache::ResultCache(std::string disk_dir, std::size_t memory_capacity,
 
 std::string ResultCache::dir_lock_path() const { return disk_dir_ + "/.vlcsa.lock"; }
 
-std::uint64_t ResultCache::disk_usage_bytes() const {
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(disk_dir_, ec)) {
-    if (!entry.is_regular_file(ec) || entry.path().extension() != ".json") continue;
-    const std::uintmax_t size = entry.file_size(ec);
-    if (!ec) total += static_cast<std::uint64_t>(size);
-  }
-  return total;
-}
-
 void ResultCache::tidy_disk_locked() {
   std::error_code ec;
   struct RecordFile {
@@ -119,19 +111,20 @@ void ResultCache::tidy_disk_locked() {
       }
       continue;
     }
-    if (max_disk_bytes_ == 0 || extension != ".json") continue;
-    // Per-field error codes: a failed mtime must not be masked by a
-    // succeeding size query (or vice versa) — a record with indeterminate
-    // age would sort as oldest and be evicted ahead of genuinely old ones.
-    std::error_code mtime_ec, size_ec;
-    RecordFile record{entry.path(), entry.last_write_time(mtime_ec),
-                      static_cast<std::uint64_t>(entry.file_size(size_ec))};
-    if (mtime_ec || size_ec) continue;
-    total += record.size;
-    records.push_back(std::move(record));
+    if (extension != ".json") continue;
+    std::error_code size_ec;
+    const auto size = static_cast<std::uint64_t>(entry.file_size(size_ec));
+    if (size_ec) continue;
+    total += size;
+    if (max_disk_bytes_ == 0) continue;
+    // A record whose mtime fails is counted but never evicted: with an
+    // indeterminate age it would sort as oldest, ahead of genuinely old ones.
+    std::error_code mtime_ec;
+    const auto mtime = entry.last_write_time(mtime_ec);
+    if (!mtime_ec) records.push_back({entry.path(), mtime, size});
   }
-  if (total <= max_disk_bytes_) {
-    disk_bytes_estimate_ = total;
+  if (max_disk_bytes_ == 0 || total <= max_disk_bytes_) {
+    disk_bytes_ = total;
     return;
   }
   std::sort(records.begin(), records.end(),
@@ -144,7 +137,7 @@ void ResultCache::tidy_disk_locked() {
     total -= record.size;
     ++evicted;
   }
-  disk_bytes_estimate_ = total;
+  disk_bytes_ = total;
   if (evicted != 0) {
     const std::lock_guard<std::mutex> lock(mutex_);
     stats_.disk_evictions += evicted;
@@ -176,14 +169,17 @@ void ResultCache::promote_locked(const std::string& map_key, const std::string& 
 }
 
 ResultCache::Lookup ResultCache::get(const harness::RecordKey& key) {
-  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
+  return get(key, harness::encode_key(key, harness::KeyEncoding::kCache));
+}
+
+ResultCache::Lookup ResultCache::get(const harness::RecordKey& key, const std::string& map_key) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(map_key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.memory_hits;
-      return {Tier::kMemory, it->second->second};
+      return {.tier = Tier::kMemory, .record = it->second->second};
     }
   }
   if (!disk_dir_.empty()) {
@@ -201,14 +197,14 @@ ResultCache::Lookup ResultCache::get(const harness::RecordKey& key) {
       if (harness::record_matches_key(record, key)) {
         promote_locked(map_key, record);
         ++stats_.disk_hits;
-        return {Tier::kDisk, std::move(record)};
+        return {.tier = Tier::kDisk, .record = std::move(record)};
       }
       ++stats_.invalid_disk_records;
     }
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
-  return {Tier::kMiss, {}};
+  return {};
 }
 
 void ResultCache::put(const harness::RecordKey& key, const std::string& record) {
@@ -251,50 +247,143 @@ void ResultCache::put(const harness::RecordKey& key, const std::string& record) 
   // the single-process guarantee (rename is atomic regardless).
   fleet::DirLock dir_lock;
   [[maybe_unused]] const bool locked = dir_lock.acquire(dir_lock_path());
+  // The running byte count grows by what the rename adds: a new record's
+  // bytes, nothing for a byte-identical overwrite (records are pure
+  // functions of the key), the difference for a torn or foreign file.
+  const std::uintmax_t replaced = std::filesystem::file_size(path, ec);
+  const std::uint64_t old_bytes = ec ? 0 : static_cast<std::uint64_t>(replaced);
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
     return;
   }
-  if (max_disk_bytes_ != 0) {
-    // Running estimate keeps the common under-cap store O(1); only when it
-    // crosses the cap does a directory walk run (and resync the estimate,
-    // so key overwrites or external deletions never cause drift to stick).
-    disk_bytes_estimate_ += record.size() + 1;  // + framing '\n'
-    if (disk_bytes_estimate_ > max_disk_bytes_) tidy_disk_locked();
-  }
+  const std::uint64_t grown = disk_bytes_ + record.size() + 1;  // + framing '\n'
+  disk_bytes_ = grown > old_bytes ? grown - old_bytes : 0;
+  // Only a store that crosses the cap walks the directory (and resyncs the
+  // count, so drift from a peer's stores or external deletions never sticks).
+  if (max_disk_bytes_ != 0 && disk_bytes_ > max_disk_bytes_) tidy_disk_locked();
 }
 
 std::string ResultCache::lease_path(const harness::RecordKey& key) const {
   return file_path(key) + ".lease";
 }
 
-fleet::ComputeLease ResultCache::try_acquire_lease(const harness::RecordKey& key) {
-  fleet::ComputeLease lease;
-  if (disk_dir_.empty()) return lease;  // kDisabled: no shared tier to guard
-  lease.try_acquire(lease_path(key), lease_stale_ms_);
-  if (lease.took_over()) {
+ResultCache::Lookup ResultCache::fetch(const harness::RecordKey& key,
+                                       const harness::RunOptions& options, RequestTrace& trace) {
+  // The latch is taken before the lookup, so the counters see exactly one
+  // event per fetch: a leader's lookup (or computation), or a follower's
+  // coalesced hit.
+  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
+  std::promise<std::string> promise;
+  std::shared_future<std::string> flight;
+  bool leader = false;
+  {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lease_takeovers;
+    const auto [it, inserted] = inflight_.try_emplace(map_key);
+    if (inserted) it->second = promise.get_future().share();
+    flight = it->second;
+    leader = inserted;
   }
-  return lease;
-}
 
-void ResultCache::add(const CacheStats& delta) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_ += delta;
-}
+  if (!leader) {
+    const RequestTrace::Scope wait_scope(trace, "coalesced-wait");
+    // A follower enforces its *own* deadline: the leader may have a longer
+    // one (or none) and keeps computing — only this caller gives up.  A
+    // drain needs no wake-up here: the flag stops the in-process leader,
+    // whose RunCancelled reaches this follower through the future.
+    if (options.stop.has_deadline() &&
+        flight.wait_until(options.stop.deadline) != std::future_status::ready) {
+      throw harness::RunCancelled{};
+    }
+    Lookup out{.tier = Tier::kCoalesced, .record = flight.get()};  // rethrows a failed leader's
+    count(&CacheStats::coalesced_hits);
+    return out;
+  }
 
-CacheStats ResultCache::counters() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats out = stats_;
-  out.memory_entries = lru_.size();
+  const auto release = [&] {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    inflight_.erase(map_key);
+  };
+  Lookup out;
+  try {
+    out = lead(key, map_key, options, trace);
+  } catch (...) {
+    release();
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+  release();
+  promise.set_value(out.record);
   return out;
 }
 
+ResultCache::Lookup ResultCache::lead(const harness::RecordKey& key, const std::string& map_key,
+                                      const harness::RunOptions& options, RequestTrace& trace) {
+  bool lease_waited = false;
+  while (true) {
+    {
+      const RequestTrace::Scope lookup_scope(trace, "cache-lookup");
+      Lookup lookup = get(key, map_key);
+      if (lookup.tier != Tier::kMiss) return lookup;
+    }
+    // Cross-process single-flight (fleet.hpp): replicas sharing one cache
+    // dir elect a computer per cold key via a lease file.  Without a disk
+    // tier there is nobody to share with, and the lease stays kDisabled.
+    fleet::ComputeLease lease;
+    if (!disk_dir_.empty()) lease.try_acquire(lease_path(key), lease_stale_ms_);
+    if (lease.took_over()) count(&CacheStats::lease_takeovers);
+    if (lease.state() == fleet::ComputeLease::State::kBusy) {
+      // Another replica is already sampling this key: wait for its record
+      // (or its crash) instead of duplicating the compute.  Counted once per
+      // fetch, not per poll round.
+      if (!std::exchange(lease_waited, true)) count(&CacheStats::lease_waits);
+      const RequestTrace::Scope wait_scope(trace, "lease-wait");
+      if (fleet::wait_for_lease_release(lease_path(key), lease_stale_ms_, options.stop) ==
+          fleet::LeaseWaitResult::kCancelled) {
+        throw harness::RunCancelled{};
+      }
+      // kReleased: the holder stored (the next lookup hits disk) or failed
+      // (the next round takes the lease).  kStale: the holder crashed; the
+      // next round reaps it and takes over.  Either way a false takeover is
+      // harmless — a concurrent survivor would only rename byte-identical
+      // content over byte-identical content.
+      continue;
+    }
+    // Profiling rides the tracing switch: collection is on only when a
+    // trace wants it, so an untraced run pays one null check per shard and
+    // the profile never touches the record either way.
+    harness::RunOptions run = options;
+    harness::RunProfileCollector collector;
+    if (trace.enabled()) run.profile = &collector;
+    harness::RecordRun computed;
+    {
+      const RequestTrace::Scope run_scope(trace, "engine-run");
+      computed = harness::run_record(key, run);
+    }
+    {
+      // Only a completed run reaches put(): RunCancelled throws past it, so
+      // a cancelled run never writes a partial cache record.
+      const RequestTrace::Scope put_scope(trace, "record-write");
+      put(key, computed.record);
+    }
+    // The lease releases on return (RAII) — after the record is on disk,
+    // so a waiter that sees the release always finds the record.
+    return {.tier = Tier::kMiss,
+            .record = std::move(computed.record),
+            .profile = std::move(computed.profile)};
+  }
+}
+
+void ResultCache::count(std::uint64_t CacheStats::*counter) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++(stats_.*counter);
+}
+
 CacheStats ResultCache::stats() const {
-  CacheStats out = counters();
-  if (!disk_dir_.empty()) out.disk_bytes = disk_usage_bytes();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CacheStats out = stats_;
+  out.memory_entries = lru_.size();
+  out.disk_bytes = disk_bytes_;
   return out;
 }
 

@@ -22,19 +22,22 @@
 // a per-process-unique `.tmp` and rename under an advisory directory flock,
 // eviction walks run under the same flock so two replicas never double-count
 // bytes, startup reaping is mtime-gated so a peer's in-flight `.tmp` is
-// never swept, and `try_acquire_lease` provides cross-process single-flight
-// (one replica computes a cold key, the others wait for its record).
+// never swept, and fetch() is the one cold-key path: an in-process latch
+// plus a cross-process compute lease, so a cold key is computed once.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "harness/engine.hpp"
 #include "harness/experiments.hpp"
 #include "service/counters.hpp"
-#include "service/fleet.hpp"
 
 namespace vlcsa::service {
 
@@ -56,16 +59,16 @@ struct CacheKey {
 struct CacheStats {
   std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
-  std::uint64_t coalesced_hits = 0;  // followers served by an in-flight leader
+  std::uint64_t coalesced_hits = 0;  // fetch followers served by an in-flight leader
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t evictions = 0;
   std::uint64_t disk_evictions = 0;  // record files removed by the byte cap
   std::uint64_t invalid_disk_records = 0;  // corrupt/mismatched files seen
-  std::uint64_t lease_waits = 0;      // misses that waited on another replica's lease
-  std::uint64_t lease_takeovers = 0;  // stale (crashed-holder) leases reaped
-  std::uint64_t memory_entries = 0;  // current, not monotonic; by counters()/stats()
-  std::uint64_t disk_bytes = 0;      // current on-disk record bytes; by stats()
+  std::uint64_t lease_waits = 0;      // fetch misses that waited on another replica's lease
+  std::uint64_t lease_takeovers = 0;  // stale (crashed-holder) leases reaped by fetch
+  std::uint64_t memory_entries = 0;  // current, not monotonic
+  std::uint64_t disk_bytes = 0;  // current: own stores add, each walk resyncs
 
   CacheStats& operator+=(const CacheStats& delta);
 
@@ -111,6 +114,8 @@ inline CacheStats& CacheStats::operator+=(const CacheStats& delta) {
   return add_rows(*this, delta, kCacheStatsRows);
 }
 
+class RequestTrace;  // trace.hpp
+
 class ResultCache {
  public:
   /// `disk_dir` empty disables the disk tier; otherwise the directory is
@@ -123,11 +128,12 @@ class ResultCache {
   ResultCache(std::string disk_dir, std::size_t memory_capacity,
               std::uint64_t max_disk_bytes = 0, int lease_stale_ms = 30000);
 
-  enum class Tier { kMemory, kDisk, kMiss };
+  enum class Tier { kMemory, kDisk, kMiss, kCoalesced };
 
   struct Lookup {
     Tier tier = Tier::kMiss;
     std::string record;  // set on hits, byte-identical to what put() stored
+    std::optional<harness::RunProfile> profile{};  // fetch(): a traced computed run's
   };
 
   /// Looks `key` up memory-first; a disk hit is promoted into memory.
@@ -137,18 +143,19 @@ class ResultCache {
   /// directory degrades the cache, never the result).
   void put(const harness::RecordKey& key, const std::string& record);
 
-  /// The counters and memory_entries, with disk_bytes left 0: measuring it
-  /// walks the disk directory, so only the replies that report it pay for
-  /// that walk (through stats()).
-  [[nodiscard]] CacheStats counters() const;
+  /// The one cold-key path.  The first caller for a key (the leader) takes
+  /// the in-process latch and looks the key up ("cache-lookup"); on a miss
+  /// it takes the key's compute lease, or waits out a peer replica's
+  /// ("lease-wait") and looks again, then runs harness::run_record
+  /// ("engine-run"), put()s ("record-write") and releases.  Callers arriving
+  /// meanwhile wait for its record ("coalesced-wait", Tier::kCoalesced) and
+  /// rethrow what it threw.  A wait that reaches `options.stop` throws
+  /// harness::RunCancelled, as the engine does.
+  [[nodiscard]] Lookup fetch(const harness::RecordKey& key, const harness::RunOptions& options,
+                             RequestTrace& trace);
 
-  /// counters() plus disk_bytes, the current on-disk record bytes.
+  /// One O(1) read of every counter; never waits on a disk write.
   [[nodiscard]] CacheStats stats() const;
-
-  /// Adds counts made outside the cache: coalesced hits (the single-flight
-  /// map is service.cpp's run_one) and lease waits, so that cache-stats
-  /// reports every tier together.
-  void add(const CacheStats& delta);
 
   [[nodiscard]] const std::string& disk_dir() const { return disk_dir_; }
   [[nodiscard]] std::size_t memory_capacity() const { return memory_capacity_; }
@@ -158,27 +165,25 @@ class ResultCache {
   /// disk_dir.  Exposed so tests and the CI smoke step can find records.
   [[nodiscard]] std::string file_path(const harness::RecordKey& key) const;
 
-  /// The key's compute-lease file (file_path + ".lease") — what
-  /// try_acquire_lease creates and waiters poll.
+  /// The key's compute-lease file (file_path + ".lease"), exposed so tests
+  /// can plant a peer replica's lease.
   [[nodiscard]] std::string lease_path(const harness::RecordKey& key) const;
 
-  /// Cross-process single-flight: attempts the key's compute lease.
-  /// kAcquired = we compute (release after put); kBusy = another replica is
-  /// computing, wait on lease_path; kDisabled = no disk tier, just compute.
-  /// Counts takeovers of stale leases into the stats.
-  [[nodiscard]] fleet::ComputeLease try_acquire_lease(const harness::RecordKey& key);
-
-  [[nodiscard]] int lease_stale_ms() const { return lease_stale_ms_; }
-
  private:
+  /// get() with the key's cache encoding already made.
+  [[nodiscard]] Lookup get(const harness::RecordKey& key, const std::string& map_key);
+  /// fetch()'s leader: lookup, lease (or lease wait), compute and store.
+  [[nodiscard]] Lookup lead(const harness::RecordKey& key, const std::string& map_key,
+                            const harness::RunOptions& options, RequestTrace& trace);
   void promote_locked(const std::string& map_key, const std::string& record);
-  /// Sums the sizes of all ".json" record files in disk_dir_.
-  [[nodiscard]] std::uint64_t disk_usage_bytes() const;
+  /// Bumps one counter under mutex_.
+  void count(std::uint64_t CacheStats::*counter);
   /// One directory walk: removes `.tmp`/`.lease` scratch older than
   /// lease_stale_ms_ (crashed writers; fresh ones belong to a live peer and
-  /// are kept), and with a cap deletes records oldest-first (by last write
-  /// time) until the tier fits it.  Called with disk_mutex_ + the
-  /// cross-process dir lock held, at startup and when a store crosses the cap.
+  /// are kept), sums the `.json` record bytes into disk_bytes_, and with a
+  /// cap deletes records oldest-first (by last write time) until the tier
+  /// fits it.  Called with disk_mutex_ + the cross-process dir lock held, at
+  /// startup and when a store crosses the cap.
   void tidy_disk_locked();
   /// The advisory cross-process lock file (".vlcsa.lock" inside disk_dir_).
   [[nodiscard]] std::string dir_lock_path() const;
@@ -191,9 +196,8 @@ class ResultCache {
   // Serializes disk-tier writes and cap enforcement (separate from mutex_ so
   // slow filesystem work never blocks memory-tier lookups).
   std::mutex disk_mutex_;
-  // Approximate record bytes on disk, guarded by disk_mutex_; resynced by
-  // every enforcement walk.  Lets under-cap stores skip the directory scan.
-  std::uint64_t disk_bytes_estimate_ = 0;
+  // Record bytes on disk, written under disk_mutex_, read lock-free by stats().
+  std::atomic<std::uint64_t> disk_bytes_{0};
 
   mutable std::mutex mutex_;
   // LRU: most recent at the front; map values point into the list.
@@ -201,6 +205,8 @@ class ResultCache {
   std::unordered_map<std::string, std::list<std::pair<std::string, std::string>>::iterator>
       index_;
   CacheStats stats_;
+  // Single-flight latch (under mutex_): in-flight leaders by cache encoding.
+  std::unordered_map<std::string, std::shared_future<std::string>> inflight_;
 };
 
 }  // namespace vlcsa::service

@@ -5,13 +5,14 @@
 // - DirLock: an advisory flock on a well-known file inside the cache dir,
 //   serializing disk-tier renames and eviction walks across processes (the
 //   in-process disk_mutex_ only covers one replica).
-// - ComputeLease: cross-process single-flight.  A replica about to compute a
-//   missing record takes `<record-path>.lease` with O_CREAT|O_EXCL; other
-//   replicas seeing the lease wait for the record instead of re-sampling the
-//   same experiment.  A lease whose mtime is older than the staleness bound
-//   belonged to a crashed holder and is reaped (takeover) — and because
-//   records are pure functions of their key, even a *false* takeover only
-//   ever renames byte-identical content over byte-identical content.
+// - ComputeLease: cross-process single-flight (ResultCache::fetch takes it).
+//   A replica about to compute a missing record takes `<record-path>.lease`
+//   with O_CREAT|O_EXCL; other replicas seeing the lease wait for the record
+//   instead of re-sampling the same experiment.  A lease whose mtime is
+//   older than the staleness bound belonged to a crashed holder and is
+//   reaped (takeover) — and because records are pure functions of their
+//   key, even a *false* takeover only ever renames byte-identical content
+//   over byte-identical content.
 // - DrainState: the graceful-drain flag, a count of in-flight runs, and the
 //   one sticky flag that stops them all at the drain deadline.
 // - RetryPolicy/BackoffSchedule: bounded exponential backoff with jitter for

@@ -178,6 +178,7 @@ const char* tier_name(ResultCache::Tier tier) {
     case ResultCache::Tier::kMemory: return "hit-memory";
     case ResultCache::Tier::kDisk: return "hit-disk";
     case ResultCache::Tier::kMiss: return "miss";
+    case ResultCache::Tier::kCoalesced: return "coalesced";
   }
   return "?";
 }
@@ -201,12 +202,10 @@ struct ExperimentService::Status {
   const char* code = kCodeBadRequest;
 };
 
-/// What running one spec produced: either a Status error or a record.
+/// What running one spec produced: either a Status error or the cache's
+/// answer (a traced computed run's carries its RunProfile).
 struct ExperimentService::RunOutcome : Status {
-  ResultCache::Tier tier = ResultCache::Tier::kMiss;
-  bool coalesced = false;
-  std::string record;
-  std::string profile_json;  // rendered RunProfile: traced computed runs only
+  ResultCache::Lookup lookup;
 };
 
 namespace {
@@ -272,13 +271,15 @@ std::string render_batch_result(ExperimentService::RunOutcome outcome,
   }
   result.add("status", "ok");
   result.add("experiment", experiment);
-  result.add("cache", outcome.coalesced ? "coalesced" : tier_name(outcome.tier));
-  result.add_json("record", std::move(outcome.record));
+  result.add("cache", tier_name(outcome.lookup.tier));
+  result.add_json("record", std::move(outcome.lookup.record));
   // A traced computed element carries its own RunProfile (cache hits never
   // ran the engine and have none) — the per-cell attribution sweeps
   // aggregate into their profile rollups.  It stays out of the request
   // context, so neither the batch envelope nor its trace-log line carries one.
-  if (!outcome.profile_json.empty()) result.add_json("profile", std::move(outcome.profile_json));
+  if (outcome.lookup.profile) {
+    result.add_json("profile", harness::render_run_profile(*outcome.lookup.profile));
+  }
   return result.render_line();
 }
 
@@ -534,7 +535,6 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
                 "' is a chain-profile experiment";
     return out;
   }
-  const harness::RecordKey& key = resolved.key;
 
   // Cancellation wears two hats: a fired per-request deadline (timeout) or
   // a server drain cancelling in-flight runs at its deadline (draining —
@@ -557,122 +557,17 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
     return out;
   }
 
-  // Single-flight: one leader per key does the cache lookup and (on a miss)
-  // the one computation; requests arriving while that is in flight wait on
-  // the leader's future instead of re-sampling the same experiment in
-  // parallel.  The latch is taken before the lookup so the cache counters
-  // see exactly one event per non-coalesced request.
-  const std::string map_key = harness::encode_key(key, harness::KeyEncoding::kCache);
-  std::promise<std::string> promise;
-  std::shared_future<std::string> future;
-  bool leader = false;
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(map_key);
-    if (it != inflight_.end()) {
-      future = it->second;
-    } else {
-      future = promise.get_future().share();
-      inflight_.emplace(map_key, future);
-      leader = true;
-    }
-  }
-
-  ResultCache::Lookup lookup;
+  harness::RunOptions options;
+  options.threads = config_.threads;
+  options.stop = stop;
   try {
-    if (leader) {
-      try {
-        bool lease_waited = false;
-        while (true) {
-          {
-            const RequestTrace::Scope lookup_scope(ctx.trace, "cache-lookup");
-            lookup = cache_.get(key);
-          }
-          if (lookup.tier != ResultCache::Tier::kMiss) break;
-          // Cross-process single-flight (fleet.hpp): replicas sharing one
-          // cache dir elect a computer per cold key via a lease file.  kBusy
-          // means another replica is already sampling this key — wait for
-          // its record (or its crash) instead of duplicating the compute.
-          const fleet::ComputeLease lease = cache_.try_acquire_lease(key);
-          if (lease.state() == fleet::ComputeLease::State::kBusy) {
-            if (!lease_waited) {
-              lease_waited = true;  // count once per request, not per poll round
-              cache_.add({.lease_waits = 1});
-            }
-            const RequestTrace::Scope wait_scope(ctx.trace, "lease-wait");
-            const fleet::LeaseWaitResult wait = fleet::wait_for_lease_release(
-                cache_.lease_path(key), cache_.lease_stale_ms(), stop);
-            if (wait == fleet::LeaseWaitResult::kCancelled) throw harness::RunCancelled{};
-            // kReleased: the holder stored (next lookup hits disk) or failed
-            // (next round takes the lease).  kStale: the holder crashed; the
-            // next try_acquire_lease reaps it and takes over.  Either way a
-            // false takeover is harmless — a concurrent survivor would only
-            // rename byte-identical content over byte-identical content.
-            continue;
-          }
-          harness::RunOptions options;
-          options.threads = config_.threads;
-          options.stop = stop;
-          // Profiling rides the tracing switch: collection is on only when a
-          // trace wants it, so an untraced run pays one null check per shard
-          // and the profile never touches the record either way.
-          harness::RunProfileCollector collector;
-          if (ctx.trace.enabled()) options.profile = &collector;
-          harness::RecordRun computed;
-          {
-            const RequestTrace::Scope run_scope(ctx.trace, "engine-run");
-            computed = harness::run_record(key, options);
-          }
-          lookup.record = std::move(computed.record);
-          if (computed.profile) out.profile_json = harness::render_run_profile(*computed.profile);
-          {
-            // Only a completed run reaches put(): RunCancelled throws past
-            // it, so a timed-out run never writes a partial cache record.
-            const RequestTrace::Scope put_scope(ctx.trace, "record-write");
-            cache_.put(key, lookup.record);
-          }
-          // The lease releases here (RAII) — after the record is on disk,
-          // so a waiter that sees the release always finds the record.
-          break;
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(inflight_mutex_);
-          inflight_.erase(map_key);
-        }
-        promise.set_exception(std::current_exception());
-        throw;
-      }
-      {
-        const std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(map_key);
-      }
-      promise.set_value(lookup.record);
-    } else {
-      out.coalesced = true;
-      const RequestTrace::Scope wait_scope(ctx.trace, "coalesced-wait");
-      // A follower enforces its *own* deadline: the leader may have a longer
-      // deadline (or none), so the wait is bounded by this request's.  The
-      // leader keeps computing — only this reply times out.  A drain needs
-      // no wake-up here: the flag stops the in-process leader, whose
-      // RunCancelled reaches this follower through the future.
-      if (stop.has_deadline() &&
-          future.wait_until(stop.deadline) != std::future_status::ready) {
-        cancelled("deadline expired while waiting for a coalesced run");
-        return out;
-      }
-      lookup.record = future.get();  // rethrows if the leader failed
-      cache_.add({.coalesced_hits = 1});
-    }
+    out.lookup = cache_.fetch(resolved.key, options, ctx.trace);
   } catch (const harness::RunCancelled&) {
-    // Either our own deadline fired, or we coalesced onto a leader whose
-    // deadline fired — the computation is gone either way.
+    // Our own stop was reached — in the engine, a lease wait or a coalesced
+    // wait — or we coalesced onto a leader whose stop was: the computation
+    // is gone either way.
     cancelled("run cancelled before completion");
-    return out;
   }
-
-  out.tier = lookup.tier;
-  out.record = std::move(lookup.record);
   return out;
 }
 
@@ -689,17 +584,19 @@ ExperimentService::Status ExperimentService::handle_run(const JsonValue& request
 
   RunOutcome outcome = run_one(run, run_stop(start, run.timeout_ms), ctx);
   if (!outcome.error.empty()) return {outcome.error, outcome.code};
-  ctx.cache = outcome.coalesced ? "coalesced" : tier_name(outcome.tier);
+  ctx.cache = tier_name(outcome.lookup.tier);
   // A lone run's profile belongs to the request: finalize_request echoes it
   // and writes it to the trace log.
-  ctx.profile_json = std::move(outcome.profile_json);
+  if (outcome.lookup.profile) {
+    ctx.profile_json = harness::render_run_profile(*outcome.lookup.profile);
+  }
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   const RequestTrace::Scope render_scope(ctx.trace, "render");
   response.add("experiment", run.experiment);
   response.add("cache", ctx.cache);
   response.add("wall_seconds", wall);
-  response.add_json("record", std::move(outcome.record));
+  response.add_json("record", std::move(outcome.lookup.record));
   return {};
 }
 
@@ -826,7 +723,7 @@ ExperimentService::Status ExperimentService::handle_cache_stats(const JsonValue&
 ExperimentService::Status ExperimentService::handle_metrics(const JsonValue&, RequestContext&,
                                                             JsonObject& response, Reply&) {
   const MetricsSnapshot snapshot = metrics_.snapshot();
-  const CacheStats cache_stats = cache_.counters();
+  const CacheStats cache_stats = cache_.stats();
 
   // The snapshot taken before this request finished — "metrics" itself is
   // not yet in any counter (it records on return like every request).

@@ -40,23 +40,21 @@
 // daemon may set a default (ServiceConfig::timeout_ms).  The request's
 // deadline and the service's one drain flag form a harness::RunStop that
 // every place a run waits checks directly — the engine's shard claim, the
-// compute-lease poll and a coalesced follower's wait.  A run that reaches
-// it aborts with RunCancelled and the request answers a "timeout"- (or,
-// during a drain, "draining"-) coded error; a cancelled run never writes a
-// (partial) cache record.
+// compute-lease poll and a coalesced follower's wait, all inside
+// ResultCache::fetch (cache.hpp), the one cold-key path.  A run that
+// reaches it aborts with RunCancelled and the request answers a "timeout"-
+// (or, during a drain, "draining"-) coded error; a cancelled run never
+// writes a (partial) cache record.
 //
 // handle_line is thread-safe — the socket server's worker pool calls it
 // concurrently; cache access is internally locked and experiment runs
 // themselves are independent sharded-engine invocations.
 
 #include <cstdint>
-#include <future>
 #include <iosfwd>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/engine.hpp"
@@ -173,8 +171,8 @@ class ExperimentService {
   Status handle_drain(const Request&, RequestContext&, Response&, Reply&);
   Status handle_shutdown(const Request&, RequestContext&, Response&, Reply&);
 
-  /// Runs one validated spec through cache + single-flight + engine,
-  /// abandoning it once `stop` (request deadline + drain flag) is reached.
+  /// Runs one validated spec through ResultCache::fetch, abandoning it once
+  /// `stop` (request deadline + drain flag) is reached.
   [[nodiscard]] RunOutcome run_one(const RunSpec& spec, harness::RunStop stop,
                                    RequestContext& ctx);
 
@@ -199,13 +197,6 @@ class ExperimentService {
   TraceIdGenerator trace_ids_;
   std::string log_error_;    // see log_error()
   fleet::DrainState drain_;  // graceful-drain flag, run count, stop flag
-
-  // Single-flight latch: concurrent run requests for the same cold key
-  // compute once — the first request (leader) runs the experiment, the rest
-  // wait on its future and answer "cache": "coalesced".  Keyed on the
-  // key's cache encoding; entries live only while a computation is in flight.
-  std::mutex inflight_mutex_;
-  std::unordered_map<std::string, std::shared_future<std::string>> inflight_;
 };
 
 /// The --stdio transport: reads request lines from `in` until EOF or a

@@ -1,7 +1,7 @@
 // Tests for the two-tier result cache (service/cache.hpp): LRU semantics,
 // disk persistence across instances, validation of corrupt or mismatched
-// disk records, and the stats counters the protocol's cache-stats request
-// reports.
+// disk records, fetch()'s single-flight latch and compute lease, and the
+// stats counters the protocol's cache-stats request reports.
 
 #include "service/cache.hpp"
 
@@ -16,8 +16,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "service/fleet.hpp"
+#include "service/trace.hpp"
 
 namespace vlcsa::service {
 namespace {
@@ -41,6 +43,73 @@ std::string record_for(const RecordKey& key, const std::string& payload = "x") {
          to_string(key.path) + "\", \"payload\": \"" + payload + "\"}";
 }
 
+void backdate(const std::string& path, int seconds) {
+  const auto stamp = std::filesystem::last_write_time(path);
+  std::filesystem::last_write_time(path, stamp - std::chrono::seconds(seconds));
+}
+
+int count_with_extension(const std::string& dir, const std::string& extension) {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == extension) ++count;
+  }
+  return count;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+/// The summed size of the `.json` record files in `dir` — what disk_bytes
+/// counts.
+std::uint64_t json_bytes(const std::string& dir) {
+  std::uint64_t total = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") total += entry.file_size();
+  }
+  return total;
+}
+
+/// A registry key fetch() can compute: a small error-rate run.
+RecordKey registry_key(std::uint64_t seed = 1) {
+  const harness::KeyResolution resolved = harness::record_key("fig7.1/n64-k6", 2000, seed);
+  EXPECT_TRUE(resolved.ok());
+  return resolved.key;
+}
+
+harness::RunOptions one_thread() {
+  harness::RunOptions options;
+  options.threads = 1;
+  return options;
+}
+
+/// Waits (bounded) until `done` holds.
+template <class Predicate>
+void wait_until(Predicate done) {
+  for (int i = 0; i < 20000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(done());
+}
+
+/// Starts a fetch of `key` on its own thread and returns once it is parked
+/// in its store — the slow-write fault holds it there for `park_ms` with
+/// the `.tmp` written — so it has counted its lookup and still holds the
+/// latch: a leader in flight for followers to coalesce onto.  The caller
+/// joins it and clears the fault.
+std::thread park_leader(ResultCache& cache, const RecordKey& key, int park_ms) {
+  fleet::fault::configure_for_test("slow-write=" + std::to_string(park_ms));
+  std::thread leader([&cache, key] {
+    RequestTrace trace;
+    EXPECT_EQ(cache.fetch(key, one_thread(), trace).tier, ResultCache::Tier::kMiss);
+  });
+  wait_until([&] { return count_with_extension(cache.disk_dir(), ".tmp") == 1; });
+  return leader;
+}
+
 TEST(ResultCache, MissThenMemoryHit) {
   ResultCache cache("", 4);
   const RecordKey key{"table7.1/n64", 1000, 1, EvalPath::kBatched, ""};
@@ -58,17 +127,34 @@ TEST(ResultCache, MissThenMemoryHit) {
 }
 
 TEST(ResultCache, CoalescedHitsAreCountedAsTheirOwnTier) {
-  // The single-flight map lives in the service, not the cache, so followers
-  // report their hits explicitly — the counter still belongs here with the
-  // other tier stats the cache-stats request renders.
-  ResultCache cache("", 4);
+  // Two followers latch onto an in-flight leader: each answers the leader's
+  // record as a coalesced hit, counted as its own tier — not a tier lookup.
+  const std::string dir = temp_dir("coalesced");
+  ResultCache cache(dir, 4);
+  const RecordKey key = registry_key();
   EXPECT_EQ(cache.stats().coalesced_hits, 0u);
-  cache.add({.coalesced_hits = 1});
-  cache.add({.coalesced_hits = 1});
+  std::thread leader = park_leader(cache, key, 1000);
+  const CacheStats before = cache.stats();
+  ResultCache::Lookup followed[2];
+  std::thread followers[2];
+  for (int i = 0; i < 2; ++i) {
+    followers[i] = std::thread([&cache, &key, &followed, i] {
+      RequestTrace trace;
+      followed[i] = cache.fetch(key, one_thread(), trace);
+    });
+  }
+  for (std::thread& follower : followers) follower.join();
+  leader.join();
+  fleet::fault::configure_for_test("");
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.coalesced_hits, 2u);
-  EXPECT_EQ(stats.memory_hits, 0u);  // a coalesced hit is not a tier lookup
-  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.coalesced_hits - before.coalesced_hits, 2u);
+  EXPECT_EQ(stats.memory_hits - before.memory_hits, 0u);  // a coalesced hit is not a tier lookup
+  EXPECT_EQ(stats.misses - before.misses, 0u);
+  for (const ResultCache::Lookup& lookup : followed) {
+    EXPECT_EQ(lookup.tier, ResultCache::Tier::kCoalesced);
+    EXPECT_EQ(lookup.record, cache.get(key).record);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, KeyComponentsAllDiscriminate) {
@@ -127,24 +213,51 @@ TEST(ResultCache, DiskTierSurvivesInstances) {
   EXPECT_EQ(reader.stats().memory_hits, 1u);
 }
 
-// counters() is stats() without the directory walk: the same counters and
-// memory_entries, disk_bytes left 0 (metrics reports no disk bytes, so it
-// reads counters(); cache-stats and metrics-prom read stats()).
-TEST(ResultCache, CountersAreStatsWithoutTheDiskWalk) {
-  const std::string dir = temp_dir("counters");
-  const RecordKey key{"table7.1/n64", 2000, 7, EvalPath::kScalar, ""};
-  ResultCache cache(dir, 4);
-  cache.put(key, record_for(key));
-  EXPECT_EQ(cache.get(key).tier, ResultCache::Tier::kMemory);
-  const CacheStats full = cache.stats();
-  const CacheStats counters = cache.counters();
-  EXPECT_GT(full.disk_bytes, 0u);
-  EXPECT_EQ(counters.disk_bytes, 0u);
-  CacheStats without_disk = full;
-  without_disk.disk_bytes = 0;
-  for (const CounterRow<CacheStats>& row : kCacheStatsRows) {
-    EXPECT_EQ(counters.*row.member, without_disk.*row.member) << row.json;
+// disk_bytes is a running count, not a walk: stores add to it, a
+// byte-identical re-put leaves it, and the startup and cap walks resync it.
+TEST(ResultCache, DiskBytesTracksStoresWithoutAWalk) {
+  const std::string dir = temp_dir("diskbytes");
+  RecordKey keys[4] = {{"exp/a", 1, 1, EvalPath::kBatched, ""},
+                       {"exp/b", 2, 1, EvalPath::kBatched, ""},
+                       {"exp/c", 3, 1, EvalPath::kBatched, ""},
+                       {"exp/d", 4, 1, EvalPath::kBatched, ""}};
+  {
+    ResultCache cache(dir, 4);
+    EXPECT_EQ(cache.stats().disk_bytes, 0u);
+    for (int i = 0; i < 3; ++i) cache.put(keys[i], record_for(keys[i]));
+    EXPECT_EQ(cache.stats().disk_bytes, json_bytes(dir));
+    cache.put(keys[1], record_for(keys[1]));  // byte-identical overwrite
+    EXPECT_EQ(cache.stats().disk_bytes, json_bytes(dir));
+    // A crash mid-write leaves a torn record behind.
+    std::ofstream(cache.file_path(keys[2]), std::ios::trunc) << "{\"torn\n";
   }
+  {
+    ResultCache restarted(dir, 4);
+    EXPECT_EQ(restarted.stats().disk_bytes, json_bytes(dir));
+    restarted.put(keys[2], record_for(keys[2]));  // replaces the torn file
+    EXPECT_EQ(restarted.stats().disk_bytes, json_bytes(dir));
+  }
+  // A cap two records wide: the startup walk evicts one, the next store
+  // another.
+  const std::uint64_t two_records = 2 * (record_for(keys[0]).size() + 1);
+  ResultCache capped(dir, 4, two_records);
+  EXPECT_EQ(capped.stats().disk_evictions, 1u);
+  EXPECT_EQ(capped.stats().disk_bytes, json_bytes(dir));
+  capped.put(keys[3], record_for(keys[3]));
+  EXPECT_EQ(capped.stats().disk_evictions, 2u);
+  EXPECT_EQ(capped.stats().disk_bytes, json_bytes(dir));
+
+  // stats() never waits out a slow store.
+  fleet::fault::configure_for_test("slow-write");  // 1000 ms
+  const RecordKey slow{"exp/slow", 5, 1, EvalPath::kBatched, ""};
+  std::thread writer([&] { capped.put(slow, record_for(slow)); });
+  wait_until([&] { return count_with_extension(dir, ".tmp") == 1; });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(capped.stats().stores, 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(200));
+  writer.join();
+  fleet::fault::configure_for_test("");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, CorruptDiskFileIsAMiss) {
@@ -305,28 +418,8 @@ TEST(ResultCache, FilePathIsReadableAndKeyed) {
 
 // ---------------------------------------------------------------------------
 // Fleet-mode disk tier: crash recovery, scratch reaping, fault injection, and
-// two replicas sharing one cache directory (fork-based — cache_test runs no
-// threads, so forking is safe even under the sanitizers).
-
-void backdate(const std::string& path, int seconds) {
-  const auto stamp = std::filesystem::last_write_time(path);
-  std::filesystem::last_write_time(path, stamp - std::chrono::seconds(seconds));
-}
-
-int count_with_extension(const std::string& dir, const std::string& extension) {
-  int count = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == extension) ++count;
-  }
-  return count;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
+// two replicas sharing one cache directory (fork-based — those tests start
+// no threads, so forking is safe even under the sanitizers).
 
 TEST(ResultCacheFleet, StartupReapsOnlyProvablyStaleScratch) {
   const std::string dir = temp_dir("reap");
@@ -491,31 +584,43 @@ TEST(ResultCacheFleet, TwoProcessConcurrentStoreIsByteIdentical) {
 
 TEST(ResultCacheFleet, LeaseCountersFlowThroughStats) {
   const std::string dir = temp_dir("leasestats");
-  ResultCache cache(dir, 0, 0, /*lease_stale_ms=*/1000);
-  const RecordKey key{"exp/lease", 10, 1, EvalPath::kBatched, ""};
+  ResultCache cache(dir, 0);
+  const RecordKey waited = registry_key(1);
+  const RecordKey taken = registry_key(2);
 
-  // First acquire wins; with the lease file present a second cache (another
-  // "replica") reads busy; a stale lease is taken over and counted.
+  // Another "replica" holds the first key's lease: fetch waits on it (one
+  // lease wait), and computes once the lease is released.
   {
-    const fleet::ComputeLease lease = cache.try_acquire_lease(key);
-    EXPECT_EQ(lease.state(), fleet::ComputeLease::State::kAcquired);
-    ResultCache other(dir, 0, 0, 1000);
-    EXPECT_EQ(other.try_acquire_lease(key).state(), fleet::ComputeLease::State::kBusy);
-  }
-  {
-    std::ofstream out(cache.lease_path(key));
+    std::ofstream out(cache.lease_path(waited));
     out << "424242\n";
   }
-  backdate(cache.lease_path(key), 60);
-  EXPECT_EQ(cache.try_acquire_lease(key).state(), fleet::ComputeLease::State::kAcquired);
-  cache.add({.lease_waits = 1});
+  ResultCache::Lookup lookup;
+  std::thread runner([&] {
+    RequestTrace trace;
+    lookup = cache.fetch(waited, one_thread(), trace);
+  });
+  wait_until([&] { return cache.stats().lease_waits == 1; });
+  std::filesystem::remove(cache.lease_path(waited));
+  runner.join();
+  EXPECT_EQ(lookup.tier, ResultCache::Tier::kMiss);
+
+  // A crashed replica's stale lease on the second key is taken over.
+  {
+    std::ofstream out(cache.lease_path(taken));
+    out << "424242\n";
+  }
+  backdate(cache.lease_path(taken), 60);
+  RequestTrace trace;
+  EXPECT_EQ(cache.fetch(taken, one_thread(), trace).tier, ResultCache::Tier::kMiss);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.lease_takeovers, 1u);
   EXPECT_EQ(stats.lease_waits, 1u);
+  EXPECT_FALSE(std::filesystem::exists(cache.lease_path(taken)));  // released after the store
 
-  // No disk tier: the lease machinery reports disabled, never blocks.
+  // No disk tier: no lease to wait on, fetch just computes.
   ResultCache memory_only("", 4);
-  EXPECT_EQ(memory_only.try_acquire_lease(key).state(), fleet::ComputeLease::State::kDisabled);
+  EXPECT_EQ(memory_only.fetch(waited, one_thread(), trace).tier, ResultCache::Tier::kMiss);
+  EXPECT_EQ(memory_only.stats().lease_waits, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -7,16 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "harness/json.hpp"
 #include "service/cache.hpp"
+#include "service/fleet.hpp"
 #include "service/service.hpp"
 
 namespace vlcsa::service {
@@ -186,14 +192,32 @@ TEST(MetricsRequest, CountersAcrossAScriptedSequence) {
 
 TEST(MetricsRequest, HitRatioCountsCoalescedHitsLikeCacheStats) {
   // One leader miss plus one coalesced follower: both replies count every
-  // lookup that answered a run, so both ratios read 0.5.
-  ExperimentService service({"", 16, 1});
-  EXPECT_TRUE(
-      service
-          .handle_line(
-              R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})")
-          .ok);
-  service.cache().add({.coalesced_hits = 1});
+  // lookup that answered a run, so both ratios read 0.5.  The slow-write
+  // fault parks the leader in its store, latch held, until the follower
+  // has arrived.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlcsa_metrics_test_" + std::to_string(::getpid()) + "_coalesced");
+  std::filesystem::remove_all(dir);
+  ExperimentService service({dir.string(), 16, 1});
+  const char* run = R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})";
+  fleet::fault::configure_for_test("slow-write=1000");
+  std::thread leader([&] { EXPECT_TRUE(service.handle_line(run).ok); });
+  const auto parked = [&] {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".tmp") return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 20000 && !parked(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(parked());
+  const harness::JsonParse follower = parse_json(service.handle_line(run).line);
+  leader.join();
+  fleet::fault::configure_for_test("");
+  ASSERT_TRUE(follower.ok());
+  ASSERT_NE(follower.value.find("cache"), nullptr);
+  EXPECT_EQ(follower.value.find("cache")->as_string(), "coalesced");
 
   const harness::JsonParse stats =
       parse_json(service.handle_line(R"({"request": "cache-stats"})").line);
@@ -208,6 +232,7 @@ TEST(MetricsRequest, HitRatioCountsCoalescedHitsLikeCacheStats) {
   EXPECT_DOUBLE_EQ(hit_ratio->as_double(), 0.5);
   EXPECT_DOUBLE_EQ(cache_hit_ratio->as_double(), hit_ratio->as_double());
   EXPECT_EQ(u64_field(metrics.value, "cache_hits"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MetricsRequest, BatchElementsAndStrictValidation) {

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <filesystem>
@@ -21,7 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "harness/experiments.hpp"
 #include "harness/json.hpp"
+#include "service/fleet.hpp"
 #include "service/service.hpp"
 
 namespace vlcsa::service {
@@ -608,6 +611,98 @@ TEST(ExperimentService, TracedRunCachesAByteIdenticalRecord) {
     return content;
   };
   EXPECT_EQ(read_single(dir_plain), read_single(dir_traced));
+}
+
+/// The span names of a traced reply, in order; every non-root name must be
+/// a stage the metrics histograms know, which record_request would
+/// otherwise drop without a word.
+std::vector<std::string> traced_span_names(const ExperimentService::Reply& reply) {
+  const JsonParse parsed = parse_json(reply.line);
+  EXPECT_TRUE(parsed.ok()) << reply.line << " -> " << parsed.error;
+  std::vector<TraceSpan> spans;
+  EXPECT_EQ(parse_spans(parsed.value, spans), "") << reply.line;
+  const std::vector<std::string>& stages = ServiceMetrics::stage_names();
+  std::vector<std::string> names;
+  for (const TraceSpan& span : spans) {
+    if (span.depth != 0) {
+      EXPECT_NE(std::find(stages.begin(), stages.end(), span.name), stages.end()) << span.name;
+    }
+    names.push_back(span.name);
+  }
+  return names;
+}
+
+/// Waits (bounded) until `done` holds.
+template <class Predicate>
+void wait_until(Predicate done) {
+  for (int i = 0; i < 20000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(done());
+}
+
+TEST(ExperimentService, TracedCoalescedFollowerWaitsThenRenders) {
+  // The leader is parked in its store by the slow-write fault (latch held,
+  // its .tmp written) when the traced follower arrives: the follower never
+  // looks the key up, it waits for the leader's record.
+  const std::string dir = temp_dir("coalesced_spans");
+  ExperimentService service({dir, 64, 1});
+  const char* run = R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})";
+  fleet::fault::configure_for_test("slow-write=1000");
+  std::thread leader([&] { EXPECT_TRUE(service.handle_line(run).ok); });
+  wait_until([&] {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".tmp") return true;
+    }
+    return false;
+  });
+  const ExperimentService::Reply follower = service.handle_line(
+      R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000, "trace": true})");
+  leader.join();
+  fleet::fault::configure_for_test("");
+  EXPECT_EQ(field(parse_json(follower.line).value, "cache"), "coalesced");
+  EXPECT_EQ(traced_span_names(follower),
+            (std::vector<std::string>{"request", "parse", "coalesced-wait", "render"}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ExperimentService, TracedLeaderWaitsOnForeignLeaseThenLooksAgain) {
+  // ServiceFleet.LeaderWaitsOnForeignLeaseThenHitsDisk's setup, traced: a
+  // peer replica holds the key's compute lease, stores the record and
+  // releases; the leader looks up, waits on the lease, looks up again.
+  const std::string dir = temp_dir("lease_spans");
+  ExperimentService service({dir, 64, 1});
+  const harness::KeyResolution resolved = harness::record_key("fig7.1/n64-k6", 2000, 1);
+  ASSERT_TRUE(resolved.ok());
+  const std::string lease_path = service.cache().lease_path(resolved.key);
+  {
+    std::ofstream out(lease_path);
+    out << "424242\n";
+  }
+  ExperimentService::Reply reply;
+  std::thread runner([&] {
+    reply = service.handle_line(
+        R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000, "trace": true})");
+  });
+  const std::string peer_dir = temp_dir("lease_spans_peer");
+  {
+    ExperimentService peer({peer_dir, 64, 1});
+    EXPECT_TRUE(peer.handle_line(
+                        R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000})")
+                    .ok);
+  }
+  wait_until([&] { return service.cache().stats().lease_waits == 1; });
+  std::filesystem::copy_file(ResultCache(peer_dir, 0).file_path(resolved.key),
+                             service.cache().file_path(resolved.key));
+  std::filesystem::remove(lease_path);
+  runner.join();
+
+  EXPECT_EQ(field(parse_json(reply.line).value, "cache"), "hit-disk");
+  EXPECT_EQ(traced_span_names(reply),
+            (std::vector<std::string>{"request", "parse", "cache-lookup", "lease-wait",
+                                      "cache-lookup", "render"}));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(peer_dir);
 }
 
 }  // namespace
