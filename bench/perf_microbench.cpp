@@ -1,6 +1,7 @@
 // Google-benchmark microbenches for the library's hot paths: big-integer
 // addition, behavioral SCSA/VLSA evaluation (scalar and bit-sliced at
-// several lane widths), the plane-kernel layer per backend, the RNG and
+// several lane widths), the plane-kernel layer per backend, the carry-chain
+// profile (per addition and per batch), the RNG and
 // Gaussian sampling subsystems against the per-call references they
 // replaced, bit-sliced netlist simulation, the optimizer, static timing, the
 // batched error-rate loop end to end and the service's cached-hit request —
@@ -10,7 +11,7 @@
 // google-benchmark's own JSON, whose "context" block carries the host (CPUs,
 // MHz, caches, build type):
 //
-//   perf_microbench --benchmark_filter='Plane|Rng|GaussianFill|ErrorRateSamples|EvaluateBatch|ServiceCachedHit'
+//   perf_microbench --benchmark_filter='Plane|Rng|GaussianFill|ErrorRateSamples|EvaluateBatch|ServiceCachedHit|Chain'
 //                   --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
 // End-to-end and per-layer numbers come from perfbench/ (BENCHMARK.json).
@@ -25,11 +26,13 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adders/adders.hpp"
 #include "arith/apint.hpp"
 #include "arith/bitslice.hpp"
+#include "arith/carry_chain.hpp"
 #include "arith/distributions.hpp"
 #include "arith/planeops.hpp"
 #include "harness/montecarlo.hpp"
@@ -176,6 +179,46 @@ void BM_PlaneTranspose64x64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_PlaneTranspose64x64);
+
+// ---- carry-chain profile ---------------------------------------------------
+// The Figs 6.1-6.5 histogram kernel (planeops::chain_histogram, one body on
+// every backend) against the per-addition record() it replaced, on the same
+// 512 pairs: fig6.5's two's-complement Gaussian operands (sigma = 2^20),
+// whose sign-extension chains make the kernel's AND run longest.
+
+arith::BitSlicedBatch chain_profile_batch(int width) {
+  arith::BitSlicedBatch batch(width, 8);
+  arith::BlockRng rng(13);
+  arith::make_source(arith::InputDistribution::kGaussianTwos, width, {0.0, 1048576.0})
+      ->fill_batch(rng, batch);
+  return batch;
+}
+
+void BM_ChainProfileRecord(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const arith::BitSlicedBatch batch = chain_profile_batch(width);
+  std::vector<std::pair<ApInt, ApInt>> pairs;
+  for (int lane = 0; lane < batch.lanes(); ++lane) pairs.push_back(batch.lane(lane));
+  arith::CarryChainProfiler profiler(width);
+  for (auto _ : state) {
+    for (const auto& [a, b] : pairs) profiler.record(a, b);
+    benchmark::DoNotOptimize(profiler.counts().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch.lanes());
+}
+BENCHMARK(BM_ChainProfileRecord)->Arg(32);
+
+void BM_ChainProfileBatch(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const arith::BitSlicedBatch batch = chain_profile_batch(width);
+  arith::CarryChainProfiler profiler(width);
+  for (auto _ : state) {
+    profiler.record_batch(batch, static_cast<std::uint64_t>(batch.lanes()));
+    benchmark::DoNotOptimize(profiler.counts().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch.lanes());
+}
+BENCHMARK(BM_ChainProfileBatch)->Arg(32);
 
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical

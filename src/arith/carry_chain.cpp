@@ -43,6 +43,20 @@ void CarryChainProfiler::record(const ApInt& a, const ApInt& b) {
   record_lengths(carry_chain_lengths(a, b));
 }
 
+void CarryChainProfiler::record_batch(const BitSlicedBatch& batch, std::uint64_t valid) {
+  if (batch.width() != width_) {
+    throw std::invalid_argument("CarryChainProfiler::record_batch: batch width mismatch");
+  }
+  if (valid > static_cast<std::uint64_t>(batch.lanes())) {
+    throw std::invalid_argument("CarryChainProfiler::record_batch: more valid lanes than lanes");
+  }
+  std::vector<std::uint64_t> runs(static_cast<std::size_t>(width_));
+  total_ += planeops::chain_histogram(batch.a(), batch.b(), width_, batch.lane_words(), valid,
+                                      metric_ == ChainMetric::kLongestPerAdd, runs.data(),
+                                      counts_.data());
+  additions_ += valid;
+}
+
 void CarryChainProfiler::record_lengths(const std::vector<int>& lengths) {
   ++additions_;
   if (metric_ == ChainMetric::kAllChains) {

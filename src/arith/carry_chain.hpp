@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "arith/apint.hpp"
+#include "arith/bitslice.hpp"
 
 namespace vlcsa::arith {
 
@@ -39,8 +40,16 @@ class CarryChainProfiler {
  public:
   explicit CarryChainProfiler(int width, ChainMetric metric = ChainMetric::kAllChains);
 
-  /// Records the chains of one addition.
+  /// Records the chains of one addition (the scalar oracle record_batch is
+  /// held to).
   void record(const ApInt& a, const ApInt& b);
+
+  /// Records the first `valid` lanes of a bit-sliced batch, lane by lane as
+  /// record() would (planeops::chain_histogram): lanes at or past `valid`
+  /// count nothing, so a shard's masked last batch adds only its live
+  /// samples.  Throws std::invalid_argument on a width mismatch or `valid`
+  /// above batch.lanes().
+  void record_batch(const BitSlicedBatch& batch, std::uint64_t valid);
 
   /// Records a pre-extracted list of chain lengths (used by instrumented
   /// workloads that already walked the operands).
@@ -60,7 +69,8 @@ class CarryChainProfiler {
   /// Total number of recorded chains (kAllChains) or additions (kLongestPerAdd).
   [[nodiscard]] std::uint64_t total() const { return total_; }
 
-  /// Number of record() calls.
+  /// Number of recorded additions (record() calls plus record_batch()'s
+  /// valid lanes).
   [[nodiscard]] std::uint64_t additions() const { return additions_; }
 
   /// Fraction of chains with length L (0 when nothing recorded).

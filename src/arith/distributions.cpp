@@ -10,24 +10,6 @@
 
 namespace vlcsa::arith {
 
-void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
-  if (out.width() != width()) {
-    throw std::invalid_argument("OperandSource::fill_batch: batch width mismatch");
-  }
-  // One 64-sample group per lane word, in sample order, so the RNG stream is
-  // exactly out.lanes() next() calls.
-  ApInt a[kBatchLanes], b[kBatchLanes];
-  for (int w = 0; w < out.lane_words(); ++w) {
-    for (int j = 0; j < kBatchLanes; ++j) {
-      auto [aj, bj] = next(rng);
-      a[j] = std::move(aj);
-      b[j] = std::move(bj);
-    }
-    transpose_to_planes(a, kBatchLanes, width(), out.a(), out.lane_words(), w);
-    transpose_to_planes(b, kBatchLanes, width(), out.b(), out.lane_words(), w);
-  }
-}
-
 std::size_t UniformUnsignedSource::next_group(BlockRng& rng) {
   if (taken_ == kSuperblockGroups) {
     superblock_.resize(2 * kSuperblockGroups * static_cast<std::size_t>(width()));
@@ -135,6 +117,48 @@ ApInt random_signed_magnitude(int width, BlockRng& rng) {
 
 std::pair<ApInt, ApInt> UniformTwosSource::next(BlockRng& rng) {
   return {random_signed_magnitude(width(), rng), random_signed_magnitude(width(), rng)};
+}
+
+void UniformTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
+  if (out.width() != width()) {
+    throw std::invalid_argument("UniformTwosSource::fill_batch: batch width mismatch");
+  }
+  const int n = width();
+  const std::size_t limbs = static_cast<std::size_t>((n + ApInt::kLimbBits - 1) / ApInt::kLimbBits);
+  const std::size_t top = limbs - 1;
+  // random_signed_magnitude's encode: the sign bit cleared, then a
+  // two's-complement negation for an odd sign word.  Bits above the width
+  // need no mask: block_to_planes drops those rows.
+  const std::uint64_t sign_bit = std::uint64_t{1} << ((n - 1) % ApInt::kLimbBits);
+  // One operand is `limbs` magnitude words and its sign word, a then b per
+  // pair: the group's 128 operands in next()'s order.
+  const std::size_t operand_words = limbs + 1;
+  std::vector<std::uint64_t> words(2 * kBatchLanes * operand_words);
+  std::uint64_t block[kBatchLanes];
+  for (int w = 0; w < out.lane_words(); ++w) {
+    rng.generate_block(words.data(), words.size());
+    for (std::size_t k = 0; k < 2 * kBatchLanes; ++k) {
+      std::uint64_t* value = words.data() + k * operand_words;
+      value[top] &= ~sign_bit;
+      if ((value[limbs] & 1) != 0) {
+        std::uint64_t carry = 1;
+        for (std::size_t limb = 0; limb < limbs; ++limb) {
+          value[limb] = ~value[limb] + carry;
+          carry &= value[limb] == 0 ? 1 : 0;
+        }
+      }
+    }
+    for (std::size_t op = 0; op < 2; ++op) {
+      for (std::size_t limb = 0; limb < limbs; ++limb) {
+        for (std::size_t j = 0; j < kBatchLanes; ++j) {
+          block[j] = words[(2 * j + op) * operand_words + limb];
+        }
+        planeops::transpose_64x64(block);
+        block_to_planes(block, static_cast<int>(limb), n, op == 0 ? out.a() : out.b(),
+                        out.lane_words(), w);
+      }
+    }
+  }
 }
 
 ApInt encode_signed_sample(int width, double sample) {

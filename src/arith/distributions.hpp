@@ -42,10 +42,9 @@ class OperandSource {
   /// keeps the batched Monte Carlo path bit-identical to the scalar one at
   /// every lane width and shard size: a shard of `count` samples draws the
   /// units covering ceil(count / 64) groups on either path (for the uniform
-  /// source, ceil(count / 512) superblocks).  The default implementation
-  /// literally calls next(); overrides may generate straight into the
-  /// planes as long as the stream is preserved.
-  virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out);
+  /// source, ceil(count / 512) superblocks).  Sources generate straight
+  /// into the planes; next() is the oracle tests hold each fill to.
+  virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out) = 0;
 
   /// Fresh source of the same distribution with pristine stream state (any
   /// cached variates are discarded).  Must be safe to call concurrently from
@@ -111,6 +110,10 @@ class UniformTwosSource final : public OperandSource {
   explicit UniformTwosSource(int width) : OperandSource(width) {}
   [[nodiscard]] std::string name() const override { return "uniform-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
+  /// Fast path: one generate_block() per 64-sample group in next()'s draw
+  /// order (a's magnitude limbs and sign word, then b's, per pair), encoded
+  /// in place on whole limbs and transposed into the planes.
+  void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<UniformTwosSource>(width());
   }

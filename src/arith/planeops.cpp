@@ -759,6 +759,53 @@ void transpose_64x64(std::uint64_t block[64]) {
   transpose_levels<std::uint64_t, 64, 1, 32, 1>(block);
 }
 
+std::uint64_t chain_histogram(const std::uint64_t* a, const std::uint64_t* b, int n,
+                              int lane_words, std::uint64_t valid, bool longest,
+                              std::uint64_t* runs, std::uint64_t* counts) {
+  assert(n >= 1 && lane_words >= 1);
+  const std::size_t stride = static_cast<std::size_t>(lane_words);
+  const std::size_t rows = static_cast<std::size_t>(n);
+  std::uint64_t added = 0;
+  // Lanes are independent, so each lane word runs its own AND to zero.
+  // Live lanes are a prefix: every word past the one `valid` ends in is dead.
+  for (std::size_t w = 0; w < stride && valid > w * 64; ++w) {
+    const std::uint64_t live =
+        valid - w * 64 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (valid - w * 64)) - 1;
+    // level(len) = chains (or lanes) of length >= len; runs[i] holds the
+    // lanes whose chain from bit i reaches len, for i + len <= n.
+    std::uint64_t chains = 0;
+    std::uint64_t reach = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      runs[i] = a[i * stride + w] & b[i * stride + w] & live;
+      chains += static_cast<std::uint64_t>(std::popcount(runs[i]));
+      reach |= runs[i];
+    }
+    std::uint64_t level = longest ? static_cast<std::uint64_t>(std::popcount(reach)) : chains;
+    if (longest) {
+      const auto lanes = static_cast<std::uint64_t>(std::popcount(live));
+      counts[0] += lanes - level;
+      added += lanes;
+    } else {
+      added += level;
+    }
+    for (std::size_t len = 1; level != 0; ++len) {
+      chains = 0;
+      reach = 0;
+      for (std::size_t i = 0; i + len < rows; ++i) {
+        const std::size_t top = (i + len) * stride + w;
+        runs[i] &= a[top] ^ b[top];
+        chains += static_cast<std::uint64_t>(std::popcount(runs[i]));
+        reach |= runs[i];
+      }
+      const std::uint64_t next =
+          longest ? static_cast<std::uint64_t>(std::popcount(reach)) : chains;
+      counts[len] += level - next;
+      level = next;
+    }
+  }
+  return added;
+}
+
 void mt_twist(std::uint64_t state[kMtStateWords]) { active().twist(state); }
 
 void mt_regenerate(std::uint64_t state[kMtStateWords], std::uint64_t* out, std::size_t blocks) {

@@ -14,9 +14,11 @@
 // oracle.  The 64x64 bit transpose (transpose_64x64) is not dispatched: one
 // portable body, built from the transpose levels gaussian_to_planes runs,
 // serves gaussian_to_planes' scalar row (and the vector rows' leftover
-// columns), the uniform source's scalar oracle next() and
-// transpose_to_planes (the default OperandSource::fill_batch and
-// BitSlicedBatch::load).
+// columns), the uniform source's scalar oracle next(), the uniform
+// two's-complement fill and transpose_to_planes (BitSlicedBatch::load).
+// Nor is the carry-chain length histogram behind the Figs 6.1-6.5 chain
+// profiles (chain_histogram): one portable body of 64-bit ANDs and
+// popcounts.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp).  The
@@ -158,6 +160,24 @@ void vlsa_run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int l
 /// of row i moves to bit i of row j.  One body on every backend (not
 /// dispatched).
 void transpose_64x64(std::uint64_t block[64]);
+
+/// Carry-chain length histogram of the first `valid` lanes of the operand
+/// planes a, b (`n` bits, `lane_words` words per bit), with chains as
+/// arith/carry_chain.hpp defines them.  With g = a & b and p = a ^ b, the
+/// chains of length >= L are the set bits of
+///   g_i & p_{i+1} & ... & p_{i+L-1}     (i + L <= n),
+/// so per lane word the kernel keeps one running AND per chain-start row
+/// (g masked to the live lanes), popcounts the rows and their per-lane OR,
+/// and grows L by one propagate row until the AND is zero in every lane.
+/// With `longest` false it adds the chains of length exactly L to
+/// counts[L]; with `longest` true it adds the lanes whose longest chain is
+/// exactly L (counts[0]: live lanes with no generate).  Returns the number
+/// of entries added (chains, or live lanes).  `counts` holds n + 1 words;
+/// `runs` is n words of scratch.  One body on every backend (not
+/// dispatched).
+std::uint64_t chain_histogram(const std::uint64_t* a, const std::uint64_t* b, int n,
+                              int lane_words, std::uint64_t valid, bool longest,
+                              std::uint64_t* runs, std::uint64_t* counts);
 
 // ---- MT19937-64 block kernels ----------------------------------------------
 

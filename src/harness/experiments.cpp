@@ -240,13 +240,13 @@ arith::CarryChainProfiler run_experiment(const ChainProfileExperiment& experimen
 
 arith::CarryChainProfiler run_experiment(const ChainProfileExperiment& experiment,
                                          const RunOptions& options) {
-  const auto make_profiler = [&] {
-    return arith::CarryChainProfiler(experiment.width, arith::ChainMetric::kAllChains);
-  };
   if (experiment.workload == ChainProfileExperiment::Workload::kCrypto) {
     // One sample = one top-level crypto operation; the shard RNG seeds each
     // operation's workload, so the profile is thread-count-invariant like
     // every other experiment.
+    const auto make_profiler = [&] {
+      return arith::CarryChainProfiler(experiment.width, arith::ChainMetric::kAllChains);
+    };
     return run_sharded(options, make_profiler, [&] {
       return [&experiment](arith::BlockRng& rng, arith::CarryChainProfiler& acc) {
         arith::CryptoWorkloadConfig config;
@@ -260,14 +260,8 @@ arith::CarryChainProfiler run_experiment(const ChainProfileExperiment& experimen
       };
     });
   }
-  return run_sharded(options, make_profiler, [&] {
-    return [shard_source = arith::make_source(experiment.dist, experiment.width,
-                                              experiment.params)](
-               arith::BlockRng& rng, arith::CarryChainProfiler& acc) {
-      const auto [a, b] = shard_source->next(rng);
-      acc.record(a, b);
-    };
-  });
+  const auto source = arith::make_source(experiment.dist, experiment.width, experiment.params);
+  return run_chain_profile(*source, options);
 }
 
 const std::vector<ErrorRateExperiment>& error_rate_experiments() {

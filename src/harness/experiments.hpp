@@ -86,6 +86,8 @@ struct ChainProfileExperiment {
   std::uint64_t default_samples = 1000000;
 };
 
+/// Distribution workloads run the batched loop (run_chain_profile); crypto
+/// workloads walk their instrumented operations one at a time.
 [[nodiscard]] arith::CarryChainProfiler run_experiment(
     const ChainProfileExperiment& experiment, std::uint64_t samples, std::uint64_t seed,
     int threads = 0);
@@ -115,7 +117,11 @@ struct RecordKey {
   std::string experiment;
   std::uint64_t samples = 0;
   std::uint64_t seed = 1;
-  EvalPath path = EvalPath::kBatched;  // always kScalar for chain profiles
+  /// Always kScalar for chain profiles.  That value is part of their key
+  /// and record bytes (cache file names, sweep cell ids), kept from when
+  /// chains ran per sample; it does not say which loop ran them — every
+  /// distribution chain profile runs the batched loop (run_chain_profile).
+  EvalPath path = EvalPath::kBatched;
   /// The entry's draw-stream version: "gauss-rng-v2" for Gaussian-input
   /// entries, "crypto-rng-v2" for the fig6.2 crypto workloads,
   /// "uniform-plane-v2" for uniform-unsigned entries, "" for streams that
@@ -136,8 +142,8 @@ struct KeyResolution {
 
 /// Resolves a run of registry entry `name` into its record key: `samples`
 /// 0 selects the entry's default, `path` unset the batched path.  Chain
-/// profiles have no batched pipeline: they key the scalar path, and an
-/// explicit `path` for one is an error.
+/// profiles have no eval-path choice: they key the scalar path (see
+/// RecordKey::path), and an explicit `path` for one is an error.
 [[nodiscard]] KeyResolution record_key(std::string_view name, std::uint64_t samples,
                                        std::uint64_t seed,
                                        std::optional<EvalPath> path = std::nullopt);

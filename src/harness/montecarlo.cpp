@@ -131,15 +131,18 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
 
 namespace {
 
-/// The model families run_model drives.  Each folds either one operand pair
-/// (the scalar oracle) or the first `valid` lanes of one bit-sliced batch
-/// into ErrorRateResult counters; `Scratch` is the per-shard batch output
-/// buffer.
+/// The families the batched loop drives.  Each folds the first `valid`
+/// lanes of one bit-sliced batch into its accumulator (`empty()` makes an
+/// empty one); `Scratch` is the per-shard batch output buffer.  The model
+/// families also fold one operand pair into ErrorRateResult counters (the
+/// scalar oracle run_model's kScalar path runs).
 class VlcsaFolds {
  public:
   using Scratch = spec::VlcsaBatchStep;
   explicit VlcsaFolds(const spec::VlcsaConfig& config)
       : model_(config), variant_(config.variant) {}
+
+  [[nodiscard]] ErrorRateResult empty() const { return {}; }
 
   void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
     accumulate_vlcsa(model_.step(a, b), variant_, out);
@@ -160,6 +163,8 @@ class VlsaFolds {
   using Scratch = spec::VlsaBatchEvaluation;
   explicit VlsaFolds(const spec::VlsaConfig& config) : model_(config) {}
 
+  [[nodiscard]] ErrorRateResult empty() const { return {}; }
+
   void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
     accumulate_vlsa(model_.evaluate(a, b), out);
   }
@@ -173,7 +178,26 @@ class VlsaFolds {
   spec::VlsaModel model_;
 };
 
-/// run_batched's compile-time timing policies.  NoTimer's calls compile to
+/// Carry-chain profiles: the batch's chain histogram.  No scalar fold:
+/// CarryChainProfiler::record is the oracle record_batch is tested against.
+class ChainFolds {
+ public:
+  struct Scratch {};
+  explicit ChainFolds(int width) : width_(width) {}
+
+  [[nodiscard]] arith::CarryChainProfiler empty() const {
+    return arith::CarryChainProfiler(width_, arith::ChainMetric::kAllChains);
+  }
+  void batch(const arith::BitSlicedBatch& in, std::uint64_t valid, Scratch& /*unused*/,
+             arith::CarryChainProfiler& out) const {
+    out.record_batch(in, valid);
+  }
+
+ private:
+  int width_;
+};
+
+/// batch_loop's compile-time timing policies.  NoTimer's calls compile to
 /// nothing, so the default loop has no clock reads and no per-block branch;
 /// BlockTimer times each block's fill and eval stages into a shard-local
 /// RunProfile and publishes it to the run's RunProfileCollector once, at
@@ -213,20 +237,21 @@ class BlockTimer {
   Clock::time_point eval_start_;
 };
 
-/// The batched sampling loop, once for every model family: per shard, fill
-/// and fold whole batches of 64 * lane_words samples, then one last batch
-/// of ceil(rest / 64) lane words whose lanes past `rest` are masked out of
+/// The batched sampling loop, once for every family: per shard, fill and
+/// fold whole batches of 64 * lane_words samples, then one last batch of
+/// ceil(rest / 64) lane words whose lanes past `rest` are masked out of
 /// every counter.  Every sample goes through the batched kernel, and the
 /// shard draws the source's whole draw units covering ceil(count / 64)
 /// groups (ceil(count / 512) superblocks for the uniform source) — the
 /// scalar path's draws.
 template <typename Timer, typename Folds>
-ErrorRateResult run_batched(const Folds& folds, int width, int lane_words, OperandSource& source,
-                            const RunOptions& options) {
-  return run_sharded_blocks(options, [] { return ErrorRateResult{}; }, [&] {
+auto batch_loop(const Folds& folds, int width, int lane_words, OperandSource& source,
+                const RunOptions& options) {
+  using Accumulator = decltype(folds.empty());
+  return run_sharded_blocks(options, [&folds] { return folds.empty(); }, [&] {
     return [&folds, width, shard_source = source.clone(),
             batch = arith::BitSlicedBatch(width, lane_words), scratch = typename Folds::Scratch{},
-            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
+            profile = options.profile](arith::BlockRng& rng, Accumulator& out,
                                        std::uint64_t count) mutable {
       Timer timer(profile);
       const auto fold = [&](arith::BitSlicedBatch& in, std::uint64_t valid) {
@@ -249,6 +274,21 @@ ErrorRateResult run_batched(const Folds& folds, int width, int lane_words, Opera
   });
 }
 
+/// batch_loop at the run's lane width, timed per block when the run is
+/// profiled.
+template <typename Folds>
+auto run_batched(const Folds& folds, int width, OperandSource& source,
+                 const RunOptions& options) {
+  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
+  if (options.profile == nullptr) {
+    return batch_loop<NoTimer>(folds, width, lane_words, source, options);
+  }
+  RunProfile lanes;
+  lanes.lane_words = lane_words;
+  options.profile->add(lanes);
+  return batch_loop<BlockTimer>(folds, width, lane_words, source, options);
+}
+
 template <typename Folds>
 ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
@@ -260,14 +300,7 @@ ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
       };
     });
   }
-  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
-  if (options.profile == nullptr) {
-    return run_batched<NoTimer>(folds, width, lane_words, source, options);
-  }
-  RunProfile lanes;
-  lanes.lane_words = lane_words;
-  options.profile->add(lanes);
-  return run_batched<BlockTimer>(folds, width, lane_words, source, options);
+  return run_batched(folds, width, source, options);
 }
 
 }  // namespace
@@ -293,6 +326,10 @@ ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
                          std::uint64_t samples, std::uint64_t seed, int threads,
                          EvalPath path) {
   return run_vlsa(config, source, RunOptions{samples, seed, threads, kDefaultShardSize}, path);
+}
+
+arith::CarryChainProfiler run_chain_profile(OperandSource& source, const RunOptions& options) {
+  return run_batched(ChainFolds(source.width()), source.width(), source, options);
 }
 
 EmpiricalWindowSearch find_window_for_nominal_rate(int width, spec::ScsaVariant variant,

@@ -16,6 +16,7 @@
 #include <random>
 #include <string_view>
 
+#include "arith/carry_chain.hpp"
 #include "arith/distributions.hpp"
 #include "harness/engine.hpp"
 #include "speculative/scsa.hpp"
@@ -146,6 +147,14 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
 [[nodiscard]] ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
                                        std::uint64_t samples, std::uint64_t seed,
                                        int threads = 0, EvalPath path = EvalPath::kBatched);
+
+/// Runs `options.samples` additions over an operand source through the same
+/// batched loop and profiles their carry chains (ChainMetric::kAllChains) —
+/// the Figs 6.1-6.5 distribution workloads.  The histogram is bit-identical
+/// to recording each sample's next() pair with CarryChainProfiler::record,
+/// at any thread count, lane width and planeops backend.
+[[nodiscard]] arith::CarryChainProfiler run_chain_profile(OperandSource& source,
+                                                          const RunOptions& options);
 
 /// Finds the smallest window size whose *nominal* (stall) rate over the given
 /// distribution stays within slack * target — the simulation-driven sizing

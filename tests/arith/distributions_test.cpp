@@ -202,5 +202,31 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(8, 32, 63, 64, 65, 128),
                        ::testing::Values(1, 3, 4, 8, 13, 16)));
 
+// The two's-complement uniform fill against next(), lane by lane, over 40
+// consecutive batches from one source and one generator: widths 1 and 2
+// (the magnitude is all but empty), either side of one limb (31..33, 64,
+// 65) and a three-limb width whose negations borrow across limbs (130).
+class UniformTwosFillTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(UniformTwosFillTest, ConsecutiveFillBatchesMatchNext) {
+  const auto [width, lane_words] = GetParam();
+  UniformTwosSource batch_source(width), scalar_source(width);
+  BlockRng rng_batch(35), rng_scalar(35);
+  BitSlicedBatch batch(width, lane_words);
+  for (int call = 0; call < 40; ++call) {
+    batch_source.fill_batch(rng_batch, batch);
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const auto [a, b] = scalar_source.next(rng_scalar);
+      ASSERT_EQ(plane_lane(batch.a(), width, j, lane_words), a) << "call " << call << " lane " << j;
+      ASSERT_EQ(plane_lane(batch.b(), width, j, lane_words), b) << "call " << call << " lane " << j;
+    }
+  }
+  EXPECT_EQ(rng_batch(), rng_scalar());
+}
+
+INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, UniformTwosFillTest,
+                         ::testing::Combine(::testing::Values(1, 2, 31, 32, 33, 64, 65, 130),
+                                            ::testing::Values(1, 3, 8, 16)));
+
 }  // namespace
 }  // namespace vlcsa::arith

@@ -4,7 +4,9 @@
 //  * a shard's masked last batch (shard sizes not divisible by the batch,
 //    incl. < 64) preserves that equality;
 //  * the thread-count-invariance contract of engine.hpp holds on the
-//    batched path too.
+//    batched path too;
+//  * the chain profiles' batched loop (run_chain_profile) leaves the
+//    histogram that recording every next() pair one at a time leaves.
 
 #include <gtest/gtest.h>
 
@@ -107,6 +109,41 @@ TEST(BatchEngineTest, InvariantsHoldOnBatchedPath) {
     EXPECT_EQ(result.false_negatives, 0u) << name;
     EXPECT_EQ(result.emitted_wrong, 0u) << name;
     EXPECT_GE(result.nominal_errors, result.actual_errors) << name;
+  }
+}
+
+/// The per-sample chain-profile loop the batched one replaced: each shard
+/// records its next() pairs one by one with CarryChainProfiler::record.
+arith::CarryChainProfiler per_sample_chain_profile(const arith::OperandSource& source,
+                                                   const RunOptions& options) {
+  return run_sharded(options, [&] { return arith::CarryChainProfiler(source.width()); }, [&] {
+    return [shard_source = source.clone()](arith::BlockRng& rng, arith::CarryChainProfiler& acc) {
+      const auto [a, b] = shard_source->next(rng);
+      acc.record(a, b);
+    };
+  });
+}
+
+TEST(BatchEngineTest, ChainProfilesMatchThePerSampleOracle) {
+  // Shards of under one group (63), a partial last group (65, 1000) and
+  // whole 512-lane batches with a masked last shard (2048 of 2500), at
+  // lane widths with and without a leftover word, on every distribution.
+  for (const auto dist :
+       {arith::InputDistribution::kUniformUnsigned, arith::InputDistribution::kUniformTwos,
+        arith::InputDistribution::kGaussianUnsigned, arith::InputDistribution::kGaussianTwos}) {
+    const auto source = arith::make_source(dist, 32, {0.0, 1048576.0});
+    for (const std::uint64_t shard_size : {63ull, 65ull, 1000ull, 2048ull}) {
+      RunOptions options{2500, 9, 2, shard_size};
+      const auto oracle = per_sample_chain_profile(*source, options);
+      for (const int lane_words : {1, 3, 8}) {
+        options.lane_words = lane_words;
+        const auto batched = run_chain_profile(*source, options);
+        EXPECT_EQ(batched.counts(), oracle.counts())
+            << arith::to_string(dist) << " shard " << shard_size << " W " << lane_words;
+        EXPECT_EQ(batched.total(), oracle.total()) << arith::to_string(dist);
+        EXPECT_EQ(batched.additions(), 2500u) << arith::to_string(dist);
+      }
+    }
   }
 }
 

@@ -126,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(GoldenByLaneWordsByThreads, RegistryPinTest,
                          pin_name);
 
 // The chain-profile side of the registry, pinned the same way (fig6.1 runs
-// the uniform source through the per-sample engine path; its histogram is a
+// the uniform source through the batched engine loop; its histogram is a
 // pure function of the shard streams — uniform-plane-v2 value).
 TEST(RegistryPinTest, ChainProfileHistogramMatchesPreBlockRngBaseline) {
   const ChainProfileExperiment* experiment =

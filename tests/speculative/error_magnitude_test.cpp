@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace vlcsa::spec {
 namespace {
@@ -16,6 +17,10 @@ class FixedPairSource final : public arith::OperandSource {
       : OperandSource(a.width()), a_(std::move(a)), b_(std::move(b)) {}
   [[nodiscard]] std::string name() const override { return "fixed-pair"; }
   std::pair<arith::ApInt, arith::ApInt> next(arith::BlockRng&) override { return {a_, b_}; }
+  void fill_batch(arith::BlockRng&, arith::BitSlicedBatch& out) override {
+    const auto lanes = static_cast<std::size_t>(out.lanes());
+    out.load(std::vector<arith::ApInt>(lanes, a_), std::vector<arith::ApInt>(lanes, b_));
+  }
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<FixedPairSource>(a_, b_);
   }
