@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
         spec::build_vlcsa_netlist(spec::ScsaConfig{n, k}, spec::ScsaVariant::kScsa1));
     const double tclk = std::max(synth.delay_of("spec"), synth.delay_of("detect"));
     auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, n);
-    const auto mc = harness::run_vlcsa(spec::VlcsaConfig{n, k, spec::ScsaVariant::kScsa1},
-                                       *source, args.samples, args.seed, args.threads);
+    const auto mc = harness::run_model(
+        harness::ModelKind::kVlcsa1, n, k, *source,
+        {.samples = args.samples, .seed = args.seed, .threads = args.threads});
     table.add_row({std::to_string(k), std::to_string((n + k - 1) / k),
                    harness::fmt_fixed(tclk, 1), harness::fmt_fixed(synth.area, 0),
                    harness::fmt_pct(spec::scsa_error_rate(n, k), 3),

@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
     harness::print_banner(std::cout, experiment->name,
                           experiment->description + ", " + std::to_string(samples) + " samples.");
     print_chain_histogram(
-        harness::run_experiment(*experiment, samples, args.seed, args.threads));
+        harness::run_experiment(*experiment,
+                                {.samples = samples, .seed = args.seed, .threads = args.threads}));
     std::cout << "\n";
   }
   return 0;

@@ -193,14 +193,13 @@ class Lab {
     const std::uint64_t count =
         samples(row_samples != 0 ? row_samples : experiment.default_samples);
     return memo(runs_, name + "@" + std::to_string(count), [&] {
-      return harness::run_experiment(experiment, count, args_.seed, args_.threads);
+      return harness::run_experiment(experiment, options(count));
     });
   }
 
   const arith::CarryChainProfiler& profile(const harness::ChainProfileExperiment& experiment) {
     return memo(profiles_, experiment.name, [&] {
-      return harness::run_experiment(experiment, samples(experiment.default_samples), args_.seed,
-                                     args_.threads);
+      return harness::run_experiment(experiment, options(samples(experiment.default_samples)));
     });
   }
 
@@ -217,9 +216,9 @@ class Lab {
   /// candidate window), on the Table 7.2 entries' operand distribution.
   int vlcsa2_window(int n, double target) {
     const auto& inputs = registry_entry("table7.2/n64");
-    return harness::find_window_for_nominal_rate(n, spec::ScsaVariant::kScsa2, inputs.dist,
-                                                 inputs.params, target, 1.25, samples(100000),
-                                                 args_.seed, 4, 24, args_.threads)
+    return harness::find_window_for_nominal_rate(n, harness::ModelKind::kVlcsa2, inputs.dist,
+                                                 inputs.params, target, 1.25,
+                                                 options(samples(100000)), 4, 24)
         .window;
   }
 
@@ -256,6 +255,10 @@ class Lab {
  private:
   [[nodiscard]] std::uint64_t samples(std::uint64_t row_default) const {
     return args_.samples != 0 ? args_.samples : row_default;
+  }
+  /// A `count`-sample run at the bench's seed and thread count.
+  [[nodiscard]] harness::RunOptions options(std::uint64_t count) const {
+    return {.samples = count, .seed = args_.seed, .threads = args_.threads};
   }
 
   template <typename Build>

@@ -458,9 +458,7 @@ void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, 
   std::optional<BackendScope> scope;
   if (batched) scope.emplace(state, state.range(2));
   auto source = arith::make_source(dist, width);
-  const spec::VlcsaConfig config{
-      width, window > 0 ? window : spec::min_window_for_error_rate(width, 1e-4),
-      spec::ScsaVariant::kScsa2};
+  const int k = window > 0 ? window : spec::min_window_for_error_rate(width, 1e-4);
   constexpr std::uint64_t kSamples = 1 << 13;
   harness::RunOptions options;
   options.samples = kSamples;
@@ -468,7 +466,8 @@ void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, 
   options.lane_words = batched ? static_cast<int>(state.range(1)) : 0;
   for (auto _ : state) {
     options.seed = seed++;
-    benchmark::DoNotOptimize(harness::run_vlcsa(config, *source, options, path));
+    benchmark::DoNotOptimize(
+        harness::run_model(harness::ModelKind::kVlcsa2, width, k, *source, options, path));
   }
   state.SetItemsProcessed(state.iterations() * kSamples);
   if (batched) state.SetLabel(to_string(planeops::active_backend()));
@@ -495,11 +494,11 @@ BENCHMARK_CAPTURE(error_rate_samples, GaussScalar, arith::InputDistribution::kGa
 void BM_MonteCarloVlcsa(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
-  const spec::VlcsaConfig config{width, spec::min_window_for_error_rate(width, 1e-4),
-                                 spec::ScsaVariant::kScsa2};
+  const int k = spec::min_window_for_error_rate(width, 1e-4);
   std::uint64_t seed = 5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness::run_vlcsa(config, *source, 1000, seed++, 1));
+    benchmark::DoNotOptimize(harness::run_model(harness::ModelKind::kVlcsa2, width, k, *source,
+                                                {.samples = 1000, .seed = seed++, .threads = 1}));
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
@@ -511,12 +510,13 @@ BENCHMARK(BM_MonteCarloVlcsa)->Arg(64)->Arg(512);
 void BM_MonteCarloVlcsaParallel(benchmark::State& state) {
   const int width = 64;
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);
-  const spec::VlcsaConfig config{width, spec::min_window_for_error_rate(width, 1e-4),
-                                 spec::ScsaVariant::kScsa2};
-  const int threads = static_cast<int>(state.range(0));
+  const int k = spec::min_window_for_error_rate(width, 1e-4);
   constexpr std::uint64_t kSamples = 1 << 16;
+  const harness::RunOptions options{
+      .samples = kSamples, .seed = 7, .threads = static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness::run_vlcsa(config, *source, kSamples, 7, threads));
+    benchmark::DoNotOptimize(
+        harness::run_model(harness::ModelKind::kVlcsa2, width, k, *source, options));
   }
   state.SetItemsProcessed(state.iterations() * kSamples);
 }

@@ -27,7 +27,6 @@ class OperandSource {
   OperandSource& operator=(const OperandSource&) = delete;
 
   [[nodiscard]] int width() const { return width_; }
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Draws the next operand pair.
   virtual std::pair<ApInt, ApInt> next(BlockRng& rng) = 0;
@@ -72,7 +71,6 @@ class UniformUnsignedSource final : public OperandSource {
   static constexpr std::size_t kSuperblockGroups = 8;
 
   explicit UniformUnsignedSource(int width) : OperandSource(width) {}
-  [[nodiscard]] std::string name() const override { return "uniform-unsigned"; }
   /// Scalar oracle: takes the buffered superblock's next group (drawing a
   /// superblock when none is left), gathers its 2n plane words and
   /// inverse-transposes them (2 * ceil(n / 64) 64x64 blocks) once per 64
@@ -108,7 +106,6 @@ class UniformUnsignedSource final : public OperandSource {
 class UniformTwosSource final : public OperandSource {
  public:
   explicit UniformTwosSource(int width) : OperandSource(width) {}
-  [[nodiscard]] std::string name() const override { return "uniform-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: one generate_block() per 64-sample group in next()'s draw
   /// order (a's magnitude limbs and sign word, then b's, per pair), encoded
@@ -136,9 +133,6 @@ class GaussianSource final : public OperandSource {
  public:
   GaussianSource(int width, GaussianParams params, bool twos)
       : OperandSource(width), params_(params), twos_(twos) {}
-  [[nodiscard]] std::string name() const override {
-    return twos_ ? "gaussian-twos-complement" : "gaussian-unsigned";
-  }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: one bulk ziggurat fill per batch, encoded and transposed
   /// into the limb-0 planes by one planeops::gaussian_to_planes call.

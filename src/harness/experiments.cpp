@@ -198,44 +198,11 @@ std::vector<const Experiment*> find_by_prefix(const std::vector<Experiment>& exp
 
 }  // namespace
 
-const char* to_string(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kVlcsa1:
-      return "VLCSA 1";
-    case ModelKind::kVlcsa2:
-      return "VLCSA 2";
-    case ModelKind::kVlsa:
-      return "VLSA";
-  }
-  throw std::logic_error("unknown ModelKind");
-}
-
-ErrorRateResult run_experiment(const ErrorRateExperiment& experiment, std::uint64_t samples,
-                               std::uint64_t seed, int threads, EvalPath path) {
-  return run_experiment(experiment, RunOptions{samples, seed, threads, kDefaultShardSize},
-                        path);
-}
-
 ErrorRateResult run_experiment(const ErrorRateExperiment& experiment,
                                const RunOptions& options, EvalPath path) {
-  const auto source = arith::make_source(experiment.dist, experiment.width, experiment.params);
-  switch (experiment.model) {
-    case ModelKind::kVlcsa1:
-      return run_vlcsa({experiment.width, experiment.window, spec::ScsaVariant::kScsa1},
-                       *source, options, path);
-    case ModelKind::kVlcsa2:
-      return run_vlcsa({experiment.width, experiment.window, spec::ScsaVariant::kScsa2},
-                       *source, options, path);
-    case ModelKind::kVlsa:
-      return run_vlsa({experiment.width, experiment.window}, *source, options, path);
-  }
-  throw std::logic_error("unknown ModelKind");
-}
-
-arith::CarryChainProfiler run_experiment(const ChainProfileExperiment& experiment,
-                                         std::uint64_t samples, std::uint64_t seed,
-                                         int threads) {
-  return run_experiment(experiment, RunOptions{samples, seed, threads, kDefaultShardSize});
+  return run_model(experiment.model, experiment.width, experiment.window,
+                   *arith::make_source(experiment.dist, experiment.width, experiment.params),
+                   options, path);
 }
 
 arith::CarryChainProfiler run_experiment(const ChainProfileExperiment& experiment,

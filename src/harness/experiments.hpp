@@ -1,7 +1,9 @@
 #pragma once
 // Experiment registry: every Monte Carlo experiment the paper's tables and
-// figures need, as named (adder variant × width × window × operand
-// distribution) configurations.  Bench binaries and the adder_explorer
+// figures need, as named (model family × width × window × operand
+// distribution) configurations.  The model families themselves (ModelKind,
+// their record names and runners) live in montecarlo.hpp's model table; an
+// entry here only names one.  Bench binaries and the adder_explorer
 // example look experiments up here instead of hand-rolling sampling loops;
 // new workloads are added by appending a registration, and immediately
 // become runnable from every front end.  The registry also defines what an
@@ -27,15 +29,6 @@
 
 namespace vlcsa::harness {
 
-/// Which behavioral model an error-rate experiment drives.
-enum class ModelKind {
-  kVlcsa1,
-  kVlcsa2,
-  kVlsa,
-};
-
-[[nodiscard]] const char* to_string(ModelKind kind);
-
 /// One error-rate/latency experiment: a variable-latency adder configuration
 /// pitted against an operand distribution.
 struct ErrorRateExperiment {
@@ -49,19 +42,15 @@ struct ErrorRateExperiment {
   std::uint64_t default_samples = 200000;
 };
 
-/// Runs an error-rate experiment on the parallel engine (`threads` as in
-/// engine.hpp: 0 = all hardware threads, result thread-count-invariant).
-/// `path` selects the bit-sliced batch pipeline (default) or the scalar
-/// oracle; both produce bit-identical counters (see montecarlo.hpp).
-[[nodiscard]] ErrorRateResult run_experiment(const ErrorRateExperiment& experiment,
-                                             std::uint64_t samples, std::uint64_t seed,
-                                             int threads = 0,
-                                             EvalPath path = EvalPath::kBatched);
-
-/// RunOptions variant: same semantics, with the full engine knob set exposed
-/// — in particular RunOptions::stop, which the service daemon's per-request
-/// deadline and drain use for cooperative cancellation (engine.hpp throws
-/// RunCancelled, so a cancelled run never yields a partial result).
+/// Runs an error-rate experiment on the parallel engine: one run_model call
+/// (montecarlo.hpp) for the entry's family, width, window and operand
+/// distribution.  `options` carries the full engine knob set — samples,
+/// seed, threads (0 = all hardware threads, result thread-count-invariant),
+/// lane_words, profile, and RunOptions::stop, which the service daemon's
+/// per-request deadline and drain use for cooperative cancellation
+/// (engine.hpp throws RunCancelled, so a cancelled run never yields a
+/// partial result).  `path` selects the bit-sliced batch pipeline (default)
+/// or the scalar oracle; both produce bit-identical counters.
 [[nodiscard]] ErrorRateResult run_experiment(const ErrorRateExperiment& experiment,
                                              const RunOptions& options,
                                              EvalPath path = EvalPath::kBatched);
@@ -86,13 +75,9 @@ struct ChainProfileExperiment {
   std::uint64_t default_samples = 1000000;
 };
 
-/// Distribution workloads run the batched loop (run_chain_profile); crypto
-/// workloads walk their instrumented operations one at a time.
-[[nodiscard]] arith::CarryChainProfiler run_experiment(
-    const ChainProfileExperiment& experiment, std::uint64_t samples, std::uint64_t seed,
-    int threads = 0);
-
-/// RunOptions variant (see the error-rate overload above for why).
+/// Runs a chain-profile experiment with `options` as above.  Distribution
+/// workloads run the batched loop (run_chain_profile); crypto workloads walk
+/// their instrumented operations one at a time.
 [[nodiscard]] arith::CarryChainProfiler run_experiment(
     const ChainProfileExperiment& experiment, const RunOptions& options);
 

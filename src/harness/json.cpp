@@ -1,5 +1,6 @@
 #include "harness/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -101,18 +102,15 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-std::string check_fields(const JsonValue& object,
-                         std::initializer_list<std::string_view> allowed,
-                         std::string_view where) {
+std::string check_fields(const JsonValue& object, std::span<const std::string_view> allowed,
+                         std::string_view where, std::span<const std::string_view> also_allowed) {
+  const auto named = [](std::span<const std::string_view> names, const std::string& key) {
+    return std::ranges::find(names, key) != names.end();
+  };
   for (const auto& [key, value] : object.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
+    if (!named(allowed, key) && !named(also_allowed, key)) {
+      return "unknown field '" + key + "' " + std::string(where);
     }
-    if (!known) return "unknown field '" + key + "' " + std::string(where);
   }
   return {};
 }

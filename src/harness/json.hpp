@@ -13,7 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -99,11 +99,13 @@ inline constexpr int kMaxJsonDepth = 64;
 [[nodiscard]] JsonParse parse_json(std::string_view text);
 
 /// Strictness for every reader with a fixed schema (protocol requests, sweep
-/// specs): each member of `object` must be named in `allowed` — a typo'd
-/// field is an error, never silently ignored.  Returns "" or
+/// specs): each member of `object` must be named in `allowed` or in
+/// `also_allowed` (the service's envelope fields) — a typo'd field is an
+/// error, never silently ignored.  Returns "" or
 /// "unknown field 'KEY' <where>" for the first stray member.
 [[nodiscard]] std::string check_fields(const JsonValue& object,
-                                       std::initializer_list<std::string_view> allowed,
-                                       std::string_view where);
+                                       std::span<const std::string_view> allowed,
+                                       std::string_view where,
+                                       std::span<const std::string_view> also_allowed = {});
 
 }  // namespace vlcsa::harness

@@ -3,8 +3,10 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "harness/engine.hpp"
+#include "speculative/vlsa.hpp"
 
 namespace vlcsa::harness {
 
@@ -135,7 +137,7 @@ namespace {
 /// lanes of one bit-sliced batch into its accumulator (`empty()` makes an
 /// empty one); `Scratch` is the per-shard batch output buffer.  The model
 /// families also fold one operand pair into ErrorRateResult counters (the
-/// scalar oracle run_model's kScalar path runs).
+/// scalar oracle run_folds's kScalar path runs).
 class VlcsaFolds {
  public:
   using Scratch = spec::VlcsaBatchStep;
@@ -290,7 +292,7 @@ auto run_batched(const Folds& folds, int width, OperandSource& source,
 }
 
 template <typename Folds>
-ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
+ErrorRateResult run_folds(const Folds& folds, int width, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
   if (path == EvalPath::kScalar) {
     return run_sharded(options, [] { return ErrorRateResult{}; }, [&] {
@@ -303,46 +305,58 @@ ErrorRateResult run_model(const Folds& folds, int width, OperandSource& source,
   return run_batched(folds, width, source, options);
 }
 
+/// One model family's runner: its Folds over the model config
+/// {width, window, kConfig...} through the scalar oracle or the batched loop.
+template <typename Folds, auto... kConfig>
+ErrorRateResult run_family(int width, int window, OperandSource& source,
+                           const RunOptions& options, EvalPath path) {
+  return run_folds(Folds({width, window, kConfig...}), width, source, options, path);
+}
+
+/// The model table: every family's record name and runner.  to_string and
+/// run_model read it; a family is its Folds class plus one row.
+struct ModelRow {
+  ModelKind kind;
+  const char* name;
+  ErrorRateResult (*run)(int width, int window, OperandSource& source,
+                         const RunOptions& options, EvalPath path);
+};
+
+constexpr ModelRow kModels[] = {
+    {ModelKind::kVlcsa1, "VLCSA 1", run_family<VlcsaFolds, spec::ScsaVariant::kScsa1>},
+    {ModelKind::kVlcsa2, "VLCSA 2", run_family<VlcsaFolds, spec::ScsaVariant::kScsa2>},
+    {ModelKind::kVlsa, "VLSA", run_family<VlsaFolds>},
+};
+
+const ModelRow& model_row(ModelKind kind) {
+  for (const ModelRow& row : kModels) {
+    if (row.kind == kind) return row;
+  }
+  throw std::logic_error("unknown ModelKind");
+}
+
 }  // namespace
 
-ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
+const char* to_string(ModelKind kind) { return model_row(kind).name; }
+
+ErrorRateResult run_model(ModelKind kind, int width, int window, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
-  return run_model(VlcsaFolds(config), config.width, source, options, path);
-}
-
-ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
-                          std::uint64_t samples, std::uint64_t seed, int threads,
-                          EvalPath path) {
-  return run_vlcsa(config, source, RunOptions{samples, seed, threads, kDefaultShardSize},
-                   path);
-}
-
-ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
-                         const RunOptions& options, EvalPath path) {
-  return run_model(VlsaFolds(config), config.width, source, options, path);
-}
-
-ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
-                         std::uint64_t samples, std::uint64_t seed, int threads,
-                         EvalPath path) {
-  return run_vlsa(config, source, RunOptions{samples, seed, threads, kDefaultShardSize}, path);
+  return model_row(kind).run(width, window, source, options, path);
 }
 
 arith::CarryChainProfiler run_chain_profile(OperandSource& source, const RunOptions& options) {
   return run_batched(ChainFolds(source.width()), source.width(), source, options);
 }
 
-EmpiricalWindowSearch find_window_for_nominal_rate(int width, spec::ScsaVariant variant,
+EmpiricalWindowSearch find_window_for_nominal_rate(int width, ModelKind kind,
                                                    arith::InputDistribution dist,
                                                    arith::GaussianParams params, double target,
-                                                   double slack, std::uint64_t samples,
-                                                   std::uint64_t seed, int k_lo, int k_hi,
-                                                   int threads) {
+                                                   double slack, const RunOptions& options,
+                                                   int k_lo, int k_hi) {
   EmpiricalWindowSearch best;
   for (int k = k_lo; k <= k_hi; ++k) {
     auto source = arith::make_source(dist, width, params);
-    const spec::VlcsaConfig config{width, k, variant};
-    const auto result = run_vlcsa(config, *source, samples, seed, threads);
+    const auto result = run_model(kind, width, k, *source, options);
     if (result.nominal_rate() <= slack * target) {
       best.window = k;
       best.result = result;

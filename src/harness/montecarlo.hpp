@@ -1,7 +1,11 @@
 #pragma once
 // Monte Carlo experiment engine: runs operand streams through the behavioral
 // models and aggregates the error/latency statistics the paper's tables
-// report.  All runs are reproducible from a seed.
+// report.  All runs are reproducible from a seed.  run_model is the one
+// entry point for every model family: a ModelKind names a row of the model
+// table in montecarlo.cpp, so a new family is one enumerator here plus its
+// `Folds` class and table row there (and its registrations in
+// experiments.cpp).
 //
 // Terminology (kept deliberately explicit because the paper conflates two
 // notions under "error rate"):
@@ -13,7 +17,6 @@
 //                     nominal >= actual always (a tested invariant).
 
 #include <cstdint>
-#include <random>
 #include <string_view>
 
 #include "arith/carry_chain.hpp"
@@ -21,7 +24,6 @@
 #include "harness/engine.hpp"
 #include "speculative/scsa.hpp"
 #include "speculative/vlcsa.hpp"
-#include "speculative/vlsa.hpp"
 
 namespace vlcsa::harness {
 
@@ -126,27 +128,27 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
 void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant variant,
                             ErrorRateResult& out, std::uint64_t valid_lanes);
 
-/// Runs `options.samples` additions of a VLCSA configuration over an operand
-/// source on the sharded engine.  The result is bit-identical for any thread
-/// count AND either EvalPath (see engine.hpp and EvalPath); `source` itself
-/// is never drawn from — each shard draws from a fresh clone.
-[[nodiscard]] ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
-                                        const RunOptions& options,
+/// Which behavioral model an error-rate run drives: the paper's three
+/// families, each one row of montecarlo.cpp's model table.
+enum class ModelKind {
+  kVlcsa1,
+  kVlcsa2,
+  kVlsa,
+};
+
+/// The family's record name ("VLCSA 1", "VLCSA 2", "VLSA"), read from the
+/// model table.
+[[nodiscard]] const char* to_string(ModelKind kind);
+
+/// Runs `options.samples` additions of family `kind` at `width` bits over an
+/// operand source on the sharded engine; `window` is the SCSA window size k
+/// for VLCSA, the speculative chain length l for VLSA.  The result is
+/// bit-identical for any thread count, lane width AND either EvalPath (see
+/// engine.hpp and EvalPath); `source` itself is never drawn from — each
+/// shard draws from a fresh clone.
+[[nodiscard]] ErrorRateResult run_model(ModelKind kind, int width, int window,
+                                        OperandSource& source, const RunOptions& options,
                                         EvalPath path = EvalPath::kBatched);
-
-/// Convenience overload with the default shard size.
-[[nodiscard]] ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
-                                        std::uint64_t samples, std::uint64_t seed,
-                                        int threads = 0, EvalPath path = EvalPath::kBatched);
-
-/// Runs the VLSA baseline the same way.
-[[nodiscard]] ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
-                                       const RunOptions& options,
-                                       EvalPath path = EvalPath::kBatched);
-
-[[nodiscard]] ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
-                                       std::uint64_t samples, std::uint64_t seed,
-                                       int threads = 0, EvalPath path = EvalPath::kBatched);
 
 /// Runs `options.samples` additions over an operand source through the same
 /// batched loop and profiles their carry chains (ChainMetric::kAllChains) —
@@ -158,14 +160,14 @@ void accumulate_vlcsa_batch(const spec::VlcsaBatchStep& step, spec::ScsaVariant 
 
 /// Finds the smallest window size whose *nominal* (stall) rate over the given
 /// distribution stays within slack * target — the simulation-driven sizing
-/// the paper uses for VLCSA 2 (Table 7.5).  Search range: [k_lo, k_hi].
+/// the paper uses for VLCSA 2 (Table 7.5) — by run_model runs of family
+/// `kind` at each window in [k_lo, k_hi], every one with `options`.
 struct EmpiricalWindowSearch {
   int window = 0;
   ErrorRateResult result;  // stats at the chosen window
 };
 [[nodiscard]] EmpiricalWindowSearch find_window_for_nominal_rate(
-    int width, spec::ScsaVariant variant, arith::InputDistribution dist,
-    arith::GaussianParams params, double target, double slack, std::uint64_t samples,
-    std::uint64_t seed, int k_lo = 4, int k_hi = 32, int threads = 0);
+    int width, ModelKind kind, arith::InputDistribution dist, arith::GaussianParams params,
+    double target, double slack, const RunOptions& options, int k_lo = 4, int k_hi = 32);
 
 }  // namespace vlcsa::harness

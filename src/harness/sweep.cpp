@@ -115,6 +115,10 @@ void render_progress(std::ostream& out, std::uint64_t done, std::uint64_t total,
   out << line << "                    " << "\r" << line << std::flush;
 }
 
+/// A sweep spec's fields (check_fields rejects any other).
+constexpr std::string_view kSpecFields[] = {"name", "experiments", "samples", "seeds",
+                                            "eval_path"};
+
 }  // namespace
 
 SweepSpecParse parse_sweep_spec(const std::string& text) {
@@ -129,9 +133,7 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     return out;
   }
   const JsonValue& spec = parse.value;
-  if (std::string error = check_fields(
-          spec, {"name", "experiments", "samples", "seeds", "eval_path"}, "in sweep spec");
-      !error.empty()) {
+  if (std::string error = check_fields(spec, kSpecFields, "in sweep spec"); !error.empty()) {
     out.error = std::move(error);
     return out;
   }

@@ -83,24 +83,6 @@ void json_rows(JsonObject& out, const Stats& stats, CounterRows<Stats> rows) {
   }
 }
 
-/// Strict field check (the cli.hpp tradition: a typo'd field is an error,
-/// never silently ignored): "" or "unknown field 'KEY' for this request"
-/// for the first member of `object` that is not one of `fields` nor, for a
-/// top-level request (`envelope`), one of kEnvelopeFields — the rule and
-/// wording of harness::check_fields, over a request-table row's fields.
-std::string check_fields(const JsonValue& object, std::span<const std::string_view> fields,
-                         bool envelope) {
-  const auto named = [](std::span<const std::string_view> names, const std::string& key) {
-    return std::ranges::find(names, key) != names.end();
-  };
-  for (const auto& [key, value] : object.members()) {
-    if (!named(fields, key) && !(envelope && named(kEnvelopeFields, key))) {
-      return "unknown field '" + key + "' for this request";
-    }
-  }
-  return {};
-}
-
 ExperimentService::Reply error_reply(ExperimentService::RequestContext& ctx,
                                      const std::string& message,
                                      const char* code = kCodeBadRequest) {
@@ -408,7 +390,9 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
                            kCodeDraining);
       }
     }
-    if (std::string error = check_fields(request, row->fields, true); !error.empty()) {
+    if (std::string error = harness::check_fields(request, row->fields, "for this request",
+                                                  kEnvelopeFields);
+        !error.empty()) {
       return error_reply(ctx, error);
     }
 
@@ -633,7 +617,8 @@ ExperimentService::Status ExperimentService::handle_run_batch(const JsonValue& r
     RunOutcome outcome;
     if (element.kind() != JsonValue::Kind::kObject) {
       outcome.error = "batch element must be a JSON object (a run spec)";
-    } else if (outcome.error = check_fields(element, kRunSpecFields, false);
+    } else if (outcome.error =
+                   harness::check_fields(element, kRunSpecFields, "for this request");
                outcome.error.empty()) {
       outcome.error = read_run_spec(element, spec);
     }

@@ -59,28 +59,4 @@ class VlcsaModel {
   ScsaModel scsa_;
 };
 
-/// Aggregate latency bookkeeping for a stream of additions.
-struct LatencyStats {
-  std::uint64_t operations = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t total_cycles = 0;
-
-  void record(const VlcsaStep& step) {
-    ++operations;
-    if (step.stalled) ++stalls;
-    total_cycles += static_cast<std::uint64_t>(step.cycles);
-  }
-
-  [[nodiscard]] double stall_rate() const {
-    return operations == 0 ? 0.0
-                           : static_cast<double>(stalls) / static_cast<double>(operations);
-  }
-  /// Eq. (5.2): average cycles per addition, in units of T_clk.
-  [[nodiscard]] double average_cycles() const {
-    return operations == 0
-               ? 0.0
-               : static_cast<double>(total_cycles) / static_cast<double>(operations);
-  }
-};
-
 }  // namespace vlcsa::spec

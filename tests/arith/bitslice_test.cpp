@@ -233,12 +233,12 @@ TEST_P(FillBatchTest, MatchesScalarStreamAndRngState) {
   for (int j = 0; j < batch.lanes(); ++j) {
     const auto [a, b] = scalar_source->next(rng_scalar);
     const auto [la, lb] = batch.lane(j);
-    ASSERT_EQ(la, a) << proto->name() << " width " << width << " lane " << j;
-    ASSERT_EQ(lb, b) << proto->name() << " width " << width << " lane " << j;
+    ASSERT_EQ(la, a) << to_string(dist) << " width " << width << " lane " << j;
+    ASSERT_EQ(lb, b) << to_string(dist) << " width " << width << " lane " << j;
   }
   // Identical consumption: the next raw draw must agree.
   EXPECT_EQ(rng_batch(), rng_scalar())
-      << proto->name() << " width " << width << " W " << lane_words;
+      << to_string(dist) << " width " << width << " W " << lane_words;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -270,11 +270,11 @@ TEST_P(FillBatchSequenceTest, MixedLaneWordsMatchScalarStreamAndRngState) {
     for (int j = 0; j < batch.lanes(); ++j, ++sample) {
       const auto [a, b] = scalar_source->next(rng_scalar);
       const auto [la, lb] = batch.lane(j);
-      ASSERT_EQ(la, a) << proto->name() << " width " << width << " sample " << sample;
-      ASSERT_EQ(lb, b) << proto->name() << " width " << width << " sample " << sample;
+      ASSERT_EQ(la, a) << to_string(dist) << " width " << width << " sample " << sample;
+      ASSERT_EQ(lb, b) << to_string(dist) << " width " << width << " sample " << sample;
     }
   }
-  EXPECT_EQ(rng_batch(), rng_scalar()) << proto->name() << " width " << width;
+  EXPECT_EQ(rng_batch(), rng_scalar()) << to_string(dist) << " width " << width;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -23,8 +23,9 @@ TEST(BatchEngineTest, EveryRegistryExperimentBitIdenticalBatchVsScalar) {
   // last group holds 1031 % 64 = 7 valid lanes.
   constexpr std::uint64_t kSamples = 1031;
   for (const auto& experiment : error_rate_experiments()) {
-    const auto batched = run_experiment(experiment, kSamples, 3, 1, EvalPath::kBatched);
-    const auto scalar = run_experiment(experiment, kSamples, 3, 1, EvalPath::kScalar);
+    const RunOptions options{.samples = kSamples, .seed = 3, .threads = 1};
+    const auto batched = run_experiment(experiment, options, EvalPath::kBatched);
+    const auto scalar = run_experiment(experiment, options, EvalPath::kScalar);
     EXPECT_EQ(batched, scalar) << experiment.name;
     EXPECT_EQ(batched.samples, kSamples) << experiment.name;
   }
@@ -32,13 +33,12 @@ TEST(BatchEngineTest, EveryRegistryExperimentBitIdenticalBatchVsScalar) {
 
 TEST(BatchEngineTest, TailOnlyShardSizesStayBitIdentical) {
   const auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64);
-  const spec::VlcsaConfig config{64, 9, spec::ScsaVariant::kScsa2};
   // Shard sizes straddling the 64-lane boundary: 1 and 63 are one masked
   // group, 65 and 127 a masked batch of two groups, 128 two whole groups.
   for (const std::uint64_t shard_size : {1ull, 63ull, 65ull, 127ull, 128ull}) {
     const RunOptions options{300, 11, 2, shard_size};
-    const auto batched = run_vlcsa(config, *source, options, EvalPath::kBatched);
-    const auto scalar = run_vlcsa(config, *source, options, EvalPath::kScalar);
+    const auto batched = run_model(ModelKind::kVlcsa2, 64, 9, *source, options, EvalPath::kBatched);
+    const auto scalar = run_model(ModelKind::kVlcsa2, 64, 9, *source, options, EvalPath::kScalar);
     EXPECT_EQ(batched, scalar) << "shard size " << shard_size;
     EXPECT_EQ(batched.samples, 300u) << "shard size " << shard_size;
   }
@@ -52,8 +52,10 @@ TEST(BatchEngineTest, BatchedPathIsLaneWidthInvariant) {
   ASSERT_NE(experiment, nullptr);
   const auto source =
       arith::make_source(experiment->dist, experiment->width, experiment->params);
-  const spec::VlcsaConfig config{experiment->width, experiment->window,
-                                 spec::ScsaVariant::kScsa1};
+  const auto run = [&](const RunOptions& options) {
+    return run_model(ModelKind::kVlcsa1, experiment->width, experiment->window, *source, options,
+                     EvalPath::kBatched);
+  };
   ErrorRateResult reference;
   bool have_reference = false;
   for (const int lane_words : {1, 2, 4, 8}) {
@@ -63,7 +65,7 @@ TEST(BatchEngineTest, BatchedPathIsLaneWidthInvariant) {
       options.seed = 23;
       options.threads = threads;
       options.lane_words = lane_words;
-      const auto result = run_vlcsa(config, *source, options, EvalPath::kBatched);
+      const auto result = run(options);
       if (!have_reference) {
         reference = result;
         have_reference = true;
@@ -75,26 +77,29 @@ TEST(BatchEngineTest, BatchedPathIsLaneWidthInvariant) {
   RunOptions options;
   options.samples = 5000;
   options.seed = 23;
-  EXPECT_EQ(run_vlcsa(config, *source, options, EvalPath::kBatched), reference);
+  EXPECT_EQ(run(options), reference);
 }
 
 TEST(BatchEngineTest, BatchedPathIsThreadCountInvariant) {
   const auto* experiment = find_error_rate_experiment("table7.1/n64");
   ASSERT_NE(experiment, nullptr);
-  const auto one = run_experiment(*experiment, 5000, 17, 1, EvalPath::kBatched);
-  const auto four = run_experiment(*experiment, 5000, 17, 4, EvalPath::kBatched);
-  const auto all = run_experiment(*experiment, 5000, 17, 0, EvalPath::kBatched);
+  const auto run = [experiment](int threads) {
+    return run_experiment(*experiment, {.samples = 5000, .seed = 17, .threads = threads},
+                          EvalPath::kBatched);
+  };
+  const auto one = run(1);
+  const auto four = run(4);
+  const auto all = run(0);
   EXPECT_EQ(one, four);
   EXPECT_EQ(one, all);
 }
 
 TEST(BatchEngineTest, VlsaBatchedMatchesScalarAcrossShardSizes) {
   const auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const spec::VlsaConfig config{64, 9};
   for (const std::uint64_t shard_size : {1ull, 63ull, 65ull, 127ull}) {
     const RunOptions options{257, 5, 1, shard_size};
-    const auto batched = run_vlsa(config, *source, options, EvalPath::kBatched);
-    const auto scalar = run_vlsa(config, *source, options, EvalPath::kScalar);
+    const auto batched = run_model(ModelKind::kVlsa, 64, 9, *source, options, EvalPath::kBatched);
+    const auto scalar = run_model(ModelKind::kVlsa, 64, 9, *source, options, EvalPath::kScalar);
     EXPECT_EQ(batched, scalar) << "shard size " << shard_size;
   }
 }
@@ -105,7 +110,8 @@ TEST(BatchEngineTest, InvariantsHoldOnBatchedPath) {
   for (const auto* name : {"table7.1/n64", "table7.2/n64", "vlsa/n64"}) {
     const auto* experiment = find_error_rate_experiment(name);
     ASSERT_NE(experiment, nullptr) << name;
-    const auto result = run_experiment(*experiment, 20000, 1, 0, EvalPath::kBatched);
+    const auto result =
+        run_experiment(*experiment, {.samples = 20000, .seed = 1}, EvalPath::kBatched);
     EXPECT_EQ(result.false_negatives, 0u) << name;
     EXPECT_EQ(result.emitted_wrong, 0u) << name;
     EXPECT_GE(result.nominal_errors, result.actual_errors) << name;

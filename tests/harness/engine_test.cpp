@@ -140,7 +140,6 @@ TEST(Engine, UnreachedStopLeavesCountersUnchanged) {
   // A default stop (no deadline, null flag) and one that is armed but never
   // reached must both match a run with default RunOptions, counter for
   // counter.
-  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
   const std::atomic<bool> unset{false};
   RunStop armed;
@@ -151,14 +150,14 @@ TEST(Engine, UnreachedStopLeavesCountersUnchanged) {
     plain.samples = 3 * kDefaultShardSize + 77;
     plain.seed = 5;
     plain.threads = threads;
-    const auto reference = run_vlcsa(config, *source, plain, EvalPath::kBatched);
+    const auto reference = run_model(ModelKind::kVlcsa1, 64, 8, *source, plain);
     RunOptions defaulted = plain;
     defaulted.stop = RunStop{};
     RunOptions with_armed = plain;
     with_armed.stop = armed;
-    EXPECT_TRUE(identical(reference, run_vlcsa(config, *source, defaulted, EvalPath::kBatched)))
+    EXPECT_TRUE(identical(reference, run_model(ModelKind::kVlcsa1, 64, 8, *source, defaulted)))
         << "threads=" << threads;
-    EXPECT_TRUE(identical(reference, run_vlcsa(config, *source, with_armed, EvalPath::kBatched)))
+    EXPECT_TRUE(identical(reference, run_model(ModelKind::kVlcsa1, 64, 8, *source, with_armed)))
         << "threads=" << threads;
     EXPECT_EQ(reference.samples, plain.samples);
   }
@@ -187,31 +186,37 @@ TEST(Engine, ErrorRateResultMergeAddsEveryCounter) {
 TEST(Engine, VlcsaRunIsThreadCountInvariant) {
   // The tentpole guarantee: same (seed, samples) at 1, 4 and 8 threads must
   // produce the identical ErrorRateResult, field for field.
-  const spec::VlcsaConfig config{64, 10, spec::ScsaVariant::kScsa2};
   auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                    arith::GaussianParams{0.0, 4294967296.0});
-  const auto t1 = run_vlcsa(config, *source, 50000, 42, 1);
-  const auto t4 = run_vlcsa(config, *source, 50000, 42, 4);
-  const auto t8 = run_vlcsa(config, *source, 50000, 42, 8);
+  const auto run = [&](int threads) {
+    return run_model(ModelKind::kVlcsa2, 64, 10, *source,
+                     {.samples = 50000, .seed = 42, .threads = threads});
+  };
+  const auto t1 = run(1);
+  const auto t4 = run(4);
+  const auto t8 = run(8);
   EXPECT_TRUE(identical(t1, t4));
   EXPECT_TRUE(identical(t1, t8));
   EXPECT_EQ(t1.samples, 50000u);
 }
 
 TEST(Engine, VlsaRunIsThreadCountInvariant) {
-  const spec::VlsaConfig config{64, 8};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const auto t1 = run_vlsa(config, *source, 40000, 11, 1);
-  const auto t8 = run_vlsa(config, *source, 40000, 11, 8);
+  const auto run = [&](int threads) {
+    return run_model(ModelKind::kVlsa, 64, 8, *source,
+                     {.samples = 40000, .seed = 11, .threads = threads});
+  };
+  const auto t1 = run(1);
+  const auto t8 = run(8);
   EXPECT_TRUE(identical(t1, t8));
 }
 
 TEST(Engine, InvariantsHoldUnderParallelMerge) {
   // nominal >= actual and false_negatives == 0 must survive the shard merge,
   // not just single-threaded accumulation.
-  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const auto r = run_vlcsa(config, *source, 60000, 13, 8);
+  const auto r = run_model(ModelKind::kVlcsa1, 64, 8, *source,
+                           {.samples = 60000, .seed = 13, .threads = 8});
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.emitted_wrong, 0u);
   EXPECT_GE(r.nominal_errors, r.actual_errors);
@@ -234,11 +239,14 @@ TEST(Engine, SourceStreamStateDoesNotLeakAcrossShards) {
   // boundary.  Run the
   // same experiment twice at different thread counts — any leak shows up as
   // a diverging stream.
-  const spec::VlcsaConfig config{32, 6, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kGaussianUnsigned, 32,
                                    arith::GaussianParams{0.0, 1048576.0});
-  const auto t1 = run_vlcsa(config, *source, 40000, 3, 1);
-  const auto t5 = run_vlcsa(config, *source, 40000, 3, 5);
+  const auto run = [&](int threads) {
+    return run_model(ModelKind::kVlcsa1, 32, 6, *source,
+                     {.samples = 40000, .seed = 3, .threads = threads});
+  };
+  const auto t1 = run(1);
+  const auto t5 = run(5);
   EXPECT_TRUE(identical(t1, t5));
 }
 

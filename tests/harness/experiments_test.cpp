@@ -45,7 +45,7 @@ TEST(Experiments, PrefixQueryPreservesRegistrationOrder) {
 TEST(Experiments, Table71RunMatchesThePublishedRate) {
   const auto* e = find_error_rate_experiment("table7.1/n64");
   ASSERT_NE(e, nullptr);
-  const auto result = run_experiment(*e, 40000, 13, 4);
+  const auto result = run_experiment(*e, {.samples = 40000, .seed = 13, .threads = 4});
   EXPECT_EQ(result.samples, 40000u);
   // Paper: 25.01% nominal error rate at every width.
   EXPECT_NEAR(result.nominal_rate(), 0.25, 0.02);
@@ -56,8 +56,8 @@ TEST(Experiments, Table71RunMatchesThePublishedRate) {
 TEST(Experiments, ErrorRateRunIsThreadCountInvariant) {
   const auto* e = find_error_rate_experiment("table7.2/n64");
   ASSERT_NE(e, nullptr);
-  const auto t1 = run_experiment(*e, 30000, 7, 1);
-  const auto t8 = run_experiment(*e, 30000, 7, 8);
+  const auto t1 = run_experiment(*e, {.samples = 30000, .seed = 7, .threads = 1});
+  const auto t8 = run_experiment(*e, {.samples = 30000, .seed = 7, .threads = 8});
   EXPECT_EQ(t1.actual_errors, t8.actual_errors);
   EXPECT_EQ(t1.nominal_errors, t8.nominal_errors);
   EXPECT_EQ(t1.total_cycles, t8.total_cycles);
@@ -68,7 +68,7 @@ TEST(Experiments, ErrorRateRunIsThreadCountInvariant) {
 TEST(Experiments, VlsaExperimentHonorsInvariants) {
   const auto* e = find_error_rate_experiment("vlsa/n64");
   ASSERT_NE(e, nullptr);
-  const auto result = run_experiment(*e, 30000, 17, 4);
+  const auto result = run_experiment(*e, {.samples = 30000, .seed = 17, .threads = 4});
   EXPECT_EQ(result.false_negatives, 0u);
   EXPECT_EQ(result.emitted_wrong, 0u);
   EXPECT_GE(result.nominal_errors, result.actual_errors);
@@ -77,8 +77,8 @@ TEST(Experiments, VlsaExperimentHonorsInvariants) {
 TEST(Experiments, ChainProfileRunIsThreadCountInvariant) {
   const auto* e = find_chain_profile_experiment("fig6.5/gaussian-twos-complement");
   ASSERT_NE(e, nullptr);
-  const auto t1 = run_experiment(*e, 50000, 5, 1);
-  const auto t8 = run_experiment(*e, 50000, 5, 8);
+  const auto t1 = run_experiment(*e, {.samples = 50000, .seed = 5, .threads = 1});
+  const auto t8 = run_experiment(*e, {.samples = 50000, .seed = 5, .threads = 8});
   EXPECT_EQ(t1.additions(), 50000u);
   EXPECT_EQ(t1.total(), t8.total());
   EXPECT_EQ(t1.counts(), t8.counts());
@@ -93,8 +93,8 @@ TEST(Experiments, ChainProfileRunIsThreadCountInvariant) {
 TEST(Experiments, CryptoProfileIsDeterministicInSeed) {
   const auto* e = find_chain_profile_experiment("fig6.2/rsa-like");
   ASSERT_NE(e, nullptr);
-  const auto a = run_experiment(*e, 2, 9, 1);
-  const auto b = run_experiment(*e, 2, 9, 4);
+  const auto a = run_experiment(*e, {.samples = 2, .seed = 9, .threads = 1});
+  const auto b = run_experiment(*e, {.samples = 2, .seed = 9, .threads = 4});
   EXPECT_GT(a.additions(), 0u);
   EXPECT_EQ(a.counts(), b.counts());
   EXPECT_EQ(a.additions(), b.additions());

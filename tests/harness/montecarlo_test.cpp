@@ -10,19 +10,17 @@ namespace vlcsa::harness {
 namespace {
 
 TEST(MonteCarlo, VlcsaResultIsDeterministicInSeed) {
-  const spec::VlcsaConfig config{64, 10, spec::ScsaVariant::kScsa1};
   auto s1 = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
   auto s2 = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const auto r1 = run_vlcsa(config, *s1, 5000, 42);
-  const auto r2 = run_vlcsa(config, *s2, 5000, 42);
+  const auto r1 = run_model(ModelKind::kVlcsa1, 64, 10, *s1, {.samples = 5000, .seed = 42});
+  const auto r2 = run_model(ModelKind::kVlcsa1, 64, 10, *s2, {.samples = 5000, .seed = 42});
   EXPECT_EQ(r1.actual_errors, r2.actual_errors);
   EXPECT_EQ(r1.nominal_errors, r2.nominal_errors);
 }
 
 TEST(MonteCarlo, InvariantCountersHoldOnUniform) {
-  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const auto r = run_vlcsa(config, *source, 50000, 7);
+  const auto r = run_model(ModelKind::kVlcsa1, 64, 8, *source, {.samples = 50000, .seed = 7});
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.emitted_wrong, 0u);
   EXPECT_GE(r.nominal_errors, r.actual_errors);
@@ -33,10 +31,9 @@ TEST(MonteCarlo, InvariantCountersHoldOnUniform) {
 TEST(MonteCarlo, NominalRateTracksAnalyticalModel) {
   // Fig 7.1 in miniature: ERR0 rate vs the exact DP model.
   const int n = 64, k = 7;
-  const spec::VlcsaConfig config{n, k, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, n);
   const std::uint64_t samples = 300000;
-  const auto r = run_vlcsa(config, *source, samples, 11);
+  const auto r = run_model(ModelKind::kVlcsa1, n, k, *source, {.samples = samples, .seed = 11});
   const double expected = spec::scsa_exact_error_rate(n, k);
   EXPECT_TRUE(wilson_interval(r.nominal_errors, r.samples, 5.0).contains(expected))
       << "nominal " << r.nominal_rate() << " vs exact " << expected;
@@ -44,20 +41,18 @@ TEST(MonteCarlo, NominalRateTracksAnalyticalModel) {
 
 TEST(MonteCarlo, GaussianVlcsa1StallsNearQuarter) {
   // Table 7.1: ~25% for 2's-complement Gaussian with sigma = 2^32.
-  const spec::VlcsaConfig config{64, 14, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                    arith::GaussianParams{0.0, 4294967296.0});
-  const auto r = run_vlcsa(config, *source, 40000, 13);
+  const auto r = run_model(ModelKind::kVlcsa1, 64, 14, *source, {.samples = 40000, .seed = 13});
   EXPECT_NEAR(r.nominal_rate(), 0.25, 0.02);
   EXPECT_EQ(r.false_negatives, 0u);
 }
 
 TEST(MonteCarlo, GaussianVlcsa2StallsRarely) {
   // Table 7.2: ~0.01% for the same inputs.
-  const spec::VlcsaConfig config{64, 14, spec::ScsaVariant::kScsa2};
   auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                    arith::GaussianParams{0.0, 4294967296.0});
-  const auto r = run_vlcsa(config, *source, 40000, 13);
+  const auto r = run_model(ModelKind::kVlcsa2, 64, 14, *source, {.samples = 40000, .seed = 13});
   EXPECT_LT(r.nominal_rate(), 0.005);
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.emitted_wrong, 0u);
@@ -68,22 +63,21 @@ TEST(MonteCarlo, GaussianVlcsa2TakesFewerCyclesThanVlcsa1) {
   // speculative sums are flagged, which sign-extended two's-complement
   // operands rarely trigger (Table 7.2 vs 7.1), so the same stream takes
   // fewer total cycles (n = 64, k = 14).
-  const auto run = [](spec::ScsaVariant variant) {
+  const auto run = [](ModelKind kind) {
     auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                      arith::GaussianParams{0.0, 4294967296.0});
-    return run_vlcsa({64, 14, variant}, *source, 20000, 11);
+    return run_model(kind, 64, 14, *source, {.samples = 20000, .seed = 11});
   };
-  const auto r1 = run(spec::ScsaVariant::kScsa1);
-  const auto r2 = run(spec::ScsaVariant::kScsa2);
+  const auto r1 = run(ModelKind::kVlcsa1);
+  const auto r2 = run(ModelKind::kVlcsa2);
   EXPECT_LT(r2.total_cycles, r1.total_cycles);
   EXPECT_EQ(r1.emitted_wrong, 0u);
   EXPECT_EQ(r2.emitted_wrong, 0u);
 }
 
 TEST(MonteCarlo, VlsaRunHonorsInvariants) {
-  const spec::VlsaConfig config{64, 8};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
-  const auto r = run_vlsa(config, *source, 50000, 17);
+  const auto r = run_model(ModelKind::kVlsa, 64, 8, *source, {.samples = 50000, .seed = 17});
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.emitted_wrong, 0u);
   EXPECT_GE(r.nominal_errors, r.actual_errors);
@@ -96,11 +90,29 @@ TEST(MonteCarlo, WindowSearchFindsSmallGaussianWindows) {
   // Table 7.5's procedure in miniature: for 2's-complement Gaussian inputs
   // the VLCSA 2 window needed for ~0.25% is small and width-insensitive.
   const auto found = find_window_for_nominal_rate(
-      64, spec::ScsaVariant::kScsa2, arith::InputDistribution::kGaussianTwos,
-      arith::GaussianParams{0.0, 4294967296.0}, 2.5e-3, 1.25, 20000, 19, 4, 16);
+      64, ModelKind::kVlcsa2, arith::InputDistribution::kGaussianTwos,
+      arith::GaussianParams{0.0, 4294967296.0}, 2.5e-3, 1.25, {.samples = 20000, .seed = 19}, 4,
+      16);
   EXPECT_GE(found.window, 4);
   EXPECT_LE(found.window, 12);
   EXPECT_LE(found.result.nominal_rate(), 1.25 * 2.5e-3);
+}
+
+TEST(MonteCarlo, WindowSearchSizesTheVlsaChainLength) {
+  // The same search over the VLSA family: the chain length l it returns for
+  // a 0.01% stall rate on uniform inputs is the smallest that meets
+  // slack * target, so a run at l - 1 with the same options misses it.
+  constexpr double kTarget = 1e-4;
+  constexpr double kSlack = 1.25;
+  const RunOptions options{.samples = 200000, .seed = 29};
+  const auto found = find_window_for_nominal_rate(
+      64, ModelKind::kVlsa, arith::InputDistribution::kUniformUnsigned, {}, kTarget, kSlack,
+      options, 8, 32);
+  ASSERT_GT(found.window, 8);
+  EXPECT_LE(found.result.nominal_rate(), kSlack * kTarget);
+  auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
+  EXPECT_GT(run_model(ModelKind::kVlsa, 64, found.window - 1, *source, options).nominal_rate(),
+            kSlack * kTarget);
 }
 
 TEST(MonteCarlo, ProfiledRunFoldsTheSameCounters) {
@@ -109,18 +121,16 @@ TEST(MonteCarlo, ProfiledRunFoldsTheSameCounters) {
   // families, and a profile in which every sample went through the batched
   // kernel — the 3000 % 256 = 184-sample tail as one more (masked,
   // 3-lane-word) block, counted and timed like any other.
-  const spec::VlcsaConfig config{64, 8, spec::ScsaVariant::kScsa2};
-  const spec::VlsaConfig vlsa{64, 8};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
   RunOptions options{3000, 5, 1, kDefaultShardSize};
   options.lane_words = 4;
-  const auto plain = run_vlcsa(config, *source, options);
-  const auto plain_vlsa = run_vlsa(vlsa, *source, options);
+  const auto plain = run_model(ModelKind::kVlcsa2, 64, 8, *source, options);
+  const auto plain_vlsa = run_model(ModelKind::kVlsa, 64, 8, *source, options);
   RunProfileCollector collector;
   options.profile = &collector;
-  EXPECT_EQ(run_vlcsa(config, *source, options), plain);
+  EXPECT_EQ(run_model(ModelKind::kVlcsa2, 64, 8, *source, options), plain);
   const RunProfile profile = collector.snapshot();
-  EXPECT_EQ(run_vlsa(vlsa, *source, options), plain_vlsa);
+  EXPECT_EQ(run_model(ModelKind::kVlsa, 64, 8, *source, options), plain_vlsa);
   EXPECT_EQ(profile.batch_blocks, 3000u / 256 + 1);
   EXPECT_EQ(profile.batched_samples, 3000u);
   EXPECT_EQ(profile.scalar_samples, 0u);
@@ -133,17 +143,15 @@ TEST(MonteCarlo, MaskedLastBatchMatchesTheScalarOracle) {
   // groups (64) or a partial last group (65, 200, 1000), and whole batches
   // (512, 256 lanes each at 4 lane words, with a 452-sample last shard),
   // all fold to the scalar path's counters, for both model families.
-  const spec::VlcsaConfig config{64, 6, spec::ScsaVariant::kScsa1};
-  const spec::VlsaConfig vlsa{64, 5};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 64);
   for (const std::uint64_t shard_size : {1u, 63u, 64u, 65u, 200u, 512u, 1000u}) {
     RunOptions options{2500, 3, 2, shard_size};
     options.lane_words = 4;
-    EXPECT_EQ(run_vlcsa(config, *source, options),
-              run_vlcsa(config, *source, options, EvalPath::kScalar))
+    EXPECT_EQ(run_model(ModelKind::kVlcsa1, 64, 6, *source, options),
+              run_model(ModelKind::kVlcsa1, 64, 6, *source, options, EvalPath::kScalar))
         << "shard size " << shard_size;
-    EXPECT_EQ(run_vlsa(vlsa, *source, options),
-              run_vlsa(vlsa, *source, options, EvalPath::kScalar))
+    EXPECT_EQ(run_model(ModelKind::kVlsa, 64, 5, *source, options),
+              run_model(ModelKind::kVlsa, 64, 5, *source, options, EvalPath::kScalar))
         << "shard size " << shard_size;
   }
 }
@@ -165,12 +173,33 @@ TEST(MonteCarlo, WilsonIntervalMatchesClosedForm) {
 }
 
 TEST(MonteCarlo, ZeroSamplesIsWellDefined) {
-  const spec::VlcsaConfig config{32, 8, spec::ScsaVariant::kScsa1};
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, 32);
-  const auto r = run_vlcsa(config, *source, 0, 1);
+  const auto r = run_model(ModelKind::kVlcsa1, 32, 8, *source, {.samples = 0, .seed = 1});
   EXPECT_EQ(r.samples, 0u);
   EXPECT_DOUBLE_EQ(r.actual_rate(), 0.0);
   EXPECT_DOUBLE_EQ(r.average_cycles(), 0.0);
+}
+
+TEST(ErrorRateResult, AverageCyclesFollowsEq52) {
+  // T_ave = (1 + P_stall) * T_clk: with cycles in {1,2} this is exact.
+  ErrorRateResult stats;
+  spec::VlcsaStep fast;
+  fast.cycles = 1;
+  fast.stalled = false;
+  spec::VlcsaStep slow;
+  slow.cycles = 2;
+  slow.stalled = true;
+  for (int i = 0; i < 99; ++i) accumulate_vlcsa(fast, spec::ScsaVariant::kScsa1, stats);
+  accumulate_vlcsa(slow, spec::ScsaVariant::kScsa1, stats);
+  EXPECT_DOUBLE_EQ(stats.nominal_rate(), 0.01);
+  EXPECT_DOUBLE_EQ(stats.average_cycles(), 1.01);
+  EXPECT_DOUBLE_EQ(stats.average_cycles(), 1.0 + stats.nominal_rate());
+}
+
+TEST(ErrorRateResult, EmptyIsZero) {
+  const ErrorRateResult stats;
+  EXPECT_DOUBLE_EQ(stats.nominal_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(stats.average_cycles(), 0.0);
 }
 
 }  // namespace

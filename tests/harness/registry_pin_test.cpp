@@ -133,7 +133,8 @@ TEST(RegistryPinTest, ChainProfileHistogramMatchesPreBlockRngBaseline) {
       find_chain_profile_experiment("fig6.1/uniform-unsigned");
   ASSERT_NE(experiment, nullptr);
   for (const int threads : {1, 4}) {
-    const auto profile = run_experiment(*experiment, kSamples, kSeed, threads);
+    const auto profile =
+        run_experiment(*experiment, {.samples = kSamples, .seed = kSeed, .threads = threads});
     EXPECT_EQ(profile.additions(), kSamples);
     std::uint64_t fnv = 1469598103934665603ULL;
     for (const std::uint64_t count : profile.counts()) {

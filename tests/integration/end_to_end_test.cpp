@@ -24,8 +24,8 @@ TEST(EndToEnd, Fig71PipelineModelVsMonteCarlo) {
   for (const int n : {64, 128}) {
     for (const int k : {6, 8, 10}) {
       auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, n);
-      const auto result = harness::run_vlcsa(
-          spec::VlcsaConfig{n, k, spec::ScsaVariant::kScsa1}, *source, 100000, 5);
+      const auto result = harness::run_model(harness::ModelKind::kVlcsa1, n, k, *source,
+                                             {.samples = 100000, .seed = 5});
       const double model = spec::scsa_exact_error_rate(n, k);
       EXPECT_TRUE(harness::wilson_interval(result.nominal_errors, result.samples, 5.0)
                       .contains(model))
@@ -41,9 +41,8 @@ TEST(EndToEnd, Table74PipelineSizesThenValidates) {
   const int n = 128;
   const int k = spec::min_window_for_error_rate(n, target);
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, n);
-  const auto result =
-      harness::run_vlcsa(spec::VlcsaConfig{n, k, spec::ScsaVariant::kScsa1}, *source,
-                         200000, 9);
+  const auto result = harness::run_model(harness::ModelKind::kVlcsa1, n, k, *source,
+                                         {.samples = 200000, .seed = 9});
   EXPECT_LT(result.nominal_rate(), 2.0 * target);
 }
 
@@ -75,12 +74,12 @@ TEST(EndToEnd, CryptoWorkloadShowsBimodalChainsAndVlcsa2Wins) {
   // Replay the same mechanism through the VLCSA models via a Gaussian proxy.
   auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                    arith::GaussianParams{0.0, std::ldexp(1.0, 32)});
-  const auto v1 = harness::run_vlcsa(spec::VlcsaConfig{64, 14, spec::ScsaVariant::kScsa1},
-                                     *source, 20000, 3);
+  const auto v1 = harness::run_model(harness::ModelKind::kVlcsa1, 64, 14, *source,
+                                     {.samples = 20000, .seed = 3});
   auto source2 = arith::make_source(arith::InputDistribution::kGaussianTwos, 64,
                                     arith::GaussianParams{0.0, std::ldexp(1.0, 32)});
-  const auto v2 = harness::run_vlcsa(spec::VlcsaConfig{64, 14, spec::ScsaVariant::kScsa2},
-                                     *source2, 20000, 3);
+  const auto v2 = harness::run_model(harness::ModelKind::kVlcsa2, 64, 14, *source2,
+                                     {.samples = 20000, .seed = 3});
   EXPECT_LT(v2.nominal_rate(), 0.1 * v1.nominal_rate());
 }
 

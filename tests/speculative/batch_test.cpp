@@ -423,17 +423,17 @@ TEST_P(BackendLaneWidthTest, EngineCountersBitIdenticalToScalarPath) {
     options.seed = 29;
     options.threads = 1;
     options.lane_words = lane_words;
-    const spec::VlcsaConfig config1{64, 9, ScsaVariant::kScsa1};
-    const spec::VlcsaConfig config2{64, 9, ScsaVariant::kScsa2};
-    const spec::VlsaConfig vlsa_config{64, 11};
-    const auto b1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kBatched);
-    const auto s1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kScalar);
+    const auto run = [&](harness::ModelKind kind, int window, harness::EvalPath path) {
+      return harness::run_model(kind, 64, window, *source, options, path);
+    };
+    const auto b1 = run(harness::ModelKind::kVlcsa1, 9, harness::EvalPath::kBatched);
+    const auto s1 = run(harness::ModelKind::kVlcsa1, 9, harness::EvalPath::kScalar);
     EXPECT_EQ(b1, s1) << "VLCSA1 samples=" << samples << " W=" << lane_words;
-    const auto b2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kBatched);
-    const auto s2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kScalar);
+    const auto b2 = run(harness::ModelKind::kVlcsa2, 9, harness::EvalPath::kBatched);
+    const auto s2 = run(harness::ModelKind::kVlcsa2, 9, harness::EvalPath::kScalar);
     EXPECT_EQ(b2, s2) << "VLCSA2 samples=" << samples << " W=" << lane_words;
-    const auto bv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kBatched);
-    const auto sv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kScalar);
+    const auto bv = run(harness::ModelKind::kVlsa, 11, harness::EvalPath::kBatched);
+    const auto sv = run(harness::ModelKind::kVlsa, 11, harness::EvalPath::kScalar);
     EXPECT_EQ(bv, sv) << "VLSA samples=" << samples << " W=" << lane_words;
   }
 }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,7 +14,6 @@ class FixedPairSource final : public arith::OperandSource {
  public:
   FixedPairSource(arith::ApInt a, arith::ApInt b)
       : OperandSource(a.width()), a_(std::move(a)), b_(std::move(b)) {}
-  [[nodiscard]] std::string name() const override { return "fixed-pair"; }
   std::pair<arith::ApInt, arith::ApInt> next(arith::BlockRng&) override { return {a_, b_}; }
   void fill_batch(arith::BlockRng&, arith::BitSlicedBatch& out) override {
     const auto lanes = static_cast<std::size_t>(out.lanes());

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "arith/distributions.hpp"
+#include "harness/montecarlo.hpp"
 
 namespace vlcsa::spec {
 namespace {
@@ -81,37 +82,15 @@ TEST(VlcsaModel, GaussianStallRateGapBetweenVariants) {
   const VlcsaModel v1(VlcsaConfig{n, k, ScsaVariant::kScsa1});
   const VlcsaModel v2(VlcsaConfig{n, k, ScsaVariant::kScsa2});
   vlcsa::arith::BlockRng r1(23), r2(23);
-  LatencyStats s1, s2;
+  harness::ErrorRateResult s1, s2;
   for (int i = 0; i < 20000; ++i) {
     const auto [a1, b1] = source.next(r1);
-    s1.record(v1.step(a1, b1));
-    s2.record(v2.step(a1, b1));
+    harness::accumulate_vlcsa(v1.step(a1, b1), ScsaVariant::kScsa1, s1);
+    harness::accumulate_vlcsa(v2.step(a1, b1), ScsaVariant::kScsa2, s2);
   }
-  EXPECT_NEAR(s1.stall_rate(), 0.25, 0.03);
-  EXPECT_LT(s2.stall_rate(), 0.01);
+  EXPECT_NEAR(s1.nominal_rate(), 0.25, 0.03);
+  EXPECT_LT(s2.nominal_rate(), 0.01);
   EXPECT_LT(s2.average_cycles(), s1.average_cycles());
-}
-
-TEST(LatencyStats, AverageCyclesFollowsEq52) {
-  // T_ave = (1 + P_stall) * T_clk: with cycles in {1,2} this is exact.
-  LatencyStats stats;
-  VlcsaStep fast;
-  fast.cycles = 1;
-  fast.stalled = false;
-  VlcsaStep slow;
-  slow.cycles = 2;
-  slow.stalled = true;
-  for (int i = 0; i < 99; ++i) stats.record(fast);
-  stats.record(slow);
-  EXPECT_DOUBLE_EQ(stats.stall_rate(), 0.01);
-  EXPECT_DOUBLE_EQ(stats.average_cycles(), 1.01);
-  EXPECT_DOUBLE_EQ(stats.average_cycles(), 1.0 + stats.stall_rate());
-}
-
-TEST(LatencyStats, EmptyIsZero) {
-  const LatencyStats stats;
-  EXPECT_DOUBLE_EQ(stats.stall_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.average_cycles(), 0.0);
 }
 
 }  // namespace
